@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-vector smoke chaos-smoke resume-smoke fabric-smoke model-smoke bench-store service-smoke recovery-smoke bench-service
+.PHONY: test bench bench-vector smoke perf-smoke chaos-smoke resume-smoke fabric-smoke model-smoke bench-store service-smoke recovery-smoke bench-service
 
 ## Tier-1: the full unit/integration suite (what CI gates on).
 test:
@@ -33,6 +33,17 @@ smoke:
 	$(PYTHON) -m repro.cli sweep --algorithms alg1 okun-crash \
 		--sizes 4:1 5:1 --attacks silent crash --seeds 0 1 \
 		--workers 2 --engine reference
+
+## Benchmark correctness smoke: every perfbench workload for 2 s. The
+## benchmark checks its own ops (check_renaming verdicts, byte-equal journal
+## replays, repeat counts); this fails unless its final JSON line reports
+## "correct": true. Timings are not gated here.
+perf-smoke:
+	@out=$$($(PYTHON) perfbench/run.py --workload all --seed 1 --seconds 2 \
+		--trace 0) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | tail -n 1 | $(PYTHON) -c \
+		'import json, sys; sys.exit(json.load(sys.stdin).get("correct") is not True)'
 
 ## Beyond-model fault-injection campaign on both engines via the chaos
 ## CLI. Exit 0 means the campaign is healthy (every injection classified,

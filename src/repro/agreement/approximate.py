@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from ..core.approximation import average, select_every_t, trim_extremes
+from ..core.approximation import trimmed_mean
 from ..core.messages import Rank
+from ..core.validation import is_sound_rank
 from ..sim.messages import KIND_BITS, Message, RANK_FRACTION_BITS
 from ..sim.process import Inbox, Outbox, Process, ProcessContext
 
@@ -66,8 +67,6 @@ class ApproximateAgreement(Process):
         return self.broadcast(ValueMessage(self.value))
 
     def deliver(self, round_no: int, inbox: Inbox) -> None:
-        from ..core.validation import is_sound_rank
-
         votes: List[Rank] = []
         for link in sorted(inbox):
             for message in inbox[link]:
@@ -80,8 +79,7 @@ class ApproximateAgreement(Process):
         votes = votes[: self.ctx.n]
         while len(votes) < self.ctx.n:
             votes.append(self.value)
-        surviving = trim_extremes(votes, self.trim)
-        self.value = average(select_every_t(surviving, self.trim))
+        self.value = trimmed_mean(votes, self.trim)
         self.ctx.log(round_no, "value", self.value)
         if round_no == self.rounds:
             self.output_value = self.value

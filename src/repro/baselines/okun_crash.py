@@ -31,9 +31,9 @@ from typing import Dict, Optional, Set
 from ..core.approximation import approximate, nearest_int
 from ..core.messages import EchoMessage, IdMessage, Rank, RanksMessage
 from ..core.params import SystemParams
-from ..core.validation import is_sound_id, is_sound_vote, is_valid_ranks
+from ..core.validation import OrderedIds, is_sound_id, is_valid_ranks
 from ..sim.errors import SafetyViolation
-from ..sim.process import Inbox, Outbox, Process, ProcessContext
+from ..sim.process import Inbox, Outbox, Process, ProcessContext, ordered_links
 
 #: Id-exchange rounds before voting starts.
 EXCHANGE_ROUNDS = 2
@@ -65,6 +65,7 @@ class OkunCrashRenaming(Process):
         )
         self.total_rounds = EXCHANGE_ROUNDS + self.voting_rounds
         self.timely: Set[int] = set()
+        self._timely_order = OrderedIds(())  # timely, sorted once after round 1
         self.known: Set[int] = set()
         self.ranks: Dict[int, Rank] = {}
         self.early_deciding = early_deciding
@@ -84,14 +85,15 @@ class OkunCrashRenaming(Process):
 
     def deliver(self, round_no: int, inbox: Inbox) -> None:
         if round_no == 1:
-            for link in sorted(inbox):
+            for link in ordered_links(inbox):
                 for message in inbox[link]:
                     if isinstance(message, IdMessage) and is_sound_id(message.id):
                         self.timely.add(message.id)
                         break
             self.known = set(self.timely)
+            self._timely_order = OrderedIds(self.timely)
         elif round_no == 2:
-            for link in sorted(inbox):
+            for link in ordered_links(inbox):
                 for message in inbox[link]:
                     if isinstance(message, EchoMessage) and is_sound_id(message.id):
                         self.known.add(message.id)
@@ -127,12 +129,12 @@ class OkunCrashRenaming(Process):
 
     def _voting_step(self, round_no: int, inbox: Inbox) -> None:
         votes = []
-        for link in sorted(inbox):
+        for link in ordered_links(inbox):
             for message in inbox[link]:
                 if isinstance(message, RanksMessage):
-                    vote = message.as_dict()
-                    if is_sound_vote(vote) and is_valid_ranks(
-                        self.timely, vote, self.delta
+                    vote = message.sound_vote()
+                    if vote is not None and is_valid_ranks(
+                        self._timely_order, vote, self.delta
                     ):
                         votes.append(vote)
                     break

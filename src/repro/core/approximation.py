@@ -16,6 +16,7 @@ arrays received this round, it produces the next ranks array:
 
 Pure functions over multisets; no I/O. Ranks may be ``Fraction`` (exact
 mode, the default — the paper's analysis verbatim) or ``float``.
+:func:`trimmed_mean` runs the exact case on plain integers (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -59,6 +60,26 @@ def average(values: Sequence[Rank]) -> Rank:
     return sum(values) / len(values)
 
 
+def trimmed_mean(values: Sequence[Rank], t: int) -> Rank:
+    """Alg. 3 lines 12–16 on one multiset: ``average(select_t(trim(values)))``.
+
+    When every value is a ``Fraction`` the fold runs on integers: each value
+    becomes its numerator over the common denominator ``D``, so sorting the
+    numerators sorts the values and their sum is exact, and
+    ``Fraction(sum, D·len)`` normalises to the very value (and type) the
+    generic path returns. Anything else — floats, or ``int`` values, whose
+    generic mean is a float — takes the generic path, as do too few values,
+    so they raise :func:`trim_extremes`'s error.
+    """
+    if len(values) <= 2 * t or not all(type(value) is Fraction for value in values):
+        return average(select_every_t(trim_extremes(values, t), t))
+    ratios = [value.as_integer_ratio() for value in values]
+    denominator = math.lcm(*{den for _, den in ratios})
+    keys = sorted(num * (denominator // den) for num, den in ratios)
+    selected = keys[t: len(keys) - t: t] if t else keys
+    return Fraction(sum(selected), denominator * len(selected))
+
+
 def approximate(
     my_ranks: Mapping[int, Rank],
     accepted: Set[int],
@@ -93,8 +114,7 @@ def approximate(
         votes = votes[:n]  # at most one valid vote per link; defensive cap
         while len(votes) < n:  # fill with own value (lines 10-11)
             votes.append(my_ranks[identifier])
-        surviving = trim_extremes(votes, trim)  # lines 12-15
-        new_ranks[identifier] = average(select_every_t(surviving, trim))  # line 16
+        new_ranks[identifier] = trimmed_mean(votes, trim)  # lines 12-16
     return new_ranks, new_accepted
 
 

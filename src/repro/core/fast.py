@@ -30,7 +30,7 @@ selective echoing inflates Δ linearly in ``N`` and order preservation breaks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from ..sim.compose import Phase, PhaseContext, PhaseSequence
 from ..sim.errors import SafetyViolation
@@ -96,9 +96,12 @@ class TwoStepPhase(Phase):
         """Round 2, lines 13–17: count echoes from valid MultiEchoes."""
         for link in ordered_links(inbox):
             echo = self._first_multiecho(inbox[link])
-            if echo is None or not self._is_valid(link, echo.ids):
+            if echo is None:
                 continue
-            for identifier in set(echo.ids):
+            ids = echo.sound_ids()
+            if ids is None or not self._is_valid(link, ids):
+                continue
+            for identifier in ids:
                 self.counter[identifier] = self.counter.get(identifier, 0) + 1
         self._ctx.log(TWO_STEP_ROUNDS, "counters", dict(self.counter))
 
@@ -111,16 +114,15 @@ class TwoStepPhase(Phase):
                 return message
         return None
 
-    def _is_valid(self, link: int, ids: Iterable[int]) -> bool:
-        """Alg. 4's isValid: announced sender, ≤ N well-typed ids, ≥ N−t
-        overlap. Structurally unsound ids anywhere in the echo condemn the
-        whole message — an honest sender never produces them."""
-        id_set = set(ids)
+    def _is_valid(self, link: int, ids: FrozenSet[int]) -> bool:
+        """Alg. 4's isValid: announced sender, ≤ N ids, ≥ N−t overlap.
+        ``ids`` is the echo's :meth:`~MultiEchoMessage.sound_ids`: an echo
+        with a structurally unsound id anywhere was already condemned whole
+        — an honest sender never produces one."""
         return (
             link in self.link_id
-            and len(id_set) <= self._ctx.n
-            and all(is_sound_id(identifier) for identifier in id_set)
-            and len(self.timely & id_set) >= self._ctx.n - self._ctx.t
+            and len(ids) <= self._ctx.n
+            and len(self.timely & ids) >= self._ctx.n - self._ctx.t
         )
 
     def _choose_names(self) -> None:

@@ -36,7 +36,7 @@ from .approximation import approximate, nearest_int
 from .id_selection import ID_SELECTION_STEPS, IdSelectionPhase, IdSelectionResult
 from .messages import Message, Rank, RanksMessage
 from .params import SystemParams
-from .validation import is_sound_vote, is_valid_ranks
+from .validation import OrderedIds, is_valid_ranks
 
 #: Spacing tolerance used by ``isValid`` in float mode (see validation docs).
 FLOAT_TOLERANCE = 1e-9
@@ -119,6 +119,7 @@ class VotingPhase(Phase):
         self.delta = delta
         self._tolerance = tolerance
         self.timely = selection.timely
+        self._timely_order = OrderedIds(self.timely)  # fixed for the run
         self.accepted: Set[int] = set(selection.accepted)
         if ctx.my_id not in self.accepted:
             # Impossible for a correct process when N > 3t (Lemma IV.2);
@@ -163,7 +164,7 @@ class VotingPhase(Phase):
             if vote is None:
                 continue
             if not self.options.validate_votes or is_valid_ranks(
-                self.timely, vote, self.delta, self._tolerance
+                self._timely_order, vote, self.delta, self._tolerance
             ):
                 votes.append(vote)
         if self.frozen_at is not None:
@@ -197,16 +198,16 @@ class VotingPhase(Phase):
             self._ctx.log(step, "early_frozen", dict(self.ranks))
 
     @staticmethod
-    def _first_vote(messages) -> Optional[Dict[int, Rank]]:
+    def _first_vote(messages) -> Optional[Mapping[int, Rank]]:
         """First AA vote on a link this round; extras on the same link are
         Byzantine double-voting and are ignored. Structurally unsound votes
         (non-int ids, NaN/inf ranks) are dropped before any arithmetic —
         hygiene, not semantics; ``isValid`` cannot be trusted to catch NaN
-        because NaN defeats every comparison."""
+        because NaN defeats every comparison. The vote is a read-only view
+        shared with every other recipient of the same message."""
         for message in messages:
             if isinstance(message, RanksMessage):
-                vote = message.as_dict()
-                return vote if is_sound_vote(vote) else None
+                return message.sound_vote()
         return None
 
     def _decide(self) -> None:

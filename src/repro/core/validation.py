@@ -17,9 +17,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .messages import Rank
+if TYPE_CHECKING:  # messages imports this module; a runtime import is circular
+    from .messages import Rank
+
+#: Rank types :func:`is_valid_ranks` compares by integer cross-multiplication.
+_EXACT = (int, Fraction)
 
 
 def is_sound_rank(value: object) -> bool:
@@ -60,6 +64,19 @@ def is_sound_vote(vote: Mapping[object, object]) -> bool:
     )
 
 
+class OrderedIds(tuple):
+    """Ids in ascending order without duplicates, for :func:`is_valid_ranks`.
+
+    ``timely`` never changes after id selection, so the voting phases build
+    this once per run and every vote check skips the sort.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ids: Iterable[int]) -> "OrderedIds":
+        return super().__new__(cls, sorted(set(ids)))
+
+
 def is_valid_ranks(
     timely: Iterable[int],
     ranks: Mapping[int, Rank],
@@ -74,18 +91,33 @@ def is_valid_ranks(
 
     Checking consecutive ids in the sorted ``timely`` set is equivalent to the
     paper's all-pairs loop: δ-spacing of consecutive pairs implies (additively
-    more than) δ-spacing of all pairs.
+    more than) δ-spacing of all pairs. ``timely`` is sorted here unless it is
+    already an :class:`OrderedIds`.
+
+    When the threshold and every timely rank are ``int``/``Fraction`` the
+    spacing test cross-multiplies instead of building ``Fraction``
+    differences: with positive denominators, ``b − a < θ`` is
+    ``(b_n·a_d − a_n·b_d)·θ_d < θ_n·a_d·b_d``. Anything else (float mode, or
+    a float in a Byzantine vote) compares the values directly.
     """
     # Keep the threshold exact when no tolerance applies: subtracting the
     # float 0.0 would coerce a Fraction delta to the nearest double, which
     # can land *above* delta and spuriously reject exactly-delta-spaced
     # honest votes.
     threshold = delta - tolerance if tolerance else delta
-    ordered = sorted(set(timely))
+    ordered = timely if type(timely) is OrderedIds else sorted(set(timely))
     for identifier in ordered:
         if identifier not in ranks:
             return False
-    for smaller, larger in zip(ordered, ordered[1:]):
-        if ranks[larger] - ranks[smaller] < threshold:
+    values = [ranks[identifier] for identifier in ordered]
+    if type(threshold) in _EXACT and all(type(value) in _EXACT for value in values):
+        limit_n, limit_d = threshold.as_integer_ratio()
+        pairs = [value.as_integer_ratio() for value in values]
+        for (a_n, a_d), (b_n, b_d) in zip(pairs, pairs[1:]):
+            if (b_n * a_d - a_n * b_d) * limit_d < limit_n * a_d * b_d:
+                return False
+        return True
+    for smaller, larger in zip(values, values[1:]):
+        if larger - smaller < threshold:
             return False
     return True

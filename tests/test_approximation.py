@@ -14,6 +14,7 @@ from repro.core import (
     nearest_int,
     select_every_t,
     trim_extremes,
+    trimmed_mean,
 )
 
 fractions_st = st.fractions(min_value=-1000, max_value=1000)
@@ -76,6 +77,80 @@ class TestAverage:
     def test_mean_within_range(self, values):
         mean = average(values)
         assert min(values) <= mean <= max(values)
+
+
+def generic_fold(values, t):
+    """The paper's Alg. 3 lines 12–16 spelled out: the fast path's oracle."""
+    return average(select_every_t(trim_extremes(values, t), t))
+
+
+@st.composite
+def fold_inputs(draw, value_st):
+    """``(values, t)`` with ``len(values) > 2t``: includes ``t = 0``,
+    ``len = 2t + 1`` and heavy duplication (values drawn from a small pool)."""
+    t = draw(st.integers(0, 4))
+    size = draw(st.sampled_from([2 * t + 1, 2 * t + 2])) if draw(
+        st.booleans()
+    ) else draw(st.integers(2 * t + 1, 2 * t + 15))
+    pool = draw(st.lists(value_st, min_size=1, max_size=4))
+    values = draw(
+        st.lists(st.one_of(value_st, st.sampled_from(pool)), min_size=size,
+                 max_size=size)
+    )
+    return values, t
+
+
+class TestTrimmedMean:
+    """The integer fold must be value- and type-identical to the generic
+    ``trim_extremes`` → ``select_every_t`` → ``average`` composition."""
+
+    def test_exact_example(self):
+        values = [Fraction(1, 3), Fraction(5, 2), Fraction(-1, 6), Fraction(7, 4),
+                  Fraction(1, 3)]
+        assert trimmed_mean(values, 1) == Fraction(29, 36)
+        assert type(trimmed_mean(values, 1)) is Fraction
+
+    def test_too_few_values_rejected_like_trim(self):
+        with pytest.raises(ValueError):
+            trimmed_mean([Fraction(1), Fraction(2)], 1)
+        with pytest.raises(ValueError):
+            trimmed_mean([], 0)
+
+    @given(fold_inputs(st.fractions(min_value=-10**6, max_value=10**6)))
+    def test_fractions_match_generic_fold(self, case):
+        values, t = case
+        fast, reference = trimmed_mean(values, t), generic_fold(values, t)
+        assert fast == reference
+        assert type(fast) is type(reference) is Fraction
+        assert repr(fast) == repr(reference)
+
+    @given(fold_inputs(st.fractions(max_denominator=10**9)))
+    def test_large_denominators_match_generic_fold(self, case):
+        values, t = case
+        assert trimmed_mean(values, t) == generic_fold(values, t)
+
+    @given(
+        fold_inputs(
+            st.one_of(
+                st.integers(-1000, 1000),
+                st.floats(-1000, 1000, allow_nan=False),
+                fractions_st,
+            )
+        )
+    )
+    def test_mixed_types_take_generic_path(self, case):
+        values, t = case
+        fast, reference = trimmed_mean(values, t), generic_fold(values, t)
+        assert fast == reference and type(fast) is type(reference)
+        selected = select_every_t(trim_extremes(values, t), t)
+        if any(isinstance(value, float) for value in selected):
+            assert type(fast) is float
+
+    @given(fold_inputs(st.integers(-1000, 1000)))
+    def test_all_int_votes_keep_float_mean(self, case):
+        values, t = case
+        assert type(trimmed_mean(values, t)) is float
+        assert trimmed_mean(values, t) == generic_fold(values, t)
 
 
 class TestNearestInt:

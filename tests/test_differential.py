@@ -13,11 +13,13 @@ Two implementations of the same semantics are a free oracle for each other:
 
 from __future__ import annotations
 
+import hashlib
+import json
 from functools import partial
 
 import pytest
 
-from helpers import standard_ids
+from helpers import run_registered, standard_ids
 from repro import (
     OrderPreservingRenaming,
     RenamingOptions,
@@ -183,3 +185,52 @@ class TestGoldenCorpus:
         assert result.metrics.correct_messages == 693
         names = result.new_names()
         assert sorted(names.values()) == [1, 2, 3, 4, 5]
+
+
+#: sha256 of the canonical serialised run — ``run_to_dict`` (outputs,
+#: per-round metrics, the full trace with every intermediate rank as an exact
+#: ``Fraction``) dumped as sorted-key JSON — for ``(algorithm, n, t, attack)``
+#: at seed 3 with standard ids. rank-skew and boundary-votes share a digest:
+#: both attacks' votes land at the extremes every round, are trimmed at every
+#: correct process, and so leave identical correct-process traces.
+GOLDEN_RANK_TRACES = {
+    ("alg1", 10, 3, "divergence"):
+        "abeda4e7a664ca259b9bcfbe56bdae67d935367a42d42ff1b0c37c1618b306fc",
+    ("alg1", 10, 3, "rank-skew"):
+        "ec574ff0bd31c89eba8f78a0830d3602166a4b4141cb8104d501c8352f8a1e19",
+    ("alg1", 10, 3, "id-forging"):
+        "e4f97271a5c17f8fdbc0d6ccf4d2fa03bc83f39766b770fe7b307255d9f4cb70",
+    ("alg1", 10, 3, "boundary-votes"):
+        "ec574ff0bd31c89eba8f78a0830d3602166a4b4141cb8104d501c8352f8a1e19",
+    ("alg1-constant", 11, 1, "order-inversion"):
+        "d735711baee1ce553d71024d03b32ee75aa2bcad16d2405a8c5f2209259fab4d",
+    ("okun-crash", 7, 2, "crash"):
+        "978f2933076ea44c8623a16d794450dba407a10aa6ea581091253c3e3177ebcf",
+}
+
+
+class TestGoldenRankTraces:
+    """Byte-level pins on whole runs, not just their rounded names.
+
+    A change to the voting fold or the vote filter that shifted any
+    intermediate rank — even one that every final rounding absorbed —
+    changes these digests. They were captured from the pure-``Fraction``
+    implementation of ``isValid`` and the trimmed fold (``Fraction``
+    subtraction and ``sum``), before those moved to integer arithmetic, so
+    they certify that the integer paths are value-identical. Both the
+    default batched engine and the reference engine must reproduce them.
+    """
+
+    @pytest.mark.parametrize("engine", ["batched", "reference"])
+    @pytest.mark.parametrize(
+        "algorithm,n,t,attack",
+        sorted(GOLDEN_RANK_TRACES),
+        ids=[f"{a}-{n}-{t}-{attack}" for a, n, t, attack in sorted(GOLDEN_RANK_TRACES)],
+    )
+    def test_digest(self, algorithm, n, t, attack, engine):
+        from repro.analysis.serialization import run_to_dict
+
+        result = run_registered(algorithm, n, t, attack=attack, seed=3, engine=engine)
+        canonical = json.dumps(run_to_dict(result), sort_keys=True).encode()
+        digest = hashlib.sha256(canonical).hexdigest()
+        assert digest == GOLDEN_RANK_TRACES[(algorithm, n, t, attack)]

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import SystemParams, is_valid_ranks
+from repro.core.validation import OrderedIds
 
 DELTA = SystemParams(7, 2).delta
 
@@ -115,3 +116,104 @@ class TestIsValidProperties:
         victim = data.draw(st.sampled_from(sorted(ids)))
         del ranks[victim]
         assert not is_valid_ranks(ids, ranks, DELTA)
+
+
+def all_pairs_is_valid(timely, ranks, delta, tolerance=0.0):
+    """The paper's Alg. 2 verbatim: every timely id present, every ordered
+    pair of timely ids at least δ apart (``tolerance`` as in float mode)."""
+    threshold = delta - tolerance if tolerance else delta
+    ids = set(timely)
+    if any(identifier not in ranks for identifier in ids):
+        return False
+    return all(
+        ranks[larger] - ranks[smaller] >= threshold
+        for smaller in ids
+        for larger in ids
+        if smaller < larger
+    )
+
+
+@st.composite
+def spacing_cases(draw, gap_st, start_st):
+    """``(timely, ranks)``: ranks built from consecutive gaps that straddle
+    δ — exactly δ, just under, zero, negative — plus extra non-timely ids and
+    an occasional missing timely id."""
+    ids = draw(st.lists(st.integers(1, 10**6), min_size=0, max_size=10, unique=True))
+    ordered = sorted(ids)
+    rank = draw(start_st)
+    ranks = {}
+    for identifier in ordered:
+        ranks[identifier] = rank
+        rank = rank + draw(gap_st)
+    extra_ids = st.integers(10**6 + 1, 2 * 10**6)
+    extra = draw(st.dictionaries(extra_ids, start_st, max_size=3))
+    ranks.update(extra)
+    if ordered and draw(st.booleans()) and draw(st.booleans()):
+        del ranks[draw(st.sampled_from(ordered))]
+    timely = draw(st.permutations(ids + ids[:2]))  # order and duplicates vary
+    return timely, ranks
+
+
+EXACT_GAPS = st.sampled_from(
+    [DELTA, DELTA - Fraction(1, 10**12), 2 * DELTA, DELTA + Fraction(1, 7),
+     Fraction(0), -DELTA, DELTA / 2]
+) | st.fractions(min_value=-3, max_value=5)
+
+
+class TestFastPathMatchesAllPairs:
+    """The cross-multiplied consecutive-pair check against the paper's
+    all-pairs loop, on the inputs where they could disagree."""
+
+    @given(spacing_cases(EXACT_GAPS, st.fractions(min_value=-50, max_value=50)))
+    def test_fraction_ranks(self, case):
+        timely, ranks = case
+        expected = all_pairs_is_valid(timely, ranks, DELTA)
+        assert is_valid_ranks(timely, ranks, DELTA) is expected
+        assert is_valid_ranks(OrderedIds(timely), ranks, DELTA) is expected
+
+    @given(
+        spacing_cases(st.integers(-2, 3), st.integers(-50, 50)),
+        st.sampled_from([Fraction(1), DELTA, Fraction(3, 2), Fraction(2), 1, 2]),
+    )
+    def test_int_ranks_with_fraction_or_int_threshold(self, case, delta):
+        timely, ranks = case
+        assert is_valid_ranks(timely, ranks, delta) is all_pairs_is_valid(
+            timely, ranks, delta
+        )
+
+    @given(
+        spacing_cases(
+            st.sampled_from([float(DELTA), float(DELTA) - 1e-12, 2.0, 0.0, -1.0])
+            | st.floats(-3, 5),
+            st.floats(-50, 50),
+        ),
+        st.sampled_from([0.0, 1e-9]),
+    )
+    def test_float_mode_with_tolerance(self, case, tolerance):
+        timely, ranks = case
+        delta = float(DELTA)
+        assert is_valid_ranks(timely, ranks, delta, tolerance) is all_pairs_is_valid(
+            timely, ranks, delta, tolerance
+        )
+
+    @given(
+        spacing_cases(
+            EXACT_GAPS | st.floats(-3, 5),
+            st.fractions(min_value=-50, max_value=50) | st.floats(-50, 50),
+        )
+    )
+    def test_byzantine_floats_in_exact_mode(self, case):
+        timely, ranks = case
+        assert is_valid_ranks(timely, ranks, DELTA) is all_pairs_is_valid(
+            timely, ranks, DELTA
+        )
+
+    def test_exactly_delta_spaced_accepted_just_under_rejected(self):
+        ranks = spaced_ranks([10, 20, 30])
+        assert is_valid_ranks(OrderedIds([30, 10, 20]), ranks, DELTA)
+        ranks[30] -= Fraction(1, 10**30)
+        assert not is_valid_ranks([10, 20, 30], ranks, DELTA)
+
+    def test_ordered_ids_sorts_and_deduplicates(self):
+        assert OrderedIds([30, 10, 20, 10]) == (10, 20, 30)
+        assert type(OrderedIds([])) is OrderedIds
