@@ -56,17 +56,20 @@ chaos-smoke:
 		--engines batched reference --preset smoke \
 		--workers 2 --timeout 120
 
-## Durability smoke: SIGKILL a journaled ~50-cell campaign mid-flight
-## (deterministically, after the 20th finished cell becomes durable),
-## resume it, and assert via the journal's own event log that not one
-## finished cell was re-executed. The kill step exits 137 by design (the
-## leading '-' ignores it); the resume and the doctor assertion gate.
+## Durability smoke: SIGKILL a --journal ~50-cell campaign mid-flight
+## (deterministically, right after the 20th finished cell becomes durable
+## in its result store), resume it on two spawned workers, and assert via
+## the store's own event log that not one finished cell was re-executed.
+## The kill step runs --workers 1 so the crash hook fires in the process
+## that owns the run (spawned workers would each die and be respawned).
+## It exits 137 by design (the leading '-' ignores it); the resume and
+## the doctor assertion gate.
 RESUME_SMOKE_DIR := .resume-smoke
 resume-smoke:
 	rm -rf $(RESUME_SMOKE_DIR)
-	-REPRO_JOURNAL_CRASH_AFTER=finished:20 $(PYTHON) -m repro.cli chaos \
+	-REPRO_STORE_CRASH_AFTER=finish:20 $(PYTHON) -m repro.cli chaos \
 		--algorithms alg1 --sizes 7:2 --seeds 0 1 2 3 4 5 6 7 8 9 \
-		--chaos-seeds 0 1 --drop 0.05 0.1 --workers 2 --timeout 120 \
+		--chaos-seeds 0 1 --drop 0.05 0.1 --workers 1 --timeout 120 \
 		--journal $(RESUME_SMOKE_DIR) --run-id smoke
 	$(PYTHON) -m repro.cli runs resume smoke --runs-dir $(RESUME_SMOKE_DIR) \
 		--workers 2
@@ -106,7 +109,7 @@ fabric-smoke:
 ## then one model sweep per execution path — the dir-cached process pool
 ## (impersonation) and the sqlite store fabric with a pull-based worker
 ## (partial synchrony) — so model serialization is exercised through
-## RunTask journals and store rows, not just in-process calls. Exit 0
+## cache entries and store rows, not just in-process calls. Exit 0
 ## means every run held the properties its model guarantees.
 MODEL_SMOKE_DIR := .model-smoke
 model-smoke:

@@ -37,7 +37,7 @@ from repro.analysis.store import (  # noqa: E402
     LocalDirStore,
     SqliteStore,
 )
-from repro.analysis.supervisor import rss_mb_of  # noqa: E402
+from repro.analysis.budget import rss_mb_of  # noqa: E402
 from repro.analysis.worker import RUNNERS, CellRunner  # noqa: E402
 
 #: Synthetic no-op run kind: decode/execute/encode are identity-shaped, so

@@ -33,15 +33,7 @@ from .convergence import (
     spread_series,
 )
 from .export import CSV_FIELDS, export_csv, record_row
-from .journal import (
-    JournalState,
-    RunJournal,
-    atomic_write_text,
-    canonical_json,
-    config_fingerprint,
-    list_runs,
-    scan_journal,
-)
+from .envelope import atomic_write_text, canonical_json, config_fingerprint
 from .store import (
     Claim,
     LocalDirStore,
@@ -50,13 +42,7 @@ from .store import (
     open_store,
     store_doctor,
 )
-from .supervisor import (
-    CellBudget,
-    CellFailure,
-    SupervisorStats,
-    WorkerSupervisor,
-    budget_breach,
-)
+from .budget import CellBudget, budget_breach
 from .backoff import PollBackoff
 from .worker import Worker, WorkerStats
 from .properties import PropertyReport, check_renaming
@@ -73,7 +59,6 @@ __all__ = [
     "CHAOS_PRESETS",
     "CSV_FIELDS",
     "CellBudget",
-    "CellFailure",
     "ChaosCampaign",
     "ChaosOutcome",
     "ChaosTask",
@@ -83,17 +68,14 @@ __all__ = [
     "CoordinatorStats",
     "ExperimentRecord",
     "ExperimentSummary",
-    "JournalState",
     "LocalDirStore",
     "PropertyReport",
     "ResultCache",
     "ResultStore",
     "RunArchive",
-    "RunJournal",
     "RunTask",
     "SqliteStore",
     "Summary",
-    "SupervisorStats",
     "SweepConfig",
     "SweepExecutor",
     "SweepStats",
@@ -101,7 +83,6 @@ __all__ = [
     "PollBackoff",
     "Worker",
     "WorkerStats",
-    "WorkerSupervisor",
     "atomic_write_text",
     "budget_breach",
     "banner",
@@ -111,9 +92,7 @@ __all__ = [
     "check_renaming",
     "config_fingerprint",
     "execute_chaos_task",
-    "list_runs",
     "open_store",
-    "scan_journal",
     "store_doctor",
     "contraction_factors",
     "decay_ratio",

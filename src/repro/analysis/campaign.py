@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..sim import (
@@ -59,9 +59,10 @@ from ..sim import (
 )
 from ..wire import WireError
 from ..workloads.ids import make_ids
+from .budget import CellBudget
 from .executor import logger, resolve_workers
 from .experiments import run_experiment
-from .journal import RunJournal, canonical_json, config_fingerprint
+from .envelope import canonical_json, config_fingerprint
 from .tables import format_table
 
 __all__ = [
@@ -111,7 +112,7 @@ class ChaosTask:
         )
 
     def to_dict(self) -> dict:
-        """JSON-ready cell description (journal headers, fingerprints)."""
+        """JSON-ready cell description (store task lists, fingerprints)."""
         return {
             "algorithm": self.algorithm,
             "n": self.n,
@@ -210,8 +211,8 @@ class ChaosOutcome:
         }
 
     def verdict_dict(self) -> dict:
-        """The task-free verdict payload journals store (the task is
-        reconstructed from the grid by cell index on resume)."""
+        """The task-free verdict payload result stores keep (the task is
+        reconstructed from the store's task list by cell index)."""
         return {
             "status": self.status,
             "elapsed_s": self.elapsed_s,
@@ -426,7 +427,6 @@ class ChaosCampaign:
         self,
         tasks: Sequence[ChaosTask],
         *,
-        journal: Optional[RunJournal] = None,
         budget=None,
         store=None,
         coordinator_only: bool = False,
@@ -437,33 +437,18 @@ class ChaosCampaign:
         Outcomes are ordered exactly as ``tasks`` — never by completion
         order — so campaigns are deterministic given their seeds.
 
-        ``journal`` makes the campaign durable and preemption-safe: cells
-        write ``started``/``finished``/``quarantined`` records through the
-        write-ahead journal, terminal cells are restored on resume instead
-        of re-executed, and the grid runs under the
-        :class:`~repro.analysis.supervisor.WorkerSupervisor` with per-cell
-        budgets (``budget`` defaults to a wall budget of ``timeout_s``).
-        SIGINT/SIGTERM drains in-flight cells, flushes the journal and
-        raises :class:`~repro.sim.errors.RunInterrupted`.
-
-        ``store`` runs the campaign on the coordinator/worker fabric
-        instead (see :class:`~repro.analysis.coordinator.Coordinator`);
-        the store carries the run's durability, so ``journal`` and
-        ``store`` are mutually exclusive.
+        ``store`` makes the campaign durable on the coordinator/worker
+        fabric (see :class:`~repro.analysis.coordinator.Coordinator`):
+        terminal cells are restored on resume instead of re-executed, and
+        SIGINT/SIGTERM drains in-flight cells and raises
+        :class:`~repro.sim.errors.RunInterrupted`.
         """
-        if journal is not None and store is not None:
-            raise ValueError(
-                "journal= and store= are mutually exclusive: the store "
-                "fabric carries its own durability"
-            )
         start = time.perf_counter()
         if store is not None:
             return self._run_fabric(
                 tasks, store, budget, start,
                 coordinator_only=coordinator_only, run_id=run_id,
             )
-        if journal is not None:
-            return self._run_journaled(tasks, journal, budget, start)
         results: List[Optional[ChaosOutcome]] = [None] * len(tasks)
         if self.workers == 1 or len(tasks) <= 1:
             retried = self._run_serial(tasks, results)
@@ -494,19 +479,18 @@ class ChaosCampaign:
         coordinator_only: bool,
         run_id: str,
     ) -> TriageReport:
-        """The fabric path: cells pulled through store leases.
+        """The durable path: cells pulled through store leases.
 
-        ``workers=1`` executes in-process with the serial path's exact
-        semantics (no timeout containment — reproducer-friendly). With
-        more workers the cells run in disposable child processes and
-        ``budget`` defaults to a wall budget of ``timeout_s``, mapping
-        onto the same ``timeout``/``crashed`` quarantine statuses as the
-        journaled path.
+        Every cell runs in a disposable child process under a per-cell
+        ``budget``, which defaults to a wall budget of ``timeout_s``: a
+        wall-budget breach is quarantined as ``timeout``, an RSS breach or
+        a dead child as ``crashed``, with the precise reason kept in the
+        store's terminal record. The in-process, reproducer-friendly mode
+        is the non-durable ``workers=1`` path.
         """
         from .coordinator import Coordinator  # local: avoids the cycle
-        from .supervisor import CellBudget
 
-        if budget is None and (self.workers > 1 or coordinator_only):
+        if budget is None:
             budget = CellBudget(wall_s=self.timeout_s)
         coordinator = Coordinator(
             store,
@@ -520,98 +504,13 @@ class ChaosCampaign:
             [task.to_dict() for task in tasks],
             fingerprint=self.fingerprint(tasks),
             run_id=run_id,
+            config={"timeout_s": self.timeout_s, "budget": asdict(budget)},
         )
         assert all(outcome is not None for outcome in outcomes)
         return TriageReport(
             outcomes=outcomes,
             elapsed_s=time.perf_counter() - start,
             retried=coordinator.stats.retried,
-            workers=self.workers,
-        )
-
-    # --------------------------------------------------------------- durable
-
-    def _run_journaled(
-        self,
-        tasks: Sequence[ChaosTask],
-        journal: RunJournal,
-        budget,
-        start: float,
-    ) -> TriageReport:
-        """The durable path: restore terminal cells, supervise the rest.
-
-        Budget kills map onto the existing quarantine statuses — a wall
-        budget breach is a ``timeout``, an RSS breach or a dead worker is
-        ``crashed`` — with the precise reason kept in the journal record,
-        so ``runs doctor`` can tell budget kills from plain crashes.
-        """
-        from .supervisor import CellBudget, WorkerSupervisor
-
-        journal.verify_fingerprint(self.fingerprint(tasks))
-        state = journal.state
-        results: List[Optional[ChaosOutcome]] = [None] * len(tasks)
-        open_cells: List[Tuple[int, ChaosTask]] = []
-        for index, task in enumerate(tasks):
-            terminal = state.terminal(index)
-            if terminal is not None:
-                results[index] = ChaosOutcome.from_verdict(
-                    task, terminal["outcome"]
-                )
-            else:
-                open_cells.append((index, task))
-
-        def on_start(index: int, task: ChaosTask) -> None:
-            journal.append("started", cell=index)
-
-        def on_result(index: int, task: ChaosTask, outcome) -> None:
-            results[index] = outcome
-            journal.append(
-                "finished", cell=index, outcome=outcome.verdict_dict()
-            )
-
-        def on_failure(failure) -> None:
-            status = "timeout" if failure.kind == "wall-budget" else "crashed"
-            outcome = ChaosOutcome(
-                task=failure.task,
-                status=status,
-                error=failure.detail,
-                retries=failure.attempts - 1,
-            )
-            results[failure.index] = outcome
-            journal.append(
-                "quarantined",
-                cell=failure.index,
-                reason=failure.kind,
-                outcome=outcome.verdict_dict(),
-            )
-
-        if budget is None:
-            budget = CellBudget(wall_s=self.timeout_s)
-        supervisor = WorkerSupervisor(
-            self.task_runner,
-            workers=self.workers,
-            budget=budget,
-            retries=self.retries,
-        )
-        try:
-            sup_stats = supervisor.run(
-                open_cells,
-                on_start=on_start,
-                on_result=on_result,
-                on_failure=on_failure,
-            )
-        except BaseException:
-            try:
-                journal.append("interrupted")
-                journal.flush()
-            except Exception:  # noqa: BLE001 — best-effort on teardown
-                pass
-            raise
-        assert all(outcome is not None for outcome in results)
-        return TriageReport(
-            outcomes=results,  # type: ignore[arg-type]
-            elapsed_s=time.perf_counter() - start,
-            retried=sup_stats.retried,
             workers=self.workers,
         )
 

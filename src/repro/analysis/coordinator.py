@@ -18,11 +18,15 @@ arrangements:
   their results.
 
 While streaming, the coordinator *polices* the fabric: expired leases are
-reclaimed (a dead worker costs one lease window, not the run), the store's
-event log is drained for accounting (retries, reclaims), and — when a
-:class:`~repro.analysis.journal.RunJournal` is attached — claim/reclaim
-events are mirrored into the journal as ``leased``/``reclaimed`` records so
-``runs doctor`` sees fabric runs too.
+reclaimed (a dead worker costs one lease window, not the run) and the
+store's event log is drained for accounting (retries, reclaims).
+
+SIGINT/SIGTERM drain the run (when streaming on the main thread): the
+in-process worker stops after its in-flight cell, spawned workers are
+SIGTERMed (they drain the same way), an ``interrupted`` event is recorded
+and :class:`~repro.sim.errors.RunInterrupted` is raised — everything
+finished so far is durable in the store, and re-seeding it resumes. A
+second signal gets the default behaviour back (abort without draining).
 
 :meth:`Coordinator.stream` is a generator and holds **O(1)** row state: one
 decoded row is yielded at a time and nothing is retained, so aggregating a
@@ -34,18 +38,19 @@ into the ordered list the legacy executor returns.
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Set
 
-from ..sim.errors import StoreError
+from ..sim.errors import RunInterrupted, StoreError
+from .budget import CellBudget
 from .executor import ResultCache, logger
-from .journal import RunJournal
 from .store import DEFAULT_LEASE_S, ResultStore, open_store
-from .supervisor import CellBudget
 from .worker import RUNNERS, Worker
 
 __all__ = ["Coordinator", "CoordinatorStats"]
@@ -94,7 +99,6 @@ class Coordinator:
         retries: int = 1,
         lease_s: float = DEFAULT_LEASE_S,
         poll_s: float = 0.1,
-        journal: Optional[RunJournal] = None,
         coordinator_only: bool = False,
     ) -> None:
         self.store: ResultStore = open_store(store)
@@ -109,10 +113,13 @@ class Coordinator:
         self.retries = retries
         self.lease_s = lease_s
         self.poll_s = poll_s
-        self.journal = journal
         self.coordinator_only = coordinator_only
         self.stats = CoordinatorStats()
         self._event_cursor = None
+        #: Name of the signal that asked this run to drain, if any.
+        self._interrupted: Optional[str] = None
+        self._inline: Optional[Worker] = None
+        self._handlers: dict = {}
 
     # ------------------------------------------------------------------ API
 
@@ -139,7 +146,9 @@ class Coordinator:
         cache, arranges execution per the constructor's knobs, and then
         streams: each ``next()`` blocks until the next cell in order has a
         terminal record, polices the fabric while waiting, and yields the
-        decoded row without retaining it.
+        decoded row without retaining it. Raises
+        :class:`~repro.sim.errors.RunInterrupted` after a SIGINT/SIGTERM
+        drain.
         """
         start = time.perf_counter()
         try:
@@ -175,20 +184,24 @@ class Coordinator:
             self.stats.from_cache = len(prefilled)
 
         procs: List[subprocess.Popen] = []
+        self._interrupted = None
+        self._trap_signals()
         try:
             if self.coordinator_only or self.store.complete:
                 pass
             elif self.workers == 1:
                 # In-process: run the store dry first, then stream — the
                 # single-host arrangement, deterministic and subprocess-free.
-                Worker(
+                self._inline = Worker(
                     self.store,
                     worker_id=f"{run_id}-inline",
                     budget=self.budget,
                     retries=self.retries,
                     lease_s=self.lease_s,
                     run_hook=self.run_hook,
-                ).run()
+                )
+                if self._interrupted is None:
+                    self._inline.run()
             else:
                 procs = [
                     self._spawn_worker(run_id, i) for i in range(self.workers)
@@ -197,6 +210,7 @@ class Coordinator:
             for index in range(len(cells)):
                 record = self.store.terminal(index)
                 while record is None:
+                    self._drain_if_interrupted(procs)
                     self._police(procs)
                     time.sleep(self.poll_s)
                     record = self.store.terminal(index)
@@ -207,11 +221,55 @@ class Coordinator:
                 )
             self._police(procs)
         finally:
+            self._restore_signals()
+            self._inline = None
             self._stop_workers(procs)
             self.stats.executed = (
                 len(cells) - len(restored) - len(prefilled)
             )
             self.stats.elapsed_s = time.perf_counter() - start
+
+    # ---------------------------------------------------------------- drain
+
+    def _trap_signals(self) -> None:
+        if threading.current_thread() is not threading.main_thread():
+            return
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            self._handlers[signum] = signal.signal(signum, self._on_signal)
+
+    def _restore_signals(self) -> None:
+        for signum, handler in self._handlers.items():
+            signal.signal(signum, handler)
+        self._handlers = {}
+
+    def _on_signal(self, signum, frame) -> None:  # noqa: ARG002
+        self._interrupted = signal.Signals(signum).name
+        logger.warning(
+            "%s received: draining in-flight cells (repeat to abort)",
+            self._interrupted,
+        )
+        self._restore_signals()
+        if self._inline is not None:
+            self._inline.stop()
+
+    def _drain_if_interrupted(self, procs: List[subprocess.Popen]) -> None:
+        """After a signal: let the workers drain, then raise."""
+        if self._interrupted is None:
+            return
+        self._stop_workers(procs)
+        self.store.record_event("interrupted", signal=self._interrupted)
+        counts = self.store.counts()
+        done = counts["finished"] + counts["failed"] + counts["quarantined"]
+        remaining = counts["cells"] - done
+        header = self.store.header() or {}
+        raise RunInterrupted(
+            f"{self._interrupted}: drained run {header.get('run_id')!r} "
+            f"({done} of {counts['cells']} cells done, {remaining} "
+            f"remaining)",
+            run_id=header.get("run_id"),
+            completed=done,
+            remaining=remaining,
+        )
 
     # ------------------------------------------------------------- internals
 
@@ -244,12 +302,6 @@ class Coordinator:
             name = event.get("event")
             if name == "retried":
                 self.stats.retried += 1
-            if self.journal is not None and name in ("claimed", "reclaimed"):
-                record = "leased" if name == "claimed" else "reclaimed"
-                self.journal.append(
-                    record, cell=event.get("cell"),
-                    worker=event.get("worker"),
-                )
         if not procs or self.store.complete:
             return
         for i, proc in enumerate(procs):

@@ -68,8 +68,8 @@ def export_csv(
     """Write records to ``path`` as CSV; returns the path written.
 
     The write is atomic (temp file in the target directory, fsync, then
-    ``os.replace`` — the same discipline as the result cache and the run
-    journal): a killed export leaves either the previous file or the
+    ``os.replace`` — the same discipline as the result cache and the
+    result store): a killed export leaves either the previous file or the
     complete new one, never a torn CSV that a downstream plot would
     silently truncate.
 

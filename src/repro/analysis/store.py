@@ -1,18 +1,19 @@
-"""Pluggable result stores: the shared substrate of the sweep fabric.
+"""Pluggable result stores: the one durable substrate for sweeps and campaigns.
 
-The executor, journal and supervisor all assume one host and one process
-tree. A :class:`ResultStore` removes that assumption: it is the *only*
-thing a coordinator and its workers share. The coordinator seeds the store
-with the fingerprinted cell list; any number of workers — in-process
-threads of the coordinator, subprocesses on the same box, or processes on
-another machine with the store on shared storage — pull cells through
-**leases** and push back checksummed terminal records. The store owns:
+A :class:`ResultStore` is the *only* thing a coordinator and its workers
+share. The coordinator seeds the store with the fingerprinted cell list;
+any number of workers — in-process in the coordinator, subprocesses on the
+same box, or processes on another machine with the store on shared
+storage — pull cells through **leases** and push back checksummed terminal
+records. Every durable run (``--store URL``, and ``--journal DIR``, which
+is ``--store DIR/<run-id>``) lives in one. The store owns:
 
 * **The header** — run kind (``sweep``/``chaos``), run id, the config
-  fingerprint (SHA-256 over the expanded cell list, the same function the
-  journal uses) and the full task list. :meth:`ResultStore.seed` is
-  idempotent: re-seeding an existing store verifies the fingerprint and
-  becomes a resume; a mismatch raises
+  fingerprint (SHA-256 over the expanded cell list,
+  :func:`~repro.analysis.envelope.config_fingerprint`), the knobs
+  ``runs resume`` needs (cache, budget, timeout) and the full task list.
+  :meth:`ResultStore.seed` is idempotent: re-seeding an existing store
+  verifies the fingerprint and becomes a resume; a mismatch raises
   :class:`~repro.sim.errors.StoreError` instead of splicing two runs.
 * **Leases with heartbeat expiry.** :meth:`ResultStore.claim` hands out
   the lowest-indexed open cell together with a fresh random token and an
@@ -25,18 +26,19 @@ another machine with the store on shared storage — pull cells through
   wedge the fabric. Renewing or finishing through a lost lease raises
   :class:`~repro.sim.errors.LeaseLost`.
 * **Terminal records** — ``finished`` / ``failed`` / ``quarantined``
-  payloads in checksummed envelopes (``{"schema", "checksum", "body"}``,
-  SHA-256 over canonical JSON), written with the journal's
-  fsync-before-act discipline. The first durable terminal record for a
-  cell wins; a late result from a taken-over worker is refused and logged
-  as a ``double-execution`` event, never silently merged.
+  payloads in checksummed envelopes (:func:`~repro.analysis.envelope.seal`),
+  written durably (fsync before the write is acknowledged). The first
+  durable terminal record for a cell wins; a late result from a
+  taken-over worker is refused and logged as a ``double-execution``
+  event, never silently merged.
 * **Memo entries** — the content-addressed summary cache.
   :class:`~repro.analysis.executor.ResultCache` delegates its storage
   here (``LocalDirStore`` with a flat memo root keeps the on-disk format
   byte-identical to the pre-fabric cache).
-* **An event log** for ``runs doctor --store``: claims, reclaims, claim
-  races, double executions and stale results, so the fabric's exactly-once
-  discipline is assertable after the fact, not just hoped for.
+* **An event log** for ``runs doctor``: claims, reclaims, claim races,
+  double executions, stale results and drained interruptions, so the
+  fabric's exactly-once discipline is assertable after the fact, not just
+  hoped for.
 
 Two backends ship: :class:`LocalDirStore` (one directory; leases are
 ``O_CREAT|O_EXCL`` files, terminals are atomic-replace JSON files — works
@@ -48,15 +50,13 @@ filesystem with real locking). :func:`open_store` maps store URLs
 
 Test hook: ``REPRO_STORE_CRASH_AFTER=<op>:<count>`` SIGKILLs the process
 immediately after the ``count``-th *durable* store operation of kind
-``op`` (``claim`` or ``finish``) performed by this process — the same
-deterministic mid-flight-death pattern as the journal's
-``REPRO_JOURNAL_CRASH_AFTER``, used by the lease-reclaim suite to kill a
-worker while it holds a cell.
+``op`` (``claim`` or ``finish``) performed by this process — the
+deterministic mid-flight death the kill/resume suite, the lease-reclaim
+suite and ``make resume-smoke`` rely on.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import signal
@@ -69,7 +69,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..sim.errors import LeaseLost, StoreError
-from .journal import atomic_write_text
+from .envelope import atomic_write_text, canonical, seal, unseal
 
 __all__ = [
     "Claim",
@@ -99,41 +99,8 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: Environment variable for the deterministic crash hook (tests/CI only).
 STORE_CRASH_HOOK_ENV = "REPRO_STORE_CRASH_AFTER"
 
-#: Terminal cell states (mirrors the journal's terminal record types).
+#: Terminal cell states.
 TERMINAL_STATES = ("finished", "failed", "quarantined")
-
-
-def _canonical(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _checksum(body: object) -> str:
-    return hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()
-
-
-def seal(body: dict, *, schema: int, body_key: str = "body") -> dict:
-    """Wrap ``body`` in a checksummed envelope (the cache/terminal format)."""
-    return {"schema": schema, "checksum": _checksum(body), body_key: body}
-
-
-def unseal(payload: object, *, schema: int, body_key: str = "body") -> dict:
-    """Verify an envelope and return its body.
-
-    Raises ``ValueError`` naming the defect (stale schema, checksum
-    mismatch, wrong shape) — callers decide whether that is a logged miss
-    (memo entries, torn terminals) or an error.
-    """
-    if not isinstance(payload, dict):
-        raise ValueError(
-            f"entry is {type(payload).__name__}, not an object"
-        )
-    found = payload.get("schema")
-    if found != schema:
-        raise ValueError(f"stale schema {found!r} (current {schema})")
-    body = payload[body_key]
-    if payload.get("checksum") != _checksum(body):
-        raise ValueError("checksum mismatch (corrupt or tampered entry)")
-    return body
 
 
 @dataclass(frozen=True)
@@ -341,6 +308,13 @@ class ResultStore:
         The coordinator polls this instead of re-reading the whole log."""
         raise NotImplementedError
 
+    def truncate_torn_events(self) -> int:
+        """Cut a torn final event (an append killed mid-write) off the log
+        and return the bytes dropped. Later appends would otherwise glue
+        onto the torn bytes and hide every event after them; resuming a
+        run and ``runs doctor`` both repair this way."""
+        return 0
+
     # ----------------------------------------------------------- internals
 
     def _new_token(self) -> str:
@@ -418,6 +392,9 @@ class LocalDirStore(ResultStore):
                     f"{existing.get('run_id')!r} with a different config "
                     f"fingerprint — refusing to mix two runs in one store"
                 )
+            # A resume: drop the torn event a killed run may have left, so
+            # this run's events start on a fresh line.
+            self.truncate_torn_events()
             return
         self._leases.mkdir(exist_ok=True)
         self._terminal.mkdir(exist_ok=True)
@@ -737,16 +714,17 @@ class LocalDirStore(ResultStore):
 
     def store_memo(self, key, body, *, schema, body_key="summary"):
         self._memo_root.mkdir(parents=True, exist_ok=True)
-        # Field order matches the pre-fabric ResultCache files exactly, so
+        # seal()'s field order matches the pre-fabric ResultCache files, so
         # existing caches stay byte-identical and readable both ways.
-        payload = {"schema": schema, "checksum": _checksum(body),
-                   body_key: body}
-        atomic_write_text(self._memo_path(key), json.dumps(payload))
+        atomic_write_text(
+            self._memo_path(key),
+            json.dumps(seal(body, schema=schema, body_key=body_key)),
+        )
 
     # -------------------------------------------------------------- events
 
     def record_event(self, event, **data):
-        line = _canonical({"event": event, "at": time.time(), **data})
+        line = canonical({"event": event, "at": time.time(), **data})
         with open(self._events_path, "a") as handle:
             handle.write(line + "\n")
             handle.flush()
@@ -775,6 +753,18 @@ class LocalDirStore(ResultStore):
             consumed += len(line) + 1
         return out, offset + consumed
 
+    def truncate_torn_events(self):
+        try:
+            raw = self._events_path.read_bytes()
+        except OSError:
+            return 0
+        torn = len(raw) - (raw.rfind(b"\n") + 1)
+        if torn:
+            with open(self._events_path, "r+b") as handle:
+                handle.truncate(len(raw) - torn)
+                os.fsync(handle.fileno())
+        return torn
+
     def live_leases(self) -> Iterator[dict]:
         if not self._leases.is_dir():
             return
@@ -796,7 +786,7 @@ class SqliteStore(ResultStore):
     ``O_CREAT|O_EXCL`` comes for free from the write lock.
 
     WAL mode keeps readers (the coordinator streaming results) off the
-    writers' lock; ``synchronous=FULL`` keeps the journal's
+    writers' lock; ``synchronous=FULL`` keeps the
     durable-before-act discipline. Connections are per-thread *and*
     per-process (a worker's lease-renewal thread gets its own, and a
     connection never crosses a fork boundary); workers in other processes
@@ -880,11 +870,11 @@ class SqliteStore(ResultStore):
             }
             conn.executemany(
                 "INSERT INTO cells (idx, task) VALUES (?, ?)",
-                [(i, _canonical(task)) for i, task in enumerate(cells)],
+                [(i, canonical(task)) for i, task in enumerate(cells)],
             )
             conn.execute(
                 "INSERT INTO meta (key, value) VALUES ('header', ?)",
-                (_canonical(header),),
+                (canonical(header),),
             )
             conn.execute("COMMIT")
         except BaseException:
@@ -1067,7 +1057,7 @@ class SqliteStore(ResultStore):
         self, conn, cell, state, payload, reason, attempt, worker
     ) -> None:
         sealed = (
-            _canonical(seal(payload, schema=STORE_SCHEMA))
+            canonical(seal(payload, schema=STORE_SCHEMA))
             if payload is not None else None
         )
         conn.execute(
@@ -1180,11 +1170,9 @@ class SqliteStore(ResultStore):
         return unseal(payload, schema=schema, body_key=body_key)
 
     def store_memo(self, key, body, *, schema, body_key="summary"):
-        payload = {"schema": schema, "checksum": _checksum(body),
-                   body_key: body}
         self._connection().execute(
             "INSERT OR REPLACE INTO memo (key, payload) VALUES (?, ?)",
-            (key, json.dumps(payload)),
+            (key, json.dumps(seal(body, schema=schema, body_key=body_key))),
         )
 
     # -------------------------------------------------------------- events
@@ -1192,7 +1180,7 @@ class SqliteStore(ResultStore):
     def _event(self, conn, event: str, **data) -> None:
         conn.execute(
             "INSERT INTO events (body) VALUES (?)",
-            (_canonical({"event": event, "at": time.time(), **data}),),
+            (canonical({"event": event, "at": time.time(), **data}),),
         )
 
     def record_event(self, event, **data):
@@ -1288,4 +1276,6 @@ def store_doctor(store: ResultStore) -> dict:
         ),
         "exhausted_cells": cells_of("exhausted"),
         "torn_results": cells_of("torn-result"),
+        #: The last run against this store drained on SIGINT/SIGTERM.
+        "interrupted": bool(events) and events[-1]["event"] == "interrupted",
     }

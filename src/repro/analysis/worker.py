@@ -17,11 +17,12 @@ Execution semantics mirror the single-host paths cell for cell:
   (``retries=1``); the second failure becomes a deterministic failure row
   built from the *second* error's message — exactly the serial executor's
   behavior, so fabric reports stay byte-identical to in-process ones.
-* **Budgets.** With a :class:`~repro.analysis.supervisor.CellBudget`, each
-  cell runs in a disposable child process policed by the same
-  :func:`~repro.analysis.supervisor.budget_breach` decision the supervisor
-  uses — a breach SIGKILLs the child and quarantines the cell with the
-  identical typed kind and message; budget kills are never retried.
+* **Budgets.** With a :class:`~repro.analysis.budget.CellBudget`, each
+  cell runs in a disposable child process policed by
+  :func:`~repro.analysis.budget.budget_breach` — a breach SIGKILLs the
+  child and quarantines the cell with a typed kind (``wall-budget`` /
+  ``rss-budget``); budget kills are never retried. The child ignores
+  SIGINT, so a terminal Ctrl-C reaches only the worker, which drains.
 * **Heartbeats.** While a cell executes, the lease is renewed at a third
   of its duration (a daemon thread in-process, the police loop around the
   child otherwise). A worker that dies stops renewing; the lease expires
@@ -42,6 +43,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue
+import signal
 import socket
 import threading
 import time
@@ -50,10 +52,10 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..sim.errors import LeaseLost, StoreError
 from .backoff import PollBackoff
+from .budget import CellBudget, budget_breach
 from .campaign import ChaosOutcome, ChaosTask, execute_chaos_task
 from .executor import ExperimentSummary, RunTask, execute_task, logger
 from .store import Claim, DEFAULT_LEASE_S, ResultStore, open_store
-from .supervisor import CellBudget, budget_breach
 
 __all__ = [
     "CellRunner",
@@ -83,8 +85,8 @@ class CellRunner:
     encode: Callable[[Any, int], dict]
     failure: Callable[[Any, str, int], dict]
     #: Terminal state for an exhausted crash retry ("failed" for sweeps —
-    #: a deterministic failure row — "quarantined" for chaos, matching the
-    #: journaled paths' record choice).
+    #: a deterministic failure row — "quarantined" for chaos, whose
+    #: crashed cells are quarantined with a reproducer).
     failure_state: str
     budget_failure: Callable[[Any, str, str], dict]
     decode_row: Callable[[Any, dict], Any]
@@ -174,6 +176,7 @@ class WorkerStats:
 
 def _cell_main(kind: str, payload: dict, result_q) -> None:
     """Child-process body for budget-isolated execution: one attempt."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     runner = RUNNERS[kind]
     try:
         task = runner.decode(payload)

@@ -24,16 +24,16 @@ from .analysis import (
     CellBudget,
     ChaosCampaign,
     ChaosTask,
-    RunJournal,
+    RunTask,
     SweepConfig,
     SweepExecutor,
     chaos_grid,
     format_table,
     group_by,
-    list_runs,
+    open_store,
     render_timeline,
     run_experiment,
-    scan_journal,
+    store_doctor,
     summarize_views,
 )
 from .analysis.store import DEFAULT_LEASE_S
@@ -56,11 +56,11 @@ EXIT_OK = 0            # ran to completion, every checked property held
 EXIT_VIOLATION = 2     # ran to completion, a verified property was violated
 EXIT_INFRA = 3         # infra/config failure: bad config, unhealthy
 #                        campaign (quarantine/silent success), unusable
-#                        journal — the *measurement* never happened
-EXIT_INTERRUPTED = 4   # preempted (SIGINT/SIGTERM) but drained and
-#                        journaled: re-run `runs resume` to continue
+#                        store or journal — the *measurement* never happened
+EXIT_INTERRUPTED = 4   # preempted (SIGINT/SIGTERM) but drained into the
+#                        store: re-run `runs resume` to continue
 
-#: Default directory for run journals (``--journal``/``--runs-dir``).
+#: Default directory for ``--journal`` run stores (``--runs-dir``).
 DEFAULT_RUNS_DIR = ".repro-runs"
 
 
@@ -100,23 +100,23 @@ def _parse_run_id(text: str) -> str:
 def _add_durability_flags(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--journal", metavar="DIR", default=None,
-        help="make the run durable: write a resumable write-ahead journal "
-             "under DIR and execute under worker supervision (SIGINT/"
-             "SIGTERM drain in-flight cells and exit resumable)",
+        help="make the run durable and resumable: shorthand for --store "
+             "DIR/<run-id> (SIGINT/SIGTERM drain in-flight cells and exit "
+             "resumable; continue with 'runs resume')",
     )
     command.add_argument(
         "--run-id", type=_parse_run_id, default=None, metavar="NAME",
-        help="journal name under --journal DIR (default: derived from the "
+        help="run name under --journal DIR (default: derived from the "
              "config fingerprint)",
     )
     command.add_argument(
         "--cell-wall", type=float, default=None, metavar="S",
-        help="per-cell wall-clock budget in seconds (supervised runs; a "
-             "breach quarantines the cell and restarts the worker)",
+        help="per-cell wall-clock budget in seconds (store-backed runs; a "
+             "breach kills the cell's child process and quarantines it)",
     )
     command.add_argument(
         "--cell-rss", type=float, default=None, metavar="MB",
-        help="per-cell worker RSS budget in MiB (supervised runs, Linux)",
+        help="per-cell RSS budget in MiB (store-backed runs, Linux)",
     )
 
 
@@ -569,20 +569,21 @@ def build_parser() -> argparse.ArgumentParser:
                             "connection index)")
 
     runs = commands.add_parser(
-        "runs", help="manage durable (journaled) runs: list, resume, triage"
+        "runs", help="manage durable (--journal) runs: list, resume, triage"
     )
     runs_commands = runs.add_subparsers(dest="runs_command", required=True)
 
     runs_list = runs_commands.add_parser(
-        "list", help="list the journals in a runs directory"
+        "list", help="list the run stores in a runs directory"
     )
     runs_list.add_argument("--runs-dir", default=DEFAULT_RUNS_DIR,
                            metavar="DIR")
 
     runs_resume = runs_commands.add_parser(
         "resume",
-        help="continue an interrupted run: replay its journal, verify the "
-             "config fingerprint, skip finished cells, re-run the crash set",
+        help="continue an interrupted run: re-run the coordinator on its "
+             "store, skipping terminal cells (a cell killed mid-flight "
+             "re-runs once its lease expires)",
     )
     runs_resume.add_argument("run_id", type=_parse_run_id)
     runs_resume.add_argument("--runs-dir", default=DEFAULT_RUNS_DIR,
@@ -598,17 +599,17 @@ def build_parser() -> argparse.ArgumentParser:
                              help="(chaos runs) write the triage JSON to PATH")
     runs_resume.add_argument(
         "--cell-wall", type=float, default=None, metavar="S",
-        help="override the journaled per-cell wall budget",
+        help="override the recorded per-cell wall budget",
     )
     runs_resume.add_argument(
         "--cell-rss", type=float, default=None, metavar="MB",
-        help="override the journaled per-cell RSS budget",
+        help="override the recorded per-cell RSS budget",
     )
 
     runs_doctor = runs_commands.add_parser(
         "doctor",
-        help="triage a journal: crash set, quarantine reasons, budget "
-             "kills, torn tail (reported and truncated safely)",
+        help="triage a run store: cell states, lease health, reclaims, "
+             "claim races, double executions",
     )
     runs_doctor.add_argument("run_id", type=_parse_run_id, nargs="?",
                              default=None)
@@ -616,8 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
                              metavar="DIR")
     runs_doctor.add_argument(
         "--store", metavar="URL", default=None,
-        help="triage a fabric result store instead of a journal: lease "
-             "health, reclaims, claim races, double executions",
+        help="triage the result store at URL instead of a run under "
+             "--runs-dir",
     )
     runs_doctor.add_argument(
         "--assert-no-reexecution", action="store_true",
@@ -782,7 +783,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _budget_from(args, fallback: Optional[dict] = None) -> Optional[CellBudget]:
-    """A :class:`CellBudget` from CLI flags, else journaled defaults."""
+    """A :class:`CellBudget` from CLI flags, else the store's recorded one."""
     fallback = fallback or {}
     wall = args.cell_wall if args.cell_wall is not None else fallback.get("wall_s")
     rss = args.cell_rss if args.cell_rss is not None else fallback.get("rss_mb")
@@ -791,15 +792,53 @@ def _budget_from(args, fallback: Optional[dict] = None) -> Optional[CellBudget]:
     return CellBudget(wall_s=wall, rss_mb=rss)
 
 
-def _journal_path(runs_dir: str, run_id: str) -> Path:
-    return Path(runs_dir) / f"{run_id}.jsonl"
+def _durable_store(args, kind: str, fingerprint) -> Tuple[Optional[str], str]:
+    """Resolve ``--store URL`` / ``--journal DIR [--run-id ID]`` to
+    ``(store URL or None, run id)``.
+
+    ``--journal DIR`` is exactly ``--store DIR/<run-id>`` on the directory
+    backend, except that it refuses to start over an existing run —
+    ``runs resume`` continues one. ``fingerprint`` is a zero-argument
+    callable, evaluated only for durable runs.
+    """
+    if args.store is None and args.journal is None:
+        return None, "fabric"
+    run_id = args.run_id or f"{kind}-{fingerprint()[:10]}"
+    if args.journal is None:
+        return args.store, run_id
+    root = Path(args.journal) / run_id
+    if (root / "header.json").exists():
+        raise StoreError(
+            f"run {run_id!r} already exists under {args.journal} — resume "
+            f"it with 'runs resume {run_id} --runs-dir {args.journal}' "
+            f"instead of starting over"
+        )
+    return f"dir:{root}", run_id
 
 
-def _resume_hint(runs_dir: str, run_id: str) -> str:
-    return (
-        f"interrupted — everything completed so far is journaled; continue "
-        f"with:\n  repro-renaming runs resume {run_id} --runs-dir {runs_dir}"
+def _run_store(runs_dir: str, run_id: str) -> str:
+    """The store URL of ``--journal`` run ``run_id`` under ``runs_dir``."""
+    root = Path(runs_dir) / run_id
+    if not (root / "header.json").is_file():
+        raise StoreError(
+            f"cannot read journal {root}: it has no header — not a seeded "
+            f"run store"
+        )
+    return f"dir:{root}"
+
+
+def _interrupted(exc: RunInterrupted, runs_dir: Optional[str], run_id: str) -> int:
+    """Report a drained run and how to continue it."""
+    if runs_dir is not None:
+        how = f"repro-renaming runs resume {run_id} --runs-dir {runs_dir}"
+    else:
+        how = "the same command (re-seeding the store resumes the run)"
+    print(
+        f"\n{exc}\ninterrupted — everything completed so far is durable in "
+        f"the store; continue with:\n  {how}",
+        file=sys.stderr,
     )
+    return EXIT_INTERRUPTED
 
 
 def _finish_chaos(report, json_path: Optional[str]) -> int:
@@ -820,8 +859,8 @@ def _store_flags_error(args) -> Optional[str]:
     """Validate the --store/--journal/--coordinator-only combination."""
     if args.store is not None and args.journal is not None:
         return (
-            "--journal and --store are mutually exclusive: the store "
-            "fabric carries its own durability"
+            "--journal and --store are mutually exclusive: --journal DIR "
+            "is shorthand for --store DIR/<run-id>"
         )
     if args.coordinator_only and args.store is None:
         return "--coordinator-only requires --store"
@@ -862,49 +901,19 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if flag_error is not None:
         print(f"error: {flag_error}", file=sys.stderr)
         return EXIT_INFRA
+    store, run_id = _durable_store(
+        args, "chaos", lambda: ChaosCampaign.fingerprint(tasks)
+    )
+    if store is not None:
+        print(f"run {run_id!r} on store {store}")
     campaign = ChaosCampaign(workers=args.workers, timeout_s=args.timeout)
-    if args.store is not None:
-        fingerprint = ChaosCampaign.fingerprint(tasks)
-        run_id = args.run_id or f"chaos-{fingerprint[:10]}"
-        print(f"fabric run {run_id!r} on store {args.store}")
-        report = campaign.run(
-            tasks, store=args.store, budget=_budget_from(args),
-            coordinator_only=args.coordinator_only, run_id=run_id,
-        )
-        return _finish_chaos(report, args.json)
-    journal = None
-    if args.journal is not None:
-        fingerprint = ChaosCampaign.fingerprint(tasks)
-        run_id = args.run_id or f"chaos-{fingerprint[:10]}"
-        budget = _budget_from(args)
-        journal = RunJournal.create(
-            _journal_path(args.journal, run_id),
-            kind="chaos",
-            run_id=run_id,
-            config={
-                "tasks": [task.to_dict() for task in tasks],
-                "timeout_s": args.timeout,
-                "budget": {
-                    "wall_s": budget.wall_s if budget else None,
-                    "rss_mb": budget.rss_mb if budget else None,
-                },
-            },
-            fingerprint=fingerprint,
-            cells=len(tasks),
-        )
-        print(f"journaling to {journal.path} (run id: {run_id})")
     try:
         report = campaign.run(
-            tasks, journal=journal, budget=_budget_from(args)
+            tasks, store=store, budget=_budget_from(args),
+            coordinator_only=args.coordinator_only, run_id=run_id,
         )
     except RunInterrupted as exc:
-        print(f"\n{exc}", file=sys.stderr)
-        print(_resume_hint(args.journal, journal.state.run_id),
-              file=sys.stderr)
-        return EXIT_INTERRUPTED
-    finally:
-        if journal is not None:
-            journal.close()
+        return _interrupted(exc, args.journal, run_id)
     return _finish_chaos(report, args.json)
 
 
@@ -945,37 +954,6 @@ def _finish_sweep(records, executor, csv_path: Optional[str]) -> int:
     return EXIT_VIOLATION if bad else EXIT_OK
 
 
-def _sweep_config_dict(config: SweepConfig) -> dict:
-    payload = {
-        "algorithms": list(config.algorithms),
-        "sizes": [list(size) for size in config.sizes],
-        "attacks": list(config.attacks),
-        "seeds": list(config.seeds),
-        "workload": config.workload,
-        "collect_trace": config.collect_trace,
-        "max_rounds": config.max_rounds,
-        "engine": config.engine,
-    }
-    if config.model is not None:
-        payload["model"] = config.model.to_dict()
-    return payload
-
-
-def _sweep_config_from(payload: dict) -> SweepConfig:
-    model = payload.get("model")
-    return SweepConfig(
-        algorithms=payload["algorithms"],
-        sizes=[tuple(size) for size in payload["sizes"]],
-        attacks=payload["attacks"],
-        seeds=payload["seeds"],
-        workload=payload["workload"],
-        collect_trace=payload["collect_trace"],
-        max_rounds=payload["max_rounds"],
-        engine=payload["engine"],
-        model=None if model is None else SystemModel.from_dict(model),
-    )
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = SweepConfig(
         algorithms=args.algorithms,
@@ -990,51 +968,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if flag_error is not None:
         print(f"error: {flag_error}", file=sys.stderr)
         return EXIT_INFRA
+    store, run_id = _durable_store(
+        args, "sweep",
+        lambda: SweepExecutor.fingerprint(SweepExecutor.tasks_for(config)),
+    )
+    if store is not None:
+        print(f"run {run_id!r} on store {store}")
     executor = SweepExecutor(workers=args.workers, cache=args.cache)
-    if args.store is not None:
-        tasks = SweepExecutor.tasks_for(config)
-        fingerprint = SweepExecutor.fingerprint(tasks)
-        run_id = args.run_id or f"sweep-{fingerprint[:10]}"
-        print(f"fabric run {run_id!r} on store {args.store}")
-        records = executor.run(
-            config, store=args.store, budget=_budget_from(args),
-            coordinator_only=args.coordinator_only, run_id=run_id,
-        )
-        return _finish_sweep(records, executor, args.csv)
-    journal = None
-    if args.journal is not None:
-        tasks = SweepExecutor.tasks_for(config)
-        fingerprint = SweepExecutor.fingerprint(tasks)
-        run_id = args.run_id or f"sweep-{fingerprint[:10]}"
-        budget = _budget_from(args)
-        journal = RunJournal.create(
-            _journal_path(args.journal, run_id),
-            kind="sweep",
-            run_id=run_id,
-            config={
-                "sweep": _sweep_config_dict(config),
-                "cache": args.cache,
-                "budget": {
-                    "wall_s": budget.wall_s if budget else None,
-                    "rss_mb": budget.rss_mb if budget else None,
-                },
-            },
-            fingerprint=fingerprint,
-            cells=len(tasks),
-        )
-        print(f"journaling to {journal.path} (run id: {run_id})")
     try:
         records = executor.run(
-            config, journal=journal, budget=_budget_from(args)
+            config, store=store, budget=_budget_from(args),
+            coordinator_only=args.coordinator_only, run_id=run_id,
         )
     except RunInterrupted as exc:
-        print(f"\n{exc}", file=sys.stderr)
-        print(_resume_hint(args.journal, journal.state.run_id),
-              file=sys.stderr)
-        return EXIT_INTERRUPTED
-    finally:
-        if journal is not None:
-            journal.close()
+        return _interrupted(exc, args.journal, run_id)
     return _finish_sweep(records, executor, args.csv)
 
 
@@ -1378,40 +1325,42 @@ def cmd_proxy(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _run_status(report: dict) -> str:
+    """A store's status word from its :func:`store_doctor` report."""
+    if report["complete"]:
+        return "complete"
+    return "interrupted" if report["interrupted"] else "in-progress"
+
+
 def cmd_runs_list(args: argparse.Namespace) -> int:
-    states = list_runs(args.runs_dir)
-    if not states:
+    runs_dir = Path(args.runs_dir)
+    roots = (
+        sorted(path for path in runs_dir.iterdir() if path.is_dir())
+        if runs_dir.is_dir() else []
+    )
+    if not roots:
         print(f"no journals under {args.runs_dir}")
         return EXIT_OK
     rows = []
-    for state in states:
-        if state.header is None:
-            rows.append([state.path.stem, "?", "?", "?", "?", "?", "?",
-                         "damaged"])
+    for root in roots:
+        try:
+            report = store_doctor(open_store(f"dir:{root}"))
+        except StoreError:
+            report = {"header": None}
+        header = report["header"]
+        if header is None:
+            rows.append([root.name, "?", "?", "?", "?", "?", "?", "damaged"])
             continue
-        in_flight = len(state.crash_set())
-        if state.complete:
-            status = "complete"
-        elif state.interrupted:
-            status = "interrupted"
-        else:
-            status = "in-progress"
-        if state.torn:
-            status += " +torn-tail"
+        counts = report["counts"]
         rows.append([
-            state.run_id,
-            state.kind,
-            state.cells,
-            len(state.finished),
-            len(state.failed),
-            len(state.quarantined),
-            in_flight,
-            status,
+            root.name, header["kind"], counts["cells"], counts["finished"],
+            counts["failed"], counts["quarantined"], counts["leased"],
+            _run_status(report),
         ])
     print(
         format_table(
             ["run id", "kind", "cells", "finished", "failed", "quarantined",
-             "in-flight", "status"],
+             "leased", "status"],
             rows,
         )
     )
@@ -1419,48 +1368,56 @@ def cmd_runs_list(args: argparse.Namespace) -> int:
 
 
 def cmd_runs_resume(args: argparse.Namespace) -> int:
-    path = _journal_path(args.runs_dir, args.run_id)
-    journal = RunJournal.open(path)
-    header = journal.state.header
-    config_payload = header.get("config", {})
-    budget = _budget_from(args, fallback=config_payload.get("budget"))
-    remaining = len(journal.state.remaining())
+    url = _run_store(args.runs_dir, args.run_id)
+    store = open_store(url)
+    header = store.header()
+    config = header.get("config") or {}
+    budget = _budget_from(args, fallback=config.get("budget"))
+    counts = store.counts()
+    remaining = counts["pending"] + counts["leased"]
     print(
-        f"resuming {header['kind']} run {journal.state.run_id!r}: "
-        f"{journal.state.cells - remaining}/{journal.state.cells} cells "
-        f"already terminal, {remaining} to execute"
+        f"resuming {header['kind']} run {header['run_id']!r}: "
+        f"{counts['cells'] - remaining}/{counts['cells']} cells already "
+        f"terminal, {remaining} to execute"
     )
+    cells = [store.task(index) for index in range(counts["cells"])]
     try:
         if header["kind"] == "sweep":
-            config = _sweep_config_from(config_payload["sweep"])
             executor = SweepExecutor(
-                workers=args.workers, cache=config_payload.get("cache")
+                workers=args.workers, cache=config.get("cache")
             )
-            records = executor.run(config, journal=journal, budget=budget)
+            records = executor.run(
+                [RunTask.from_dict(cell) for cell in cells], store=url,
+                budget=budget, run_id=header["run_id"],
+            )
             return _finish_sweep(records, executor, args.csv)
         if header["kind"] == "chaos":
-            tasks = [ChaosTask.from_dict(d) for d in config_payload["tasks"]]
             campaign = ChaosCampaign(
                 workers=args.workers,
-                timeout_s=config_payload.get("timeout_s", 120.0),
+                timeout_s=config.get("timeout_s", 120.0),
             )
-            report = campaign.run(tasks, journal=journal, budget=budget)
+            report = campaign.run(
+                [ChaosTask.from_dict(cell) for cell in cells], store=url,
+                budget=budget, run_id=header["run_id"],
+            )
             return _finish_chaos(report, args.json)
-        raise JournalError(
-            f"journal {path} has unknown run kind {header['kind']!r}"
+        raise StoreError(
+            f"store {url} has unknown run kind {header['kind']!r}"
         )
     except RunInterrupted as exc:
-        print(f"\n{exc}", file=sys.stderr)
-        print(_resume_hint(args.runs_dir, args.run_id), file=sys.stderr)
-        return EXIT_INTERRUPTED
-    finally:
-        journal.close()
+        return _interrupted(exc, args.runs_dir, args.run_id)
 
 
-def _store_doctor_report(args: argparse.Namespace) -> int:
-    from .analysis import open_store, store_doctor
-
-    store = open_store(args.store)
+def cmd_runs_doctor(args: argparse.Namespace) -> int:
+    if args.store is not None:
+        store = open_store(args.store)
+    elif args.run_id is not None:
+        store = open_store(_run_store(args.runs_dir, args.run_id))
+    else:
+        print("error: runs doctor needs a run_id or --store URL",
+              file=sys.stderr)
+        return EXIT_INFRA
+    torn = store.truncate_torn_events()
     report = store_doctor(store)
     header = report["header"]
     if header is None:
@@ -1469,6 +1426,11 @@ def _store_doctor_report(args: argparse.Namespace) -> int:
     counts = report["counts"]
     print(f"run {header['run_id']!r} ({header['kind']}), store {store.url}")
     print(f"  fingerprint: {header.get('fingerprint', '?')[:16]}…")
+    if torn:
+        print(
+            f"  torn tail:   {torn} byte(s) of the event log cut mid-append "
+            f"by a crash — truncated"
+        )
     print(
         f"  cells:       {counts['cells']} total — {counts['finished']} "
         f"finished, {counts['failed']} failed, {counts['quarantined']} "
@@ -1524,81 +1486,13 @@ def _store_doctor_report(args: argparse.Namespace) -> int:
             "  reexecution: none — every cell produced exactly one "
             "terminal result"
         )
-    print(
-        "  status:      "
-        + ("complete" if report["complete"] else "incomplete")
-    )
-    return EXIT_OK
-
-
-def cmd_runs_doctor(args: argparse.Namespace) -> int:
-    if args.store is not None:
-        return _store_doctor_report(args)
-    if args.run_id is None:
-        print("error: runs doctor needs a run_id or --store URL",
-              file=sys.stderr)
-        return EXIT_INFRA
-    path = _journal_path(args.runs_dir, args.run_id)
-    state = scan_journal(path)
-    if state.header is None:
-        print(f"error: journal {path} has no header record", file=sys.stderr)
-        return EXIT_INFRA
-    print(f"run {state.run_id!r} ({state.kind}), journal {path}")
-    print(f"  fingerprint: {state.header.get('fingerprint', '?')[:16]}…")
-    print(f"  records:     {state.records}")
-    terminal = len(state.finished) + len(state.failed) + len(state.quarantined)
-    print(
-        f"  cells:       {state.cells} total — {len(state.finished)} "
-        f"finished, {len(state.failed)} failed, {len(state.quarantined)} "
-        f"quarantined, {len(state.crash_set())} in flight, "
-        f"{len(state.unstarted())} unstarted"
-    )
-    healthy = True
-    if state.torn:
-        raw = path.read_bytes()
-        torn_bytes = len(raw) - state.good_bytes
-        with open(path, "r+b") as handle:
-            handle.truncate(state.good_bytes)
-        print(
-            f"  torn tail:   {torn_bytes} byte(s) cut mid-append by a crash "
-            f"— truncated (by fsync ordering nothing ever acted on them)"
+    status = _run_status(report)
+    if not report["complete"] and args.store is None:
+        status += (
+            f" — resume with 'runs resume {args.run_id} "
+            f"--runs-dir {args.runs_dir}'"
         )
-    crash_set = state.crash_set()
-    if crash_set:
-        healthy = False
-        print(
-            f"  crash set:   cells {crash_set} were in flight when the "
-            f"orchestrator died — 'runs resume {state.run_id}' re-queues them"
-        )
-    if state.quarantined:
-        healthy = False
-        by_reason: dict = {}
-        for cell, payload in sorted(state.quarantined.items()):
-            by_reason.setdefault(payload.get("reason", "?"), []).append(cell)
-        for reason, cells in sorted(by_reason.items()):
-            print(f"  quarantined: {reason}: cells {cells}")
-    if state.failed:
-        healthy = False
-        print(f"  failed:      cells {sorted(state.failed)} (deterministic "
-              f"failures; resume restores them without re-running)")
-    reexecuted = state.reexecuted_finished()
-    if reexecuted:
-        print(
-            f"  REEXECUTED:  cells {reexecuted} were started again after a "
-            f"terminal record — the resume discipline was violated"
-        )
-        if args.assert_no_reexecution:
-            return EXIT_INFRA
-    elif args.assert_no_reexecution:
-        print("  reexecution: none — every terminal cell was skipped on resume")
-    if state.complete:
-        print("  status:      complete" + ("" if healthy else " (with findings)"))
-    elif state.interrupted:
-        print(f"  status:      interrupted (drained) — resume with "
-              f"'runs resume {state.run_id} --runs-dir {args.runs_dir}'")
-    else:
-        print(f"  status:      incomplete — resume with "
-              f"'runs resume {state.run_id} --runs-dir {args.runs_dir}'")
+    print(f"  status:      {status}")
     return EXIT_OK
 
 
@@ -1626,7 +1520,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INFRA
     except RunInterrupted as exc:
         # Commands catch this themselves to print a resume hint; this is the
-        # safety net for any journaled path that doesn't.
+        # safety net for any store-backed path that doesn't.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERRUPTED
     except BrokenPipeError:

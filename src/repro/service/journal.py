@@ -1,15 +1,15 @@
 """Durable session journal: the daemon's crash-recoverable memory.
 
-The PR 5 run journal made long sweeps survive a SIGKILL by journaling
-progress *before* acting on it; this module applies the identical record
-discipline — append-only JSONL, one checksummed record per line, fsync'd
-before the caller proceeds, torn tail dropped, mid-file corruption a typed
-:class:`~repro.sim.errors.JournalError` — to the renaming daemon's
-sessions, so a restarted ``repro-renaming serve --session-journal`` can
-answer "what name did session X get?" for every session it ever finished.
+The daemon's sessions are journaled *before* the daemon acts on them —
+append-only JSONL, one checksummed record per line, fsync'd before the
+caller proceeds, torn tail dropped, mid-file corruption a typed
+:class:`~repro.sim.errors.JournalError` — so a restarted
+``repro-renaming serve --session-journal`` can answer "what name did
+session X get?" for every session it ever finished.
 
-Record types (same ``{v, seq, type, data, crc}`` envelope as
-:mod:`repro.analysis.journal`, ``crc`` a SHA-256 over the canonical body):
+Record types (each line a ``{v, seq, type, data, crc}`` record, ``crc``
+the :func:`~repro.analysis.envelope.record_checksum` of the canonical
+body):
 
 * ``header`` — written once at creation: ``{"kind": "service-sessions"}``.
 * ``accepted`` — the daemon admitted a **tokened** quorum and is about to
@@ -40,7 +40,6 @@ this process becomes durable — how the recovery suite and
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import signal
@@ -50,9 +49,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..sim.errors import JournalError
 
-# The record envelope (canonical JSON + SHA-256 checksum) is shared with
-# the PR 5 run journal — one on-disk discipline, two ledgers.
-from ..analysis.journal import _canonical, _record_checksum
+from ..analysis.envelope import canonical, checksum, record_checksum
 
 __all__ = [
     "SERVICE_CRASH_HOOK_ENV",
@@ -86,7 +83,7 @@ def request_fingerprint(request: dict) -> str:
     with different parameters or ids is a client bug, detected by
     comparing this fingerprint — not by trusting the token alone.
     """
-    return hashlib.sha256(_canonical(request).encode("utf-8")).hexdigest()
+    return checksum(request)
 
 
 @dataclass
@@ -150,7 +147,7 @@ def _parse_record(line: bytes, lineno: int, path: Path) -> dict:
         raise JournalError(
             f"{path.name}:{lineno}: unknown record type {record['type']!r}"
         )
-    expected = _record_checksum(
+    expected = record_checksum(
         record["v"], record["seq"], record["type"], record["data"]
     )
     if record["crc"] != expected:
@@ -323,11 +320,11 @@ class SessionJournal:
             "seq": self._seq,
             "type": type_,
             "data": data,
-            "crc": _record_checksum(
+            "crc": record_checksum(
                 SESSION_JOURNAL_VERSION, self._seq, type_, data
             ),
         }
-        line = (_canonical(record) + "\n").encode("utf-8")
+        line = (canonical(record) + "\n").encode("utf-8")
         self._handle.write(line)
         self._handle.flush()
         os.fsync(self._handle.fileno())

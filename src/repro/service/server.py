@@ -43,7 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
-from ..analysis.supervisor import CellBudget
+from ..analysis.budget import CellBudget
 from ..sim import DEFAULT_ENGINE, ConfigurationError, ResourceBudgetExceeded, SafetyViolation
 from ..wire import WireError
 from .frames import DEFAULT_MAX_FRAME_BYTES, encode_frame, read_frame, write_frame

@@ -16,11 +16,11 @@ The daemon hands a closed session to :func:`execute_session`, which
    :func:`repro.analysis.properties.check_renaming` and builds the
    property certificate the client receives.
 
-With a :class:`~repro.analysis.supervisor.CellBudget`,
+With a :class:`~repro.analysis.budget.CellBudget`,
 :func:`execute_session_isolated` runs the same function in a disposable
 child process policed by the same
-:func:`~repro.analysis.supervisor.budget_breach` decision the sweep
-supervisor and the fabric workers use — a wall/RSS breach SIGKILLs the
+:func:`~repro.analysis.budget.budget_breach` decision the fabric's
+budget-isolated workers use — a wall/RSS breach SIGKILLs the
 child and surfaces as a typed
 :class:`~repro.sim.errors.ResourceBudgetExceeded`, never as a wedged
 server.
@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Tuple
 from ..adversary import adversary_names, make_adversary
 from ..analysis.experiments import ALGORITHMS
 from ..analysis.properties import check_renaming
-from ..analysis.supervisor import CellBudget, budget_breach
+from ..analysis.budget import CellBudget, budget_breach
 from ..core import SystemParams
 from ..sim import (
     DEFAULT_ENGINE,

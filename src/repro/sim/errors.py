@@ -44,13 +44,13 @@ class RoundLimitExceeded(SimulationError):
 
 
 class JournalError(SimulationError):
-    """A run journal is unusable: corrupt mid-file record, sequence gap,
-    missing header, or a config fingerprint that does not match the journal's.
+    """A service session journal is unusable: corrupt mid-file record,
+    sequence gap, missing header, or a header of a different kind.
 
     A *torn tail* (the final record cut short by a crash mid-append) is NOT
     a :class:`JournalError` — the record was never durable, so readers drop
-    it silently and ``runs doctor`` truncates it away. Anything unusable
-    *before* the tail means real corruption and refuses to resume.
+    it silently and reopening truncates it away. Anything unusable *before*
+    the tail means real corruption and refuses to open.
     """
 
 
@@ -79,12 +79,13 @@ class LeaseLost(StoreError):
 
 
 class RunInterrupted(SimulationError):
-    """A supervised run was preempted (SIGINT/SIGTERM) and drained cleanly.
+    """A store-backed run was preempted (SIGINT/SIGTERM) and drained cleanly.
 
-    Raised *after* in-flight cells were given a chance to finish and the run
-    journal was flushed — everything already completed is durable and
-    ``runs resume`` continues from exactly this point. The CLI maps this to
-    the distinct "interrupted but resumable" exit code.
+    Raised *after* in-flight cells were given a chance to finish — every
+    cell already completed is durable in the result store and ``runs
+    resume`` (or re-seeding the store) continues from exactly this point.
+    The CLI maps this to the distinct "interrupted but resumable" exit
+    code.
     """
 
     def __init__(self, message: str, *, run_id=None, completed: int = 0,
@@ -96,12 +97,13 @@ class RunInterrupted(SimulationError):
 
 
 class ResourceBudgetExceeded(SimulationError):
-    """A supervised cell exceeded its wall-clock or RSS budget.
+    """A budget-isolated cell or session exceeded its wall-clock or RSS
+    budget.
 
-    The supervisor SIGKILLs the offending worker, so this exception is never
-    *raised* inside the cell — it names the typed cause recorded in the
-    journal and in the cell's failure row (``violated`` is ``"wall-budget"``
-    or ``"rss-budget"``).
+    The parent SIGKILLs the offending child process, so this exception is
+    never *raised* inside the cell — it names the typed cause recorded in
+    the store and in the cell's failure row (``violated`` is
+    ``"wall-budget"`` or ``"rss-budget"``).
     """
 
     def __init__(self, message: str, *, violated: str = "wall-budget") -> None:

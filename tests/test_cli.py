@@ -237,9 +237,8 @@ class TestRunsCommands:
         assert "complete" in out
 
     def test_doctor_missing_header_is_infra(self, capsys, tmp_path):
-        # A journal whose only line is torn has no header: damaged.
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"v": 1, "seq": 0, "ty')
+        # A run directory killed before its header became durable: damaged.
+        (tmp_path / "bad").mkdir()
         code = main(["runs", "doctor", "bad", "--runs-dir", str(tmp_path)])
         assert code == EXIT_INFRA
         assert "no header" in capsys.readouterr().err

@@ -4,8 +4,7 @@ Two layers of tests:
 
 * Python-level: a fabric run (``store=``) must produce the same rows as
   the legacy in-process path for both sweeps and chaos campaigns, on both
-  store backends; caches prefill, part-finished stores resume, and an
-  attached journal mirrors the fabric's lease traffic.
+  store backends; caches prefill and part-finished stores resume.
 
 * CLI-level (the distributed story): a coordinator-only sweep with
   externally started workers, one of which is SIGKILLed mid-cell by the
@@ -28,14 +27,11 @@ from repro.analysis import (
     ChaosCampaign,
     PollBackoff,
     Worker,
-    Coordinator,
     ResultCache,
-    RunJournal,
     SweepConfig,
     SweepExecutor,
     chaos_grid,
     run_sweep,
-    scan_journal,
 )
 from repro.analysis.store import STORE_CRASH_HOOK_ENV, open_store
 
@@ -80,13 +76,13 @@ class TestSweepEquivalence:
         assert scrubbed(fabric) == scrubbed(control)
 
     def test_journal_and_store_are_mutually_exclusive(self, tmp_path):
-        executor = SweepExecutor(workers=1)
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            executor.run(
-                SWEEP,
-                journal=object(),
-                store=store_url("dir", tmp_path),
-            )
+        # --journal DIR is shorthand for --store DIR/<run-id>: never both.
+        done = _cli([
+            "sweep", *CLI_GRID, "--journal", str(tmp_path / "runs"),
+            "--store", store_url("dir", tmp_path),
+        ])
+        assert done.returncode == 3
+        assert "mutually exclusive" in done.stderr
 
 
 class TestChaosEquivalence:
@@ -131,32 +127,6 @@ class TestCacheAndResume:
         assert executor.stats.restored == len(first)
         assert executor.stats.executed == 0
         assert scrubbed(again) == scrubbed(first)
-
-
-class TestJournalMirror:
-    def test_lease_traffic_lands_in_an_attached_journal(
-        self, backend, tmp_path
-    ):
-        cells = [
-            task.to_dict() for task in SweepExecutor.tasks_for(SWEEP)
-        ]
-        journal = RunJournal.create(
-            tmp_path / "runs" / "mirror.journal",
-            kind="sweep", run_id="mirror", config={},
-            fingerprint="fp-mirror", cells=len(cells),
-        )
-        coordinator = Coordinator(
-            open_store(store_url(backend, tmp_path)), journal=journal
-        )
-        rows = coordinator.run("sweep", cells, fingerprint="fp-mirror")
-        journal.close()
-
-        state = scan_journal(tmp_path / "runs" / "mirror.journal")
-        leased = {
-            cell for cell, events in state.events.items()
-            if any(kind == "leased" for kind, _ in events)
-        }
-        assert leased == set(range(len(rows)))
 
 
 def _cli(args, *, env=None, timeout=180):

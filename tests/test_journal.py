@@ -1,16 +1,20 @@
-"""Durability suite: write-ahead journal, worker supervision, kill/resume.
+"""Durability suite: ``--journal`` runs on the result store, kill/resume,
+budget-isolated workers.
 
-The acceptance bar mirrors the crash-recovery arguments in the paper's
-lineage: progress is durable before it is acted on, recovery is pure
-replay, and a resumed run is *bit-identical* (in canonical, wall-clock
-scrubbed form) to an uninterrupted control run. The harness here SIGKILLs
-live campaign subprocesses at deterministic and at randomized seeded
-journal positions via the ``REPRO_JOURNAL_CRASH_AFTER`` hook, resumes
-them, and diffs the final reports against controls.
+A ``--journal DIR`` run is a :class:`~repro.analysis.store.LocalDirStore`
+under ``DIR/<run-id>``. The acceptance bar mirrors the crash-recovery
+arguments in the paper's lineage: progress is durable before it is acted
+on, recovery re-runs only what never became durable, and a resumed run is
+*bit-identical* (in canonical, wall-clock scrubbed form) to an
+uninterrupted control run. The harness here SIGKILLs live campaign
+subprocesses at deterministic and at randomized seeded store positions via
+the ``REPRO_STORE_CRASH_AFTER`` hook, resumes them, and diffs the final
+reports against controls.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import random
@@ -25,161 +29,128 @@ from repro.analysis import (
     CellBudget,
     ChaosCampaign,
     ChaosTask,
-    RunJournal,
+    LocalDirStore,
     SweepConfig,
     SweepExecutor,
-    WorkerSupervisor,
+    Worker,
     atomic_write_text,
     canonical_json,
-    scan_journal,
+    open_store,
+    store_doctor,
 )
-from repro.analysis.journal import (
-    CRASH_HOOK_ENV,
-    JOURNAL_VERSION,
-    _canonical,
-    _record_checksum,
-    scrub_volatile,
-)
-from repro.sim import JournalError, RunInterrupted
+from repro.analysis.budget import rss_mb_of
+from repro.analysis.envelope import scrub_volatile
+from repro.analysis.store import STORE_CRASH_HOOK_ENV
+from repro.analysis.worker import RUNNERS, CellRunner
+from repro.sim import StoreError
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
-def _record_line(seq: int, type_: str, data: dict) -> str:
-    record = {
-        "v": JOURNAL_VERSION,
-        "seq": seq,
-        "type": type_,
-        "data": data,
-        "crc": _record_checksum(JOURNAL_VERSION, seq, type_, data),
-    }
-    return _canonical(record) + "\n"
-
-
-def _header_data(cells: int = 3) -> dict:
-    return {
-        "kind": "chaos", "run_id": "r", "config": {},
-        "fingerprint": "f" * 64, "cells": cells,
-    }
+def _seeded(tmp_path, cells: int = 3) -> LocalDirStore:
+    store = LocalDirStore(tmp_path / "r")
+    store.seed(
+        kind="chaos", run_id="r", fingerprint="f" * 64,
+        cells=[{"cell": i} for i in range(cells)],
+    )
+    return store
 
 
 class TestJournalFormat:
-    def _create(self, tmp_path):
-        return RunJournal.create(
-            tmp_path / "r.jsonl", kind="chaos", run_id="r", config={},
-            fingerprint="f" * 64, cells=3,
-        )
+    """The on-disk run a ``--journal`` flag leaves behind."""
 
     def test_round_trip(self, tmp_path):
-        journal = self._create(tmp_path)
-        journal.append("started", cell=0)
-        journal.append("finished", cell=0, outcome={"status": "clean"})
-        journal.append("started", cell=1)
-        journal.close()
-        state = scan_journal(tmp_path / "r.jsonl")
-        assert state.run_id == "r" and state.kind == "chaos"
-        assert state.cells == 3
-        assert state.finished == {0: {"cell": 0, "outcome": {"status": "clean"}}}
-        assert state.crash_set() == [1]
-        assert state.unstarted() == [2]
-        assert state.remaining() == [1, 2]
-        assert not state.complete and not state.torn
+        store = _seeded(tmp_path)
+        claim = store.claim("w")
+        store.finish(claim, {"status": "clean"})
+        store.claim("w")  # cell 1 is now in flight
+        reopened = LocalDirStore(tmp_path / "r")
+        header = reopened.header()
+        assert header["run_id"] == "r" and header["kind"] == "chaos"
+        assert reopened.cells == 3
+        assert reopened.terminal(0)["payload"] == {"status": "clean"}
+        counts = reopened.counts()
+        assert (counts["finished"], counts["leased"], counts["pending"]) == (
+            1, 1, 1
+        )
+        assert not reopened.complete
 
     def test_create_refuses_existing_journal(self, tmp_path):
-        self._create(tmp_path).close()
-        with pytest.raises(JournalError, match="already exists"):
-            self._create(tmp_path)
+        from repro.cli import _durable_store
+
+        args = argparse.Namespace(
+            store=None, journal=str(tmp_path), run_id="r"
+        )
+        url, run_id = _durable_store(args, "chaos", lambda: "f" * 64)
+        assert (url, run_id) == (f"dir:{tmp_path / 'r'}", "r")
+        _seeded(tmp_path)
+        with pytest.raises(StoreError, match="already exists"):
+            _durable_store(args, "chaos", lambda: "f" * 64)
 
     def test_torn_tail_is_dropped_not_an_error(self, tmp_path):
-        journal = self._create(tmp_path)
-        journal.append("started", cell=0)
-        journal.close()
-        path = tmp_path / "r.jsonl"
-        with open(path, "ab") as handle:
-            handle.write(b'{"v": 1, "seq": 2, "ty')  # cut mid-append
-        state = scan_journal(path)
-        assert state.torn
-        assert state.records == 2  # header + started survived
-        assert state.crash_set() == [0]
-
-    def test_torn_full_line_with_bad_checksum_is_also_a_tail(self, tmp_path):
-        # A line can be complete-looking but carry a garbage checksum if the
-        # crash landed inside the crc hex — still the tail, still dropped.
-        journal = self._create(tmp_path)
-        journal.append("started", cell=0)
-        journal.close()
-        path = tmp_path / "r.jsonl"
-        line = _record_line(2, "finished", {"cell": 0})
-        broken = line.replace('"crc":"', '"crc":"dead')
-        with open(path, "ab") as handle:
-            handle.write(broken.encode())
-        state = scan_journal(path)
-        assert state.torn and state.records == 2
+        store = _seeded(tmp_path)
+        store.finish(store.claim("w"), {})
+        with open(tmp_path / "r" / "events.jsonl", "ab") as handle:
+            handle.write(b'{"event": "claimed", "ce')  # cut mid-append
+        events = [e["event"] for e in store.events()]
+        assert events == ["claimed", "finished"]
+        assert store_doctor(store)["double_executions"] == []
 
     def test_open_truncates_torn_tail(self, tmp_path):
-        journal = self._create(tmp_path)
-        journal.append("started", cell=0)
-        journal.close()
-        path = tmp_path / "r.jsonl"
-        good_prefix = path.read_bytes()
+        # Resuming (re-seeding with the same fingerprint) repairs the torn
+        # tail first, so the resumed run's events start on a fresh line.
+        store = _seeded(tmp_path)
+        store.finish(store.claim("w"), {})
+        path = tmp_path / "r" / "events.jsonl"
+        good = path.stat().st_size
         with open(path, "ab") as handle:
-            handle.write(b"torn-debris")
-        reopened = RunJournal.open(path)
-        reopened.append("finished", cell=0, outcome={})
-        reopened.close()
-        state = scan_journal(path)
-        assert not state.torn
-        assert state.finished
-        # The debris was truncated; the new record sits right after the
-        # last good one.
-        assert path.read_bytes().startswith(good_prefix)
+            handle.write(b'{"event": "claimed", "ce')
+        resumed = LocalDirStore(tmp_path / "r")
+        resumed.seed(
+            kind="chaos", run_id="r", fingerprint="f" * 64,
+            cells=[{"cell": i} for i in range(3)],
+        )
+        assert path.stat().st_size == good
+        resumed.finish(resumed.claim("w"), {})
+        events = [e["event"] for e in resumed.events()]
+        assert events == ["claimed", "finished", "claimed", "finished"]
+
+    def test_torn_full_line_with_bad_checksum_is_also_a_tail(self, tmp_path):
+        # A record can be complete-looking but carry a garbage checksum if
+        # the write was torn inside it: dropped, never trusted.
+        store = _seeded(tmp_path)
+        store.finish(store.claim("w"), {"status": "clean"})
+        path = tmp_path / "r" / "terminal" / "0.json"
+        path.write_text(path.read_text().replace('"checksum": "', '"checksum": "dead'))
+        assert store.terminal(0) is None
+        assert not path.exists()
+        assert store.claim("w").cell == 0  # re-executable
 
     def test_corruption_before_tail_is_fatal(self, tmp_path):
-        path = tmp_path / "r.jsonl"
-        lines = [
-            _record_line(0, "header", _header_data()),
-            "corrupted-mid-file\n",
-            _record_line(1, "started", {"cell": 0}),
-        ]
-        path.write_text("".join(lines))
-        with pytest.raises(JournalError, match="unparseable"):
-            scan_journal(path)
-
-    def test_sequence_gap_is_fatal(self, tmp_path):
-        path = tmp_path / "r.jsonl"
-        lines = [
-            _record_line(0, "header", _header_data()),
-            _record_line(2, "started", {"cell": 0}),  # seq 1 missing
-        ]
-        path.write_text("".join(lines))
-        with pytest.raises(JournalError, match="sequence gap"):
-            scan_journal(path)
+        _seeded(tmp_path)
+        (tmp_path / "r" / "header.json").write_text("corrupted-mid-file")
+        with pytest.raises(StoreError, match="corrupt store header"):
+            LocalDirStore(tmp_path / "r").header()
 
     def test_record_before_header_is_fatal(self, tmp_path):
-        path = tmp_path / "r.jsonl"
-        lines = [
-            _record_line(0, "started", {"cell": 0}),
-            _record_line(1, "header", _header_data()),
-        ]
-        path.write_text("".join(lines))
-        with pytest.raises(JournalError, match="before header"):
-            scan_journal(path)
+        # No cell may run against a store whose header is not durable yet.
+        with pytest.raises(StoreError, match="not seeded"):
+            Worker(LocalDirStore(tmp_path / "r")).run()
 
     def test_fingerprint_mismatch_refuses_resume(self, tmp_path):
-        journal = self._create(tmp_path)
-        journal.verify_fingerprint("f" * 64)  # matches
-        with pytest.raises(JournalError, match="fingerprint mismatch"):
-            journal.verify_fingerprint("0" * 64)
-        journal.close()
+        store = _seeded(tmp_path)
+        cells = [{"cell": i} for i in range(3)]
+        store.seed(kind="chaos", run_id="r", fingerprint="f" * 64, cells=cells)
+        with pytest.raises(StoreError, match="different config fingerprint"):
+            LocalDirStore(tmp_path / "r").seed(
+                kind="chaos", run_id="r", fingerprint="0" * 64, cells=cells
+            )
 
     def test_reexecution_detector(self, tmp_path):
-        journal = self._create(tmp_path)
-        journal.append("started", cell=0)
-        journal.append("finished", cell=0, outcome={})
-        journal.append("started", cell=0)  # the discipline violation
-        journal.close()
-        state = scan_journal(tmp_path / "r.jsonl")
-        assert state.reexecuted_finished() == [0]
+        store = _seeded(tmp_path)
+        store.finish(store.claim("w"), {})
+        store.write_terminal(0, "finished", {})  # the discipline violation
+        assert store_doctor(store)["double_executions"] == [0]
 
     def test_scrub_volatile_zeroes_only_wall_clock_fields(self):
         payload = {
@@ -233,90 +204,144 @@ class TestAtomicWrite:
         assert (tmp_path / "rows.csv").read_text().startswith("algorithm,")
 
 
-# ---------------------------------------------------------------- supervisor
+# ------------------------------------------------- budget-isolated workers
 
-def _echo_runner(task):
-    return task * task
+def _probe(task: dict):
+    """Cell body for the isolation tests (runs in the disposable child)."""
+    op = task["op"]
+    if op == "sleep":
+        time.sleep(task["seconds"])
+        return "done"
+    if op == "crash-once":
+        # The first attempt dies without reporting (a real child crash);
+        # the retry finds the flag and succeeds.
+        if not os.path.exists(task["flag"]):
+            with open(task["flag"], "w") as handle:
+                handle.write("crashed")
+            os._exit(1)
+        return "recovered"
+    if op == "fail":
+        # Every attempt raises, with the attempt number in the message.
+        path = task["counter"]
+        count = int(open(path).read()) + 1 if os.path.exists(path) else 1
+        with open(path, "w") as handle:
+            handle.write(str(count))
+        raise RuntimeError(f"attempt {count} failed")
+    return task["x"] * task["x"]
 
 
-def _crash_once_runner(flag_path):
-    # First execution dies without reporting (a real worker crash); the
-    # retry finds the flag and succeeds. Module-level and picklable.
-    if not os.path.exists(flag_path):
-        with open(flag_path, "w") as handle:
-            handle.write("crashed")
-        os._exit(1)
-    return "recovered"
+@pytest.fixture
+def probe_kind(monkeypatch):
+    """Register a synthetic run kind whose rows are plain dicts."""
+    monkeypatch.setitem(RUNNERS, "probe", CellRunner(
+        kind="probe",
+        decode=dict,
+        execute=_probe,
+        encode=lambda result, attempts: {"result": result},
+        failure=lambda task, detail, attempts: {
+            "error": detail, "attempts": attempts,
+        },
+        failure_state="failed",
+        budget_failure=lambda task, kind, detail: {"error": detail},
+        decode_row=lambda task, payload: payload,
+        lease_row=lambda task, reason: {"error": reason},
+        set_retries=lambda payload, attempts: dict(payload, retries=attempts),
+    ))
+    return "probe"
 
 
-def _sleep_runner(seconds):
-    time.sleep(seconds)
-    return "done"
+def _probe_store(tmp_path, probe_kind, cells) -> LocalDirStore:
+    store = LocalDirStore(tmp_path / "probe")
+    store.seed(kind=probe_kind, run_id="p", fingerprint="p", cells=cells)
+    return store
 
 
-class TestWorkerSupervisor:
-    def test_runs_items_and_reports_in_callbacks(self):
-        seen = {}
-        stats = WorkerSupervisor(_echo_runner, workers=2).run(
-            [(i, i) for i in range(6)],
-            on_result=lambda index, task, result: seen.__setitem__(index, result),
+class TestWorkerBudget:
+    """``Worker(budget=...)``: one disposable child process per attempt."""
+
+    def test_runs_items_and_reports_in_callbacks(self, tmp_path, probe_kind):
+        # Every cell runs in its own child; results land in the store.
+        store = _probe_store(
+            tmp_path, probe_kind, [{"op": "square", "x": i} for i in range(4)]
         )
-        assert seen == {i: i * i for i in range(6)}
-        assert stats.completed == 6 and stats.failed == 0
+        stats = Worker(store, budget=CellBudget(wall_s=60)).run()
+        assert [store.terminal(i)["payload"]["result"] for i in range(4)] == [
+            0, 1, 4, 9,
+        ]
+        assert stats.completed == 4 and stats.failed == 0
 
-    def test_worker_crash_is_retried_then_recovers(self, tmp_path):
-        flag = tmp_path / "crashed.flag"
-        results = []
-        stats = WorkerSupervisor(
-            _crash_once_runner, workers=1, retries=1
-        ).run(
-            [(0, str(flag))],
-            on_result=lambda index, task, result: results.append(result),
+    def test_worker_crash_is_retried_then_recovers(self, tmp_path, probe_kind):
+        flag = str(tmp_path / "crashed.flag")
+        store = _probe_store(
+            tmp_path, probe_kind, [{"op": "crash-once", "flag": flag}]
         )
-        assert results == ["recovered"]
-        assert stats.retried == 1 and stats.worker_restarts >= 1
-        assert stats.completed == 1 and stats.failed == 0
+        stats = Worker(store, budget=CellBudget(wall_s=60), retries=1).run()
+        record = store.terminal(0)
+        assert record["state"] == "finished"
+        assert record["payload"] == {"result": "recovered", "retries": 1}
+        assert stats.retried == 1 and stats.completed == 1
+        assert stats.failed == 0
 
-    def test_wall_budget_kill_is_terminal_not_retried(self):
-        failures = []
-        stats = WorkerSupervisor(
-            _sleep_runner, workers=1,
-            budget=CellBudget(wall_s=0.4), retries=3,
-        ).run(
-            [(0, 30.0)],
-            on_failure=failures.append,
+    def test_wall_budget_kill_is_terminal_not_retried(
+        self, tmp_path, probe_kind
+    ):
+        store = _probe_store(
+            tmp_path, probe_kind, [{"op": "sleep", "seconds": 30.0}]
         )
-        assert [f.kind for f in failures] == ["wall-budget"]
-        assert "ResourceBudgetExceeded" in failures[0].detail
+        stats = Worker(store, budget=CellBudget(wall_s=0.4), retries=3).run()
+        record = store.terminal(0)
+        assert (record["state"], record["reason"]) == (
+            "quarantined", "wall-budget"
+        )
+        assert "ResourceBudgetExceeded" in record["payload"]["error"]
         assert stats.budget_kills == 1
         assert stats.retried == 0  # budget kills are deterministic
-        assert stats.failed == 1
 
-    def test_exhausted_retries_report_crashed(self, tmp_path):
-        # No flag file is ever written readable -> use a directory the
-        # worker cannot create the flag in? Simpler: point at a path whose
-        # parent does not exist, so the runner dies on every attempt.
-        failures = []
-        stats = WorkerSupervisor(
-            _crash_once_runner, workers=1, retries=1
-        ).run(
-            [(0, str(tmp_path / "missing-dir" / "flag"))],
-            on_failure=failures.append,
+    def test_exhausted_retries_report_crashed(self, tmp_path, probe_kind):
+        self._exhaust_retries(tmp_path, probe_kind, CellBudget(wall_s=60))
+
+    def test_exhausted_retries_report_crashed_in_process(
+        self, tmp_path, probe_kind
+    ):
+        # Without a budget the same failure row comes from the worker's
+        # own process.
+        self._exhaust_retries(tmp_path, probe_kind, None)
+
+    @staticmethod
+    def _exhaust_retries(tmp_path, probe_kind, budget):
+        counter = str(tmp_path / "attempts")
+        store = _probe_store(
+            tmp_path, probe_kind, [{"op": "fail", "counter": counter}]
         )
-        assert [f.kind for f in failures] == ["crashed"]
-        assert failures[0].attempts == 2  # original + one retry
+        stats = Worker(store, budget=budget, retries=1).run()
+        record = store.terminal(0)
+        assert (record["state"], record["reason"]) == ("failed", "crashed")
+        # The failure row carries the *second* (last) error's message.
+        assert record["payload"] == {
+            "error": "RuntimeError: attempt 2 failed", "attempts": 2,
+        }
         assert stats.failed == 1 and stats.retried == 1
 
     @pytest.mark.skipif(
         not os.path.exists(f"/proc/{os.getpid()}/statm"),
         reason="RSS budgets read /proc (Linux only)",
     )
-    def test_rss_budget_via_proc(self):
-        from repro.analysis.supervisor import rss_mb_of
-
+    def test_rss_budget_via_proc(self, tmp_path, probe_kind):
         rss = rss_mb_of(os.getpid())
         assert rss is not None and rss > 1.0
         assert rss_mb_of(2 ** 30) is None  # no such pid -> unenforced
+
+        # Any Python child is far above 1 MiB resident: killed, quarantined.
+        store = _probe_store(
+            tmp_path, probe_kind, [{"op": "sleep", "seconds": 30.0}]
+        )
+        stats = Worker(store, budget=CellBudget(rss_mb=1.0)).run()
+        record = store.terminal(0)
+        assert (record["state"], record["reason"]) == (
+            "quarantined", "rss-budget"
+        )
+        assert "exceeded budget (1 MiB)" in record["payload"]["error"]
+        assert stats.budget_kills == 1
 
 
 # ------------------------------------------------- journaled-run equivalence
@@ -331,71 +356,59 @@ CELLS = [
 ]
 
 
-def _sweep_journal(tmp_path, name="sweep.jsonl"):
-    tasks = SweepExecutor.tasks_for(GRID)
-    return RunJournal.create(
-        tmp_path / name, kind="sweep", run_id="s",
-        config={"sweep": {}, "cache": None,
-                "budget": {"wall_s": None, "rss_mb": None}},
-        fingerprint=SweepExecutor.fingerprint(tasks), cells=len(tasks),
-    )
+def _journal(tmp_path, run_id: str) -> str:
+    """The store URL ``--journal tmp_path --run-id run_id`` resolves to."""
+    return f"dir:{tmp_path / run_id}"
 
 
-def _chaos_journal(tmp_path, name="chaos.jsonl", tasks=CELLS):
-    return RunJournal.create(
-        tmp_path / name, kind="chaos", run_id="c",
-        config={"tasks": [t.to_dict() for t in tasks], "timeout_s": 120.0,
-                "budget": {"wall_s": None, "rss_mb": None}},
-        fingerprint=ChaosCampaign.fingerprint(tasks), cells=len(tasks),
-    )
+def _rows(summaries) -> str:
+    return canonical_json({"rows": [r.to_dict() for r in summaries]})
 
 
 class TestJournaledEquivalence:
     def test_journaled_sweep_matches_legacy_path(self, tmp_path):
         legacy = SweepExecutor(workers=1).run(GRID)
-        with _sweep_journal(tmp_path) as journal:
-            durable = SweepExecutor(workers=1).run(GRID, journal=journal)
-        assert canonical_json({"rows": [r.to_dict() for r in durable]}) == \
-            canonical_json({"rows": [r.to_dict() for r in legacy]})
+        durable = SweepExecutor(workers=1).run(
+            GRID, store=_journal(tmp_path, "s")
+        )
+        assert _rows(durable) == _rows(legacy)
 
     def test_resume_of_complete_sweep_executes_nothing(self, tmp_path):
-        with _sweep_journal(tmp_path) as journal:
-            first = SweepExecutor(workers=1).run(GRID, journal=journal)
-        executor = SweepExecutor(workers=1)
-        with RunJournal.open(tmp_path / "sweep.jsonl") as journal:
-            restored = executor.run(GRID, journal=journal)
-        assert executor.stats.executed == 0
+        url = _journal(tmp_path, "s")
+        first = SweepExecutor(workers=1).run(GRID, store=url)
+        executed = []
+        executor = SweepExecutor(workers=1, run_hook=executed.append)
+        restored = executor.run(GRID, store=url)
+        assert executed == [] and executor.stats.executed == 0
         assert executor.stats.restored == len(first)
-        assert canonical_json({"rows": [r.to_dict() for r in restored]}) == \
-            canonical_json({"rows": [r.to_dict() for r in first]})
-        state = scan_journal(tmp_path / "sweep.jsonl")
-        assert state.reexecuted_finished() == []
+        assert _rows(restored) == _rows(first)
+        assert store_doctor(open_store(url))["double_executions"] == []
 
     def test_journaled_chaos_matches_legacy_path(self, tmp_path):
         legacy = ChaosCampaign(workers=1).run(CELLS)
-        with _chaos_journal(tmp_path) as journal:
-            durable = ChaosCampaign(workers=1).run(CELLS, journal=journal)
+        durable = ChaosCampaign(workers=1).run(
+            CELLS, store=_journal(tmp_path, "c")
+        )
         assert durable.canonical() == legacy.canonical()
 
     def test_resume_of_complete_chaos_executes_nothing(self, tmp_path):
-        with _chaos_journal(tmp_path) as journal:
-            first = ChaosCampaign(workers=1).run(CELLS, journal=journal)
-        with RunJournal.open(tmp_path / "chaos.jsonl") as journal:
-            restored = ChaosCampaign(workers=1).run(CELLS, journal=journal)
+        url = _journal(tmp_path, "c")
+        first = ChaosCampaign(workers=1).run(CELLS, store=url)
+        restored = ChaosCampaign(workers=1).run(CELLS, store=url)
         assert restored.canonical() == first.canonical()
-        state = scan_journal(tmp_path / "chaos.jsonl")
-        assert state.reexecuted_finished() == []
-        # Exactly one `started` per cell across both runs: the resume
+        store = open_store(url)
+        assert store_doctor(store)["double_executions"] == []
+        # Exactly one claim per cell across both runs: the resume
         # dispatched nothing.
-        assert all(count == 1 for count in state.started.values())
+        claimed = [e["cell"] for e in store.events() if e["event"] == "claimed"]
+        assert sorted(claimed) == list(range(len(CELLS)))
 
     def test_fingerprint_gate_rejects_a_changed_grid(self, tmp_path):
-        with _chaos_journal(tmp_path) as journal:
-            ChaosCampaign(workers=1).run(CELLS, journal=journal)
+        url = _journal(tmp_path, "c")
+        ChaosCampaign(workers=1).run(CELLS, store=url)
         other_grid = CELLS[:-1]  # one cell fewer: a different run
-        with RunJournal.open(tmp_path / "chaos.jsonl") as journal:
-            with pytest.raises(JournalError, match="fingerprint mismatch"):
-                ChaosCampaign(workers=1).run(other_grid, journal=journal)
+        with pytest.raises(StoreError, match="different config fingerprint"):
+            ChaosCampaign(workers=1).run(other_grid, store=url)
 
 
 # -------------------------------------------------------- kill/resume harness
@@ -431,12 +444,12 @@ class TestKillResume:
         runs = tmp_path / "runs"
         killed = _cli(
             ["chaos", *CLI_GRID, "--journal", str(runs), "--run-id", "k"],
-            env={CRASH_HOOK_ENV: "finished:4"},
+            env={STORE_CRASH_HOOK_ENV: "finish:4"},
         )
         assert killed.returncode == -signal.SIGKILL
-        state = scan_journal(runs / "k.jsonl")
-        assert len(state.finished) == 4
-        assert not state.complete
+        store = LocalDirStore(runs / "k")
+        assert store.counts()["finished"] == 4
+        assert not store.complete
 
         resumed = _cli([
             "runs", "resume", "k", "--runs-dir", str(runs),
@@ -472,28 +485,28 @@ class TestKillResume:
         )
         # Wait until at least one cell is durably finished, then preempt.
         deadline = time.monotonic() + 60
-        journal_path = runs / "i.jsonl"
+        terminals = runs / "i" / "terminal"
         while time.monotonic() < deadline:
-            if journal_path.exists() and scan_journal(journal_path).finished:
+            if terminals.is_dir() and any(terminals.glob("*.json")):
                 break
-            time.sleep(0.1)
+            time.sleep(0.05)
         process.send_signal(signal.SIGINT)
         _, stderr = process.communicate(timeout=120)
-        state = scan_journal(journal_path)
-        if state.complete:
+        store = LocalDirStore(runs / "i")
+        if store.complete:
             pytest.skip("campaign finished before SIGINT landed")
         assert process.returncode == 4, stderr  # EXIT_INTERRUPTED
         assert "runs resume i" in stderr
-        assert state.interrupted
-        assert state.crash_set() == []  # the drain left nothing in flight
+        assert store_doctor(store)["interrupted"]
+        assert list(store.live_leases()) == []  # the drain left none live
 
         resumed = _cli(
             ["runs", "resume", "i", "--runs-dir", str(runs), "--workers", "1"]
         )
         assert resumed.returncode == 0, resumed.stderr
-        final = scan_journal(journal_path)
-        assert final.complete
-        assert final.reexecuted_finished() == []
+        final = store_doctor(LocalDirStore(runs / "i"))
+        assert final["complete"]
+        assert final["double_executions"] == []
 
     @pytest.mark.slow
     def test_randomized_kill_points_always_resume_identically(self, tmp_path):
@@ -506,7 +519,7 @@ class TestKillResume:
             killed = _cli(
                 ["chaos", *CLI_GRID, "--journal", str(runs),
                  "--run-id", run_id],
-                env={CRASH_HOOK_ENV: f"finished:{kill_after}"},
+                env={STORE_CRASH_HOOK_ENV: f"finish:{kill_after}"},
             )
             assert killed.returncode == -signal.SIGKILL, (
                 f"round {round_no}: kill at {kill_after} did not fire"
@@ -517,27 +530,44 @@ class TestKillResume:
                 "--workers", "1", "--json", str(out),
             ])
             assert resumed.returncode == 0, resumed.stderr
-            state = scan_journal(runs / f"{run_id}.jsonl")
-            assert state.complete
-            assert state.reexecuted_finished() == []
+            report = store_doctor(LocalDirStore(runs / run_id))
+            assert report["complete"]
+            assert report["double_executions"] == []
             assert canonical_json(json.loads(out.read_text())) == \
                 canonical_json(control), f"diverged at kill point {kill_after}"
+
+    def test_journaled_sweep_csv_matches_the_serial_control(self, tmp_path):
+        grid = [
+            "sweep", "--algorithms", "alg1", "okun-crash", "--sizes", "7:2",
+            "--seeds", "0", "1", "2",
+        ]
+        control = _cli([
+            *grid, "--workers", "1", "--csv", str(tmp_path / "control.csv"),
+        ])
+        assert control.returncode == 0, control.stderr
+        durable = _cli([
+            *grid, "--workers", "1", "--journal", str(tmp_path / "runs"),
+            "--run-id", "s", "--csv", str(tmp_path / "journal.csv"),
+        ])
+        assert durable.returncode == 0, durable.stderr
+        assert (tmp_path / "journal.csv").read_bytes() == \
+            (tmp_path / "control.csv").read_bytes()
 
 
 class TestDoctorRepair:
     def test_doctor_reports_and_truncates_a_torn_tail(self, tmp_path, capsys):
         from repro.cli import main
 
-        with _chaos_journal(tmp_path, name="t.jsonl", tasks=CELLS[:2]) as journal:
-            ChaosCampaign(workers=1).run(CELLS[:2], journal=journal)
-
-        path = tmp_path / "t.jsonl"
+        ChaosCampaign(workers=1).run(
+            CELLS[:2], store=_journal(tmp_path, "t")
+        )
+        path = tmp_path / "t" / "events.jsonl"
         good = path.stat().st_size
         with open(path, "ab") as handle:
-            handle.write(b'{"v":1,"seq":99,"torn')
+            handle.write(b'{"event":"claimed","torn')
         code = main(["runs", "doctor", "t", "--runs-dir", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "torn tail" in out
         assert path.stat().st_size == good  # repaired in place
-        assert not scan_journal(path).torn
+        assert path.read_bytes().endswith(b"\n")

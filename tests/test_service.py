@@ -19,7 +19,7 @@ from contextlib import asynccontextmanager
 
 import pytest
 
-from repro.analysis.supervisor import CellBudget
+from repro.analysis.budget import CellBudget
 from repro.core import SystemParams
 from repro.service.frames import encode_frame, read_frame, write_frame
 from repro.service.load import run_load, run_session, validate_names

@@ -1,9 +1,9 @@
 """The durable session journal and the daemon's idempotency contract.
 
-File-level tests pin the ledger discipline (same envelope as the PR 5 run
-journal): checksummed records, torn-tail truncation, mid-file corruption
-as a typed :class:`~repro.sim.errors.JournalError`, the deterministic
-SIGKILL hook. Daemon tests run a real :class:`RenamingService` on a
+File-level tests pin the ledger discipline: checksummed records (the
+envelope of :mod:`repro.analysis.envelope`), torn-tail truncation,
+mid-file corruption as a typed :class:`~repro.sim.errors.JournalError`,
+the deterministic SIGKILL hook. Daemon tests run a real :class:`RenamingService` on a
 loopback socket and prove the token contract end to end: same token →
 byte-identical replay, never a second execution; different parameters
 under a reused token → typed config reject; concurrent duplicates →
@@ -109,13 +109,15 @@ class TestSessionJournalFile:
             scan_session_journal(path)
 
     def test_run_journal_is_rejected_by_kind(self, tmp_path):
-        from repro.analysis.journal import RunJournal
-
+        # A well-formed, correctly checksummed header of a foreign kind
+        # (a sweep run), written by hand.
         path = tmp_path / "run.jsonl"
-        RunJournal.create(
-            path, run_id="r", kind="sweep", cells=1, config={}, fingerprint="f"
-        ).close()
-        with pytest.raises(JournalError):
+        path.write_bytes(
+            b'{"crc":"c18fa3807c07a7d9f6b35bf77413789132550d3e0f147d46a238b2'
+            b'2e99baceb8","data":{"cells":1,"config":{},"fingerprint":"f",'
+            b'"kind":"sweep","run_id":"r"},"seq":0,"type":"header","v":1}\n'
+        )
+        with pytest.raises(JournalError, match="not a session journal"):
             scan_session_journal(path)
 
     def test_terminal_record_first_wins(self, tmp_path):
