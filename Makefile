@@ -21,18 +21,30 @@ bench-vector:
 	$(PYTHON) -m pytest -q benchmarks/bench_e10_scaling.py \
 		-k test_e10_vector_speedup --benchmark-disable
 
-## Fast end-to-end check: a small sweep through the process pool with
-## caching, via the CLI — once per execution engine, so a regression in
-## either the batched fast path or the reference loop surfaces here.
-## Catches pool pickling and cache regressions in seconds without running
-## the full benchmark suite.
+## Fast end-to-end check: one small sweep grid through every mode of the
+## one cell loop — in-process (--workers 1), the process pool with a cache
+## (--workers 2 --cache), and an in-process worker on a result store
+## (--store DIR) — plus a pooled run on the reference engine. All four
+## CSVs must be byte-identical. Catches pool pickling, cache and store
+## round-trip regressions, and engine drift, in seconds.
+SMOKE_DIR := .smoke
+SMOKE_GRID := --algorithms alg1 okun-crash --sizes 4:1 5:1 \
+	--attacks silent crash --seeds 0 1
 smoke:
-	$(PYTHON) -m repro.cli sweep --algorithms alg1 okun-crash \
-		--sizes 4:1 5:1 --attacks silent crash --seeds 0 1 \
-		--workers 2 --engine batched
-	$(PYTHON) -m repro.cli sweep --algorithms alg1 okun-crash \
-		--sizes 4:1 5:1 --attacks silent crash --seeds 0 1 \
-		--workers 2 --engine reference
+	rm -rf $(SMOKE_DIR)
+	mkdir -p $(SMOKE_DIR)
+	$(PYTHON) -m repro.cli sweep $(SMOKE_GRID) --engine batched \
+		--workers 1 --csv $(SMOKE_DIR)/serial.csv
+	$(PYTHON) -m repro.cli sweep $(SMOKE_GRID) --engine batched \
+		--workers 2 --cache $(SMOKE_DIR)/cache --csv $(SMOKE_DIR)/pool.csv
+	$(PYTHON) -m repro.cli sweep $(SMOKE_GRID) --engine batched \
+		--workers 1 --store $(SMOKE_DIR)/store --csv $(SMOKE_DIR)/store.csv
+	$(PYTHON) -m repro.cli sweep $(SMOKE_GRID) --engine reference \
+		--workers 2 --csv $(SMOKE_DIR)/reference.csv
+	cmp $(SMOKE_DIR)/serial.csv $(SMOKE_DIR)/pool.csv
+	cmp $(SMOKE_DIR)/serial.csv $(SMOKE_DIR)/store.csv
+	cmp $(SMOKE_DIR)/serial.csv $(SMOKE_DIR)/reference.csv
+	rm -rf $(SMOKE_DIR)
 
 ## Benchmark correctness smoke: every perfbench workload for 2 s. The
 ## benchmark checks its own ops (check_renaming verdicts, byte-equal journal

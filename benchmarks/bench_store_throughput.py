@@ -56,7 +56,6 @@ RUNNERS.setdefault(
                                                    "detail": detail},
         decode_row=lambda task, payload: payload,
         lease_row=lambda task, reason: {"failed": True, "detail": reason},
-        set_retries=lambda payload, attempts: payload,
     ),
 )
 

@@ -22,7 +22,6 @@ from .executor import (
     ResultCache,
     RunTask,
     SweepExecutor,
-    SweepStats,
     parallel_map,
     summarize_record,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "Summary",
     "SweepConfig",
     "SweepExecutor",
-    "SweepStats",
     "TriageReport",
     "PollBackoff",
     "Worker",

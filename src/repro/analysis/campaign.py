@@ -13,10 +13,11 @@ one-command reproducer. Nothing is dropped, nothing hangs the campaign.
   errors (:class:`~repro.sim.errors.SimulationError`, including
   :class:`~repro.sim.errors.SafetyViolation` from the runtime monitor, and
   :class:`~repro.wire.WireError`) are *outcomes*, not crashes.
-* :class:`ChaosCampaign` — fan-out over a process pool with per-cycle
-  timeouts, retry of transient worker failures, pool rebuild after a hang or
-  a dead worker, and quarantine of configurations that crash the worker
-  itself.
+* :class:`ChaosCampaign` — the grid through the cell loop it shares with
+  sweeps (:func:`repro.analysis.worker.run_cells`): retry of transient
+  failures, a per-window timeout that quarantines hung cells, pool rebuild
+  after a dead worker, and quarantine of configurations that crash the
+  worker itself — in-process, pooled, or durable on a result store.
 * :class:`TriageReport` — the campaign verdict: per-status counts, the
   quarantine list, and the self-check :meth:`TriageReport.silent_successes`
   (must be empty: injected violations without a verdict are a harness bug).
@@ -46,9 +47,8 @@ Outcome statuses:
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim import (
     DEFAULT_ENGINE,
@@ -60,7 +60,7 @@ from ..sim import (
 from ..wire import WireError
 from ..workloads.ids import make_ids
 from .budget import CellBudget
-from .executor import logger, resolve_workers
+from .executor import resolve_workers
 from .experiments import run_experiment
 from .envelope import canonical_json, config_fingerprint
 from .tables import format_table
@@ -393,12 +393,15 @@ class TriageReport:
 class ChaosCampaign:
     """Run a chaos grid to completion, whatever the cells do.
 
-    ``workers=1`` runs serially in-process (fully deterministic ordering,
-    no timeout containment — used by tests and reproducers). Otherwise the
-    grid fans out over a :class:`~concurrent.futures.ProcessPoolExecutor`:
+    Cells go through the one cell loop shared with sweeps
+    (:func:`~repro.analysis.worker.run_cells`). ``workers=1`` runs serially
+    in-process (fully deterministic ordering, no timeout containment —
+    used by tests and reproducers). Otherwise the grid fans out over a
+    process pool:
 
-    * a cell whose worker raises an untyped exception is retried up to
-      ``retries`` times, then quarantined as ``crashed``;
+    * a cell whose runner raises an untyped exception is retried up to
+      ``retries`` times inside its pool worker, then quarantined as
+      ``crashed``;
     * a dead pool (killed worker) is rebuilt and the unfinished cells rerun;
     * when no cell completes within ``timeout_s`` the still-pending cells
       are quarantined as ``timeout``, the pool is torn down (hung workers
@@ -406,7 +409,8 @@ class ChaosCampaign:
       window, never the campaign.
 
     ``task_runner`` is injectable for tests (it must be picklable for
-    ``workers > 1``).
+    ``workers > 1``); a store-backed run executes it in its in-process
+    worker's budget-isolated children.
     """
 
     def __init__(
@@ -441,24 +445,34 @@ class ChaosCampaign:
         fabric (see :class:`~repro.analysis.coordinator.Coordinator`):
         terminal cells are restored on resume instead of re-executed, and
         SIGINT/SIGTERM drains in-flight cells and raises
-        :class:`~repro.sim.errors.RunInterrupted`.
+        :class:`~repro.sim.errors.RunInterrupted`. Every store-backed cell
+        runs in a disposable child process under ``budget``, which defaults
+        to a wall budget of ``timeout_s``: a wall-budget breach is
+        quarantined as ``timeout``, an RSS breach or a dead child as
+        ``crashed``, with the precise reason kept in the store's terminal
+        record.
         """
+        from .worker import RUNNERS, run_cells  # worker imports this module
+
         start = time.perf_counter()
-        if store is not None:
-            return self._run_fabric(
-                tasks, store, budget, start,
-                coordinator_only=coordinator_only, run_id=run_id,
-            )
-        results: List[Optional[ChaosOutcome]] = [None] * len(tasks)
-        if self.workers == 1 or len(tasks) <= 1:
-            retried = self._run_serial(tasks, results)
-        else:
-            retried = self._run_pool(tasks, results)
-        assert all(outcome is not None for outcome in results)
+        if budget is None:
+            budget = CellBudget(wall_s=self.timeout_s)
+        outcomes, stats = run_cells(
+            replace(RUNNERS["chaos"], execute=self.task_runner),
+            list(tasks),
+            workers=self.workers,
+            retries=self.retries,
+            timeout_s=self.timeout_s,
+            store=store,
+            budget=budget,
+            coordinator_only=coordinator_only,
+            run_id=run_id,
+            config={"timeout_s": self.timeout_s, "budget": asdict(budget)},
+        )
         return TriageReport(
-            outcomes=results,  # type: ignore[arg-type]
+            outcomes=outcomes,
             elapsed_s=time.perf_counter() - start,
-            retried=retried,
+            retried=stats.retried,
             workers=self.workers,
         )
 
@@ -466,178 +480,6 @@ class ChaosCampaign:
     def fingerprint(tasks: Sequence[ChaosTask]) -> str:
         """The campaign's config fingerprint (over the expanded grid)."""
         return config_fingerprint("chaos", [task.to_dict() for task in tasks])
-
-    # ---------------------------------------------------------------- fabric
-
-    def _run_fabric(
-        self,
-        tasks: Sequence[ChaosTask],
-        store,
-        budget,
-        start: float,
-        *,
-        coordinator_only: bool,
-        run_id: str,
-    ) -> TriageReport:
-        """The durable path: cells pulled through store leases.
-
-        Every cell runs in a disposable child process under a per-cell
-        ``budget``, which defaults to a wall budget of ``timeout_s``: a
-        wall-budget breach is quarantined as ``timeout``, an RSS breach or
-        a dead child as ``crashed``, with the precise reason kept in the
-        store's terminal record. The in-process, reproducer-friendly mode
-        is the non-durable ``workers=1`` path.
-        """
-        from .coordinator import Coordinator  # local: avoids the cycle
-
-        if budget is None:
-            budget = CellBudget(wall_s=self.timeout_s)
-        coordinator = Coordinator(
-            store,
-            workers=self.workers,
-            budget=budget,
-            retries=self.retries,
-            coordinator_only=coordinator_only,
-        )
-        outcomes = coordinator.run(
-            "chaos",
-            [task.to_dict() for task in tasks],
-            fingerprint=self.fingerprint(tasks),
-            run_id=run_id,
-            config={"timeout_s": self.timeout_s, "budget": asdict(budget)},
-        )
-        assert all(outcome is not None for outcome in outcomes)
-        return TriageReport(
-            outcomes=outcomes,
-            elapsed_s=time.perf_counter() - start,
-            retried=coordinator.stats.retried,
-            workers=self.workers,
-        )
-
-    # ------------------------------------------------------------------ serial
-
-    def _run_serial(
-        self, tasks: Sequence[ChaosTask], results: List[Optional[ChaosOutcome]]
-    ) -> int:
-        retried = 0
-        for index, task in enumerate(tasks):
-            attempts = 0
-            while True:
-                try:
-                    outcome = self.task_runner(task)
-                    outcome.retries = attempts
-                    results[index] = outcome
-                    break
-                except Exception as exc:  # noqa: BLE001 — quarantined below
-                    attempts += 1
-                    if attempts <= self.retries:
-                        logger.warning(
-                            "chaos cell %s crashed (%s: %s); retrying",
-                            task.describe(), type(exc).__name__, exc,
-                        )
-                        retried += 1
-                        continue
-                    results[index] = ChaosOutcome(
-                        task=task,
-                        status="crashed",
-                        error=f"{type(exc).__name__}: {exc}",
-                        retries=attempts - 1,
-                    )
-                    break
-        return retried
-
-    # -------------------------------------------------------------------- pool
-
-    def _run_pool(
-        self, tasks: Sequence[ChaosTask], results: List[Optional[ChaosOutcome]]
-    ) -> int:
-        #: (index, task, attempts) still needing a verdict.
-        queue: List[Tuple[int, ChaosTask, int]] = [
-            (index, task, 0) for index, task in enumerate(tasks)
-        ]
-        retried = 0
-        while queue:
-            queue, newly_retried = self._pool_cycle(queue, results)
-            retried += newly_retried
-        return retried
-
-    def _pool_cycle(
-        self,
-        queue: List[Tuple[int, ChaosTask, int]],
-        results: List[Optional[ChaosOutcome]],
-    ) -> Tuple[List[Tuple[int, ChaosTask, int]], int]:
-        """One pool lifetime: submit everything, drain until done or hung.
-
-        Returns the requeue (cells to retry in a fresh pool) and the number
-        of retries issued. On a hang (no completion within ``timeout_s``)
-        the pending cells are quarantined as ``timeout`` and the pool's
-        workers are terminated.
-        """
-        requeue: List[Tuple[int, ChaosTask, int]] = []
-        retried = 0
-        pool = ProcessPoolExecutor(max_workers=min(self.workers, len(queue)))
-        hung = False
-        try:
-            futures = {
-                pool.submit(self.task_runner, task): (index, task, attempts)
-                for index, task, attempts in queue
-            }
-            pending = set(futures)
-            while pending:
-                done, pending = wait(
-                    pending, timeout=self.timeout_s, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    # A full timeout window with zero progress: everything
-                    # still pending is hung (finished cells already drained
-                    # the queue) — quarantine and abandon this pool.
-                    hung = True
-                    for future in pending:
-                        index, task, attempts = futures[future]
-                        future.cancel()
-                        results[index] = ChaosOutcome(
-                            task=task,
-                            status="timeout",
-                            error=f"TimeoutError: no verdict within {self.timeout_s}s",
-                            retries=attempts,
-                        )
-                    break
-                for future in done:
-                    index, task, attempts = futures[future]
-                    try:
-                        outcome = future.result()
-                        outcome.retries = attempts
-                        results[index] = outcome
-                    except Exception as exc:  # noqa: BLE001 — quarantined below
-                        attempts += 1
-                        if attempts <= self.retries:
-                            logger.warning(
-                                "chaos cell %s crashed (%s: %s); retrying",
-                                task.describe(), type(exc).__name__, exc,
-                            )
-                            requeue.append((index, task, attempts))
-                            retried += 1
-                        else:
-                            results[index] = ChaosOutcome(
-                                task=task,
-                                status="crashed",
-                                error=f"{type(exc).__name__}: {exc}",
-                                retries=attempts - 1,
-                            )
-        finally:
-            if hung:
-                # Cancel queued work and kill the hung workers; without the
-                # kill, shutdown() would block on the hang forever.
-                for process in list(getattr(pool, "_processes", {}).values()):
-                    try:
-                        process.terminate()
-                    except Exception:  # noqa: BLE001 — best-effort teardown
-                        pass
-                pool.shutdown(wait=False, cancel_futures=True)
-            else:
-                pool.shutdown(wait=True)
-        requeue.sort(key=lambda item: item[0])
-        return requeue, retried
 
 
 # ---------------------------------------------------------------------- grids

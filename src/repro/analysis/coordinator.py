@@ -1,14 +1,17 @@
 """The coordinator half of the sweep fabric: seed, police, stream.
 
-A :class:`Coordinator` owns the *run*, never the execution: it expands a
-grid into fingerprinted cells, seeds them into a
+A :class:`Coordinator` owns a store-backed *run*, never the execution: it
+seeds a grid of fingerprinted cells into a
 :class:`~repro.analysis.store.ResultStore`, and then consumes terminal
-records **in cell order** as they land — whoever produced them. Execution
-comes from :class:`~repro.analysis.worker.Worker` loops, in one of three
+records **in cell order** as they land — whoever produced them. Sweeps and
+chaos campaigns reach it through :func:`~repro.analysis.worker.run_cells`
+whenever a store is given. Execution comes from
+:class:`~repro.analysis.worker.Worker` loops, in one of three
 arrangements:
 
 * ``workers=1`` (default): one in-process worker runs the store dry before
-  streaming — byte-for-byte the single-host behavior, no subprocesses.
+  streaming, with the caller's :class:`~repro.analysis.worker.CellRunner`
+  and the same retry as the non-store paths — no subprocesses.
 * ``workers=N``: the coordinator spawns ``N`` ``repro-renaming worker``
   subprocesses against the store and streams while they execute, respawning
   any that die before the store is complete.
@@ -32,7 +35,8 @@ second signal gets the default behaviour back (abort without draining).
 decoded row is yielded at a time and nothing is retained, so aggregating a
 50k-cell sweep needs memory for the cell *list*, not the result set.
 :meth:`Coordinator.run` is the convenience wrapper that collects the rows
-into the ordered list the legacy executor returns.
+into the ordered row list :func:`~repro.analysis.worker.run_cells`
+returns.
 """
 
 from __future__ import annotations
@@ -43,38 +47,16 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, Optional, Set, Union
 
 from ..sim.errors import RunInterrupted, StoreError
 from .budget import CellBudget
 from .executor import ResultCache, logger
 from .store import DEFAULT_LEASE_S, ResultStore, open_store
-from .worker import RUNNERS, Worker
+from .worker import RUNNERS, CellRunner, CoordinatorStats, Worker
 
 __all__ = ["Coordinator", "CoordinatorStats"]
-
-
-@dataclass
-class CoordinatorStats:
-    """Accounting for one :meth:`Coordinator.run` / fully-drained stream."""
-
-    cells: int = 0
-    #: Cells actually executed by workers this run (neither restored from
-    #: the store nor prefilled from the result cache).
-    executed: int = 0
-    from_cache: int = 0
-    #: Cells already terminal in the store when we seeded (resume).
-    restored: int = 0
-    failed: int = 0
-    retried: int = 0
-    budget_kills: int = 0
-    #: Expired leases released by coordinator policing.
-    reclaimed: int = 0
-    #: Dead subprocess workers replaced mid-run.
-    worker_restarts: int = 0
-    elapsed_s: float = 0.0
 
 
 class Coordinator:
@@ -124,7 +106,8 @@ class Coordinator:
     # ------------------------------------------------------------------ API
 
     def run(
-        self, kind: str, cells: List[dict], *, fingerprint: str,
+        self, kind: Union[str, CellRunner], cells: List[dict], *,
+        fingerprint: str,
         run_id: str = "fabric", config: Optional[dict] = None,
     ) -> list:
         """Drain the whole grid and return the ordered row list."""
@@ -136,10 +119,15 @@ class Coordinator:
         )
 
     def stream(
-        self, kind: str, cells: List[dict], *, fingerprint: str,
-        run_id: str = "fabric", config: Optional[dict] = None,
+        self, kind: Union[str, CellRunner], cells: List[dict], *,
+        fingerprint: str, run_id: str = "fabric",
+        config: Optional[dict] = None,
     ) -> Iterator[object]:
         """Yield one decoded row per cell, in cell order, as results land.
+
+        ``kind`` is a registered run kind or a :class:`CellRunner` (whose
+        ``kind`` names the store header); the in-process worker executes
+        with that runner, spawned workers with the registered one.
 
         Seeds the store (idempotent — re-running against a part-finished
         store is a resume), prefills memoised sweep cells from the result
@@ -151,12 +139,15 @@ class Coordinator:
         drain.
         """
         start = time.perf_counter()
-        try:
+        if isinstance(kind, CellRunner):
+            runner = kind
+        elif kind in RUNNERS:
             runner = RUNNERS[kind]
-        except KeyError:
+        else:
             raise StoreError(
                 f"unknown run kind {kind!r}; known: {sorted(RUNNERS)}"
-            ) from None
+            )
+        kind = runner.kind
         self.stats = CoordinatorStats(cells=len(cells))
         self._event_cursor = None
         self.store.seed(
@@ -201,7 +192,7 @@ class Coordinator:
                     run_hook=self.run_hook,
                 )
                 if self._interrupted is None:
-                    self._inline.run()
+                    self._inline.pull(runner)
             else:
                 procs = [
                     self._spawn_worker(run_id, i) for i in range(self.workers)

@@ -1,16 +1,20 @@
-"""Parallel sweep execution with deterministic ordering and result caching.
+"""Sweep execution: cells, rows, caching and deterministic ordering.
 
-:func:`repro.analysis.sweep.run_sweep` historically executed its
-(algorithm × (n, t) × attack × seed) grid strictly serially. Every run is a
-pure function of its configuration (all randomness derives from the run seed,
-see :mod:`repro.sim.rng`), so sweeps are embarrassingly parallel. This module
-owns that fan-out:
+:func:`repro.analysis.sweep.run_sweep` expands an
+(algorithm × (n, t) × attack × seed) grid. Every run is a pure function of
+its configuration (all randomness derives from the run seed, see
+:mod:`repro.sim.rng`), so sweeps are embarrassingly parallel. This module
+owns the sweep side of that fan-out:
 
-* :class:`SweepExecutor` distributes a :class:`~repro.analysis.sweep.SweepConfig`
-  grid over a :class:`concurrent.futures.ProcessPoolExecutor` worker pool.
-  Results are keyed by configuration index, never by completion order, so
-  tables and CSVs are byte-identical to the serial path. ``workers=1`` falls
-  back to a plain in-process loop (debugger- and profiler-friendly).
+* :class:`RunTask` is one fully-specified, picklable cell and
+  :func:`execute_task` runs it.
+* :class:`SweepExecutor` expands the grid, answers what it can from the
+  cache, and hands the misses to the one cell loop shared with chaos
+  campaigns (:func:`repro.analysis.worker.run_cells`): in-process for
+  ``workers=1``, a process pool otherwise, or the store-backed
+  coordinator/worker fabric. Results are keyed by configuration index,
+  never by completion order, so tables and CSVs are byte-identical across
+  all three.
 * :class:`ExperimentSummary` is the slim, picklable row that crosses the
   process boundary. The full :class:`~repro.analysis.experiments.ExperimentRecord`
   drags the entire :class:`~repro.sim.runner.RunResult` (live ``Process``
@@ -33,8 +37,8 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import (
     Callable,
@@ -58,7 +62,6 @@ __all__ = [
     "ResultCache",
     "RunTask",
     "SweepExecutor",
-    "SweepStats",
     "parallel_map",
     "resolve_workers",
     "summarize_record",
@@ -453,33 +456,16 @@ class ResultCache:
         )
 
 
-@dataclass
-class SweepStats:
-    """Accounting for one :meth:`SweepExecutor.run` invocation."""
-
-    executed: int = 0
-    from_cache: int = 0
-    elapsed_s: float = 0.0
-    #: Configurations whose first attempt raised and were retried.
-    retried: int = 0
-    #: Configurations that failed even after the retry (their rows carry
-    #: ``failed=True`` — they are reported, not dropped).
-    failed: int = 0
-    #: Cells already terminal in the result store instead of executed
-    #: (a resumed store-backed run).
-    restored: int = 0
-    #: Store-backed cells quarantined for exceeding a wall/RSS budget.
-    budget_kills: int = 0
-
-
 class SweepExecutor:
-    """Fan a sweep grid out over a worker pool, cache-first.
+    """Run a sweep grid cache-first through the one cell loop.
 
     ``workers=None`` uses one worker per CPU; ``workers=1`` keeps everything
     in-process. ``cache`` is a directory path or a :class:`ResultCache`;
     ``None`` disables caching. ``run_hook`` (if given) is called in the
     parent with each :class:`RunTask` that is actually executed — tests use
-    it as a run counter, progress displays as a ticker.
+    it as a run counter, progress displays as a ticker. After :meth:`run`,
+    ``stats`` is the run's
+    :class:`~repro.analysis.worker.CoordinatorStats`.
     """
 
     def __init__(
@@ -488,12 +474,14 @@ class SweepExecutor:
         cache: Union[None, str, Path, ResultCache] = None,
         run_hook: Optional[Callable[[RunTask], None]] = None,
     ) -> None:
+        from .worker import CoordinatorStats  # worker imports this module
+
         self.workers = resolve_workers(workers)
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         self.cache = cache
         self.run_hook = run_hook
-        self.stats = SweepStats()
+        self.stats = CoordinatorStats()
 
     def run(
         self,
@@ -511,56 +499,56 @@ class SweepExecutor:
         a store's task list). The returned list is ordered exactly as the
         grid, regardless of worker scheduling.
 
-        ``store`` (a store URL or
-        :class:`~repro.analysis.store.ResultStore`) makes the sweep durable
-        on the coordinator/worker fabric: cells are seeded into the store
-        and executed by lease-claiming workers (in-process for
-        ``workers=1``, spawned subprocesses otherwise, or externally
-        started ones with ``coordinator_only=True``), optionally under a
-        per-cell ``budget``. Cells already terminal in the store are
+        Cells go through :func:`~repro.analysis.worker.run_cells`: cache
+        misses run in-process (``workers=1``) or in a process pool, a cell
+        that raises is retried once and then recorded as an
+        :meth:`ExperimentSummary.for_failure` row. ``store`` (a store URL
+        or :class:`~repro.analysis.store.ResultStore`) makes the sweep
+        durable on the coordinator/worker fabric instead, optionally under
+        a per-cell ``budget``: cells already terminal in the store are
         restored instead of executed (resume), and SIGINT/SIGTERM drains
         and raises :class:`~repro.sim.errors.RunInterrupted`.
         """
+        from .worker import RUNNERS, run_cells  # worker imports this module
+
         start = time.perf_counter()
         tasks = (
             list(config) if isinstance(config, (list, tuple))
             else self.tasks_for(config)
         )
+        # execute_task is looked up here, not frozen in the registry, so a
+        # patched module attribute (tests, tracing) is what runs.
+        runner = RUNNERS["sweep"]
+        if runner.execute is not execute_task:
+            runner = replace(runner, execute=execute_task)
         if store is not None:
-            return self._run_fabric(
-                tasks, store, budget, start,
+            rows, self.stats = run_cells(
+                runner, tasks, workers=self.workers, run_hook=self.run_hook,
+                store=store, cache=self.cache, budget=budget,
                 coordinator_only=coordinator_only, run_id=run_id,
+                config={
+                    "cache": None if self.cache is None else str(self.cache.root),
+                    "budget": None if budget is None else asdict(budget),
+                },
             )
-        results: List[Optional[ExperimentSummary]] = [None] * len(tasks)
-
-        misses: List[Tuple[int, RunTask]] = []
-        from_cache = 0
-        for index, task in enumerate(tasks):
-            summary = self.cache.load(task) if self.cache is not None else None
-            if summary is not None:
-                results[index] = summary
-                from_cache += 1
-            else:
-                misses.append((index, task))
-
-        if self.run_hook is not None:
-            for _, task in misses:
-                self.run_hook(task)
-
-        retried, failed = self._run_misses(misses, results)
-
-        if self.cache is not None:
-            for index, task in misses:
-                self.cache.store(task, results[index])
-
-        self.stats = SweepStats(
-            executed=len(misses),
-            from_cache=from_cache,
-            elapsed_s=time.perf_counter() - start,
-            retried=retried,
-            failed=failed,
-        )
-        return results  # type: ignore[return-value]
+        else:
+            rows = [
+                None if self.cache is None else self.cache.load(task)
+                for task in tasks
+            ]
+            misses = [index for index, row in enumerate(rows) if row is None]
+            executed, self.stats = run_cells(
+                runner, [tasks[index] for index in misses],
+                workers=self.workers, run_hook=self.run_hook,
+            )
+            for index, row in zip(misses, executed):
+                rows[index] = row
+                if self.cache is not None:
+                    self.cache.store(tasks[index], row)
+            self.stats.cells = len(tasks)
+            self.stats.from_cache = len(tasks) - len(misses)
+        self.stats.elapsed_s = time.perf_counter() - start
+        return rows  # type: ignore[return-value]
 
     @staticmethod
     def tasks_for(config) -> List[RunTask]:
@@ -585,124 +573,6 @@ class SweepExecutor:
     def fingerprint(tasks: Sequence[RunTask]) -> str:
         """The sweep's config fingerprint (over the expanded cell list)."""
         return config_fingerprint("sweep", [task.to_dict() for task in tasks])
-
-    def _run_fabric(
-        self,
-        tasks: List[RunTask],
-        store,
-        budget,
-        start: float,
-        *,
-        coordinator_only: bool,
-        run_id: str,
-    ) -> List[ExperimentSummary]:
-        """The fabric path: seed a store, let lease-claiming workers drain
-        it, stream the rows back. Ordering, caching, retry-once semantics
-        and failure rows all match the in-process paths, so the resulting
-        report is canonically identical."""
-        from .coordinator import Coordinator  # local: avoids the cycle
-
-        coordinator = Coordinator(
-            store,
-            workers=self.workers,
-            cache=self.cache,
-            run_hook=self.run_hook,
-            budget=budget,
-            coordinator_only=coordinator_only,
-        )
-        results = coordinator.run(
-            "sweep",
-            [task.to_dict() for task in tasks],
-            fingerprint=self.fingerprint(tasks),
-            run_id=run_id,
-            config={
-                "cache": None if self.cache is None else str(self.cache.root),
-                "budget": None if budget is None else asdict(budget),
-            },
-        )
-        cstats = coordinator.stats
-        self.stats = SweepStats(
-            executed=cstats.executed,
-            from_cache=cstats.from_cache,
-            elapsed_s=time.perf_counter() - start,
-            retried=cstats.retried,
-            failed=cstats.failed,
-            restored=cstats.restored,
-            budget_kills=cstats.budget_kills,
-        )
-        return results
-
-    def _run_misses(
-        self,
-        misses: List[Tuple[int, RunTask]],
-        results: List[Optional[ExperimentSummary]],
-    ) -> Tuple[int, int]:
-        """Execute the cache misses, surviving worker failures.
-
-        A task whose attempt raises is retried exactly once; a second failure
-        records an :meth:`ExperimentSummary.for_failure` row at the task's
-        index and the sweep continues — one bad configuration never aborts
-        the grid. Returns ``(retried, failed)`` counts.
-        """
-        if self.workers == 1 or len(misses) <= 1:
-            first_failures = self._run_serial(misses, results)
-        else:
-            first_failures = self._run_pool(misses, results)
-
-        failed = 0
-        for index, task, error in first_failures:
-            logger.warning(
-                "sweep cell %s raised %s: %s; retrying once",
-                task,
-                type(error).__name__,
-                error,
-            )
-            try:
-                results[index] = execute_task(task)
-            except Exception as retry_error:  # noqa: BLE001 — recorded, not hidden
-                logger.error(
-                    "sweep cell %s failed again (%s: %s); recording as failed",
-                    task,
-                    type(retry_error).__name__,
-                    retry_error,
-                )
-                results[index] = ExperimentSummary.for_failure(task, retry_error)
-                failed += 1
-        return len(first_failures), failed
-
-    @staticmethod
-    def _run_serial(
-        misses: List[Tuple[int, RunTask]],
-        results: List[Optional[ExperimentSummary]],
-    ) -> List[Tuple[int, RunTask, BaseException]]:
-        failures: List[Tuple[int, RunTask, BaseException]] = []
-        for index, task in misses:
-            try:
-                results[index] = execute_task(task)
-            except Exception as error:  # noqa: BLE001 — retried by caller
-                failures.append((index, task, error))
-        return failures
-
-    def _run_pool(
-        self,
-        misses: List[Tuple[int, RunTask]],
-        results: List[Optional[ExperimentSummary]],
-    ) -> List[Tuple[int, RunTask, BaseException]]:
-        failures: List[Tuple[int, RunTask, BaseException]] = []
-        pool_size = min(self.workers, len(misses))
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            futures = {
-                pool.submit(execute_task, task): (index, task)
-                for index, task in misses
-            }
-            for future in as_completed(futures):
-                index, task = futures[future]
-                try:
-                    results[index] = future.result()
-                except Exception as error:  # noqa: BLE001 — retried by caller
-                    failures.append((index, task, error))
-        failures.sort(key=lambda item: item[0])
-        return failures
 
 
 def _call_star(item: Tuple[Callable, tuple]):

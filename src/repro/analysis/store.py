@@ -41,8 +41,8 @@ is ``--store DIR/<run-id>``) lives in one. The store owns:
   hoped for.
 
 Two backends ship: :class:`LocalDirStore` (one directory; leases are
-``O_CREAT|O_EXCL`` files, terminals are atomic-replace JSON files — works
-on any shared filesystem) and :class:`SqliteStore` (one stdlib sqlite3
+hard-linked into place whole, terminals are atomic-replace JSON files —
+works on any shared filesystem with hard links) and :class:`SqliteStore` (one stdlib sqlite3
 database in WAL mode with ``BEGIN IMMEDIATE`` claim transactions — a
 single file, safe for many processes on one host or one network
 filesystem with real locking). :func:`open_store` maps store URLs
@@ -345,15 +345,16 @@ class LocalDirStore(ResultStore):
         root/
           header.json         sealed run header (atomic replace)
           tasks.json          sealed task list (written once at seed)
-          leases/<cell>.json  live leases (O_CREAT|O_EXCL, fsync'd)
+          leases/<cell>.json  live leases (fsync'd, published by link)
           terminal/<cell>.json  sealed terminal records (atomic replace)
           events.jsonl        append-only event log (fsync'd)
           <memo keys>.json    memo entries (``memo/`` by default)
 
-    Lease acquisition uses ``O_CREAT|O_EXCL`` — the one atomic
-    test-and-set POSIX gives us — so two workers racing for the same open
-    cell produce exactly one lease (the loser records a ``claim-race``
-    event and moves on). Takeover of an *expired* lease writes the new
+    Lease acquisition writes the lease body to a temp file, fsyncs it and
+    ``os.link``\\ s it into place — an atomic test-and-set that fails when
+    the lease exists and never exposes a half-written body — so two
+    workers racing for the same open cell produce exactly one lease (the
+    loser records a ``claim-race`` event and moves on). Takeover of an *expired* lease writes the new
     lease beside the old one and ``os.replace``\\ s it into place, then
     re-reads to confirm its token won; the unlucky loser of a takeover
     race discovers it at renew/finish time (token mismatch →
@@ -459,33 +460,41 @@ class LocalDirStore(ResultStore):
         except OSError:
             return None
         except ValueError:
-            # A torn lease (non-atomic create killed mid-write) is as good
-            # as expired: it can never be renewed or finished through.
+            # Leases are published whole, so an unparsable one is damage
+            # from outside the store; it is as good as expired: it can
+            # never be renewed or finished through.
             return {"cell": cell, "token": None, "attempt": 0, "expires_at": 0.0,
                     "worker": "?"}
 
-    def _write_lease_excl(self, cell: int, body: dict) -> bool:
-        path = self._lease_path(cell)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except FileExistsError:
-            return False
-        with os.fdopen(fd, "w") as handle:
+    def _lease_temp(self, cell: int, body: dict, purpose: str) -> Path:
+        """Write ``body`` durably beside the lease path, ready to publish."""
+        temp = self._lease_path(cell).with_name(
+            f"{cell}.json.{purpose}-{body['token']}"
+        )
+        with open(temp, "w") as handle:
             handle.write(json.dumps(body))
             handle.flush()
             os.fsync(handle.fileno())
+        return temp
+
+    def _write_lease_excl(self, cell: int, body: dict) -> bool:
+        """Create the lease unless one exists. ``os.link`` publishes a
+        complete, fsync'd body and fails if the path is taken, so no peer
+        ever reads an empty lease (and mistakes it for a torn one)."""
+        temp = self._lease_temp(cell, body, "create")
+        try:
+            os.link(temp, self._lease_path(cell))
+        except FileExistsError:
+            return False
+        finally:
+            os.unlink(temp)
         return True
 
     def _takeover_lease(self, cell: int, body: dict) -> bool:
         """Replace an expired lease; True when our token ended up live."""
-        takeover = self._lease_path(cell).with_name(
-            f"{cell}.json.takeover-{body['token']}"
+        os.replace(
+            self._lease_temp(cell, body, "takeover"), self._lease_path(cell)
         )
-        with open(takeover, "w") as handle:
-            handle.write(json.dumps(body))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(takeover, self._lease_path(cell))
         current = self._read_lease(cell)
         return bool(current) and current.get("token") == body["token"]
 

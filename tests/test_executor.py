@@ -305,7 +305,11 @@ class TestFailureContainment:
         assert executor.stats.retried == 1
         assert executor.stats.failed == 1
 
-    def test_pool_failures_are_retried_in_parent_then_recorded(self, tmp_path):
+    def test_pool_failures_are_retried_in_the_pool_then_recorded(
+        self, tmp_path
+    ):
+        # Each pool worker runs its cell's whole retry; the parent only
+        # collects verdicts.
         executor = SweepExecutor(workers=2, cache=tmp_path / "cache")
         rows = executor.run(_Grid([GOOD, BAD, ("alg1", 5, 1, "silent", 1)]))
         assert [row.failed for row in rows] == [False, True, False]

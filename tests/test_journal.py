@@ -237,7 +237,7 @@ def probe_kind(monkeypatch):
         kind="probe",
         decode=dict,
         execute=_probe,
-        encode=lambda result, attempts: {"result": result},
+        encode=lambda result, attempts: {"result": result, "retries": attempts},
         failure=lambda task, detail, attempts: {
             "error": detail, "attempts": attempts,
         },
@@ -245,7 +245,6 @@ def probe_kind(monkeypatch):
         budget_failure=lambda task, kind, detail: {"error": detail},
         decode_row=lambda task, payload: payload,
         lease_row=lambda task, reason: {"error": reason},
-        set_retries=lambda payload, attempts: dict(payload, retries=attempts),
     ))
     return "probe"
 

@@ -175,6 +175,61 @@ class TestLeases:
         assert store.complete
 
 
+def _claim_frozen_at_publish(root, published, release, tokens) -> None:
+    """Claim the only cell, freezing the moment the lease file exists at its
+    final path — whichever call puts it there (an exclusive ``os.open`` or
+    an ``os.link``) — until the test releases it."""
+    lease = os.path.join(root, "leases", "0.json")
+    real_open, real_link = os.open, os.link
+
+    def freeze_at(path) -> None:
+        if os.fspath(path) == lease:
+            published.set()
+            release.wait(30)
+
+    def frozen_open(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        freeze_at(path)
+        return fd
+
+    def frozen_link(src, dst, *args, **kwargs):
+        real_link(src, dst, *args, **kwargs)
+        freeze_at(dst)
+
+    os.open, os.link = frozen_open, frozen_link
+    claim = LocalDirStore(root).claim("creator", lease_s=60.0)
+    tokens.put(None if claim is None else claim.token)
+
+
+class TestLeaseCreate:
+    def test_peer_never_sees_a_half_created_lease(self, tmp_path):
+        # Two processes: the creator stops right after its lease appears;
+        # a peer claiming then must see a live lease, not an empty file it
+        # would take for a torn (expired) one and take over.
+        import multiprocessing
+
+        root = str(tmp_path / "store")
+        seeded("dir", tmp_path, cells=1)
+        ctx = multiprocessing.get_context("fork")
+        published, release, tokens = ctx.Event(), ctx.Event(), ctx.Queue()
+        creator = ctx.Process(
+            target=_claim_frozen_at_publish,
+            args=(root, published, release, tokens),
+        )
+        creator.start()
+        try:
+            assert published.wait(30), "the creator never published a lease"
+            assert LocalDirStore(root).claim("peer", lease_s=60.0) is None
+        finally:
+            release.set()
+            creator.join(30)
+        assert tokens.get(timeout=10) is not None  # the creator's claim holds
+        events = [e["event"] for e in LocalDirStore(root).events()]
+        assert events.count("claimed") == 1
+        assert "reclaimed" not in events
+        assert os.listdir(os.path.join(root, "leases")) == ["0.json"]
+
+
 class TestTerminals:
     def test_finish_roundtrip(self, backend, tmp_path):
         store = seeded(backend, tmp_path)
