@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-vector smoke perf-smoke chaos-smoke resume-smoke fabric-smoke model-smoke bench-store service-smoke recovery-smoke bench-service
+.PHONY: test bench smoke perf-smoke chaos-smoke resume-smoke fabric-smoke model-smoke bench-store service-smoke recovery-smoke bench-service
 
 ## Tier-1: the full unit/integration suite (what CI gates on).
 test:
@@ -12,14 +12,6 @@ test:
 ## Tier-2: the E1-E13 experiment suite; regenerates benchmarks/results/.
 bench:
 	$(PYTHON) -m pytest -q benchmarks/
-
-## The vector-engine scaling capture: reruns the E10 flood comparison
-## across all three engines (plus the n=1000 batched-vs-vector cell) and
-## rewrites benchmarks/results/e10_vector.txt. Needs numpy; skips cleanly
-## without it.
-bench-vector:
-	$(PYTHON) -m pytest -q benchmarks/bench_e10_scaling.py \
-		-k test_e10_vector_speedup --benchmark-disable
 
 ## Fast end-to-end check: one small sweep grid through every mode of the
 ## one cell loop — in-process (--workers 1), the process pool with a cache

@@ -5,12 +5,11 @@ pins down (a) that a full Alg. 1 run at realistic sizes is milliseconds —
 so every experiment sweep in E1–E9 is cheap — (b) how runtime scales
 with N for each algorithm (Alg. 1's exact-Fraction arithmetic is the main
 cost; Alg. 4 is near-free; EIG's tree explodes with t, which is the paper's
-point in CPU form), and (c) what the batched and vector engines buy over
-the reference engine: the registered algorithms are protocol-bound, so
-their gain is modest, while the substrate-bound flood workload isolates
-the simulator's own per-message cost and shows the full batched speedup —
-and the vector engine's asymptotic win (O(n) vs O(n²) Python work per
-broadcast round) on top of it.
+point in CPU form), and (c) what the batched engine buys over the
+reference engine: the registered algorithms are protocol-bound, so their
+gain is modest, while the substrate-bound flood workload isolates the
+simulator's own per-message cost and shows the batched engine's
+asymptotic win (O(n) vs O(n²) Python work per broadcast round).
 
 These are true repeated-timing benchmarks (pytest-benchmark statistics are
 meaningful here, unlike the deterministic one-shot table benches).
@@ -120,29 +119,38 @@ def test_e10_substrate_scaling(benchmark, n, engine):
 def test_e10_substrate_speedup(publish):
     """Record the engine comparison table and gate the batched speedup.
 
-    The ≥2× floor at the largest size is deliberately below the ~3.9×
-    measured on an idle box: the bench must catch a substrate regression
-    without flaking on a loaded CI runner.
+    The batched engine hands every recipient the broadcasting sender's one
+    shared tuple, so a flood round costs O(n) Python operations against the
+    reference's O(n²) and the ratio grows with n (~40× at n=400 on an
+    idle box). The ≥10× floor at n=400 leaves headroom for a loaded CI
+    runner while still failing any change that reintroduces per-recipient
+    fan-out (which measured ~4×). n=1000 (batched only; the reference
+    engine would dominate the bench's own runtime) records the asymptotic
+    cost.
     """
     rows = []
-    ratio_at_largest = None
-    for n in (100, 200, 400):
+    ratio_at_400 = None
+    for n in (100, 200, 400, 1000):
         timings = {}
-        for engine in ENGINES:
+        for engine in ENGINES if n <= 400 else ("batched",):
             best = float("inf")
             for _ in range(2):
                 start = time.perf_counter()
                 flood_run(n, engine)
                 best = min(best, time.perf_counter() - start)
             timings[engine] = best
+        if "reference" not in timings:
+            rows.append(f"{n:>5}  {'-':>9}  {timings['batched']:>8.3f}  {'-':>6}")
+            continue
         ratio = timings["reference"] / timings["batched"]
-        ratio_at_largest = ratio
+        if n == 400:
+            ratio_at_400 = ratio
         rows.append(
-            f"{n:>4}  {timings['reference']:>9.3f}  "
+            f"{n:>5}  {timings['reference']:>9.3f}  "
             f"{timings['batched']:>8.3f}  {ratio:>6.2f}x"
         )
     body = "\n".join(
-        ["   n  reference   batched   ratio", *rows]
+        ["    n  reference   batched   ratio", *rows]
     )
     publish(
         "e10",
@@ -150,63 +158,7 @@ def test_e10_substrate_speedup(publish):
         "reference vs batched engine, best of 2",
         body,
     )
-    assert ratio_at_largest >= 2.0
-
-
-def test_e10_vector_speedup(publish):
-    """Record the vector-engine scaling table and gate its speedup.
-
-    The vector engine's dense broadcast layer makes the flood workload
-    O(n) Python operations per round against batched's O(n²), so the
-    ratio *grows* with n — measured ~10× at n=400 and climbing past 30×
-    at n=1000 on an idle box. The ≥5× floor at n=400 leaves headroom for
-    loaded CI runners while still catching any regression that
-    reintroduces per-recipient fan-out. n=1000 (batched vs vector only;
-    the reference engine would dominate the bench's own runtime) records
-    the asymptotic gap.
-    """
-    if "vector" not in ENGINES:
-        pytest.skip("numpy not installed — vector engine unavailable")
-    rows = []
-    ratio_at_400 = None
-    for n in (100, 200, 400):
-        timings = {}
-        for engine in ENGINES:
-            best = float("inf")
-            for _ in range(2):
-                start = time.perf_counter()
-                flood_run(n, engine)
-                best = min(best, time.perf_counter() - start)
-            timings[engine] = best
-        ratio = timings["batched"] / timings["vector"]
-        if n == 400:
-            ratio_at_400 = ratio
-        rows.append(
-            f"{n:>5}  {timings['reference']:>9.3f}  {timings['batched']:>8.3f}"
-            f"  {timings['vector']:>7.3f}  {ratio:>6.2f}x"
-        )
-    timings = {}
-    for engine in ("batched", "vector"):
-        best = float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            flood_run(1000, engine)
-            best = min(best, time.perf_counter() - start)
-        timings[engine] = best
-    rows.append(
-        f"{1000:>5}  {'-':>9}  {timings['batched']:>8.3f}"
-        f"  {timings['vector']:>7.3f}  {timings['batched'] / timings['vector']:>6.2f}x"
-    )
-    body = "\n".join(
-        ["    n  reference   batched   vector   ratio (batched/vector)", *rows]
-    )
-    publish(
-        "e10_vector",
-        "E10 — substrate flood (10 rounds of all-to-all broadcast), "
-        "vector engine vs batched, best of 2",
-        body,
-    )
-    assert ratio_at_400 >= 5.0
+    assert ratio_at_400 >= 10.0
 
 
 SWEEP = SweepConfig(

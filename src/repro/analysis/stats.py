@@ -1,8 +1,7 @@
 """Small numeric helpers for aggregating experiment records.
 
-Deliberately dependency-light (everything here works on plain sequences) so
-the analysis layer stays importable without numpy; benchmarks that want
-heavier statistics can reach for numpy/scipy directly.
+Deliberately dependency-free: everything here works on plain sequences, so
+the analysis layer needs nothing beyond the standard library.
 """
 
 from __future__ import annotations

@@ -47,6 +47,7 @@ from .sim import (
     SystemModel,
     engine_names,
     parse_model,
+    resolve_engine,
 )
 from .workloads import get_scenario, make_ids, scenario_names, workload_names
 
@@ -159,11 +160,11 @@ def _add_model_flag(command: argparse.ArgumentParser) -> None:
 
 def _add_engine_flag(command: argparse.ArgumentParser) -> None:
     command.add_argument(
-        "--engine", default=DEFAULT_ENGINE, choices=engine_names(),
-        help="simulator round-loop implementation (results are identical; "
-             "'reference' is the slow oracle the others are differentially "
-             "tested against, 'vector' is the numpy-backed array engine, "
-             "listed only when numpy is installed)",
+        "--engine", default=DEFAULT_ENGINE, metavar="ENGINE",
+        help="simulator round-loop implementation, one of "
+             f"{', '.join(engine_names())} (results are identical; "
+             "'reference' is the slow oracle 'batched' is differentially "
+             "tested against)",
     )
 
 
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=adversary_names())
     chaos.add_argument("--seeds", nargs="+", type=int, default=[0])
     chaos.add_argument("--engines", nargs="+", default=[DEFAULT_ENGINE],
-                       choices=engine_names())
+                       metavar="ENGINE")
     chaos.add_argument("--chaos-seeds", nargs="+", type=int, default=[0],
                        help="seeds for the fault plans (independent of run seeds)")
     chaos.add_argument("--drop", nargs="+", type=float, default=[],
@@ -1506,9 +1507,19 @@ def cmd_runs(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled runs command {args.runs_command!r}")
 
 
+def _check_engines(args: argparse.Namespace) -> None:
+    """Resolve every requested engine up front, so an unknown name is a
+    configuration error (exit 3) before any work starts."""
+    for name in [getattr(args, "engine", None), *getattr(args, "engines", ())]:
+        if name is not None:
+            resolve_engine(name)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        return _dispatch(build_parser().parse_args(argv))
+        args = build_parser().parse_args(argv)
+        _check_engines(args)
+        return _dispatch(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFRA

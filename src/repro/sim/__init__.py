@@ -13,9 +13,8 @@ Public surface:
   protocols from reusable fragments (see :mod:`repro.sim.compose`).
 * :func:`run_protocol` / :class:`RunResult` — execute a run.
 * :class:`Engine` / :func:`resolve_engine` — pluggable round-loop execution
-  (the ``"reference"`` oracle, the default ``"batched"`` fast path, and the
-  optional numpy-backed ``"vector"`` array engine; see
-  :mod:`repro.sim.engine` and :mod:`repro.sim.engine_vector`).
+  (the ``"reference"`` oracle and the default ``"batched"`` fast path; see
+  :mod:`repro.sim.engine`).
 * :class:`Adversary` / :class:`AdversaryContext` — the fault-injection
   contract (implementations in :mod:`repro.adversary`).
 * :class:`FullMeshTopology`, :class:`SynchronousNetwork` — the wiring.
@@ -37,7 +36,6 @@ from .engine import (
     BatchedEngine,
     Engine,
     ReferenceEngine,
-    VectorEngine,
     engine_names,
     resolve_engine,
 )
@@ -76,7 +74,7 @@ from .process import (
     iter_inbox,
     ordered_links,
 )
-from .rng import derive_np_generator, derive_rng, derive_seed
+from .rng import derive_rng, derive_seed
 from .runner import ProcessFactory, RunResult, run_protocol
 from .topology import FullMeshTopology
 from .trace import TraceEvent, TraceRecorder
@@ -133,8 +131,6 @@ __all__ = [
     "SystemModel",
     "TraceEvent",
     "TraceRecorder",
-    "VectorEngine",
-    "derive_np_generator",
     "derive_rng",
     "derive_seed",
     "engine_names",

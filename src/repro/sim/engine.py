@@ -1,27 +1,21 @@
-"""Round execution engines: the reference loop and its fast paths.
+"""Round execution engines: the reference loop and its fast path.
 
 :func:`~repro.sim.runner.run_protocol` owns run *setup* (topology, fault
 slots, process construction) and result assembly; everything between —
 "execute synchronous rounds until every correct process is done" — is an
-:class:`Engine`. Three implementations ship:
+:class:`Engine`. Two implementations ship:
 
 * :class:`ReferenceEngine` (``"reference"``) — the original, obviously-correct
   loop: per-round ``Outbox`` dicts expanded into ``(link, message)``
   transmission lists by :meth:`~repro.sim.network.SynchronousNetwork.route`,
   then frozen into per-recipient inboxes. One Python object per message hop.
-* :class:`BatchedEngine` (``"batched"``, the default) — one routing pass per
-  round over precomputed ``(sender, link) → (recipient, recipient_link)``
-  tables, preallocated per-link inbox buffers reused across rounds, interned
-  instances for the high-volume message types, and per-*message* (not
-  per-transmission) traffic accounting with cached bit sizes.
-* :class:`~repro.sim.engine_vector.VectorEngine` (``"vector"``, optional —
-  requires numpy) — dense port matrices, one shared tuple per broadcasting
-  sender instead of per-recipient buffers, and lazy gather-view inboxes, so
-  a substrate-bound round costs O(n) Python operations instead of O(n²).
-  Message shapes the dense layout cannot express fall back to a scalar
-  overlay (see :mod:`repro.sim.engine_vector`). Registered only when numpy
-  imports; ``resolve_engine("vector")`` explains the missing dependency
-  otherwise.
+* :class:`BatchedEngine` (``"batched"``, the default) — one shared immutable
+  tuple per broadcasting sender instead of per-recipient copies, a sparse
+  per-recipient overlay for every other outbox shape, and lazy
+  :class:`PortInbox` views that resolve through the recipient's port row,
+  so a broadcast round costs O(n) Python operations plus whatever the
+  protocols read. Equal high-volume messages are interned, and traffic is
+  accounted per *message* (not per transmission) with cached bit sizes.
 
 The engines are **behaviour-identical by contract**: same process calls
 in the same order, equal inboxes, equal metrics, equal traces, same errors —
@@ -50,6 +44,7 @@ and add zero work when absent.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Mapping as MappingABC
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .chaos import ChaosInjector
@@ -211,23 +206,108 @@ class ReferenceEngine(Engine):
             _raise_round_limit(processes, max_rounds)
 
 
+class PortInbox(MappingABC):
+    """Read-only inbox view over one round's broadcast tuples and overlay.
+
+    ``peers`` is the recipient's port row (``peers[link - 1]`` is the peer
+    behind ``link``), ``dense[s]`` is the one tuple sender ``s`` broadcast
+    this round (``None`` if it broadcast nothing), and ``overlay`` holds the
+    recipient's routed-per-message traffic as ``{link: [messages]}``; a link
+    label names exactly one sender, so the two never collide on a link.
+
+    Building the view is O(1). The first read materialises one plain dict
+    in ascending link order — content-equal to the inbox the reference
+    engine builds — and every later read goes to that dict, so a protocol
+    that never reads its inbox never pays for ``n``. ``dense`` and
+    ``overlay`` are rebuilt every round, never cleared in place, so a
+    retained view keeps showing the round it was delivered in.
+    """
+
+    __slots__ = ("_peers", "_dense", "_overlay", "_links")
+
+    def __init__(
+        self,
+        peers: Sequence[int],
+        dense: Sequence[Optional[Tuple[Message, ...]]],
+        overlay: Optional[Dict[int, List[Message]]] = None,
+    ) -> None:
+        self._peers = peers
+        self._dense = dense
+        self._overlay = overlay
+        self._links: Optional[Dict[int, Tuple[Message, ...]]] = None
+
+    def _resolve(self) -> Dict[int, Tuple[Message, ...]]:
+        links = self._links
+        if links is None:
+            received = zip(
+                range(1, len(self._peers) + 1),
+                map(self._dense.__getitem__, self._peers),
+            )
+            overlay = self._overlay
+            if overlay is None:
+                links = {link: got for link, got in received if got is not None}
+            else:
+                links = {}
+                for link, got in received:
+                    if got is None:
+                        routed = overlay.get(link)
+                        if routed is None:
+                            continue
+                        got = tuple(routed)
+                    links[link] = got
+            self._links = links
+        return links
+
+    # Each read below costs one attribute load once the dict exists (a
+    # materialised inbox is never empty: a view is only built for a
+    # recipient that received something).
+    def __getitem__(self, link) -> Tuple[Message, ...]:
+        return (self._links or self._resolve())[link]
+
+    def __iter__(self):
+        return iter(self._links or self._resolve())
+
+    def __len__(self) -> int:
+        return len(self._links or self._resolve())
+
+    def __contains__(self, link) -> bool:
+        return link in (self._links or self._resolve())
+
+    def get(self, link, default=None):
+        return (self._links or self._resolve()).get(link, default)
+
+    def keys(self):
+        return (self._links or self._resolve()).keys()
+
+    def items(self):
+        return (self._links or self._resolve()).items()
+
+    def values(self):
+        return (self._links or self._resolve()).values()
+
+    def __repr__(self) -> str:
+        return f"PortInbox({self._resolve()!r})"
+
+
 class BatchedEngine(Engine):
-    """Array-of-buffers round loop (see module docstring).
+    """Shared-tuple round loop (see module docstring).
 
     Behaviour-identical to :class:`ReferenceEngine`; every deviation below is
     an implementation detail that provably cannot be observed:
 
-    * routing goes through a per-run ``(sender, link) → (recipient,
-      recipient_link)`` table instead of two topology dict lookups per
-      transmission — the table is built *from* the topology, so the mapping
-      is the same;
-    * per-recipient per-link buffers are reused across rounds and frozen into
-      ascending-link-order inboxes exactly like
-      :meth:`~repro.sim.network.SynchronousNetwork.freeze_inbox`;
+    * routing goes through per-run port rows (``peer_at[s][link - 1]``, and
+      its inverse ``label_at[r][s]``, built on first use) read from the
+      topology, so the mapping is the same;
+    * a pure ``BROADCAST`` outbox becomes one shared tuple in the round's
+      ``dense[sender]`` slot instead of ``n`` per-recipient copies — safe
+      because messages are frozen and the reference engine already aliases
+      one object across all recipients of a broadcast. Every other outbox
+      (point-to-point, mixed, Byzantine-aimed, chaos-expanded) is routed
+      message by message into a sparse per-recipient overlay;
+    * inboxes are :class:`PortInbox` views, dict-equal to the reference's
+      inboxes and iterating in the same ascending link order;
     * equal messages of the high-volume types are interned to one canonical
-      instance — safe because messages are frozen (the reference engine
-      already aliases one object across all recipients of a broadcast) and
-      delivered objects compare equal either way;
+      instance — delivered objects compare equal either way;
     * traffic is accounted per message with a broadcast fan-out multiplier
       and a per-canonical-instance bit-size cache, which sums to exactly the
       reference's per-transmission accounting.
@@ -251,42 +331,17 @@ class BatchedEngine(Engine):
     ) -> None:
         topology = network.topology
         n = topology.n
-        self_link = topology.self_link
         byz_set = set(byzantine)
 
-        # Preallocated inbox fabric: per-recipient per-link message buffers
-        # (indexed by link label, slot 0 unused) that live for the whole run;
-        # `active[r]` lists the links that received at least one message this
-        # round (cleared, not reallocated).
-        buffers: List[List[List[Message]]] = [
-            [[] for _ in range(n + 1)] for _ in range(n)
-        ]
-        active: List[List[int]] = [[] for _ in range(n)]
-
-        # fanout[s][link-1] = (slot, active[r], recipient_link) resolves the
-        # whole routing fabric — including the recipient-side buffer — to
-        # direct references, built once per run from the topology. fanout[s]
-        # doubles as the expansion of a BROADCAST from s (labels 1..n include
-        # the self-loop). Built via bulk table iteration: n² method calls
-        # would dominate short runs at large n.
-        label_at: List[List[int]] = [[0] * n for _ in range(n)]
+        # peer_at[p][link - 1] is the peer p reaches via link; label_at[r][s]
+        # is r's label for traffic from s, needed only by the overlay, so it
+        # is built on first use (a run of pure broadcasts never pays n²).
+        labels = range(1, n + 1)
+        peer_at: List[List[int]] = []
         for process in range(n):
-            row_labels = label_at[process]
-            for label, peer in topology.link_items(process):
-                row_labels[peer] = label
-        fanout: List[List[Tuple[List[Message], List[int], int]]] = []
-        for sender in range(n):
-            row: List[Tuple[List[Message], List[int], int]] = [None] * n  # type: ignore[list-item]
-            for link, recipient in topology.link_items(sender):
-                recipient_link = (
-                    self_link if recipient == sender else label_at[recipient][sender]
-                )
-                row[link - 1] = (
-                    buffers[recipient][recipient_link],
-                    active[recipient],
-                    recipient_link,
-                )
-            fanout.append(row)
+            ports = dict(topology.link_items(process))
+            peer_at.append(list(map(ports.__getitem__, labels)))
+        label_at: List[List[int]] = []
 
         pooled = frozenset(_pooled_types())
         pool: Dict[Message, Message] = {}
@@ -295,9 +350,18 @@ class BatchedEngine(Engine):
         rank_bits = metrics.rank_bits
         observe_send = metrics.observe_send
 
-        def route(sender: int, outbox: Outbox, count_correct: bool) -> int:
-            """Route one outbox; returns the transmission count."""
-            row = fanout[sender]
+        def route(sender: int, outbox: Outbox, correct: bool) -> int:
+            """Route one outbox into this round's layers; returns the
+            transmission count."""
+            shared = len(outbox) == 1 and BROADCAST in outbox
+            if not shared and not label_at:
+                for process in range(n):
+                    labels_of = [0] * n
+                    for label, peer in topology.link_items(process):
+                        labels_of[peer] = label
+                    label_at.append(labels_of)
+            row = peer_at[sender]
+            kept: List[Message] = []
             sent = 0
             for link, messages in outbox.items():
                 if link == BROADCAST:
@@ -316,7 +380,7 @@ class BatchedEngine(Engine):
                             f"process {sender} sent a non-Message object: "
                             f"{message!r}"
                         )
-                    if count_correct:
+                    if correct:
                         is_pooled = type(message) in pooled
                         if is_pooled:
                             canonical = pool.get(message)
@@ -342,12 +406,21 @@ class BatchedEngine(Engine):
                                 )
                             observe_send(record, bits, fan)
                     sent += fan
-                    for slot, recipient_active, recipient_link in targets:
-                        if not slot:
-                            recipient_active.append(recipient_link)
-                        slot.append(message)
+                    if shared:
+                        kept.append(message)
+                        continue
+                    for recipient in targets:
+                        overlay = overlays.get(recipient)
+                        if overlay is None:
+                            overlay = overlays[recipient] = {}
+                        overlay.setdefault(label_at[recipient][sender], []).append(
+                            message
+                        )
+            if kept:
+                dense[sender] = tuple(kept)
             return sent
 
+        empty: Inbox = {}
         for round_no in range(1, max_rounds + 1):
             pending = [i for i, p in processes.items() if not p.done]
             if not pending:
@@ -375,45 +448,36 @@ class BatchedEngine(Engine):
                     round_no, correct_outboxes, byz_outboxes
                 )
 
+            # Fresh layers every round: delivered views may be retained.
+            dense: List[Optional[Tuple[Message, ...]]] = [None] * n
+            overlays: Dict[int, Dict[int, List[Message]]] = {}
             for index, outbox in correct_outboxes.items():
-                route(index, outbox, count_correct=True)
+                route(index, outbox, correct=True)
             byz_sent = 0
             for index, outbox in byz_outboxes.items():
-                byz_sent += route(index, outbox, count_correct=False)
+                byz_sent += route(index, outbox, correct=False)
             if collect_metrics:
                 record.byzantine_messages += byz_sent
 
-            empty: Inbox = {}
+            # A dense sender reached every link, so then no inbox is empty.
+            has_dense = any(dense)
             for index in pending:
-                links = active[index]
-                if links:
-                    buf = buffers[index]
-                    inbox: Inbox = {
-                        link: tuple(buf[link]) for link in sorted(links)
-                    }
-                else:
-                    inbox = empty
+                overlay = overlays.get(index)
+                inbox: Inbox = (
+                    PortInbox(peer_at[index], dense, overlay)
+                    if has_dense or overlay
+                    else empty
+                )
                 processes[index].deliver(round_no, inbox)
             if monitor is not None:
                 monitor.after_deliver(round_no, processes)
             if adversary.wants_observations:
                 byz_inboxes: Dict[int, Inbox] = {}
                 for index in byzantine:
-                    links = active[index]
-                    if links:
-                        buf = buffers[index]
-                        byz_inboxes[index] = {
-                            link: tuple(buf[link]) for link in sorted(links)
-                        }
+                    overlay = overlays.get(index)
+                    if has_dense or overlay:
+                        byz_inboxes[index] = PortInbox(peer_at[index], dense, overlay)
                 adversary.observe(round_no, byz_inboxes)
-
-            for recipient in range(n):
-                links = active[recipient]
-                if links:
-                    buf = buffers[recipient]
-                    for link in links:
-                        buf[link].clear()
-                    links.clear()
         else:
             _raise_round_limit(processes, max_rounds)
 
@@ -431,34 +495,16 @@ ENGINES: Dict[str, Engine] = {
     engine.name: engine for engine in (ReferenceEngine(), BatchedEngine())
 }
 
-# The vector engine needs numpy, which is an optional dependency: without
-# it the engine simply is not registered (engine_names() omits it and the
-# CLI does not offer it), and resolve_engine("vector") explains what is
-# missing instead of calling the name unknown.
-try:
-    from .engine_vector import VectorEngine
-except ImportError:  # pragma: no cover - exercised in the no-numpy CI leg
-    VectorEngine = None  # type: ignore[assignment, misc]
-else:
-    ENGINES[VectorEngine.name] = VectorEngine()
-
-#: The engine ``run_protocol`` uses when none is requested. Stays "batched":
-#: the default must work on a dependency-free install.
+#: The engine ``run_protocol`` uses when none is requested.
 DEFAULT_ENGINE = "batched"
 
 
 def resolve_engine(name: str) -> Engine:
-    """Look up an engine by selector name (``"reference"`` | ``"batched"`` |
-    ``"vector"``)."""
+    """Look up an engine by selector name (``"reference"`` | ``"batched"``)."""
     try:
         return ENGINES[name]
     except KeyError:
         known = ", ".join(sorted(ENGINES))
-        if name == "vector":
-            raise ConfigurationError(
-                "engine 'vector' requires numpy, an optional dependency "
-                "(pip install numpy); available engines: " + known
-            ) from None
         raise ConfigurationError(
             f"unknown engine {name!r}; known engines: {known}"
         ) from None

@@ -24,8 +24,8 @@ the *model itself* to a run parameter, a :class:`SystemModel`:
 Mechanically a model compiles (via :meth:`SystemModel.build_injector`) into
 an injector with the exact ``perturb(round_no, correct_outboxes,
 byz_outboxes)`` contract of :class:`~repro.sim.chaos.ChaosInjector`, and the
-runner threads it through the *same single engine hook* chaos uses — so all
-three engines (reference, batched, vector) stay trace-byte-identical to each
+runner threads it through the *same single engine hook* chaos uses — so
+both engines (reference and batched) stay trace-byte-identical to each
 other under every model, and the cross-engine differential contract extends
 to modelled runs for free. Degenerate models (``classic``,
 ``impersonation(k=0)``, ``partial_synchrony(rate=0)``) are *inert*: no

@@ -13,8 +13,6 @@ import hashlib
 import random
 from typing import Union
 
-from .errors import ConfigurationError
-
 Token = Union[str, int]
 
 
@@ -35,27 +33,3 @@ def derive_seed(seed: int, *tokens: Token) -> int:
 def derive_rng(seed: int, *tokens: Token) -> random.Random:
     """Return a :class:`random.Random` seeded from ``derive_seed``."""
     return random.Random(derive_seed(seed, *tokens))
-
-
-def derive_np_generator(seed: int, *tokens: Token):
-    """Return a ``numpy.random.Generator`` seeded from ``derive_seed``.
-
-    The numpy counterpart of :func:`derive_rng`: the child seed comes from
-    the *same* :func:`derive_seed` path, so a vectorised consumer and its
-    scalar twin that name the same token path are provably fed from the same
-    64-bit child seed — no ad-hoc ``np.random.seed`` calls anywhere. (The
-    stream contents differ, of course: PCG64 is not Mersenne Twister; what
-    is shared is the derivation, which is what keeps seed bookkeeping in one
-    place.)
-
-    numpy is an optional dependency; raises
-    :class:`~repro.sim.errors.ConfigurationError` when it is absent.
-    """
-    try:
-        from numpy.random import PCG64, Generator
-    except ImportError as exc:  # pragma: no cover - exercised without numpy
-        raise ConfigurationError(
-            "derive_np_generator requires numpy, an optional dependency "
-            "(pip install numpy)"
-        ) from exc
-    return Generator(PCG64(derive_seed(seed, *tokens)))

@@ -14,12 +14,10 @@ Round structure (matching the paper's "Step r"):
 5. the adversary observes what reached the faulty slots.
 
 The loop itself lives in :mod:`repro.sim.engine`: ``engine="reference"``
-executes it one Python object per message hop, ``engine="batched"`` (the
-default) runs the same rounds through precomputed routing tables and reused
-inbox buffers, and ``engine="vector"`` (:mod:`repro.sim.engine_vector`,
-present when numpy is installed) runs them over dense port matrices with
-lazy gather-view inboxes. All are behaviour-identical under every
-adversary.
+executes it one Python object per message hop, and ``engine="batched"``
+(the default) runs the same rounds with one shared tuple per broadcasting
+sender and lazy port-row inbox views. Both are behaviour-identical under
+every adversary.
 """
 
 from __future__ import annotations
@@ -146,11 +144,10 @@ def run_protocol(
     traffic is exempt: adversaries may emit objects no codec knows).
 
     ``engine`` selects the round-loop implementation (see
-    :mod:`repro.sim.engine`): ``"batched"`` (default), ``"reference"``,
-    or ``"vector"`` (numpy-backed; registered only when numpy is
-    installed). All produce identical results; the reference engine
-    exists as the obviously-correct oracle the other engines are
-    differentially tested against.
+    :mod:`repro.sim.engine`): ``"batched"`` (default) or ``"reference"``.
+    Both produce identical results; the reference engine exists as the
+    obviously-correct oracle the batched engine is differentially tested
+    against.
 
     ``collect_metrics=False`` skips all traffic accounting (message and bit
     counters stay zero); round counts are always recorded. ``topology_seed``

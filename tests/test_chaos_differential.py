@@ -3,9 +3,9 @@
 The chaos hook sits at the same point in every engine (after the adversary
 fills Byzantine outboxes, before routing), so a seeded :class:`FaultPlan`
 must produce bit-for-bit identical behaviour on every registered engine —
-reference, batched, and (when numpy is present) vector — including
-identical *failures* when an injection trips a typed error. An empty plan
-must be indistinguishable from no plan at all.
+reference and batched — including identical *failures* when an injection
+trips a typed error. An empty plan must be indistinguishable from no plan
+at all.
 """
 
 from __future__ import annotations

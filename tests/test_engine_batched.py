@@ -1,43 +1,48 @@
-"""Unit tests for the numpy-backed vector engine and its lazy inboxes.
+"""Unit tests for the batched engine's shared broadcast tuples and lazy inboxes.
 
-The behavioural contract (vector ≡ reference across the full algorithm ×
+The behavioural contract (batched ≡ reference across the full algorithm ×
 attack × seed grid, under chaos, through the wire) lives in
-``test_engine_differential.py`` and ``test_chaos_differential.py`` — those
-suites iterate ``engine_names()`` and pick the vector engine up
-automatically. This file covers what the differential grids cannot see
-from the outside:
+``test_engine_differential.py`` and ``test_chaos_differential.py``. This
+file covers what the differential grids cannot see from the outside:
 
-* :class:`VectorInbox` Mapping semantics against a plain dict oracle —
-  contents, ascending-link iteration, ``KeyError`` behaviour (including
-  numpy's negative-index trap), equality, bool-key aliasing;
+* :class:`PortInbox` Mapping semantics against a plain dict oracle —
+  contents, ascending-link iteration, ``KeyError`` behaviour, equality,
+  bool-key aliasing;
 * retained-inbox stability: a delivered view must keep showing its own
-  round after later rounds rebuild the dense layer;
+  round after later rounds build new layers;
 * mixed dense/overlay rounds (broadcast + targeted sends in one round)
   observed from *inside* ``deliver`` via inbox snapshots;
+* tuple identity: every receiver of one correct sender's broadcast holds
+  the *same* tuple object, while equivocating Byzantine traffic arrives as
+  distinct objects (a per-tuple fold cache relies on both);
 * the shared :meth:`RunMetrics.observe_send` accounting primitive
-  producing identical counters on all three engines;
-* the optional-dependency gate: an unregistered vector engine resolves to
-  a :class:`ConfigurationError` that names numpy.
+  producing identical counters on every engine;
+* the engine registry and the runtime import path staying numpy-free.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-np = pytest.importorskip("numpy")
-
-import repro.sim.engine as engine_mod
-from helpers import assert_runs_identical, standard_ids
+import repro
+from helpers import assert_runs_identical, run_registered, standard_ids
+from repro.cli import EXIT_INFRA, main
 from repro.core.messages import IdMessage
 from repro.sim import (
     BROADCAST,
+    Adversary,
     ConfigurationError,
     Process,
     engine_names,
     resolve_engine,
     run_protocol,
 )
-from repro.sim.engine_vector import VectorInbox
+from repro.sim.engine import PortInbox
 
 ALL_ENGINES = tuple(engine_names())
 
@@ -45,18 +50,15 @@ ALL_ENGINES = tuple(engine_names())
 def _make_inbox():
     """Process 0 of n=3: link 1 -> peer 1, link 2 -> peer 2, link 3 -> self.
 
-    Peer 0 (self) broadcast ``a``; peer 2's traffic arrived via the scalar
+    Peer 0 (self) broadcast ``a``; peer 2's traffic arrived via the
     overlay as ``b``; peer 1 sent nothing. Expected view: {2: (b,), 3: (a,)}.
     """
     a, b = IdMessage(10), IdMessage(20)
-    peer_row = np.array([0, 1, 2, 0], dtype=np.intp)
-    dense = [(a,), None, None]
-    dense_mask = np.array([True, False, False])
-    inbox = VectorInbox(peer_row, dense, dense_mask, {2: (b,)})
+    inbox = PortInbox([1, 2, 0], [(a,), None, None], {2: [b]})
     return inbox, {2: (b,), 3: (a,)}
 
 
-class TestVectorInboxMapping:
+class TestPortInboxMapping:
     def test_contents_match_dict_oracle(self):
         inbox, oracle = _make_inbox()
         assert dict(inbox) == oracle
@@ -64,11 +66,14 @@ class TestVectorInboxMapping:
         assert len(inbox) == len(oracle)
         assert inbox.keys() == oracle.keys()
         assert sorted(inbox.items()) == sorted(oracle.items())
+        assert list(inbox.values()) == [oracle[link] for link in sorted(oracle)]
+        assert 2 in inbox and 1 not in inbox
 
     def test_equality_both_ways(self):
         inbox, oracle = _make_inbox()
         assert inbox == oracle
         assert oracle == inbox
+        assert inbox == _make_inbox()[0]
         assert inbox != {**oracle, 1: (IdMessage(9),)}
         assert inbox != {}
         assert inbox != "not a mapping"
@@ -81,20 +86,16 @@ class TestVectorInboxMapping:
             assert inbox.get(bad) is None
 
     def test_negative_links_do_not_wrap_around(self):
-        # Plain dicts have no key -1; numpy rows index from the end. The
-        # guard must keep dict semantics.
+        # Plain dicts have no key -1, while the port row is a list that
+        # indexes from the end; the view must keep dict semantics.
         inbox, _ = _make_inbox()
         with pytest.raises(KeyError):
             inbox[-1]
 
     def test_bool_key_aliases_link_one(self):
-        # dict semantics: d[True] is d[1]. Link 1 carries dense traffic
-        # here, so True must resolve to it.
+        # dict semantics: d[True] is d[1].
         a = IdMessage(1)
-        peer_row = np.array([0, 1, 0], dtype=np.intp)
-        inbox = VectorInbox(
-            peer_row, [None, (a,)], np.array([False, True]), None
-        )
+        inbox = PortInbox([1, 0], [None, (a,)])
         assert inbox[1] == (a,)
         assert inbox[True] == (a,)
 
@@ -120,9 +121,10 @@ class _RetainsInbox(Process):
             self.output_value = self.ctx.my_id
 
 
-def test_retained_inboxes_survive_later_rounds():
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_retained_inboxes_survive_later_rounds(engine):
     result = run_protocol(
-        _RetainsInbox, n=4, t=0, ids=standard_ids(4), seed=0, engine="vector"
+        _RetainsInbox, n=4, t=0, ids=standard_ids(4), seed=0, engine=engine
     )
     for process in result.processes.values():
         assert len(process.retained) == _RetainsInbox.ROUNDS
@@ -134,7 +136,7 @@ def test_retained_inboxes_survive_later_rounds():
 
 class _MixedSender(Process):
     """Broadcast + targeted point-to-point in one outbox (dense layer and
-    scalar overlay compose in the same round); snapshots what arrives."""
+    overlay compose in the same round); snapshots what arrives."""
 
     def __init__(self, ctx):
         super().__init__(ctx)
@@ -157,12 +159,13 @@ class _MixedSender(Process):
 
 
 def test_mixed_dense_and_overlay_rounds_match_reference():
-    runs = {}
-    for engine in ALL_ENGINES:
-        runs[engine] = run_protocol(
+    runs = {
+        engine: run_protocol(
             _MixedSender, n=5, t=0, ids=standard_ids(5), seed=0,
             engine=engine, collect_trace=True,
         )
+        for engine in ALL_ENGINES
+    }
     reference = runs["reference"]
     for engine, run in runs.items():
         if engine == "reference":
@@ -174,11 +177,61 @@ def test_mixed_dense_and_overlay_rounds_match_reference():
             ), f"inbox snapshots diverge on {engine} for process {index}"
 
 
-def test_observe_send_counters_identical_across_engines():
-    """Satellite regression: all engines account through one primitive, so
-    every traffic counter agrees to the bit."""
-    from helpers import run_registered
+class _KeepsTuples(Process):
+    """Broadcasts its id once and keeps every arriving tuple, keyed by the
+    sender id it carries (or by ``("byz", id)`` for adversary traffic)."""
 
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.tuples = {}
+
+    def send(self, round_no):
+        return self.broadcast(IdMessage(self.ctx.my_id))
+
+    def deliver(self, round_no, inbox):
+        for messages in inbox.values():
+            sender = messages[0].id
+            self.tuples[sender if sender > 0 else ("byz", sender)] = messages
+        self.output_value = self.ctx.my_id
+
+
+class _Equivocator(Adversary):
+    """Each faulty slot tells every link a different id, point-to-point."""
+
+    def send(self, round_no, correct_outboxes):
+        n = self.ctx.n
+        return {
+            index: {link: [IdMessage(-(index * n + link))] for link in range(1, n + 1)}
+            for index in self.ctx.byzantine
+        }
+
+
+def test_receivers_of_one_broadcast_share_the_same_tuple():
+    result = run_protocol(
+        _KeepsTuples, n=7, t=2, ids=standard_ids(7), byzantine=[5, 6],
+        adversary=_Equivocator(), seed=3, engine="batched",
+    )
+    receivers = list(result.processes.values())
+    senders = [process.ctx.my_id for process in receivers]
+    for sender in senders:
+        first = receivers[0].tuples[sender]
+        for other in receivers[1:]:
+            # Same object, not merely equal: a fold cache keyed on the
+            # tuple itself hits once per sender per round.
+            assert other.tuples[sender] is first
+    byzantine = [
+        messages
+        for process in receivers
+        for key, messages in process.tuples.items()
+        if isinstance(key, tuple)
+    ]
+    assert len(byzantine) == 2 * len(receivers)
+    assert len({id(messages) for messages in byzantine}) == len(byzantine)
+
+
+def test_observe_send_counters_identical_across_engines():
+    """All engines account through one primitive, so every traffic counter
+    agrees to the bit."""
     runs = {
         engine: run_registered(
             "alg4", 11, 2, attack="selective-echo", seed=5, engine=engine
@@ -201,15 +254,28 @@ def test_observe_send_counters_identical_across_engines():
         ], engine
 
 
-def test_unregistered_vector_engine_explains_missing_numpy(monkeypatch):
-    """Simulate a numpy-less install: with the registry entry gone,
-    resolve_engine('vector') must name the missing dependency."""
-    monkeypatch.delitem(engine_mod.ENGINES, "vector")
-    assert "vector" not in engine_names()
-    with pytest.raises(ConfigurationError, match="requires numpy"):
+def test_vector_is_an_unknown_engine():
+    with pytest.raises(
+        ConfigurationError,
+        match=r"unknown engine 'vector'; known engines: batched, reference",
+    ):
         resolve_engine("vector")
 
 
-def test_vector_engine_registered_and_resolvable():
-    assert "vector" in engine_names()
-    assert resolve_engine("vector").name == "vector"
+def test_cli_engine_vector_is_a_configuration_error(capsys):
+    argv = ["run", "--algorithm", "alg1", "--n", "7", "--t", "2"]
+    assert main([*argv, "--engine", "vector"]) == EXIT_INFRA
+    assert "unknown engine 'vector'" in capsys.readouterr().err
+    assert main(["chaos", "--algorithms", "alg1", "--sizes", "7:2",
+                 "--engines", "vector"]) == EXIT_INFRA
+    assert "unknown engine 'vector'" in capsys.readouterr().err
+
+
+def test_runtime_imports_without_numpy():
+    code = (
+        "import sys, repro, repro.analysis, repro.service\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

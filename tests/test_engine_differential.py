@@ -1,8 +1,7 @@
 """Cross-engine differential harness: every engine ≡ reference, always.
 
-The batched engine (:mod:`repro.sim.engine`) and the numpy-backed vector
-engine (:mod:`repro.sim.engine_vector`) are only allowed to exist because
-they are *provably behaviour-identical* to the reference loop. This suite
+The batched engine (:mod:`repro.sim.engine`) is only allowed to exist
+because it is *provably behaviour-identical* to the reference loop. This suite
 is that proof, in executable form:
 
 * every registered algorithm × every registered-meaningful attack, across
@@ -19,9 +18,7 @@ is that proof, in executable form:
   ``run_registered(algorithm, ..., attack="fuzz", seed=<seed>, ...)``
   replays it deterministically (see docs/model.md).
 
-The grid iterates ``engine_names()``, so it covers whatever is registered:
-without numpy the vector engine is absent and the suite degrades to the
-two pure-Python engines with no skips or failures.
+The grid iterates ``engine_names()``, so it covers whatever is registered.
 
 If an engine divergence ever appears, fix the non-reference engine — the
 reference loop is the specification.
@@ -233,13 +230,7 @@ def test_unknown_engine_rejected():
 
 
 def test_registry_consistent():
-    try:
-        import numpy  # noqa: F401 — probe only
-    except ImportError:
-        expected = ["batched", "reference"]
-    else:
-        expected = ["batched", "reference", "vector"]
-    assert engine_names() == expected
+    assert engine_names() == ["batched", "reference"]
     for name in engine_names():
         assert resolve_engine(name).name == name
 

@@ -3,7 +3,7 @@
 Model injectors sit at the same hook point in every engine as chaos (after
 ``adversary.send``, before routing), so a seeded :class:`SystemModel` must
 produce bit-for-bit identical behaviour on every registered engine —
-reference, batched, and (when numpy is present) vector. Identical means
+reference and batched. Identical means
 identical *everything*: outputs, traces, metrics, the injector's
 :class:`ModelReport`, and even identical typed failures when a degraded
 network trips a protocol invariant. Degenerate models (``classic``,

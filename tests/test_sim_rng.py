@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.sim import derive_np_generator, derive_rng, derive_seed
+from repro.sim import derive_rng, derive_seed
 
 
 class TestDeriveSeed:
@@ -47,35 +45,3 @@ class TestDeriveRng:
         a = derive_rng(9, "process", 0)
         b = derive_rng(9, "process", 1)
         assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
-
-
-class TestDeriveNpGenerator:
-    """The numpy twin of derive_rng: same derive_seed path, numpy stream."""
-
-    @pytest.fixture(autouse=True)
-    def _numpy(self):
-        pytest.importorskip("numpy")
-
-    def test_same_stream_reproducible(self):
-        first = derive_np_generator(9, "workload", 3)
-        second = derive_np_generator(9, "workload", 3)
-        assert first.random(5).tolist() == second.random(5).tolist()
-
-    def test_independent_streams_differ(self):
-        a = derive_np_generator(9, "workload", 0)
-        b = derive_np_generator(9, "workload", 1)
-        assert a.random(5).tolist() != b.random(5).tolist()
-
-    def test_seeded_from_derive_seed_path(self):
-        # Provably the same child-seed derivation as derive_rng: feeding
-        # the derived seed to PCG64 directly reproduces the stream.
-        from numpy.random import PCG64, Generator
-
-        direct = Generator(PCG64(derive_seed(7, "chaos", "drop")))
-        derived = derive_np_generator(7, "chaos", "drop")
-        assert direct.random(5).tolist() == derived.random(5).tolist()
-
-    def test_varies_with_tokens(self):
-        a = derive_np_generator(1, "a")
-        b = derive_np_generator(1, "b")
-        assert a.random(5).tolist() != b.random(5).tolist()
