@@ -82,36 +82,37 @@ resume-smoke:
 	rm -rf $(RESUME_SMOKE_DIR)
 
 ## Fabric smoke: the full distributed arrangement on one host — a
-## coordinator-only sweep seeding a shared sqlite store, two separately
+## coordinator-only sweep seeding a shared directory store, two separately
 ## started pull-based workers draining it — then assert zero cells were
 ## executed twice (store event log, via the doctor) and that the CSV is
-## byte-identical to a single-process control run.
+## byte-identical to a single-process control run. The 320-cell grid
+## keeps both workers claiming for a few seconds, so they really contend.
 FABRIC_SMOKE_DIR := .fabric-smoke
-FABRIC_SMOKE_GRID := --algorithms alg1 okun-crash --sizes 7:2 \
-	--attacks silent --seeds 0 1 2 3
+FABRIC_SMOKE_GRID := --algorithms alg1 alg4 okun-crash floodset consensus \
+	alg1-constant --sizes 7:2 10:3 --seeds $(shell seq 0 39)
 fabric-smoke:
 	rm -rf $(FABRIC_SMOKE_DIR)
 	mkdir -p $(FABRIC_SMOKE_DIR)
 	$(PYTHON) -m repro.cli sweep $(FABRIC_SMOKE_GRID) --workers 1 \
 		--csv $(FABRIC_SMOKE_DIR)/control.csv
 	$(PYTHON) -m repro.cli sweep $(FABRIC_SMOKE_GRID) \
-		--store sqlite:$(FABRIC_SMOKE_DIR)/store.db --coordinator-only \
+		--store dir:$(FABRIC_SMOKE_DIR)/store --coordinator-only \
 		--csv $(FABRIC_SMOKE_DIR)/fabric.csv & COORD=$$!; \
 	$(PYTHON) -m repro.cli worker \
-		--store sqlite:$(FABRIC_SMOKE_DIR)/store.db --worker-id smoke-w1 \
+		--store dir:$(FABRIC_SMOKE_DIR)/store --worker-id smoke-w1 \
 		--wait-for-store 60 & W1=$$!; \
 	$(PYTHON) -m repro.cli worker \
-		--store sqlite:$(FABRIC_SMOKE_DIR)/store.db --worker-id smoke-w2 \
+		--store dir:$(FABRIC_SMOKE_DIR)/store --worker-id smoke-w2 \
 		--wait-for-store 60 & W2=$$!; \
 	wait $$COORD && wait $$W1 && wait $$W2
 	$(PYTHON) -m repro.cli runs doctor \
-		--store sqlite:$(FABRIC_SMOKE_DIR)/store.db --assert-no-reexecution
+		--store dir:$(FABRIC_SMOKE_DIR)/store --assert-no-reexecution
 	cmp $(FABRIC_SMOKE_DIR)/control.csv $(FABRIC_SMOKE_DIR)/fabric.csv
 	rm -rf $(FABRIC_SMOKE_DIR)
 
 ## System-model smoke: one canned scenario per non-classic model axis,
 ## then one model sweep per execution path — the dir-cached process pool
-## (impersonation) and the sqlite store fabric with a pull-based worker
+## (impersonation) and the directory store fabric with a pull-based worker
 ## (partial synchrony) — so model serialization is exercised through
 ## cache entries and store rows, not just in-process calls. Exit 0
 ## means every run held the properties its model guarantees.
@@ -126,14 +127,14 @@ model-smoke:
 		--workers 2 --cache $(MODEL_SMOKE_DIR)/cache
 	$(PYTHON) -m repro.cli sweep --algorithms floodset --sizes 7:2 \
 		--seeds 0 1 2 3 --model partial-synchrony:rate=0.05,delay=2 \
-		--store sqlite:$(MODEL_SMOKE_DIR)/store.db --coordinator-only \
+		--store dir:$(MODEL_SMOKE_DIR)/store --coordinator-only \
 		& COORD=$$!; \
 	$(PYTHON) -m repro.cli worker \
-		--store sqlite:$(MODEL_SMOKE_DIR)/store.db --worker-id model-w1 \
+		--store dir:$(MODEL_SMOKE_DIR)/store --worker-id model-w1 \
 		--wait-for-store 60 & W1=$$!; \
 	wait $$COORD && wait $$W1
 	$(PYTHON) -m repro.cli runs doctor \
-		--store sqlite:$(MODEL_SMOKE_DIR)/store.db --assert-no-reexecution
+		--store dir:$(MODEL_SMOKE_DIR)/store --assert-no-reexecution
 	rm -rf $(MODEL_SMOKE_DIR)
 
 ## Service smoke: the renaming daemon under real load and a real SIGTERM.

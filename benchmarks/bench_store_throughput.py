@@ -9,8 +9,8 @@ E10 engine-scaling capture is.
 Three measurements, on synthetic no-op cells so the store is the only
 thing timed:
 
-* **claim cycles/s** — full lease lifecycles (claim → finish) through each
-  backend at 10k cells: the fabric's scheduling overhead ceiling. Cells
+* **claim cycles/s** — full lease lifecycles (claim → finish) through the
+  directory store at 10k cells: the fabric's scheduling overhead ceiling. Cells
   that cost less than ``1/rate`` seconds should not go on that store.
 * **streamed rows/s** — coordinator-side decode of an already-complete
   10k-cell store: the read path a resume or a report regeneration pays.
@@ -33,10 +33,7 @@ sys.path.insert(
 )
 
 from repro.analysis.coordinator import Coordinator  # noqa: E402
-from repro.analysis.store import (  # noqa: E402
-    LocalDirStore,
-    SqliteStore,
-)
+from repro.analysis.store import LocalDirStore  # noqa: E402
 from repro.analysis.budget import rss_mb_of  # noqa: E402
 from repro.analysis.worker import RUNNERS, CellRunner  # noqa: E402
 
@@ -60,25 +57,19 @@ RUNNERS.setdefault(
 )
 
 
-def make_store(backend: str, root: Path):
-    if backend == "dir":
-        return LocalDirStore(root / "store")
-    return SqliteStore(root / "store.sqlite")
-
-
-def seeded(backend: str, root: Path, cells: int):
-    store = make_store(backend, root)
+def seeded(root: Path, cells: int) -> LocalDirStore:
+    store = LocalDirStore(root / "store")
     store.seed(
-        kind="synthetic", run_id=f"bench-{backend}", fingerprint="bench",
+        kind="synthetic", run_id="bench-dir", fingerprint="bench",
         cells=[{"cell": i} for i in range(cells)],
     )
     return store
 
 
-def bench_claim_cycles(backend: str, cells: int) -> float:
+def bench_claim_cycles(cells: int) -> float:
     """Full claim→finish lifecycles per second."""
     with tempfile.TemporaryDirectory() as tmp:
-        store = seeded(backend, Path(tmp), cells)
+        store = seeded(Path(tmp), cells)
         start = time.perf_counter()
         while True:
             claim = store.claim("bench")
@@ -91,10 +82,10 @@ def bench_claim_cycles(backend: str, cells: int) -> float:
         return cells / elapsed
 
 
-def bench_stream_rows(backend: str, cells: int) -> float:
+def bench_stream_rows(cells: int) -> float:
     """Coordinator-side decoded rows per second from a complete store."""
     with tempfile.TemporaryDirectory() as tmp:
-        store = seeded(backend, Path(tmp), cells)
+        store = seeded(Path(tmp), cells)
         for index in range(cells):
             store.write_terminal(
                 index, "finished", {"cell": index, "value": index * 3}
@@ -112,14 +103,14 @@ def bench_stream_rows(backend: str, cells: int) -> float:
         return cells / elapsed
 
 
-def bench_bounded_memory(backend: str, cells: int):
+def bench_bounded_memory(cells: int):
     """Stream ``cells`` rows through a running aggregation, sampling RSS.
 
     Returns (rows, aggregate, baseline_mb, peak_growth_mb). The growth is
     the bounded-memory claim: it must not scale with ``cells``.
     """
     with tempfile.TemporaryDirectory() as tmp:
-        store = seeded(backend, Path(tmp), cells)
+        store = seeded(Path(tmp), cells)
         for index in range(cells):
             store.write_terminal(
                 index, "finished", {"cell": index, "value": index * 3}
@@ -149,7 +140,7 @@ def main() -> int:
                         help="grid size for the throughput measurements")
     parser.add_argument("--demo-cells", type=int, default=50_000,
                         help="grid size for the bounded-memory streaming "
-                             "demo (sqlite backend)")
+                             "demo")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="also write the table to PATH")
     args = parser.parse_args()
@@ -161,18 +152,15 @@ def main() -> int:
         "backend  claim cycles/s  streamed rows/s",
         "-------  --------------  ---------------",
     ]
-    for backend in ("dir", "sqlite"):
-        cycles = bench_claim_cycles(backend, args.cells)
-        rows = bench_stream_rows(backend, args.cells)
-        lines.append(f"{backend:7}  {cycles:14.0f}  {rows:15.0f}")
-        print(lines[-1], flush=True)
+    cycles = bench_claim_cycles(args.cells)
+    rows = bench_stream_rows(args.cells)
+    lines.append(f"{'dir':7}  {cycles:14.0f}  {rows:15.0f}")
+    print(lines[-1], flush=True)
 
-    count, total, baseline, growth = bench_bounded_memory(
-        "sqlite", args.demo_cells
-    )
+    count, total, baseline, growth = bench_bounded_memory(args.demo_cells)
     lines += [
         "",
-        f"Bounded-memory streaming demo (sqlite, {count} cells):",
+        f"Bounded-memory streaming demo (dir, {count} cells):",
         f"  aggregate checksum: {total}",
         f"  RSS baseline {baseline:.1f} MB, peak growth +{growth:.1f} MB "
         f"while streaming {count} rows",

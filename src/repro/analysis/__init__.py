@@ -36,8 +36,6 @@ from .envelope import atomic_write_text, canonical_json, config_fingerprint
 from .store import (
     Claim,
     LocalDirStore,
-    ResultStore,
-    SqliteStore,
     open_store,
     store_doctor,
 )
@@ -70,10 +68,8 @@ __all__ = [
     "LocalDirStore",
     "PropertyReport",
     "ResultCache",
-    "ResultStore",
     "RunArchive",
     "RunTask",
-    "SqliteStore",
     "Summary",
     "SweepConfig",
     "SweepExecutor",

@@ -2,7 +2,7 @@
 
 A :class:`Coordinator` owns a store-backed *run*, never the execution: it
 seeds a grid of fingerprinted cells into a
-:class:`~repro.analysis.store.ResultStore`, and then consumes terminal
+:class:`~repro.analysis.store.LocalDirStore`, and then consumes terminal
 records **in cell order** as they land — whoever produced them. Sweeps and
 chaos campaigns reach it through :func:`~repro.analysis.worker.run_cells`
 whenever a store is given. Execution comes from
@@ -53,7 +53,7 @@ from typing import Iterator, List, Optional, Set, Union
 from ..sim.errors import RunInterrupted, StoreError
 from .budget import CellBudget
 from .executor import ResultCache, logger
-from .store import DEFAULT_LEASE_S, ResultStore, open_store
+from .store import DEFAULT_LEASE_S, LocalDirStore, open_store
 from .worker import RUNNERS, CellRunner, CoordinatorStats, Worker
 
 __all__ = ["Coordinator", "CoordinatorStats"]
@@ -62,7 +62,7 @@ __all__ = ["Coordinator", "CoordinatorStats"]
 class Coordinator:
     """Seed a cell grid into a store and stream the results back in order.
 
-    ``store`` is a store URL or a :class:`ResultStore`; ``cache`` a
+    ``store`` is a store URL or a :class:`LocalDirStore`; ``cache`` a
     directory / :class:`~repro.analysis.executor.ResultCache` used both to
     prefill the store with already-memoised sweep cells and to memoise
     freshly finished ones. ``budget``/``retries``/``run_hook`` carry the
@@ -83,7 +83,7 @@ class Coordinator:
         poll_s: float = 0.1,
         coordinator_only: bool = False,
     ) -> None:
-        self.store: ResultStore = open_store(store)
+        self.store: LocalDirStore = open_store(store)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers

@@ -503,7 +503,7 @@ class SweepExecutor:
         misses run in-process (``workers=1``) or in a process pool, a cell
         that raises is retried once and then recorded as an
         :meth:`ExperimentSummary.for_failure` row. ``store`` (a store URL
-        or :class:`~repro.analysis.store.ResultStore`) makes the sweep
+        or :class:`~repro.analysis.store.LocalDirStore`) makes the sweep
         durable on the coordinator/worker fabric instead, optionally under
         a per-cell ``budget``: cells already terminal in the store are
         restored instead of executed (resume), and SIGINT/SIGTERM drains

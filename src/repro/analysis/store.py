@@ -1,6 +1,6 @@
-"""Pluggable result stores: the one durable substrate for sweeps and campaigns.
+"""The result store: the one durable substrate for sweeps and campaigns.
 
-A :class:`ResultStore` is the *only* thing a coordinator and its workers
+A result store is the *only* thing a coordinator and its workers
 share. The coordinator seeds the store with the fingerprinted cell list;
 any number of workers — in-process in the coordinator, subprocesses on the
 same box, or processes on another machine with the store on shared
@@ -12,15 +12,15 @@ is ``--store DIR/<run-id>``) lives in one. The store owns:
   fingerprint (SHA-256 over the expanded cell list,
   :func:`~repro.analysis.envelope.config_fingerprint`), the knobs
   ``runs resume`` needs (cache, budget, timeout) and the full task list.
-  :meth:`ResultStore.seed` is idempotent: re-seeding an existing store
+  :meth:`LocalDirStore.seed` is idempotent: re-seeding an existing store
   verifies the fingerprint and becomes a resume; a mismatch raises
   :class:`~repro.sim.errors.StoreError` instead of splicing two runs.
-* **Leases with heartbeat expiry.** :meth:`ResultStore.claim` hands out
+* **Leases with heartbeat expiry.** :meth:`LocalDirStore.claim` hands out
   the lowest-indexed open cell together with a fresh random token and an
-  expiry timestamp; :meth:`ResultStore.renew` pushes the expiry forward
+  expiry timestamp; :meth:`LocalDirStore.renew` pushes the expiry forward
   while the cell executes. A worker that dies stops renewing; once the
   lease expires any peer's ``claim`` (or the coordinator's
-  :meth:`ResultStore.reclaim_expired`) takes the cell over with the
+  :meth:`LocalDirStore.reclaim_expired`) takes the cell over with the
   attempt counter bumped. A cell whose lease expires ``max_attempts``
   times is recorded as a terminal failure — a poisoned cell must not
   wedge the fabric. Renewing or finishing through a lost lease raises
@@ -40,13 +40,11 @@ is ``--store DIR/<run-id>``) lives in one. The store owns:
   fabric's exactly-once discipline is assertable after the fact, not just
   hoped for.
 
-Two backends ship: :class:`LocalDirStore` (one directory; leases are
-hard-linked into place whole, terminals are atomic-replace JSON files —
-works on any shared filesystem with hard links) and :class:`SqliteStore` (one stdlib sqlite3
-database in WAL mode with ``BEGIN IMMEDIATE`` claim transactions — a
-single file, safe for many processes on one host or one network
-filesystem with real locking). :func:`open_store` maps store URLs
-(``sqlite:PATH`` or a plain directory path) onto them.
+The store is :class:`LocalDirStore`: one directory whose leases are
+hard-linked into place whole and whose terminals are atomic-replace JSON
+files, so it works on any shared filesystem with hard links.
+:func:`open_store` maps a store URL (``dir:PATH`` or a plain directory
+path) onto it.
 
 Test hook: ``REPRO_STORE_CRASH_AFTER=<op>:<count>`` SIGKILLs the process
 immediately after the ``count``-th *durable* store operation of kind
@@ -60,8 +58,6 @@ from __future__ import annotations
 import json
 import os
 import signal
-import sqlite3
-import threading
 import time
 import uuid
 from dataclasses import dataclass
@@ -76,9 +72,7 @@ __all__ = [
     "DEFAULT_LEASE_S",
     "DEFAULT_MAX_ATTEMPTS",
     "LocalDirStore",
-    "ResultStore",
     "STORE_CRASH_HOOK_ENV",
-    "SqliteStore",
     "open_store",
     "store_doctor",
 ]
@@ -128,217 +122,9 @@ def _parse_crash_hook() -> Optional[Tuple[str, int]]:
         ) from None
 
 
-class ResultStore:
-    """Backend interface; see the module docstring for the contract.
-
-    Subclasses implement the storage primitives; the lease/terminal/claim
-    *semantics* (attempt counting, exhaustion, first-terminal-wins,
-    event taxonomy) are part of this interface's contract and are
-    exercised identically for every backend by ``tests/test_store.py``.
-    """
-
-    #: A reconstructible address for this store (``sqlite:path`` or a
-    #: directory path) — what the coordinator hands to subprocess workers.
-    url: str = ""
-
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-
-    def __init__(self) -> None:
-        self._crash_hook = _parse_crash_hook()
-        self._crash_counts: Dict[str, int] = {}
-
-    # ----------------------------------------------------------- lifecycle
-
-    def seed(
-        self,
-        *,
-        kind: str,
-        run_id: str,
-        fingerprint: str,
-        cells: List[dict],
-        config: Optional[dict] = None,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    ) -> None:
-        """Publish the run into the store (idempotent).
-
-        A fresh store records the header and the full task list. An
-        already-seeded store verifies the fingerprint — matching means
-        "resume: keep every terminal record", anything else raises
-        :class:`~repro.sim.errors.StoreError`.
-        """
-        raise NotImplementedError
-
-    def header(self) -> Optional[dict]:
-        """The seeded run header, or ``None`` before :meth:`seed`."""
-        raise NotImplementedError
-
-    def wait_for_header(self, timeout_s: float, poll_s: float = 0.1) -> dict:
-        """Block until the store is seeded (workers may start first)."""
-        deadline = time.monotonic() + timeout_s
-        while True:
-            header = self.header()
-            if header is not None:
-                return header
-            if time.monotonic() >= deadline:
-                raise StoreError(
-                    f"store {self.url or '?'} not seeded within "
-                    f"{timeout_s:g}s — is the coordinator running?"
-                )
-            time.sleep(poll_s)
-
-    def task(self, cell: int) -> dict:
-        """The task dict seeded for ``cell``."""
-        raise NotImplementedError
-
-    @property
-    def cells(self) -> int:
-        header = self.header()
-        return int(header["cells"]) if header else 0
-
-    # -------------------------------------------------------------- leases
-
-    def claim(
-        self, worker: str, lease_s: float = DEFAULT_LEASE_S
-    ) -> Optional[Claim]:
-        """Lease the lowest-indexed open cell, or ``None`` if none is
-        claimable right now (all cells terminal or under live leases).
-
-        An *expired* lease is taken over here (attempt + 1, ``reclaimed``
-        event); an expired lease already at ``max_attempts`` is converted
-        to a terminal ``failed`` record instead (``exhausted`` event).
-        """
-        raise NotImplementedError
-
-    def renew(self, claim: Claim, lease_s: float = DEFAULT_LEASE_S) -> Claim:
-        """Push ``claim``'s expiry forward; raises
-        :class:`~repro.sim.errors.LeaseLost` if the lease was taken over."""
-        raise NotImplementedError
-
-    # ----------------------------------------------------------- terminals
-
-    def finish(self, claim: Claim, payload: dict) -> bool:
-        """Record ``claim``'s cell as finished; first terminal wins.
-
-        Returns ``True`` when this call wrote the terminal record,
-        ``False`` when the cell already had one (recorded as a
-        ``double-execution`` event — the caller's result is discarded).
-        Raises :class:`~repro.sim.errors.LeaseLost` when the lease token
-        is no longer ours (recorded as a ``stale-result`` event).
-        """
-        return self._terminal_from_claim(claim, "finished", payload, None)
-
-    def fail(
-        self, claim: Claim, payload: Optional[dict], *, reason: str = "crashed"
-    ) -> bool:
-        """Record a deterministic failure row (retry already exhausted)."""
-        return self._terminal_from_claim(claim, "failed", payload, reason)
-
-    def quarantine(
-        self, claim: Claim, payload: Optional[dict], *, reason: str
-    ) -> bool:
-        """Record a budget kill / hang: triaged first by the doctor."""
-        return self._terminal_from_claim(claim, "quarantined", payload, reason)
-
-    def _terminal_from_claim(
-        self, claim: Claim, state: str, payload: Optional[dict],
-        reason: Optional[str],
-    ) -> bool:
-        raise NotImplementedError
-
-    def write_terminal(
-        self, cell: int, state: str, payload: Optional[dict],
-        *, reason: Optional[str] = None, attempt: int = 0,
-    ) -> bool:
-        """Coordinator-side terminal write (cache prefill, exhaustion) —
-        no lease involved. First terminal still wins."""
-        raise NotImplementedError
-
-    def terminal(self, cell: int) -> Optional[dict]:
-        """``{"state", "reason", "payload", "attempt"}`` or ``None``.
-
-        A present-but-corrupt terminal record (torn write on a backend
-        without atomic replace, tampering) is dropped with a
-        ``torn-result`` event and reported as ``None`` — the cell is
-        simply re-executable, mirroring the cache's logged-miss policy.
-        """
-        raise NotImplementedError
-
-    def reclaim_expired(self) -> List[int]:
-        """Release every expired lease (coordinator policing); returns the
-        reclaimed cell indices. Exhausted cells become terminal failures."""
-        raise NotImplementedError
-
-    def counts(self) -> Dict[str, int]:
-        """Cell accounting: total/finished/failed/quarantined/leased/pending."""
-        raise NotImplementedError
-
-    @property
-    def complete(self) -> bool:
-        counts = self.counts()
-        terminal = (
-            counts["finished"] + counts["failed"] + counts["quarantined"]
-        )
-        return counts["cells"] > 0 and terminal >= counts["cells"]
-
-    # ---------------------------------------------------------------- memo
-
-    def load_memo(
-        self, key: str, *, schema: int, body_key: str = "summary"
-    ) -> Optional[dict]:
-        """Verified memo body for ``key``; ``None`` when absent. Raises
-        ``ValueError`` for a present-but-unusable entry (caller logs)."""
-        raise NotImplementedError
-
-    def store_memo(
-        self, key: str, body: dict, *, schema: int, body_key: str = "summary"
-    ) -> None:
-        raise NotImplementedError
-
-    # -------------------------------------------------------------- events
-
-    def record_event(self, event: str, **data) -> None:
-        raise NotImplementedError
-
-    def events(self) -> List[dict]:
-        raise NotImplementedError
-
-    def events_since(self, cursor) -> Tuple[List[dict], object]:
-        """Events appended after ``cursor`` (an opaque position from a
-        previous call; ``None`` means from the start) plus the new cursor.
-        The coordinator polls this instead of re-reading the whole log."""
-        raise NotImplementedError
-
-    def truncate_torn_events(self) -> int:
-        """Cut a torn final event (an append killed mid-write) off the log
-        and return the bytes dropped. Later appends would otherwise glue
-        onto the torn bytes and hide every event after them; resuming a
-        run and ``runs doctor`` both repair this way."""
-        return 0
-
-    # ----------------------------------------------------------- internals
-
-    def _new_token(self) -> str:
-        return uuid.uuid4().hex
-
-    def _hook(self, op: str) -> None:
-        """The deterministic SIGKILL test hook (see module docstring)."""
-        if self._crash_hook is None:
-            return
-        hook_op, hook_count = self._crash_hook
-        if op != hook_op:
-            return
-        count = self._crash_counts.get(op, 0) + 1
-        self._crash_counts[op] = count
-        if count >= hook_count:
-            os.kill(os.getpid(), signal.SIGKILL)
-
-
-# --------------------------------------------------------------------------
-# Local-directory backend
-
-
-class LocalDirStore(ResultStore):
-    """One directory; every primitive is a POSIX filesystem operation.
+class LocalDirStore:
+    """The result store: one directory, every primitive a POSIX
+    filesystem operation. See the module docstring for the contract.
 
     Layout::
 
@@ -362,12 +148,22 @@ class LocalDirStore(ResultStore):
     the first durable terminal record still wins.
     """
 
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS
+
     def __init__(
         self, root: Union[str, Path], *, memo_subdir: str = "memo"
     ) -> None:
-        super().__init__()
+        self._crash_hook = _parse_crash_hook()
+        self._crash_counts: Dict[str, int] = {}
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise StoreError(
+                f"store path {self.root} exists and is not a directory"
+            ) from None
+        #: A reconstructible address for this store — what the
+        #: coordinator hands to subprocess workers.
         self.url = str(self.root)
         self._memo_root = self.root / memo_subdir if memo_subdir else self.root
         self._leases = self.root / "leases"
@@ -382,9 +178,22 @@ class LocalDirStore(ResultStore):
     # ----------------------------------------------------------- lifecycle
 
     def seed(
-        self, *, kind, run_id, fingerprint, cells, config=None,
-        max_attempts=DEFAULT_MAX_ATTEMPTS,
+        self,
+        *,
+        kind: str,
+        run_id: str,
+        fingerprint: str,
+        cells: List[dict],
+        config: Optional[dict] = None,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ) -> None:
+        """Publish the run into the store (idempotent).
+
+        A fresh store records the header and the full task list. An
+        already-seeded store verifies the fingerprint — matching means
+        "resume: keep every terminal record", anything else raises
+        :class:`~repro.sim.errors.StoreError`.
+        """
         existing = self.header()
         if existing is not None:
             if existing.get("fingerprint") != fingerprint:
@@ -422,6 +231,7 @@ class LocalDirStore(ResultStore):
         self.max_attempts = max_attempts
 
     def header(self) -> Optional[dict]:
+        """The seeded run header, or ``None`` before :meth:`seed`."""
         if self._header is not None:
             return self._header
         path = self.root / "header.json"
@@ -439,7 +249,22 @@ class LocalDirStore(ResultStore):
         self.max_attempts = int(header.get("max_attempts", DEFAULT_MAX_ATTEMPTS))
         return header
 
+    def wait_for_header(self, timeout_s: float, poll_s: float = 0.1) -> dict:
+        """Block until the store is seeded (workers may start first)."""
+        deadline = time.monotonic() + timeout_s
+        while True:
+            header = self.header()
+            if header is not None:
+                return header
+            if time.monotonic() >= deadline:
+                raise StoreError(
+                    f"store {self.url} not seeded within "
+                    f"{timeout_s:g}s — is the coordinator running?"
+                )
+            time.sleep(poll_s)
+
     def task(self, cell: int) -> dict:
+        """The task dict seeded for ``cell``."""
         if self._tasks is None:
             path = self.root / "tasks.json"
             try:
@@ -448,6 +273,11 @@ class LocalDirStore(ResultStore):
             except (OSError, ValueError, KeyError) as exc:
                 raise StoreError(f"unreadable task list {path}: {exc}") from None
         return self._tasks[cell]
+
+    @property
+    def cells(self) -> int:
+        header = self.header()
+        return int(header["cells"]) if header else 0
 
     # -------------------------------------------------------------- leases
 
@@ -498,7 +328,29 @@ class LocalDirStore(ResultStore):
         current = self._read_lease(cell)
         return bool(current) and current.get("token") == body["token"]
 
-    def claim(self, worker, lease_s=DEFAULT_LEASE_S):
+    def _finished_under_us(self, cell: int) -> bool:
+        """Re-probe a cell whose lease we just won; give the lease back if
+        it is terminal. A peer writes its terminal record *before* it
+        unlinks its lease, so a peer that finished between our first probe
+        and our lease read is always visible here."""
+        if self.terminal(cell) is None:
+            return False
+        try:
+            os.unlink(self._lease_path(cell))
+        except OSError:
+            pass
+        return True
+
+    def claim(
+        self, worker: str, lease_s: float = DEFAULT_LEASE_S
+    ) -> Optional[Claim]:
+        """Lease the lowest-indexed open cell, or ``None`` if none is
+        claimable right now (all cells terminal or under live leases).
+
+        An *expired* lease is taken over here (attempt + 1, ``reclaimed``
+        event); an expired lease already at ``max_attempts`` is converted
+        to a terminal ``failed`` record instead (``exhausted`` event).
+        """
         header = self.header()
         if header is None:
             return None
@@ -519,6 +371,8 @@ class LocalDirStore(ResultStore):
                 if not self._write_lease_excl(cell, body):
                     self.record_event("claim-race", cell=cell, worker=worker)
                     continue
+                if self._finished_under_us(cell):
+                    continue
                 claim = self._claim_from(cell, body)
                 self.record_event("claimed", cell=cell, worker=worker,
                                   attempt=1)
@@ -536,6 +390,8 @@ class LocalDirStore(ResultStore):
             }
             if not self._takeover_lease(cell, body):
                 self.record_event("claim-race", cell=cell, worker=worker)
+                continue
+            if self._finished_under_us(cell):
                 continue
             self.record_event(
                 "reclaimed", cell=cell, worker=worker,
@@ -567,7 +423,9 @@ class LocalDirStore(ResultStore):
         except OSError:
             pass
 
-    def renew(self, claim, lease_s=DEFAULT_LEASE_S):
+    def renew(self, claim: Claim, lease_s: float = DEFAULT_LEASE_S) -> Claim:
+        """Push ``claim``'s expiry forward; raises
+        :class:`~repro.sim.errors.LeaseLost` if the lease was taken over."""
         lease = self._read_lease(claim.cell)
         if lease is None or lease.get("token") != claim.token:
             raise LeaseLost(
@@ -587,10 +445,40 @@ class LocalDirStore(ResultStore):
 
     # ----------------------------------------------------------- terminals
 
+    def finish(self, claim: Claim, payload: dict) -> bool:
+        """Record ``claim``'s cell as finished; first terminal wins.
+
+        Returns ``True`` when this call wrote the terminal record,
+        ``False`` when the cell already had one (recorded as a
+        ``double-execution`` event — the caller's result is discarded).
+        Raises :class:`~repro.sim.errors.LeaseLost` when the lease token
+        is no longer ours (recorded as a ``stale-result`` event).
+        """
+        return self._terminal_from_claim(claim, "finished", payload, None)
+
+    def fail(
+        self, claim: Claim, payload: Optional[dict], *, reason: str = "crashed"
+    ) -> bool:
+        """Record a deterministic failure row (retry already exhausted)."""
+        return self._terminal_from_claim(claim, "failed", payload, reason)
+
+    def quarantine(
+        self, claim: Claim, payload: Optional[dict], *, reason: str
+    ) -> bool:
+        """Record a budget kill / hang: triaged first by the doctor."""
+        return self._terminal_from_claim(claim, "quarantined", payload, reason)
+
     def _terminal_path(self, cell: int) -> Path:
         return self._terminal / f"{cell}.json"
 
     def terminal(self, cell: int) -> Optional[dict]:
+        """``{"state", "reason", "payload", "attempt"}`` or ``None``.
+
+        A present-but-corrupt terminal record (torn write, tampering) is
+        dropped with a ``torn-result`` event and reported as ``None`` —
+        the cell is simply re-executable, mirroring the cache's
+        logged-miss policy.
+        """
         path = self._terminal_path(cell)
         try:
             payload = json.loads(path.read_text())
@@ -610,7 +498,10 @@ class LocalDirStore(ResultStore):
                 pass
             return None
 
-    def _terminal_from_claim(self, claim, state, payload, reason):
+    def _terminal_from_claim(
+        self, claim: Claim, state: str, payload: Optional[dict],
+        reason: Optional[str],
+    ) -> bool:
         lease = self._read_lease(claim.cell)
         if lease is None or lease.get("token") != claim.token:
             self.record_event(
@@ -621,6 +512,8 @@ class LocalDirStore(ResultStore):
                 f"result for cell {claim.cell} refused: lease was taken "
                 f"over (the cell will be / was re-executed elsewhere)"
             )
+        # Terminal first, then the lease: a peer that wins a lease on this
+        # cell after the unlink re-probes and sees the terminal record.
         wrote = self.write_terminal(
             claim.cell, state, payload, reason=reason, attempt=claim.attempt,
             worker=claim.worker,
@@ -634,8 +527,12 @@ class LocalDirStore(ResultStore):
         return wrote
 
     def write_terminal(
-        self, cell, state, payload, *, reason=None, attempt=0, worker=None,
-    ):
+        self, cell: int, state: str, payload: Optional[dict],
+        *, reason: Optional[str] = None, attempt: int = 0,
+        worker: Optional[str] = None,
+    ) -> bool:
+        """Coordinator-side terminal write (cache prefill, exhaustion) —
+        no lease involved. First terminal still wins."""
         if state not in TERMINAL_STATES:
             raise StoreError(f"unknown terminal state {state!r}")
         if self.terminal(cell) is not None:
@@ -655,7 +552,9 @@ class LocalDirStore(ResultStore):
         self.record_event(state, cell=cell, worker=worker, attempt=attempt)
         return True
 
-    def reclaim_expired(self):
+    def reclaim_expired(self) -> List[int]:
+        """Release every expired lease (coordinator policing); returns the
+        reclaimed cell indices. Exhausted cells become terminal failures."""
         reclaimed: List[int] = []
         now = time.time()
         if not self._leases.is_dir():
@@ -690,7 +589,8 @@ class LocalDirStore(ResultStore):
             reclaimed.append(cell)
         return reclaimed
 
-    def counts(self):
+    def counts(self) -> Dict[str, int]:
+        """Cell accounting: total/finished/failed/quarantined/leased/pending."""
         header = self.header()
         n = int(header["cells"]) if header else 0
         out = {"cells": n, "finished": 0, "failed": 0, "quarantined": 0,
@@ -708,12 +608,24 @@ class LocalDirStore(ResultStore):
                 out["pending"] += 1
         return out
 
+    @property
+    def complete(self) -> bool:
+        counts = self.counts()
+        terminal = (
+            counts["finished"] + counts["failed"] + counts["quarantined"]
+        )
+        return counts["cells"] > 0 and terminal >= counts["cells"]
+
     # ---------------------------------------------------------------- memo
 
     def _memo_path(self, key: str) -> Path:
         return self._memo_root / f"{key}.json"
 
-    def load_memo(self, key, *, schema, body_key="summary"):
+    def load_memo(
+        self, key: str, *, schema: int, body_key: str = "summary"
+    ) -> Optional[dict]:
+        """Verified memo body for ``key``; ``None`` when absent. Raises
+        ``ValueError`` for a present-but-unusable entry (caller logs)."""
         try:
             text = self._memo_path(key).read_text()
         except OSError:
@@ -721,7 +633,9 @@ class LocalDirStore(ResultStore):
         payload = json.loads(text)  # ValueError propagates: logged by caller
         return unseal(payload, schema=schema, body_key=body_key)
 
-    def store_memo(self, key, body, *, schema, body_key="summary"):
+    def store_memo(
+        self, key: str, body: dict, *, schema: int, body_key: str = "summary"
+    ) -> None:
         self._memo_root.mkdir(parents=True, exist_ok=True)
         # seal()'s field order matches the pre-fabric ResultCache files, so
         # existing caches stay byte-identical and readable both ways.
@@ -732,17 +646,20 @@ class LocalDirStore(ResultStore):
 
     # -------------------------------------------------------------- events
 
-    def record_event(self, event, **data):
+    def record_event(self, event: str, **data) -> None:
         line = canonical({"event": event, "at": time.time(), **data})
         with open(self._events_path, "a") as handle:
             handle.write(line + "\n")
             handle.flush()
             os.fsync(handle.fileno())
 
-    def events(self):
+    def events(self) -> List[dict]:
         return self.events_since(None)[0]
 
-    def events_since(self, cursor):
+    def events_since(self, cursor: Optional[int]) -> Tuple[List[dict], int]:
+        """Events appended after ``cursor`` (a byte offset from a previous
+        call; ``None`` means from the start) plus the new cursor. The
+        coordinator polls this instead of re-reading the whole log."""
         offset = int(cursor or 0)
         try:
             with open(self._events_path, "rb") as handle:
@@ -762,7 +679,11 @@ class LocalDirStore(ResultStore):
             consumed += len(line) + 1
         return out, offset + consumed
 
-    def truncate_torn_events(self):
+    def truncate_torn_events(self) -> int:
+        """Cut a torn final event (an append killed mid-write) off the log
+        and return the bytes dropped. Later appends would otherwise glue
+        onto the torn bytes and hide every event after them; resuming a
+        run and ``runs doctor`` both repair this way."""
         try:
             raw = self._events_path.read_bytes()
         except OSError:
@@ -784,443 +705,22 @@ class LocalDirStore(ResultStore):
                 continue
             yield lease
 
+    # ----------------------------------------------------------- internals
 
-# --------------------------------------------------------------------------
-# Sqlite backend
+    def _new_token(self) -> str:
+        return uuid.uuid4().hex
 
-
-class SqliteStore(ResultStore):
-    """One stdlib sqlite3 database; claims are ``BEGIN IMMEDIATE``
-    transactions, so the test-and-set the directory backend builds from
-    ``O_CREAT|O_EXCL`` comes for free from the write lock.
-
-    WAL mode keeps readers (the coordinator streaming results) off the
-    writers' lock; ``synchronous=FULL`` keeps the
-    durable-before-act discipline. Connections are per-thread *and*
-    per-process (a worker's lease-renewal thread gets its own, and a
-    connection never crosses a fork boundary); workers in other processes
-    open their own instance against the same path (that is the point).
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        super().__init__()
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.url = f"sqlite:{self.path}"
-        self._local = threading.local()
-        self._ensure_schema()
-
-    def _connection(self) -> sqlite3.Connection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None or getattr(self._local, "pid", None) != os.getpid():
-            conn = sqlite3.connect(
-                str(self.path), timeout=30.0, isolation_level=None
-            )
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=FULL")
-            conn.execute("PRAGMA busy_timeout=30000")
-            self._local.conn = conn
-            self._local.pid = os.getpid()
-        return conn
-
-    def _ensure_schema(self) -> None:
-        conn = self._connection()
-        conn.executescript(
-            """
-            CREATE TABLE IF NOT EXISTS meta (
-                key TEXT PRIMARY KEY, value TEXT NOT NULL);
-            CREATE TABLE IF NOT EXISTS cells (
-                idx INTEGER PRIMARY KEY,
-                task TEXT NOT NULL,
-                state TEXT NOT NULL DEFAULT 'pending',
-                payload TEXT,
-                reason TEXT,
-                attempt INTEGER NOT NULL DEFAULT 0,
-                worker TEXT,
-                token TEXT,
-                expires_at REAL);
-            CREATE TABLE IF NOT EXISTS memo (
-                key TEXT PRIMARY KEY, payload TEXT NOT NULL);
-            CREATE TABLE IF NOT EXISTS events (
-                seq INTEGER PRIMARY KEY AUTOINCREMENT,
-                body TEXT NOT NULL);
-            """
-        )
-
-    # ----------------------------------------------------------- lifecycle
-
-    def seed(
-        self, *, kind, run_id, fingerprint, cells, config=None,
-        max_attempts=DEFAULT_MAX_ATTEMPTS,
-    ) -> None:
-        conn = self._connection()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            row = conn.execute(
-                "SELECT value FROM meta WHERE key='header'"
-            ).fetchone()
-            if row is not None:
-                existing = json.loads(row[0])
-                if existing.get("fingerprint") != fingerprint:
-                    raise StoreError(
-                        f"store {self.url} holds run "
-                        f"{existing.get('run_id')!r} with a different "
-                        f"config fingerprint — refusing to mix two runs"
-                    )
-                conn.execute("COMMIT")
-                self.max_attempts = int(
-                    existing.get("max_attempts", DEFAULT_MAX_ATTEMPTS)
-                )
-                return
-            header = {
-                "schema": STORE_SCHEMA, "kind": kind, "run_id": run_id,
-                "fingerprint": fingerprint, "cells": len(cells),
-                "config": config, "max_attempts": max_attempts,
-            }
-            conn.executemany(
-                "INSERT INTO cells (idx, task) VALUES (?, ?)",
-                [(i, canonical(task)) for i, task in enumerate(cells)],
-            )
-            conn.execute(
-                "INSERT INTO meta (key, value) VALUES ('header', ?)",
-                (canonical(header),),
-            )
-            conn.execute("COMMIT")
-        except BaseException:
-            try:
-                conn.execute("ROLLBACK")
-            except sqlite3.Error:
-                pass
-            raise
-        self.max_attempts = max_attempts
-
-    def header(self):
-        row = self._connection().execute(
-            "SELECT value FROM meta WHERE key='header'"
-        ).fetchone()
-        if row is None:
-            return None
-        header = json.loads(row[0])
-        self.max_attempts = int(
-            header.get("max_attempts", DEFAULT_MAX_ATTEMPTS)
-        )
-        return header
-
-    def task(self, cell):
-        row = self._connection().execute(
-            "SELECT task FROM cells WHERE idx=?", (cell,)
-        ).fetchone()
-        if row is None:
-            raise StoreError(f"store {self.url} has no cell {cell}")
-        return json.loads(row[0])
-
-    # -------------------------------------------------------------- leases
-
-    def claim(self, worker, lease_s=DEFAULT_LEASE_S):
-        conn = self._connection()
-        while True:
-            now = time.time()
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                row = conn.execute(
-                    "SELECT idx, task, state, attempt, worker FROM cells "
-                    "WHERE state='pending' "
-                    "   OR (state='leased' AND expires_at <= ?) "
-                    "ORDER BY idx LIMIT 1",
-                    (now,),
-                ).fetchone()
-                if row is None:
-                    conn.execute("COMMIT")
-                    return None
-                idx, task_text, state, attempt, previous = row
-                if state == "leased" and attempt >= self.max_attempts:
-                    reason = (
-                        f"lease expired {attempt} time(s); attempts exhausted"
-                    )
-                    conn.execute(
-                        "UPDATE cells SET state='failed', payload=NULL, "
-                        "reason=?, worker=NULL, token=NULL, expires_at=NULL "
-                        "WHERE idx=?",
-                        (reason, idx),
-                    )
-                    self._event(conn, "exhausted", cell=idx, attempt=attempt)
-                    self._event(conn, "failed", cell=idx, worker=None,
-                                attempt=attempt)
-                    conn.execute("COMMIT")
-                    continue
-                token = self._new_token()
-                next_attempt = attempt + 1
-                conn.execute(
-                    "UPDATE cells SET state='leased', worker=?, token=?, "
-                    "attempt=?, expires_at=? WHERE idx=?",
-                    (worker, token, next_attempt, now + lease_s, idx),
-                )
-                if state == "leased":
-                    self._event(conn, "reclaimed", cell=idx, worker=worker,
-                                previous=previous, attempt=next_attempt)
-                else:
-                    self._event(conn, "claimed", cell=idx, worker=worker,
-                                attempt=next_attempt)
-                conn.execute("COMMIT")
-            except BaseException:
-                try:
-                    conn.execute("ROLLBACK")
-                except sqlite3.Error:
-                    pass
-                raise
-            claim = Claim(
-                cell=idx, task=json.loads(task_text), attempt=next_attempt,
-                worker=worker, token=token, expires_at=now + lease_s,
-            )
-            self._hook("claim")
-            return claim
-
-    def renew(self, claim, lease_s=DEFAULT_LEASE_S):
-        conn = self._connection()
-        expires = time.time() + lease_s
-        cursor = conn.execute(
-            "UPDATE cells SET expires_at=? "
-            "WHERE idx=? AND state='leased' AND token=?",
-            (expires, claim.cell, claim.token),
-        )
-        if cursor.rowcount != 1:
-            raise LeaseLost(
-                f"lease on cell {claim.cell} no longer held by "
-                f"{claim.worker!r} (taken over after expiry)"
-            )
-        return Claim(
-            cell=claim.cell, task=claim.task, attempt=claim.attempt,
-            worker=claim.worker, token=claim.token, expires_at=expires,
-        )
-
-    # ----------------------------------------------------------- terminals
-
-    def _terminal_from_claim(self, claim, state, payload, reason):
-        conn = self._connection()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            row = conn.execute(
-                "SELECT state, token FROM cells WHERE idx=?", (claim.cell,)
-            ).fetchone()
-            if row is None:
-                conn.execute("COMMIT")
-                raise StoreError(f"store {self.url} has no cell {claim.cell}")
-            current_state, token = row
-            if current_state in TERMINAL_STATES:
-                self._event(conn, "double-execution", cell=claim.cell,
-                            worker=claim.worker, state=state)
-                conn.execute("COMMIT")
-                return False
-            if token != claim.token:
-                self._event(conn, "stale-result", cell=claim.cell,
-                            worker=claim.worker, state=state)
-                conn.execute("COMMIT")
-                raise LeaseLost(
-                    f"result for cell {claim.cell} refused: lease was "
-                    f"taken over (the cell will be / was re-executed "
-                    f"elsewhere)"
-                )
-            self._write_terminal_locked(
-                conn, claim.cell, state, payload, reason, claim.attempt,
-                claim.worker,
-            )
-            conn.execute("COMMIT")
-        except BaseException:
-            try:
-                conn.execute("ROLLBACK")
-            except sqlite3.Error:
-                pass
-            raise
-        self._hook("finish")
-        return True
-
-    def write_terminal(
-        self, cell, state, payload, *, reason=None, attempt=0, worker=None,
-    ):
-        if state not in TERMINAL_STATES:
-            raise StoreError(f"unknown terminal state {state!r}")
-        conn = self._connection()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            row = conn.execute(
-                "SELECT state FROM cells WHERE idx=?", (cell,)
-            ).fetchone()
-            if row is not None and row[0] in TERMINAL_STATES:
-                self._event(conn, "double-execution", cell=cell,
-                            worker=worker, state=state)
-                conn.execute("COMMIT")
-                return False
-            self._write_terminal_locked(
-                conn, cell, state, payload, reason, attempt, worker
-            )
-            conn.execute("COMMIT")
-        except BaseException:
-            try:
-                conn.execute("ROLLBACK")
-            except sqlite3.Error:
-                pass
-            raise
-        return True
-
-    def _write_terminal_locked(
-        self, conn, cell, state, payload, reason, attempt, worker
-    ) -> None:
-        sealed = (
-            canonical(seal(payload, schema=STORE_SCHEMA))
-            if payload is not None else None
-        )
-        conn.execute(
-            "UPDATE cells SET state=?, payload=?, reason=?, worker=?, "
-            "token=NULL, expires_at=NULL, attempt=? WHERE idx=?",
-            (state, sealed, reason, worker, attempt, cell),
-        )
-        self._event(conn, state, cell=cell, worker=worker, attempt=attempt)
-
-    def terminal(self, cell):
-        row = self._connection().execute(
-            "SELECT state, payload, reason, attempt FROM cells WHERE idx=?",
-            (cell,),
-        ).fetchone()
-        if row is None or row[0] not in TERMINAL_STATES:
-            return None
-        state, payload_text, reason, attempt = row
-        payload = None
-        if payload_text is not None:
-            try:
-                payload = unseal(
-                    json.loads(payload_text), schema=STORE_SCHEMA
-                )
-            except (ValueError, KeyError):
-                # Tampered/corrupt payload: drop the record, re-execute.
-                self.record_event("torn-result", cell=cell)
-                conn = self._connection()
-                conn.execute(
-                    "UPDATE cells SET state='pending', payload=NULL, "
-                    "reason=NULL, worker=NULL, token=NULL, expires_at=NULL "
-                    "WHERE idx=?",
-                    (cell,),
-                )
-                return None
-        return {"state": state, "reason": reason, "payload": payload,
-                "attempt": attempt}
-
-    def reclaim_expired(self):
-        conn = self._connection()
-        reclaimed: List[int] = []
-        now = time.time()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            rows = conn.execute(
-                "SELECT idx, attempt, worker FROM cells "
-                "WHERE state='leased' AND expires_at <= ? ORDER BY idx",
-                (now,),
-            ).fetchall()
-            for idx, attempt, previous in rows:
-                if attempt >= self.max_attempts:
-                    reason = (
-                        f"lease expired {attempt} time(s); attempts exhausted"
-                    )
-                    conn.execute(
-                        "UPDATE cells SET state='failed', payload=NULL, "
-                        "reason=?, worker=NULL, token=NULL, expires_at=NULL "
-                        "WHERE idx=?",
-                        (reason, idx),
-                    )
-                    self._event(conn, "exhausted", cell=idx, attempt=attempt)
-                    self._event(conn, "failed", cell=idx, worker=None,
-                                attempt=attempt)
-                else:
-                    conn.execute(
-                        "UPDATE cells SET state='pending', worker=NULL, "
-                        "token=NULL, expires_at=NULL WHERE idx=?",
-                        (idx,),
-                    )
-                    self._event(conn, "reclaimed", cell=idx, worker=None,
-                                previous=previous, attempt=attempt)
-                    reclaimed.append(idx)
-            conn.execute("COMMIT")
-        except BaseException:
-            try:
-                conn.execute("ROLLBACK")
-            except sqlite3.Error:
-                pass
-            raise
-        return reclaimed
-
-    def counts(self):
-        conn = self._connection()
-        now = time.time()
-        out = {"cells": 0, "finished": 0, "failed": 0, "quarantined": 0,
-               "leased": 0, "pending": 0}
-        for state, live, count in conn.execute(
-            "SELECT state, "
-            "  CASE WHEN state='leased' AND expires_at > ? THEN 1 ELSE 0 END, "
-            "  COUNT(*) FROM cells GROUP BY 1, 2",
-            (now,),
-        ):
-            out["cells"] += count
-            if state in TERMINAL_STATES:
-                out[state] += count
-            elif state == "leased" and live:
-                out["leased"] += count
-            else:
-                out["pending"] += count  # pending, or leased-but-expired
-        return out
-
-    # ---------------------------------------------------------------- memo
-
-    def load_memo(self, key, *, schema, body_key="summary"):
-        row = self._connection().execute(
-            "SELECT payload FROM memo WHERE key=?", (key,)
-        ).fetchone()
-        if row is None:
-            return None
-        payload = json.loads(row[0])  # ValueError propagates: caller logs
-        return unseal(payload, schema=schema, body_key=body_key)
-
-    def store_memo(self, key, body, *, schema, body_key="summary"):
-        self._connection().execute(
-            "INSERT OR REPLACE INTO memo (key, payload) VALUES (?, ?)",
-            (key, json.dumps(seal(body, schema=schema, body_key=body_key))),
-        )
-
-    # -------------------------------------------------------------- events
-
-    def _event(self, conn, event: str, **data) -> None:
-        conn.execute(
-            "INSERT INTO events (body) VALUES (?)",
-            (canonical({"event": event, "at": time.time(), **data}),),
-        )
-
-    def record_event(self, event, **data):
-        self._event(self._connection(), event, **data)
-
-    def events(self):
-        return self.events_since(None)[0]
-
-    def events_since(self, cursor):
-        last = int(cursor or 0)
-        rows = self._connection().execute(
-            "SELECT seq, body FROM events WHERE seq > ? ORDER BY seq",
-            (last,),
-        ).fetchall()
-        if rows:
-            last = rows[-1][0]
-        return [json.loads(body) for _, body in rows], last
-
-    def live_leases(self) -> Iterator[dict]:
-        for idx, worker, attempt, expires_at in self._connection().execute(
-            "SELECT idx, worker, attempt, expires_at FROM cells "
-            "WHERE state='leased' ORDER BY idx"
-        ):
-            yield {"cell": idx, "worker": worker, "attempt": attempt,
-                   "expires_at": expires_at}
-
-    def close(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None and getattr(self._local, "pid", None) == os.getpid():
-            conn.close()
-        self._local.conn = None
+    def _hook(self, op: str) -> None:
+        """The deterministic SIGKILL test hook (see module docstring)."""
+        if self._crash_hook is None:
+            return
+        hook_op, hook_count = self._crash_hook
+        if op != hook_op:
+            return
+        count = self._crash_counts.get(op, 0) + 1
+        self._crash_counts[op] = count
+        if count >= hook_count:
+            os.kill(os.getpid(), signal.SIGKILL)
 
 
 # --------------------------------------------------------------------------
@@ -1228,24 +728,27 @@ class SqliteStore(ResultStore):
 
 
 def open_store(
-    spec: Union[str, Path, ResultStore], *, memo_subdir: str = "memo"
-) -> ResultStore:
-    """Resolve a store URL: ``sqlite:PATH`` (or a ``.sqlite``/``.db``
-    path) opens a :class:`SqliteStore`; ``dir:PATH`` or any other path
-    opens a :class:`LocalDirStore` on that directory."""
-    if isinstance(spec, ResultStore):
+    spec: Union[str, Path, LocalDirStore], *, memo_subdir: str = "memo"
+) -> LocalDirStore:
+    """Resolve a store URL — ``dir:PATH`` or a plain directory path — to a
+    :class:`LocalDirStore`; an instance passes through. A ``sqlite:`` URL
+    names the removed database backend and raises
+    :class:`~repro.sim.errors.StoreError`, as does a path that exists but
+    is not a directory."""
+    if isinstance(spec, LocalDirStore):
         return spec
     text = str(spec)
     if text.startswith("sqlite:"):
-        return SqliteStore(text[len("sqlite:"):])
+        raise StoreError(
+            f"unsupported store URL {text!r}: the sqlite backend was "
+            f"removed; use a directory (dir:PATH or a plain path)"
+        )
     if text.startswith("dir:"):
-        return LocalDirStore(text[len("dir:"):], memo_subdir=memo_subdir)
-    if text.endswith((".sqlite", ".sqlite3", ".db")):
-        return SqliteStore(text)
+        text = text[len("dir:"):]
     return LocalDirStore(text, memo_subdir=memo_subdir)
 
 
-def store_doctor(store: ResultStore) -> dict:
+def store_doctor(store: LocalDirStore) -> dict:
     """Triage a store: lease health plus the exactly-once invariants.
 
     ``double_executions`` lists cells where a *terminal* record already

@@ -83,7 +83,7 @@ def run_sweep(
     way, so the two paths produce identical tables and CSVs. ``cache`` (a
     directory or :class:`ResultCache`) skips configurations whose summaries
     are already on disk. ``store`` (a store URL or
-    :class:`~repro.analysis.store.ResultStore`) runs the grid on the
+    :class:`~repro.analysis.store.LocalDirStore`) runs the grid on the
     coordinator/worker fabric instead of a process pool — same rows, same
     order. See :class:`repro.analysis.executor.SweepExecutor`.
     """

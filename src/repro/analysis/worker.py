@@ -14,7 +14,7 @@ module owns how a cell runs, whoever asked for it:
   otherwise (with a hang window when a timeout is given), or handed to a
   :class:`~repro.analysis.coordinator.Coordinator` when a store is given.
 * :class:`Worker` — the pull loop over a
-  :class:`~repro.analysis.store.ResultStore`: claim the lowest-indexed
+  :class:`~repro.analysis.store.LocalDirStore`: claim the lowest-indexed
   open cell, run it through :func:`attempt_cell`, write the terminal
   record, until the store is complete. A worker can be an in-process call
   inside the coordinator, a subprocess it spawns, or a ``repro-renaming
@@ -61,7 +61,7 @@ from .budget import CellBudget, budget_breach
 from .campaign import ChaosOutcome, ChaosTask, execute_chaos_task
 from .envelope import config_fingerprint
 from .executor import ExperimentSummary, RunTask, execute_task, logger
-from .store import Claim, DEFAULT_LEASE_S, ResultStore, open_store
+from .store import Claim, DEFAULT_LEASE_S, LocalDirStore, open_store
 
 __all__ = [
     "CellRunner",
@@ -300,7 +300,7 @@ def run_cells(
     ``wall-budget`` and the pool is torn down. ``run_hook`` sees every task
     before execution starts.
 
-    With a ``store`` (URL or :class:`ResultStore`) the grid is handed to a
+    With a ``store`` (URL or :class:`LocalDirStore`) the grid is handed to a
     :class:`~repro.analysis.coordinator.Coordinator`, which also applies
     ``cache``, ``budget``, ``coordinator_only``, ``run_id`` and the header
     ``config``. Its in-process worker runs ``runner`` as given; spawned and
@@ -493,7 +493,7 @@ class Worker:
         run_hook: Optional[Callable[[Any], None]] = None,
         poll_rng: Optional[Callable[[float, float], float]] = None,
     ) -> None:
-        self.store: ResultStore = open_store(store)
+        self.store: LocalDirStore = open_store(store)
         self.worker_id = worker_id or default_worker_id()
         self.budget = budget
         self.retries = retries

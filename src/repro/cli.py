@@ -125,9 +125,8 @@ def _add_store_flags(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--store", metavar="URL", default=None,
         help="run on the coordinator/worker fabric over a shared result "
-             "store: a directory path (or dir:PATH) for the file backend, "
-             "sqlite:PATH (or any .sqlite/.sqlite3/.db path) for the "
-             "sqlite backend; mutually exclusive with --journal",
+             "store directory (a path, or dir:PATH); mutually exclusive "
+             "with --journal",
     )
     command.add_argument(
         "--coordinator-only", action="store_true",

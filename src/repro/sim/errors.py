@@ -69,7 +69,7 @@ class StoreError(SimulationError):
 class LeaseLost(StoreError):
     """A worker's cell lease expired and was taken over by someone else.
 
-    Raised from :meth:`~repro.analysis.store.ResultStore.renew` and the
+    Raised from :meth:`~repro.analysis.store.LocalDirStore.renew` and the
     terminal writes (``finish``/``fail``/``quarantine``) when the lease
     token on record is no longer ours: the coordinator (or a peer worker)
     decided we were dead and reassigned the cell. The correct reaction is

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from repro.analysis.envelope import checksum, record_checksum, seal, unseal
-from repro.analysis.store import LocalDirStore, SqliteStore
+from repro.analysis.store import LocalDirStore
 from repro.service.journal import SessionJournal, scan_session_journal
 
 FINGERPRINT = "ab" * 32
@@ -136,18 +136,6 @@ class TestMemoEntry:
         fresh = LocalDirStore(tmp_path / "b")
         fresh.store_memo("k", MEMO_BODY, schema=5)
         assert (tmp_path / "b" / "memo" / "k.json").read_bytes() == MEMO_ENTRY
-
-    def test_sqlite_stores_the_same_envelope(self, tmp_path):
-        store = SqliteStore(tmp_path / "memo.db")
-        try:
-            store.store_memo("k", MEMO_BODY, schema=5)
-            (payload,) = store._connection().execute(
-                "SELECT payload FROM memo WHERE key = 'k'"
-            ).fetchone()
-            assert payload.encode("utf-8") == MEMO_ENTRY
-            assert store.load_memo("k", schema=5) == MEMO_BODY
-        finally:
-            store.close()
 
     def test_seal_reproduces_the_entry(self):
         assert json.dumps(

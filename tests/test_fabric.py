@@ -3,8 +3,8 @@
 Two layers of tests:
 
 * Python-level: a fabric run (``store=``) must produce the same rows as
-  the legacy in-process path for both sweeps and chaos campaigns, on both
-  store backends; caches prefill and part-finished stores resume.
+  the legacy in-process path for both sweeps and chaos campaigns;
+  caches prefill and part-finished stores resume.
 
 * CLI-level (the distributed story): a coordinator-only sweep with
   externally started workers, one of which is SIGKILLed mid-cell by the
@@ -37,8 +37,6 @@ from repro.analysis.store import STORE_CRASH_HOOK_ENV, open_store
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
-BACKENDS = ["dir", "sqlite"]
-
 SWEEP = SweepConfig(
     algorithms=["alg1"],
     sizes=[(7, 2)],
@@ -48,10 +46,8 @@ SWEEP = SweepConfig(
 )
 
 
-def store_url(kind: str, tmp_path) -> str:
-    if kind == "dir":
-        return f"dir:{tmp_path / 'store'}"
-    return f"sqlite:{tmp_path / 'store.sqlite'}"
+def store_url(tmp_path) -> str:
+    return f"dir:{tmp_path / 'store'}"
 
 
 def scrubbed(rows) -> list:
@@ -64,22 +60,24 @@ def scrubbed(rows) -> list:
     return out
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=["dir"])
 def backend(request):
+    """``LocalDirStore`` is the only backend; the single parameter keeps
+    these tests' ids (``test_x[dir]``) stable."""
     return request.param
 
 
 class TestSweepEquivalence:
     def test_fabric_rows_match_the_legacy_pool(self, backend, tmp_path):
         control = run_sweep(SWEEP, workers=1)
-        fabric = run_sweep(SWEEP, workers=1, store=store_url(backend, tmp_path))
+        fabric = run_sweep(SWEEP, workers=1, store=store_url(tmp_path))
         assert scrubbed(fabric) == scrubbed(control)
 
     def test_journal_and_store_are_mutually_exclusive(self, tmp_path):
         # --journal DIR is shorthand for --store DIR/<run-id>: never both.
         done = _cli([
             "sweep", *CLI_GRID, "--journal", str(tmp_path / "runs"),
-            "--store", store_url("dir", tmp_path),
+            "--store", store_url(tmp_path),
         ])
         assert done.returncode == 3
         assert "mutually exclusive" in done.stderr
@@ -95,7 +93,7 @@ class TestChaosEquivalence:
         )
         control = ChaosCampaign(workers=1).run(list(tasks))
         fabric = ChaosCampaign(workers=1).run(
-            list(tasks), store=store_url(backend, tmp_path)
+            list(tasks), store=store_url(tmp_path)
         )
         assert fabric.canonical() == control.canonical()
 
@@ -110,7 +108,7 @@ class TestCacheAndResume:
             workers=1, cache=cache, run_hook=executed.append
         )
         stats_rows = executor.run(
-            SWEEP, store=store_url(backend, tmp_path)
+            SWEEP, store=store_url(tmp_path)
         )
         assert executed == []  # nothing ran: every cell came from the memo
         assert executor.stats.from_cache == len(stats_rows)
@@ -119,7 +117,7 @@ class TestCacheAndResume:
     def test_second_run_against_the_same_store_is_a_restore(
         self, backend, tmp_path
     ):
-        url = store_url(backend, tmp_path)
+        url = store_url(tmp_path)
         first = run_sweep(SWEEP, workers=1, store=url)
 
         executor = SweepExecutor(workers=1)
@@ -149,7 +147,7 @@ CLI_GRID = [
 class TestKillReclaim:
     """Satellite: SIGKILL a worker mid-cell; the fabric must recover."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ["dir"])
     def test_dead_workers_cell_is_reclaimed_and_run_exactly_once_more(
         self, backend, tmp_path
     ):
@@ -159,7 +157,7 @@ class TestKillReclaim:
         )
         assert done.returncode == 0, done.stderr
 
-        url = store_url(backend, tmp_path)
+        url = store_url(tmp_path)
         fabric_csv = tmp_path / "fabric.csv"
         coordinator = subprocess.Popen(
             [
@@ -227,7 +225,7 @@ class TestSubprocessWorkers:
         )
         assert done.returncode == 0, done.stderr
 
-        url = f"sqlite:{tmp_path / 'fan.sqlite'}"
+        url = f"dir:{tmp_path / 'fan'}"
         fanned = _cli(
             [
                 "sweep", *CLI_GRID, "--workers", "2", "--store", url,
@@ -282,7 +280,7 @@ class TestPollBackoff:
     def test_worker_claim_resets_the_backoff(self, tmp_path):
         """A worker that has been starved drops back to the floor the
         moment a cell becomes claimable."""
-        url = f"sqlite:{tmp_path / 'backoff.sqlite'}"
+        url = f"dir:{tmp_path / 'backoff'}"
         coordinator = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "sweep", *CLI_GRID,

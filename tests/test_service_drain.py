@@ -178,7 +178,7 @@ class TestWorkerDrain:
     every cell executes exactly once."""
 
     def test_sigterm_mid_sweep_releases_cleanly(self, tmp_path):
-        url = f"sqlite:{tmp_path / 'store.sqlite'}"
+        url = f"dir:{tmp_path / 'store'}"
         grid = [
             "--algorithms", "alg1",
             "--sizes", "7:2",

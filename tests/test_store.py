@@ -1,11 +1,9 @@
-"""Result-store contract suite, exercised identically for every backend.
+"""Result-store contract suite for :class:`LocalDirStore`.
 
 The lease/terminal/claim *semantics* — lowest-index claims, attempt
 counting with exhaustion, first-terminal-wins, ``LeaseLost`` on takeover,
-the event taxonomy ``runs doctor --store`` reads — are part of the
-:class:`~repro.analysis.store.ResultStore` interface, not of any backend.
-Every test here is parametrized over :class:`LocalDirStore` and
-:class:`SqliteStore` so a backend cannot drift from the contract.
+the event taxonomy ``runs doctor --store`` reads — are the store's
+contract, pinned here independently of the fabric that drives it.
 """
 
 from __future__ import annotations
@@ -19,26 +17,22 @@ import pytest
 from repro.analysis.store import (
     Claim,
     LocalDirStore,
-    SqliteStore,
     STORE_SCHEMA,
     open_store,
     seal,
     store_doctor,
     unseal,
 )
+from repro.cli import EXIT_INFRA, main
 from repro.sim import LeaseLost, StoreError
 
-BACKENDS = ["dir", "sqlite"]
+
+def make_store(tmp_path, name: str = "store"):
+    return LocalDirStore(tmp_path / name)
 
 
-def make_store(kind: str, tmp_path, name: str = "store"):
-    if kind == "dir":
-        return LocalDirStore(tmp_path / name)
-    return SqliteStore(tmp_path / f"{name}.sqlite")
-
-
-def seeded(kind, tmp_path, cells=4, max_attempts=3, fingerprint="fp-1"):
-    store = make_store(kind, tmp_path)
+def seeded(tmp_path, cells=4, max_attempts=3, fingerprint="fp-1"):
+    store = make_store(tmp_path)
     store.seed(
         kind="sweep",
         run_id="r1",
@@ -49,8 +43,10 @@ def seeded(kind, tmp_path, cells=4, max_attempts=3, fingerprint="fp-1"):
     return store
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=["dir"])
 def backend(request):
+    """``LocalDirStore`` is the only backend; the single parameter keeps
+    the contract tests' ids (``test_x[dir]``) stable."""
     return request.param
 
 
@@ -72,7 +68,7 @@ class TestSealUnseal:
 
 class TestLifecycle:
     def test_seed_header_task_roundtrip(self, backend, tmp_path):
-        store = seeded(backend, tmp_path)
+        store = seeded(tmp_path)
         header = store.header()
         assert header["kind"] == "sweep"
         assert header["run_id"] == "r1"
@@ -82,7 +78,7 @@ class TestLifecycle:
         assert not store.complete
 
     def test_reseed_same_fingerprint_is_a_resume(self, backend, tmp_path):
-        store = seeded(backend, tmp_path)
+        store = seeded(tmp_path)
         claim = store.claim("w1")
         store.finish(claim, {"ok": True})
         store.seed(
@@ -92,7 +88,7 @@ class TestLifecycle:
         assert store.terminal(claim.cell) is not None
 
     def test_reseed_other_fingerprint_refuses(self, backend, tmp_path):
-        store = seeded(backend, tmp_path)
+        store = seeded(tmp_path)
         with pytest.raises(StoreError, match="different config fingerprint"):
             store.seed(
                 kind="sweep", run_id="r2", fingerprint="fp-2",
@@ -102,17 +98,16 @@ class TestLifecycle:
     def test_unseeded_store_has_no_header_and_no_claims(
         self, backend, tmp_path
     ):
-        store = make_store(backend, tmp_path, "empty")
+        store = make_store(tmp_path, "empty")
         assert store.header() is None
-        if backend == "dir":
-            assert store.claim("w1") is None
+        assert store.claim("w1") is None
         with pytest.raises(StoreError, match="not seeded"):
             store.wait_for_header(0.2, poll_s=0.05)
 
 
 class TestLeases:
     def test_claims_hand_out_lowest_open_cell(self, backend, tmp_path):
-        store = seeded(backend, tmp_path)
+        store = seeded(tmp_path)
         first = store.claim("w1")
         second = store.claim("w2")
         assert (first.cell, second.cell) == (0, 1)
@@ -120,12 +115,12 @@ class TestLeases:
         assert first.token != second.token
 
     def test_all_leased_means_no_claim(self, backend, tmp_path):
-        store = seeded(backend, tmp_path, cells=1)
+        store = seeded(tmp_path, cells=1)
         assert store.claim("w1") is not None
         assert store.claim("w2") is None
 
     def test_renew_extends_and_survives(self, backend, tmp_path):
-        store = seeded(backend, tmp_path)
+        store = seeded(tmp_path)
         claim = store.claim("w1", lease_s=0.25)
         renewed = store.renew(claim, lease_s=60.0)
         assert renewed.expires_at > claim.expires_at
@@ -137,7 +132,7 @@ class TestLeases:
     def test_expired_lease_is_taken_over_with_attempt_bump(
         self, backend, tmp_path
     ):
-        store = seeded(backend, tmp_path, cells=1)
+        store = seeded(tmp_path, cells=1)
         dead = store.claim("w1", lease_s=0.05)
         time.sleep(0.1)
         takeover = store.claim("w2", lease_s=30.0)
@@ -149,7 +144,7 @@ class TestLeases:
         assert "reclaimed" in events
 
     def test_reclaim_expired_releases_dead_leases(self, backend, tmp_path):
-        store = seeded(backend, tmp_path, cells=2)
+        store = seeded(tmp_path, cells=2)
         store.claim("w1", lease_s=0.05)
         live = store.claim("w2", lease_s=60.0)
         time.sleep(0.1)
@@ -161,7 +156,7 @@ class TestLeases:
     def test_exhausted_cell_becomes_a_terminal_failure(
         self, backend, tmp_path
     ):
-        store = seeded(backend, tmp_path, cells=1, max_attempts=2)
+        store = seeded(tmp_path, cells=1, max_attempts=2)
         for _ in range(2):
             assert store.claim("w", lease_s=0.05) is not None
             time.sleep(0.1)
@@ -209,7 +204,7 @@ class TestLeaseCreate:
         import multiprocessing
 
         root = str(tmp_path / "store")
-        seeded("dir", tmp_path, cells=1)
+        seeded(tmp_path, cells=1)
         ctx = multiprocessing.get_context("fork")
         published, release, tokens = ctx.Event(), ctx.Event(), ctx.Queue()
         creator = ctx.Process(
@@ -230,9 +225,39 @@ class TestLeaseCreate:
         assert os.listdir(os.path.join(root, "leases")) == ["0.json"]
 
 
+    def test_claim_does_not_relet_a_cell_finished_during_the_scan(
+        self, tmp_path
+    ):
+        # B finishes cell 0 between A's terminal probe and A's lease read:
+        # B writes the terminal record and then unlinks its lease, so A
+        # finds no lease and wins a fresh one. A must re-probe, give the
+        # lease back and move on instead of running cell 0 a second time.
+        seeded(tmp_path, cells=2)
+        a = LocalDirStore(tmp_path / "store")
+        b = LocalDirStore(tmp_path / "store")
+        held = b.claim("b")
+        assert held.cell == 0
+        probe = a.terminal
+
+        def probe_then_peer_finishes(cell):
+            record = probe(cell)
+            if cell == 0 and record is None and b.terminal(0) is None:
+                assert b.finish(held, {"by": "b"}) is True
+            return record
+
+        a.terminal = probe_then_peer_finishes
+        claim = a.claim("a")
+        assert claim is not None and claim.cell == 1
+        assert a.finish(claim, {"by": "a"}) is True
+        events = [e["event"] for e in a.events()]
+        assert "double-execution" not in events
+        assert a.terminal(0)["payload"] == {"by": "b"}
+        assert os.listdir(tmp_path / "store" / "leases") == []
+
+
 class TestTerminals:
     def test_finish_roundtrip(self, backend, tmp_path):
-        store = seeded(backend, tmp_path)
+        store = seeded(tmp_path)
         claim = store.claim("w1")
         assert store.finish(claim, {"rounds": 7}) is True
         record = store.terminal(claim.cell)
@@ -243,7 +268,7 @@ class TestTerminals:
         assert counts["finished"] == 1 and counts["leased"] == 0
 
     def test_first_terminal_wins(self, backend, tmp_path):
-        store = seeded(backend, tmp_path, cells=1)
+        store = seeded(tmp_path, cells=1)
         store.write_terminal(0, "finished", {"winner": True})
         assert store.write_terminal(0, "finished", {"winner": False}) is False
         assert store.terminal(0)["payload"] == {"winner": True}
@@ -251,7 +276,7 @@ class TestTerminals:
         assert "double-execution" in events
 
     def test_stale_result_is_refused_with_lease_lost(self, backend, tmp_path):
-        store = seeded(backend, tmp_path, cells=1)
+        store = seeded(tmp_path, cells=1)
         dead = store.claim("w1", lease_s=0.05)
         time.sleep(0.1)
         alive = store.claim("w2", lease_s=30.0)
@@ -264,7 +289,7 @@ class TestTerminals:
         assert "stale-result" in events
 
     def test_fail_and_quarantine_record_reasons(self, backend, tmp_path):
-        store = seeded(backend, tmp_path)
+        store = seeded(tmp_path)
         first = store.claim("w1")
         store.fail(first, {"failed": True}, reason="crashed")
         second = store.claim("w1")
@@ -277,15 +302,10 @@ class TestTerminals:
     def test_torn_terminal_is_dropped_and_reexecutable(
         self, backend, tmp_path
     ):
-        store = seeded(backend, tmp_path, cells=1)
+        store = seeded(tmp_path, cells=1)
         claim = store.claim("w1")
         store.finish(claim, {"ok": True})
-        if backend == "dir":
-            (store._terminal / "0.json").write_text('{"schema": 1, "tru')
-        else:
-            store._connection().execute(
-                "UPDATE cells SET payload='{\"torn\"' WHERE idx=0"
-            )
+        (store._terminal / "0.json").write_text('{"schema": 1, "tru')
         assert store.terminal(0) is None
         assert store.claim("w2") is not None  # the cell is open again
         events = [e["event"] for e in store.events()]
@@ -294,7 +314,7 @@ class TestTerminals:
 
 class TestMemo:
     def test_roundtrip_and_miss(self, backend, tmp_path):
-        store = seeded(backend, tmp_path)
+        store = seeded(tmp_path)
         assert store.load_memo("k1", schema=4) is None
         store.store_memo("k1", {"rounds": 3}, schema=4)
         assert store.load_memo("k1", schema=4) == {"rounds": 3}
@@ -302,7 +322,7 @@ class TestMemo:
     def test_corrupt_memo_raises_for_the_caller_to_log(
         self, backend, tmp_path
     ):
-        store = seeded(backend, tmp_path)
+        store = seeded(tmp_path)
         store.store_memo("k1", {"rounds": 3}, schema=4)
         with pytest.raises(ValueError, match="stale schema"):
             store.load_memo("k1", schema=5)
@@ -321,7 +341,7 @@ class TestMemo:
 
 class TestEvents:
     def test_events_since_cursor(self, backend, tmp_path):
-        store = seeded(backend, tmp_path)
+        store = seeded(tmp_path)
         store.record_event("claimed", cell=0, worker="w1")
         first, cursor = store.events_since(None)
         assert [e["event"] for e in first] == ["claimed"]
@@ -336,14 +356,33 @@ class TestOpenStore:
     def test_url_forms(self, tmp_path):
         assert isinstance(open_store(tmp_path / "d"), LocalDirStore)
         assert isinstance(open_store(f"dir:{tmp_path}/d2"), LocalDirStore)
-        assert isinstance(
-            open_store(f"sqlite:{tmp_path}/s.db"), SqliteStore
-        )
-        assert isinstance(open_store(str(tmp_path / "s.sqlite")), SqliteStore)
-        assert isinstance(open_store(str(tmp_path / "s.db")), SqliteStore)
+        assert open_store(f"dir:{tmp_path}/d2").root == tmp_path / "d2"
+        # No suffix names another backend: a .db path is a directory too.
+        assert isinstance(open_store(str(tmp_path / "s.db")), LocalDirStore)
+        assert (tmp_path / "s.db").is_dir()
+
+    def test_sqlite_url_is_a_store_error(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(StoreError, match="sqlite"):
+            open_store("sqlite:store.db")
+        code = main([
+            "sweep", "--algorithms", "alg1", "--sizes", "7:2",
+            "--seeds", "0", "--store", "sqlite:store.db",
+        ])
+        assert code == EXIT_INFRA
+        assert os.listdir(tmp_path) == []  # no directory named "sqlite:…"
+
+    def test_a_file_is_not_a_store(self, tmp_path, capsys):
+        old_db = tmp_path / "store.db"
+        old_db.write_bytes(b"\x00" * 16)
+        with pytest.raises(StoreError, match="not a directory"):
+            open_store(old_db)
+        code = main(["runs", "doctor", "--store", str(old_db)])
+        assert code == EXIT_INFRA
+        assert "not a directory" in capsys.readouterr().err
 
     def test_reopen_by_url_sees_the_same_store(self, backend, tmp_path):
-        store = seeded(backend, tmp_path)
+        store = seeded(tmp_path)
         claim = store.claim("w1")
         store.finish(claim, {"ok": True})
         reopened = open_store(store.url)
@@ -351,13 +390,13 @@ class TestOpenStore:
         assert reopened.terminal(claim.cell)["payload"] == {"ok": True}
 
     def test_an_instance_passes_through(self, backend, tmp_path):
-        store = seeded(backend, tmp_path)
+        store = seeded(tmp_path)
         assert open_store(store) is store
 
 
 class TestStoreDoctor:
     def test_healthy_run(self, backend, tmp_path):
-        store = seeded(backend, tmp_path, cells=2)
+        store = seeded(tmp_path, cells=2)
         for _ in range(2):
             claim = store.claim("w1")
             store.finish(claim, {"ok": True})
@@ -371,7 +410,7 @@ class TestStoreDoctor:
     def test_reclaims_and_double_executions_are_surfaced(
         self, backend, tmp_path
     ):
-        store = seeded(backend, tmp_path, cells=2)
+        store = seeded(tmp_path, cells=2)
         store.claim("w-dead", lease_s=0.05)
         time.sleep(0.1)
         takeover = store.claim("w-live", lease_s=30.0)
@@ -383,7 +422,7 @@ class TestStoreDoctor:
         assert report["double_executions"] == [0]
 
     def test_expired_lease_is_reported(self, backend, tmp_path):
-        store = seeded(backend, tmp_path, cells=1)
+        store = seeded(tmp_path, cells=1)
         store.claim("w-dead", lease_s=0.05)
         time.sleep(0.1)
         report = store_doctor(store)
