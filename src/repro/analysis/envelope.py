@@ -15,8 +15,10 @@ the hash:
 Alongside them live the run-identity and artifact helpers:
 :func:`config_fingerprint` (what a store's header pins),
 :func:`scrub_volatile` / :func:`canonical_json` (the wall-clock-free report
-form a resumed run must match byte for byte) and
-:func:`atomic_write_text` (write-temp, fsync, ``os.replace``).
+form a resumed run must match byte for byte),
+:func:`atomic_write_text` (write-temp, fsync, ``os.replace``) and
+:class:`CrashHook`, the deterministic SIGKILL test hook of the result
+store and the session journal.
 
 The on-disk bytes these produce are a compatibility contract: existing
 stores, caches and journals must keep verifying. ``tests/test_envelope.py``
@@ -28,10 +30,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import signal
 from pathlib import Path
-from typing import List, Union
+from typing import List, Optional, Tuple, Type, Union
 
 __all__ = [
+    "CrashHook",
     "atomic_write_text",
     "canonical",
     "canonical_json",
@@ -145,3 +149,36 @@ def atomic_write_text(path: Union[str, Path], text: str) -> Path:
         os.fsync(handle.fileno())
     os.replace(tmp, path)
     return path
+
+
+class CrashHook:
+    """The deterministic SIGKILL test hook read from environment variable
+    ``env`` (tests/CI only).
+
+    ``<kind>:<count>`` SIGKILLs the process at the ``count``-th
+    :meth:`fire` of ``kind`` — right after the matching write is durable,
+    which is how the kill/resume and recovery suites crash mid-flight on
+    cue. Unset, every :meth:`fire` is a no-op; a malformed spec raises
+    ``error``, naming the kind as ``label``.
+    """
+
+    def __init__(self, env: str, error: Type[Exception], label: str) -> None:
+        self._target: Optional[Tuple[str, int]] = None
+        self._fired = 0
+        spec = os.environ.get(env)
+        if not spec:
+            return
+        try:
+            kind, count = spec.split(":")
+            self._target = (kind, int(count))
+        except ValueError:
+            raise error(
+                f"bad {env}={spec!r} (expected '<{label}>:<count>')"
+            ) from None
+
+    def fire(self, kind: str) -> None:
+        if self._target is None or kind != self._target[0]:
+            return
+        self._fired += 1
+        if self._fired >= self._target[1]:
+            os.kill(os.getpid(), signal.SIGKILL)

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import time
 import uuid
 from dataclasses import dataclass
@@ -65,7 +64,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..sim.errors import LeaseLost, StoreError
-from .envelope import atomic_write_text, canonical, seal, unseal
+from .envelope import CrashHook, atomic_write_text, canonical, seal, unseal
 
 __all__ = [
     "Claim",
@@ -109,19 +108,6 @@ class Claim:
     expires_at: float
 
 
-def _parse_crash_hook() -> Optional[Tuple[str, int]]:
-    spec = os.environ.get(STORE_CRASH_HOOK_ENV)
-    if not spec:
-        return None
-    try:
-        op, count = spec.split(":")
-        return op, int(count)
-    except ValueError:
-        raise StoreError(
-            f"bad {STORE_CRASH_HOOK_ENV}={spec!r} (expected '<op>:<count>')"
-        ) from None
-
-
 class LocalDirStore:
     """The result store: one directory, every primitive a POSIX
     filesystem operation. See the module docstring for the contract.
@@ -153,8 +139,7 @@ class LocalDirStore:
     def __init__(
         self, root: Union[str, Path], *, memo_subdir: str = "memo"
     ) -> None:
-        self._crash_hook = _parse_crash_hook()
-        self._crash_counts: Dict[str, int] = {}
+        self._crash_hook = CrashHook(STORE_CRASH_HOOK_ENV, StoreError, "op")
         self.root = Path(root)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -376,7 +361,7 @@ class LocalDirStore:
                 claim = self._claim_from(cell, body)
                 self.record_event("claimed", cell=cell, worker=worker,
                                   attempt=1)
-                self._hook("claim")
+                self._crash_hook.fire("claim")
                 return claim
             if lease["expires_at"] > now:
                 continue  # live lease held by a peer
@@ -398,7 +383,7 @@ class LocalDirStore:
                 previous=lease.get("worker"), attempt=attempt + 1,
             )
             claim = self._claim_from(cell, body)
-            self._hook("claim")
+            self._crash_hook.fire("claim")
             return claim
         return None
 
@@ -523,7 +508,7 @@ class LocalDirStore:
         except OSError:
             pass
         if wrote:
-            self._hook("finish")
+            self._crash_hook.fire("finish")
         return wrote
 
     def write_terminal(
@@ -709,18 +694,6 @@ class LocalDirStore:
 
     def _new_token(self) -> str:
         return uuid.uuid4().hex
-
-    def _hook(self, op: str) -> None:
-        """The deterministic SIGKILL test hook (see module docstring)."""
-        if self._crash_hook is None:
-            return
-        hook_op, hook_count = self._crash_hook
-        if op != hook_op:
-            return
-        count = self._crash_counts.get(op, 0) + 1
-        self._crash_counts[op] = count
-        if count >= hook_count:
-            os.kill(os.getpid(), signal.SIGKILL)
 
 
 # --------------------------------------------------------------------------

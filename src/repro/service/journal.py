@@ -42,14 +42,13 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from ..sim.errors import JournalError
 
-from ..analysis.envelope import canonical, checksum, record_checksum
+from ..analysis.envelope import CrashHook, canonical, checksum, record_checksum
 
 __all__ = [
     "SERVICE_CRASH_HOOK_ENV",
@@ -243,19 +242,6 @@ def _apply(state: SessionJournalState, record: dict, lineno: int) -> None:
         entry.trace_pointer = int(data.get("trace_pointer", -1))
 
 
-def _parse_crash_hook() -> Optional[Tuple[str, int]]:
-    spec = os.environ.get(SERVICE_CRASH_HOOK_ENV)
-    if not spec:
-        return None
-    try:
-        type_, count = spec.split(":")
-        return type_, int(count)
-    except ValueError:
-        raise JournalError(
-            f"bad {SERVICE_CRASH_HOOK_ENV}={spec!r} (expected '<type>:<count>')"
-        ) from None
-
-
 class SessionJournal:
     """The daemon's append-only, fsync'd, checksummed session ledger.
 
@@ -272,8 +258,7 @@ class SessionJournal:
         self.state = state
         self._handle = handle
         self._seq = state.records
-        self._crash_hook = _parse_crash_hook()
-        self._crash_counts: Dict[str, int] = {}
+        self._crash_hook = CrashHook(SERVICE_CRASH_HOOK_ENV, JournalError, "type")
 
     # ------------------------------------------------------------ lifecycle
 
@@ -331,7 +316,7 @@ class SessionJournal:
         self._seq += 1
         _apply(self.state, record, self._seq)
         self.state.records = self._seq
-        self._maybe_crash(type_)
+        self._crash_hook.fire(type_)
 
     def accepted(self, session_id: str, fingerprint: str, request: dict) -> None:
         self.append(
@@ -383,16 +368,3 @@ class SessionJournal:
         """The journaled record for a token, or ``None`` if never seen."""
         return self.state.sessions.get(session_id)
 
-    # ------------------------------------------------------------ crash hook
-
-    def _maybe_crash(self, type_: str) -> None:
-        """The deterministic SIGKILL test hook (see module docstring)."""
-        if self._crash_hook is None:
-            return
-        hook_type, hook_count = self._crash_hook
-        if type_ != hook_type:
-            return
-        count = self._crash_counts.get(type_, 0) + 1
-        self._crash_counts[type_] = count
-        if count >= hook_count:
-            os.kill(os.getpid(), signal.SIGKILL)

@@ -146,7 +146,6 @@ class RenamingService:
         budget: Optional[CellBudget] = None,
         engine: str = DEFAULT_ENGINE,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        runner_threads: Optional[int] = None,
         install_signal_handlers: bool = True,
         journal: Optional[SessionJournal] = None,
     ) -> None:
@@ -173,7 +172,7 @@ class RenamingService:
         self._draining = False
         self._next_session_id = 1
         self._executor = ThreadPoolExecutor(
-            max_workers=runner_threads or min(32, max(4, max_sessions)),
+            max_workers=min(32, max(4, max_sessions)),
             thread_name_prefix="repro-session",
         )
         self.journal = journal

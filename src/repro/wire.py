@@ -7,17 +7,27 @@ class round-trips through a compact, self-describing binary encoding, and
 ``tests/test_wire.py`` checks that the ``bit_size`` model tracks the real
 encoded size.
 
-Format: one tag byte per message, then type-specific fields encoded with
-LEB128 varints (zigzag for signed values). Ranks are exact: a ``Fraction``
+Format: one tag byte per message, then the message's fields back to back,
+each encoded by its kind: ``UINT`` (LEB128 varint), ``SINT`` (zigzag
+varint), ``RANK``, ``TEXT`` (varint length + UTF-8), ``BOOL`` (one byte),
+``seq(kind)`` (varint count + items), ``pair(a, b)`` and ``MESSAGE`` (a
+nested tagged message, depth-capped). Ranks are exact: a ``Fraction``
 travels as (zigzag numerator, varint denominator); floats are encoded as
 their exact ``Fraction`` equivalent (``float.as_integer_ratio``), so the
 codec never loses precision.
+
+Each type's format is stated once, as a ``(tag, class, fields)`` row of
+:data:`SCHEMA`; one generic encoder/decoder pair is built from every row.
+Adding a message type is one schema row, plus a strategy in
+``tests/test_wire_properties.py`` (``STRATEGIES``) and a golden-bytes pin in
+``tests/test_wire.py`` (``GOLDEN``) — both suites fail until they exist.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple, Type, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple, Type, Union
 
 from .agreement.approximate import ValueMessage
 from .agreement.eig import RelayMessage
@@ -157,124 +167,100 @@ def _read_text(data: bytes, offset: int) -> Tuple[str, int]:
     return value, offset + length
 
 
-# ------------------------------------------------------------ per-type codecs
+# -------------------------------------------------------------- field kinds
 
 Encoder = Callable[[Message, bytearray], None]
 Decoder = Callable[[bytes, int], Tuple[Message, int]]
 
-_SINGLE_ID_TYPES: List[Type[Message]] = [
-    IdMessage,
-    EchoMessage,
-    ReadyMessage,
-]
-_SINGLE_VALUE_TYPES: List[Type[Message]] = [
-    InitialMessage,
-    EchoValueMessage,
-    ReadyValueMessage,
-    PhaseValueMessage,
-    KingMessage,
-]
+
+class Kind(NamedTuple):
+    """How one field travels: a writer and its mirror-image reader."""
+
+    write: Callable[[Any, bytearray], None]
+    read: Callable[[bytes, int], Tuple[Any, int]]
 
 
-def _encode_single_id(message, out: bytearray) -> None:
-    write_varint(message.id, out)
+def _write_bool(value: bool, out: bytearray) -> None:
+    out.append(1 if value else 0)
 
 
-def _encode_single_value(message, out: bytearray) -> None:
-    _write_signed(message.value, out)
+def _read_bool(data: bytes, offset: int) -> Tuple[bool, int]:
+    if offset >= len(data):
+        raise WireError("truncated boolean field")
+    return bool(data[offset]), offset + 1
 
 
-def _encode_ranks(message: RanksMessage, out: bytearray) -> None:
-    write_varint(len(message.entries), out)
-    for identifier, rank in message.entries:
-        write_varint(identifier, out)
-        _write_rank(rank, out)
+UINT = Kind(write_varint, read_varint)
+SINT = Kind(_write_signed, _read_signed)
+RANK = Kind(_write_rank, _read_rank)
+TEXT = Kind(_write_text, _read_text)
+BOOL = Kind(_write_bool, _read_bool)
 
 
-def _encode_multiecho(message: MultiEchoMessage, out: bytearray) -> None:
-    write_varint(len(message.ids), out)
-    for identifier in message.ids:
-        write_varint(identifier, out)
+def seq(item: Kind) -> Kind:
+    """A varint count, then that many ``item`` fields; decodes as a tuple."""
+    write_item, read_item = item
+
+    def write(values, out: bytearray) -> None:
+        write_varint(len(values), out)
+        for value in values:
+            write_item(value, out)
+
+    def read(data: bytes, offset: int):
+        count, offset = read_varint(data, offset)
+        values = []
+        for _ in range(count):
+            value, offset = read_item(data, offset)
+            values.append(value)
+        return tuple(values), offset
+
+    return Kind(write, read)
 
 
-def _encode_value(message: ValueMessage, out: bytearray) -> None:
-    _write_rank(message.value, out)
+def pair(first: Kind, second: Kind) -> Kind:
+    """Two fields back to back; decodes as a 2-tuple."""
+    (write_a, read_a), (write_b, read_b) = first, second
+
+    def write(value, out: bytearray) -> None:
+        a, b = value
+        write_a(a, out)
+        write_b(b, out)
+
+    def read(data: bytes, offset: int):
+        a, offset = read_a(data, offset)
+        b, offset = read_b(data, offset)
+        return (a, b), offset
+
+    return Kind(write, read)
 
 
-def _encode_claim(message: ClaimMessage, out: bytearray) -> None:
-    write_varint(message.id, out)
-    write_varint(message.lo, out)
-    write_varint(message.hi, out)
-
-
-def _encode_relay(message: RelayMessage, out: bytearray) -> None:
-    write_varint(len(message.entries), out)
-    for path, value in message.entries:
-        write_varint(len(path), out)
-        for hop in path:
-            write_varint(hop, out)
-        _write_signed(value, out)
-
-
-def _decode_ranks(data: bytes, offset: int):
-    count, offset = read_varint(data, offset)
-    entries = []
-    for _ in range(count):
-        identifier, offset = read_varint(data, offset)
-        rank, offset = _read_rank(data, offset)
-        entries.append((identifier, rank))
-    return RanksMessage(entries=tuple(entries)), offset
-
-
-def _decode_multiecho(data: bytes, offset: int):
-    count, offset = read_varint(data, offset)
-    ids = []
-    for _ in range(count):
-        identifier, offset = read_varint(data, offset)
-        ids.append(identifier)
-    return MultiEchoMessage(ids=tuple(ids)), offset
-
-
-def _decode_value(data: bytes, offset: int):
-    rank, offset = _read_rank(data, offset)
-    return ValueMessage(rank), offset
-
-
-def _decode_claim(data: bytes, offset: int):
-    identifier, offset = read_varint(data, offset)
-    lo, offset = read_varint(data, offset)
-    hi, offset = read_varint(data, offset)
-    return ClaimMessage(identifier, lo, hi), offset
-
-
-def _decode_relay(data: bytes, offset: int):
-    count, offset = read_varint(data, offset)
-    entries = []
-    for _ in range(count):
-        length, offset = read_varint(data, offset)
-        path = []
-        for _ in range(length):
-            hop, offset = read_varint(data, offset)
-            path.append(hop)
-        value, offset = _read_signed(data, offset)
-        entries.append((tuple(path), value))
-    return RelayMessage(entries=tuple(entries)), offset
-
-
-def _encode_envelope(message: EnvelopeMessage, out: bytearray) -> None:
-    # Instance tag, then the payload's own full encoding (tag byte included)
-    # — decoding is sequential, so no length prefix is needed.
-    write_varint(message.tag, out)
+def _write_message(message: Message, out: bytearray) -> None:
+    # The payload's own full encoding (tag byte included) — decoding is
+    # sequential, so no length prefix is needed.
     try:
-        inner_tag, encoder, _ = _CODECS[type(message.payload)]
+        tag, encoder, _ = _CODECS[type(message)]
     except KeyError:
         raise WireError(
             f"no codec registered for envelope payload "
-            f"{type(message.payload).__name__}"
+            f"{type(message).__name__}"
         )
-    out.append(inner_tag)
-    encoder(message.payload, out)
+    out.append(tag)
+    encoder(message, out)
 
+
+def _read_message(data: bytes, offset: int) -> Tuple[Message, int]:
+    if offset >= len(data):
+        raise WireError("truncated envelope payload")
+    tag = data[offset]
+    try:
+        _cls, decoder = _BY_TAG[tag]
+    except KeyError:
+        raise WireError(f"unknown wire tag {tag} inside envelope")
+    return decoder(data, offset + 1)
+
+
+#: A whole nested message, tag byte included.
+MESSAGE = Kind(_write_message, _read_message)
 
 #: Maximum envelope-in-envelope nesting the decoder accepts. Honest runs
 #: nest at most a handful of multiplexer layers; a crafted byte stream of
@@ -285,280 +271,137 @@ MAX_ENVELOPE_DEPTH = 32
 _envelope_depth = 0
 
 
-def _decode_envelope(data: bytes, offset: int):
-    global _envelope_depth
-    if _envelope_depth >= MAX_ENVELOPE_DEPTH:
-        raise WireError(f"envelope nesting deeper than {MAX_ENVELOPE_DEPTH}")
-    tag, offset = read_varint(data, offset)
-    if offset >= len(data):
-        raise WireError("truncated envelope payload")
-    inner_tag = data[offset]
-    try:
-        _cls, decoder = _BY_TAG[inner_tag]
-    except KeyError:
-        raise WireError(f"unknown wire tag {inner_tag} inside envelope")
-    _envelope_depth += 1
-    try:
-        payload, offset = decoder(data, offset + 1)
-    finally:
-        _envelope_depth -= 1
-    return EnvelopeMessage(tag=tag, payload=payload), offset
+def _depth_guarded(decode: Decoder) -> Decoder:
+    """Count nesting around the decoder of a row with a ``MESSAGE`` field."""
+
+    def guarded(data: bytes, offset: int):
+        global _envelope_depth
+        if _envelope_depth >= MAX_ENVELOPE_DEPTH:
+            raise WireError(
+                f"envelope nesting deeper than {MAX_ENVELOPE_DEPTH}"
+            )
+        _envelope_depth += 1
+        try:
+            return decode(data, offset)
+        finally:
+            _envelope_depth -= 1
+
+    return guarded
 
 
-# ------------------------------------------------- service-session frames
+# ------------------------------------------------------------------ schema
 #
-# Tags 22+ carry the renaming-session protocol of `repro-renaming serve`
-# (:mod:`repro.service`). They ride the same codec so the frame layer has
-# exactly one payload format — but they are control-plane traffic and never
-# appear in simulated protocol rounds.
+# One row per message type: (tag, class, fields). Fields are the class's
+# dataclass fields, in order, each with its kind; the generic encoder
+# writes them back to back after the tag byte and the decoder reads them
+# back into ``cls(*values)``. Tags 22+ carry the renaming-session protocol
+# of `repro-renaming serve` (:mod:`repro.service`) — control-plane traffic
+# that never appears in simulated protocol rounds.
+
+SCHEMA: Tuple[Tuple[int, Type[Message], Tuple[Tuple[str, Kind], ...]], ...] = (
+    (0, IdMessage, (("id", UINT),)),
+    (1, EchoMessage, (("id", UINT),)),
+    (2, ReadyMessage, (("id", UINT),)),
+    (3, InitialMessage, (("value", SINT),)),
+    (4, EchoValueMessage, (("value", SINT),)),
+    (5, ReadyValueMessage, (("value", SINT),)),
+    (6, PhaseValueMessage, (("value", SINT),)),
+    (7, KingMessage, (("value", SINT),)),
+    (16, RanksMessage, (("entries", seq(pair(UINT, RANK))),)),
+    (17, MultiEchoMessage, (("ids", seq(UINT)),)),
+    (18, ValueMessage, (("value", RANK),)),
+    (19, ClaimMessage, (("id", UINT), ("lo", UINT), ("hi", UINT))),
+    (20, RelayMessage, (("entries", seq(pair(seq(UINT), SINT))),)),
+    (21, EnvelopeMessage, (("tag", UINT), ("payload", MESSAGE))),
+    (22, OpenSessionMessage, (
+        ("algorithm", TEXT), ("t", UINT), ("attack", TEXT), ("seed", UINT),
+        ("session_id", TEXT),
+    )),
+    (23, RegisterIdsMessage, (("ids", seq(UINT)),)),
+    (24, CloseSessionMessage, ()),
+    (25, SessionWelcomeMessage, (
+        ("session_id", UINT), ("max_ids", UINT), ("deadline_ms", UINT),
+    )),
+    (26, ServerBusyMessage, (("active", UINT), ("limit", UINT))),
+    (27, NamesAssignedMessage, (
+        ("entries", seq(pair(UINT, UINT))), ("algorithm", TEXT),
+        ("rounds", UINT),
+    )),
+    (28, CertificateMessage, (
+        ("namespace", UINT), ("ok", BOOL), ("checked", seq(TEXT)),
+        ("violations", seq(TEXT)),
+    )),
+    (29, SessionErrorMessage, (
+        ("code", TEXT), ("detail", TEXT), ("trace_pointer", SINT),
+    )),
+    (30, QueryRequestMessage, (("session_id", TEXT),)),
+    (31, QueryResponseMessage, (("session_id", TEXT), ("state", TEXT))),
+)
 
 
-def _encode_open_session(message: OpenSessionMessage, out: bytearray) -> None:
-    _write_text(message.algorithm, out)
-    write_varint(message.t, out)
-    _write_text(message.attack, out)
-    write_varint(message.seed, out)
-    _write_text(message.session_id, out)
+def _row_codec(
+    cls: Type[Message], fields: Tuple[Tuple[str, Kind], ...]
+) -> Tuple[Encoder, Decoder]:
+    names = tuple(name for name, _ in fields)
+    if names != tuple(field.name for field in dataclasses.fields(cls)):
+        raise WireError(f"schema row for {cls.__name__} must list its fields")
+    writers = tuple((name, kind.write) for name, kind in fields)
+    readers = tuple(kind.read for _, kind in fields)
 
+    def encode(message: Message, out: bytearray) -> None:
+        for name, write in writers:
+            write(getattr(message, name), out)
 
-def _decode_open_session(data: bytes, offset: int):
-    algorithm, offset = _read_text(data, offset)
-    t, offset = read_varint(data, offset)
-    attack, offset = _read_text(data, offset)
-    seed, offset = read_varint(data, offset)
-    session_id, offset = _read_text(data, offset)
-    return (
-        OpenSessionMessage(
-            algorithm=algorithm, t=t, attack=attack, seed=seed,
-            session_id=session_id,
-        ),
-        offset,
-    )
-
-
-def _encode_register_ids(message: RegisterIdsMessage, out: bytearray) -> None:
-    write_varint(len(message.ids), out)
-    for identifier in message.ids:
-        write_varint(identifier, out)
-
-
-def _decode_register_ids(data: bytes, offset: int):
-    count, offset = read_varint(data, offset)
-    ids = []
-    for _ in range(count):
-        identifier, offset = read_varint(data, offset)
-        ids.append(identifier)
-    return RegisterIdsMessage(ids=tuple(ids)), offset
-
-
-def _encode_close_session(message: CloseSessionMessage, out: bytearray) -> None:
-    pass  # no fields — the tag byte is the whole message
-
-
-def _decode_close_session(data: bytes, offset: int):
-    return CloseSessionMessage(), offset
-
-
-def _encode_welcome(message: SessionWelcomeMessage, out: bytearray) -> None:
-    write_varint(message.session_id, out)
-    write_varint(message.max_ids, out)
-    write_varint(message.deadline_ms, out)
-
-
-def _decode_welcome(data: bytes, offset: int):
-    session_id, offset = read_varint(data, offset)
-    max_ids, offset = read_varint(data, offset)
-    deadline_ms, offset = read_varint(data, offset)
-    return (
-        SessionWelcomeMessage(
-            session_id=session_id, max_ids=max_ids, deadline_ms=deadline_ms
-        ),
-        offset,
-    )
-
-
-def _encode_busy(message: ServerBusyMessage, out: bytearray) -> None:
-    write_varint(message.active, out)
-    write_varint(message.limit, out)
-
-
-def _decode_busy(data: bytes, offset: int):
-    active, offset = read_varint(data, offset)
-    limit, offset = read_varint(data, offset)
-    return ServerBusyMessage(active=active, limit=limit), offset
-
-
-def _encode_names(message: NamesAssignedMessage, out: bytearray) -> None:
-    write_varint(len(message.entries), out)
-    for original, name in message.entries:
-        write_varint(original, out)
-        write_varint(name, out)
-    _write_text(message.algorithm, out)
-    write_varint(message.rounds, out)
-
-
-def _decode_names(data: bytes, offset: int):
-    count, offset = read_varint(data, offset)
-    entries = []
-    for _ in range(count):
-        original, offset = read_varint(data, offset)
-        name, offset = read_varint(data, offset)
-        entries.append((original, name))
-    algorithm, offset = _read_text(data, offset)
-    rounds, offset = read_varint(data, offset)
-    return (
-        NamesAssignedMessage(
-            entries=tuple(entries), algorithm=algorithm, rounds=rounds
-        ),
-        offset,
-    )
-
-
-def _encode_text_tuple(values: Tuple[str, ...], out: bytearray) -> None:
-    write_varint(len(values), out)
-    for value in values:
-        _write_text(value, out)
-
-
-def _decode_text_tuple(data: bytes, offset: int) -> Tuple[Tuple[str, ...], int]:
-    count, offset = read_varint(data, offset)
-    values = []
-    for _ in range(count):
-        value, offset = _read_text(data, offset)
-        values.append(value)
-    return tuple(values), offset
-
-
-def _encode_certificate(message: CertificateMessage, out: bytearray) -> None:
-    write_varint(message.namespace, out)
-    out.append(1 if message.ok else 0)
-    _encode_text_tuple(message.checked, out)
-    _encode_text_tuple(message.violations, out)
-
-
-def _decode_certificate(data: bytes, offset: int):
-    namespace, offset = read_varint(data, offset)
-    if offset >= len(data):
-        raise WireError("truncated certificate verdict")
-    ok = bool(data[offset])
-    offset += 1
-    checked, offset = _decode_text_tuple(data, offset)
-    violations, offset = _decode_text_tuple(data, offset)
-    return (
-        CertificateMessage(
-            namespace=namespace, ok=ok, checked=checked, violations=violations
-        ),
-        offset,
-    )
-
-
-def _encode_session_error(message: SessionErrorMessage, out: bytearray) -> None:
-    _write_text(message.code, out)
-    _write_text(message.detail, out)
-    _write_signed(message.trace_pointer, out)
-
-
-def _decode_session_error(data: bytes, offset: int):
-    code, offset = _read_text(data, offset)
-    detail, offset = _read_text(data, offset)
-    trace_pointer, offset = _read_signed(data, offset)
-    return (
-        SessionErrorMessage(
-            code=code, detail=detail, trace_pointer=trace_pointer
-        ),
-        offset,
-    )
-
-
-def _encode_query_request(message: QueryRequestMessage, out: bytearray) -> None:
-    _write_text(message.session_id, out)
-
-
-def _decode_query_request(data: bytes, offset: int):
-    session_id, offset = _read_text(data, offset)
-    return QueryRequestMessage(session_id=session_id), offset
-
-
-def _encode_query_response(message: QueryResponseMessage, out: bytearray) -> None:
-    _write_text(message.session_id, out)
-    _write_text(message.state, out)
-
-
-def _decode_query_response(data: bytes, offset: int):
-    session_id, offset = _read_text(data, offset)
-    state, offset = _read_text(data, offset)
-    return QueryResponseMessage(session_id=session_id, state=state), offset
-
-
-def _single_id_decoder(cls: Type[Message]) -> Decoder:
     def decode(data: bytes, offset: int):
-        identifier, offset = read_varint(data, offset)
-        return cls(identifier), offset
+        values = []
+        for read in readers:
+            value, offset = read(data, offset)
+            values.append(value)
+        return cls(*values), offset
 
-    return decode
-
-
-def _single_value_decoder(cls: Type[Message]) -> Decoder:
-    def decode(data: bytes, offset: int):
-        value, offset = _read_signed(data, offset)
-        return cls(value), offset
-
-    return decode
+    if any(kind is MESSAGE for _, kind in fields):
+        decode = _depth_guarded(decode)
+    return encode, decode
 
 
-_CODECS: Dict[Type[Message], Tuple[int, Encoder, Decoder]] = {}
-
-
-def _register(cls: Type[Message], tag: int, encoder: Encoder, decoder: Decoder) -> None:
-    if any(existing_tag == tag for existing_tag, _, _ in _CODECS.values()):
-        raise WireError(f"duplicate wire tag {tag}")
-    _CODECS[cls] = (tag, encoder, decoder)
-
-
-for _index, _cls in enumerate(_SINGLE_ID_TYPES):
-    _register(_cls, _index, _encode_single_id, _single_id_decoder(_cls))
-for _index, _cls in enumerate(_SINGLE_VALUE_TYPES, start=len(_SINGLE_ID_TYPES)):
-    _register(_cls, _index, _encode_single_value, _single_value_decoder(_cls))
-_register(RanksMessage, 16, _encode_ranks, _decode_ranks)
-_register(MultiEchoMessage, 17, _encode_multiecho, _decode_multiecho)
-_register(ValueMessage, 18, _encode_value, _decode_value)
-_register(ClaimMessage, 19, _encode_claim, _decode_claim)
-_register(RelayMessage, 20, _encode_relay, _decode_relay)
-_register(EnvelopeMessage, 21, _encode_envelope, _decode_envelope)
-_register(OpenSessionMessage, 22, _encode_open_session, _decode_open_session)
-_register(RegisterIdsMessage, 23, _encode_register_ids, _decode_register_ids)
-_register(CloseSessionMessage, 24, _encode_close_session, _decode_close_session)
-_register(SessionWelcomeMessage, 25, _encode_welcome, _decode_welcome)
-_register(ServerBusyMessage, 26, _encode_busy, _decode_busy)
-_register(NamesAssignedMessage, 27, _encode_names, _decode_names)
-_register(CertificateMessage, 28, _encode_certificate, _decode_certificate)
-_register(SessionErrorMessage, 29, _encode_session_error, _decode_session_error)
-_register(QueryRequestMessage, 30, _encode_query_request, _decode_query_request)
-_register(QueryResponseMessage, 31, _encode_query_response, _decode_query_response)
-
+_CODECS: Dict[Type[Message], Tuple[int, Encoder, Decoder]] = {
+    cls: (tag, *_row_codec(cls, fields)) for tag, cls, fields in SCHEMA
+}
 _BY_TAG: Dict[int, Tuple[Type[Message], Decoder]] = {
     tag: (cls, decoder) for cls, (tag, _, decoder) in _CODECS.items()
 }
+if len(_BY_TAG) != len(SCHEMA):
+    raise WireError("SCHEMA repeats a wire tag or a message class")
 
 
 # ------------------------------------------------------------------ public
 
 
 def encode_message(message: Message) -> bytes:
-    """Serialise any registered message to bytes."""
+    """Serialise any registered message to bytes; raises :class:`WireError`
+    on a field value the format cannot carry (a NaN or infinite rank, a
+    non-integer id), mirroring :func:`decode_message`."""
     try:
         tag, encoder, _ = _CODECS[type(message)]
     except KeyError:
         raise WireError(f"no codec registered for {type(message).__name__}")
     out = bytearray([tag])
-    encoder(message, out)
+    try:
+        encoder(message, out)
+    except WireError:
+        raise
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise WireError(
+            f"malformed {type(message).__name__} value: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
     return bytes(out)
 
 
 def decode_message(data: bytes) -> Message:
     """Deserialise one message; raises :class:`WireError` on any garbage.
 
-    *Any* garbage: per-type decoders and message constructors may reject a
+    *Any* garbage: field readers and message constructors may reject a
     crafted buffer with their own ``ValueError``/``TypeError``/etc. — those
     are wrapped here so a caller only ever has one exception type to catch
     for a malformed byte stream.

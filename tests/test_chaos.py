@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from helpers import standard_ids
-from repro.core.messages import IdMessage
+from repro.core.messages import IdMessage, RanksMessage
 from repro.sim import (
     BROADCAST,
     ChaosInjector,
@@ -125,6 +125,17 @@ class TestChaosInjector:
         survivors = [m for link in (1, 2, 3) for m in correct[0][link]]
         assert len(survivors) == report.corrupted
         assert correct[0][4] == [IdMessage(10)]
+
+    def test_unencodable_byzantine_vote_passes_through(self):
+        """A Byzantine NaN rank has no wire encoding: corruption cannot
+        apply, so the vote is delivered unchanged (receive-side hygiene
+        rejects it) rather than crashing the injector."""
+        vote = RanksMessage(entries=((7, float("nan")),))
+        injector = ChaosInjector(FaultPlan(corrupt=1.0), n=4, byzantine=(3,))
+        _, byzantine = injector.perturb(1, {0: {}}, {3: {1: [vote]}})
+        assert byzantine[3][1] == [vote]
+        assert injector.report.corrupted == 0
+        assert injector.report.corrupted_dropped == 0
 
     def test_report_labels_and_dict(self):
         injector = ChaosInjector(FaultPlan(drop=1.0, crashes=((1, 1),)), n=4)

@@ -10,8 +10,13 @@ from hypothesis import strategies as st
 
 from repro.agreement.approximate import ValueMessage
 from repro.agreement.eig import RelayMessage
+from repro.agreement.phase_king import KingMessage, PhaseValueMessage
 from repro.baselines.splitting import ClaimMessage
-from repro.broadcast.bracha import InitialMessage
+from repro.broadcast.bracha import (
+    EchoValueMessage,
+    InitialMessage,
+    ReadyValueMessage,
+)
 from repro.core.messages import (
     EchoMessage,
     IdMessage,
@@ -169,6 +174,117 @@ class TestRoundtrips:
             if sample is None:
                 sample = cls(7)
             assert decode_message(encode_message(sample)) == sample
+
+
+#: One canonical instance of every registered type and its exact encoding.
+#: A restarted ``--session-journal`` daemon replays stored wire bytes, and
+#: E6 counts real encoded sizes, so the format itself is pinned here: any
+#: byte that moves is a wire-format break, not a refactor.
+GOLDEN = {
+    IdMessage: (IdMessage(300), "00ac02"),
+    EchoMessage: (EchoMessage(2**40), "01808080808020"),
+    ReadyMessage: (ReadyMessage(7), "0207"),
+    InitialMessage: (InitialMessage(-5), "0309"),
+    EchoValueMessage: (EchoValueMessage(64), "048001"),
+    ReadyValueMessage: (ReadyValueMessage(-(2**33)), "05ffffffff3f"),
+    PhaseValueMessage: (PhaseValueMessage(1), "0602"),
+    KingMessage: (KingMessage(0), "0700"),
+    RanksMessage: (
+        RanksMessage(entries=((3, Fraction(-7, 2)), (9, 0.75), (200, 4))),
+        "1003030d02090604c8010801",
+    ),
+    MultiEchoMessage: (MultiEchoMessage(ids=(1, 128, 70000)), "1103018001f0a204"),
+    ValueMessage: (ValueMessage(Fraction(1, 3)), "120203"),
+    ClaimMessage: (ClaimMessage(1000, 1, 8), "13e8070108"),
+    RelayMessage: (
+        RelayMessage(entries=(((0, 3), 42), ((), -7))), "140202000354000d"
+    ),
+    EnvelopeMessage: (
+        EnvelopeMessage(
+            tag=2,
+            payload=EnvelopeMessage(
+                tag=130, payload=RanksMessage(entries=((5, Fraction(3, 2)),))
+            ),
+        ),
+        "15021582011001050602",
+    ),
+    OpenSessionMessage: (
+        OpenSessionMessage(
+            algorithm="alg1", t=2, attack="id-forging", seed=300,
+            session_id="load-42",
+        ),
+        "1604616c6731020a69642d666f7267696e67ac02076c6f61642d3432",
+    ),
+    RegisterIdsMessage: (RegisterIdsMessage(ids=(4, 9, 2**20)), "17030409808040"),
+    CloseSessionMessage: (CloseSessionMessage(), "18"),
+    SessionWelcomeMessage: (
+        SessionWelcomeMessage(session_id=3, max_ids=128, deadline_ms=5000),
+        "190380018827",
+    ),
+    ServerBusyMessage: (ServerBusyMessage(active=8, limit=8), "1a0808"),
+    NamesAssignedMessage: (
+        NamesAssignedMessage(
+            entries=((4, 1), (9, 2)), algorithm="alg4", rounds=2
+        ),
+        "1b020401090204616c673402",
+    ),
+    CertificateMessage: (
+        CertificateMessage(
+            namespace=10,
+            ok=True,
+            checked=("validity", "uniqueness"),
+            violations=("naïve ✓",),
+        ),
+        "1c0a01020876616c69646974790a756e697175656e657373"
+        "010a6e61c3af766520e29c93",
+    ),
+    SessionErrorMessage: (
+        SessionErrorMessage(code="wire", detail="bad frame", trace_pointer=-1),
+        "1d047769726509626164206672616d6501",
+    ),
+    QueryRequestMessage: (
+        QueryRequestMessage(session_id="load-42"), "1e076c6f61642d3432"
+    ),
+    QueryResponseMessage: (
+        QueryResponseMessage(session_id="load-42", state="completed"),
+        "1f076c6f61642d343209636f6d706c65746564",
+    ),
+}
+
+
+class TestGoldenBytes:
+    def test_every_registered_type_is_pinned(self):
+        assert set(GOLDEN) == set(wire_types())
+
+    @pytest.mark.parametrize(
+        "cls", sorted(GOLDEN, key=lambda cls: cls.__name__),
+        ids=lambda cls: cls.__name__,
+    )
+    def test_encoding_is_byte_identical(self, cls):
+        message, golden = GOLDEN[cls]
+        assert encode_message(message).hex() == golden
+        assert decode_message(bytes.fromhex(golden)) == message
+
+
+class TestUnencodableValues:
+    """Field values the codec cannot represent (Byzantine votes carry NaN
+    ranks and non-integer ids) must surface as :class:`WireError`, like
+    every malformed decode — never as a raw ``ValueError``/``TypeError``."""
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            RanksMessage(entries=((7, float("nan")),)),
+            RanksMessage(entries=((7, float("inf")),)),
+            RanksMessage(entries=(("7", 1),)),
+            MultiEchoMessage(ids=(1.5,)),
+        ],
+        ids=["nan-rank", "inf-rank", "str-id", "float-id"],
+    )
+    def test_encode_raises_wire_error(self, message):
+        name = type(message).__name__
+        with pytest.raises(WireError, match=f"malformed {name} value"):
+            encode_message(message)
 
 
 class TestMalformed:
