@@ -121,7 +121,7 @@ def test_e10_substrate_speedup(publish):
 
     The batched engine hands every recipient the broadcasting sender's one
     shared tuple, so a flood round costs O(n) Python operations against the
-    reference's O(n²) and the ratio grows with n (~40× at n=400 on an
+    reference's O(n²) and the ratio grows with n (~90× at n=400 on an
     idle box). The ≥10× floor at n=400 leaves headroom for a loaded CI
     runner while still failing any change that reintroduces per-recipient
     fan-out (which measured ~4×). n=1000 (batched only; the reference

@@ -10,8 +10,8 @@ is conservative — the baseline gets help Algorithm 1 does not get, and still
 loses on round complexity.
 
 :func:`make_identified_factory` reconstructs the run's topology (it is a pure
-function of ``n`` and ``seed``) and hands each process its global index plus
-the link→index mapping.
+function of ``n`` and the labelling seed) and hands each process its global
+index plus the link→index mapping.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ def make_identified_factory(
 ):
     """Factory for :func:`repro.sim.run_protocol` injecting identity info.
 
-    ``ids`` and ``seed`` must match the arguments later passed to
-    ``run_protocol`` — the topology is re-derived from them.
+    ``ids`` must match the ``ids`` later passed to ``run_protocol``, and
+    ``seed`` its labelling seed — ``topology_seed`` when the run is given
+    one, else ``seed``. The topology is re-derived from them.
     """
     topology = FullMeshTopology(n, seed=seed)
     index_of_id = {identifier: index for index, identifier in enumerate(ids)}

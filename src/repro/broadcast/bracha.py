@@ -161,7 +161,8 @@ def make_rb_factory(
     The topology is re-derived from ``n``/``seed`` (it is deterministic), so
     each process can be told which of *its* links is the source's — the
     out-of-band identity assumption reliable broadcast needs and renaming
-    forbids.
+    forbids. ``seed`` is the run's labelling seed: ``run_protocol``'s
+    ``topology_seed`` when given, else its ``seed``.
     """
     topology = FullMeshTopology(n, seed=seed)
     index_of_id = {identifier: index for index, identifier in enumerate(ids)}

@@ -295,9 +295,9 @@ class BatchedEngine(Engine):
     Behaviour-identical to :class:`ReferenceEngine`; every deviation below is
     an implementation detail that provably cannot be observed:
 
-    * routing goes through per-run port rows (``peer_at[s][link - 1]``, and
-      its inverse ``label_at[r][s]``, built on first use) read from the
-      topology, so the mapping is the same;
+    * routing reads the topology's own port rows (``peer_at[s][link - 1]``,
+      and their inverse ``label_at[r][s]``, which the topology builds on
+      first use), so the mapping is the same;
     * a pure ``BROADCAST`` outbox becomes one shared tuple in the round's
       ``dense[sender]`` slot instead of ``n`` per-recipient copies — safe
       because messages are frozen and the reference engine already aliases
@@ -333,15 +333,12 @@ class BatchedEngine(Engine):
         n = topology.n
         byz_set = set(byzantine)
 
-        # peer_at[p][link - 1] is the peer p reaches via link; label_at[r][s]
-        # is r's label for traffic from s, needed only by the overlay, so it
-        # is built on first use (a run of pure broadcasts never pays n²).
-        labels = range(1, n + 1)
-        peer_at: List[List[int]] = []
-        for process in range(n):
-            ports = dict(topology.link_items(process))
-            peer_at.append(list(map(ports.__getitem__, labels)))
-        label_at: List[List[int]] = []
+        # peer_at[p][link - 1] is the peer p reaches via link; its rows are
+        # the topology's own tuples, shared with every PortInbox. The
+        # inverse, label_at[r][s], is needed only by the overlay, and the
+        # topology builds it on first use (a run of pure broadcasts never
+        # pays n²).
+        peer_at = topology.port_rows
 
         pooled = frozenset(_pooled_types())
         pool: Dict[Message, Message] = {}
@@ -354,12 +351,8 @@ class BatchedEngine(Engine):
             """Route one outbox into this round's layers; returns the
             transmission count."""
             shared = len(outbox) == 1 and BROADCAST in outbox
-            if not shared and not label_at:
-                for process in range(n):
-                    labels_of = [0] * n
-                    for label, peer in topology.link_items(process):
-                        labels_of[peer] = label
-                    label_at.append(labels_of)
+            if not shared:
+                label_at = topology.label_rows
             row = peer_at[sender]
             kept: List[Message] = []
             sent = 0

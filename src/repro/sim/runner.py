@@ -153,7 +153,10 @@ def run_protocol(
     counters stay zero); round counts are always recorded. ``topology_seed``
     overrides the seed used for link labelling only — metamorphic tests use
     it to relabel every link while keeping fault slots, process randomness,
-    and the adversary unchanged.
+    and the adversary unchanged. A factory that re-derives the wiring
+    (:func:`~repro.agreement.identity.make_identified_factory`,
+    :func:`~repro.broadcast.bracha.make_rb_factory`) must then be built with
+    ``topology_seed``, not ``seed``, or it is wired to the wrong labelling.
 
     ``chaos`` (a :class:`~repro.sim.chaos.FaultPlan`) injects beyond-model
     faults — message drop/duplication/corruption, send-crashes of correct

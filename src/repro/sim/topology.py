@@ -8,11 +8,19 @@ labels are private to each endpoint and carry no global identity. This class
 realises that model: each process gets an independent random permutation
 mapping its local labels to peers, so nothing about a peer's identity can be
 inferred from a label.
+
+The wiring is stored as one *port row* per process: ``row[label - 1]`` is
+the peer behind ``label``, and the last entry is the process itself. A row
+is the other processes shuffled by the process's own
+``derive_rng(seed, "topology", p)`` stream, then the self-loop. The shuffle
+is written out inline, but it draws exactly what :meth:`random.Random.shuffle`
+draws (a Fisher–Yates pass taking each index by ``getrandbits`` rejection),
+so every run keeps the labelling it has always had.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError
 from .rng import derive_rng
@@ -24,23 +32,33 @@ class FullMeshTopology:
     The labelling is fixed for the lifetime of a run: messages sent by ``p``
     on a given label always reach the same peer, and all messages from a given
     peer arrive at ``q`` on the same label — the standard "ports" model.
+
+    :attr:`port_rows` and :attr:`label_rows` expose the two tables as tuples
+    for consumers that route every message (the batched engine); per-label
+    queries should use :meth:`peer_of` / :meth:`label_of`, which validate
+    their arguments.
     """
 
     def __init__(self, n: int, seed: int = 0) -> None:
         if n < 1:
             raise ConfigurationError(f"topology needs at least one process, got n={n}")
         self._n = n
-        # _peer_of[p][lnk] -> global index of the peer reached via label lnk.
-        self._peer_of: List[Dict[int, int]] = []
-        # _label_of[p][q] -> label at p on which messages from/to q travel.
-        self._label_of: List[Dict[int, int]] = []
+        # random.shuffle's steps: swap slot i with a draw below i + 1, taken
+        # as getrandbits(k) with rejection; the same for every row.
+        steps = [(i, i + 1, (i + 1).bit_length()) for i in reversed(range(1, n - 1))]
+        rows = []
         for p in range(n):
-            others = [q for q in range(n) if q != p]
-            derive_rng(seed, "topology", p).shuffle(others)
-            peer_of = {label: peer for label, peer in enumerate(others, start=1)}
-            peer_of[n] = p  # self-loop, per the paper's model
-            self._peer_of.append(peer_of)
-            self._label_of.append({peer: label for label, peer in peer_of.items()})
+            row = [*range(p), *range(p + 1, n)]
+            getrandbits = derive_rng(seed, "topology", p).getrandbits
+            for i, size, k in steps:
+                j = getrandbits(k)
+                while j >= size:
+                    j = getrandbits(k)
+                row[i], row[j] = row[j], row[i]
+            row.append(p)  # self-loop, per the paper's model
+            rows.append(tuple(row))
+        self._rows: Tuple[Tuple[int, ...], ...] = tuple(rows)
+        self._labels: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     @property
     def n(self) -> int:
@@ -56,34 +74,50 @@ class FullMeshTopology:
         """All valid link labels, ``1..n`` (``n`` being the self-loop)."""
         return range(1, self._n + 1)
 
-    def link_items(self, process: int):
-        """Iterate ``(label, peer)`` pairs of ``process``'s ports table.
+    @property
+    def port_rows(self) -> Tuple[Tuple[int, ...], ...]:
+        """``port_rows[p][label - 1]`` is the peer ``p`` reaches via ``label``."""
+        return self._rows
 
-        Bulk accessor for consumers that walk every link (the batched engine
-        builds its routing fabric from this); per-label queries should use
-        :meth:`peer_of` / :meth:`label_of`, which validate their arguments.
+    @property
+    def label_rows(self) -> Tuple[Tuple[int, ...], ...]:
+        """``label_rows[p][q]`` is the label at ``p`` of traffic to/from ``q``.
+
+        The inverse of :attr:`port_rows`, built on first use.
         """
-        try:
-            return self._peer_of[process].items()
-        except IndexError:
-            raise ConfigurationError(
-                f"invalid process index {process} (n={self._n})"
-            ) from None
+        if self._labels is None:
+            inverse = []
+            for row in self._rows:
+                labels = [0] * self._n
+                for label, peer in enumerate(row, 1):
+                    labels[peer] = label
+                inverse.append(tuple(labels))
+            self._labels = tuple(inverse)
+        return self._labels
+
+    def _check_process(self, process: int) -> None:
+        if not 0 <= process < self._n:
+            raise ConfigurationError(f"invalid process index {process} (n={self._n})")
+
+    def link_items(self, process: int) -> Iterator[Tuple[int, int]]:
+        """Iterate ``(label, peer)`` pairs of ``process``'s ports table."""
+        self._check_process(process)
+        return enumerate(self._rows[process], 1)
 
     def peer_of(self, process: int, label: int) -> int:
         """Global index of the peer that ``process`` reaches via ``label``."""
-        try:
-            return self._peer_of[process][label]
-        except (IndexError, KeyError):
+        self._check_process(process)
+        if not 1 <= label <= self._n:
             raise ConfigurationError(
                 f"invalid link label {label} at process {process} (n={self._n})"
-            ) from None
+            )
+        return self._rows[process][label - 1]
 
     def label_of(self, process: int, peer: int) -> int:
         """Label at ``process`` on which traffic to/from ``peer`` travels."""
-        try:
-            return self._label_of[process][peer]
-        except (IndexError, KeyError):
+        self._check_process(process)
+        if not 0 <= peer < self._n:
             raise ConfigurationError(
                 f"no link between process {process} and peer {peer} (n={self._n})"
-            ) from None
+            )
+        return self.label_rows[process][peer]

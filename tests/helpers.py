@@ -50,12 +50,15 @@ def run_registered(
     directly (not :func:`~repro.analysis.experiments.run_experiment`) so
     they can vary ``engine`` / ``topology_seed`` / ``collect_metrics`` /
     ``model`` while reusing the registry's factories and attack lists.
+    The factory is built with the labelling seed (``topology_seed`` when
+    given): identified-model factories re-derive the run's wiring from it.
     """
     spec = ALGORITHMS[algorithm]
     if ids is None:
         ids = standard_ids(n)
+    labelling_seed = seed if topology_seed is None else topology_seed
     return run_protocol(
-        spec.build_factory(n, t, ids, seed),
+        spec.build_factory(n, t, ids, labelling_seed),
         n=n,
         t=t,
         ids=ids,

@@ -32,11 +32,14 @@ from helpers import run_registered, standard_ids
 from repro.analysis import ALGORITHMS
 
 #: (n, t) per algorithm under metamorphic test: Alg. 1, the constant-time
-#: variant, and the two-step Alg. 4 — the paper's three renaming protocols.
+#: variant, and the two-step Alg. 4 — the paper's three renaming protocols —
+#: plus the identified-model consensus baseline, whose factory re-derives
+#: the wiring and so must follow ``topology_seed``.
 SIZES = {
     "alg1": (7, 2),
     "alg1-constant": (11, 1),
     "alg4": (11, 2),
+    "consensus": (7, 2),
 }
 
 #: Attack families whose adversary never touches concrete link labels:

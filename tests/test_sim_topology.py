@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.sim import ConfigurationError, FullMeshTopology
+from repro.sim.rng import derive_rng
 
 
 class TestFullMeshTopology:
@@ -65,18 +68,89 @@ class TestFullMeshTopology:
         assert asymmetric
 
     def test_invalid_label_raises(self):
+        # Out-of-range labels, negative ones included, must never wrap.
         topology = FullMeshTopology(4, seed=0)
-        with pytest.raises(ConfigurationError):
-            topology.peer_of(0, 0)
-        with pytest.raises(ConfigurationError):
-            topology.peer_of(0, 5)
+        for process in range(4):
+            for label in (0, 5, -1, -4):
+                with pytest.raises(ConfigurationError, match="invalid link label"):
+                    topology.peer_of(process, label)
 
     def test_missing_link_raises(self):
         topology = FullMeshTopology(4, seed=0)
-        with pytest.raises(ConfigurationError):
-            topology.label_of(0, 99)
+        for process in range(4):
+            for peer in (99, 4, -1, -4):
+                with pytest.raises(ConfigurationError, match="no link"):
+                    topology.label_of(process, peer)
 
     def test_single_process_topology(self):
         topology = FullMeshTopology(1, seed=0)
         assert topology.self_link == 1
         assert topology.peer_of(0, 1) == 0
+
+    def test_invalid_process_index_raises(self):
+        # A negative index must not wrap around to process n-1's table.
+        topology = FullMeshTopology(4, seed=0)
+        for process in (-1, -2, -4, 4):
+            with pytest.raises(ConfigurationError, match="invalid process index"):
+                topology.peer_of(process, 1)
+            with pytest.raises(ConfigurationError, match="invalid process index"):
+                topology.label_of(process, 0)
+            with pytest.raises(ConfigurationError, match="invalid process index"):
+                topology.link_items(process)
+
+    def test_bulk_tables_match_per_label_queries(self):
+        topology = FullMeshTopology(6, seed=8)
+        for process in range(6):
+            row = [topology.peer_of(process, label) for label in topology.labels()]
+            assert list(topology.port_rows[process]) == row
+            assert list(topology.link_items(process)) == list(enumerate(row, 1))
+            for peer in range(6):
+                assert topology.label_rows[process][peer] == topology.label_of(
+                    process, peer
+                )
+
+
+#: Seeds of the golden wiring pin, including one above 2**32.
+GOLDEN_SEEDS = (0, 1, 5, 10_000, 2**40 + 3)
+
+#: SHA-256 prefix of every process's port row (``peer_of`` over
+#: ``labels()``) for each seed in ``GOLDEN_SEEDS``, keyed by ``n``. Every
+#: recorded result, cache key and golden trace depends on this wiring, so
+#: a change to how the labelling is drawn, or to the interpreter's
+#: ``random`` stream, fails here first.
+GOLDEN_WIRING = {
+    1: "112cca361026ce6b3e3079191d7a3af4",
+    2: "3b9fc5d1d9949282c67de965e9e4311a",
+    3: "3ec39e02e017ba4c7f0a692733893196",
+    7: "2dd4d3fb89bfb4ec9b907f9790904693",
+    13: "73305e1ba9d36741ced896c68f3fff5a",
+    64: "476e87f4c6fe0a4590b154fe0569bb24",
+    200: "f496aa0b442292ece17173259e78cae0",
+}
+
+
+def _wiring_digest(n: int) -> str:
+    hasher = hashlib.sha256()
+    for seed in GOLDEN_SEEDS:
+        topology = FullMeshTopology(n, seed=seed)
+        for process in range(n):
+            row = [topology.peer_of(process, label) for label in topology.labels()]
+            hasher.update(repr(row).encode("ascii"))
+    return hasher.hexdigest()[:32]
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_WIRING))
+def test_wiring_matches_golden_digest(n):
+    assert _wiring_digest(n) == GOLDEN_WIRING[n]
+
+
+@pytest.mark.parametrize("n,seed", [(1, 0), (2, 3), (5, 1), (9, 42), (31, 2**40 + 3)])
+def test_port_rows_are_a_seeded_stdlib_shuffle(n, seed):
+    # The labelling is defined as: shuffle the other processes with the
+    # per-process topology stream, then append the self-loop.
+    topology = FullMeshTopology(n, seed=seed)
+    for process in range(n):
+        others = [q for q in range(n) if q != process]
+        derive_rng(seed, "topology", process).shuffle(others)
+        row = [topology.peer_of(process, label) for label in topology.labels()]
+        assert row == others + [process]
