@@ -27,6 +27,7 @@ from repro import (
     run_protocol,
 )
 from repro.adversary import ALG1_ATTACKS, make_adversary
+from repro.sim import FaultPlan, SafetyPolicy, SystemModel
 
 
 class TestExactVsFloat:
@@ -234,3 +235,117 @@ class TestGoldenRankTraces:
         canonical = json.dumps(run_to_dict(result), sort_keys=True).encode()
         digest = hashlib.sha256(canonical).hexdigest()
         assert digest == GOLDEN_RANK_TRACES[(algorithm, n, t, attack)]
+
+
+def _golden_run_digest(case: str, engine: str) -> str:
+    """sha256 of one pinned run's full observable outcome.
+
+    A finished run hashes ``run_to_dict`` plus the chaos and model reports;
+    a run that raises hashes the exception's type and message instead, so
+    *how* a run fails is pinned as tightly as how it succeeds.
+    """
+    from repro.analysis import ALGORITHMS
+    from repro.analysis.serialization import run_to_dict
+
+    algorithm, n, t, attack, seed, options = GOLDEN_RUN_CASES[case]
+    ids = standard_ids(n)
+    try:
+        result = run_protocol(
+            ALGORITHMS[algorithm].build_factory(n, t, ids, seed),
+            n=n,
+            t=t,
+            ids=ids,
+            adversary=make_adversary(attack),
+            seed=seed,
+            collect_trace=True,
+            engine=engine,
+            **options,
+        )
+    except Exception as exc:  # noqa: BLE001 - the failure itself is pinned
+        outcome = {"error": type(exc).__name__, "message": str(exc)}
+    else:
+        outcome = {
+            "run": run_to_dict(result),
+            "chaos": result.chaos.as_dict() if result.chaos is not None else None,
+            "model": result.model.as_dict() if result.model is not None else None,
+        }
+    canonical = json.dumps(outcome, sort_keys=True).encode()
+    return hashlib.sha256(canonical).hexdigest()
+
+
+#: ``case -> (algorithm, n, t, attack, seed, run_protocol options)``. One
+#: run per registered algorithm, then one per opt-in feature of the round
+#: loop: a system model composed with a chaos plan (pins that the model
+#: perturbs before chaos does), impersonation, the wire round trip, a
+#: safety monitor that aborts, and a run that hits its round limit.
+GOLDEN_RUN_CASES = {
+    "alg1": ("alg1", 7, 2, "id-forging", 1, {}),
+    "alg1-constant": ("alg1-constant", 11, 1, "divergence", 1, {}),
+    "alg4": ("alg4", 11, 2, "selective-echo", 1, {}),
+    "okun-crash": ("okun-crash", 7, 2, "crash", 1, {}),
+    "cht": ("cht", 7, 2, "crash", 1, {}),
+    "floodset": ("floodset", 7, 2, "crash", 1, {}),
+    "translated": ("translated", 7, 2, "crash", 1, {}),
+    "consensus": ("consensus", 7, 2, "split-world", 1, {}),
+    "partial-synchrony+chaos": (
+        "floodset", 7, 2, "crash", 2,
+        {
+            "model": SystemModel.partial_synchrony(0.3, max_delay=2),
+            "chaos": FaultPlan(
+                seed=5, drop=0.05, duplicate=0.05, corrupt=0.05, crashes=((3, 2),)
+            ),
+        },
+    ),
+    "impersonation": (
+        "alg1", 7, 2, "divergence", 3, {"model": SystemModel.impersonation(k=2)}
+    ),
+    "through-wire": ("alg4", 11, 2, "selective-echo", 4, {"through_wire": True}),
+    "safety-violation": (
+        "alg1", 7, 2, "id-forging", 1, {"safety": SafetyPolicy(namespace=3)}
+    ),
+    "round-limit": ("alg1", 7, 2, "rank-skew", 1, {"max_rounds": 3}),
+}
+
+#: Captured before the two engines' round loops were merged into one.
+GOLDEN_RUN_DIGESTS = {
+    "alg1":
+        "66d67575fd5eadbb48961918ba43ffcccaf26ec414445d1cb2e20c2dbd0b4840",
+    "alg1-constant":
+        "a2d5cdd667f1de680a2d7e2f0efbb2c8263fb844d0193e5123c713a879048e2b",
+    "alg4":
+        "729843e1e7391bc9c984171eccff05a6695c8b14b3f6cde76b3fcd2cc040b018",
+    "cht":
+        "b22b9e508c4445e41199d77ac42e8b52740149d4f2ff3421b8d1832afc54e035",
+    "consensus":
+        "4945b104bce95bc11d459a2e5de65a6727ec45d391229281c89b34ccf6547f36",
+    "floodset":
+        "787a53cd40a8fff1cec9c7749f6d01c6acc3103495f45685c80fca52cd7a6090",
+    "impersonation":
+        "dc2b6217a3a9d04154f66a5db29ca7807dcd11657b7f637cb04ce9a113d8dd62",
+    "okun-crash":
+        "cdcd8b06bc759586921bc3b7cf090b3ac677a989520e72903160880fa256dc4e",
+    "partial-synchrony+chaos":
+        "634d2ab69e5db25f1c48bafbbe9d4b1769d84804361c7abf03387c61f1bfaf54",
+    "round-limit":
+        "a0f22fbbc6d2da277e9cf8ca0e4e6d297efd7e5bec6d27dbfcb7c982cb081320",
+    "safety-violation":
+        "929f7af6e288095b29378a9243258ce1ec4dca0873e06c451d22aa47bbd556ba",
+    "through-wire":
+        "2226e6dcc1ae8e8d9992c856c5dc4b06a6b821f64a548f5b69c5990041215e7e",
+    "translated":
+        "8e81f9b60c019779f23544296d3109107a0f2b2233ab4be096d6d2787d3aa832",
+}
+
+
+class TestGoldenRuns:
+    """Whole-run pins for every feature the round loop threads through.
+
+    The cross-engine differential harness only checks the engines against
+    each other, so a regression in code both engines share passes it. These
+    digests pin each run's absolute outcome on both engines.
+    """
+
+    @pytest.mark.parametrize("engine", ["batched", "reference"])
+    @pytest.mark.parametrize("case", sorted(GOLDEN_RUN_CASES))
+    def test_digest(self, case, engine):
+        assert _golden_run_digest(case, engine) == GOLDEN_RUN_DIGESTS[case]
