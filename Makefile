@@ -38,16 +38,22 @@ smoke:
 	cmp $(SMOKE_DIR)/serial.csv $(SMOKE_DIR)/reference.csv
 	rm -rf $(SMOKE_DIR)
 
-## Benchmark correctness smoke: every perfbench workload for 2 s. The
-## benchmark checks its own ops (check_renaming verdicts, byte-equal journal
-## replays, repeat counts); this fails unless its final JSON line reports
-## "correct": true. Timings are not gated here.
+## Benchmark correctness smoke: every perfbench workload for 2 s, then one
+## traced flood second, which exercises the tracer's patch points (among
+## them Engine.execute). The benchmark checks its own ops (check_renaming
+## verdicts, byte-equal journal replays, repeat counts); each step fails
+## unless its final JSON line reports "correct": true. Timings are not
+## gated here.
 perf-smoke:
-	@out=$$($(PYTHON) perfbench/run.py --workload all --seed 1 --seconds 2 \
-		--trace 0) || { echo "$$out"; exit 1; }; \
-	echo "$$out"; \
-	echo "$$out" | tail -n 1 | $(PYTHON) -c \
-		'import json, sys; sys.exit(json.load(sys.stdin).get("correct") is not True)'
+	@for args in "--workload all --seconds 2 --trace 0" \
+			"--workload flood --seconds 1 --trace 1"; do \
+		out=$$($(PYTHON) perfbench/run.py $$args --seed 1) \
+			|| { echo "$$out"; exit 1; }; \
+		echo "$$out"; \
+		echo "$$out" | tail -n 1 | $(PYTHON) -c \
+			'import json, sys; sys.exit(json.load(sys.stdin).get("correct") is not True)' \
+			|| exit 1; \
+	done
 
 ## Beyond-model fault-injection campaign on both engines via the chaos
 ## CLI. Exit 0 means the campaign is healthy (every injection classified,

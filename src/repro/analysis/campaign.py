@@ -100,6 +100,13 @@ class ChaosTask:
     extra_crashes: int = 0
     crash_round: int = 1
 
+    def __post_init__(self) -> None:
+        # Checked up front: inside a cell it would be a "detected" fault.
+        if self.max_rounds < 1:
+            raise ConfigurationError(
+                f"max_rounds must be at least 1, got {self.max_rounds}"
+            )
+
     def fault_plan(self) -> FaultPlan:
         """The task's :class:`~repro.sim.chaos.FaultPlan` (validated)."""
         return FaultPlan(

@@ -12,9 +12,9 @@ Public surface:
 * :class:`Phase` / :class:`PhaseSequence` / :class:`Multiplexer` — compose
   protocols from reusable fragments (see :mod:`repro.sim.compose`).
 * :func:`run_protocol` / :class:`RunResult` — execute a run.
-* :class:`Engine` / :func:`resolve_engine` — pluggable round-loop execution
-  (the ``"reference"`` oracle and the default ``"batched"`` fast path; see
-  :mod:`repro.sim.engine`).
+* :class:`Engine` / :func:`resolve_engine` — the one round loop, delivering
+  through the ``"reference"`` router (the executable spec) or the default
+  ``"batched"`` router (the fast path); see :mod:`repro.sim.engine`.
 * :class:`Adversary` / :class:`AdversaryContext` — the fault-injection
   contract (implementations in :mod:`repro.adversary`).
 * :class:`FullMeshTopology`, :class:`SynchronousNetwork` — the wiring.
@@ -33,9 +33,7 @@ from .compose import (
 from .engine import (
     DEFAULT_ENGINE,
     ENGINES,
-    BatchedEngine,
     Engine,
-    ReferenceEngine,
     engine_names,
     resolve_engine,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "Adversary",
     "AdversaryContext",
     "BROADCAST",
-    "BatchedEngine",
     "ChaosInjector",
     "ChaosReport",
     "ConfigurationError",
@@ -115,7 +112,6 @@ __all__ = [
     "ProcessContext",
     "ProcessFactory",
     "ProtocolViolationError",
-    "ReferenceEngine",
     "ResourceBudgetExceeded",
     "RoundLimitExceeded",
     "RunInterrupted",

@@ -11,8 +11,8 @@ in the related literature (Okun & Barak).
 
 A :class:`FaultPlan` is a declarative, seeded description of model
 violations; a :class:`ChaosInjector` (built per run from the plan) perturbs
-delivery between outbox collection and inbox freeze, inside both execution
-engines through one shared hook:
+delivery between outbox collection and routing, as one of the perturbers of
+the round loop both engines share:
 
 * **drop** — per-link message loss (breaks "reliable links");
 * **duplicate** — per-link message duplication (breaks "exactly-once");
@@ -184,10 +184,11 @@ class ChaosReport:
 class ChaosInjector:
     """Per-run fault injector compiled from a :class:`FaultPlan`.
 
-    Both engines call :meth:`perturb` at the same point of the round loop —
-    after the (rushing) adversary has chosen the Byzantine outboxes, before
-    routing — with the same dictionaries in the same order, so the injected
-    perturbation is engine-independent. Link-level chaos (drop, duplicate,
+    The round loop calls :meth:`perturb` after the (rushing) adversary has
+    chosen the Byzantine outboxes and the system model (if any) has
+    perturbed them, before routing — the same dictionaries in the same
+    order whichever engine routes, so the injected perturbation is
+    engine-independent. Link-level chaos (drop, duplicate,
     corrupt) applies to correct *and* Byzantine traffic alike (the network
     does not know who is faulty); crashes apply only to correct processes —
     the adversary's slots are already under hostile control.

@@ -1,60 +1,52 @@
-"""Round execution engines: the reference loop and its fast path.
+"""The synchronous round loop, written once, and the two routers it runs on.
 
 :func:`~repro.sim.runner.run_protocol` owns run *setup* (topology, fault
 slots, process construction) and result assembly; everything between —
-"execute synchronous rounds until every correct process is done" — is an
-:class:`Engine`. Two implementations ship:
+"execute synchronous rounds until every correct process is done" — is
+:meth:`Engine.execute`, in the paper's Section II round shape: correct
+processes send, the rushing adversary picks the Byzantine outboxes, the
+run's perturbers (system model, then chaos) rewrite them, the network
+delivers, processes consume, the adversary observes its slots' inboxes.
 
-* :class:`ReferenceEngine` (``"reference"``) — the original, obviously-correct
-  loop: per-round ``Outbox`` dicts expanded into ``(link, message)``
-  transmission lists by :meth:`~repro.sim.network.SynchronousNetwork.route`,
-  then frozen into per-recipient inboxes. One Python object per message hop.
-* :class:`BatchedEngine` (``"batched"``, the default) — one shared immutable
-  tuple per broadcasting sender instead of per-recipient copies, a sparse
-  per-recipient overlay for every other outbox shape, and lazy
-  :class:`PortInbox` views that resolve through the recipient's port row,
-  so a broadcast round costs O(n) Python operations plus whatever the
-  protocols read. Equal high-volume messages are interned, and traffic is
-  accounted per *message* (not per transmission) with cached bit sizes.
+Engines differ only in delivery: an engine is a name plus a per-run
+*router* that turns each round's outboxes into that round's inboxes and
+charges the traffic to the round record. :func:`reference_router`
+(``"reference"``) is the executable spec, one Python object per message
+hop; :func:`batched_router` (``"batched"``, the default) shares one tuple
+per broadcasting sender behind lazy :class:`PortInbox` views, so a
+broadcast round costs O(n) Python operations.
 
-The engines are **behaviour-identical by contract**: same process calls
-in the same order, equal inboxes, equal metrics, equal traces, same errors —
-under every adversary, because the adversary's rushing view and observation
-inboxes are built identically. ``tests/test_engine_differential.py`` enforces
-the contract across every registered algorithm × attack × seed grid; any
-optimisation that cannot keep the contract does not belong here. All traffic
-accounting flows through the single shared primitive
+The routers are **behaviour-identical by contract** — equal inboxes in the
+same link order, equal metrics and the same errors under every adversary,
+model and chaos plan — and all traffic accounting goes through
 :meth:`~repro.sim.metrics.RunMetrics.observe_send`, so the encoding model
-cannot drift between engines.
-
-Both engines honour two opt-in collection knobs: tracing costs nothing
-unless a :class:`~repro.sim.trace.TraceRecorder` was attached at setup, and
-``collect_metrics=False`` skips all traffic accounting (round count is
-always maintained — it is load-bearing for every caller).
-
-They also share two opt-in robustness hooks, wired at identical points of
-the round loop so the behavioural contract extends to them: a
-:class:`~repro.sim.chaos.ChaosInjector` perturbs outboxes between adversary
-selection and routing (beyond-model fault injection), and a
-:class:`~repro.sim.monitor.SafetyMonitor` checks the round budget at round
-start and every emitted name after delivery. Both are ``None`` by default
-and add zero work when absent.
+cannot drift between them. ``tests/test_engine_differential.py`` checks the
+routers against each other; because both share this loop, the whole-run
+digests in ``tests/test_differential.py`` pin the absolute outcome.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections.abc import Mapping as MappingABC
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .chaos import ChaosInjector
 from .errors import ConfigurationError, ProtocolViolationError, RoundLimitExceeded
 from .faults import Adversary
 from .messages import Message
-from .metrics import RunMetrics
+from .metrics import RoundMetrics, RunMetrics
+from .model import ModelInjector
 from .monitor import SafetyMonitor
 from .network import SynchronousNetwork
 from .process import BROADCAST, Inbox, Outbox, Process
+from .topology import FullMeshTopology
+
+#: ``route(record, correct_outboxes, byz_outboxes)`` charges one round's
+#: traffic to ``record`` and returns the inbox of every recipient that
+#: received anything.
+Router = Callable[
+    [RoundMetrics, Mapping[int, Outbox], Mapping[int, Outbox]], Mapping[int, Inbox]
+]
 
 
 def _roundtrip_outbox(outbox: Outbox) -> Outbox:
@@ -72,138 +64,28 @@ def _roundtrip_outbox(outbox: Outbox) -> Outbox:
     }
 
 
-def _pooled_types() -> Tuple[type, ...]:
-    """The high-volume message types worth interning.
+def reference_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
+    """The executable spec: :class:`~repro.sim.network.SynchronousNetwork`
+    expands each outbox into ``(link, message)`` transmissions, counted one
+    at a time, then frozen into per-recipient inboxes."""
+    network = SynchronousNetwork(topology)
+    freeze_inbox = network.freeze_inbox
 
-    Imported lazily for the same layering reason as the codec: the concrete
-    protocol messages live above the simulator substrate.
-    """
-    from ..core.messages import EchoMessage, IdMessage, RanksMessage
-    from .compose import EnvelopeMessage
+    def route(
+        record: RoundMetrics,
+        correct_outboxes: Mapping[int, Outbox],
+        byz_outboxes: Mapping[int, Outbox],
+    ) -> Dict[int, Inbox]:
+        # route() expands each outbox exactly once and hands the expanded
+        # transmission lists back for accounting — the hot path must never
+        # re-expand what the network already walked.
+        delivery = network.route({**correct_outboxes, **byz_outboxes})
+        for index in correct_outboxes:
+            metrics.count_correct(record, (m for _, m in delivery.transmissions[index]))
+        record.byzantine_messages += sum(delivery.sent_count(i) for i in byz_outboxes)
+        return {index: freeze_inbox(links) for index, links in delivery.plan.items()}
 
-    return (IdMessage, EchoMessage, RanksMessage, EnvelopeMessage)
-
-
-class Engine(ABC):
-    """One strategy for executing the synchronous round loop.
-
-    Engines are stateless between runs — all per-run working state lives
-    inside :meth:`execute` — so the registry can hand out shared instances
-    (including across process-pool forks).
-    """
-
-    #: Registry name, set by subclasses.
-    name: str
-
-    @abstractmethod
-    def execute(
-        self,
-        *,
-        processes: Dict[int, Process],
-        adversary: Adversary,
-        byzantine: Sequence[int],
-        network: SynchronousNetwork,
-        metrics: RunMetrics,
-        through_wire: bool = False,
-        max_rounds: int = 1000,
-        collect_metrics: bool = True,
-        chaos: Optional[ChaosInjector] = None,
-        monitor: Optional[SafetyMonitor] = None,
-    ) -> None:
-        """Run rounds until every correct process is done.
-
-        Raises :class:`RoundLimitExceeded` if ``max_rounds`` fires first.
-
-        ``chaos`` (a bound :class:`~repro.sim.chaos.ChaosInjector`) perturbs
-        each round's outboxes between collection and routing; ``monitor`` (a
-        :class:`~repro.sim.monitor.SafetyMonitor`) checks round budgets and
-        emitted names, raising :class:`~repro.sim.errors.SafetyViolation` on
-        the first breach. Both default to ``None`` and cost nothing when
-        absent; both are engine-independent, so the cross-engine behavioural
-        contract extends to chaotic and monitored runs.
-        """
-
-
-class ReferenceEngine(Engine):
-    """The original per-object round loop (see module docstring)."""
-
-    name = "reference"
-
-    def execute(
-        self,
-        *,
-        processes: Dict[int, Process],
-        adversary: Adversary,
-        byzantine: Sequence[int],
-        network: SynchronousNetwork,
-        metrics: RunMetrics,
-        through_wire: bool = False,
-        max_rounds: int = 1000,
-        collect_metrics: bool = True,
-        chaos: Optional[ChaosInjector] = None,
-        monitor: Optional[SafetyMonitor] = None,
-    ) -> None:
-        byz_set = set(byzantine)
-        for round_no in range(1, max_rounds + 1):
-            pending = [i for i, p in processes.items() if not p.done]
-            if not pending:
-                break
-            if monitor is not None:
-                monitor.begin_round(round_no)
-            record = metrics.begin_round(round_no)
-
-            correct_outboxes: Dict[int, Outbox] = {
-                i: processes[i].send(round_no) for i in pending
-            }
-            if through_wire:
-                correct_outboxes = {
-                    i: _roundtrip_outbox(outbox)
-                    for i, outbox in correct_outboxes.items()
-                }
-            byz_outboxes = adversary.send(round_no, correct_outboxes)
-            for index in byz_outboxes:
-                if index not in byz_set:
-                    raise ConfigurationError(
-                        f"adversary tried to send as correct process {index}"
-                    )
-            if chaos is not None:
-                correct_outboxes, byz_outboxes = chaos.perturb(
-                    round_no, correct_outboxes, byz_outboxes
-                )
-
-            all_outboxes: Dict[int, Outbox] = dict(correct_outboxes)
-            all_outboxes.update(byz_outboxes)
-            # route() expands each outbox exactly once and hands the expanded
-            # transmission lists back for accounting — the hot path must never
-            # re-expand what the network already walked.
-            delivery = network.route(all_outboxes)
-            plan = delivery.plan
-
-            if collect_metrics:
-                for index in correct_outboxes:
-                    metrics.count_correct(
-                        record, (m for _, m in delivery.transmissions[index])
-                    )
-                record.byzantine_messages += sum(
-                    delivery.sent_count(index) for index in byz_outboxes
-                )
-
-            empty: Inbox = {}
-            for index in pending:
-                links = plan.get(index)
-                inbox = network.freeze_inbox(links) if links else empty
-                processes[index].deliver(round_no, inbox)
-            if monitor is not None:
-                monitor.after_deliver(round_no, processes)
-            if adversary.wants_observations:
-                byz_inboxes: Mapping[int, Inbox] = {
-                    index: network.freeze_inbox(plan[index])
-                    for index in byzantine
-                    if index in plan
-                }
-                adversary.observe(round_no, byz_inboxes)
-        else:
-            _raise_round_limit(processes, max_rounds)
+    return route
 
 
 class PortInbox(MappingABC):
@@ -217,7 +99,7 @@ class PortInbox(MappingABC):
 
     Building the view is O(1). The first read materialises one plain dict
     in ascending link order — content-equal to the inbox the reference
-    engine builds — and every later read goes to that dict, so a protocol
+    router builds — and every later read goes to that dict, so a protocol
     that never reads its inbox never pays for ``n``. ``dense`` and
     ``overlay`` are rebuilt every round, never cleared in place, so a
     retained view keeps showing the round it was delivered in.
@@ -289,18 +171,18 @@ class PortInbox(MappingABC):
         return f"PortInbox({self._resolve()!r})"
 
 
-class BatchedEngine(Engine):
-    """Shared-tuple round loop (see module docstring).
+def batched_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
+    """The shared-tuple router (see module docstring).
 
-    Behaviour-identical to :class:`ReferenceEngine`; every deviation below is
-    an implementation detail that provably cannot be observed:
+    Behaviour-identical to :func:`reference_router`; every deviation below
+    is an implementation detail that provably cannot be observed:
 
     * routing reads the topology's own port rows (``peer_at[s][link - 1]``,
       and their inverse ``label_at[r][s]``, which the topology builds on
       first use), so the mapping is the same;
     * a pure ``BROADCAST`` outbox becomes one shared tuple in the round's
       ``dense[sender]`` slot instead of ``n`` per-recipient copies — safe
-      because messages are frozen and the reference engine already aliases
+      because messages are frozen and the reference router already aliases
       one object across all recipients of a broadcast. Every other outbox
       (point-to-point, mixed, Byzantine-aimed, chaos-expanded) is routed
       message by message into a sparse per-recipient overlay;
@@ -312,8 +194,136 @@ class BatchedEngine(Engine):
       and a per-canonical-instance bit-size cache, which sums to exactly the
       reference's per-transmission accounting.
     """
+    n = topology.n
 
-    name = "batched"
+    # peer_at[p][link - 1] is the peer p reaches via link; its rows are
+    # the topology's own tuples, shared with every PortInbox. The
+    # inverse, label_at[r][s], is needed only by the overlay, and the
+    # topology builds it on first use (a run of pure broadcasts never
+    # pays n²).
+    peer_at = topology.port_rows
+
+    # The high-volume message types worth interning, imported here for the
+    # codec's layering reason: protocol messages live above this substrate.
+    from ..core.messages import EchoMessage, IdMessage, RanksMessage
+    from .compose import EnvelopeMessage
+
+    pooled = frozenset((IdMessage, EchoMessage, RanksMessage, EnvelopeMessage))
+    pool: Dict[Message, Message] = {}
+    bits_of: Dict[int, int] = {}  # id(canonical) -> cached bit size
+    id_bits = metrics.id_bits
+    rank_bits = metrics.rank_bits
+    observe_send = metrics.observe_send
+
+    # The round being routed; route() replaces all three every round.
+    record: Optional[RoundMetrics] = None
+    dense: List[Optional[Tuple[Message, ...]]] = []
+    overlays: Dict[int, Dict[int, List[Message]]] = {}
+
+    def route_outbox(sender: int, outbox: Outbox, correct: bool) -> int:
+        """Route one outbox into this round's layers; return its fan-out."""
+        shared = len(outbox) == 1 and BROADCAST in outbox
+        if not shared:
+            label_at = topology.label_rows
+        row = peer_at[sender]
+        kept: List[Message] = []
+        sent = 0
+        for link, messages in outbox.items():
+            if link == BROADCAST:
+                targets = row
+                fan = n
+            elif 1 <= link <= n:
+                targets = row[link - 1 : link]
+                fan = 1
+            else:
+                raise ProtocolViolationError(
+                    f"process {sender} addressed invalid link {link} (n={n})"
+                )
+            for message in messages:
+                if not isinstance(message, Message):
+                    raise ProtocolViolationError(
+                        f"process {sender} sent a non-Message object: "
+                        f"{message!r}"
+                    )
+                if correct:
+                    if type(message) in pooled:
+                        canonical = pool.get(message)
+                        if canonical is None:
+                            pool[message] = message
+                        else:
+                            message = canonical
+                        # Pooled instances stay alive for the whole run, so
+                        # caching their size by id() is safe; an ephemeral
+                        # object's id could be recycled.
+                        key = id(message)
+                        bits = bits_of.get(key)
+                        if bits is None:
+                            bits = message.bit_size(
+                                id_bits=id_bits, rank_bits=rank_bits
+                            )
+                            bits_of[key] = bits
+                    else:
+                        bits = message.bit_size(id_bits=id_bits, rank_bits=rank_bits)
+                    observe_send(record, bits, fan)
+                sent += fan
+                if shared:
+                    kept.append(message)
+                    continue
+                for recipient in targets:
+                    overlay = overlays.get(recipient)
+                    if overlay is None:
+                        overlay = overlays[recipient] = {}
+                    overlay.setdefault(label_at[recipient][sender], []).append(
+                        message
+                    )
+        if kept:
+            dense[sender] = tuple(kept)
+        return sent
+
+    def route(
+        round_record: RoundMetrics,
+        correct_outboxes: Mapping[int, Outbox],
+        byz_outboxes: Mapping[int, Outbox],
+    ) -> Dict[int, Inbox]:
+        nonlocal record, dense, overlays
+        record = round_record
+        # Fresh layers every round: delivered views may be retained.
+        dense = [None] * n
+        overlays = {}
+        for index, outbox in correct_outboxes.items():
+            route_outbox(index, outbox, correct=True)
+        byz_sent = 0
+        for index, outbox in byz_outboxes.items():
+            byz_sent += route_outbox(index, outbox, correct=False)
+        record.byzantine_messages += byz_sent
+
+        if any(dense):
+            # A dense sender reached every link, so no inbox is empty.
+            return {
+                index: PortInbox(row, dense, overlays.get(index))
+                for index, row in enumerate(peer_at)
+            }
+        return {
+            index: PortInbox(peer_at[index], dense, overlay)
+            for index, overlay in overlays.items()
+        }
+
+    return route
+
+
+class Engine:
+    """The round loop, delivering through a router built fresh per run.
+
+    Stateless between runs, so the registry hands out shared instances
+    (including across process-pool forks). ``execute`` must stay defined on
+    this class: ``perfbench``'s tracer wraps ``Engine.__dict__["execute"]``.
+    """
+
+    def __init__(
+        self, name: str, router: Callable[[FullMeshTopology, RunMetrics], Router]
+    ) -> None:
+        self.name = name
+        self.router = router
 
     def execute(
         self,
@@ -321,103 +331,29 @@ class BatchedEngine(Engine):
         processes: Dict[int, Process],
         adversary: Adversary,
         byzantine: Sequence[int],
-        network: SynchronousNetwork,
+        topology: FullMeshTopology,
         metrics: RunMetrics,
         through_wire: bool = False,
         max_rounds: int = 1000,
-        collect_metrics: bool = True,
-        chaos: Optional[ChaosInjector] = None,
+        perturbers: Sequence[Union[ModelInjector, ChaosInjector]] = (),
         monitor: Optional[SafetyMonitor] = None,
     ) -> None:
-        topology = network.topology
-        n = topology.n
+        """Run rounds until every correct process is done; raises
+        :class:`RoundLimitExceeded` once ``max_rounds`` rounds ran.
+
+        ``perturbers`` rewrite each round's outboxes, in order, between the
+        adversary's choice and routing: the system model's injector first
+        (it *defines* the network), then chaos (which breaks it).
+        ``monitor`` raises :class:`~repro.sim.errors.SafetyViolation` on
+        the first breach of the round budget or of an emitted name.
+        """
+        route = self.router(topology, metrics)
         byz_set = set(byzantine)
-
-        # peer_at[p][link - 1] is the peer p reaches via link; its rows are
-        # the topology's own tuples, shared with every PortInbox. The
-        # inverse, label_at[r][s], is needed only by the overlay, and the
-        # topology builds it on first use (a run of pure broadcasts never
-        # pays n²).
-        peer_at = topology.port_rows
-
-        pooled = frozenset(_pooled_types())
-        pool: Dict[Message, Message] = {}
-        bits_of: Dict[int, int] = {}  # id(canonical) -> cached bit size
-        id_bits = metrics.id_bits
-        rank_bits = metrics.rank_bits
-        observe_send = metrics.observe_send
-
-        def route(sender: int, outbox: Outbox, correct: bool) -> int:
-            """Route one outbox into this round's layers; returns the
-            transmission count."""
-            shared = len(outbox) == 1 and BROADCAST in outbox
-            if not shared:
-                label_at = topology.label_rows
-            row = peer_at[sender]
-            kept: List[Message] = []
-            sent = 0
-            for link, messages in outbox.items():
-                if link == BROADCAST:
-                    targets = row
-                    fan = n
-                elif 1 <= link <= n:
-                    targets = row[link - 1 : link]
-                    fan = 1
-                else:
-                    raise ProtocolViolationError(
-                        f"process {sender} addressed invalid link {link} (n={n})"
-                    )
-                for message in messages:
-                    if not isinstance(message, Message):
-                        raise ProtocolViolationError(
-                            f"process {sender} sent a non-Message object: "
-                            f"{message!r}"
-                        )
-                    if correct:
-                        is_pooled = type(message) in pooled
-                        if is_pooled:
-                            canonical = pool.get(message)
-                            if canonical is None:
-                                pool[message] = message
-                            else:
-                                message = canonical
-                        if collect_metrics:
-                            if is_pooled:
-                                # Pooled instances stay alive for the whole
-                                # run, so caching their size by id() is safe;
-                                # an ephemeral object's id could be recycled.
-                                key = id(message)
-                                bits = bits_of.get(key)
-                                if bits is None:
-                                    bits = message.bit_size(
-                                        id_bits=id_bits, rank_bits=rank_bits
-                                    )
-                                    bits_of[key] = bits
-                            else:
-                                bits = message.bit_size(
-                                    id_bits=id_bits, rank_bits=rank_bits
-                                )
-                            observe_send(record, bits, fan)
-                    sent += fan
-                    if shared:
-                        kept.append(message)
-                        continue
-                    for recipient in targets:
-                        overlay = overlays.get(recipient)
-                        if overlay is None:
-                            overlay = overlays[recipient] = {}
-                        overlay.setdefault(label_at[recipient][sender], []).append(
-                            message
-                        )
-            if kept:
-                dense[sender] = tuple(kept)
-            return sent
-
         empty: Inbox = {}
         for round_no in range(1, max_rounds + 1):
             pending = [i for i, p in processes.items() if not p.done]
             if not pending:
-                break
+                return
             if monitor is not None:
                 monitor.begin_round(round_no)
             record = metrics.begin_round(round_no)
@@ -436,56 +372,32 @@ class BatchedEngine(Engine):
                     raise ConfigurationError(
                         f"adversary tried to send as correct process {index}"
                     )
-            if chaos is not None:
-                correct_outboxes, byz_outboxes = chaos.perturb(
+            for perturber in perturbers:
+                correct_outboxes, byz_outboxes = perturber.perturb(
                     round_no, correct_outboxes, byz_outboxes
                 )
 
-            # Fresh layers every round: delivered views may be retained.
-            dense: List[Optional[Tuple[Message, ...]]] = [None] * n
-            overlays: Dict[int, Dict[int, List[Message]]] = {}
-            for index, outbox in correct_outboxes.items():
-                route(index, outbox, correct=True)
-            byz_sent = 0
-            for index, outbox in byz_outboxes.items():
-                byz_sent += route(index, outbox, correct=False)
-            if collect_metrics:
-                record.byzantine_messages += byz_sent
-
-            # A dense sender reached every link, so then no inbox is empty.
-            has_dense = any(dense)
+            inboxes = route(record, correct_outboxes, byz_outboxes)
             for index in pending:
-                overlay = overlays.get(index)
-                inbox: Inbox = (
-                    PortInbox(peer_at[index], dense, overlay)
-                    if has_dense or overlay
-                    else empty
-                )
-                processes[index].deliver(round_no, inbox)
+                processes[index].deliver(round_no, inboxes.get(index, empty))
             if monitor is not None:
                 monitor.after_deliver(round_no, processes)
             if adversary.wants_observations:
-                byz_inboxes: Dict[int, Inbox] = {}
-                for index in byzantine:
-                    overlay = overlays.get(index)
-                    if has_dense or overlay:
-                        byz_inboxes[index] = PortInbox(peer_at[index], dense, overlay)
-                adversary.observe(round_no, byz_inboxes)
-        else:
-            _raise_round_limit(processes, max_rounds)
-
-
-def _raise_round_limit(processes: Dict[int, Process], max_rounds: int) -> None:
-    stuck = [i for i, p in processes.items() if not p.done]
-    raise RoundLimitExceeded(
-        f"{len(stuck)} correct processes undecided after {max_rounds} rounds: "
-        f"{stuck[:8]}"
-    )
+                adversary.observe(
+                    round_no,
+                    {index: inboxes[index] for index in byzantine if index in inboxes},
+                )
+        stuck = [i for i, p in processes.items() if not p.done]
+        raise RoundLimitExceeded(
+            f"{len(stuck)} correct processes undecided after {max_rounds} rounds: "
+            f"{stuck[:8]}"
+        )
 
 
 #: Shared, stateless engine instances keyed by selector name.
 ENGINES: Dict[str, Engine] = {
-    engine.name: engine for engine in (ReferenceEngine(), BatchedEngine())
+    "reference": Engine("reference", reference_router),
+    "batched": Engine("batched", batched_router),
 }
 
 #: The engine ``run_protocol`` uses when none is requested.

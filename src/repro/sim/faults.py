@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Dict, Mapping, Sequence, Tuple
 
+from .errors import ConfigurationError
 from .process import Inbox, Outbox, Process
 from .topology import FullMeshTopology
 
@@ -106,11 +107,17 @@ def split_fault_slots(
     """Pick which global indices are faulty.
 
     ``fixed`` pins specific indices (tests use this); the remainder are chosen
-    uniformly at random from the rest.
+    uniformly at random from the rest. A pinned index outside ``range(n)``,
+    or more than ``t`` of them, is a :class:`ConfigurationError`.
     """
     chosen = list(dict.fromkeys(fixed))
+    for index in chosen:
+        if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < n:
+            raise ConfigurationError(
+                f"fault slot {index!r} is not a process index in 0..{n - 1}"
+            )
     if len(chosen) > t:
-        raise ValueError(f"{len(chosen)} fixed fault slots exceed t={t}")
+        raise ConfigurationError(f"{len(chosen)} fixed fault slots exceed t={t}")
     pool = [i for i in range(n) if i not in chosen]
     rng.shuffle(pool)
     chosen.extend(pool[: t - len(chosen)])

@@ -24,13 +24,13 @@ the *model itself* to a run parameter, a :class:`SystemModel`:
 Mechanically a model compiles (via :meth:`SystemModel.build_injector`) into
 an injector with the exact ``perturb(round_no, correct_outboxes,
 byz_outboxes)`` contract of :class:`~repro.sim.chaos.ChaosInjector`, and the
-runner threads it through the *same single engine hook* chaos uses — so
-both engines (reference and batched) stay trace-byte-identical to each
-other under every model, and the cross-engine differential contract extends
-to modelled runs for free. Degenerate models (``classic``,
-``impersonation(k=0)``, ``partial_synchrony(rate=0)``) are *inert*: no
-injector is built, the hook is skipped, and the run is bit-identical to a
-model-free run by construction.
+runner hands it to the one round loop as the first of its perturbers (chaos,
+if any, follows) — so both engines (reference and batched) stay
+trace-byte-identical to each other under every model, and the cross-engine
+differential contract extends to modelled runs for free. Degenerate models
+(``classic``, ``impersonation(k=0)``, ``partial_synchrony(rate=0)``) are
+*inert*: no injector is built, nothing is perturbed, and the run is
+bit-identical to a model-free run by construction.
 
 Determinism mirrors chaos: every random choice derives from the model's own
 seed via :func:`repro.sim.rng.derive_rng` with a per-round token, and
@@ -252,7 +252,7 @@ class SystemModel:
 
         The injector carries the chaos hook contract
         (``perturb(round_no, correct_outboxes, byz_outboxes)``), so the
-        runner threads it through the engines' existing single hook point.
+        runner hands it to the round loop as its first perturber.
         """
         if self.is_inert:
             return None
@@ -497,9 +497,9 @@ class ModelInjector:
     """Base for per-run model injectors.
 
     Subclasses implement :meth:`perturb` with the exact contract of
-    :meth:`repro.sim.chaos.ChaosInjector.perturb`: called by every engine at
-    the same point of the round loop (after the rushing adversary picked the
-    Byzantine outboxes, before routing), must never mutate its inputs, and
+    :meth:`repro.sim.chaos.ChaosInjector.perturb`: called by the round loop
+    after the rushing adversary picked the Byzantine outboxes and before
+    chaos and routing, must never mutate its inputs, and
     must be a deterministic function of (model, round history, outboxes) so
     the perturbation is engine-independent.
     """

@@ -56,7 +56,7 @@ class SafetyPolicy:
 class SafetyMonitor:
     """Incremental per-round safety checks over the live process table.
 
-    The engines call :meth:`begin_round` before collecting outboxes and
+    The round loop calls :meth:`begin_round` before collecting outboxes and
     :meth:`after_deliver` once every pending process has consumed its inbox.
     Both calls either pass silently or raise :class:`SafetyViolation`.
     """

@@ -9,15 +9,17 @@ Round structure (matching the paper's "Step r"):
 
 1. every correct, not-yet-done process is asked for its round-``r`` outbox;
 2. the (rushing) adversary sees those outboxes and picks the Byzantine ones;
-3. the network delivers everything simultaneously;
-4. every correct, not-yet-done process consumes its inbox;
-5. the adversary observes what reached the faulty slots.
+3. the run's perturbers — the system model's injector, then chaos — rewrite
+   the outboxes (only when the run has a model or a fault plan);
+4. the network delivers everything simultaneously;
+5. every correct, not-yet-done process consumes its inbox;
+6. the adversary observes what reached the faulty slots.
 
-The loop itself lives in :mod:`repro.sim.engine`: ``engine="reference"``
-executes it one Python object per message hop, and ``engine="batched"``
-(the default) runs the same rounds with one shared tuple per broadcasting
-sender and lazy port-row inbox views. Both are behaviour-identical under
-every adversary.
+That loop is written once, as :meth:`repro.sim.engine.Engine.execute`; the
+engine choice only picks the router for step 4. ``engine="reference"``
+routes one Python object per message hop, and ``engine="batched"`` (the
+default) routes one shared tuple per broadcasting sender into lazy
+port-row inbox views. Both are behaviour-identical under every adversary.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .messages import int_bits
 from .metrics import RunMetrics
 from .model import ModelReport, SystemModel
 from .monitor import SafetyMonitor, SafetyPolicy
-from .network import SynchronousNetwork
 from .process import Process, ProcessContext
 from .rng import derive_rng
 from .topology import FullMeshTopology
@@ -42,27 +43,6 @@ from .trace import TraceRecorder
 #: Builds a protocol instance from a context; the same factory serves correct
 #: processes and the adversary's "run the real protocol" strategies.
 ProcessFactory = Callable[[ProcessContext], Process]
-
-
-class _PerturbChain:
-    """Compose several perturb hooks at the engines' single hook point.
-
-    The engines accept exactly one ``chaos``-shaped hook; when a run carries
-    both a system model and a chaos plan, this chains them — model first
-    (it *defines* what the network delivers), chaos second (beyond-model
-    breakage applies to whatever network the model produced). Each stage
-    honours the no-input-mutation contract, so the chain does too.
-    """
-
-    def __init__(self, *hooks) -> None:
-        self._hooks = hooks
-
-    def perturb(self, round_no, correct_outboxes, byz_outboxes):
-        for hook in self._hooks:
-            correct_outboxes, byz_outboxes = hook.perturb(
-                round_no, correct_outboxes, byz_outboxes
-            )
-        return correct_outboxes, byz_outboxes
 
 
 @dataclass
@@ -124,7 +104,6 @@ def run_protocol(
     collect_trace: bool = False,
     through_wire: bool = False,
     engine: str = DEFAULT_ENGINE,
-    collect_metrics: bool = True,
     topology_seed: Optional[int] = None,
     chaos: Optional[FaultPlan] = None,
     safety: Optional[SafetyPolicy] = None,
@@ -134,26 +113,26 @@ def run_protocol(
 
     ``ids[i]`` is the original id of the process at global index ``i`` —
     faulty slots get ids too (the adversary may use, abuse, or ignore them).
-    ``byzantine`` pins specific slots as faulty; remaining faulty slots (up to
-    ``t``) are drawn from the seed. With ``adversary=None`` the faulty slots
-    are silent (:class:`NullAdversary`).
+    ``byzantine`` pins specific slots (process indices in ``range(n)``, at
+    most ``t`` of them) as faulty; remaining faulty slots (up to ``t``) are
+    drawn from the seed. With ``adversary=None`` the faulty slots are silent
+    (:class:`NullAdversary`).
 
     ``through_wire=True`` round-trips every correct process's messages
     through the binary codec (:mod:`repro.wire`) before delivery — a
     fidelity drill proving the codec carries the full protocol (Byzantine
     traffic is exempt: adversaries may emit objects no codec knows).
 
-    ``engine`` selects the round-loop implementation (see
+    ``engine`` selects the router the round loop delivers through (see
     :mod:`repro.sim.engine`): ``"batched"`` (default) or ``"reference"``.
-    Both produce identical results; the reference engine exists as the
-    obviously-correct oracle the batched engine is differentially tested
-    against.
+    Both produce identical results; the reference router exists as the
+    obviously-correct oracle the batched router is differentially tested
+    against. ``max_rounds`` must be at least 1.
 
-    ``collect_metrics=False`` skips all traffic accounting (message and bit
-    counters stay zero); round counts are always recorded. ``topology_seed``
-    overrides the seed used for link labelling only — metamorphic tests use
-    it to relabel every link while keeping fault slots, process randomness,
-    and the adversary unchanged. A factory that re-derives the wiring
+    ``topology_seed`` overrides the seed used for link labelling only —
+    metamorphic tests use it to relabel every link while keeping fault
+    slots, process randomness, and the adversary unchanged. A factory that
+    re-derives the wiring
     (:func:`~repro.agreement.identity.make_identified_factory`,
     :func:`~repro.broadcast.bracha.make_rb_factory`) must then be built with
     ``topology_seed``, not ``seed``, or it is wired to the wrong labelling.
@@ -170,11 +149,11 @@ def run_protocol(
     ``model`` (a :class:`~repro.sim.model.SystemModel`) selects the system
     model the run executes under — ``classic`` (the paper's, the default),
     ``impersonation(k)`` or ``partial_synchrony(rate, max_delay)``. A
-    non-inert model compiles into an injector sharing the chaos hook (model
-    first — it *defines* the network; chaos then breaks it), so all engines
-    stay behaviour-identical under every model; an inert model installs
-    nothing and the run is bit-identical to a model-free one. The model's
-    record lands on :attr:`RunResult.model`.
+    non-inert model compiles into an injector that perturbs each round
+    before chaos does (it *defines* the network; chaos then breaks it), so
+    all engines stay behaviour-identical under every model; an inert model
+    installs nothing and the run is bit-identical to a model-free one. The
+    model's record lands on :attr:`RunResult.model`.
     """
     if n < 1:
         raise ConfigurationError(f"need at least one process, got n={n}")
@@ -186,10 +165,11 @@ def run_protocol(
         raise ConfigurationError("original ids must be unique")
     if any(identifier < 1 for identifier in ids):
         raise ConfigurationError("original ids must be positive integers")
+    if max_rounds < 1:
+        raise ConfigurationError(f"max_rounds must be at least 1, got {max_rounds}")
 
     engine_impl = resolve_engine(engine)
     topology = FullMeshTopology(n, seed=seed if topology_seed is None else topology_seed)
-    network = SynchronousNetwork(topology)
     byz = split_fault_slots(n, t, derive_rng(seed, "fault-slots"), fixed=byzantine)
     byz_set = set(byz)
     id_of = {i: int(ids[i]) for i in range(n)}
@@ -232,10 +212,6 @@ def run_protocol(
     model_injector = None
     if model is not None:
         model_injector = model.build_injector(n=n, byzantine=byz)
-    if model_injector is not None and injector is not None:
-        hook = _PerturbChain(model_injector, injector)
-    else:
-        hook = model_injector if model_injector is not None else injector
     monitor = None
     if safety is not None:
         monitor = SafetyMonitor(safety, ids=id_of, trace=trace)
@@ -244,12 +220,12 @@ def run_protocol(
         processes=processes,
         adversary=adversary,
         byzantine=byz,
-        network=network,
+        topology=topology,
         metrics=metrics,
         through_wire=through_wire,
         max_rounds=max_rounds,
-        collect_metrics=collect_metrics,
-        chaos=hook,
+        # Model first: it defines the network; chaos then breaks it.
+        perturbers=tuple(p for p in (model_injector, injector) if p is not None),
         monitor=monitor,
     )
 

@@ -39,7 +39,6 @@ def run_registered(
     ids: Optional[list] = None,
     collect_trace: bool = True,
     through_wire: bool = False,
-    collect_metrics: bool = True,
     topology_seed: Optional[int] = None,
     max_rounds: int = 1000,
     model: Optional[SystemModel] = None,
@@ -48,8 +47,8 @@ def run_registered(
 
     The differential and metamorphic suites drive :func:`run_protocol`
     directly (not :func:`~repro.analysis.experiments.run_experiment`) so
-    they can vary ``engine`` / ``topology_seed`` / ``collect_metrics`` /
-    ``model`` while reusing the registry's factories and attack lists.
+    they can vary ``engine`` / ``topology_seed`` / ``model`` while reusing
+    the registry's factories and attack lists.
     The factory is built with the labelling seed (``topology_seed`` when
     given): identified-model factories re-derive the run's wiring from it.
     """
@@ -67,7 +66,6 @@ def run_registered(
         collect_trace=collect_trace,
         through_wire=through_wire,
         engine=engine,
-        collect_metrics=collect_metrics,
         topology_seed=topology_seed,
         max_rounds=max_rounds,
         model=model,

@@ -168,6 +168,16 @@ class TestExitCodeContract:
         assert code == EXIT_INFRA
         capsys.readouterr()
 
+    def test_chaos_max_rounds_below_one_is_infra(self, capsys):
+        """A zero round budget is a bad configuration, not a cell whose
+        round-limit error counts as a detected fault."""
+        code = main([
+            "chaos", "--algorithms", "alg1", "--sizes", "4:1", "--seeds", "0",
+            "--max-rounds", "0",
+        ])
+        assert code == EXIT_INFRA
+        assert "max_rounds must be at least 1" in capsys.readouterr().err
+
     def test_unusable_journal_is_infra(self, capsys, tmp_path):
         code = main(
             ["runs", "resume", "missing", "--runs-dir", str(tmp_path)]

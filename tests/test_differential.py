@@ -27,7 +27,7 @@ from repro import (
     run_protocol,
 )
 from repro.adversary import ALG1_ATTACKS, make_adversary
-from repro.sim import FaultPlan, SafetyPolicy, SystemModel
+from repro.sim import FaultPlan, SafetyPolicy, SimulationError, SystemModel
 
 
 class TestExactVsFloat:
@@ -241,8 +241,8 @@ def _golden_run_digest(case: str, engine: str) -> str:
     """sha256 of one pinned run's full observable outcome.
 
     A finished run hashes ``run_to_dict`` plus the chaos and model reports;
-    a run that raises hashes the exception's type and message instead, so
-    *how* a run fails is pinned as tightly as how it succeeds.
+    a run that raises a simulator error hashes its type and message
+    instead, so *how* a run fails is pinned as tightly as how it succeeds.
     """
     from repro.analysis import ALGORITHMS
     from repro.analysis.serialization import run_to_dict
@@ -261,7 +261,7 @@ def _golden_run_digest(case: str, engine: str) -> str:
             engine=engine,
             **options,
         )
-    except Exception as exc:  # noqa: BLE001 - the failure itself is pinned
+    except SimulationError as exc:
         outcome = {"error": type(exc).__name__, "message": str(exc)}
     else:
         outcome = {

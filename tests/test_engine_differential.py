@@ -1,15 +1,15 @@
 """Cross-engine differential harness: every engine ≡ reference, always.
 
-The batched engine (:mod:`repro.sim.engine`) is only allowed to exist
-because it is *provably behaviour-identical* to the reference loop. This suite
-is that proof, in executable form:
+Both engines run the one round loop of :mod:`repro.sim.engine`; they differ
+only in the router that turns outboxes into inboxes. The batched router is
+only allowed to exist because it is *provably behaviour-identical* to the
+reference router. This suite is that proof, in executable form:
 
 * every registered algorithm × every registered-meaningful attack, across
   a seed grid (2 seeds in tier-1, the full ≥20-seed grid nightly via the
   ``slow`` marker) — full output/trace/metrics equality for **every**
   registered engine against the reference;
-* the knob cross-product: ``through_wire``, ``collect_metrics=False``,
-  tracing on/off;
+* the knob cross-product: ``through_wire``, tracing on/off;
 * error identity: all engines raise the same exception types with the
   same messages for round-limit overruns, protocol violations, and
   adversary misconfiguration;
@@ -20,8 +20,10 @@ is that proof, in executable form:
 
 The grid iterates ``engine_names()``, so it covers whatever is registered.
 
-If an engine divergence ever appears, fix the non-reference engine — the
-reference loop is the specification.
+If an engine divergence ever appears, fix the non-reference router — the
+reference router is the specification. Because the two engines share the
+loop, this suite cannot see a regression in the loop itself; the whole-run
+digests in ``tests/test_differential.py`` pin that.
 """
 
 from __future__ import annotations
@@ -125,38 +127,6 @@ def test_engines_identical_through_wire(algorithm, attack):
 @pytest.mark.parametrize("algorithm", ["alg1", "consensus"])
 def test_engines_identical_without_trace(algorithm):
     _compare(algorithm, "conforming", 0, collect_trace=False)
-
-
-def test_engines_identical_without_metrics():
-    """``collect_metrics=False`` zeroes traffic counters identically; round
-    count — load-bearing for every caller — is still maintained."""
-    runs = {
-        engine: run_registered(
-            "alg1", 7, 2, attack="divergence", seed=1, engine=engine,
-            collect_metrics=False,
-        )
-        for engine in ALL_ENGINES
-    }
-    for engine, run in runs.items():
-        if engine != "reference":
-            assert_runs_identical(
-                runs["reference"], run, f"no-metrics/{engine}"
-            )
-    for result in runs.values():
-        assert result.metrics.correct_messages == 0
-        assert result.metrics.correct_bits == 0
-        assert result.metrics.round_count > 0
-
-
-def test_metrics_off_matches_metrics_on_outputs():
-    """Disabling accounting must never change what the protocol computes."""
-    on = run_registered("alg1", 7, 2, attack="rank-skew", seed=3, engine="batched")
-    off = run_registered(
-        "alg1", 7, 2, attack="rank-skew", seed=3, engine="batched",
-        collect_metrics=False,
-    )
-    assert on.outputs == off.outputs
-    assert list(on.trace) == list(off.trace)
 
 
 # --------------------------------------------------------------- error identity

@@ -132,9 +132,25 @@ class TestRunProtocol:
             run_protocol(EchoOnce, n=3, t=-1, ids=[1, 2, 3], seed=0)
 
     def test_too_many_pinned_fault_slots_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="exceed t=1"):
             run_protocol(
                 EchoOnce, n=4, t=1, ids=[1, 2, 3, 4], byzantine=[0, 1], seed=0
+            )
+
+    @pytest.mark.parametrize("slot", [7, 4, -1, 1.0, True, "1"])
+    def test_pinned_fault_slot_must_be_a_process_index(self, slot):
+        """A slot outside ``range(n)`` would be a phantom fault slot: listed
+        in ``RunResult.byzantine`` while every process is correct."""
+        with pytest.raises(ConfigurationError, match="not a process index"):
+            run_protocol(
+                EchoOnce, n=4, t=1, ids=[1, 2, 3, 4], byzantine=[slot], seed=0
+            )
+
+    @pytest.mark.parametrize("max_rounds", [0, -3])
+    def test_max_rounds_below_one_rejected(self, max_rounds):
+        with pytest.raises(ConfigurationError, match="max_rounds"):
+            run_protocol(
+                EchoOnce, n=3, t=0, ids=[1, 2, 3], seed=0, max_rounds=max_rounds
             )
 
     def test_metrics_count_broadcasts_as_n_messages(self):
@@ -213,9 +229,9 @@ class TestRunProtocol:
         assert first.byzantine == second.byzantine
 
     def test_each_outbox_expanded_exactly_once_per_round(self, monkeypatch):
-        """The reference engine must not re-expand outboxes for metrics
+        """The reference router must not re-expand outboxes for metrics
         accounting — delivery and traffic counting share one expansion pass.
-        (The batched engine bypasses ``expand_outbox`` entirely; its traffic
+        (The batched router bypasses ``expand_outbox`` entirely; its traffic
         accounting is proven equal in tests/test_engine_differential.py.)"""
         from repro.sim.network import SynchronousNetwork
 
