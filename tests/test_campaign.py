@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shlex
 import time
@@ -246,7 +247,16 @@ class TestReproducerRoundTrip:
             chaos_seed=2, drop=0.25, extra_crashes=1, crash_round=2,
         )
         line = task.reproducer()
-        assert line.startswith("python -m repro.cli chaos ")
+        assert line == (
+            "python -m repro.cli chaos --algorithms alg1 --sizes 7:2 "
+            "--attacks conforming --seeds 1 --engines reference "
+            "--chaos-seeds 2 --drop 0.25 --crash-extra 1 --crash-round 2 "
+            "--combine --max-rounds 64 --workers 1"
+        )
+        assert task.describe() == (
+            "alg1 n=7 t=2 conforming seed=1 reference "
+            "[drop=0.25 crash+1@2 seed=2]"
+        )
         argv = shlex.split(line)[3:]  # strip "python -m repro.cli"
         json_path = tmp_path / "triage.json"
         argv += ["--no-clean", "--json", str(json_path)]
@@ -276,3 +286,9 @@ class TestReproducerRoundTrip:
         counts = report.counts()
         assert counts["clean"] + counts["tolerated"] + counts["violation"] + \
             counts["detected"] == len(tasks)
+        # Every cell's label and verdict, pinned: the canonical report is a
+        # pure function of the seeded grid.
+        digest = hashlib.sha256(report.canonical().encode("utf-8")).hexdigest()
+        assert digest == (
+            "a77b3306cd5899e9394db1893fc6039fb9ffee4536cffd30600c71fbbc9d615e"
+        )
