@@ -56,15 +56,29 @@ perf-smoke:
 	done
 
 ## Beyond-model fault-injection campaign on both engines via the chaos
-## CLI. Exit 0 means the campaign is healthy (every injection classified,
-## no quarantined cells, no silent successes) — individual detections and
-## property violations are findings, not failures. A campaign that hangs,
-## drops a run, or lets an injected fault pass unverified fails here.
+## CLI, serially in-process (--workers 1) and on the process pool
+## (--workers 2). Exit 0 means the campaign is healthy (every injection
+## classified, no quarantined cells, no silent successes) — individual
+## detections and property violations are findings, not failures. A
+## campaign that hangs, drops a run, or lets an injected fault pass
+## unverified fails here, and so does any difference between the two
+## runs' canonical triage reports (wall-clock and pool size scrubbed).
+CHAOS_SMOKE_DIR := .chaos-smoke
+CHAOS_SMOKE_GRID := --algorithms alg1 alg4 --sizes 7:2 11:2 --seeds 0 1 \
+	--chaos-seeds 0 1 --engines batched reference --preset smoke
 chaos-smoke:
-	$(PYTHON) -m repro.cli chaos --algorithms alg1 alg4 \
-		--sizes 7:2 11:2 --seeds 0 1 --chaos-seeds 0 1 \
-		--engines batched reference --preset smoke \
-		--workers 2 --timeout 120
+	rm -rf $(CHAOS_SMOKE_DIR)
+	mkdir -p $(CHAOS_SMOKE_DIR)
+	$(PYTHON) -m repro.cli chaos $(CHAOS_SMOKE_GRID) --workers 1 \
+		--timeout 120 --json $(CHAOS_SMOKE_DIR)/serial.json
+	$(PYTHON) -m repro.cli chaos $(CHAOS_SMOKE_GRID) --workers 2 \
+		--timeout 120 --json $(CHAOS_SMOKE_DIR)/pool.json
+	$(PYTHON) -c 'import json, sys; \
+		from repro.analysis.envelope import canonical_json; \
+		a, b = (canonical_json(json.load(open(p))) for p in sys.argv[1:]); \
+		sys.exit(a != b)' \
+		$(CHAOS_SMOKE_DIR)/serial.json $(CHAOS_SMOKE_DIR)/pool.json
+	rm -rf $(CHAOS_SMOKE_DIR)
 
 ## Durability smoke: SIGKILL a --journal ~50-cell campaign mid-flight
 ## (deterministically, right after the 20th finished cell becomes durable

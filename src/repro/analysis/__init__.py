@@ -10,7 +10,6 @@ from .campaign import (
     CHAOS_PRESETS,
     ChaosCampaign,
     ChaosOutcome,
-    ChaosTask,
     TriageReport,
     chaos_grid,
     execute_chaos_task,
@@ -58,7 +57,6 @@ __all__ = [
     "CellBudget",
     "ChaosCampaign",
     "ChaosOutcome",
-    "ChaosTask",
     "Claim",
     "ClaimResult",
     "Coordinator",

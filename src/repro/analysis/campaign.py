@@ -6,11 +6,15 @@ invariant is **zero silent successes**: a run either completes with its
 properties verified, or its failure is recorded with a typed cause and a
 one-command reproducer. Nothing is dropped, nothing hangs the campaign.
 
-* :class:`ChaosTask` — one fully-specified (configuration × fault plan)
-  cell, picklable and hashable, with :meth:`ChaosTask.reproducer` emitting
-  the exact ``repro-renaming chaos`` command line that re-executes it.
-* :func:`execute_chaos_task` — the worker entry point. Typed simulator
-  errors (:class:`~repro.sim.errors.SimulationError`, including
+* A campaign cell is a sweep cell: a :class:`~repro.analysis.executor.RunTask`
+  whose ``chaos`` field holds the cell's
+  :class:`~repro.sim.chaos.FaultPlan` (``None`` for the no-fault control
+  cell). :func:`chaos_grid` builds the grid; :func:`describe` labels a
+  cell and :func:`reproducer` emits the exact ``repro-renaming chaos``
+  command line that re-executes it.
+* :func:`execute_chaos_task` — the worker entry point: the verdict
+  classifier around :func:`~repro.analysis.executor.execute_task`. Typed
+  simulator errors (:class:`~repro.sim.errors.SimulationError`, including
   :class:`~repro.sim.errors.SafetyViolation` from the runtime monitor, and
   :class:`~repro.wire.WireError`) are *outcomes*, not crashes.
 * :class:`ChaosCampaign` — the grid through the cell loop it shares with
@@ -58,10 +62,8 @@ from ..sim import (
     SimulationError,
 )
 from ..wire import WireError
-from ..workloads.ids import make_ids
 from .budget import CellBudget
-from .executor import resolve_workers
-from .experiments import run_experiment
+from .executor import RunTask, execute_task, resolve_workers
 from .envelope import canonical_json, config_fingerprint
 from .tables import format_table
 
@@ -69,124 +71,62 @@ __all__ = [
     "CHAOS_PRESETS",
     "ChaosCampaign",
     "ChaosOutcome",
-    "ChaosTask",
     "TriageReport",
     "chaos_grid",
+    "describe",
     "execute_chaos_task",
+    "reproducer",
 ]
 
 #: Every status a classified run can end in (stable order for reports).
 STATUSES = ("clean", "tolerated", "violation", "detected", "timeout", "crashed")
 
 
-@dataclass(frozen=True)
-class ChaosTask:
-    """One campaign cell: a run configuration plus its fault plan."""
+def describe(task: RunTask) -> str:
+    """Compact cell label for triage tables."""
+    plan = task.chaos or FaultPlan()
+    return (
+        f"{task.algorithm} n={task.n} t={task.t} {task.attack} "
+        f"seed={task.seed} {task.engine} [{plan.describe()}]"
+    )
 
-    algorithm: str
-    n: int
-    t: int
-    attack: str = "silent"
-    seed: int = 0
-    engine: str = DEFAULT_ENGINE
-    workload: str = "uniform"
-    max_rounds: int = 64
-    monitor: bool = True
-    enforce_regime: bool = True
-    chaos_seed: int = 0
-    drop: float = 0.0
-    duplicate: float = 0.0
-    corrupt: float = 0.0
-    extra_crashes: int = 0
-    crash_round: int = 1
 
-    def __post_init__(self) -> None:
-        # Checked up front: inside a cell it would be a "detected" fault.
-        if self.max_rounds < 1:
-            raise ConfigurationError(
-                f"max_rounds must be at least 1, got {self.max_rounds}"
-            )
-
-    def fault_plan(self) -> FaultPlan:
-        """The task's :class:`~repro.sim.chaos.FaultPlan` (validated)."""
-        return FaultPlan(
-            seed=self.chaos_seed,
-            drop=self.drop,
-            duplicate=self.duplicate,
-            corrupt=self.corrupt,
-            extra_crashes=self.extra_crashes,
-            crash_round=self.crash_round,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready cell description (store task lists, fingerprints)."""
-        return {
-            "algorithm": self.algorithm,
-            "n": self.n,
-            "t": self.t,
-            "attack": self.attack,
-            "seed": self.seed,
-            "engine": self.engine,
-            "workload": self.workload,
-            "max_rounds": self.max_rounds,
-            "monitor": self.monitor,
-            "enforce_regime": self.enforce_regime,
-            "chaos_seed": self.chaos_seed,
-            "drop": self.drop,
-            "duplicate": self.duplicate,
-            "corrupt": self.corrupt,
-            "extra_crashes": self.extra_crashes,
-            "crash_round": self.crash_round,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ChaosTask":
-        return cls(**payload)
-
-    def describe(self) -> str:
-        """Compact cell label for triage tables."""
-        plan = self.fault_plan()
-        fault = "none" if plan.is_empty else plan.describe()
-        return (
-            f"{self.algorithm} n={self.n} t={self.t} {self.attack} "
-            f"seed={self.seed} {self.engine} [{fault}]"
-        )
-
-    def reproducer(self) -> str:
-        """The one-command CLI line that re-executes exactly this cell."""
-        parts = [
-            "python -m repro.cli chaos",
-            f"--algorithms {self.algorithm}",
-            f"--sizes {self.n}:{self.t}",
-            f"--attacks {self.attack}",
-            f"--seeds {self.seed}",
-            f"--engines {self.engine}",
-            f"--chaos-seeds {self.chaos_seed}",
-        ]
-        if self.drop:
-            parts.append(f"--drop {self.drop}")
-        if self.duplicate:
-            parts.append(f"--duplicate {self.duplicate}")
-        if self.corrupt:
-            parts.append(f"--corrupt {self.corrupt}")
-        if self.extra_crashes:
-            parts.append(f"--crash-extra {self.extra_crashes}")
-            parts.append(f"--crash-round {self.crash_round}")
-        parts.append("--combine")
-        parts.append(f"--max-rounds {self.max_rounds}")
-        if self.workload != "uniform":
-            parts.append(f"--workload {self.workload}")
-        if not self.monitor:
-            parts.append("--no-monitor")
-        parts.append("--workers 1")
-        return " ".join(parts)
+def reproducer(task: RunTask) -> str:
+    """The one-command CLI line that re-executes exactly this cell."""
+    plan = task.chaos or FaultPlan()
+    parts = [
+        "python -m repro.cli chaos",
+        f"--algorithms {task.algorithm}",
+        f"--sizes {task.n}:{task.t}",
+        f"--attacks {task.attack}",
+        f"--seeds {task.seed}",
+        f"--engines {task.engine}",
+        f"--chaos-seeds {plan.seed}",
+    ]
+    if plan.drop:
+        parts.append(f"--drop {plan.drop}")
+    if plan.duplicate:
+        parts.append(f"--duplicate {plan.duplicate}")
+    if plan.corrupt:
+        parts.append(f"--corrupt {plan.corrupt}")
+    if plan.extra_crashes:
+        parts.append(f"--crash-extra {plan.extra_crashes}")
+        parts.append(f"--crash-round {plan.crash_round}")
+    parts.append("--combine")
+    parts.append(f"--max-rounds {task.max_rounds}")
+    if task.workload != "uniform":
+        parts.append(f"--workload {task.workload}")
+    if not task.monitor:
+        parts.append("--no-monitor")
+    parts.append("--workers 1")
+    return " ".join(parts)
 
 
 @dataclass
 class ChaosOutcome:
     """The classified verdict of one campaign cell."""
 
-    task: ChaosTask
+    task: RunTask
     status: str
     elapsed_s: float = 0.0
     #: ``"ExceptionType: message"`` for detected/timeout/crashed outcomes.
@@ -207,14 +147,14 @@ class ChaosOutcome:
 
     def as_dict(self) -> dict:
         return {
-            "task": self.task.describe(),
+            "task": describe(self.task),
             "status": self.status,
             "elapsed_s": self.elapsed_s,
             "error": self.error,
             "violated": list(self.violated),
             "injected": dict(self.injected),
             "retries": self.retries,
-            "reproducer": self.task.reproducer() if self.quarantined else None,
+            "reproducer": reproducer(self.task) if self.quarantined else None,
         }
 
     def verdict_dict(self) -> dict:
@@ -230,7 +170,7 @@ class ChaosOutcome:
         }
 
     @classmethod
-    def from_verdict(cls, task: ChaosTask, payload: dict) -> "ChaosOutcome":
+    def from_verdict(cls, task: RunTask, payload: dict) -> "ChaosOutcome":
         """Inverse of :meth:`verdict_dict` given the cell's task."""
         return cls(
             task=task,
@@ -243,7 +183,7 @@ class ChaosOutcome:
         )
 
 
-def execute_chaos_task(task: ChaosTask) -> ChaosOutcome:
+def execute_chaos_task(task: RunTask) -> ChaosOutcome:
     """Run one cell and classify it (the worker entry point).
 
     Typed errors are verdicts: a :class:`~repro.sim.errors.SafetyViolation`
@@ -254,38 +194,18 @@ def execute_chaos_task(task: ChaosTask) -> ChaosOutcome:
     worker crash, which the campaign retries and then quarantines.
     """
     start = time.perf_counter()
-    ids = make_ids(task.workload, task.n, seed=task.seed)
-    plan = task.fault_plan()
     try:
-        record = run_experiment(
-            task.algorithm,
-            task.n,
-            task.t,
-            ids,
-            attack=task.attack,
-            seed=task.seed,
-            max_rounds=task.max_rounds,
-            engine=task.engine,
-            enforce_regime=task.enforce_regime,
-            monitor=task.monitor,
-            chaos=None if plan.is_empty else plan,
-        )
-    except SafetyViolation as exc:
-        return ChaosOutcome(
-            task=task,
-            status="detected",
-            elapsed_s=time.perf_counter() - start,
-            error=f"{type(exc).__name__}: {exc}",
-            violated=(exc.violated,),
-        )
+        report = execute_task(task).report
     except (SimulationError, WireError) as exc:
         return ChaosOutcome(
             task=task,
             status="detected",
             elapsed_s=time.perf_counter() - start,
             error=f"{type(exc).__name__}: {exc}",
+            violated=(
+                (exc.violated,) if isinstance(exc, SafetyViolation) else ()
+            ),
         )
-    report = record.report
     if report.ok:
         status = "tolerated" if report.beyond_model else "clean"
     else:
@@ -344,7 +264,7 @@ class TriageReport:
                 or "-"
             )
             rows.append([
-                outcome.task.describe(),
+                describe(outcome.task),
                 outcome.status,
                 injected,
                 detail[:60],
@@ -367,7 +287,7 @@ class TriageReport:
             lines.append("\nquarantined (reproduce with):")
             for outcome in self.quarantined:
                 lines.append(f"  [{outcome.status}] {outcome.error}")
-                lines.append(f"    {outcome.task.reproducer()}")
+                lines.append(f"    {reproducer(outcome.task)}")
         return "\n".join(lines)
 
     def to_json(self) -> dict:
@@ -425,7 +345,7 @@ class ChaosCampaign:
         workers: Optional[int] = None,
         timeout_s: float = 120.0,
         retries: int = 1,
-        task_runner: Callable[[ChaosTask], ChaosOutcome] = execute_chaos_task,
+        task_runner: Callable[[RunTask], ChaosOutcome] = execute_chaos_task,
     ) -> None:
         self.workers = resolve_workers(workers)
         if timeout_s <= 0:
@@ -436,7 +356,7 @@ class ChaosCampaign:
 
     def run(
         self,
-        tasks: Sequence[ChaosTask],
+        tasks: Sequence[RunTask],
         *,
         budget=None,
         store=None,
@@ -484,7 +404,7 @@ class ChaosCampaign:
         )
 
     @staticmethod
-    def fingerprint(tasks: Sequence[ChaosTask]) -> str:
+    def fingerprint(tasks: Sequence[RunTask]) -> str:
         """The campaign's config fingerprint (over the expanded grid)."""
         return config_fingerprint("chaos", [task.to_dict() for task in tasks])
 
@@ -527,75 +447,61 @@ def chaos_grid(
     workload: str = "uniform",
     max_rounds: int = 64,
     monitor: bool = True,
-) -> List[ChaosTask]:
+) -> List[RunTask]:
     """Build the campaign grid: configurations × fault variants.
 
     Each value in ``drop``/``duplicate``/``corrupt``/``extra_crashes``
     becomes its own *single-axis* fault variant, keeping the grid linear in
     the number of fault values. ``combine=True`` instead merges one value
     per axis into a single combined plan (reproducers use this to pin exact
-    cells). ``include_clean=True`` adds the no-fault control cell per
-    configuration — the baseline that proves a ``violation`` verdict comes
-    from the injection, not the configuration.
+    cells). ``include_clean=True`` adds the no-fault control cell
+    (``chaos=None``) per configuration — the baseline that proves a
+    ``violation`` verdict comes from the injection, not the configuration.
+
+    Every :class:`~repro.sim.chaos.FaultPlan` is built here, so an invalid
+    fault value raises :class:`~repro.sim.errors.ConfigurationError`
+    before any cell runs.
     """
-    variants: List[Dict[str, object]] = []
+    axes = (
+        ("drop", drop), ("duplicate", duplicate), ("corrupt", corrupt),
+        ("extra_crashes", extra_crashes),
+    )
     if combine:
-        for axis, values in (
-            ("drop", drop), ("duplicate", duplicate), ("corrupt", corrupt),
-            ("extra_crashes", extra_crashes),
-        ):
+        for axis, values in axes:
             if len(values) > 1:
                 raise ConfigurationError(
                     f"combine=True needs at most one value per axis; "
                     f"{axis} got {list(values)}"
                 )
-        combined: Dict[str, object] = {}
-        if drop:
-            combined["drop"] = drop[0]
-        if duplicate:
-            combined["duplicate"] = duplicate[0]
-        if corrupt:
-            combined["corrupt"] = corrupt[0]
-        if extra_crashes:
-            combined["extra_crashes"] = extra_crashes[0]
-            combined["crash_round"] = crash_round
-        if combined:
-            variants.append(combined)
+        combined = {axis: values[0] for axis, values in axes if values}
+        variants = [combined] if combined else []
     else:
-        variants.extend({"drop": value} for value in drop)
-        variants.extend({"duplicate": value} for value in duplicate)
-        variants.extend({"corrupt": value} for value in corrupt)
-        variants.extend(
-            {"extra_crashes": value, "crash_round": crash_round}
-            for value in extra_crashes
+        variants = [{axis: value} for axis, values in axes for value in values]
+    for variant in variants:
+        if "extra_crashes" in variant:
+            variant["crash_round"] = crash_round
+    plans: List[Optional[FaultPlan]] = [
+        FaultPlan(seed=chaos_seed, **variant)
+        for chaos_seed in chaos_seeds
+        for variant in variants
+    ]
+    if include_clean or not variants:
+        # The chaos seed is irrelevant without a fault plan, so the control
+        # cell appears exactly once per configuration.
+        plans.insert(0, None)
+    return [
+        RunTask(
+            algorithm, n, t, attack, seed,
+            workload=workload,
+            max_rounds=max_rounds,
+            engine=engine,
+            monitor=monitor,
+            chaos=plan,
         )
-    tasks: List[ChaosTask] = []
-    for algorithm in algorithms:
-        for n, t in sizes:
-            for attack in attacks:
-                for seed in seeds:
-                    for engine in engines:
-                        base = dict(
-                            algorithm=algorithm,
-                            n=n,
-                            t=t,
-                            attack=attack,
-                            seed=seed,
-                            engine=engine,
-                            workload=workload,
-                            max_rounds=max_rounds,
-                            monitor=monitor,
-                        )
-                        if include_clean or not variants:
-                            # The chaos seed is irrelevant without a fault
-                            # plan, so the control cell appears exactly once
-                            # per configuration.
-                            tasks.append(ChaosTask(**base))
-                        for chaos_seed in chaos_seeds:
-                            for variant in variants:
-                                tasks.append(
-                                    ChaosTask(
-                                        chaos_seed=chaos_seed, **base, **variant
-                                    )
-                                )
-    return tasks
+        for algorithm in algorithms
+        for n, t in sizes
+        for attack in attacks
+        for seed in seeds
+        for engine in engines
+        for plan in plans
+    ]

@@ -50,7 +50,13 @@ from typing import (
     Union,
 )
 
-from ..sim import DEFAULT_ENGINE, FaultPlan, SystemModel
+from ..sim import (
+    DEFAULT_ENGINE,
+    ConfigurationError,
+    FaultPlan,
+    StoreError,
+    SystemModel,
+)
 from ..workloads.ids import make_ids
 from .experiments import ExperimentRecord, run_experiment
 from .envelope import config_fingerprint
@@ -81,9 +87,10 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 @dataclass(frozen=True)
 class RunTask:
-    """One fully-specified sweep cell — primitives (plus the frozen,
-    hashable :class:`~repro.sim.FaultPlan`) only, so it pickles cheaply
-    into worker processes and hashes stably into cache keys.
+    """One fully-specified cell of a sweep or a chaos campaign — primitives
+    (plus the frozen, hashable :class:`~repro.sim.FaultPlan` and
+    :class:`~repro.sim.SystemModel`) only, so it pickles cheaply into
+    worker processes and hashes stably into cache keys.
 
     Every semantics-affecting knob of :func:`execute_task` lives here;
     anything that can change a run's outcome must be a field so that
@@ -105,6 +112,13 @@ class RunTask:
     monitor: bool = False
     chaos: Optional[FaultPlan] = None
     model: Optional[SystemModel] = None
+
+    def __post_init__(self) -> None:
+        # Checked up front: inside a chaos cell it would be a "detected" fault.
+        if self.max_rounds < 1:
+            raise ConfigurationError(
+                f"max_rounds must be at least 1, got {self.max_rounds}"
+            )
 
     def to_dict(self) -> dict:
         """JSON-ready cell description (store task lists, fingerprints)."""
@@ -139,18 +153,29 @@ class RunTask:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunTask":
-        payload = dict(payload)
-        chaos = payload.get("chaos")
-        if chaos is not None:
-            chaos = dict(chaos)
-            chaos["crashes"] = tuple(
-                tuple(entry) for entry in chaos.get("crashes", ())
-            )
-            payload["chaos"] = FaultPlan(**chaos)
-        model = payload.get("model")
-        if model is not None:
-            payload["model"] = SystemModel.from_dict(model)
-        return cls(**payload)
+        """Inverse of :meth:`to_dict`. A cell that does not decode (an
+        unknown or missing field, a malformed fault plan or model) raises
+        :class:`~repro.sim.errors.StoreError`: stored task lists are the
+        only source of these payloads."""
+        try:
+            fields = dict(payload)
+            chaos = fields.get("chaos")
+            if chaos is not None:
+                chaos = dict(chaos)
+                chaos["crashes"] = tuple(
+                    tuple(entry) for entry in chaos.get("crashes", ())
+                )
+                fields["chaos"] = FaultPlan(**chaos)
+            model = fields.get("model")
+            if model is not None:
+                fields["model"] = SystemModel.from_dict(model)
+            return cls(**fields)
+        except (TypeError, ValueError, KeyError) as exc:
+            raise StoreError(
+                f"stored cell {json.dumps(payload, sort_keys=True)} does "
+                f"not decode ({type(exc).__name__}: {exc}); it may come from "
+                f"another release — re-run the grid into a fresh store"
+            ) from None
 
 
 @dataclass

@@ -58,7 +58,7 @@ from typing import (
 from ..sim.errors import LeaseLost, StoreError
 from .backoff import PollBackoff
 from .budget import CellBudget, budget_breach
-from .campaign import ChaosOutcome, ChaosTask, execute_chaos_task
+from .campaign import ChaosOutcome, execute_chaos_task
 from .envelope import config_fingerprint
 from .executor import ExperimentSummary, RunTask, execute_task, logger
 from .store import Claim, DEFAULT_LEASE_S, LocalDirStore, open_store
@@ -133,18 +133,18 @@ def _chaos_encode(outcome: ChaosOutcome, attempts: int) -> dict:
     return outcome.verdict_dict()
 
 
-def _chaos_failure(task: ChaosTask, detail: str, attempts: int) -> dict:
+def _chaos_failure(task: RunTask, detail: str, attempts: int) -> dict:
     return ChaosOutcome(
         task=task, status="crashed", error=detail, retries=attempts - 1
     ).verdict_dict()
 
 
-def _chaos_budget_failure(task: ChaosTask, kind: str, detail: str) -> dict:
+def _chaos_budget_failure(task: RunTask, kind: str, detail: str) -> dict:
     status = "timeout" if kind == "wall-budget" else "crashed"
     return ChaosOutcome(task=task, status=status, error=detail).verdict_dict()
 
 
-def _chaos_lease_row(task: ChaosTask, reason: str) -> ChaosOutcome:
+def _chaos_lease_row(task: RunTask, reason: str) -> ChaosOutcome:
     return ChaosOutcome(task=task, status="crashed", error=f"LeaseLost: {reason}")
 
 
@@ -163,7 +163,7 @@ RUNNERS: Dict[str, CellRunner] = {
     ),
     "chaos": CellRunner(
         kind="chaos",
-        decode=ChaosTask.from_dict,
+        decode=RunTask.from_dict,
         execute=execute_chaos_task,
         encode=_chaos_encode,
         failure=_chaos_failure,

@@ -23,7 +23,6 @@ from .analysis import (
     CHAOS_PRESETS,
     CellBudget,
     ChaosCampaign,
-    ChaosTask,
     RunTask,
     SweepConfig,
     SweepExecutor,
@@ -136,6 +135,24 @@ def _add_store_flags(command: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_grid_flags(command: argparse.ArgumentParser) -> None:
+    """The configuration-grid flags ``sweep`` and ``chaos`` share."""
+    command.add_argument("--algorithms", nargs="+", required=True,
+                         choices=sorted(ALGORITHMS))
+    command.add_argument("--sizes", nargs="+", type=_parse_size,
+                         required=True, metavar="N:T")
+    command.add_argument("--attacks", nargs="+", default=["silent"],
+                         choices=adversary_names())
+    command.add_argument("--seeds", nargs="+", type=int, default=[0])
+    command.add_argument("--workload", default="uniform",
+                         choices=workload_names())
+    command.add_argument(
+        "--workers", type=_parse_workers, default=None, metavar="N",
+        help="worker processes for the grid (default: one per CPU; 1 = "
+             "serial in-process)",
+    )
+
+
 def _parse_model_flag(text: str) -> SystemModel:
     try:
         return parse_model(text)
@@ -231,13 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="run a crash-contained beyond-model fault-injection campaign",
     )
-    chaos.add_argument("--algorithms", nargs="+", required=True,
-                       choices=sorted(ALGORITHMS))
-    chaos.add_argument("--sizes", nargs="+", type=_parse_size, required=True,
-                       metavar="N:T")
-    chaos.add_argument("--attacks", nargs="+", default=["silent"],
-                       choices=adversary_names())
-    chaos.add_argument("--seeds", nargs="+", type=int, default=[0])
+    _add_grid_flags(chaos)
     chaos.add_argument("--engines", nargs="+", default=[DEFAULT_ENGINE],
                        metavar="ENGINE")
     chaos.add_argument("--chaos-seeds", nargs="+", type=int, default=[0],
@@ -266,11 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "property checks still run)")
     chaos.add_argument("--max-rounds", type=int, default=64,
                        help="hard round cap per run (chaos runs must never spin)")
-    chaos.add_argument("--workload", default="uniform", choices=workload_names())
-    chaos.add_argument(
-        "--workers", type=_parse_workers, default=None, metavar="N",
-        help="worker processes (default: one per CPU; 1 = serial in-process)",
-    )
     chaos.add_argument("--timeout", type=float, default=120.0, metavar="S",
                        help="per-cycle hang timeout in seconds")
     chaos.add_argument("--json", metavar="PATH", default=None,
@@ -279,21 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_flags(chaos)
 
     sweep = commands.add_parser("sweep", help="run a configuration grid")
-    sweep.add_argument("--algorithms", nargs="+", required=True, choices=sorted(ALGORITHMS))
-    sweep.add_argument("--sizes", nargs="+", type=_parse_size, required=True,
-                       metavar="N:T")
-    sweep.add_argument("--attacks", nargs="+", default=["silent"],
-                       choices=adversary_names())
-    sweep.add_argument("--seeds", nargs="+", type=int, default=[0])
-    sweep.add_argument("--workload", default="uniform", choices=workload_names())
+    _add_grid_flags(sweep)
     sweep.add_argument(
         "--csv", metavar="PATH", default=None,
         help="also write one CSV row per run to PATH",
-    )
-    sweep.add_argument(
-        "--workers", type=_parse_workers, default=None, metavar="N",
-        help="worker processes for the grid (default: one per CPU; 1 = "
-             "serial in-process)",
     )
     sweep.add_argument(
         "--cache", metavar="DIR", default=None,
@@ -1380,30 +1375,29 @@ def cmd_runs_resume(args: argparse.Namespace) -> int:
         f"{counts['cells'] - remaining}/{counts['cells']} cells already "
         f"terminal, {remaining} to execute"
     )
-    cells = [store.task(index) for index in range(counts["cells"])]
+    if header["kind"] not in ("sweep", "chaos"):
+        raise StoreError(
+            f"store {url} has unknown run kind {header['kind']!r}"
+        )
+    tasks = [
+        RunTask.from_dict(store.task(index)) for index in range(counts["cells"])
+    ]
     try:
         if header["kind"] == "sweep":
             executor = SweepExecutor(
                 workers=args.workers, cache=config.get("cache")
             )
             records = executor.run(
-                [RunTask.from_dict(cell) for cell in cells], store=url,
-                budget=budget, run_id=header["run_id"],
+                tasks, store=url, budget=budget, run_id=header["run_id"],
             )
             return _finish_sweep(records, executor, args.csv)
-        if header["kind"] == "chaos":
-            campaign = ChaosCampaign(
-                workers=args.workers,
-                timeout_s=config.get("timeout_s", 120.0),
-            )
-            report = campaign.run(
-                [ChaosTask.from_dict(cell) for cell in cells], store=url,
-                budget=budget, run_id=header["run_id"],
-            )
-            return _finish_chaos(report, args.json)
-        raise StoreError(
-            f"store {url} has unknown run kind {header['kind']!r}"
+        campaign = ChaosCampaign(
+            workers=args.workers, timeout_s=config.get("timeout_s", 120.0),
         )
+        report = campaign.run(
+            tasks, store=url, budget=budget, run_id=header["run_id"],
+        )
+        return _finish_chaos(report, args.json)
     except RunInterrupted as exc:
         return _interrupted(exc, args.runs_dir, args.run_id)
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigurationError
-from .process import BROADCAST, Outbox
+from .process import Outbox, network_links
 from .rng import derive_rng
 
 __all__ = ["ChaosInjector", "ChaosReport", "FaultPlan"]
@@ -272,39 +272,24 @@ class ChaosInjector:
     # ---------------------------------------------------------------- helpers
 
     def _perturb_outbox(self, rng, outbox: Outbox) -> Outbox:
-        n = self._n
         plan = self.plan
         report = self.report
         result: Outbox = {}
-        for link, messages in outbox.items():
-            if link == BROADCAST:
-                labels = range(1, n + 1)
-            elif 1 <= link <= n:
-                labels = (link,)
-            else:
-                # Invalid label: pass through untouched so the engine raises
-                # its usual ProtocolViolationError (error identity).
-                result[link] = list(messages)
-                continue
-            for label in labels:
-                bucket = result.setdefault(label, [])
-                if label == n:  # self-loop: local delivery, not a network link
-                    bucket.extend(messages)
+        for _, bucket, messages in network_links(outbox, self._n, result):
+            for message in messages:
+                if plan.drop and rng.random() < plan.drop:
+                    report.dropped += 1
                     continue
-                for message in messages:
-                    if plan.drop and rng.random() < plan.drop:
-                        report.dropped += 1
+                delivered = message
+                if plan.corrupt and rng.random() < plan.corrupt:
+                    delivered = self._corrupt(rng, message)
+                    if delivered is None:
+                        report.corrupted_dropped += 1
                         continue
-                    delivered = message
-                    if plan.corrupt and rng.random() < plan.corrupt:
-                        delivered = self._corrupt(rng, message)
-                        if delivered is None:
-                            report.corrupted_dropped += 1
-                            continue
+                bucket.append(delivered)
+                if plan.duplicate and rng.random() < plan.duplicate:
+                    report.duplicated += 1
                     bucket.append(delivered)
-                    if plan.duplicate and rng.random() < plan.duplicate:
-                        report.duplicated += 1
-                        bucket.append(delivered)
         return result
 
     def _corrupt(self, rng, message):

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import ConfigurationError
-from .process import BROADCAST, Outbox
+from .process import Outbox, network_links
 from .rng import derive_rng
 
 __all__ = [
@@ -593,12 +593,13 @@ class PartialSynchronyInjector(ModelInjector):
     ended) are lost — to the processes that is exactly an omission, and the
     report's :attr:`~ModelReport.undelivered` counts them.
 
-    Like the chaos injector, the filter expands ``BROADCAST`` into explicit
+    Like the chaos injector, the filter walks outboxes with
+    :func:`~repro.sim.process.network_links`: ``BROADCAST`` becomes explicit
     per-link entries (each copy of a broadcast frame fates independently),
-    exempts the self-loop, applies to correct and Byzantine traffic alike
-    (the network does not know who is faulty), and passes invalid link
-    labels through untouched so the engines raise their usual
-    ``ProtocolViolationError`` (error identity).
+    the self-loop is exempt, and invalid link labels pass through untouched
+    so the engines raise their usual ``ProtocolViolationError`` (error
+    identity). It applies to correct and Byzantine traffic alike (the
+    network does not know who is faulty).
     """
 
     def __init__(
@@ -640,34 +641,21 @@ class PartialSynchronyInjector(ModelInjector):
     def _filter(
         self, rng, round_no: int, sender: int, outbox: Outbox
     ) -> Outbox:
-        n = self._n
         rate = self.model.omission_rate
         max_delay = self.model.max_delay
         report = self.report
         result: Outbox = {}
-        for link, messages in outbox.items():
-            if link == BROADCAST:
-                labels = range(1, n + 1)
-            elif 1 <= link <= n:
-                labels = (link,)
-            else:
-                result[link] = list(messages)
-                continue
-            for label in labels:
-                bucket = result.setdefault(label, [])
-                if label == n:  # self-loop: local delivery, never lossy
-                    bucket.extend(messages)
+        for label, bucket, messages in network_links(outbox, self._n, result):
+            for message in messages:
+                if rng.random() >= rate:
+                    bucket.append(message)
                     continue
-                for message in messages:
-                    if rng.random() >= rate:
-                        bucket.append(message)
-                        continue
-                    if max_delay == 0:
-                        report.omitted += 1
-                        continue
-                    delay = rng.randint(1, max_delay)
-                    report.delayed += 1
-                    self._pending.setdefault(
-                        round_no + delay, []
-                    ).append((sender, label, message))
+                if max_delay == 0:
+                    report.omitted += 1
+                    continue
+                delay = rng.randint(1, max_delay)
+                report.delayed += 1
+                self._pending.setdefault(
+                    round_no + delay, []
+                ).append((sender, label, message))
         return result

@@ -130,3 +130,30 @@ def iter_inbox(inbox: Inbox):
     for link in ordered_links(inbox):
         for message in inbox[link]:
             yield link, message
+
+
+def network_links(outbox: Outbox, n: int, result: Outbox):
+    """Walk an outbox link by link for a per-transmission perturber.
+
+    Yields ``(label, bucket, messages)`` for every network link the outbox
+    sends on, :data:`BROADCAST` expanded into labels ``1..n`` in order:
+    ``bucket`` is ``result[label]``, the list the caller appends each
+    surviving copy of ``messages`` to. Traffic no perturber may touch is
+    copied into ``result`` untouched: the self-loop (label ``n``, local
+    delivery, not a network link) and invalid labels (so the engine raises
+    its usual ``ProtocolViolationError``).
+    """
+    for link, messages in outbox.items():
+        if link == BROADCAST:
+            labels = range(1, n + 1)
+        elif 1 <= link <= n:
+            labels = (link,)
+        else:
+            result[link] = list(messages)
+            continue
+        for label in labels:
+            bucket = result.setdefault(label, [])
+            if label == n:
+                bucket.extend(messages)
+                continue
+            yield label, bucket, messages

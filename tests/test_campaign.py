@@ -13,14 +13,23 @@ from repro.analysis import (
     CHAOS_PRESETS,
     ChaosCampaign,
     ChaosOutcome,
-    ChaosTask,
+    RunTask,
     TriageReport,
     chaos_grid,
     execute_chaos_task,
 )
-from repro.analysis.campaign import STATUSES
+from repro.analysis.campaign import STATUSES, describe, reproducer
 from repro.cli import main
-from repro.sim import ConfigurationError
+from repro.sim import DEFAULT_ENGINE, ConfigurationError, FaultPlan
+
+
+def _cell(algorithm, n, t, *, attack="silent", seed=0,
+          engine=DEFAULT_ENGINE, chaos=None):
+    """One campaign cell, shaped as :func:`chaos_grid` builds it."""
+    return RunTask(
+        algorithm, n, t, attack, seed, engine=engine, max_rounds=64,
+        monitor=True, chaos=chaos,
+    )
 
 
 # Injectable task runners for containment tests. Module-level so they
@@ -65,9 +74,12 @@ class TestChaosGrid:
         )
         # 2 seeds x (1 clean + 2 chaos_seeds x 3 single-axis variants)
         assert len(tasks) == 2 * (1 + 2 * 3)
-        clean = [task for task in tasks if task.fault_plan().is_empty]
+        clean = [task for task in tasks if task.chaos is None]
         assert len(clean) == 2  # once per configuration, not per chaos seed
-        assert all(task.drop == 0.0 or task.corrupt == 0.0 for task in tasks)
+        assert all(
+            task.chaos.drop == 0.0 or task.chaos.corrupt == 0.0
+            for task in tasks if task.chaos is not None
+        )
 
     def test_combine_merges_one_plan(self):
         tasks = chaos_grid(
@@ -76,9 +88,9 @@ class TestChaosGrid:
             include_clean=False,
         )
         assert len(tasks) == 1
-        task = tasks[0]
-        assert (task.drop, task.duplicate, task.extra_crashes) == (0.1, 0.2, 1)
-        assert task.crash_round == 3
+        plan = tasks[0].chaos
+        assert (plan.drop, plan.duplicate, plan.extra_crashes) == (0.1, 0.2, 1)
+        assert plan.crash_round == 3
 
     def test_combine_rejects_multiple_values_per_axis(self):
         with pytest.raises(ConfigurationError, match="combine"):
@@ -88,28 +100,36 @@ class TestChaosGrid:
         tasks = chaos_grid(
             ["alg1"], [(7, 2)], drop=(0.3,), include_clean=False
         )
-        assert all(not task.fault_plan().is_empty for task in tasks)
+        assert all(not task.chaos.is_empty for task in tasks)
 
     def test_presets_are_valid_grid_inputs(self):
         for preset in CHAOS_PRESETS.values():
             tasks = chaos_grid(["alg1"], [(7, 2)], **preset)
             assert tasks
-            for task in tasks:
-                task.fault_plan()  # validates
+            assert all(
+                task.chaos is None or isinstance(task.chaos, FaultPlan)
+                for task in tasks
+            )
+
+    def test_invalid_fault_value_fails_before_any_cell(self):
+        with pytest.raises(ConfigurationError, match="drop"):
+            chaos_grid(["alg1"], [(7, 2)], drop=(1.5,))
 
 
 class TestExecuteChaosTask:
     def test_clean_cell_is_clean(self):
-        outcome = execute_chaos_task(ChaosTask("alg1", 7, 2))
+        outcome = execute_chaos_task(_cell("alg1", 7, 2))
         assert outcome.status == "clean"
         assert not outcome.injected
 
     def test_injection_never_reports_clean(self):
-        outcome = execute_chaos_task(ChaosTask("alg1", 7, 2, drop=0.4))
+        outcome = execute_chaos_task(
+            _cell("alg1", 7, 2, chaos=FaultPlan(drop=0.4))
+        )
         assert outcome.status in STATUSES and outcome.status != "clean"
 
     def test_off_regime_cell_is_detected(self):
-        outcome = execute_chaos_task(ChaosTask("alg1", 6, 2))
+        outcome = execute_chaos_task(_cell("alg1", 6, 2))
         assert outcome.status == "detected"
         assert "ConfigurationError" in outcome.error
 
@@ -117,7 +137,9 @@ class TestExecuteChaosTask:
         # A heavy drop plan starves okun-crash of its own rank — the typed
         # invariant violation must surface as a tagged detection.
         outcome = execute_chaos_task(
-            ChaosTask("okun-crash", 5, 1, attack="crash", drop=0.9)
+            _cell(
+                "okun-crash", 5, 1, attack="crash", chaos=FaultPlan(drop=0.9)
+            )
         )
         assert outcome.status == "detected"
         assert outcome.violated
@@ -149,14 +171,14 @@ class TestCampaignSerial:
         assert report.ok
 
     def test_outcomes_keep_task_order(self):
-        tasks = [ChaosTask("alg1", 7, 2, seed=seed) for seed in (0, 1, 0, 1)]
+        tasks = [_cell("alg1", 7, 2, seed=seed) for seed in (0, 1, 0, 1)]
         report = ChaosCampaign(workers=1, task_runner=_verdict_by_seed).run(tasks)
         assert [o.status for o in report.outcomes] == [
             "clean", "tolerated", "clean", "tolerated"
         ]
 
     def test_crashing_cell_is_retried_then_quarantined(self):
-        tasks = [ChaosTask("alg1", 7, 2)]
+        tasks = [_cell("alg1", 7, 2)]
         report = ChaosCampaign(workers=1, task_runner=_always_crash).run(tasks)
         outcome = report.outcomes[0]
         assert outcome.status == "crashed"
@@ -164,10 +186,10 @@ class TestCampaignSerial:
         assert outcome.retries == 1
         assert report.retried == 1
         assert not report.ok
-        assert outcome.as_dict()["reproducer"] == tasks[0].reproducer()
+        assert outcome.as_dict()["reproducer"] == reproducer(tasks[0])
 
     def test_transient_crash_succeeds_on_retry(self):
-        tasks = [ChaosTask("alg1", 7, 2, seed=seed) for seed in (0, 1)]
+        tasks = [_cell("alg1", 7, 2, seed=seed) for seed in (0, 1)]
         report = ChaosCampaign(workers=1, task_runner=_FlakyRunner()).run(tasks)
         assert [o.status for o in report.outcomes] == ["clean", "clean"]
         assert [o.retries for o in report.outcomes] == [1, 1]
@@ -188,7 +210,7 @@ class TestCampaignPool:
         assert pooled.workers == 2
 
     def test_pool_quarantines_crashing_workers(self):
-        tasks = [ChaosTask("alg1", 7, 2, seed=seed) for seed in (0, 1, 2)]
+        tasks = [_cell("alg1", 7, 2, seed=seed) for seed in (0, 1, 2)]
         report = ChaosCampaign(
             workers=2, task_runner=_always_crash
         ).run(tasks)
@@ -198,7 +220,7 @@ class TestCampaignPool:
         assert not report.ok
 
     def test_hung_workers_cost_one_window_not_the_campaign(self):
-        tasks = [ChaosTask("alg1", 7, 2, seed=seed) for seed in (0, 1)]
+        tasks = [_cell("alg1", 7, 2, seed=seed) for seed in (0, 1)]
         start = time.perf_counter()
         report = ChaosCampaign(
             workers=2, timeout_s=1.0, task_runner=_hang_forever
@@ -208,22 +230,22 @@ class TestCampaignPool:
         assert elapsed < 30  # two sleep(600) cells, contained in one window
         assert not report.ok
         for outcome in report.quarantined:
-            assert "python -m repro.cli chaos" in outcome.task.reproducer()
+            assert "python -m repro.cli chaos" in reproducer(outcome.task)
 
 
 class TestTriageReport:
     def test_render_lists_quarantine_reproducers(self):
-        task = ChaosTask("alg1", 7, 2, drop=0.2)
+        task = _cell("alg1", 7, 2, chaos=FaultPlan(drop=0.2))
         report = TriageReport(
             outcomes=[ChaosOutcome(task=task, status="timeout", error="hung")]
         )
         text = report.render()
         assert "quarantined (reproduce with):" in text
-        assert task.reproducer() in text
+        assert reproducer(task) in text
         assert not report.ok
 
     def test_silent_success_is_flagged_loudly(self):
-        task = ChaosTask("alg1", 7, 2, drop=0.2)
+        task = _cell("alg1", 7, 2, chaos=FaultPlan(drop=0.2))
         report = TriageReport(
             outcomes=[
                 ChaosOutcome(task=task, status="clean", injected={"drop": 3})
@@ -242,18 +264,20 @@ class TestTriageReport:
 
 class TestReproducerRoundTrip:
     def test_reproducer_reruns_exactly_one_cell(self, capsys, tmp_path):
-        task = ChaosTask(
+        task = _cell(
             "alg1", 7, 2, attack="conforming", seed=1, engine="reference",
-            chaos_seed=2, drop=0.25, extra_crashes=1, crash_round=2,
+            chaos=FaultPlan(
+                seed=2, drop=0.25, extra_crashes=1, crash_round=2
+            ),
         )
-        line = task.reproducer()
+        line = reproducer(task)
         assert line == (
             "python -m repro.cli chaos --algorithms alg1 --sizes 7:2 "
             "--attacks conforming --seeds 1 --engines reference "
             "--chaos-seeds 2 --drop 0.25 --crash-extra 1 --crash-round 2 "
             "--combine --max-rounds 64 --workers 1"
         )
-        assert task.describe() == (
+        assert describe(task) == (
             "alg1 n=7 t=2 conforming seed=1 reference "
             "[drop=0.25 crash+1@2 seed=2]"
         )
@@ -264,7 +288,7 @@ class TestReproducerRoundTrip:
         capsys.readouterr()
         payload = json.loads(json_path.read_text())
         assert len(payload["outcomes"]) == 1
-        assert payload["outcomes"][0]["task"] == task.describe()
+        assert payload["outcomes"][0]["task"] == describe(task)
         assert payload["silent_successes"] == 0
         assert code in (0, 3)  # healthy campaign either way
         assert payload["counts"]["timeout"] == 0

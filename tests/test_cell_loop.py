@@ -16,7 +16,6 @@ import time
 from repro.analysis import (
     ChaosCampaign,
     ChaosOutcome,
-    ChaosTask,
     ExperimentSummary,
     RunTask,
     SweepExecutor,
@@ -41,9 +40,9 @@ CHAOS_CELLS = chaos_grid(
 )
 
 
-def _crash_seed_one_drops(task: ChaosTask) -> ChaosOutcome:
+def _crash_seed_one_drops(task: RunTask) -> ChaosOutcome:
     """Injected runner: the seed-1 drop cell crashes on every attempt."""
-    if task.seed == 1 and task.drop:
+    if task.seed == 1 and task.chaos is not None and task.chaos.drop:
         raise RuntimeError("injected crash")
     return execute_chaos_task(task)
 
@@ -111,7 +110,7 @@ class TestParity:
         assert seen["store"] == serial
 
 
-def _die_after_a_moment(task: ChaosTask) -> ChaosOutcome:
+def _die_after_a_moment(task: RunTask) -> ChaosOutcome:
     """Injected runner: the seed-0 cell kills its whole worker process."""
     if task.seed == 0:
         time.sleep(0.5)
@@ -121,7 +120,10 @@ def _die_after_a_moment(task: ChaosTask) -> ChaosOutcome:
 
 class TestPoolDeath:
     def test_a_cell_that_kills_its_worker_is_crashed_not_fatal(self):
-        tasks = [ChaosTask("alg1", 7, 2, seed=seed) for seed in (0, 1)]
+        tasks = [
+            RunTask("alg1", 7, 2, "silent", seed, max_rounds=64, monitor=True)
+            for seed in (0, 1)
+        ]
         report = ChaosCampaign(
             workers=2, timeout_s=60, task_runner=_die_after_a_moment
         ).run(tasks)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import LocalDirStore
 from repro.cli import (
     EXIT_INFRA,
     EXIT_INTERRUPTED,
@@ -177,6 +178,36 @@ class TestExitCodeContract:
         ])
         assert code == EXIT_INFRA
         assert "max_rounds must be at least 1" in capsys.readouterr().err
+
+    def test_chaos_bad_fault_value_is_infra_before_any_cell(
+        self, capsys, caplog
+    ):
+        code = main([
+            "chaos", "--algorithms", "alg1", "--sizes", "7:2",
+            "--drop", "1.5", "--workers", "1",
+        ])
+        assert code == EXIT_INFRA
+        assert "drop must be a probability" in capsys.readouterr().err
+        # Refused while building the grid, not crashed and retried per cell.
+        assert "crashed" not in caplog.text
+
+    def test_undecodable_stored_cell_is_infra(self, capsys, tmp_path):
+        """A checksummed cell with an unknown field is a StoreError naming
+        the cell, not a raw TypeError."""
+        cell = {
+            "algorithm": "alg1", "n": 7, "t": 2, "attack": "silent",
+            "seed": 0, "retired_knob": True,
+        }
+        LocalDirStore(tmp_path / "s1").seed(
+            kind="sweep", run_id="s1", fingerprint="f" * 64, cells=[cell],
+        )
+        code = main([
+            "runs", "resume", "s1", "--runs-dir", str(tmp_path),
+            "--workers", "1",
+        ])
+        assert code == EXIT_INFRA
+        err = capsys.readouterr().err
+        assert "retired_knob" in err and "another release" in err
 
     def test_unusable_journal_is_infra(self, capsys, tmp_path):
         code = main(

@@ -6,14 +6,24 @@ ledger, a ``LocalDirStore`` run (header, task list, terminal record) and a
 ``ResultCache`` memo entry. Today's readers must accept them unchanged, and
 today's writers must reproduce them byte for byte — so existing journals,
 stores and caches keep verifying across releases.
+
+One fixture is refused on purpose: a chaos run stored before campaign
+cells became :class:`~repro.analysis.executor.RunTask` cells. Its envelope
+still verifies, but its flat cell shape is an error naming the cell
+(``StoreError``, exit 3), never a raw ``TypeError``.
 """
 
 from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.analysis import RunTask
 from repro.analysis.envelope import checksum, record_checksum, seal, unseal
 from repro.analysis.store import LocalDirStore
+from repro.cli import EXIT_INFRA, main
+from repro.sim import StoreError
 from repro.service.journal import SessionJournal, scan_session_journal
 
 FINGERPRINT = "ab" * 32
@@ -47,6 +57,23 @@ STORE_TERMINAL = (
     b'5c67fbf42cb0445bf57030", "body": {"state": "failed", "reason": '
     b'"crashed", "payload": {"status": "crashed", "error": "RuntimeError: '
     b'boom"}, "attempt": 2}}'
+)
+
+FLAT_CHAOS_HEADER = (
+    b'{"schema": 1, "checksum": "ea14503f65affe21016d9523adf61ce5017e5e7250'
+    b'b16ca6ebcbc8699ee1fb0d", "body": {"schema": 1, "kind": "chaos", '
+    b'"run_id": "old-chaos", "fingerprint": "8d5db5d0e408a3596b249974ab5595'
+    b'4e967f4a4cef937206239566668b6fa2bf", "cells": 1, "config": '
+    b'{"timeout_s": 120.0, "budget": {"wall_s": 120.0, "rss_mb": null}}, '
+    b'"max_attempts": 3}}'
+)
+FLAT_CHAOS_TASKS = (
+    b'{"schema": 1, "checksum": "c737ec1659010fa653237cddeb15a84b2772015be4'
+    b'293e1430072f89cacb4598", "body": {"tasks": [{"algorithm": "alg1", '
+    b'"n": 7, "t": 2, "attack": "silent", "seed": 0, "engine": "batched", '
+    b'"workload": "uniform", "max_rounds": 64, "monitor": true, '
+    b'"enforce_regime": true, "chaos_seed": 0, "drop": 0.2, "duplicate": '
+    b'0.0, "corrupt": 0.0, "extra_crashes": 0, "crash_round": 1}]}}'
 )
 
 MEMO_ENTRY = (
@@ -124,6 +151,46 @@ class TestLocalDirStoreTerminal:
         payload = json.loads(STORE_TERMINAL)
         assert payload["checksum"] == checksum(payload["body"])
         assert unseal(payload, schema=1) == payload["body"]
+
+
+class TestFlatChaosStore:
+    """``chaos --drop 0.2 --no-clean --journal DIR --run-id old-chaos``,
+    as stored before campaign cells became ``RunTask`` cells."""
+
+    def _flat_store(self, tmp_path) -> LocalDirStore:
+        root = tmp_path / "old-chaos"
+        (root / "leases").mkdir(parents=True)
+        (root / "terminal").mkdir()
+        (root / "header.json").write_bytes(FLAT_CHAOS_HEADER)
+        (root / "tasks.json").write_bytes(FLAT_CHAOS_TASKS)
+        return LocalDirStore(root)
+
+    def test_envelope_still_verifies(self, tmp_path):
+        store = self._flat_store(tmp_path)
+        assert store.header()["kind"] == "chaos"
+        assert store.task(0)["chaos_seed"] == 0
+
+    def test_cell_decode_is_a_store_error(self, tmp_path):
+        cell = self._flat_store(tmp_path).task(0)
+        with pytest.raises(StoreError, match="another release") as info:
+            RunTask.from_dict(cell)
+        assert "enforce_regime" in str(info.value)
+        assert '"chaos_seed": 0' in str(info.value)
+
+    def test_runs_resume_refuses_it(self, tmp_path, capsys):
+        self._flat_store(tmp_path)
+        code = main([
+            "runs", "resume", "old-chaos", "--runs-dir", str(tmp_path),
+            "--workers", "1",
+        ])
+        assert code == EXIT_INFRA
+        assert "may come from another release" in capsys.readouterr().err
+
+    def test_worker_refuses_it(self, tmp_path, capsys):
+        store = self._flat_store(tmp_path)
+        code = main(["worker", "--store", f"dir:{store.root}"])
+        assert code == EXIT_INFRA
+        assert "may come from another release" in capsys.readouterr().err
 
 
 class TestMemoEntry:

@@ -28,8 +28,8 @@ import pytest
 from repro.analysis import (
     CellBudget,
     ChaosCampaign,
-    ChaosTask,
     LocalDirStore,
+    RunTask,
     SweepConfig,
     SweepExecutor,
     Worker,
@@ -42,7 +42,7 @@ from repro.analysis.budget import rss_mb_of
 from repro.analysis.envelope import scrub_volatile
 from repro.analysis.store import STORE_CRASH_HOOK_ENV
 from repro.analysis.worker import RUNNERS, CellRunner
-from repro.sim import StoreError
+from repro.sim import FaultPlan, StoreError
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -350,7 +350,10 @@ GRID = SweepConfig(
 )
 
 CELLS = [
-    ChaosTask("alg1", 7, 2, seed=seed, chaos_seed=0, drop=drop)
+    RunTask(
+        "alg1", 7, 2, "silent", seed, max_rounds=64, monitor=True,
+        chaos=FaultPlan(seed=0, drop=drop),
+    )
     for seed in (0, 1) for drop in (0.0, 0.2)
 ]
 
