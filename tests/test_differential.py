@@ -248,10 +248,11 @@ def _golden_run_digest(case: str, engine: str) -> str:
     from repro.analysis.serialization import run_to_dict
 
     algorithm, n, t, attack, seed, options = GOLDEN_RUN_CASES[case]
+    build_factory = _GOLDEN_FACTORIES.get(algorithm) or ALGORITHMS[algorithm].build_factory
     ids = standard_ids(n)
     try:
         result = run_protocol(
-            ALGORITHMS[algorithm].build_factory(n, t, ids, seed),
+            build_factory(n, t, ids, seed),
             n=n,
             t=t,
             ids=ids,
@@ -273,20 +274,36 @@ def _golden_run_digest(case: str, engine: str) -> str:
     return hashlib.sha256(canonical).hexdigest()
 
 
+#: Unregistered variants a golden case may name in place of an algorithm.
+_GOLDEN_FACTORIES = {
+    "alg1-float": lambda n, t, ids, seed: partial(
+        OrderPreservingRenaming, options=RenamingOptions(exact_arithmetic=False)
+    ),
+}
+
 #: ``case -> (algorithm, n, t, attack, seed, run_protocol options)``. One
 #: run per registered algorithm, then one per opt-in feature of the round
 #: loop: a system model composed with a chaos plan (pins that the model
 #: perturbs before chaos does), impersonation, the wire round trip, a
-#: safety monitor that aborts, and a run that hits its round limit.
+#: safety monitor that aborts, and a run that hits its round limit. The
+#: receive-side caches on shared messages get their own cases: Alg. 1 in
+#: float mode (the tolerance-keyed isValid verdict), per-link Byzantine
+#: votes that every recipient must check afresh, and EIG consensus at the
+#: smallest fault budgets, where the resolve tree is one or two levels deep.
 GOLDEN_RUN_CASES = {
     "alg1": ("alg1", 7, 2, "id-forging", 1, {}),
+    "alg1-float": ("alg1-float", 7, 2, "rank-skew", 1, {}),
     "alg1-constant": ("alg1-constant", 11, 1, "divergence", 1, {}),
+    "alg1-constant-rank-skew": ("alg1-constant", 11, 1, "rank-skew", 2, {}),
     "alg4": ("alg4", 11, 2, "selective-echo", 1, {}),
     "okun-crash": ("okun-crash", 7, 2, "crash", 1, {}),
+    "okun-crash-divergence": ("okun-crash", 7, 2, "divergence", 1, {}),
     "cht": ("cht", 7, 2, "crash", 1, {}),
     "floodset": ("floodset", 7, 2, "crash", 1, {}),
     "translated": ("translated", 7, 2, "crash", 1, {}),
     "consensus": ("consensus", 7, 2, "split-world", 1, {}),
+    "consensus-t0": ("consensus", 4, 0, "silent", 1, {}),
+    "consensus-t1": ("consensus", 5, 1, "split-world", 1, {}),
     "partial-synchrony+chaos": (
         "floodset", 7, 2, "crash", 2,
         {
@@ -306,24 +323,36 @@ GOLDEN_RUN_CASES = {
     "round-limit": ("alg1", 7, 2, "rank-skew", 1, {"max_rounds": 3}),
 }
 
-#: Captured before the two engines' round loops were merged into one.
+#: Captured before the two engines' round loops were merged into one; the
+#: float-mode, per-link-vote and small-t consensus cases before the
+#: receive-side caches on shared messages.
 GOLDEN_RUN_DIGESTS = {
     "alg1":
         "66d67575fd5eadbb48961918ba43ffcccaf26ec414445d1cb2e20c2dbd0b4840",
     "alg1-constant":
         "a2d5cdd667f1de680a2d7e2f0efbb2c8263fb844d0193e5123c713a879048e2b",
+    "alg1-constant-rank-skew":
+        "334458880b15e0b40879eff5e53c34d60c861981d588a978ed0485ab1542f3f6",
+    "alg1-float":
+        "260632b111298c3e331d3c50654154d71928375998e13f988c98b738535fb078",
     "alg4":
         "729843e1e7391bc9c984171eccff05a6695c8b14b3f6cde76b3fcd2cc040b018",
     "cht":
         "b22b9e508c4445e41199d77ac42e8b52740149d4f2ff3421b8d1832afc54e035",
     "consensus":
         "4945b104bce95bc11d459a2e5de65a6727ec45d391229281c89b34ccf6547f36",
+    "consensus-t0":
+        "1e32686e15d0bdea128c1d9469b92d5b5e7fdfe968d7158f2fbc8ec9bafb7cba",
+    "consensus-t1":
+        "a38c0bcf30fc43fa426891d0cdbe91d2f99fa660f5a71d3052b3893d3ec608ce",
     "floodset":
         "787a53cd40a8fff1cec9c7749f6d01c6acc3103495f45685c80fca52cd7a6090",
     "impersonation":
         "dc2b6217a3a9d04154f66a5db29ca7807dcd11657b7f637cb04ce9a113d8dd62",
     "okun-crash":
         "cdcd8b06bc759586921bc3b7cf090b3ac677a989520e72903160880fa256dc4e",
+    "okun-crash-divergence":
+        "4abcb9fb0a9bc845d915c95ccadb12786724454cd99fb01cd33a5aeb29832a75",
     "partial-synchrony+chaos":
         "634d2ab69e5db25f1c48bafbbe9d4b1769d84804361c7abf03387c61f1bfaf54",
     "round-limit":
