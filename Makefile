@@ -40,19 +40,25 @@ smoke:
 
 ## Benchmark correctness smoke: every perfbench workload for 2 s, then one
 ## traced flood second, which exercises the tracer's patch points (among
-## them Engine.execute). The benchmark checks its own ops (check_renaming
-## verdicts, byte-equal journal replays, repeat counts); each step fails
-## unless its final JSON line reports "correct": true. Timings are not
-## gated here.
+## them Engine.execute), and one traced sweep second, which must time calls
+## into isValid and approximate: a refactor that routes around the names
+## the tracer patches would otherwise empty the per-layer table silently.
+## The benchmark checks its own ops (check_renaming verdicts, byte-equal
+## journal replays, repeat counts); each step fails unless its final JSON
+## line reports "correct": true and every metric named after its
+## "workload seconds trace" triple is above zero. Timings are not gated.
+PERF_SMOKE_SWEEP_LAYERS := core.validation.is_valid_ranks.calls_per_op \
+	core.approximation.approximate.calls_per_op
 perf-smoke:
-	@for args in "--workload all --seconds 2 --trace 0" \
-			"--workload flood --seconds 1 --trace 1"; do \
-		out=$$($(PYTHON) perfbench/run.py $$args --seed 1) \
+	@for run in "all 2 0" "flood 1 1" "sweep 1 1 $(PERF_SMOKE_SWEEP_LAYERS)"; do \
+		set -- $$run; workload=$$1; seconds=$$2; trace=$$3; shift 3; \
+		out=$$($(PYTHON) perfbench/run.py --workload $$workload \
+			--seconds $$seconds --trace $$trace --seed 1) \
 			|| { echo "$$out"; exit 1; }; \
 		echo "$$out"; \
 		echo "$$out" | tail -n 1 | $(PYTHON) -c \
-			'import json, sys; sys.exit(json.load(sys.stdin).get("correct") is not True)' \
-			|| exit 1; \
+			'import json, sys; r = json.load(sys.stdin); sys.exit(r.get("correct") is not True or any(r["metrics"][m]["value"] <= 0 for m in sys.argv[1:]))' \
+			"$$@" || exit 1; \
 	done
 
 ## Beyond-model fault-injection campaign on both engines via the chaos

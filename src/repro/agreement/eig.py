@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..core.messages import _DecodeOnce
 from ..sim.errors import ConfigurationError
 from ..sim.messages import KIND_BITS, Message
 from ..sim.process import Inbox, Outbox, Process, ProcessContext, ordered_links
@@ -32,8 +33,12 @@ Path = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class RelayMessage(Message):
-    """One round's relays: every known (path, value) pair of the last level."""
+class RelayMessage(_DecodeOnce, Message):
+    """One round's relays: every known (path, value) pair of the last level.
+
+    Every recipient of a broadcast relay filters the same entries, so the
+    accepted ones are cached on the message per receiver key (see
+    :meth:`EIGInteractiveConsistency._relayed`)."""
 
     entries: Tuple[Tuple[Path, int], ...]
 
@@ -49,6 +54,10 @@ class EIGInteractiveConsistency(Process):
     Output: the agreed vector as a tuple ``(w_0, …, w_{N−1})`` where ``w_j``
     is the value attributed to process ``j``.
     """
+
+    #: No single source: every process's claim is gathered (part of the
+    #: relay-acceptance key :class:`EIGBroadcast` scopes by its source).
+    source: Optional[int] = None
 
     def __init__(
         self,
@@ -80,21 +89,37 @@ class EIGInteractiveConsistency(Process):
         return self.broadcast(RelayMessage(entries=entries))
 
     def deliver(self, round_no: int, inbox: Inbox) -> None:
-        level = round_no - 1
+        self._gather(round_no - 1, inbox)
+        if round_no == self.rounds:
+            self.output_value = self._resolve_vector()
+
+    def _gather(self, level: int, inbox: Inbox) -> None:
+        """Enter every link's first relay into the tree, links ascending."""
         for link in ordered_links(inbox):
             sender = self.link_to_index.get(link)
             if sender is None:
                 continue
             message = self._first_relay(inbox[link])
-            if message is None:
-                continue
-            for path, value in message.entries:
-                if self._acceptable(path, level, sender) and isinstance(
-                    value, int
-                ):
-                    self.tree[path + (sender,)] = value
-        if round_no == self.rounds:
-            self.output_value = self._resolve_vector()
+            if message is not None:
+                self.tree.update(self._relayed(message, level, sender))
+
+    def _relayed(self, message: RelayMessage, level: int, sender: int):
+        """The tree entries ``message`` adds: ``(path + (sender,), value)``
+        for each well-formed ``path`` with an int value, in message order.
+
+        The list depends only on the message and on what ``_acceptable``
+        reads — ``n``, ``source``, ``level`` and ``sender`` — so it is
+        computed once per message object and key; every other recipient of
+        a broadcast relay reuses it.
+        """
+        return message.once_per_key(
+            (self.ctx.n, self.source, level, sender),
+            lambda: [
+                (path + (sender,), value)
+                for path, value in message.entries
+                if self._acceptable(path, level, sender) and isinstance(value, int)
+            ],
+        )
 
     @staticmethod
     def _first_relay(messages) -> Optional[RelayMessage]:
@@ -112,29 +137,35 @@ class EIGInteractiveConsistency(Process):
             return False
         if len(set(path)) != len(path) or sender in path:
             return False
-        # The path's own claims must have entered our tree (otherwise the
-        # relay talks about a branch we never saw — treat as missing).
+        # No check that ``path`` itself reached our tree: a relay about a
+        # branch whose own claim never arrived still enters, and the missing
+        # claim resolves to DEFAULT_VALUE on its own.
         return True
 
     # ----------------------------------------------------------------- resolve
 
     def _resolve(self, path: Path) -> int:
+        """The strict majority of ``path``'s resolved children, else
+        :data:`DEFAULT_VALUE`; a leaf (``len(path) == rounds``) is its tree
+        value. A strict majority is unique, so no tie-break order exists."""
         if len(path) == self.rounds:
             return self.tree.get(path, DEFAULT_VALUE)
-        children = [
-            self._resolve(path + (j,))
-            for j in range(self.ctx.n)
-            if j not in path
-        ]
-        counts: Dict[int, int] = {}
-        for child in children:
-            counts[child] = counts.get(child, 0) + 1
-        best, best_count = DEFAULT_VALUE, 0
-        for value, count in sorted(counts.items()):
-            if count > best_count:
-                best, best_count = value, count
-        if best_count * 2 > len(children):
-            return best
+        if len(path) + 1 == self.rounds:  # children are leaves
+            get = self.tree.get
+            children = [
+                get(path + (j,), DEFAULT_VALUE)
+                for j in range(self.ctx.n)
+                if j not in path
+            ]
+        else:
+            children = [
+                self._resolve(path + (j,))
+                for j in range(self.ctx.n)
+                if j not in path
+            ]
+        for value in set(children):
+            if children.count(value) * 2 > len(children):
+                return value
         return DEFAULT_VALUE
 
     def _resolve_vector(self) -> Tuple[int, ...]:
@@ -207,22 +238,12 @@ class EIGBroadcast(Process):
         return self.broadcast(RelayMessage(entries=entries))
 
     def deliver(self, round_no: int, inbox: Inbox) -> None:
-        level = round_no - 1
-        for link in ordered_links(inbox):
-            sender = self.link_to_index.get(link)
-            if sender is None:
-                continue
-            message = self._first_relay(inbox[link])
-            if message is None:
-                continue
-            for path, value in message.entries:
-                if self._acceptable(path, level, sender) and isinstance(
-                    value, int
-                ):
-                    self.tree[path + (sender,)] = value
+        self._gather(round_no - 1, inbox)
         if round_no == self.rounds:
             self.output_value = self._resolve_value()
 
+    _gather = EIGInteractiveConsistency._gather
+    _relayed = EIGInteractiveConsistency._relayed
     _first_relay = staticmethod(EIGInteractiveConsistency._first_relay)
 
     def _acceptable(self, path, level: int, sender: int) -> bool:

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Set
 from ..core.approximation import approximate, nearest_int
 from ..core.messages import EchoMessage, IdMessage, Rank, RanksMessage
 from ..core.params import SystemParams
-from ..core.validation import OrderedIds, is_sound_id, is_valid_ranks
+from ..core.validation import VoteCheck, is_sound_id
 from ..sim.errors import SafetyViolation
 from ..sim.process import Inbox, Outbox, Process, ProcessContext, ordered_links
 
@@ -65,7 +65,7 @@ class OkunCrashRenaming(Process):
         )
         self.total_rounds = EXCHANGE_ROUNDS + self.voting_rounds
         self.timely: Set[int] = set()
-        self._timely_order = OrderedIds(())  # timely, sorted once after round 1
+        self._check = VoteCheck((), self.delta)  # isValid on timely, after round 1
         self.known: Set[int] = set()
         self.ranks: Dict[int, Rank] = {}
         self.early_deciding = early_deciding
@@ -91,7 +91,7 @@ class OkunCrashRenaming(Process):
                         self.timely.add(message.id)
                         break
             self.known = set(self.timely)
-            self._timely_order = OrderedIds(self.timely)
+            self._check = VoteCheck(self.timely, self.delta)
         elif round_no == 2:
             for link in ordered_links(inbox):
                 for message in inbox[link]:
@@ -133,9 +133,7 @@ class OkunCrashRenaming(Process):
             for message in inbox[link]:
                 if isinstance(message, RanksMessage):
                     vote = message.sound_vote()
-                    if vote is not None and is_valid_ranks(
-                        self._timely_order, vote, self.delta
-                    ):
+                    if vote is not None and self._check(vote):
                         votes.append(vote)
                     break
         if self.frozen_at is not None:

@@ -63,19 +63,27 @@ def average(values: Sequence[Rank]) -> Rank:
 def trimmed_mean(values: Sequence[Rank], t: int) -> Rank:
     """Alg. 3 lines 12–16 on one multiset: ``average(select_t(trim(values)))``.
 
-    When every value is a ``Fraction`` the fold runs on integers: each value
-    becomes its numerator over the common denominator ``D``, so sorting the
-    numerators sorts the values and their sum is exact, and
-    ``Fraction(sum, D·len)`` normalises to the very value (and type) the
-    generic path returns. Anything else — floats, or ``int`` values, whose
+    When every value is a ``Fraction`` the fold runs on integers
+    (:func:`_fold_ratios`). Anything else — floats, or ``int`` values, whose
     generic mean is a float — takes the generic path, as do too few values,
     so they raise :func:`trim_extremes`'s error.
     """
     if len(values) <= 2 * t or not all(type(value) is Fraction for value in values):
         return average(select_every_t(trim_extremes(values, t), t))
-    ratios = [value.as_integer_ratio() for value in values]
+    return _fold_ratios([value.as_integer_ratio() for value in values], t)
+
+
+def _fold_ratios(ratios: Sequence[Tuple[int, int]], t: int) -> Fraction:
+    """:func:`trimmed_mean` of ``Fraction(num, den)`` for each of more than
+    ``2t`` ratios, on integers.
+
+    Each value becomes its numerator over the common denominator ``D``, so
+    sorting the numerators sorts the values and their sum is exact, and
+    ``Fraction(sum, D·len)`` normalises to the very value (and type) the
+    generic path returns.
+    """
     denominator = math.lcm(*{den for _, den in ratios})
-    keys = sorted(num * (denominator // den) for num, den in ratios)
+    keys = sorted([num * (denominator // den) for num, den in ratios])
     selected = keys[t: len(keys) - t: t] if t else keys
     return Fraction(sum(selected), denominator * len(selected))
 
@@ -99,22 +107,44 @@ def approximate(
     algorithm trims ``t`` (the default), while the crash-fault baseline of
     Okun [14] trims nothing — every vote is honest there — and averages the
     whole multiset.
+
+    When every vote is a :class:`~repro.core.validation.SoundVote` holding
+    exact ``pairs`` (every rank a ``Fraction``), each id's multiset is folded
+    from those cached integer pairs, decomposed once per message rather than
+    once per recipient and id; the result is the one :func:`trimmed_mean`
+    returns.
     """
     if trim is None:
         trim = t
+    exact = [getattr(vote, "pairs", None) for vote in valid_votes]
+    if (
+        None in exact
+        or n <= 2 * trim
+        or not all(type(rank) is Fraction for rank in my_ranks.values())
+    ):
+        exact = None  # floats, ints, mixed votes or too few values: generic
     new_ranks: Dict[int, Rank] = {}
     new_accepted: Set[int] = set()
     for identifier in accepted:
-        votes: List[Rank] = [
-            vote[identifier] for vote in valid_votes if identifier in vote
-        ]
+        if exact is None:
+            votes: List = [
+                vote[identifier] for vote in valid_votes if identifier in vote
+            ]
+        else:
+            votes = [pairs[identifier] for pairs in exact if identifier in pairs]
         if len(votes) < n - t:
             continue  # discarded: not enough support (line 08)
         new_accepted.add(identifier)
         votes = votes[:n]  # at most one valid vote per link; defensive cap
-        while len(votes) < n:  # fill with own value (lines 10-11)
-            votes.append(my_ranks[identifier])
-        new_ranks[identifier] = trimmed_mean(votes, trim)  # lines 12-16
+        if len(votes) < n:  # fill with own value (lines 10-11)
+            own = my_ranks[identifier]
+            if exact is not None:
+                own = own.as_integer_ratio()
+            votes.extend([own] * (n - len(votes)))
+        if exact is None:
+            new_ranks[identifier] = trimmed_mean(votes, trim)  # lines 12-16
+        else:
+            new_ranks[identifier] = _fold_ratios(votes, trim)
     return new_ranks, new_accepted
 
 

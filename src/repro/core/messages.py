@@ -17,38 +17,58 @@ agnostic.
 A broadcast delivers one message object to every recipient, so the receive
 side's hygiene-checked view (:meth:`RanksMessage.sound_vote`,
 :meth:`MultiEchoMessage.sound_ids`) is computed once per object and cached
-on it. The cache is not a field: equality, hashing, ``repr``, pickling and
-the wire codec see only the fields.
+on it; so is whatever the recipients derive from that view alone (a vote's
+exact rank pairs and ``isValid`` verdicts, see DESIGN.md §8). No cache is a
+field: equality, hashing, ``repr``, pickling and the wire codec see only the
+fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Rational
-from types import MappingProxyType
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, FrozenSet, Hashable, Mapping, Optional, Tuple, TypeVar, Union,
+)
 
 from ..sim.messages import KIND_BITS, Message, RANK_FRACTION_BITS
-from .validation import is_sound_id, is_sound_vote
+from .validation import SoundVote, is_sound_id, is_sound_vote
 
 Rank = Union[Rational, float]
 
-#: Instance-dict key of the receive-side cache (never a dataclass field).
+#: Instance-dict keys of the receive-side caches (never dataclass fields).
 _DECODED = "_decoded"
+_BY_KEY = "_by_key"
+
+_T = TypeVar("_T")
 
 
 class _DecodeOnce:
-    """Mixin for messages whose checked decoding is cached on the instance."""
+    """Mixin for messages that cache receive-side results on the instance."""
 
-    def _remember(self, decoded):
-        object.__setattr__(self, _DECODED, decoded)  # frozen dataclass
+    def _remember(self, decoded, key: str = _DECODED):
+        object.__setattr__(self, key, decoded)  # frozen dataclass
         return decoded
+
+    def once_per_key(self, key: Hashable, compute: Callable[[], _T]) -> _T:
+        """``compute()``, evaluated once per message object and ``key``.
+
+        ``key`` must hold every receiver parameter ``compute`` reads, so all
+        recipients that share the object and the key share the result.
+        """
+        try:
+            cache = self.__dict__[_BY_KEY]
+        except KeyError:
+            cache = self._remember({}, _BY_KEY)
+        try:
+            return cache[key]
+        except KeyError:
+            result = cache[key] = compute()
+            return result
 
     def __getstate__(self):
         """Pickle the fields only, exactly as an uncached message."""
-        state = dict(self.__dict__)
-        state.pop(_DECODED, None)
-        return state
+        return {field.name: self.__dict__[field.name] for field in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -96,17 +116,16 @@ class RanksMessage(_DecodeOnce, Message):
         """The ranks array as a mapping."""
         return dict(self.entries)
 
-    def sound_vote(self) -> Optional[Mapping[int, Rank]]:
-        """The ranks array as a read-only mapping, or ``None`` when it fails
-        :func:`~repro.core.validation.is_sound_vote` (non-int ids, NaN/inf
-        ranks). Checked once per message object; every recipient shares the
-        result."""
+    def sound_vote(self) -> Optional[SoundVote]:
+        """The ranks array as a read-only :class:`SoundVote`, or ``None`` when
+        it fails :func:`~repro.core.validation.is_sound_vote` (non-int ids,
+        NaN/inf ranks). Checked once per message object; every recipient
+        shares the result."""
         try:
             return self.__dict__[_DECODED]
         except KeyError:
-            vote = dict(self.entries)
-            sound = is_sound_vote(vote)
-            return self._remember(MappingProxyType(vote) if sound else None)
+            vote = SoundVote(self.entries)
+            return self._remember(vote if is_sound_vote(vote) else None)
 
     def bit_size(self, id_bits: int = 64, rank_bits: int = 16) -> int:
         per_entry = id_bits + rank_bits + RANK_FRACTION_BITS

@@ -36,7 +36,7 @@ from .approximation import approximate, nearest_int
 from .id_selection import ID_SELECTION_STEPS, IdSelectionPhase, IdSelectionResult
 from .messages import Message, Rank, RanksMessage
 from .params import SystemParams
-from .validation import OrderedIds, is_valid_ranks
+from .validation import VoteCheck
 
 #: Spacing tolerance used by ``isValid`` in float mode (see validation docs).
 FLOAT_TOLERANCE = 1e-9
@@ -117,9 +117,8 @@ class VotingPhase(Phase):
         self._ctx = ctx
         self.options = options
         self.delta = delta
-        self._tolerance = tolerance
         self.timely = selection.timely
-        self._timely_order = OrderedIds(self.timely)  # fixed for the run
+        self._check = VoteCheck(self.timely, delta, tolerance)  # fixed for the run
         self.accepted: Set[int] = set(selection.accepted)
         if ctx.my_id not in self.accepted:
             # Impossible for a correct process when N > 3t (Lemma IV.2);
@@ -163,9 +162,7 @@ class VotingPhase(Phase):
             vote = self._first_vote(inbox[link])
             if vote is None:
                 continue
-            if not self.options.validate_votes or is_valid_ranks(
-                self._timely_order, vote, self.delta, self._tolerance
-            ):
+            if not self.options.validate_votes or self._check(vote):
                 votes.append(vote)
         if self.frozen_at is not None:
             return  # frozen: keep broadcasting, stop approximating
@@ -203,8 +200,10 @@ class VotingPhase(Phase):
         Byzantine double-voting and are ignored. Structurally unsound votes
         (non-int ids, NaN/inf ranks) are dropped before any arithmetic —
         hygiene, not semantics; ``isValid`` cannot be trusted to catch NaN
-        because NaN defeats every comparison. The vote is a read-only view
-        shared with every other recipient of the same message."""
+        because NaN defeats every comparison. The vote is a read-only
+        :class:`~repro.core.validation.SoundVote` shared with every other
+        recipient of the same message, which also shares its ``isValid``
+        verdicts."""
         for message in messages:
             if isinstance(message, RanksMessage):
                 return message.sound_vote()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Tuple
 
 if TYPE_CHECKING:  # messages imports this module; a runtime import is circular
     from .messages import Rank
@@ -75,6 +75,72 @@ class OrderedIds(tuple):
 
     def __new__(cls, ids: Iterable[int]) -> "OrderedIds":
         return super().__new__(cls, sorted(set(ids)))
+
+
+class SoundVote(dict):
+    """A hygiene-checked ranks array, shared read-only by every recipient of
+    one message, together with what each recipient would otherwise redo:
+
+    * ``pairs`` — ``{id: (numerator, denominator)}`` when every rank is a
+      ``Fraction``, else ``None``; :func:`~repro.core.approximation.approximate`
+      folds these integers directly;
+    * ``verdicts`` — :func:`is_valid_ranks` verdicts by :attr:`VoteCheck.key`.
+
+    A ``dict`` subclass so lookups stay C-speed; every mutator raises.
+    """
+
+    __slots__ = ("pairs", "verdicts")
+
+    def __init__(self, entries: Iterable[Tuple[int, "Rank"]]) -> None:
+        super().__init__(entries)
+        self.verdicts: Dict[tuple, bool] = {}
+        self.pairs: Optional[Dict[int, Tuple[int, int]]] = (
+            {identifier: rank.as_integer_ratio() for identifier, rank in self.items()}
+            if all(type(rank) is Fraction for rank in self.values())
+            else None
+        )
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a shared vote is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
+class VoteCheck:
+    """One receiver's ``isValid`` (:func:`is_valid_ranks`) parameters, fixed
+    for a run.
+
+    Every recipient of a broadcast gets the same :class:`SoundVote`, and the
+    verdict depends only on the vote and these parameters, so it is cached
+    on the vote under :attr:`key`: the timely ids, ``delta`` and
+    ``tolerance`` as plain ints (``Fraction`` hashing and equality would eat
+    much of the saving). Exact and float modes never share a key: their
+    tolerances differ.
+    """
+
+    __slots__ = ("timely", "delta", "tolerance", "key")
+
+    def __init__(
+        self, timely: Iterable[int], delta: "Rank", tolerance: float = 0.0
+    ) -> None:
+        self.timely = OrderedIds(timely)
+        self.delta = delta
+        self.tolerance = tolerance
+        self.key = (
+            self.timely,
+            delta.as_integer_ratio(),
+            float(tolerance).as_integer_ratio(),
+        )
+
+    def __call__(self, vote: SoundVote) -> bool:
+        """:func:`is_valid_ranks` of ``vote``, once per vote object and key."""
+        try:
+            return vote.verdicts[self.key]
+        except KeyError:
+            verdict = is_valid_ranks(self.timely, vote, self.delta, self.tolerance)
+            vote.verdicts[self.key] = verdict
+            return verdict
 
 
 def is_valid_ranks(

@@ -12,12 +12,14 @@ from helpers import standard_ids
 from repro import SystemParams, run_protocol
 from repro.adversary import make_adversary
 from repro.agreement import (
+    DEFAULT_VALUE,
     ApproximateAgreement,
     EIGInteractiveConsistency,
     PhaseKingConsensus,
     initial_values_factory,
     make_identified_factory,
 )
+from repro.sim import ProcessContext
 
 
 def aa_run(n, t, values_by_id, rounds, attack="silent", seed=0, ids=None):
@@ -152,6 +154,71 @@ class TestEIG:
             EIGInteractiveConsistency(
                 ProcessContext(n=6, t=2, my_id=1), 0, {}, value=1
             )
+
+
+def sorted_counts_resolve(tree, n, rounds, path):
+    """The EIG resolver as written before the majority count: counts sorted
+    by value, the first strictly larger count wins, then the strict-majority
+    test. The oracle for :meth:`EIGInteractiveConsistency._resolve`."""
+    if len(path) == rounds:
+        return tree.get(path, DEFAULT_VALUE)
+    children = [
+        sorted_counts_resolve(tree, n, rounds, path + (j,))
+        for j in range(n)
+        if j not in path
+    ]
+    counts = {}
+    for child in children:
+        counts[child] = counts.get(child, 0) + 1
+    best, best_count = DEFAULT_VALUE, 0
+    for value, count in sorted(counts.items()):
+        if count > best_count:
+            best, best_count = value, count
+    if best_count * 2 > len(children):
+        return best
+    return DEFAULT_VALUE
+
+
+@st.composite
+def eig_trees(draw):
+    """``(tree, n, rounds)``: every path of distinct indices up to depth
+    ``rounds``, each present with a value from a tiny pool (ties, negative
+    ints, bools equal to 0/1) or missing."""
+    rounds = draw(st.integers(1, 3))
+    n = draw(st.integers(rounds + 1, rounds + 3))
+    values = st.sampled_from([-2, -1, 0, 1, 2, 7, True, False])
+    pool = draw(st.lists(values, min_size=1, max_size=3))
+    tree = {}
+    frontier = [()]
+    for _ in range(rounds):
+        frontier = [path + (j,) for path in frontier for j in range(n) if j not in path]
+        for path in frontier:
+            if draw(st.integers(0, 4)):  # 1 in 5 missing
+                tree[path] = draw(st.sampled_from(pool))
+    return tree, n, rounds
+
+
+class TestEIGResolve:
+    @settings(max_examples=300, deadline=None)
+    @given(eig_trees())
+    def test_majority_count_matches_sorted_counts(self, case):
+        tree, n, rounds = case
+        process = EIGInteractiveConsistency.__new__(EIGInteractiveConsistency)
+        process.ctx = ProcessContext(n=n, t=rounds - 1, my_id=1)
+        process.tree = tree
+        process.rounds = rounds
+        for j in range(n):
+            got = process._resolve((j,))
+            want = sorted_counts_resolve(tree, n, rounds, (j,))
+            assert got == want and type(got) is type(want)
+
+    def test_single_round_reads_the_leaves(self):
+        """t=0: the level-1 paths are the leaves themselves."""
+        process = EIGInteractiveConsistency.__new__(EIGInteractiveConsistency)
+        process.ctx = ProcessContext(n=3, t=0, my_id=1)
+        process.tree = {(0,): 5, (2,): 9}
+        process.rounds = 1
+        assert [process._resolve((j,)) for j in range(3)] == [5, DEFAULT_VALUE, 9]
 
 
 class TestPhaseKing:

@@ -16,6 +16,7 @@ from repro.core import (
     trim_extremes,
     trimmed_mean,
 )
+from repro.core.validation import SoundVote
 
 fractions_st = st.fractions(min_value=-1000, max_value=1000)
 
@@ -285,3 +286,50 @@ class TestApproximatePairwise:
         votes = [vote({10: v, 20: v + gap}) for v in base]
         new_ranks, _ = approximate(my, {10, 20}, votes, 7, 2)
         assert new_ranks[20] - new_ranks[10] >= gap
+
+
+@st.composite
+def voting_rounds(draw):
+    """``(my_ranks, accepted, votes, n, t, trim)`` for one Alg. 3 step over
+    ids 10/20/30: votes may miss ids (support drops), outnumber ``n`` (the
+    cap) or fall short (own-value fill); ``trim`` is ``t`` or 0 (Okun)."""
+    t = draw(st.integers(0, 3))
+    n = draw(st.integers(3 * t + 1, 3 * t + 5))
+    ids = [10, 20, 30]
+    rank_st = draw(
+        st.sampled_from(
+            [
+                fractions_st,
+                st.fractions(max_denominator=10**6),
+                st.one_of(fractions_st, st.floats(-1000, 1000, allow_nan=False)),
+            ]
+        )
+    )
+    my_ranks = {identifier: draw(rank_st) for identifier in ids}
+    votes = [
+        {identifier: draw(rank_st) for identifier in ids if draw(st.integers(0, 5))}
+        for _ in range(draw(st.integers(0, n + 2)))
+    ]
+    trim = draw(st.sampled_from([None, 0]))
+    return my_ranks, set(ids), votes, n, t, trim
+
+
+class TestApproximateOnSharedVotes:
+    """Votes delivered as :class:`SoundVote` carry their exact pairs; the
+    fold over those pairs must return exactly what plain votes give."""
+
+    @given(voting_rounds())
+    def test_cached_pairs_match_plain_votes(self, case):
+        my_ranks, accepted, votes, n, t, trim = case
+        plain = approximate(my_ranks, accepted, votes, n, t, trim)
+        shared_votes = [SoundVote(vote.items()) for vote in votes]
+        shared = approximate(my_ranks, accepted, shared_votes, n, t, trim)
+        assert shared == plain
+        assert {k: (type(v), repr(v)) for k, v in shared[0].items()} == {
+            k: (type(v), repr(v)) for k, v in plain[0].items()
+        }
+
+    def test_float_own_rank_takes_generic_path(self):
+        votes = [SoundVote({10: Fraction(v)}.items()) for v in (1, 2, 3, 4, 5)]
+        new_ranks, _ = approximate({10: 3.0}, {10}, votes, 7, 2)
+        assert new_ranks[10] == 3 and type(new_ranks[10]) is float

@@ -248,7 +248,9 @@ def _golden_run_digest(case: str, engine: str) -> str:
     from repro.analysis.serialization import run_to_dict
 
     algorithm, n, t, attack, seed, options = GOLDEN_RUN_CASES[case]
-    build_factory = _GOLDEN_FACTORIES.get(algorithm) or ALGORITHMS[algorithm].build_factory
+    build_factory = (
+        _GOLDEN_FACTORIES.get(algorithm) or ALGORITHMS[algorithm].build_factory
+    )
     ids = standard_ids(n)
     try:
         result = run_protocol(

@@ -35,7 +35,16 @@ from repro.core.messages import (
     RanksMessage,
     ReadyMessage,
 )
-from repro.core.validation import is_sound_id, is_sound_rank, is_sound_vote
+from repro.adversary import make_adversary
+from repro.agreement.eig import RelayMessage
+from repro.core import validation
+from repro.core.renaming import FLOAT_TOLERANCE
+from repro.core.validation import (
+    VoteCheck,
+    is_sound_id,
+    is_sound_rank,
+    is_sound_vote,
+)
 from repro.sim import Adversary
 
 
@@ -294,12 +303,104 @@ class TestDecodeOnce:
         assert vote is message.sound_vote()
         with pytest.raises(TypeError):
             vote[10] = Fraction(99)
-        assert message.as_dict() == {10: Fraction(1), 20: Fraction(3)}
+        for mutate in (
+            lambda: vote.update({10: Fraction(99)}),
+            lambda: vote.pop(10),
+            lambda: vote.setdefault(30, Fraction(5)),
+            vote.clear,
+            vote.popitem,
+        ):
+            with pytest.raises(TypeError):
+                mutate()
+        with pytest.raises(TypeError):
+            del vote[10]
+        assert dict(vote) == message.as_dict() == {10: Fraction(1), 20: Fraction(3)}
+
+    def test_exact_pairs_only_for_all_fraction_votes(self):
+        exact = RanksMessage.from_dict({10: Fraction(1, 3), 20: Fraction(5, 2)})
+        assert exact.sound_vote().pairs == {10: (1, 3), 20: (5, 2)}
+        for ranks in ({10: 0.25, 20: 1.5}, {10: 1, 20: 2}, {10: Fraction(1), 20: 2.5}):
+            assert RanksMessage.from_dict(ranks).sound_vote().pairs is None
+
+    # ------------------------------------------------- isValid verdict cache
+
+    DELTA = SystemParams(N, T).delta
+
+    def test_one_object_two_timely_sets_two_verdicts(self):
+        """The key holds the receiver's timely ids: 30 sits closer than δ to
+        20, so only a receiver that counts 30 as timely rejects the vote."""
+        delta = self.DELTA
+        message = RanksMessage.from_dict(
+            {10: delta, 20: 2 * delta, 30: 2 * delta + delta / 2}
+        )
+        vote = message.sound_vote()
+        narrow, wide = VoteCheck([10, 20], delta), VoteCheck([10, 20, 30], delta)
+        assert narrow.key != wide.key
+        assert narrow(vote) is True
+        assert wide(vote) is False
+        assert narrow(vote) is True and wide(vote) is False  # cached, per key
+        assert vote.verdicts == {narrow.key: True, wide.key: False}
+
+    @pytest.mark.parametrize("delta", [DELTA, SystemParams(40, 13).delta, Fraction(1)])
+    def test_exact_and_float_keys_never_collide(self, delta):
+        """Each mode's check, built as the voting phase builds it, has its
+        own key, so one vote object carries each mode's verdict."""
+        exact = VoteCheck([10, 20], delta)
+        floaty = VoteCheck([10, 20], float(delta), FLOAT_TOLERANCE)
+        assert exact.key != floaty.key
+        assert all(type(part) is not Fraction for part in exact.key[1] + floaty.key[1])
+        # Spaced a hair under δ: float mode's tolerance absorbs it, exact
+        # mode rejects it.
+        gap = delta - Fraction(1, 10**12)
+        vote = RanksMessage.from_dict({10: Fraction(1), 20: 1 + gap}).sound_vote()
+        assert exact(vote) is False
+        assert floaty(vote) is True
+        assert exact(vote) is False
+
+    @pytest.mark.parametrize("engine", ["batched", "reference"])
+    @pytest.mark.parametrize("attack", [None, "id-forging", "rank-skew"])
+    def test_one_isvalid_per_object_and_key(self, monkeypatch, engine, attack):
+        """In one voting round ``is_valid_ranks`` runs exactly once per
+        distinct (vote object, receiver key) pair a check asked about."""
+        asked, ran = [], []
+        original_call = VoteCheck.__call__
+        original_check = validation.is_valid_ranks
+
+        def asking(check, vote):
+            asked.append((vote, check.key))
+            return original_call(check, vote)
+
+        def running(timely, vote, delta, tolerance=0.0):
+            ran.append((vote, timely))
+            return original_check(timely, vote, delta, tolerance)
+
+        monkeypatch.setattr(VoteCheck, "__call__", asking)
+        monkeypatch.setattr(validation, "is_valid_ranks", running)
+        adversary = make_adversary(attack) if attack else None
+        self._one_voting_round(monkeypatch, engine, adversary)
+        pairs = {(id(vote), key) for vote, key in asked}
+        assert len(ran) == len(pairs)
+        assert len({(id(vote), timely) for vote, timely in ran}) == len(ran)
+        assert len(ran) < len(asked)  # every delivery asked; few ran
 
     def test_unsound_messages_cache_none(self):
         assert RanksMessage(entries=((7, float("nan")),)).sound_vote() is None
         assert MultiEchoMessage(ids=("a", 5)).sound_ids() is None
         assert MultiEchoMessage.from_ids([3, 1]).sound_ids() == frozenset({1, 3})
+
+    @staticmethod
+    def _populate(message):
+        """Fill every receive-side cache the message type has."""
+        if isinstance(message, RanksMessage):
+            vote = message.sound_vote()
+            if vote is not None:
+                VoteCheck([10, 20], Fraction(1))(vote)
+                VoteCheck([10], 0.5, FLOAT_TOLERANCE)(vote)
+        elif isinstance(message, RelayMessage):
+            message.once_per_key((7, None, 1, 3), lambda: [((2, 3), 6)])
+            message.once_per_key((7, 2, 1, 4), lambda: [])
+        else:
+            message.sound_ids()
 
     @pytest.mark.parametrize(
         "make",
@@ -308,11 +409,13 @@ class TestDecodeOnce:
             lambda: RanksMessage.from_dict({10: 0.25, 20: 1.5}),
             lambda: RanksMessage(entries=((0, Fraction(1)),)),  # id 0: unsound
             lambda: MultiEchoMessage.from_ids([30, 10, 20]),
+            lambda: RelayMessage(entries=(((2,), 6), ((1, 4), -3))),
         ],
     )
     def test_cache_invisible_to_identity_and_codecs(self, make):
-        """Populating the cache changes no ``==``, ``hash``, ``repr``,
-        pickle bytes or wire bytes."""
+        """Populating every cache (the checked view, a vote's exact pairs
+        and isValid verdicts, accepted relays) changes no ``==``, ``hash``,
+        ``repr``, pickle bytes or wire bytes."""
         fresh, cached = make(), make()
         before = (
             hash(fresh),
@@ -320,11 +423,12 @@ class TestDecodeOnce:
             pickle.dumps(fresh),
             wire.encode_message(fresh),
         )
-        if isinstance(cached, RanksMessage):
-            cached.sound_vote()
-        else:
-            cached.sound_ids()
-        assert "_decoded" in vars(cached)
+        self._populate(cached)
+        assert set(vars(cached)) > set(vars(fresh))
+        vote = vars(cached).get("_decoded")
+        if vote is not None and isinstance(cached, RanksMessage):
+            assert len(vote.verdicts) == 2
+            assert (vote.pairs is None) == (type(vote[10]) is not Fraction)
         assert cached == fresh
         after = (
             hash(cached),
