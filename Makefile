@@ -15,10 +15,11 @@ bench:
 
 ## Fast end-to-end check: one small sweep grid through every mode of the
 ## one cell loop — in-process (--workers 1), the process pool with a cache
-## (--workers 2 --cache), and an in-process worker on a result store
-## (--store DIR) — plus a pooled run on the reference engine. All four
-## CSVs must be byte-identical. Catches pool pickling, cache and store
-## round-trip regressions, and engine drift, in seconds.
+## (--workers 2 --cache), an in-process worker on a result store
+## (--store DIR), and the same with every cell in a budget-policed child
+## (--cell-wall) — plus a pooled run on the reference engine. All five
+## CSVs must be byte-identical. Catches pool pickling, cache, store and
+## isolation round-trip regressions, and engine drift, in seconds.
 SMOKE_DIR := .smoke
 SMOKE_GRID := --algorithms alg1 okun-crash --sizes 4:1 5:1 \
 	--attacks silent crash --seeds 0 1
@@ -31,10 +32,13 @@ smoke:
 		--workers 2 --cache $(SMOKE_DIR)/cache --csv $(SMOKE_DIR)/pool.csv
 	$(PYTHON) -m repro.cli sweep $(SMOKE_GRID) --engine batched \
 		--workers 1 --store $(SMOKE_DIR)/store --csv $(SMOKE_DIR)/store.csv
+	$(PYTHON) -m repro.cli sweep $(SMOKE_GRID) --workers 1 \
+		--store $(SMOKE_DIR)/budget --cell-wall 60 --csv $(SMOKE_DIR)/budget.csv
 	$(PYTHON) -m repro.cli sweep $(SMOKE_GRID) --engine reference \
 		--workers 2 --csv $(SMOKE_DIR)/reference.csv
 	cmp $(SMOKE_DIR)/serial.csv $(SMOKE_DIR)/pool.csv
 	cmp $(SMOKE_DIR)/serial.csv $(SMOKE_DIR)/store.csv
+	cmp $(SMOKE_DIR)/serial.csv $(SMOKE_DIR)/budget.csv
 	cmp $(SMOKE_DIR)/serial.csv $(SMOKE_DIR)/reference.csv
 	rm -rf $(SMOKE_DIR)
 

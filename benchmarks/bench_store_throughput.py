@@ -46,13 +46,10 @@ RUNNERS.setdefault(
         decode=lambda payload: payload,
         execute=lambda task: {"cell": task["cell"], "value": task["cell"] * 3},
         encode=lambda result, attempts: result,
-        failure=lambda task, detail, attempts: {"failed": True,
-                                                "detail": detail},
+        failure=lambda task, kind, detail, attempts: {"failed": True,
+                                                      "detail": detail},
         failure_state="failed",
-        budget_failure=lambda task, kind, detail: {"failed": True,
-                                                   "detail": detail},
         decode_row=lambda task, payload: payload,
-        lease_row=lambda task, reason: {"failed": True, "detail": reason},
     ),
 )
 

@@ -1,20 +1,38 @@
-"""Per-cell resource budgets: the one wall/RSS breach decision.
+"""Per-cell resource budgets and the one budget-policed child process.
 
-Budget-isolated fabric workers (:mod:`repro.analysis.worker`) and the
-service's isolated sessions (:mod:`repro.service.session`) both police a
-disposable child process with :func:`budget_breach`, so a breach produces
-the same typed kind (``"wall-budget"`` / ``"rss-budget"``) and the same
-message wherever the cell runs.
+:func:`run_isolated` runs one call in a disposable child process and
+polices it with :func:`budget_breach`. Budget-isolated fabric workers
+(:mod:`repro.analysis.worker`) and the daemon's budgeted sessions
+(:mod:`repro.service.server`) both run their work through it, so a breach
+produces the same typed
+:class:`~repro.sim.errors.ResourceBudgetExceeded` (``"wall-budget"`` /
+``"rss-budget"``) with the same message wherever the cell runs, and a
+child that dies without reporting is the same :class:`IsolatedChildError`.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from multiprocessing.connection import wait
+from typing import Any, Callable, Optional, Tuple
 
-__all__ = ["CellBudget", "budget_breach", "rss_mb_of"]
+from ..sim.errors import ResourceBudgetExceeded
+
+__all__ = [
+    "CellBudget",
+    "IsolatedChildError",
+    "budget_breach",
+    "rss_mb_of",
+    "run_isolated",
+]
+
+#: How often the parent checks the budget and calls ``tick`` (seconds).
+POLL_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -77,3 +95,90 @@ def budget_breach(
                 f"exceeded budget ({budget.rss_mb:g} MiB)",
             )
     return None
+
+
+class IsolatedChildError(RuntimeError):
+    """An isolated child returned no outcome the parent can re-raise.
+
+    Either it exited without reporting (the message names its exit code),
+    or it raised an exception that does not pickle (the message is that
+    exception's ``"Type: message"`` text).
+    """
+
+
+def _child_main(fn: Callable[[Any], Any], arg: Any, sender) -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        outcome = ("done", fn(arg))
+    except Exception as exc:  # noqa: BLE001 — relayed, not hidden
+        outcome = ("raised", exc)
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:  # noqa: BLE001 — relay the text instead
+            outcome = ("lost", f"{type(exc).__name__}: {exc}")
+    sender.send(outcome)
+
+
+def run_isolated(
+    fn: Callable[[Any], Any],
+    arg: Any,
+    budget: Optional[CellBudget],
+    *,
+    tick: Optional[Callable[[float], None]] = None,
+) -> Any:
+    """``fn(arg)`` in a disposable child process policed by ``budget``.
+
+    Returns what ``fn`` returned, or re-raises what it raised. A wall/RSS
+    breach SIGKILLs the child and raises
+    :class:`~repro.sim.errors.ResourceBudgetExceeded`. ``tick(now)`` runs
+    on every poll with a ``time.monotonic()`` value; anything it raises
+    kills the child and propagates. A child that exits without reporting,
+    or raises an exception that does not pickle, is an
+    :class:`IsolatedChildError`.
+    """
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    process = multiprocessing.Process(
+        target=_child_main, args=(fn, arg, sender), daemon=True
+    )
+    process.start()
+    sender.close()
+    started = time.monotonic()
+    try:
+        # Read the outcome as soon as it arrives: a child writing one
+        # larger than the pipe buffer blocks until it is read. The pipe
+        # may be held open by other forked children, so a death is read
+        # off the child's sentinel, not off end-of-file.
+        while not wait([receiver, process.sentinel], POLL_S):
+            now = time.monotonic()
+            if tick is not None:
+                tick(now)
+            breach = budget_breach(
+                budget, started_at=started, pid=process.pid, now=now
+            )
+            if breach is not None:
+                raise ResourceBudgetExceeded(breach[1], violated=breach[0])
+        status, value = None, None
+        if receiver.poll():
+            try:
+                status, value = receiver.recv()
+            except EOFError:  # died before it reported
+                pass
+    except BaseException:
+        process.kill()
+        raise
+    finally:
+        process.join(timeout=1.0)
+        if process.is_alive():  # reported, but stuck on its way out
+            process.kill()
+            process.join()
+        receiver.close()
+    if status == "done":
+        return value
+    if status == "raised":
+        raise value
+    if status == "lost":
+        raise IsolatedChildError(value)
+    raise IsolatedChildError(
+        f"isolated child exited without reporting (exit code "
+        f"{process.exitcode})"
+    )

@@ -314,12 +314,10 @@ class Coordinator:
     ):
         task = runner.decode(self.store.task(index))
         payload = record.get("payload")
-        if payload is not None:
-            row = runner.decode_row(task, payload)
-        else:
-            row = runner.lease_row(
-                task, record.get("reason") or "lease expired"
-            )
+        if payload is None:  # the lease expired past max_attempts
+            reason = record.get("reason") or "lease expired"
+            payload = runner.failure(task, "crashed", f"LeaseLost: {reason}", 1)
+        row = runner.decode_row(task, payload)
         if not restored:
             if record["state"] != "finished":
                 self.stats.failed += 1

@@ -211,8 +211,8 @@ def run_experiment(
     :class:`~repro.sim.errors.ConfigurationError` when ``(n, t)`` falls
     outside the algorithm's proven resilience regime — the uniform typed
     answer for beyond-threshold configurations. Pass ``False`` to run the
-    algorithm beyond its model anyway (chaos campaigns do, to observe
-    *which* property breaks; note some constructors still refuse on their
+    algorithm beyond its model anyway, to observe *which* property breaks
+    (the beyond-model tests do; some constructors still refuse on their
     own).
 
     ``monitor=True`` attaches a :class:`~repro.sim.monitor.SafetyMonitor`
@@ -250,7 +250,7 @@ def run_experiment(
     if enforce_regime and not spec.regime(params):
         raise ConfigurationError(
             f"{algorithm!r} is outside its proven resilience regime at "
-            f"n={n}, t={t}; pass enforce_regime=False to run beyond the model"
+            f"n={n}, t={t}"
         )
     factory = spec.build_factory(n, t, ids, seed)
     adversary = make_adversary(attack) if t > 0 else None

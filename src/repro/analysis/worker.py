@@ -19,13 +19,13 @@ module owns how a cell runs, whoever asked for it:
   record, until the store is complete. A worker can be an in-process call
   inside the coordinator, a subprocess it spawns, or a ``repro-renaming
   worker --store ...`` process started by hand against shared storage.
-  With a :class:`~repro.analysis.budget.CellBudget` each attempt runs in a
-  disposable child policed by :func:`~repro.analysis.budget.budget_breach`:
-  a breach SIGKILLs it and quarantines the cell (``wall-budget`` /
-  ``rss-budget``, never retried). While a cell runs its lease is renewed
-  at a third of its duration; if the lease is taken over anyway the
-  result is dropped (:class:`~repro.sim.errors.LeaseLost`) — the first
-  durable terminal record wins.
+  With a :class:`~repro.analysis.budget.CellBudget` each attempt runs in
+  :func:`~repro.analysis.budget.run_isolated`'s disposable child: a breach
+  SIGKILLs it and quarantines the cell (``wall-budget`` / ``rss-budget``,
+  never retried). While a cell runs its lease is renewed at a third of its
+  duration; if the lease is taken over anyway the result is dropped
+  (:class:`~repro.sim.errors.LeaseLost`) — the first durable terminal
+  record wins.
 
 The :data:`RUNNERS` registry holds one :class:`CellRunner` per run kind:
 how its cells execute and how results become store payloads and rows.
@@ -35,10 +35,7 @@ Tests and benches may register additional kinds.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
-import queue
-import signal
 import socket
 import threading
 import time
@@ -55,9 +52,9 @@ from typing import (
     Sequence,
 )
 
-from ..sim.errors import LeaseLost, StoreError
+from ..sim.errors import LeaseLost, ResourceBudgetExceeded, StoreError
 from .backoff import PollBackoff
-from .budget import CellBudget, budget_breach
+from .budget import CellBudget, IsolatedChildError, run_isolated
 from .campaign import ChaosOutcome, execute_chaos_task
 from .envelope import config_fingerprint
 from .executor import ExperimentSummary, RunTask, execute_task, logger
@@ -83,12 +80,12 @@ class CellRunner:
 
     ``encode`` turns the runner's result into the store payload, given the
     number of *failed* attempts that preceded it (chaos outcomes record
-    that as ``retries``; sweeps ignore it). ``failure`` builds the
-    deterministic failure payload after the retry is exhausted;
-    ``budget_failure`` the quarantine payload for a budget kill or a hung
-    pool cell; ``decode_row`` the caller-facing row for any payload;
-    ``lease_row`` the row for a cell whose lease expired past
-    ``max_attempts`` (a terminal record with no payload at all).
+    that as ``retries``; sweeps ignore it). ``failure(task, kind, detail,
+    attempts)`` builds every failure payload: ``kind`` is ``"crashed"``
+    once the retry is exhausted (or the lease expired past
+    ``max_attempts``), ``"wall-budget"`` / ``"rss-budget"`` for a budget
+    kill or a hung pool cell. ``decode_row`` is the caller-facing row for
+    any payload.
 
     The built-in runners hold module-level functions only, so a runner
     pickles into process-pool workers.
@@ -98,34 +95,26 @@ class CellRunner:
     decode: Callable[[dict], Any]
     execute: Callable[[Any], Any]
     encode: Callable[[Any, int], dict]
-    failure: Callable[[Any, str, int], dict]
+    failure: Callable[[Any, str, str, int], dict]
     #: Terminal state for an exhausted crash retry ("failed" for sweeps —
     #: a deterministic failure row — "quarantined" for chaos, whose
     #: crashed cells are quarantined with a reproducer).
     failure_state: str
-    budget_failure: Callable[[Any, str, str], dict]
     decode_row: Callable[[Any, dict], Any]
-    lease_row: Callable[[Any, str], Any]
 
 
 def _sweep_encode(summary: ExperimentSummary, attempts: int) -> dict:
     return summary.to_dict()
 
 
-def _sweep_failure(task: RunTask, detail: str, attempts: int) -> dict:
+def _sweep_failure(
+    task: RunTask, kind: str, detail: str, attempts: int
+) -> dict:
     return ExperimentSummary.for_failure(task, detail).to_dict()
-
-
-def _sweep_budget_failure(task: RunTask, kind: str, detail: str) -> dict:
-    return _sweep_failure(task, detail, 1)
 
 
 def _sweep_row(task: RunTask, payload: dict) -> ExperimentSummary:
     return ExperimentSummary.from_dict(payload)
-
-
-def _sweep_lease_row(task: RunTask, reason: str) -> ExperimentSummary:
-    return ExperimentSummary.for_failure(task, f"LeaseLost: {reason}")
 
 
 def _chaos_encode(outcome: ChaosOutcome, attempts: int) -> dict:
@@ -133,19 +122,13 @@ def _chaos_encode(outcome: ChaosOutcome, attempts: int) -> dict:
     return outcome.verdict_dict()
 
 
-def _chaos_failure(task: RunTask, detail: str, attempts: int) -> dict:
-    return ChaosOutcome(
-        task=task, status="crashed", error=detail, retries=attempts - 1
-    ).verdict_dict()
-
-
-def _chaos_budget_failure(task: RunTask, kind: str, detail: str) -> dict:
+def _chaos_failure(
+    task: RunTask, kind: str, detail: str, attempts: int
+) -> dict:
     status = "timeout" if kind == "wall-budget" else "crashed"
-    return ChaosOutcome(task=task, status=status, error=detail).verdict_dict()
-
-
-def _chaos_lease_row(task: RunTask, reason: str) -> ChaosOutcome:
-    return ChaosOutcome(task=task, status="crashed", error=f"LeaseLost: {reason}")
+    return ChaosOutcome(
+        task=task, status=status, error=detail, retries=attempts - 1
+    ).verdict_dict()
 
 
 #: Run-kind registry (header ``kind`` -> execution/serialisation bundle).
@@ -157,9 +140,7 @@ RUNNERS: Dict[str, CellRunner] = {
         encode=_sweep_encode,
         failure=_sweep_failure,
         failure_state="failed",
-        budget_failure=_sweep_budget_failure,
         decode_row=_sweep_row,
-        lease_row=_sweep_lease_row,
     ),
     "chaos": CellRunner(
         kind="chaos",
@@ -168,9 +149,7 @@ RUNNERS: Dict[str, CellRunner] = {
         encode=_chaos_encode,
         failure=_chaos_failure,
         failure_state="quarantined",
-        budget_failure=_chaos_budget_failure,
         decode_row=ChaosOutcome.from_verdict,
-        lease_row=_chaos_lease_row,
     ),
 }
 
@@ -188,20 +167,6 @@ class CellVerdict(NamedTuple):
     retried: int
 
 
-class _CellCrashed(Exception):
-    """An isolated attempt raised or died in its child process. The message
-    is already the ``"ExceptionType: message"`` detail."""
-
-
-class _BudgetBreach(Exception):
-    """An isolated attempt blew its budget: quarantined, never retried."""
-
-    def __init__(self, kind: str, detail: str) -> None:
-        super().__init__(detail)
-        self.kind = kind
-        self.detail = detail
-
-
 def attempt_cell(
     runner: CellRunner,
     task: Any,
@@ -214,18 +179,19 @@ def attempt_cell(
     workers pass an attempt that runs in a child process. An attempt that
     raises is retried up to ``retries`` times; the last failure becomes
     ``runner.failure`` built from *that* error's message. Lease loss and
-    budget breaches are not attempt failures and propagate.
+    budget breaches (:class:`~repro.sim.errors.ResourceBudgetExceeded`)
+    are not attempt failures and propagate.
     """
     execute = runner.execute if execute is None else execute
     attempts = 0
     while True:
         try:
             result = execute(task)
-        except (LeaseLost, _BudgetBreach):
+        except (LeaseLost, ResourceBudgetExceeded):
             raise
         except Exception as exc:  # noqa: BLE001 — retried, then recorded
             attempts += 1
-            if isinstance(exc, _CellCrashed):
+            if isinstance(exc, IsolatedChildError):
                 detail = str(exc)
             else:
                 detail = f"{type(exc).__name__}: {exc}"
@@ -241,7 +207,7 @@ def attempt_cell(
             )
             return CellVerdict(
                 runner.failure_state,
-                runner.failure(task, detail, attempts),
+                runner.failure(task, "crashed", detail, attempts),
                 "crashed",
                 attempts - 1,
             )
@@ -296,9 +262,9 @@ def run_cells(
     Without a ``store``, ``workers=1`` (or a single cell) runs
     :func:`attempt_cell` in this process, and ``workers=N`` runs it whole
     for each cell in a process pool — when no cell completes within
-    ``timeout_s``, the pending cells get ``runner.budget_failure`` rows as
-    ``wall-budget`` and the pool is torn down. ``run_hook`` sees every task
-    before execution starts.
+    ``timeout_s``, the pending cells get ``wall-budget`` failure rows and
+    the pool is torn down. ``run_hook`` sees every task before execution
+    starts.
 
     With a ``store`` (URL or :class:`LocalDirStore`) the grid is handed to a
     :class:`~repro.analysis.coordinator.Coordinator`, which also applies
@@ -390,8 +356,8 @@ def _pool_verdicts(
                         future.cancel()
                         verdicts[index] = CellVerdict(
                             "quarantined",
-                            runner.budget_failure(
-                                tasks[index], "wall-budget", detail
+                            runner.failure(
+                                tasks[index], "wall-budget", detail, 1
                             ),
                             "wall-budget",
                             0,
@@ -413,7 +379,8 @@ def _pool_verdicts(
                         verdicts[index] = CellVerdict(
                             runner.failure_state,
                             runner.failure(
-                                tasks[index], f"{type(exc).__name__}: {exc}", 1
+                                tasks[index], "crashed",
+                                f"{type(exc).__name__}: {exc}", 1,
                             ),
                             "crashed",
                             0,
@@ -454,22 +421,14 @@ class WorkerStats:
     worker_id: str = ""
 
 
-def _cell_main(execute: Callable[[Any], Any], task: Any, result_q) -> None:
-    """Child-process body for budget-isolated execution: one attempt."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        result_q.put(("done", execute(task)))
-    except BaseException as exc:  # noqa: BLE001 — reported, not hidden
-        result_q.put(("error", f"{type(exc).__name__}: {exc}"))
-
-
 class Worker:
     """The pull loop: claim → execute → write back, until the store drains.
 
     ``budget=None`` (the default) executes cells in-process through
     :func:`attempt_cell` — the same retry as the non-store paths. A budget
-    switches to one disposable child process per attempt so a wall/RSS
-    breach can be SIGKILLed without taking the worker down.
+    switches to one :func:`~repro.analysis.budget.run_isolated` child per
+    attempt so a wall/RSS breach can be SIGKILLed without taking the
+    worker down.
 
     ``wait_store_s`` lets a worker start before the coordinator: it blocks
     until the store is seeded. ``max_idle_s`` bounds how long a worker
@@ -598,12 +557,12 @@ class Worker:
                         runner.execute, claim, t
                     ),
                 )
-            except _BudgetBreach as breach:
+            except ResourceBudgetExceeded as breach:
                 self.stats.budget_kills += 1
                 return CellVerdict(
                     "quarantined",
-                    runner.budget_failure(task, breach.kind, breach.detail),
-                    breach.kind,
+                    runner.failure(task, breach.violated, str(breach), 1),
+                    breach.violated,
                     0,
                 )
         self.stats.retried += verdict.retried
@@ -650,48 +609,18 @@ class Worker:
     def _isolated_attempt(
         self, execute: Callable[[Any], Any], claim: Claim, task: Any
     ) -> Any:
-        """One budget-policed child-process attempt: the result, or
-        :class:`_CellCrashed` / :class:`_BudgetBreach` /
-        :class:`~repro.sim.errors.LeaseLost`."""
-        result_q: multiprocessing.Queue = multiprocessing.Queue()
-        process = multiprocessing.Process(
-            target=_cell_main, args=(execute, task, result_q), daemon=True
-        )
-        process.start()
-        started = time.monotonic()
-        next_renew = started + self.lease_s / 3
-        try:
-            while True:
-                process.join(timeout=0.05)
-                if not process.is_alive():
-                    break
-                now = time.monotonic()
-                if now >= next_renew:
-                    self.store.renew(claim, self.lease_s)  # LeaseLost ↑
-                    next_renew = now + self.lease_s / 3
-                breach = budget_breach(
-                    self.budget, started_at=started, pid=process.pid, now=now
-                )
-                if breach is not None:
-                    process.kill()
-                    process.join(timeout=2.0)
-                    raise _BudgetBreach(*breach)
-            try:
-                outcome, value = result_q.get(timeout=1.0)
-            except queue.Empty:
-                raise _CellCrashed(
-                    f"worker died mid-cell (exit code {process.exitcode})"
-                ) from None
-            if outcome != "done":
-                raise _CellCrashed(value)
-            return value
-        except LeaseLost:
-            process.kill()
-            process.join(timeout=2.0)
-            raise
-        finally:
-            result_q.close()
-            result_q.cancel_join_thread()
+        """One :func:`~repro.analysis.budget.run_isolated` attempt that
+        renews ``claim`` at a third of the lease (a lost lease raises
+        :class:`~repro.sim.errors.LeaseLost` and kills the child)."""
+        next_renew = time.monotonic() + self.lease_s / 3
+
+        def renew(now: float) -> None:
+            nonlocal next_renew
+            if now >= next_renew:
+                self.store.renew(claim, self.lease_s)
+                next_renew = now + self.lease_s / 3
+
+        return run_isolated(execute, task, self.budget, tick=renew)
 
     # ------------------------------------------------------------ write-back
 

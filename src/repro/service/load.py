@@ -270,7 +270,6 @@ async def run_session_with_retry(
     port: int,
     *,
     retries: int = 0,
-    backoff: Optional[PollBackoff] = None,
     session_id: str = "",
     **kwargs,
 ) -> SessionOutcome:
@@ -280,7 +279,7 @@ async def run_session_with_retry(
     :func:`_retryable` says are safe given the token. Returns the final
     outcome either way.
     """
-    policy = backoff or PollBackoff(_RETRY_FLOOR_S, _RETRY_CAP_S)
+    policy = PollBackoff(_RETRY_FLOOR_S, _RETRY_CAP_S)
     attempt = 0
     while True:
         outcome = await run_session(host, port, session_id=session_id, **kwargs)
@@ -407,12 +406,11 @@ async def run_query_with_retry(
     session_id: str,
     *,
     retries: int = 0,
-    backoff: Optional[PollBackoff] = None,
     timeout_s: float = 30.0,
 ) -> QueryOutcome:
     """:func:`run_query` under the shared backoff — queries are read-only,
     so every transport-level failure (and busy) is safe to retry."""
-    policy = backoff or PollBackoff(_RETRY_FLOOR_S, _RETRY_CAP_S)
+    policy = PollBackoff(_RETRY_FLOOR_S, _RETRY_CAP_S)
     attempt = 0
     while True:
         outcome = await run_query(host, port, session_id, timeout_s=timeout_s)

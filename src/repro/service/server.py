@@ -43,7 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
-from ..analysis.budget import CellBudget
+from ..analysis.budget import CellBudget, IsolatedChildError, run_isolated
 from ..sim import DEFAULT_ENGINE, ConfigurationError, ResourceBudgetExceeded, SafetyViolation
 from ..wire import WireError
 from .frames import DEFAULT_MAX_FRAME_BYTES, encode_frame, read_frame, write_frame
@@ -60,12 +60,8 @@ from .messages import (
     SessionErrorMessage,
     SessionWelcomeMessage,
 )
-from .session import (
-    ServiceInfraError,
-    SessionRequest,
-    execute_session,
-    execute_session_isolated,
-)
+from . import session
+from .session import SessionRequest
 
 __all__ = ["RenamingService", "ServiceStats"]
 
@@ -586,15 +582,14 @@ class RenamingService:
             seed=opened.seed,
             engine=self.engine,
         )
-        loop = asyncio.get_running_loop()
+        # Looked up on the module per call, so a stub patched onto
+        # ``session.execute_session`` also reaches a forked child.
+        call = (session.execute_session, request)
+        if self.budget is not None:
+            call = (run_isolated, *call, self.budget)
         try:
-            if self.budget is not None:
-                return await loop.run_in_executor(
-                    self._executor,
-                    lambda: execute_session_isolated(request, self.budget),
-                )
-            return await loop.run_in_executor(
-                self._executor, lambda: execute_session(request)
+            return await asyncio.get_running_loop().run_in_executor(
+                self._executor, *call
             )
         except ConfigurationError as exc:
             raise _Reject("config", str(exc)) from None
@@ -607,7 +602,7 @@ class RenamingService:
         except ResourceBudgetExceeded as exc:
             code = "rss-budget" if exc.violated == "rss-budget" else "wall-budget"
             raise _Reject(code, str(exc)) from None
-        except ServiceInfraError as exc:
+        except IsolatedChildError as exc:
             self.stats.infra += 1
             raise _Reject("infra", str(exc)) from None
 

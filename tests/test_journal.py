@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -38,11 +39,11 @@ from repro.analysis import (
     open_store,
     store_doctor,
 )
-from repro.analysis.budget import rss_mb_of
+from repro.analysis.budget import rss_mb_of, run_isolated
 from repro.analysis.envelope import scrub_volatile
 from repro.analysis.store import STORE_CRASH_HOOK_ENV
 from repro.analysis.worker import RUNNERS, CellRunner
-from repro.sim import FaultPlan, StoreError
+from repro.sim import FaultPlan, LeaseLost, StoreError
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -227,6 +228,12 @@ def _probe(task: dict):
         with open(path, "w") as handle:
             handle.write(str(count))
         raise RuntimeError(f"attempt {count} failed")
+    if op == "big":
+        return "x" * task["size"]
+    if op == "unpicklable":
+        exc = RuntimeError("no way back")
+        exc.hook = lambda: None  # pickled with the exception: fails
+        raise exc
     return task["x"] * task["x"]
 
 
@@ -238,13 +245,11 @@ def probe_kind(monkeypatch):
         decode=dict,
         execute=_probe,
         encode=lambda result, attempts: {"result": result, "retries": attempts},
-        failure=lambda task, detail, attempts: {
+        failure=lambda task, kind, detail, attempts: {
             "error": detail, "attempts": attempts,
         },
         failure_state="failed",
-        budget_failure=lambda task, kind, detail: {"error": detail},
         decode_row=lambda task, payload: payload,
-        lease_row=lambda task, reason: {"error": reason},
     ))
     return "probe"
 
@@ -320,6 +325,41 @@ class TestWorkerBudget:
             "error": "RuntimeError: attempt 2 failed", "attempts": 2,
         }
         assert stats.failed == 1 and stats.retried == 1
+
+    def test_result_larger_than_a_pipe_buffer(self, tmp_path, probe_kind):
+        # The child blocks writing its result until the parent reads it, so
+        # the parent must read before it waits for the child to exit.
+        store = _probe_store(
+            tmp_path, probe_kind, [{"op": "big", "size": 1 << 20}]
+        )
+        Worker(store, budget=CellBudget(wall_s=20)).run()
+        record = store.terminal(0)
+        assert record["state"] == "finished"
+        assert len(record["payload"]["result"]) == 1 << 20
+
+    def test_tick_error_kills_the_child_and_propagates(self):
+        # A lease taken over mid-cell: the worker's renewing tick raises.
+        def lose_lease(now):
+            raise LeaseLost("lease taken over")
+
+        before = set(multiprocessing.active_children())
+        started = time.monotonic()
+        with pytest.raises(LeaseLost):
+            run_isolated(
+                _probe, {"op": "sleep", "seconds": 30.0}, None, tick=lose_lease
+            )
+        assert time.monotonic() - started < 10.0
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_unpicklable_exception_keeps_its_text(self, tmp_path, probe_kind):
+        store = _probe_store(tmp_path, probe_kind, [{"op": "unpicklable"}])
+        stats = Worker(store, budget=CellBudget(wall_s=60), retries=0).run()
+        record = store.terminal(0)
+        assert (record["state"], record["reason"]) == ("failed", "crashed")
+        assert record["payload"] == {
+            "error": "RuntimeError: no way back", "attempts": 1,
+        }
+        assert stats.failed == 1
 
     @pytest.mark.skipif(
         not os.path.exists(f"/proc/{os.getpid()}/statm"),

@@ -19,7 +19,7 @@ from contextlib import asynccontextmanager
 
 import pytest
 
-from repro.analysis.budget import CellBudget
+from repro.analysis.budget import CellBudget, run_isolated
 from repro.core import SystemParams
 from repro.service.frames import encode_frame, read_frame, write_frame
 from repro.service.load import run_load, run_session, validate_names
@@ -35,12 +35,7 @@ from repro.service.messages import (
     SessionWelcomeMessage,
 )
 from repro.service.server import RenamingService
-from repro.service.session import (
-    SessionRequest,
-    execute_session,
-    execute_session_isolated,
-    select_algorithm,
-)
+from repro.service.session import SessionRequest, execute_session, select_algorithm
 from repro.sim import ConfigurationError, ResourceBudgetExceeded
 from repro.workloads import make_ids
 
@@ -314,6 +309,36 @@ class TestContainment:
 
         asyncio.run(main())
 
+    def test_unpicklable_child_exception_is_infra_with_its_text(
+        self, monkeypatch
+    ):
+        # An exception holding a lambda cannot cross the process boundary;
+        # the child relays its text instead, and the daemon answers at once.
+        import time
+
+        import repro.service.session as session_module
+
+        def unpicklable(request):
+            exc = RuntimeError("the session runner broke")
+            exc.hook = lambda: None  # pickled with the exception: fails
+            raise exc
+
+        monkeypatch.setattr(session_module, "execute_session", unpicklable)
+
+        async def main():
+            async with service(budget=CellBudget(wall_s=30.0)) as (svc, _):
+                started = time.monotonic()
+                outcome = await drive(svc)
+                assert time.monotonic() - started < 0.9
+                assert outcome.status == "rejected", outcome
+                assert outcome.code == "infra"
+                assert outcome.detail == (
+                    "RuntimeError: the session runner broke"
+                )
+                assert svc.stats.infra == 1
+
+        asyncio.run(main())
+
 
 class TestDrain:
     def test_drain_finishes_in_flight_and_turns_new_connects_away(self):
@@ -446,7 +471,9 @@ class TestSessionExecution:
 
     def test_isolated_execution_matches_inline(self):
         request = SessionRequest(ids=tuple(make_ids("uniform", 6, seed=9)))
-        isolated = execute_session_isolated(request, CellBudget(wall_s=30.0))
+        isolated = run_isolated(
+            execute_session, request, CellBudget(wall_s=30.0)
+        )
         assert isolated == execute_session(request)
 
     def test_isolated_execution_reraises_typed_errors(self):
@@ -454,20 +481,15 @@ class TestSessionExecution:
             ids=tuple(make_ids("uniform", 6, seed=10)), algorithm="nope"
         )
         with pytest.raises(ConfigurationError, match="unknown algorithm"):
-            execute_session_isolated(request, CellBudget(wall_s=30.0))
+            run_isolated(execute_session, request, CellBudget(wall_s=30.0))
 
-    def test_isolated_wall_breach_is_typed(self, monkeypatch):
+    def test_isolated_wall_breach_is_typed(self):
         import time
 
-        import repro.service.session as session_module
-
-        monkeypatch.setattr(
-            session_module, "execute_session", lambda request: time.sleep(30.0)
-        )
         request = SessionRequest(ids=(3, 5, 8))
         with pytest.raises(ResourceBudgetExceeded) as info:
-            execute_session_isolated(
-                request, CellBudget(wall_s=0.1), poll_s=0.02
+            run_isolated(
+                lambda request: time.sleep(30.0), request, CellBudget(wall_s=0.1)
             )
         assert info.value.violated == "wall-budget"
 

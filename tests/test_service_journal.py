@@ -279,11 +279,11 @@ class TestTokenedSessions:
         assert record.state == "failed" and record.code == "config"
 
     def test_concurrent_duplicate_token_is_typed(self, tmp_path, monkeypatch):
-        import repro.service.server as server_module
+        import repro.service.session as session_module
 
         journal = SessionJournal.open_or_create(tmp_path / "s.jsonl")
         release = None
-        real_execute = server_module.execute_session
+        real_execute = session_module.execute_session
 
         def slow_execute(request):
             import time
@@ -292,7 +292,7 @@ class TestTokenedSessions:
                 time.sleep(0.01)
             return real_execute(request)
 
-        monkeypatch.setattr(server_module, "execute_session", slow_execute)
+        monkeypatch.setattr(session_module, "execute_session", slow_execute)
 
         async def body(svc):
             nonlocal release
@@ -347,10 +347,10 @@ class TestQueries:
         asyncio.run(_with_service(body, journal=journal))
 
     def test_in_flight_token_reports_in_flight(self, tmp_path, monkeypatch):
-        import repro.service.server as server_module
+        import repro.service.session as session_module
 
         journal = SessionJournal.open_or_create(tmp_path / "s.jsonl")
-        real_execute = server_module.execute_session
+        real_execute = session_module.execute_session
         release = None
 
         def slow_execute(request):
@@ -360,7 +360,7 @@ class TestQueries:
                 time.sleep(0.01)
             return real_execute(request)
 
-        monkeypatch.setattr(server_module, "execute_session", slow_execute)
+        monkeypatch.setattr(session_module, "execute_session", slow_execute)
 
         async def body(svc):
             nonlocal release
