@@ -44,17 +44,23 @@ smoke:
 
 ## Benchmark correctness smoke: every perfbench workload for 2 s, then one
 ## traced flood second, which exercises the tracer's patch points (among
-## them Engine.execute), and one traced sweep second, which must time calls
-## into isValid and approximate: a refactor that routes around the names
-## the tracer patches would otherwise empty the per-layer table silently.
+## them Engine.execute), one traced sweep second, which must time calls
+## into isValid and approximate, and one traced service-journal second,
+## which must time the client's read_frame/write_frame and validate_names
+## calls: a refactor that routes around the names the tracer patches
+## would otherwise empty the per-layer table silently.
 ## The benchmark checks its own ops (check_renaming verdicts, byte-equal
 ## journal replays, repeat counts); each step fails unless its final JSON
 ## line reports "correct": true and every metric named after its
 ## "workload seconds trace" triple is above zero. Timings are not gated.
 PERF_SMOKE_SWEEP_LAYERS := core.validation.is_valid_ranks.calls_per_op \
 	core.approximation.approximate.calls_per_op
+PERF_SMOKE_SERVICE_LAYERS := service.frames.read_frame.client.calls_per_op \
+	service.frames.write_frame.client.calls_per_op \
+	service.load.validate_names.calls_per_op
 perf-smoke:
-	@for run in "all 2 0" "flood 1 1" "sweep 1 1 $(PERF_SMOKE_SWEEP_LAYERS)"; do \
+	@for run in "all 2 0" "flood 1 1" "sweep 1 1 $(PERF_SMOKE_SWEEP_LAYERS)" \
+		"service-journal 1 1 $(PERF_SMOKE_SERVICE_LAYERS)"; do \
 		set -- $$run; workload=$$1; seconds=$$2; trace=$$3; shift 3; \
 		out=$$($(PYTHON) perfbench/run.py --workload $$workload \
 			--seconds $$seconds --trace $$trace --seed 1) \
@@ -207,7 +213,8 @@ service-smoke:
 ## re-driven — every token must complete (pre-crash sessions answered
 ## byte-identically from the journal, interrupted ones re-admitted
 ## exactly once), a query must answer from the journal, and the offline
-## `sessions list` reader must accept the journal. Every injected fault
+## `sessions list` reader must accept the journal and `sessions show`
+## decode a journaled token's frames. Every injected fault
 ## must surface as a typed client error — the burst may fail sessions
 ## (exit 3 if the kill landed early) but must never report an invalid
 ## certificate (exit 2) and must never hang.
@@ -255,11 +262,14 @@ recovery-smoke:
 	kill -TERM $$SRV; wait $$SRV; SERVE=$$?; \
 	$(PYTHON) -m repro.cli sessions list \
 		--journal $(RECOVERY_SMOKE_DIR)/sessions.jsonl > /dev/null; LIST=$$?; \
+	$(PYTHON) -m repro.cli sessions show rsmoke-0 \
+		--journal $(RECOVERY_SMOKE_DIR)/sessions.jsonl > /dev/null; SHOW=$$?; \
 	echo "recovery-smoke: burst=$$BURST crash=$$CRASH redrive=$$REDRIVE \
-		all-completed=$$FULL query=$$QUERY serve=$$SERVE list=$$LIST"; \
+		all-completed=$$FULL query=$$QUERY serve=$$SERVE list=$$LIST \
+		show=$$SHOW"; \
 	[ $$CRASH -eq 137 ] && [ $$BURST -ne 2 ] && [ $$REDRIVE -eq 0 ] && \
 		[ $$FULL -eq 0 ] && [ $$QUERY -eq 0 ] && [ $$SERVE -eq 0 ] && \
-		[ $$LIST -eq 0 ]
+		[ $$LIST -eq 0 ] && [ $$SHOW -eq 0 ]
 	rm -rf $(RECOVERY_SMOKE_DIR)
 
 ## Service throughput capture: sessions/sec and p50/p99 session latency

@@ -59,9 +59,8 @@ from ..sim import (
 )
 from ..workloads.ids import make_ids
 from .experiments import ExperimentRecord, run_experiment
-from .envelope import config_fingerprint
+from .envelope import atomic_write_text, config_fingerprint, seal, unseal
 from .properties import PropertyReport
-from .store import LocalDirStore
 
 __all__ = [
     "ExperimentSummary",
@@ -415,10 +414,9 @@ class ResultCache:
     produce identical summaries: a cache hit must never mask an engine
     divergence that the differential suite would have caught.
 
-    Storage delegates to a flat-rooted
-    :class:`~repro.analysis.store.LocalDirStore` memo area — the cache *is*
-    the fabric's memo tier, and the on-disk files are byte-identical to the
-    pre-fabric layout, so existing caches keep hitting.
+    Each entry is one ``<key>.json`` file directly under the cache
+    directory, byte-identical to the pre-fabric layout, so existing caches
+    keep hitting.
     """
 
     #: Bumped whenever key composition or entry layout changes (5: keys
@@ -427,7 +425,12 @@ class ResultCache:
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self._store = LocalDirStore(self.root, memo_subdir="")
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise StoreError(
+                f"cache path {self.root} exists and is not a directory"
+            ) from None
 
     def key(self, task: RunTask) -> str:
         payload = json.dumps(
@@ -439,6 +442,24 @@ class ResultCache:
     def _path(self, task: RunTask) -> Path:
         return self.root / f"{self.key(task)}.json"
 
+    def load_memo(self, key: str) -> Optional[dict]:
+        """Verified entry body for ``key``; ``None`` when absent. Raises
+        ``ValueError`` for a present-but-unusable entry (caller logs)."""
+        try:
+            text = (self.root / f"{key}.json").read_text()
+        except OSError:
+            return None  # plain miss: no entry
+        payload = json.loads(text)  # ValueError propagates: logged by caller
+        return unseal(payload, schema=self.SCHEMA, body_key="summary")
+
+    def store_memo(self, key: str, body: dict) -> None:
+        # seal()'s field order matches the pre-fabric cache files, so
+        # existing caches stay byte-identical and readable both ways.
+        atomic_write_text(
+            self.root / f"{key}.json",
+            json.dumps(seal(body, schema=self.SCHEMA, body_key="summary")),
+        )
+
     def load(self, task: RunTask) -> Optional[ExperimentSummary]:
         """Return the cached summary for ``task``, or ``None`` on a miss.
 
@@ -448,7 +469,7 @@ class ResultCache:
         """
         key = self.key(task)
         try:
-            body = self._store.load_memo(key, schema=self.SCHEMA)
+            body = self.load_memo(key)
             if body is None:
                 return None  # plain miss: no entry
             summary = ExperimentSummary.from_dict(body)
@@ -476,9 +497,7 @@ class ResultCache:
         """
         if summary.failed:
             return
-        self._store.store_memo(
-            self.key(task), summary.to_dict(), schema=self.SCHEMA
-        )
+        self.store_memo(self.key(task), summary.to_dict())
 
 
 class SweepExecutor:

@@ -31,10 +31,6 @@ is ``--store DIR/<run-id>``) lives in one. The store owns:
   durable terminal record for a cell wins; a late result from a
   taken-over worker is refused and logged as a ``double-execution``
   event, never silently merged.
-* **Memo entries** — the content-addressed summary cache.
-  :class:`~repro.analysis.executor.ResultCache` delegates its storage
-  here (``LocalDirStore`` with a flat memo root keeps the on-disk format
-  byte-identical to the pre-fabric cache).
 * **An event log** for ``runs doctor``: claims, reclaims, claim races,
   double executions, stale results and drained interruptions, so the
   fabric's exactly-once discipline is assertable after the fact, not just
@@ -120,7 +116,6 @@ class LocalDirStore:
           leases/<cell>.json  live leases (fsync'd, published by link)
           terminal/<cell>.json  sealed terminal records (atomic replace)
           events.jsonl        append-only event log (fsync'd)
-          <memo keys>.json    memo entries (``memo/`` by default)
 
     Lease acquisition writes the lease body to a temp file, fsyncs it and
     ``os.link``\\ s it into place — an atomic test-and-set that fails when
@@ -136,9 +131,7 @@ class LocalDirStore:
 
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
 
-    def __init__(
-        self, root: Union[str, Path], *, memo_subdir: str = "memo"
-    ) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self._crash_hook = CrashHook(STORE_CRASH_HOOK_ENV, StoreError, "op")
         self.root = Path(root)
         try:
@@ -150,7 +143,6 @@ class LocalDirStore:
         #: A reconstructible address for this store — what the
         #: coordinator hands to subprocess workers.
         self.url = str(self.root)
-        self._memo_root = self.root / memo_subdir if memo_subdir else self.root
         self._leases = self.root / "leases"
         self._terminal = self.root / "terminal"
         self._events_path = self.root / "events.jsonl"
@@ -601,34 +593,6 @@ class LocalDirStore:
         )
         return counts["cells"] > 0 and terminal >= counts["cells"]
 
-    # ---------------------------------------------------------------- memo
-
-    def _memo_path(self, key: str) -> Path:
-        return self._memo_root / f"{key}.json"
-
-    def load_memo(
-        self, key: str, *, schema: int, body_key: str = "summary"
-    ) -> Optional[dict]:
-        """Verified memo body for ``key``; ``None`` when absent. Raises
-        ``ValueError`` for a present-but-unusable entry (caller logs)."""
-        try:
-            text = self._memo_path(key).read_text()
-        except OSError:
-            return None  # plain miss: no entry
-        payload = json.loads(text)  # ValueError propagates: logged by caller
-        return unseal(payload, schema=schema, body_key=body_key)
-
-    def store_memo(
-        self, key: str, body: dict, *, schema: int, body_key: str = "summary"
-    ) -> None:
-        self._memo_root.mkdir(parents=True, exist_ok=True)
-        # seal()'s field order matches the pre-fabric ResultCache files, so
-        # existing caches stay byte-identical and readable both ways.
-        atomic_write_text(
-            self._memo_path(key),
-            json.dumps(seal(body, schema=schema, body_key=body_key)),
-        )
-
     # -------------------------------------------------------------- events
 
     def record_event(self, event: str, **data) -> None:
@@ -700,9 +664,7 @@ class LocalDirStore:
 # URLs and triage
 
 
-def open_store(
-    spec: Union[str, Path, LocalDirStore], *, memo_subdir: str = "memo"
-) -> LocalDirStore:
+def open_store(spec: Union[str, Path, LocalDirStore]) -> LocalDirStore:
     """Resolve a store URL — ``dir:PATH`` or a plain directory path — to a
     :class:`LocalDirStore`; an instance passes through. A ``sqlite:`` URL
     names the removed database backend and raises
@@ -718,7 +680,7 @@ def open_store(
         )
     if text.startswith("dir:"):
         text = text[len("dir:"):]
-    return LocalDirStore(text, memo_subdir=memo_subdir)
+    return LocalDirStore(text)
 
 
 def store_doctor(store: LocalDirStore) -> dict:

@@ -1114,11 +1114,11 @@ def cmd_query(args: argparse.Namespace) -> int:
     certificate), 3 = unknown token or transport failure, 4 = in flight."""
     import asyncio
 
-    from .service.load import run_query_with_retry
+    from .service.load import run_query
 
     host, port = _service_address(args)
     outcome = asyncio.run(
-        run_query_with_retry(
+        run_query(
             host, port, args.session_id,
             retries=args.retries, timeout_s=args.timeout,
         )
@@ -1164,7 +1164,7 @@ def _session_result_column(record) -> str:
 
 
 def cmd_sessions(args: argparse.Namespace) -> int:
-    from .service.journal import scan_session_journal
+    from .service.journal import scan_session_journal, truncate_torn_tail
 
     path = Path(args.journal)
     state = scan_session_journal(path)
@@ -1173,10 +1173,7 @@ def cmd_sessions(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_INFRA
     if state.torn:
-        raw = path.read_bytes()
-        torn_bytes = len(raw) - state.good_bytes
-        with open(path, "r+b") as handle:
-            handle.truncate(state.good_bytes)
+        torn_bytes = truncate_torn_tail(state)
         print(
             f"torn tail: {torn_bytes} byte(s) cut mid-append by a crash — "
             f"truncated (by fsync ordering no client was ever answered "
@@ -1221,11 +1218,10 @@ def cmd_sessions(args: argparse.Namespace) -> int:
             f"seed={request.get('seed')} ids={request.get('ids')}"
         )
     if record.state == "completed":
-        from .service.frames import FrameDecoder
+        from .service.frames import decode_frame
 
-        decoder = FrameDecoder()
-        names, = decoder.feed(bytes.fromhex(record.names_hex))
-        certificate, = decoder.feed(bytes.fromhex(record.certificate_hex))
+        names = decode_frame(bytes.fromhex(record.names_hex))
+        certificate = decode_frame(bytes.fromhex(record.certificate_hex))
         print(
             f"  result:      {names.algorithm}, {names.rounds} round(s), "
             f"namespace {certificate.namespace}, certificate "

@@ -12,8 +12,9 @@
   backpressure, per-read idle deadlines, session deadlines, crash
   containment, graceful drain;
 * :mod:`repro.service.load` — the load generator and client library
-  (``repro-renaming load`` / ``query``): concurrent sessions, client-side
-  re-validation, latency percentiles, idempotent retries;
+  (``repro-renaming load`` / ``query``): one client conversation for
+  sessions and queries, client-side re-validation, latency percentiles,
+  idempotent retries;
 * :mod:`repro.service.journal` — the durable session journal
   (``--session-journal``): checksummed append-only idempotency ledger,
   crash-recoverable byte-identical replay;
@@ -45,9 +46,9 @@ from .messages import (  # noqa: F401 — the leaf module, always safe
 )
 
 _LAZY = {
-    "FrameDecoder": "frames",
     "FrameError": "frames",
     "DEFAULT_MAX_FRAME_BYTES": "frames",
+    "decode_frame": "frames",
     "encode_frame": "frames",
     "read_frame": "frames",
     "write_frame": "frames",
@@ -57,12 +58,9 @@ _LAZY = {
     "RenamingService": "server",
     "ServiceStats": "server",
     "LoadReport": "load",
-    "QueryOutcome": "load",
     "run_load": "load",
     "run_query": "load",
-    "run_query_with_retry": "load",
     "run_session": "load",
-    "run_session_with_retry": "load",
     "validate_names": "load",
     "SessionJournal": "journal",
     "SessionJournalState": "journal",

@@ -9,8 +9,12 @@ One frame = a 4-byte big-endian payload length followed by exactly one
 * a zero-length frame is rejected (no message encodes to zero bytes);
 * payload garbage is whatever :func:`repro.wire.decode_message` says it
   is — always a typed :class:`~repro.wire.WireError`;
-* a connection that ends mid-frame is detectable
-  (:meth:`FrameDecoder.eof`).
+* a connection that ends mid-frame reads as ``None`` (the peer is gone),
+  and a stored frame whose length disagrees with its header is rejected
+  (:func:`decode_frame`).
+
+:func:`read_frame` (the network) and :func:`decode_frame` (whole stored
+frames, e.g. journaled responses) share one header check.
 
 Every failure is a typed :class:`FrameError`/:class:`~repro.wire.WireError`
 — never a hang, never a bare ``struct.error``, never an allocation bomb.
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import struct
-from typing import List, Optional
+from typing import Optional
 
 from ..sim.messages import Message
 from ..wire import WireError, decode_message, encode_message
@@ -29,8 +33,8 @@ from ..wire import WireError, decode_message, encode_message
 __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
     "HEADER_BYTES",
-    "FrameDecoder",
     "FrameError",
+    "decode_frame",
     "encode_frame",
     "read_frame",
     "write_frame",
@@ -64,60 +68,30 @@ def encode_frame(
     return struct.pack(">I", len(payload)) + payload
 
 
-class FrameDecoder:
-    """Incremental frame parser for a byte stream fed in arbitrary chunks.
+def _payload_length(header: bytes, max_frame_bytes: int) -> int:
+    """The payload length ``header`` declares; rejects a zero length or one
+    over the cap from the header alone."""
+    (length,) = struct.unpack(">I", header)
+    if length == 0:
+        raise FrameError("zero-length frame")
+    if length > max_frame_bytes:
+        raise FrameError(
+            f"frame declares {length} bytes, cap is {max_frame_bytes}"
+        )
+    return length
 
-    :meth:`feed` buffers input and returns every complete message; a
-    contract violation raises :class:`FrameError` (or the payload's own
-    :class:`~repro.wire.WireError`) and poisons the decoder — a transport
-    that sent garbage once is closed, not resynchronised.
-    """
 
-    def __init__(self, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> None:
-        self.max_frame_bytes = max_frame_bytes
-        self._buffer = bytearray()
-        self._poisoned = False
-
-    @property
-    def pending(self) -> int:
-        """Bytes buffered without forming a complete frame yet."""
-        return len(self._buffer)
-
-    def feed(self, data: bytes) -> List[Message]:
-        """Buffer ``data``; return every message completed by it."""
-        if self._poisoned:
-            raise FrameError("decoder already rejected this stream")
-        self._buffer.extend(data)
-        out: List[Message] = []
-        while len(self._buffer) >= HEADER_BYTES:
-            (length,) = struct.unpack_from(">I", self._buffer)
-            if length == 0:
-                self._poisoned = True
-                raise FrameError("zero-length frame")
-            if length > self.max_frame_bytes:
-                self._poisoned = True
-                raise FrameError(
-                    f"frame declares {length} bytes, cap is "
-                    f"{self.max_frame_bytes}"
-                )
-            if len(self._buffer) - HEADER_BYTES < length:
-                break
-            payload = bytes(self._buffer[HEADER_BYTES:HEADER_BYTES + length])
-            del self._buffer[:HEADER_BYTES + length]
-            try:
-                out.append(decode_message(payload))
-            except WireError:
-                self._poisoned = True
-                raise
-        return out
-
-    def eof(self) -> None:
-        """Assert the stream ended at a frame boundary."""
-        if self._buffer:
-            raise FrameError(
-                f"stream ended mid-frame with {len(self._buffer)} buffered "
-                f"byte(s)"
-            )
+def decode_frame(blob: bytes) -> Message:
+    """Decode one whole frame — header plus exactly the payload it declares."""
+    if len(blob) < HEADER_BYTES:
+        raise FrameError(f"frame of {len(blob)} byte(s) has no full header")
+    length = _payload_length(blob[:HEADER_BYTES], DEFAULT_MAX_FRAME_BYTES)
+    if len(blob) - HEADER_BYTES != length:
+        raise FrameError(
+            f"frame declares {length} bytes, blob carries "
+            f"{len(blob) - HEADER_BYTES}"
+        )
+    return decode_message(blob[HEADER_BYTES:])
 
 
 async def read_frame(
@@ -136,13 +110,7 @@ async def read_frame(
         header = await reader.readexactly(HEADER_BYTES)
     except (asyncio.IncompleteReadError, ConnectionError):
         return None
-    (length,) = struct.unpack(">I", header)
-    if length == 0:
-        raise FrameError("zero-length frame")
-    if length > max_frame_bytes:
-        raise FrameError(
-            f"frame declares {length} bytes, cap is {max_frame_bytes}"
-        )
+    length = _payload_length(header, max_frame_bytes)
     try:
         payload = await reader.readexactly(length)
     except (asyncio.IncompleteReadError, ConnectionError):

@@ -59,6 +59,7 @@ __all__ = [
     "SessionRecord",
     "request_fingerprint",
     "scan_session_journal",
+    "truncate_torn_tail",
 ]
 
 #: Session-journal format version; scan rejects other versions.
@@ -200,6 +201,18 @@ def scan_session_journal(path: Union[str, Path]) -> SessionJournalState:
     return state
 
 
+def truncate_torn_tail(state: SessionJournalState) -> int:
+    """Cut a torn final record (see :func:`scan_session_journal`) off
+    ``state.path``, durably, and return the bytes dropped."""
+    if not state.torn:
+        return 0
+    with open(state.path, "r+b") as handle:
+        torn = handle.seek(0, os.SEEK_END) - state.good_bytes
+        handle.truncate(state.good_bytes)
+        os.fsync(handle.fileno())
+    return torn
+
+
 def _apply(state: SessionJournalState, record: dict, lineno: int) -> None:
     type_, data = record["type"], record["data"]
     if type_ == "header":
@@ -272,10 +285,8 @@ class SessionJournal:
                 raise JournalError(
                     f"session journal {path} has no intact header record"
                 )
-            handle = open(path, "ab")
-            if state.torn:
-                handle.truncate(state.good_bytes)
-            return cls(path, state, handle)
+            truncate_torn_tail(state)
+            return cls(path, state, open(path, "ab"))
         handle = open(path, "ab")
         journal = cls(path, SessionJournalState(path=path), handle)
         journal.append("header", kind=SESSION_JOURNAL_KIND)

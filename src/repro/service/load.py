@@ -1,22 +1,32 @@
 """Load generator and client library for the renaming daemon.
 
-:func:`run_session` speaks the full session protocol once and — crucially
-— **re-validates the assignment client-side**: the names that came back
+Every request is one conversation (:func:`_converse`): connect, read the
+greeting, write the request frames, read the answer, close. A session and
+a query for a finished token read the same answer — NamesAssigned +
+Certificate, or one SessionError — because the daemon replays a journaled
+result in the exact frames of a fresh one; :func:`_answer` reads both.
+
+:func:`run_session` speaks the session protocol and — crucially —
+**re-validates the assignment client-side**: the names that came back
 are pushed through the same :func:`repro.analysis.properties.check_renaming`
 the server used, so a server that ships a rosy certificate over a broken
-assignment is caught at the other end of the wire.
+assignment is caught at the other end of the wire. :func:`run_query`
+asks a ``--session-journal`` daemon what happened to a token.
 
 Every transport failure maps to a *typed* :class:`SessionOutcome` status —
 ``refused``, ``timeout``, ``disconnected``, ``wire-error`` — never an
 escaped exception or a hang: that is the contract the chaos-proxy suite
 (``tests/test_service_proxy.py``) drives fault by fault.
 
-:func:`run_session_with_retry` wraps one session in the shared jittered
-backoff (:class:`repro.analysis.backoff.PollBackoff`). Connect-level
-failures are always retried; mid-session failures only when the session
-carries an idempotency token — then re-submission is safe by the journal
-contract (same token → replay, not re-run). :func:`run_query` asks a
-``--session-journal`` daemon what happened to a token.
+``retries=`` re-runs a request under the shared jittered backoff
+(:class:`repro.analysis.backoff.PollBackoff`), in one loop
+(:func:`_retrying`). A transport failure before the first request frame
+was written submitted nothing, so it is always retried. A session's later
+failures are retried only when it carries an idempotency token — then
+re-submission is safe by the journal contract (same token → replay, not
+re-run). ``busy`` ends a session; :func:`run_load` gives it a budget of
+its own. A query is read-only: every transport failure and ``busy`` is
+retried.
 
 :func:`run_load` drives many sessions concurrently (bounded by a
 semaphore) and aggregates a :class:`LoadReport` with throughput and
@@ -31,7 +41,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.backoff import PollBackoff
 from ..analysis.properties import check_renaming
@@ -53,19 +63,19 @@ from .messages import (
 
 __all__ = [
     "LoadReport",
-    "QueryOutcome",
     "SessionOutcome",
     "run_load",
     "run_query",
-    "run_query_with_retry",
     "run_session",
-    "run_session_with_retry",
     "validate_names",
 ]
 
 #: Default client backoff between retries (floor, cap — seconds).
 _RETRY_FLOOR_S = 0.05
 _RETRY_CAP_S = 2.0
+
+#: Statuses a failed transport produces.
+_TRANSPORT = ("refused", "timeout", "disconnected", "wire-error")
 
 
 class _AssignmentView:
@@ -103,21 +113,209 @@ def validate_names(
 
 @dataclass
 class SessionOutcome:
-    """What one driven session produced.
+    """What one driven session or query produced.
 
     ``entries``/``certificate`` carry the served assignment on
     ``completed`` (and ``violation``) outcomes so callers — the recovery
     suite above all — can compare results across retries byte-for-byte.
+    A query's ``status`` is the token's journal state (``completed``/
+    ``failed``/``in-flight``/``unknown``) when the daemon answered it.
     """
 
-    status: str  # completed|busy|rejected|invalid|violation|refused|timeout|disconnected|wire-error
+    status: str  # completed|busy|rejected|invalid|violation|refused|timeout|disconnected|wire-error (+ failed|in-flight|unknown for queries)
     latency_s: float = 0.0
-    code: str = ""       # SessionError code when status == "rejected"
+    code: str = ""       # SessionError code when status == "rejected"/"failed"
     detail: str = ""
     algorithm: str = ""
     rounds: int = 0
     entries: Tuple[Tuple[int, int], ...] = ()
     certificate: Optional[CertificateMessage] = None
+    #: Ended before the first request frame was written: nothing was
+    #: submitted, so a retry is safe with or without a token.
+    _unsent: bool = field(default=False, init=False, repr=False, compare=False)
+
+
+class _Timeout(Exception):
+    """A read outlived the timeout; the message names the awaited frame."""
+
+
+async def _read(reader: asyncio.StreamReader, timeout_s: float, awaiting: str):
+    try:
+        return await asyncio.wait_for(read_frame(reader), timeout=timeout_s)
+    except asyncio.TimeoutError:
+        raise _Timeout(awaiting) from None
+
+
+def _rejected(error: SessionErrorMessage) -> SessionOutcome:
+    return SessionOutcome(status="rejected", code=error.code, detail=error.detail)
+
+
+def _unexpected(frame) -> SessionOutcome:
+    if frame is None:
+        return SessionOutcome(status="disconnected", detail="before response")
+    return SessionOutcome(
+        status="disconnected", detail=f"unexpected {type(frame).__name__} response"
+    )
+
+
+async def _converse(
+    host: str,
+    port: int,
+    frames: Sequence,
+    timeout_s: float,
+    finish: Callable[[asyncio.StreamReader], Awaitable[SessionOutcome]],
+) -> SessionOutcome:
+    """One connection: greet, write ``frames``, let ``finish`` read the answer.
+
+    Every transport failure is a typed status, and the connection is
+    always closed. An outcome that ended before the first request frame
+    was written is marked ``_unsent``: a retry cannot run anything twice.
+    """
+    sent = False
+    try:
+        reader, writer = await asyncio.wait_for(
+            asyncio.open_connection(host, port), timeout=timeout_s
+        )
+    except asyncio.TimeoutError:  # before OSError: 3.11 makes it one
+        outcome = SessionOutcome(status="timeout", detail="connect")
+    except (ConnectionError, OSError):
+        outcome = SessionOutcome(status="refused")
+    else:
+        try:
+            greeting = await _read(reader, timeout_s, "welcome")
+            if isinstance(greeting, ServerBusyMessage):
+                outcome = SessionOutcome(
+                    status="busy",
+                    detail=f"{greeting.active}/{greeting.limit} sessions active",
+                )
+            elif not isinstance(greeting, SessionWelcomeMessage):
+                outcome = SessionOutcome(
+                    status="disconnected", detail="no welcome frame"
+                )
+            else:
+                sent = True
+                for frame in frames:
+                    await write_frame(writer, frame)
+                outcome = await finish(reader)
+        except _Timeout as exc:
+            outcome = SessionOutcome(status="timeout", detail=str(exc))
+        except WireError as exc:
+            # A corrupted byte stream (chaos proxy, broken middlebox) is a
+            # typed client outcome, never an escaped exception.
+            outcome = SessionOutcome(status="wire-error", detail=str(exc))
+        except (ConnectionError, OSError) as exc:
+            outcome = SessionOutcome(
+                status="disconnected", detail=f"{type(exc).__name__}: {exc}"
+            )
+        finally:
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+    outcome._unsent = not sent
+    return outcome
+
+
+async def _answer(reader: asyncio.StreamReader, timeout_s: float) -> SessionOutcome:
+    """Read a session's result as the daemon writes it fresh or replays it
+    from the journal: NamesAssigned + Certificate (``completed``, whatever
+    the certificate says) or one SessionError (``rejected``)."""
+    names = await _read(reader, timeout_s, "response")
+    if isinstance(names, SessionErrorMessage):
+        return _rejected(names)
+    if not isinstance(names, NamesAssignedMessage):
+        return _unexpected(names)
+    certificate = await _read(reader, timeout_s, "certificate")
+    if not isinstance(certificate, CertificateMessage):
+        return SessionOutcome(status="disconnected", detail="no certificate frame")
+    return SessionOutcome(
+        status="completed",
+        algorithm=names.algorithm,
+        rounds=names.rounds,
+        entries=names.entries,
+        certificate=certificate,
+    )
+
+
+async def _checked_answer(
+    reader: asyncio.StreamReader,
+    timeout_s: float,
+    started: float,
+    expected_count: int,
+) -> SessionOutcome:
+    """A session's answer, timed and re-validated client-side."""
+    outcome = await _answer(reader, timeout_s)
+    if outcome.status != "completed":
+        return outcome
+    outcome.latency_s = time.monotonic() - started
+    certificate = outcome.certificate
+    if not certificate.ok:
+        outcome.status = "violation"
+        outcome.detail = "; ".join(certificate.violations)
+        return outcome
+    problems = validate_names(
+        outcome.entries,
+        certificate.namespace,
+        expected_count=expected_count,
+        order_preserving="order_preservation" in certificate.checked,
+    )
+    if problems:
+        return SessionOutcome(
+            status="invalid",
+            latency_s=outcome.latency_s,
+            detail="certificate says ok but client re-check found: "
+            + "; ".join(problems),
+            algorithm=outcome.algorithm,
+            rounds=outcome.rounds,
+        )
+    return outcome
+
+
+def _retryable(outcome: SessionOutcome, session_id: str) -> bool:
+    """May this session outcome be retried without risking a duplicate run?
+
+    ``busy`` is not (:func:`run_load` gives it a budget of its own). An
+    outcome that ended before the first request frame was written is
+    always safe: nothing was submitted. Later failures — a timeout or
+    disconnect after the submission may have reached the daemon, a
+    corrupted response — are only safe under an idempotency token: the
+    journal guarantees the retry is answered by replay, not a second
+    execution.
+    """
+    if outcome.status == "busy":
+        return False
+    return outcome._unsent or (bool(session_id) and outcome.status in _TRANSPORT)
+
+
+async def _retrying(
+    attempt: Callable[[], Awaitable[SessionOutcome]],
+    retryable: Callable[[SessionOutcome], bool],
+    *,
+    retries: int,
+    busy_retries: int = 0,
+    report: Optional["LoadReport"] = None,
+) -> SessionOutcome:
+    """Run ``attempt`` until its outcome is final, under the shared backoff.
+
+    A ``busy`` outcome spends one of ``busy_retries``; an outcome
+    ``retryable`` accepts spends one of ``retries``. ``report``, when
+    given, counts both kinds of retry.
+    """
+    policy = PollBackoff(_RETRY_FLOOR_S, _RETRY_CAP_S)
+    while True:
+        outcome = await attempt()
+        if outcome.status == "busy" and busy_retries > 0:
+            busy_retries -= 1
+            if report is not None:
+                report.busy_retries += 1
+        elif retries > 0 and retryable(outcome):
+            retries -= 1
+            if report is not None:
+                report.transport_retries += 1
+        else:
+            return outcome
+        await asyncio.sleep(policy.next_delay())
 
 
 async def run_session(
@@ -132,180 +330,67 @@ async def run_session(
     timeout_s: float = 30.0,
     register_chunk: int = 0,
     session_id: str = "",
+    retries: int = 0,
 ) -> SessionOutcome:
     """Drive one complete session; never raises for protocol-level outcomes.
 
     ``register_chunk`` splits the ids over several RegisterIds frames
     (0 = one frame), exercising the repeatable-registration path.
     ``session_id`` is the idempotency token (requires a daemon running
-    with ``--session-journal``; empty = anonymous).
+    with ``--session-journal``; empty = anonymous). ``retries`` bounds
+    the retries of outcomes :func:`_retryable` says are safe given the
+    token; the final outcome is returned either way.
     """
-    started = time.monotonic()
-    try:
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), timeout=timeout_s
-        )
-    except (ConnectionError, OSError):
-        return SessionOutcome(status="refused")
-    except asyncio.TimeoutError:
-        return SessionOutcome(status="timeout", detail="connect")
-    try:
-        try:
-            greeting = await asyncio.wait_for(read_frame(reader), timeout=timeout_s)
-        except asyncio.TimeoutError:
-            return SessionOutcome(status="timeout", detail="welcome")
-        if isinstance(greeting, ServerBusyMessage):
-            return SessionOutcome(
-                status="busy",
-                detail=f"{greeting.active}/{greeting.limit} sessions active",
-            )
-        if not isinstance(greeting, SessionWelcomeMessage):
-            return SessionOutcome(
-                status="disconnected", detail="no welcome frame"
-            )
-        await write_frame(
-            writer,
-            OpenSessionMessage(
-                algorithm=algorithm, t=t, attack=attack, seed=seed,
-                session_id=session_id,
+    id_list = [int(i) for i in ids]
+    chunk = max(1, register_chunk if register_chunk > 0 else len(id_list))
+    frames = [
+        OpenSessionMessage(
+            algorithm=algorithm, t=t, attack=attack, seed=seed,
+            session_id=session_id,
+        ),
+        *(
+            RegisterIdsMessage(ids=tuple(id_list[start:start + chunk]))
+            for start in range(0, len(id_list), chunk)
+        ),
+        CloseSessionMessage(),
+    ]
+
+    def attempt():
+        started = time.monotonic()
+        return _converse(
+            host, port, frames, timeout_s,
+            lambda reader: _checked_answer(
+                reader, timeout_s, started, len(id_list) - t
             ),
         )
-        id_list = [int(i) for i in ids]
-        chunk = register_chunk if register_chunk > 0 else len(id_list)
-        for start in range(0, len(id_list), max(1, chunk)):
-            await write_frame(
-                writer,
-                RegisterIdsMessage(ids=tuple(id_list[start:start + max(1, chunk)])),
-            )
-        await write_frame(writer, CloseSessionMessage())
-        try:
-            first = await asyncio.wait_for(read_frame(reader), timeout=timeout_s)
-        except asyncio.TimeoutError:
-            return SessionOutcome(status="timeout", detail="response")
-        if first is None:
-            return SessionOutcome(status="disconnected", detail="before response")
-        if isinstance(first, SessionErrorMessage):
-            return SessionOutcome(status="rejected", code=first.code, detail=first.detail)
-        if not isinstance(first, NamesAssignedMessage):
-            return SessionOutcome(
-                status="disconnected",
-                detail=f"unexpected {type(first).__name__} response",
-            )
-        try:
-            certificate = await asyncio.wait_for(read_frame(reader), timeout=timeout_s)
-        except asyncio.TimeoutError:
-            return SessionOutcome(status="timeout", detail="certificate")
-        if not isinstance(certificate, CertificateMessage):
-            return SessionOutcome(status="disconnected", detail="no certificate frame")
-        latency = time.monotonic() - started
-        if not certificate.ok:
-            return SessionOutcome(
-                status="violation",
-                latency_s=latency,
-                detail="; ".join(certificate.violations),
-                algorithm=first.algorithm,
-                rounds=first.rounds,
-                entries=first.entries,
-                certificate=certificate,
-            )
-        problems = validate_names(
-            first.entries,
-            certificate.namespace,
-            expected_count=len(id_list) - t,
-            order_preserving="order_preservation" in certificate.checked,
-        )
-        if problems:
-            return SessionOutcome(
-                status="invalid",
-                latency_s=latency,
-                detail="certificate says ok but client re-check found: "
-                + "; ".join(problems),
-                algorithm=first.algorithm,
-                rounds=first.rounds,
-            )
-        return SessionOutcome(
-            status="completed",
-            latency_s=latency,
-            algorithm=first.algorithm,
-            rounds=first.rounds,
-            entries=first.entries,
-            certificate=certificate,
-        )
-    except WireError as exc:
-        # A corrupted byte stream (chaos proxy, broken middlebox) is a
-        # typed client outcome, never an escaped exception.
-        return SessionOutcome(status="wire-error", detail=str(exc))
-    except (ConnectionError, OSError) as exc:
-        return SessionOutcome(
-            status="disconnected", detail=f"{type(exc).__name__}: {exc}"
-        )
-    finally:
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+
+    return await _retrying(
+        attempt, lambda outcome: _retryable(outcome, session_id), retries=retries
+    )
 
 
-def _retryable(outcome: "SessionOutcome", session_id: str) -> bool:
-    """May this outcome be retried without risking a duplicate run?
-
-    Connect-level failures (nothing was submitted) are always safe.
-    Mid-session failures — a timeout or disconnect after the submission
-    may have reached the daemon, a corrupted response — are only safe
-    under an idempotency token: the journal guarantees the retry is
-    answered by replay, not a second execution.
-    """
-    if outcome.status == "refused":
-        return True
-    if outcome.status == "timeout" and outcome.detail == "connect":
-        return True
-    if session_id and outcome.status in ("timeout", "disconnected", "wire-error"):
-        return True
-    return False
-
-
-async def run_session_with_retry(
-    host: str,
-    port: int,
-    *,
-    retries: int = 0,
-    session_id: str = "",
-    **kwargs,
+async def _query_answer(
+    reader: asyncio.StreamReader, timeout_s: float
 ) -> SessionOutcome:
-    """:func:`run_session` under the shared jittered backoff.
-
-    Retries at most ``retries`` times, only for outcomes
-    :func:`_retryable` says are safe given the token. Returns the final
-    outcome either way.
-    """
-    policy = PollBackoff(_RETRY_FLOOR_S, _RETRY_CAP_S)
-    attempt = 0
-    while True:
-        outcome = await run_session(host, port, session_id=session_id, **kwargs)
-        if attempt >= retries or not _retryable(outcome, session_id):
-            return outcome
-        attempt += 1
-        await asyncio.sleep(policy.next_delay())
-
-
-@dataclass
-class QueryOutcome:
-    """What a ``QueryRequest`` against the daemon's journal produced.
-
-    ``status`` is a journal state (``completed``/``failed``/``in-flight``/
-    ``unknown``) on success, or one of the transport/typed-error statuses
-    (``busy``/``rejected``/``refused``/``timeout``/``disconnected``/
-    ``wire-error``) otherwise.
-    """
-
-    status: str
-    code: str = ""       # SessionError code (status == "rejected"/"failed")
-    detail: str = ""
-    entries: Tuple[Tuple[int, int], ...] = ()
-    certificate: Optional[CertificateMessage] = None
-    algorithm: str = ""
-    rounds: int = 0
+    """The QueryResponse state frame, then a finished token's replayed
+    answer; a replay that does not match the announced state is
+    ``disconnected``."""
+    response = await _read(reader, timeout_s, "response")
+    if isinstance(response, SessionErrorMessage):
+        return _rejected(response)
+    if not isinstance(response, QueryResponseMessage):
+        return _unexpected(response)
+    if response.state not in ("completed", "failed"):
+        return SessionOutcome(status=response.state)
+    replay = await _answer(reader, timeout_s)
+    if response.state == "failed" and replay.status == "rejected":
+        replay.status = "failed"
+    elif replay.status != response.state:
+        return SessionOutcome(
+            status="disconnected",
+            detail=f"journaled {response.state} result missing",
+        )
+    return replay
 
 
 async def run_query(
@@ -314,112 +399,22 @@ async def run_query(
     session_id: str,
     *,
     timeout_s: float = 30.0,
-) -> QueryOutcome:
-    """Ask a ``--session-journal`` daemon what happened to a token."""
-    try:
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), timeout=timeout_s
-        )
-    except (ConnectionError, OSError):
-        return QueryOutcome(status="refused")
-    except asyncio.TimeoutError:
-        return QueryOutcome(status="timeout", detail="connect")
-    try:
-        try:
-            greeting = await asyncio.wait_for(read_frame(reader), timeout=timeout_s)
-        except asyncio.TimeoutError:
-            return QueryOutcome(status="timeout", detail="welcome")
-        if isinstance(greeting, ServerBusyMessage):
-            return QueryOutcome(
-                status="busy",
-                detail=f"{greeting.active}/{greeting.limit} sessions active",
-            )
-        if not isinstance(greeting, SessionWelcomeMessage):
-            return QueryOutcome(status="disconnected", detail="no welcome frame")
-        await write_frame(writer, QueryRequestMessage(session_id=session_id))
-        try:
-            response = await asyncio.wait_for(read_frame(reader), timeout=timeout_s)
-        except asyncio.TimeoutError:
-            return QueryOutcome(status="timeout", detail="response")
-        if response is None:
-            return QueryOutcome(status="disconnected", detail="before response")
-        if isinstance(response, SessionErrorMessage):
-            return QueryOutcome(
-                status="rejected", code=response.code, detail=response.detail
-            )
-        if not isinstance(response, QueryResponseMessage):
-            return QueryOutcome(
-                status="disconnected",
-                detail=f"unexpected {type(response).__name__} response",
-            )
-        if response.state == "completed":
-            try:
-                names = await asyncio.wait_for(read_frame(reader), timeout=timeout_s)
-                certificate = await asyncio.wait_for(
-                    read_frame(reader), timeout=timeout_s
-                )
-            except asyncio.TimeoutError:
-                return QueryOutcome(status="timeout", detail="journaled result")
-            if not isinstance(names, NamesAssignedMessage) or not isinstance(
-                certificate, CertificateMessage
-            ):
-                return QueryOutcome(
-                    status="disconnected", detail="journaled result missing"
-                )
-            return QueryOutcome(
-                status="completed",
-                entries=names.entries,
-                certificate=certificate,
-                algorithm=names.algorithm,
-                rounds=names.rounds,
-            )
-        if response.state == "failed":
-            try:
-                error = await asyncio.wait_for(read_frame(reader), timeout=timeout_s)
-            except asyncio.TimeoutError:
-                return QueryOutcome(status="timeout", detail="journaled error")
-            if not isinstance(error, SessionErrorMessage):
-                return QueryOutcome(
-                    status="disconnected", detail="journaled error missing"
-                )
-            return QueryOutcome(
-                status="failed", code=error.code, detail=error.detail
-            )
-        return QueryOutcome(status=response.state)
-    except WireError as exc:
-        return QueryOutcome(status="wire-error", detail=str(exc))
-    except (ConnectionError, OSError) as exc:
-        return QueryOutcome(
-            status="disconnected", detail=f"{type(exc).__name__}: {exc}"
-        )
-    finally:
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
-async def run_query_with_retry(
-    host: str,
-    port: int,
-    session_id: str,
-    *,
     retries: int = 0,
-    timeout_s: float = 30.0,
-) -> QueryOutcome:
-    """:func:`run_query` under the shared backoff — queries are read-only,
-    so every transport-level failure (and busy) is safe to retry."""
-    policy = PollBackoff(_RETRY_FLOOR_S, _RETRY_CAP_S)
-    attempt = 0
-    while True:
-        outcome = await run_query(host, port, session_id, timeout_s=timeout_s)
-        if attempt >= retries or outcome.status not in (
-            "busy", "refused", "timeout", "disconnected", "wire-error"
-        ):
-            return outcome
-        attempt += 1
-        await asyncio.sleep(policy.next_delay())
+) -> SessionOutcome:
+    """Ask a ``--session-journal`` daemon what happened to a token.
+
+    ``status`` is the journal state on success, or a transport/typed-error
+    status. Queries are read-only, so ``retries`` covers ``busy`` and
+    every transport failure.
+    """
+    return await _retrying(
+        lambda: _converse(
+            host, port, [QueryRequestMessage(session_id=session_id)], timeout_s,
+            lambda reader: _query_answer(reader, timeout_s),
+        ),
+        lambda outcome: outcome.status in ("busy", *_TRANSPORT),
+        retries=retries,
+    )
 
 
 def _percentile(sorted_values: List[float], fraction: float) -> float:
@@ -442,7 +437,7 @@ class LoadReport:
     #: ServerBusy responses absorbed by backoff-and-retry — backpressure
     #: working as designed, reported separately from errors.
     busy_retries: int = 0
-    #: Transport-level retries spent by run_session_with_retry.
+    #: Retries spent from the per-session ``retries`` budget.
     transport_retries: int = 0
 
     @property
@@ -515,8 +510,8 @@ async def run_load(
     ``{prefix}-{index}`` (daemon must run with ``--session-journal``).
     ``busy_retries`` bounds how many ServerBusy responses *per session*
     are absorbed by backoff before "busy" becomes the session's outcome;
-    ``retries`` bounds transport-level retries per session (gated on the
-    token for mid-session failures, see :func:`_retryable`).
+    ``retries`` bounds the other retries per session (gated on the token
+    once a request frame was written, see :func:`_retryable`).
     """
     gate = asyncio.Semaphore(concurrency)
     report = LoadReport(sessions=sessions)
@@ -525,30 +520,17 @@ async def run_load(
         ids = make_ids(workload, ids_per_session, seed=seed + index)
         token = f"{session_prefix}-{index}" if session_prefix else ""
         async with gate:
-            policy = PollBackoff(_RETRY_FLOOR_S, _RETRY_CAP_S)
-            busy_left = busy_retries
-            transport_left = retries
-            while True:
-                outcome = await run_session(
-                    host,
-                    port,
-                    ids=ids,
-                    algorithm=algorithm,
-                    t=t,
-                    attack=attack,
-                    seed=seed + index,
-                    timeout_s=timeout_s,
+            return await _retrying(
+                lambda: run_session(
+                    host, port, ids=ids, algorithm=algorithm, t=t,
+                    attack=attack, seed=seed + index, timeout_s=timeout_s,
                     session_id=token,
-                )
-                if outcome.status == "busy" and busy_left > 0:
-                    busy_left -= 1
-                    report.busy_retries += 1
-                elif transport_left > 0 and _retryable(outcome, token):
-                    transport_left -= 1
-                    report.transport_retries += 1
-                else:
-                    return outcome
-                await asyncio.sleep(policy.next_delay())
+                ),
+                lambda outcome: _retryable(outcome, token),
+                retries=retries,
+                busy_retries=busy_retries,
+                report=report,
+            )
 
     started = time.monotonic()
     outcomes = await asyncio.gather(*(one(i) for i in range(sessions)))

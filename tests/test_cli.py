@@ -299,3 +299,53 @@ class TestRunsCommands:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "already terminal, 0 to execute" in out
+
+
+class TestSessionsCommands:
+    def _journal(self, path):
+        from repro.service.frames import encode_frame
+        from repro.service.journal import SessionJournal
+        from repro.service.messages import CertificateMessage, NamesAssignedMessage
+
+        names = NamesAssignedMessage(
+            entries=((3, 1), (9, 2)), algorithm="alg1", rounds=7
+        )
+        certificate = CertificateMessage(
+            namespace=4, ok=True, checked=("uniqueness",), violations=()
+        )
+        with SessionJournal.open_or_create(path) as journal:
+            journal.accepted("done", "f" * 64, {"ids": [3, 9]})
+            journal.completed(
+                "done", "f" * 64,
+                names_hex=encode_frame(names).hex(),
+                certificate_hex=encode_frame(certificate).hex(),
+                ok=True,
+            )
+            journal.accepted("bad", "e" * 64, {"ids": [3]})
+            journal.failed("bad", "e" * 64, code="config", detail="N must exceed 3t")
+        return str(path)
+
+    def test_show_decodes_the_journaled_frames(self, capsys, tmp_path):
+        journal = self._journal(tmp_path / "s.jsonl")
+        assert main(["sessions", "show", "done", "--journal", journal]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "alg1, 7 round(s), namespace 4, certificate ok" in out
+        assert "3 -> 1" in out and "9 -> 2" in out
+
+        assert main(["sessions", "show", "bad", "--journal", journal]) == EXIT_VIOLATION
+        assert "config: N must exceed 3t" in capsys.readouterr().out
+
+        assert main(["sessions", "show", "nope", "--journal", journal]) == EXIT_INFRA
+        assert "not in" in capsys.readouterr().err
+
+    def test_torn_tail_is_cut_once(self, capsys, tmp_path):
+        path = tmp_path / "s.jsonl"
+        journal = self._journal(path)
+        intact = path.stat().st_size
+        with open(path, "ab") as handle:
+            handle.write(b'{"crc": "to')
+        assert main(["sessions", "list", "--journal", journal]) == EXIT_OK
+        assert "torn tail: 11 byte(s)" in capsys.readouterr().out
+        assert path.stat().st_size == intact
+        assert main(["sessions", "list", "--journal", journal]) == EXIT_OK
+        assert "torn tail" not in capsys.readouterr().out

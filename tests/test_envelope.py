@@ -19,7 +19,7 @@ import json
 
 import pytest
 
-from repro.analysis import RunTask
+from repro.analysis import ResultCache, RunTask
 from repro.analysis.envelope import checksum, record_checksum, seal, unseal
 from repro.analysis.store import LocalDirStore
 from repro.cli import EXIT_INFRA, main
@@ -195,14 +195,14 @@ class TestFlatChaosStore:
 
 class TestMemoEntry:
     def test_local_dir_reads_and_writes_the_same_bytes(self, tmp_path):
-        earlier = LocalDirStore(tmp_path / "a")
-        (tmp_path / "a" / "memo").mkdir()
-        (tmp_path / "a" / "memo" / "k.json").write_bytes(MEMO_ENTRY)
-        assert earlier.load_memo("k", schema=5) == MEMO_BODY
+        assert ResultCache.SCHEMA == 5  # the fixture's schema
+        earlier = ResultCache(tmp_path / "a")
+        (tmp_path / "a" / "k.json").write_bytes(MEMO_ENTRY)
+        assert earlier.load_memo("k") == MEMO_BODY
 
-        fresh = LocalDirStore(tmp_path / "b")
-        fresh.store_memo("k", MEMO_BODY, schema=5)
-        assert (tmp_path / "b" / "memo" / "k.json").read_bytes() == MEMO_ENTRY
+        fresh = ResultCache(tmp_path / "b")
+        fresh.store_memo("k", MEMO_BODY)
+        assert (tmp_path / "b" / "k.json").read_bytes() == MEMO_ENTRY
 
     def test_seal_reproduces_the_entry(self):
         assert json.dumps(

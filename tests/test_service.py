@@ -22,13 +22,15 @@ import pytest
 from repro.analysis.budget import CellBudget, run_isolated
 from repro.core import SystemParams
 from repro.service.frames import encode_frame, read_frame, write_frame
-from repro.service.load import run_load, run_session, validate_names
+from repro.service.load import run_load, run_query, run_session, validate_names
 from repro.service.messages import (
     CertificateMessage,
     CloseSessionMessage,
     ERROR_CODES,
     NamesAssignedMessage,
     OpenSessionMessage,
+    QueryRequestMessage,
+    QueryResponseMessage,
     RegisterIdsMessage,
     ServerBusyMessage,
     SessionErrorMessage,
@@ -413,6 +415,114 @@ class TestLoadGenerator:
             assert outcome.status == "refused"
 
         asyncio.run(main())
+
+
+def _against_stub(handler, client):
+    """(outcome, connections): ``client(host, port)`` against a stub server
+    that runs ``handler`` on every connection, then closes it."""
+
+    async def main():
+        connections = 0
+
+        async def on_connect(reader, writer):
+            nonlocal connections
+            connections += 1
+            try:
+                await handler(reader, writer)
+            finally:
+                writer.close()
+
+        server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
+        async with server:
+            host, port = server.sockets[0].getsockname()[:2]
+            outcome = await client(host, port)
+        return outcome, connections
+
+    return asyncio.run(main())
+
+
+async def _welcome(writer):
+    await write_frame(
+        writer, SessionWelcomeMessage(session_id=1, max_ids=64, deadline_ms=1000)
+    )
+
+
+class TestClientRetries:
+    """Which failures ``retries=`` re-sends. Nothing written yet → always,
+    token or not; after the first request frame → only under a token;
+    ``busy`` → never (only ``run_load`` budgets it)."""
+
+    def _drive_stub(self, handler, *, session_id):
+        return _against_stub(
+            handler,
+            lambda host, port: run_session(
+                host, port, ids=[1, 2, 3], session_id=session_id,
+                retries=2, timeout_s=5.0,
+            ),
+        )
+
+    @pytest.mark.parametrize("session_id", ["", "tok"])
+    def test_close_before_welcome_is_retried_without_a_token(self, session_id):
+        async def close_at_once(reader, writer):
+            pass
+
+        outcome, connections = self._drive_stub(
+            close_at_once, session_id=session_id
+        )
+        assert (outcome.status, outcome.detail) == (
+            "disconnected", "no welcome frame"
+        )
+        assert connections == 3
+
+    @pytest.mark.parametrize("session_id, expected", [("", 1), ("tok", 3)])
+    def test_close_after_the_request_is_retried_only_under_a_token(
+        self, session_id, expected
+    ):
+        async def welcome_then_close(reader, writer):
+            await _welcome(writer)
+            assert isinstance(await read_frame(reader), OpenSessionMessage)
+
+        outcome, connections = self._drive_stub(
+            welcome_then_close, session_id=session_id
+        )
+        assert outcome.status == "disconnected", outcome
+        assert connections == expected
+
+    def test_busy_is_final(self):
+        async def busy(reader, writer):
+            await write_frame(writer, ServerBusyMessage(active=1, limit=1))
+
+        outcome, connections = self._drive_stub(busy, session_id="tok")
+        assert outcome.status == "busy"
+        assert connections == 1
+
+
+class TestQueryReplay:
+    @pytest.mark.parametrize("state", ["completed", "failed"])
+    def test_replay_that_contradicts_the_state_is_disconnected(self, state):
+        wrong = {
+            "completed": SessionErrorMessage(code="config", detail="x"),
+            "failed": NamesAssignedMessage(entries=((3, 1),), algorithm="a", rounds=1),
+        }[state]
+
+        async def contradict(reader, writer):
+            await _welcome(writer)
+            assert isinstance(await read_frame(reader), QueryRequestMessage)
+            await write_frame(
+                writer, QueryResponseMessage(session_id="tok", state=state)
+            )
+            await write_frame(writer, wrong)
+            await write_frame(
+                writer,
+                CertificateMessage(namespace=1, ok=True, checked=(), violations=()),
+            )
+
+        outcome, _ = _against_stub(
+            contradict, lambda host, port: run_query(host, port, "tok")
+        )
+        assert (outcome.status, outcome.detail) == (
+            "disconnected", f"journaled {state} result missing"
+        )
 
 
 class TestValidateNames:

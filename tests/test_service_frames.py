@@ -1,8 +1,8 @@
 """Hostile-input fuzzing of the service frame layer.
 
 The contract under test (``repro.service.frames``): whatever bytes arrive
-— truncated, oversized, bit-flipped, arbitrarily chunked — the decoder
-either yields messages or raises a typed
+— truncated, oversized, bit-flipped, arbitrarily chunked — :func:`read_frame`
+either yields messages (``None`` at EOF) or raises a typed
 :class:`~repro.wire.WireError`/:class:`~repro.service.frames.FrameError`.
 It never hangs, never raises anything untyped, and never buffers a body
 whose header already exceeds the cap.
@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from repro.service.frames import (
     DEFAULT_MAX_FRAME_BYTES,
     HEADER_BYTES,
-    FrameDecoder,
     FrameError,
+    decode_frame,
     encode_frame,
     read_frame,
 )
@@ -69,40 +69,63 @@ MESSAGES = st.one_of(
 )
 
 
+def _serve_bytes(blob: bytes, max_frame_bytes=DEFAULT_MAX_FRAME_BYTES, chunks=None):
+    """Every frame :func:`read_frame` reads from ``blob``, fed to the
+    StreamReader in ``chunks`` (sizes; default: all at once), until EOF."""
+
+    async def main():
+        reader = asyncio.StreamReader()
+        sizes = list(chunks or [len(blob)])
+
+        async def feed():
+            position = 0
+            for size in sizes:
+                reader.feed_data(blob[position:position + size])
+                position += size
+                await asyncio.sleep(0)
+            reader.feed_eof()
+
+        feeder = asyncio.create_task(feed())
+        frames = []
+        try:
+            while True:
+                frame = await read_frame(reader, max_frame_bytes=max_frame_bytes)
+                if frame is None:
+                    return frames
+                frames.append(frame)
+        finally:
+            await feeder
+
+    return asyncio.run(main())
+
+
 class TestRoundTrip:
     @given(messages=st.lists(MESSAGES, min_size=1, max_size=8), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_any_chunking_reassembles_the_stream(self, messages, data):
         blob = b"".join(encode_frame(m) for m in messages)
-        decoder = FrameDecoder()
-        out = []
+        sizes = []
         position = 0
         while position < len(blob):
             size = data.draw(
                 st.integers(min_value=1, max_value=len(blob) - position)
             )
-            out.extend(decoder.feed(blob[position:position + size]))
+            sizes.append(size)
             position += size
-        assert out == messages
-        decoder.eof()  # stream ended exactly on a frame boundary
+        assert _serve_bytes(blob, chunks=sizes) == messages
 
     def test_single_byte_trickle(self):
         message = RegisterIdsMessage(ids=(1, 2, 3))
-        decoder = FrameDecoder()
-        out = []
-        for byte in encode_frame(message):
-            out.extend(decoder.feed(bytes([byte])))
-        assert out == [message]
+        blob = encode_frame(message)
+        assert _serve_bytes(blob, chunks=[1] * len(blob)) == [message]
 
 
 class TestHostileInput:
     @given(garbage=st.binary(min_size=0, max_size=256))
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_bytes_never_raise_untyped(self, garbage):
-        decoder = FrameDecoder(max_frame_bytes=128)
         try:
-            decoder.feed(garbage)
-            decoder.eof()
+            _serve_bytes(garbage, max_frame_bytes=128)
         except WireError:
             pass  # typed rejection is the contract
 
@@ -114,32 +137,23 @@ class TestHostileInput:
         position = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
         bit = data.draw(st.integers(min_value=0, max_value=7))
         blob[position] ^= 1 << bit
-        decoder = FrameDecoder()
         try:
-            decoder.feed(bytes(blob))
-            decoder.eof()
+            _serve_bytes(bytes(blob))
         except WireError:
             pass  # flips in the header or payload must stay typed
 
     def test_truncated_stream_is_detectable(self):
         blob = encode_frame(CloseSessionMessage())
-        decoder = FrameDecoder()
-        assert decoder.feed(blob[:-1]) == []
-        assert decoder.pending == len(blob) - 1
-        with pytest.raises(FrameError, match="mid-frame"):
-            decoder.eof()
+        assert _serve_bytes(blob[:-1]) == []
 
     def test_zero_length_frame_is_rejected(self):
-        decoder = FrameDecoder()
         with pytest.raises(FrameError, match="zero-length"):
-            decoder.feed(struct.pack(">I", 0))
+            _serve_bytes(struct.pack(">I", 0))
 
     def test_oversize_header_rejected_without_the_body(self):
-        decoder = FrameDecoder(max_frame_bytes=64)
         # Header alone, body never sent: the declared size is enough.
         with pytest.raises(FrameError, match="cap"):
-            decoder.feed(struct.pack(">I", 2**31))
-        assert decoder.pending <= HEADER_BYTES
+            _serve_bytes(struct.pack(">I", 2**31), max_frame_bytes=64)
 
     def test_oversize_encode_is_rejected(self):
         big = NamesAssignedMessage(
@@ -150,43 +164,45 @@ class TestHostileInput:
         with pytest.raises(FrameError):
             encode_frame(big, max_frame_bytes=16)
 
-    def test_poisoned_decoder_refuses_more_input(self):
-        decoder = FrameDecoder()
-        with pytest.raises(FrameError):
-            decoder.feed(struct.pack(">I", 0))
-        with pytest.raises(FrameError, match="already rejected"):
-            decoder.feed(encode_frame(CloseSessionMessage()))
-
     def test_garbage_payload_of_valid_length_is_typed(self):
         payload = b"\xff" * 10  # tag 255 is unregistered
-        decoder = FrameDecoder()
         with pytest.raises(WireError):
-            decoder.feed(struct.pack(">I", len(payload)) + payload)
+            _serve_bytes(struct.pack(">I", len(payload)) + payload)
+
+
+class TestDecodeFrame:
+    def test_exact_length_decodes(self):
+        message = RegisterIdsMessage(ids=(4, 5))
+        assert decode_frame(encode_frame(message)) == message
+
+    def test_short_blob_is_rejected(self):
+        blob = encode_frame(RegisterIdsMessage(ids=(4, 5)))
+        with pytest.raises(FrameError, match="blob carries"):
+            decode_frame(blob[:-1])
+        with pytest.raises(FrameError, match="no full header"):
+            decode_frame(blob[:HEADER_BYTES - 1])
+
+    def test_long_blob_is_rejected(self):
+        blob = encode_frame(CloseSessionMessage())
+        with pytest.raises(FrameError, match="blob carries"):
+            decode_frame(blob + b"\x00")
+
+    def test_header_checks_are_read_frames(self):
+        with pytest.raises(FrameError, match="zero-length"):
+            decode_frame(struct.pack(">I", 0))
+        with pytest.raises(FrameError, match="cap"):
+            decode_frame(struct.pack(">I", 2**31) + b"x")
 
 
 class TestAsyncReadFrame:
-    def _serve_bytes(self, blob: bytes, max_frame_bytes=DEFAULT_MAX_FRAME_BYTES):
-        async def main():
-            reader = asyncio.StreamReader()
-            reader.feed_data(blob)
-            reader.feed_eof()
-            frames = []
-            while True:
-                frame = await read_frame(reader, max_frame_bytes=max_frame_bytes)
-                if frame is None:
-                    return frames
-                frames.append(frame)
-
-        return asyncio.run(main())
-
     def test_reads_messages_then_none_on_eof(self):
         msgs = [OpenSessionMessage(), CloseSessionMessage()]
         blob = b"".join(encode_frame(m) for m in msgs)
-        assert self._serve_bytes(blob) == msgs
+        assert _serve_bytes(blob) == msgs
 
     def test_mid_frame_eof_is_none_not_hang(self):
         blob = encode_frame(OpenSessionMessage())[:-2]
-        assert self._serve_bytes(blob) == []
+        assert _serve_bytes(blob) == []
 
     def test_oversize_header_raises_before_body(self):
         async def main():

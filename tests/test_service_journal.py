@@ -17,7 +17,7 @@ import asyncio
 
 import pytest
 
-from repro.service.frames import FrameDecoder, read_frame, write_frame
+from repro.service.frames import decode_frame, read_frame, write_frame
 from repro.service.journal import (
     SESSION_JOURNAL_KIND,
     SessionJournal,
@@ -436,9 +436,8 @@ class TestLoadBusyBudget:
 
         outcome = asyncio.run(_with_service(body, journal=journal))
         record = scan_session_journal(tmp_path / "s.jsonl").sessions["tok-1"]
-        decoder = FrameDecoder()
-        (names,) = decoder.feed(bytes.fromhex(record.names_hex))
-        (certificate,) = decoder.feed(bytes.fromhex(record.certificate_hex))
+        names = decode_frame(bytes.fromhex(record.names_hex))
+        certificate = decode_frame(bytes.fromhex(record.certificate_hex))
         assert isinstance(names, NamesAssignedMessage)
         assert isinstance(certificate, CertificateMessage)
         assert names.entries == outcome.entries

@@ -19,7 +19,7 @@ from contextlib import asynccontextmanager
 import pytest
 
 from repro.service.journal import SessionJournal, scan_session_journal
-from repro.service.load import run_load, run_session, run_session_with_retry
+from repro.service.load import run_load, run_session
 from repro.service.messages import ERROR_CODES
 from repro.service.proxy import ChaosProxy, ProxyFaults
 from repro.service.server import RenamingService
@@ -196,7 +196,7 @@ class TestRetriesThroughChaos:
             ) as (svc, proxy):
                 host, port = proxy.bound_address
                 for index in range(8):
-                    outcome = await run_session_with_retry(
+                    outcome = await run_session(
                         host, port,
                         retries=20,
                         session_id=f"chaos-{index}",

@@ -26,7 +26,7 @@ import sys
 import time
 
 from repro.service.journal import scan_session_journal
-from repro.service.load import run_query, run_session, run_session_with_retry
+from repro.service.load import run_query, run_session
 from repro.workloads import make_ids
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -95,7 +95,7 @@ def _terminate(daemon, timeout=30):
 def _drive(address, token, *, seed, retries=0):
     host, port = address
     return asyncio.run(
-        run_session_with_retry(
+        run_session(
             host, port,
             retries=retries,
             session_id=token,

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.analysis.executor import ResultCache
 from repro.analysis.store import (
     Claim,
     LocalDirStore,
@@ -313,27 +314,30 @@ class TestTerminals:
 
 
 class TestMemo:
-    def test_roundtrip_and_miss(self, backend, tmp_path):
-        store = seeded(tmp_path)
-        assert store.load_memo("k1", schema=4) is None
-        store.store_memo("k1", {"rounds": 3}, schema=4)
-        assert store.load_memo("k1", schema=4) == {"rounds": 3}
+    """The memo tier is :class:`ResultCache`'s own directory of entries."""
+
+    def test_roundtrip_and_miss(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        assert cache.load_memo("k1") is None
+        cache.store_memo("k1", {"rounds": 3})
+        assert cache.load_memo("k1") == {"rounds": 3}
 
     def test_corrupt_memo_raises_for_the_caller_to_log(
-        self, backend, tmp_path
+        self, tmp_path, monkeypatch
     ):
-        store = seeded(tmp_path)
-        store.store_memo("k1", {"rounds": 3}, schema=4)
+        cache = ResultCache(tmp_path / "cache")
+        cache.store_memo("k1", {"rounds": 3})
+        monkeypatch.setattr(ResultCache, "SCHEMA", ResultCache.SCHEMA + 1)
         with pytest.raises(ValueError, match="stale schema"):
-            store.load_memo("k1", schema=5)
+            cache.load_memo("k1")
 
     def test_local_dir_memo_layout_matches_the_prefabric_cache(
         self, tmp_path
     ):
         """Flat-rooted memo files are byte-compatible with the pre-fabric
         ``ResultCache`` format: same envelope keys, same order, same path."""
-        store = LocalDirStore(tmp_path / "cache", memo_subdir="")
-        store.store_memo("abc", {"rounds": 3}, schema=4)
+        cache = ResultCache(tmp_path / "cache")
+        cache.store_memo("abc", {"rounds": 3})
         raw = json.loads((tmp_path / "cache" / "abc.json").read_text())
         assert list(raw) == ["schema", "checksum", "summary"]
         assert raw["summary"] == {"rounds": 3}
