@@ -292,6 +292,11 @@ _GOLDEN_FACTORIES = {
 #: float mode (the tolerance-keyed isValid verdict), per-link Byzantine
 #: votes that every recipient must check afresh, and EIG consensus at the
 #: smallest fault budgets, where the resolve tree is one or two levels deep.
+#: The last block covers the paths a per-tuple receive fold and forged vote
+#: variants run through: every voting attack's vote shapes, junk and
+#: duplicate ids through Alg. 1's id selection, unsound MultiEcho ids, a
+#: larger Alg. 4 run, and the FloodSet and Okun id exchanges under
+#: Byzantine slots that follow the protocol.
 GOLDEN_RUN_CASES = {
     "alg1": ("alg1", 7, 2, "id-forging", 1, {}),
     "alg1-float": ("alg1-float", 7, 2, "rank-skew", 1, {}),
@@ -323,22 +328,46 @@ GOLDEN_RUN_CASES = {
         "alg1", 7, 2, "id-forging", 1, {"safety": SafetyPolicy(namespace=3)}
     ),
     "round-limit": ("alg1", 7, 2, "rank-skew", 1, {"max_rounds": 3}),
+    "alg1-rank-compression": ("alg1", 10, 3, "rank-compression", 1, {}),
+    "alg1-boundary-votes": ("alg1", 10, 3, "boundary-votes", 1, {}),
+    "alg1-constant-order-inversion": (
+        "alg1-constant", 11, 1, "order-inversion", 1, {}
+    ),
+    "alg1-noise": ("alg1", 7, 2, "noise", 1, {}),
+    "alg4-fuzz": ("alg4", 11, 2, "fuzz", 1, {}),
+    "alg4-n37": ("alg4", 37, 4, "selective-echo", 1, {}),
+    "floodset-conforming": ("floodset", 13, 4, "conforming", 1, {}),
+    "okun-crash-conforming": ("okun-crash", 13, 4, "conforming", 1, {}),
 }
 
 #: Captured before the two engines' round loops were merged into one; the
 #: float-mode, per-link-vote and small-t consensus cases before the
-#: receive-side caches on shared messages.
+#: receive-side caches on shared messages; the voting-attack, noise, fuzz,
+#: n=37 Alg. 4 and conforming FloodSet/Okun cases before the per-tuple
+#: receive fold and the forged vote variants.
 GOLDEN_RUN_DIGESTS = {
     "alg1":
         "66d67575fd5eadbb48961918ba43ffcccaf26ec414445d1cb2e20c2dbd0b4840",
+    "alg1-boundary-votes":
+        "277d193daea7625f4b45dbf521b50dd2847729eb4ac9580344313d2273f5a74f",
     "alg1-constant":
         "a2d5cdd667f1de680a2d7e2f0efbb2c8263fb844d0193e5123c713a879048e2b",
+    "alg1-constant-order-inversion":
+        "f3dbf4b4d9b2ae28a4601cb8eef47aa9f290fb7ed9dfd29a1a45f749bbdf5096",
     "alg1-constant-rank-skew":
         "334458880b15e0b40879eff5e53c34d60c861981d588a978ed0485ab1542f3f6",
     "alg1-float":
         "260632b111298c3e331d3c50654154d71928375998e13f988c98b738535fb078",
+    "alg1-noise":
+        "8dfb24ab02716f37d0ec7be4542584ac8c39f405578bddd19deceea3dcf6ace5",
+    "alg1-rank-compression":
+        "277d193daea7625f4b45dbf521b50dd2847729eb4ac9580344313d2273f5a74f",
     "alg4":
         "729843e1e7391bc9c984171eccff05a6695c8b14b3f6cde76b3fcd2cc040b018",
+    "alg4-fuzz":
+        "9416a074ae2727e41068c6411790f14e27c5c1f363aa87ca8176ca27b202d212",
+    "alg4-n37":
+        "139be0248101936cc2fe6682f9d1293a41f41cb68b3de4893cab591dfc6eecc8",
     "cht":
         "b22b9e508c4445e41199d77ac42e8b52740149d4f2ff3421b8d1832afc54e035",
     "consensus":
@@ -349,10 +378,14 @@ GOLDEN_RUN_DIGESTS = {
         "a38c0bcf30fc43fa426891d0cdbe91d2f99fa660f5a71d3052b3893d3ec608ce",
     "floodset":
         "787a53cd40a8fff1cec9c7749f6d01c6acc3103495f45685c80fca52cd7a6090",
+    "floodset-conforming":
+        "82183fabf17845a7f9c7b024a0e41dbbc03aa936ffb0d6d123a9e5c23c6da4c5",
     "impersonation":
         "dc2b6217a3a9d04154f66a5db29ca7807dcd11657b7f637cb04ce9a113d8dd62",
     "okun-crash":
         "cdcd8b06bc759586921bc3b7cf090b3ac677a989520e72903160880fa256dc4e",
+    "okun-crash-conforming":
+        "81589e6fb7188697a0867cc24c720f7dfba1c23ad69c76252c8de24d91080ca0",
     "okun-crash-divergence":
         "4abcb9fb0a9bc845d915c95ccadb12786724454cd99fb01cd33a5aeb29832a75",
     "partial-synchrony+chaos":
