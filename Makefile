@@ -178,32 +178,45 @@ model-smoke:
 ## handshake), drives a 1500-session burst at 500 concurrent sessions —
 ## every completed session's assignment is re-validated client-side
 ## against check_renaming, so exit 0 is a correctness statement, not just
-## liveness — then SIGTERMs the daemon mid-way through a second load and
-## asserts the drain contract: the late load must not observe an invalid
-## certificate (exit 2) and the daemon must exit 0 (drained clean) or 4
-## (sessions shed), never crash.
+## liveness — then SIGTERMs the daemon during a second load and asserts
+## the drain contract. The second load's sessions carry tokens, so the
+## daemon's session journal records each one it admits and runs; the
+## SIGTERM waits for the first such record, so it lands with that load in
+## flight. Gates: the late load must not observe an invalid certificate
+## (exit 2), its report must show at least one completed session, the
+## daemon must exit 0 (drained clean) or 4 (sessions shed), never crash,
+## and its stderr must hold no Traceback.
 SERVICE_SMOKE_DIR := .service-smoke
 service-smoke:
 	rm -rf $(SERVICE_SMOKE_DIR)
 	mkdir -p $(SERVICE_SMOKE_DIR)
 	$(PYTHON) -m repro.cli serve --port 0 \
 		--port-file $(SERVICE_SMOKE_DIR)/port \
+		--session-journal $(SERVICE_SMOKE_DIR)/sessions.jsonl \
 		--max-sessions 600 --session-deadline 30 --idle-timeout 30 \
-		--drain-grace 60 & SRV=$$!; \
+		--drain-grace 60 2> $(SERVICE_SMOKE_DIR)/serve.err & SRV=$$!; \
 	for i in $$(seq 200); do \
 		[ -s $(SERVICE_SMOKE_DIR)/port ] && break; sleep 0.1; done; \
 	$(PYTHON) -m repro.cli load --port-file $(SERVICE_SMOKE_DIR)/port \
 		--sessions 1500 --concurrency 500 --ids 8 \
 		--report $(SERVICE_SMOKE_DIR)/burst.txt; BURST=$$?; \
 	$(PYTHON) -m repro.cli load --port-file $(SERVICE_SMOKE_DIR)/port \
-		--sessions 600 --concurrency 200 --ids 8 \
+		--sessions 600 --concurrency 200 --ids 8 --session-prefix drain \
 		--report $(SERVICE_SMOKE_DIR)/drain.txt & LOADGEN=$$!; \
-	sleep 0.5; kill -TERM $$SRV; \
+	for i in $$(seq 600); do \
+		grep -q accepted $(SERVICE_SMOKE_DIR)/sessions.jsonl && break; \
+		sleep 0.05; done; \
+	kill -TERM $$SRV; \
 	wait $$LOADGEN; DRAINLOAD=$$?; \
 	wait $$SRV; SERVE=$$?; \
-	echo "service-smoke: burst=$$BURST drain-load=$$DRAINLOAD serve=$$SERVE"; \
+	cat $(SERVICE_SMOKE_DIR)/serve.err >&2; \
+	grep -Eq "completed +[1-9]" $(SERVICE_SMOKE_DIR)/drain.txt; DRAINED=$$?; \
+	! grep -q Traceback $(SERVICE_SMOKE_DIR)/serve.err; CLEAN=$$?; \
+	echo "service-smoke: burst=$$BURST drain-load=$$DRAINLOAD" \
+		"serve=$$SERVE drained=$$DRAINED clean-stderr=$$CLEAN"; \
 	[ $$BURST -eq 0 ] && [ $$DRAINLOAD -ne 2 ] && \
-		{ [ $$SERVE -eq 0 ] || [ $$SERVE -eq 4 ]; }
+		{ [ $$SERVE -eq 0 ] || [ $$SERVE -eq 4 ]; } && \
+		[ $$DRAINED -eq 0 ] && [ $$CLEAN -eq 0 ]
 	rm -rf $(SERVICE_SMOKE_DIR)
 
 ## Crash-recovery end-to-end: a journaled daemon takes a tokened burst

@@ -22,7 +22,7 @@ rounds ≥ 5. Three families:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Mapping
+from typing import Dict, Hashable, List, Mapping
 
 from ..core.id_selection import ID_SELECTION_STEPS
 from ..core.messages import Rank, RanksMessage
@@ -51,7 +51,14 @@ def respaced(ranks: Mapping[int, Rank], spacing: Rank, base: Rank) -> Dict[int, 
 
 
 class _VotingPhaseAdversary(ProtocolDrivenAdversary):
-    """Shared plumbing: faithful until round 4, forged votes afterwards."""
+    """Shared plumbing: faithful until round 4, forged votes afterwards.
+
+    A forged vote depends on the peer only through :meth:`variant`, so each
+    slot forges each distinct variant once per round, and every peer that
+    gets a variant gets the same :class:`RanksMessage` object — whose
+    receive-side caches (hygiene view, exact pairs, ``isValid`` verdicts;
+    DESIGN.md §8) its recipients then share.
+    """
 
     def mutate_outbox(self, round_no, index, genuine: Outbox, correct_outboxes) -> Outbox:
         if round_no <= ID_SELECTION_STEPS:
@@ -63,19 +70,23 @@ class _VotingPhaseAdversary(ProtocolDrivenAdversary):
         ranks = getattr(process, "ranks", None)
         if not ranks or not hasattr(process, "delta"):
             return genuine
+        forged: Dict[Hashable, List[Message]] = {}
         content: Dict[int, List[Message]] = {}
-        for position, peer in enumerate(range(self.ctx.n)):
-            vote = self.forge_vote(round_no, index, position, peer, process)
-            content[peer] = [RanksMessage.from_dict(vote)]
+        for peer in range(self.ctx.n):
+            variant = self.variant(peer)
+            votes = forged.get(variant)
+            if votes is None:
+                vote = self.forge_vote(round_no, index, variant, process)
+                votes = forged[variant] = [RanksMessage.from_dict(vote)]
+            content[peer] = votes
         return per_link_outbox(content, sender=index, topology=self.ctx.topology)
 
+    def variant(self, peer: int) -> Hashable:
+        """The part of ``peer`` its forged vote depends on (default: none)."""
+        return None
+
     def forge_vote(
-        self,
-        round_no: int,
-        index: int,
-        position: int,
-        peer: int,
-        process,
+        self, round_no: int, index: int, variant: Hashable, process
     ) -> Dict[int, Rank]:
         raise NotImplementedError
 
@@ -92,11 +103,13 @@ class RankSkewAdversary(_VotingPhaseAdversary):
     def __init__(self, magnitude: Fraction = None) -> None:
         self._magnitude = magnitude
 
-    def forge_vote(self, round_no, index, position, peer, process):
+    def variant(self, peer):
+        return 1 if peer % 2 == 0 else -1  # the shift's sign
+
+    def forge_vote(self, round_no, index, sign, process):
         magnitude = self._magnitude
         if magnitude is None:
             magnitude = Fraction(max(self.ctx.t, 1)) * process.delta
-        sign = 1 if peer % 2 == 0 else -1
         return shifted(process.ranks, sign * magnitude)
 
 
@@ -107,11 +120,12 @@ class RankCompressionAdversary(_VotingPhaseAdversary):
     between adjacent ids from opposite directions at different processes.
     """
 
-    def forge_vote(self, round_no, index, position, peer, process):
+    def variant(self, peer):
+        return 1 if peer % 2 == 0 else 2  # the spacing, in multiples of δ
+
+    def forge_vote(self, round_no, index, stretch, process):
         delta = process.delta
-        if peer % 2 == 0:
-            return respaced(process.ranks, delta, delta)
-        return respaced(process.ranks, 2 * delta, delta)
+        return respaced(process.ranks, stretch * delta, delta)
 
 
 class OrderInversionAdversary(_VotingPhaseAdversary):
@@ -121,7 +135,7 @@ class OrderInversionAdversary(_VotingPhaseAdversary):
     ``validate_votes=False`` (ablation E9a) they poison the approximation.
     """
 
-    def forge_vote(self, round_no, index, position, peer, process):
+    def forge_vote(self, round_no, index, variant, process):
         ordered = sorted(process.ranks)
         forged = dict(process.ranks)
         for low, high in zip(ordered[::2], ordered[1::2]):
@@ -139,7 +153,7 @@ class BoundaryVoteAdversary(_VotingPhaseAdversary):
     slowest-convergence needle E3 probes with.
     """
 
-    def forge_vote(self, round_no, index, position, peer, process):
+    def forge_vote(self, round_no, index, variant, process):
         spread = process.params.initial_spread_bound
         sign = 1 if index % 2 == 0 else -1
         return shifted(process.ranks, sign * spread)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Set
 
 from ..core.messages import EchoMessage, IdMessage
-from ..core.validation import is_sound_id
+from ..core.validation import sound_ids_by_tuple
 from ..sim.process import Inbox, Outbox, Process, ProcessContext
 
 
@@ -36,12 +36,8 @@ class FloodSetRenaming(Process):
         )
 
     def deliver(self, round_no: int, inbox: Inbox) -> None:
-        for link in sorted(inbox):
-            for message in inbox[link]:
-                if isinstance(message, (IdMessage, EchoMessage)) and is_sound_id(
-                    message.id
-                ):
-                    self.known.add(message.id)
+        for ids, _ in sound_ids_by_tuple(inbox, (IdMessage, EchoMessage)):
+            self.known.update(ids)
         if round_no == self.rounds:
             ordered = sorted(self.known)
             self.output_value = ordered.index(self.ctx.my_id) + 1

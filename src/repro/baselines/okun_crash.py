@@ -31,7 +31,7 @@ from typing import Dict, Optional, Set
 from ..core.approximation import approximate, nearest_int
 from ..core.messages import EchoMessage, IdMessage, Rank, RanksMessage
 from ..core.params import SystemParams
-from ..core.validation import VoteCheck, is_sound_id
+from ..core.validation import VoteCheck, is_sound_id, sound_ids_by_tuple
 from ..sim.errors import SafetyViolation
 from ..sim.process import Inbox, Outbox, Process, ProcessContext, ordered_links
 
@@ -93,10 +93,8 @@ class OkunCrashRenaming(Process):
             self.known = set(self.timely)
             self._check = VoteCheck(self.timely, self.delta)
         elif round_no == 2:
-            for link in ordered_links(inbox):
-                for message in inbox[link]:
-                    if isinstance(message, EchoMessage) and is_sound_id(message.id):
-                        self.known.add(message.id)
+            for ids, _ in sound_ids_by_tuple(inbox, EchoMessage):
+                self.known.update(ids)
             self._initialise_ranks()
         else:
             self._voting_step(round_no, inbox)

@@ -34,7 +34,7 @@ from typing import Dict, FrozenSet, List, Optional
 
 from ..sim.compose import Phase, PhaseContext, PhaseSequence
 from ..sim.errors import SafetyViolation
-from ..sim.process import Inbox, ProcessContext, ordered_links
+from ..sim.process import Inbox, ProcessContext, group_links, ordered_links
 from .messages import IdMessage, Message, MultiEchoMessage
 from .params import SystemParams
 from .validation import is_sound_id
@@ -93,35 +93,39 @@ class TwoStepPhase(Phase):
                     break
 
     def _deliver_echoes(self, inbox: Inbox) -> None:
-        """Round 2, lines 13–17: count echoes from valid MultiEchoes."""
-        for link in ordered_links(inbox):
-            echo = self._first_multiecho(inbox[link])
-            if echo is None:
-                continue
+        """Round 2, lines 13–17: count echoes from valid MultiEchoes.
+
+        Links are grouped by their (pooled) echo object, so each distinct
+        echo is checked once and counted once per link that carried it.
+        """
+        for echo, links in group_links(inbox, self._announced_echo):
             ids = echo.sound_ids()
-            if ids is None or not self._is_valid(link, ids):
+            if ids is None or not self._is_valid(ids):
                 continue
+            copies = len(links)
             for identifier in ids:
-                self.counter[identifier] = self.counter.get(identifier, 0) + 1
+                self.counter[identifier] = self.counter.get(identifier, 0) + copies
         self._ctx.log(TWO_STEP_ROUNDS, "counters", dict(self.counter))
 
-    @staticmethod
-    def _first_multiecho(messages) -> Optional[MultiEchoMessage]:
-        """First MultiEcho on a link; Byzantine duplicates are ignored so a
-        single link can never contribute more than one echo per id."""
+    def _announced_echo(self, link: int, messages) -> Optional[MultiEchoMessage]:
+        """First MultiEcho on a link that announced an id in round 1;
+        Byzantine duplicates are ignored so a single link can never
+        contribute more than one echo per id."""
+        if link not in self.link_id:
+            return None
         for message in messages:
             if isinstance(message, MultiEchoMessage):
                 return message
         return None
 
-    def _is_valid(self, link: int, ids: FrozenSet[int]) -> bool:
-        """Alg. 4's isValid: announced sender, ≤ N ids, ≥ N−t overlap.
-        ``ids`` is the echo's :meth:`~MultiEchoMessage.sound_ids`: an echo
-        with a structurally unsound id anywhere was already condemned whole
-        — an honest sender never produces one."""
+    def _is_valid(self, ids: FrozenSet[int]) -> bool:
+        """The rest of Alg. 4's isValid: ≤ N ids, ≥ N−t overlap (the
+        announced sender is :meth:`_announced_echo`'s check). ``ids`` is the
+        echo's :meth:`~MultiEchoMessage.sound_ids`: an echo with a
+        structurally unsound id anywhere was already condemned whole — an
+        honest sender never produces one."""
         return (
-            link in self.link_id
-            and len(ids) <= self._ctx.n
+            len(ids) <= self._ctx.n
             and len(self.timely & ids) >= self._ctx.n - self._ctx.t
         )
 

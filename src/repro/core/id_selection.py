@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..sim.compose import Phase
-from ..sim.process import Inbox, iter_inbox, ordered_links
+from ..sim.process import Inbox, ordered_links
 from .messages import EchoMessage, IdMessage, Message, ReadyMessage
-from .validation import is_sound_id
+from .validation import is_sound_id, sound_ids_by_tuple
 
 #: Number of communication steps this phase takes.
 ID_SELECTION_STEPS = 4
@@ -116,10 +116,11 @@ class IdSelectionPhase(Phase):
                     break
 
     def _deliver_echoes(self, inbox: Inbox) -> None:
-        # Step 2: keep ids echoed on at least N−t distinct links.
-        for link, message in iter_inbox(inbox):
-            if isinstance(message, EchoMessage) and is_sound_id(message.id):
-                self._echo_links.setdefault(message.id, set()).add(link)
+        # Step 2: keep ids echoed on at least N−t distinct links. Correct
+        # senders with equal echo sets share one tuple, checked once.
+        for ids, links in sound_ids_by_tuple(inbox, EchoMessage):
+            for identifier in ids:
+                self._echo_links.setdefault(identifier, set()).update(links)
         self._pending = {
             identifier
             for identifier, links in self._echo_links.items()
@@ -129,9 +130,9 @@ class IdSelectionPhase(Phase):
     def _deliver_readies(self, inbox: Inbox) -> None:
         # Steps 3 and 4 accumulate READY support per distinct link; a link
         # confirming the same id in both steps counts once.
-        for link, message in iter_inbox(inbox):
-            if isinstance(message, ReadyMessage) and is_sound_id(message.id):
-                self._ready_links.setdefault(message.id, set()).add(link)
+        for ids, links in sound_ids_by_tuple(inbox, ReadyMessage):
+            for identifier in ids:
+                self._ready_links.setdefault(identifier, set()).update(links)
 
     def _close_step3(self) -> None:
         # timely: ids with >= N−t READY links after step 3 (line 17-18).

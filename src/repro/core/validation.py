@@ -17,9 +17,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union,
+)
+
+from ..sim.process import group_links
 
 if TYPE_CHECKING:  # messages imports this module; a runtime import is circular
+    from ..sim.process import Inbox
     from .messages import Rank
 
 #: Rank types :func:`is_valid_ranks` compares by integer cross-multiplication.
@@ -54,6 +59,27 @@ def is_sound_id(value: object) -> bool:
     process (mixed-type comparison), a trivial remote crash.
     """
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def sound_ids_by_tuple(
+    inbox: "Inbox", kind: Union[type, Tuple[type, ...]]
+) -> Iterator[Tuple[List[int], List[int]]]:
+    """Yield ``(ids, links)`` per distinct message tuple of ``inbox``.
+
+    ``ids`` are the tuple's :func:`is_sound_id` ids of messages of ``kind``,
+    in message order, repeats kept; ``links`` are the links that delivered
+    that very tuple. Tuples come in first-seen link order
+    (:func:`~repro.sim.process.group_links`), so updating per-id state with
+    each group is the per-link walk with each shared tuple checked once.
+    """
+    for messages, links in group_links(inbox):
+        ids = [
+            message.id
+            for message in messages
+            if isinstance(message, kind) and is_sound_id(message.id)
+        ]
+        if ids:
+            yield ids, links
 
 
 def is_sound_vote(vote: Mapping[object, object]) -> bool:

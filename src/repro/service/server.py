@@ -162,6 +162,10 @@ class RenamingService:
         self.install_signal_handlers = install_signal_handlers
         self.stats = ServiceStats()
         self._sessions: Set[asyncio.Task] = set()
+        #: Every connection handler task not yet done: admitted sessions,
+        #: busy rejects, and sessions closing their socket after leaving
+        #: ``_sessions``. The drain waits for all of them.
+        self._connections: Set[asyncio.Task] = set()
         self._server: Optional[asyncio.base_events.Server] = None
         self._drain_requested: Optional[asyncio.Event] = None
         self._force_shed = False
@@ -199,7 +203,7 @@ class RenamingService:
         """Bind and start accepting (drain machinery armed, not triggered)."""
         self._drain_requested = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._accept, self.host, self.port
         )
         if self.install_signal_handlers:
             loop = asyncio.get_running_loop()
@@ -259,6 +263,12 @@ class RenamingService:
             task.cancel()
         if stragglers:
             await asyncio.gather(*stragglers, return_exceptions=True)
+        # Stop accepting, then let the handlers that hold no session slot
+        # (busy rejects, sessions still closing) finish: left pending, they
+        # would be cancelled inside their close by the loop's shutdown.
+        self._server.close()
+        while self._connections:
+            await asyncio.gather(*self._connections, return_exceptions=True)
 
     def exit_code(self) -> int:
         """3 (infra) > 4 (shed) > 2 (violation observed) > 0."""
@@ -273,6 +283,18 @@ class RenamingService:
     # ------------------------------------------------------------------ #
     # per-connection session handling                                    #
     # ------------------------------------------------------------------ #
+
+    def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Connection callback: start the handler as a task tracked from its
+        creation. (A coroutine callback's task would only be known once it
+        first ran, and the loop's shutdown could cancel it before that.)"""
+        task = asyncio.get_running_loop().create_task(
+            self._handle_connection(reader, writer)
+        )
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -69,7 +69,7 @@ from .process import (
     Outbox,
     Process,
     ProcessContext,
-    iter_inbox,
+    group_links,
     ordered_links,
 )
 from .rng import derive_rng, derive_seed
@@ -130,8 +130,8 @@ __all__ = [
     "derive_rng",
     "derive_seed",
     "engine_names",
+    "group_links",
     "int_bits",
-    "iter_inbox",
     "ordered_links",
     "parse_model",
     "run_protocol",

@@ -190,6 +190,11 @@ def batched_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
       inboxes and iterating in the same ascending link order;
     * equal messages of the high-volume types are interned to one canonical
       instance — delivered objects compare equal either way;
+    * equal broadcast tuples of two or more id messages from correct senders
+      are interned to one tuple per round, so the id folds in ``deliver``
+      (which group links by tuple identity, DESIGN.md §8) do each distinct
+      echo set once. A one-message tuple is never pooled: its single
+      message is already canonical, and hashing the tuple would only cost;
     * traffic is accounted per message with a broadcast fan-out multiplier
       and a per-canonical-instance bit-size cache, which sums to exactly the
       reference's per-transmission accounting.
@@ -205,20 +210,27 @@ def batched_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
 
     # The high-volume message types worth interning, imported here for the
     # codec's layering reason: protocol messages live above this substrate.
-    from ..core.messages import EchoMessage, IdMessage, RanksMessage
+    from ..core.messages import (
+        EchoMessage, IdMessage, MultiEchoMessage, RanksMessage, ReadyMessage,
+    )
     from .compose import EnvelopeMessage
 
-    pooled = frozenset((IdMessage, EchoMessage, RanksMessage, EnvelopeMessage))
+    pooled = frozenset(
+        (IdMessage, EchoMessage, MultiEchoMessage, RanksMessage, EnvelopeMessage)
+    )
     pool: Dict[Message, Message] = {}
+    # The kinds whose multi-message broadcast tuples are interned.
+    id_kinds = frozenset((IdMessage, EchoMessage, ReadyMessage))
     bits_of: Dict[int, int] = {}  # id(canonical) -> cached bit size
     id_bits = metrics.id_bits
     rank_bits = metrics.rank_bits
     observe_send = metrics.observe_send
 
-    # The round being routed; route() replaces all three every round.
+    # The round being routed; route() replaces all four every round.
     record: Optional[RoundMetrics] = None
     dense: List[Optional[Tuple[Message, ...]]] = []
     overlays: Dict[int, Dict[int, List[Message]]] = {}
+    tuples: Dict[Tuple[Message, ...], Tuple[Message, ...]] = {}  # tuple pool
 
     def route_outbox(sender: int, outbox: Outbox, correct: bool) -> int:
         """Route one outbox into this round's layers; return its fan-out."""
@@ -277,7 +289,15 @@ def batched_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
                         message
                     )
         if kept:
-            dense[sender] = tuple(kept)
+            if (
+                len(kept) > 1
+                and correct
+                and all(type(message) in id_kinds for message in kept)
+            ):
+                got = tuple(kept)
+                dense[sender] = tuples.setdefault(got, got)
+            else:
+                dense[sender] = tuple(kept)
         return sent
 
     def route(
@@ -285,11 +305,12 @@ def batched_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
         correct_outboxes: Mapping[int, Outbox],
         byz_outboxes: Mapping[int, Outbox],
     ) -> Dict[int, Inbox]:
-        nonlocal record, dense, overlays
+        nonlocal record, dense, overlays, tuples
         record = round_record
         # Fresh layers every round: delivered views may be retained.
         dense = [None] * n
         overlays = {}
+        tuples = {}
         for index, outbox in correct_outboxes.items():
             route_outbox(index, outbox, correct=True)
         byz_sent = 0

@@ -121,15 +121,35 @@ def ordered_links(inbox: Inbox):
     return sorted(links)
 
 
-def iter_inbox(inbox: Inbox):
-    """Yield ``(link, message)`` pairs over an inbox in link order.
+def group_links(
+    inbox: Inbox,
+    pick: Optional[Callable[[int, Tuple[Message, ...]], object]] = None,
+) -> List[Tuple[object, List[int]]]:
+    """Group the inbox's links by the identity of what each one delivered.
 
-    Handy for the ubiquitous "foreach <msg> received from a distinct link"
-    loops in the paper's pseudo-code.
+    One walk over :func:`ordered_links`. ``pick(link, messages)`` names the
+    object a link contributes, or ``None`` to skip the link; by default it
+    is the link's message tuple itself. Returns ``(object, links)`` per
+    distinct object, in the order of each object's first link, with
+    ``links`` ascending — so a fold that does an object's work once for all
+    of its links inserts dict keys in the same order as the per-link walk
+    (DESIGN.md §8). The groups hold their objects while the caller runs, so
+    identity cannot be recycled under them; nothing keyed by identity
+    outlives the call.
     """
+    groups: Dict[int, Tuple[object, List[int]]] = {}
     for link in ordered_links(inbox):
-        for message in inbox[link]:
-            yield link, message
+        got: object = inbox[link]
+        if pick is not None:
+            got = pick(link, got)
+            if got is None:
+                continue
+        group = groups.get(id(got))
+        if group is None:
+            groups[id(got)] = (got, [link])
+        else:
+            group[1].append(link)
+    return list(groups.values())
 
 
 def network_links(outbox: Outbox, n: int, result: Outbox):

@@ -17,7 +17,11 @@ from repro.adversary import (
     IdForgingAdversary,
     SelectiveEchoAdversary,
     SplitWorldAdversary,
+    make_adversary,
 )
+from repro.core import validation
+from repro.core.id_selection import ID_SELECTION_STEPS
+from repro.core.messages import RanksMessage
 
 
 def bind_against(adversary, factory=OrderPreservingRenaming, n=7, t=2, seed=0):
@@ -185,3 +189,65 @@ class TestSplitWorldInternals:
             audiences = adversary._audience[slot]
             assert len(audiences[first]) == 7 - 2 * 2  # N - 2t
             assert len(audiences[first]) + len(audiences[second]) == 5
+
+
+class _Recording:
+    """Wraps an adversary's ``send`` and keeps every round's Byzantine outboxes."""
+
+    def __init__(self, adversary):
+        self.outboxes = {}
+        send = adversary.send
+
+        def recording_send(round_no, correct_outboxes):
+            outboxes = send(round_no, correct_outboxes)
+            self.outboxes[round_no] = outboxes
+            return outboxes
+
+        adversary.send = recording_send
+
+
+class TestForgedVoteVariants:
+    """A voting attack forges each distinct vote once per (round, slot) and
+    hands every peer that gets it the same message object."""
+
+    @pytest.mark.parametrize(
+        "attack, variants",
+        [
+            ("rank-skew", 2),
+            ("rank-compression", 2),
+            ("order-inversion", 1),
+            ("boundary-votes", 1),
+        ],
+    )
+    def test_distinct_vote_objects_per_slot_and_round(self, attack, variants):
+        adversary = make_adversary(attack)
+        recording = _Recording(adversary)
+        bind_against(adversary, n=10, t=3, seed=1)
+        voting = [r for r in recording.outboxes if r > ID_SELECTION_STEPS]
+        assert voting
+        for round_no in voting:
+            for index, outbox in recording.outboxes[round_no].items():
+                votes = [m for messages in outbox.values() for m in messages]
+                assert len(votes) == 10, (round_no, index)
+                assert all(isinstance(m, RanksMessage) for m in votes)
+                assert len({id(m) for m in votes}) == variants, (round_no, index)
+
+    def test_rank_skew_checks_each_vote_object_once_per_key(self, monkeypatch):
+        checked = []
+        is_valid_ranks = validation.is_valid_ranks
+
+        def spy(timely, ranks, delta, tolerance=0.0):
+            checked.append((ranks, tuple(timely), delta, tolerance))
+            return is_valid_ranks(timely, ranks, delta, tolerance)
+
+        monkeypatch.setattr(validation, "is_valid_ranks", spy)
+        adversary = make_adversary("rank-skew")
+        recording = _Recording(adversary)
+        bind_against(adversary, n=10, t=3, seed=1)
+        # ``checked`` holds every vote, so no id() is recycled under it.
+        keys = [(id(vote), timely, delta, tol) for vote, timely, delta, tol in checked]
+        assert keys and len(set(keys)) == len(keys)
+        voting_rounds = sum(1 for r in recording.outboxes if r > ID_SELECTION_STEPS)
+        # Per voting round at most one vote object per correct sender and
+        # two per Byzantine slot; a per-peer forgery would make 3 * 10.
+        assert len({id(vote) for vote, *_ in checked}) <= voting_rounds * (7 + 3 * 2)

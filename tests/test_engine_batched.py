@@ -13,8 +13,10 @@ file covers what the differential grids cannot see from the outside:
 * mixed dense/overlay rounds (broadcast + targeted sends in one round)
   observed from *inside* ``deliver`` via inbox snapshots;
 * tuple identity: every receiver of one correct sender's broadcast holds
-  the *same* tuple object, while equivocating Byzantine traffic arrives as
-  distinct objects (a per-tuple fold cache relies on both);
+  the *same* tuple object, equal multi-id broadcasts of different correct
+  senders are one tuple object, while single-message broadcasts and
+  Byzantine traffic arrive as distinct objects (the per-tuple id folds rely
+  on all of these);
 * the shared :meth:`RunMetrics.observe_send` accounting primitive
   producing identical counters on every engine;
 * the engine registry and the runtime import path staying numpy-free.
@@ -32,7 +34,7 @@ import pytest
 import repro
 from helpers import assert_runs_identical, run_registered, standard_ids
 from repro.cli import EXIT_INFRA, main
-from repro.core.messages import IdMessage
+from repro.core.messages import EchoMessage, IdMessage
 from repro.sim import (
     BROADCAST,
     Adversary,
@@ -227,6 +229,64 @@ def test_receivers_of_one_broadcast_share_the_same_tuple():
     ]
     assert len(byzantine) == 2 * len(receivers)
     assert len({id(messages) for messages in byzantine}) == len(byzantine)
+
+
+class _EchoSets(Process):
+    """Round 1: every sender broadcasts the same single echo. Round 2: two
+    echoes, the second one's id set by the parity of ``my_id // 10`` (the
+    ids are multiples of 10), so the correct senders broadcast exactly two
+    distinct echo sets. Keeps every inbox."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.inboxes = {}
+
+    def send(self, round_no):
+        if round_no == 1:
+            return self.broadcast(EchoMessage(1))
+        parity = self.ctx.my_id // 10 % 2
+        return self.broadcast(EchoMessage(1), EchoMessage(2 + parity))
+
+    def deliver(self, round_no, inbox):
+        self.inboxes[round_no] = dict(inbox)
+        if round_no == 2:
+            self.output_value = self.ctx.my_id
+
+
+class _PerLinkEchoSets(Adversary):
+    """In round 2 each faulty slot sends the same two echoes on every link,
+    point-to-point (marked by id 99)."""
+
+    def send(self, round_no, correct_outboxes):
+        if round_no != 2:
+            return {}
+        n = self.ctx.n
+        echoes = [EchoMessage(1), EchoMessage(99)]
+        return {
+            index: {link: list(echoes) for link in range(1, n + 1)}
+            for index in self.ctx.byzantine
+        }
+
+
+def test_equal_multi_id_broadcasts_share_one_tuple():
+    result = run_protocol(
+        _EchoSets, n=7, t=2, ids=standard_ids(7), byzantine=[5, 6],
+        adversary=_PerLinkEchoSets(), seed=3, engine="batched",
+    )
+    receivers = list(result.processes.values())
+    second = [m for p in receivers for m in p.inboxes[2].values()]
+    correct = [m for m in second if m[1].id != 99]
+    byzantine = [m for m in second if m[1].id == 99]
+    # Five correct senders, two distinct echo sets: two tuple objects.
+    assert len(correct) == 5 * len(receivers)
+    assert len({id(m) for m in correct}) == 2
+    # Byzantine traffic is per link: one tuple per (slot, recipient).
+    assert len(byzantine) == 2 * len(receivers)
+    assert len({id(m) for m in byzantine}) == len(byzantine)
+    # Equal single-message broadcasts share their message, not their tuple.
+    first = [m for p in receivers for m in p.inboxes[1].values()]
+    assert len({id(m) for m in first}) == 5
+    assert len({id(m[0]) for m in first}) == 1
 
 
 def test_observe_send_counters_identical_across_engines():

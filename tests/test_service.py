@@ -382,6 +382,40 @@ class TestDrain:
 
         asyncio.run(main())
 
+    def test_drain_finishes_busy_rejects_still_closing(self, caplog, monkeypatch):
+        """A connection turned away as busy holds no session slot; the drain
+        must still wait for it, or the loop's shutdown cancels it inside
+        ``_close`` and asyncio logs ``Exception in callback`` with a
+        CancelledError traceback."""
+        close = RenamingService._close
+
+        async def slow_close(self, writer):
+            await asyncio.sleep(0.3)
+            await close(self, writer)
+
+        monkeypatch.setattr(RenamingService, "_close", slow_close)
+
+        async def main():
+            svc = RenamingService(
+                install_signal_handlers=False, max_sessions=1, drain_grace_s=5.0
+            )
+            await svc.start()
+            runner = asyncio.create_task(svc.serve_forever())
+            reader, writer = await connect(svc)
+            await expect(reader, SessionWelcomeMessage)
+            late_reader, late_writer = await connect(svc)
+            await expect(late_reader, ServerBusyMessage)
+            svc.initiate_drain()
+            writer.close()  # the one session ends; the reject is still closing
+            code = await asyncio.wait_for(runner, timeout=5.0)
+            late_writer.close()
+            return code, svc.stats.busy
+
+        with caplog.at_level("ERROR", logger="asyncio"):
+            assert asyncio.run(main()) == (0, 1)
+        records = [r for r in caplog.records if r.name == "asyncio"]
+        assert not records, [r.getMessage() for r in records]
+
     def test_exit_code_precedence(self):
         svc = RenamingService(install_signal_handlers=False)
         assert svc.exit_code() == 0

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.core.messages import EchoMessage, IdMessage
-from repro.sim import BROADCAST, Process, ProcessContext, iter_inbox, ordered_links
+from repro.sim import BROADCAST, Process, ProcessContext, group_links, ordered_links
 
 
 class Trivial(Process):
@@ -74,18 +74,28 @@ class TestOrderedLinks:
         assert ordered_links({7: ()}) == [7]
 
 
-class TestIterInbox:
-    def test_link_order_and_flattening(self):
+class TestGroupLinks:
+    def test_link_order_and_grouping(self):
+        shared = (IdMessage(10), EchoMessage(11))
         inbox = {
             3: (IdMessage(30),),
-            1: (IdMessage(10), EchoMessage(11)),
+            4: shared,
+            1: shared,
+            2: (IdMessage(10), EchoMessage(11)),  # equal, a distinct object
         }
-        flattened = list(iter_inbox(inbox))
-        assert flattened == [
-            (1, IdMessage(10)),
-            (1, EchoMessage(11)),
-            (3, IdMessage(30)),
+        groups = group_links(inbox)
+        assert [(got, links) for got, links in groups] == [
+            (shared, [1, 4]),
+            (shared, [2]),
+            (inbox[3], [3]),
         ]
+        assert groups[0][0] is shared and groups[1][0] is inbox[2]
+
+    def test_pick_names_the_object_or_skips_the_link(self):
+        echo = EchoMessage(11)
+        inbox = {2: (IdMessage(20), echo), 1: (echo,), 3: (IdMessage(30),)}
+        groups = group_links(inbox, lambda link, got: got[-1] if link < 3 else None)
+        assert groups == [(echo, [1, 2])]
 
     def test_empty(self):
-        assert list(iter_inbox({})) == []
+        assert group_links({}) == []
