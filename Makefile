@@ -72,13 +72,15 @@ perf-smoke:
 	done
 
 ## Beyond-model fault-injection campaign on both engines via the chaos
-## CLI, serially in-process (--workers 1) and on the process pool
-## (--workers 2). Exit 0 means the campaign is healthy (every injection
-## classified, no quarantined cells, no silent successes) — individual
-## detections and property violations are findings, not failures. A
-## campaign that hangs, drops a run, or lets an injected fault pass
-## unverified fails here, and so does any difference between the two
-## runs' canonical triage reports (wall-clock and pool size scrubbed).
+## CLI, serially in-process (--workers 1), on the process pool
+## (--workers 2) and on the result store (--workers 1 --journal DIR, so
+## every verdict goes through the stored record's encode and decode).
+## Exit 0 means the campaign is healthy (every injection classified, no
+## quarantined cells, no silent successes) — individual detections and
+## property violations are findings, not failures. A campaign that hangs,
+## drops a run, or lets an injected fault pass unverified fails here, and
+## so does any difference between the pool's or the store's canonical
+## triage report and the serial one (wall-clock and pool size scrubbed).
 CHAOS_SMOKE_DIR := .chaos-smoke
 CHAOS_SMOKE_GRID := --algorithms alg1 alg4 --sizes 7:2 11:2 --seeds 0 1 \
 	--chaos-seeds 0 1 --engines batched reference --preset smoke
@@ -89,32 +91,47 @@ chaos-smoke:
 		--timeout 120 --json $(CHAOS_SMOKE_DIR)/serial.json
 	$(PYTHON) -m repro.cli chaos $(CHAOS_SMOKE_GRID) --workers 2 \
 		--timeout 120 --json $(CHAOS_SMOKE_DIR)/pool.json
+	$(PYTHON) -m repro.cli chaos $(CHAOS_SMOKE_GRID) --workers 1 \
+		--timeout 120 --journal $(CHAOS_SMOKE_DIR)/runs --run-id smoke \
+		--json $(CHAOS_SMOKE_DIR)/journal.json
 	$(PYTHON) -c 'import json, sys; \
 		from repro.analysis.envelope import canonical_json; \
-		a, b = (canonical_json(json.load(open(p))) for p in sys.argv[1:]); \
-		sys.exit(a != b)' \
-		$(CHAOS_SMOKE_DIR)/serial.json $(CHAOS_SMOKE_DIR)/pool.json
+		a, *rest = (canonical_json(json.load(open(p))) for p in sys.argv[1:]); \
+		sys.exit(any(a != b for b in rest))' \
+		$(CHAOS_SMOKE_DIR)/serial.json $(CHAOS_SMOKE_DIR)/pool.json \
+		$(CHAOS_SMOKE_DIR)/journal.json
 	rm -rf $(CHAOS_SMOKE_DIR)
 
 ## Durability smoke: SIGKILL a --journal ~50-cell campaign mid-flight
 ## (deterministically, right after the 20th finished cell becomes durable
 ## in its result store), resume it on two spawned workers, and assert via
-## the store's own event log that not one finished cell was re-executed.
-## The kill step runs --workers 1 so the crash hook fires in the process
-## that owns the run (spawned workers would each die and be respawned).
-## It exits 137 by design (the leading '-' ignores it); the resume and
-## the doctor assertion gate.
+## the store's own event log that not one finished cell was re-executed,
+## and that the resumed triage report is canonically identical to an
+## uninterrupted --workers 1 control run of the same grid (restored and
+## freshly run cells decode alike). The kill step runs --workers 1 so the
+## crash hook fires in the process that owns the run (spawned workers
+## would each die and be respawned). It exits 137 by design (the leading
+## '-' ignores it); the resume, the doctor assertion and the report
+## comparison gate.
 RESUME_SMOKE_DIR := .resume-smoke
+RESUME_SMOKE_GRID := --algorithms alg1 --sizes 7:2 \
+	--seeds 0 1 2 3 4 5 6 7 8 9 --chaos-seeds 0 1 --drop 0.05 0.1
 resume-smoke:
 	rm -rf $(RESUME_SMOKE_DIR)
 	-REPRO_STORE_CRASH_AFTER=finish:20 $(PYTHON) -m repro.cli chaos \
-		--algorithms alg1 --sizes 7:2 --seeds 0 1 2 3 4 5 6 7 8 9 \
-		--chaos-seeds 0 1 --drop 0.05 0.1 --workers 1 --timeout 120 \
+		$(RESUME_SMOKE_GRID) --workers 1 --timeout 120 \
 		--journal $(RESUME_SMOKE_DIR) --run-id smoke
 	$(PYTHON) -m repro.cli runs resume smoke --runs-dir $(RESUME_SMOKE_DIR) \
-		--workers 2
+		--workers 2 --json $(RESUME_SMOKE_DIR)/resumed.json
 	$(PYTHON) -m repro.cli runs doctor smoke --runs-dir $(RESUME_SMOKE_DIR) \
 		--assert-no-reexecution
+	$(PYTHON) -m repro.cli chaos $(RESUME_SMOKE_GRID) --workers 1 \
+		--timeout 120 --json $(RESUME_SMOKE_DIR)/control.json
+	$(PYTHON) -c 'import json, sys; \
+		from repro.analysis.envelope import canonical_json; \
+		a, b = (canonical_json(json.load(open(p))) for p in sys.argv[1:]); \
+		sys.exit(a != b)' \
+		$(RESUME_SMOKE_DIR)/resumed.json $(RESUME_SMOKE_DIR)/control.json
 	rm -rf $(RESUME_SMOKE_DIR)
 
 ## Fabric smoke: the full distributed arrangement on one host — a

@@ -6,14 +6,15 @@ numbers are environment-bound and get checked in to
 ``benchmarks/results/store_throughput.txt`` as *expectations*, the way the
 E10 engine-scaling capture is.
 
-Three measurements, on synthetic no-op cells so the store is the only
-thing timed:
+Three measurements, on synthetic no-op sweep cells so the store is the
+only thing timed:
 
 * **claim cycles/s** — full lease lifecycles (claim → finish) through the
   directory store at 10k cells: the fabric's scheduling overhead ceiling. Cells
   that cost less than ``1/rate`` seconds should not go on that store.
 * **streamed rows/s** — coordinator-side decode of an already-complete
-  10k-cell store: the read path a resume or a report regeneration pays.
+  10k-cell store into cell records: the read path a resume or a report
+  regeneration pays.
 * **bounded memory** — a 50k-cell store streamed through a running
   aggregation while sampling RSS: the peak growth over baseline must stay
   flat (O(1) rows held), not proportional to the row count.
@@ -32,33 +33,45 @@ sys.path.insert(
     0, str(Path(__file__).resolve().parent.parent / "src")
 )
 
-from repro.analysis.coordinator import Coordinator  # noqa: E402
-from repro.analysis.store import LocalDirStore  # noqa: E402
+from repro.analysis import executor  # noqa: E402
 from repro.analysis.budget import rss_mb_of  # noqa: E402
-from repro.analysis.worker import RUNNERS, CellRunner  # noqa: E402
+from repro.analysis.coordinator import Coordinator  # noqa: E402
+from repro.analysis.executor import ExperimentSummary, RunTask  # noqa: E402
+from repro.analysis.properties import PropertyReport  # noqa: E402
+from repro.analysis.store import LocalDirStore  # noqa: E402
 
-#: Synthetic no-op run kind: decode/execute/encode are identity-shaped, so
-#: every measured second is store time, not simulation time.
-RUNNERS.setdefault(
-    "synthetic",
-    CellRunner(
-        kind="synthetic",
-        decode=lambda payload: payload,
-        execute=lambda task: {"cell": task["cell"], "value": task["cell"] * 3},
-        encode=lambda result, attempts: result,
-        failure=lambda task, kind, detail, attempts: {"failed": True,
-                                                      "detail": detail},
-        failure_state="failed",
-        decode_row=lambda task, payload: payload,
-    ),
-)
+
+def synthetic_row(task: RunTask) -> ExperimentSummary:
+    """A no-op cell's record: ``rounds`` is three times the cell's seed,
+    so every measured second is store time, not simulation time."""
+    return ExperimentSummary(
+        algorithm=task.algorithm, n=task.n, t=task.t, attack=task.attack,
+        seed=task.seed, workload=task.workload, rounds=task.seed * 3,
+        correct_messages=0, correct_bits=0, peak_message_bits=0,
+        byzantine=(), report=PropertyReport(names={}, namespace=0),
+    )
+
+
+#: Any worker that runs one of these cells runs the no-op, not a simulation.
+executor.execute_task = synthetic_row
+
+
+def grid(cells: int) -> list:
+    return [
+        RunTask("synthetic", 4, 1, "silent", seed).to_dict()
+        for seed in range(cells)
+    ]
+
+
+def finished_payload(cell: dict) -> dict:
+    return synthetic_row(RunTask.from_dict(cell)).to_dict()
 
 
 def seeded(root: Path, cells: int) -> LocalDirStore:
     store = LocalDirStore(root / "store")
     store.seed(
-        kind="synthetic", run_id="bench-dir", fingerprint="bench",
-        cells=[{"cell": i} for i in range(cells)],
+        kind="sweep", run_id="bench-dir", fingerprint="bench",
+        cells=grid(cells),
     )
     return store
 
@@ -67,13 +80,13 @@ def bench_claim_cycles(cells: int) -> float:
     """Full claim→finish lifecycles per second."""
     with tempfile.TemporaryDirectory() as tmp:
         store = seeded(Path(tmp), cells)
+        payloads = [finished_payload(cell) for cell in grid(cells)]
         start = time.perf_counter()
         while True:
             claim = store.claim("bench")
             if claim is None:
                 break
-            store.finish(claim, {"cell": claim.cell,
-                                 "value": claim.cell * 3})
+            store.finish(claim, payloads[claim.cell])
         elapsed = time.perf_counter() - start
         assert store.complete
         return cells / elapsed
@@ -85,15 +98,12 @@ def bench_stream_rows(cells: int) -> float:
         store = seeded(Path(tmp), cells)
         for index in range(cells):
             store.write_terminal(
-                index, "finished", {"cell": index, "value": index * 3}
+                index, "finished", finished_payload(store.task(index))
             )
         coordinator = Coordinator(store)
-        grid = [{"cell": i} for i in range(cells)]
         start = time.perf_counter()
         count = 0
-        for _ in coordinator.stream(
-            "synthetic", grid, fingerprint="bench"
-        ):
+        for _ in coordinator.stream("sweep", grid(cells), fingerprint="bench"):
             count += 1
         elapsed = time.perf_counter() - start
         assert count == cells
@@ -110,18 +120,18 @@ def bench_bounded_memory(cells: int):
         store = seeded(Path(tmp), cells)
         for index in range(cells):
             store.write_terminal(
-                index, "finished", {"cell": index, "value": index * 3}
+                index, "finished", finished_payload(store.task(index))
             )
         coordinator = Coordinator(store)
-        grid = [{"cell": i} for i in range(cells)]
+        cell_list = grid(cells)
         baseline = rss_mb_of(os.getpid()) or 0.0
         peak = baseline
         total = 0
         count = 0
         for row in coordinator.stream(
-            "synthetic", grid, fingerprint="bench"
+            "sweep", cell_list, fingerprint="bench"
         ):
-            total += row["value"]
+            total += row.rounds
             count += 1
             if count % 5000 == 0:
                 peak = max(peak, rss_mb_of(os.getpid()) or 0.0)

@@ -13,7 +13,7 @@ Two recurring shapes:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from ..sim.faults import Adversary
 from ..sim.messages import Message
@@ -37,11 +37,6 @@ def per_link_outbox(content_by_peer: Mapping[int, Sequence[Message]], *, sender:
             link = topology.label_of(sender, peer)
         outbox.setdefault(link, []).extend(messages)
     return outbox
-
-
-def uniform_outbox(messages: Iterable[Message]) -> Outbox:
-    """An outbox broadcasting the same ``messages`` on every link."""
-    return {BROADCAST: list(messages)}
 
 
 class ProtocolDrivenAdversary(Adversary):

@@ -7,7 +7,6 @@
 * :class:`EIGBroadcast` — single-source EIG subtree; N of them behind a
   :class:`~repro.sim.compose.Multiplexer` form the consensus-renaming
   baseline.
-* :class:`PhaseKingConsensus` — polynomial-message consensus (``N > 4t``).
 * :func:`make_identified_factory` — bridge for the identified-model
   protocols.
 """
@@ -15,16 +14,12 @@
 from .approximate import ApproximateAgreement, ValueMessage, initial_values_factory
 from .eig import DEFAULT_VALUE, EIGBroadcast, EIGInteractiveConsistency, RelayMessage
 from .identity import make_identified_factory
-from .phase_king import KingMessage, PhaseKingConsensus, PhaseValueMessage
 
 __all__ = [
     "ApproximateAgreement",
     "DEFAULT_VALUE",
     "EIGBroadcast",
     "EIGInteractiveConsistency",
-    "KingMessage",
-    "PhaseKingConsensus",
-    "PhaseValueMessage",
     "RelayMessage",
     "ValueMessage",
     "initial_values_factory",

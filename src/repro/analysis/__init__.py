@@ -14,7 +14,7 @@ from .campaign import (
     chaos_grid,
     execute_chaos_task,
 )
-from .charts import bar_chart, decay_ratio, log_curve, step_curve
+from .charts import bar_chart, log_curve, step_curve
 from .coordinator import Coordinator, CoordinatorStats
 from .executor import (
     ExperimentSummary,
@@ -87,7 +87,6 @@ __all__ = [
     "open_store",
     "store_doctor",
     "contraction_factors",
-    "decay_ratio",
     "dump_run",
     "export_csv",
     "format_table",

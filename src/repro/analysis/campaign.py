@@ -13,16 +13,22 @@ one-command reproducer. Nothing is dropped, nothing hangs the campaign.
   cell and :func:`reproducer` emits the exact ``repro-renaming chaos``
   command line that re-executes it.
 * :func:`execute_chaos_task` — the worker entry point: the verdict
-  classifier around :func:`~repro.analysis.executor.execute_task`. Typed
-  simulator errors (:class:`~repro.sim.errors.SimulationError`, including
+  classifier around :func:`~repro.analysis.executor.execute_task`. It
+  returns the cell's record, the sweep's
+  :class:`~repro.analysis.executor.ExperimentSummary`, with its verdict
+  fields set. Typed simulator errors
+  (:class:`~repro.sim.errors.SimulationError`, including
   :class:`~repro.sim.errors.SafetyViolation` from the runtime monitor, and
   :class:`~repro.wire.WireError`) are *outcomes*, not crashes.
 * :class:`ChaosCampaign` — the grid through the cell loop it shares with
   sweeps (:func:`repro.analysis.worker.run_cells`): retry of transient
   failures, a per-window timeout that quarantines hung cells, pool rebuild
   after a dead worker, and quarantine of configurations that crash the
-  worker itself — in-process, pooled, or durable on a result store.
-* :class:`TriageReport` — the campaign verdict: per-status counts, the
+  worker itself — in-process, pooled, or durable on a result store. The
+  records, stored payloads and failure rows are the sweep's; only the
+  run kind ``chaos`` differs.
+* :class:`TriageReport` — the campaign verdict over
+  :class:`ChaosOutcome` ``(task, record)`` pairs: per-status counts, the
   quarantine list, and the self-check :meth:`TriageReport.silent_successes`
   (must be empty: injected violations without a verdict are a harness bug).
 
@@ -51,8 +57,8 @@ Outcome statuses:
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..sim import (
     DEFAULT_ENGINE,
@@ -63,7 +69,13 @@ from ..sim import (
 )
 from ..wire import WireError
 from .budget import CellBudget
-from .executor import RunTask, execute_task, resolve_workers
+from .executor import (
+    ExperimentSummary,
+    RunTask,
+    execute_task,
+    failure,
+    resolve_workers,
+)
 from .envelope import canonical_json, config_fingerprint
 from .tables import format_table
 
@@ -122,101 +134,54 @@ def reproducer(task: RunTask) -> str:
     return " ".join(parts)
 
 
-@dataclass
-class ChaosOutcome:
-    """The classified verdict of one campaign cell."""
+class ChaosOutcome(NamedTuple):
+    """One campaign cell read as a verdict: the cell and its record (whose
+    ``status``, ``violated`` and ``retries`` are the verdict)."""
 
     task: RunTask
-    status: str
-    elapsed_s: float = 0.0
-    #: ``"ExceptionType: message"`` for detected/timeout/crashed outcomes.
-    error: Optional[str] = None
-    #: Broken properties (``violation``) or the monitor's violated tag
-    #: (``detected`` via :class:`~repro.sim.errors.SafetyViolation`).
-    violated: Tuple[str, ...] = ()
-    #: Injected-fault counters actually observed (empty when the run aborted
-    #: before its chaos report could be collected).
-    injected: Dict[str, int] = field(default_factory=dict)
-    retries: int = 0
-
-    @property
-    def quarantined(self) -> bool:
-        """True for outcomes that need a reproducer-first look (the campaign
-        could not produce a verdict from inside the run)."""
-        return self.status in ("timeout", "crashed")
+    record: ExperimentSummary
 
     def as_dict(self) -> dict:
+        record = self.record
         return {
             "task": describe(self.task),
-            "status": self.status,
-            "elapsed_s": self.elapsed_s,
-            "error": self.error,
-            "violated": list(self.violated),
-            "injected": dict(self.injected),
-            "retries": self.retries,
-            "reproducer": reproducer(self.task) if self.quarantined else None,
+            "status": record.status,
+            "elapsed_s": record.elapsed_s,
+            "error": record.error,
+            "violated": list(record.violated),
+            "injected": dict(record.report.injected),
+            "retries": record.retries,
+            "reproducer": reproducer(self.task) if record.quarantined else None,
         }
 
-    def verdict_dict(self) -> dict:
-        """The task-free verdict payload result stores keep (the task is
-        reconstructed from the store's task list by cell index)."""
-        return {
-            "status": self.status,
-            "elapsed_s": self.elapsed_s,
-            "error": self.error,
-            "violated": list(self.violated),
-            "injected": dict(self.injected),
-            "retries": self.retries,
-        }
 
-    @classmethod
-    def from_verdict(cls, task: RunTask, payload: dict) -> "ChaosOutcome":
-        """Inverse of :meth:`verdict_dict` given the cell's task."""
-        return cls(
-            task=task,
-            status=payload["status"],
-            elapsed_s=payload.get("elapsed_s", 0.0),
-            error=payload.get("error"),
-            violated=tuple(payload.get("violated", ())),
-            injected=dict(payload.get("injected", {})),
-            retries=payload.get("retries", 0),
-        )
-
-
-def execute_chaos_task(task: RunTask) -> ChaosOutcome:
+def execute_chaos_task(task: RunTask) -> ExperimentSummary:
     """Run one cell and classify it (the worker entry point).
 
     Typed errors are verdicts: a :class:`~repro.sim.errors.SafetyViolation`
     or any other :class:`~repro.sim.errors.SimulationError` (round limit,
     configuration guard, protocol violation) or
     :class:`~repro.wire.WireError` means the harness *detected* the injected
-    fault and failed loudly. Anything else escaping this function is a
-    worker crash, which the campaign retries and then quarantines.
+    fault and failed loudly; its record is a :func:`failure` row with status
+    ``detected``. Anything else escaping this function is a worker crash,
+    which the campaign retries and then quarantines.
     """
     start = time.perf_counter()
     try:
-        report = execute_task(task).report
+        record = execute_task(task)
     except (SimulationError, WireError) as exc:
-        return ChaosOutcome(
-            task=task,
-            status="detected",
-            elapsed_s=time.perf_counter() - start,
-            error=f"{type(exc).__name__}: {exc}",
-            violated=(
-                (exc.violated,) if isinstance(exc, SafetyViolation) else ()
-            ),
-        )
+        record = failure(task, "detected", f"{type(exc).__name__}: {exc}")
+        record.elapsed_s = time.perf_counter() - start
+        if isinstance(exc, SafetyViolation):
+            record.violated = (exc.violated,)
+        return record
+    report = record.report
     if report.ok:
-        status = "tolerated" if report.beyond_model else "clean"
+        record.status = "tolerated" if report.beyond_model else "clean"
     else:
-        status = "violation"
-    return ChaosOutcome(
-        task=task,
-        status=status,
-        elapsed_s=time.perf_counter() - start,
-        violated=report.broken,
-        injected=dict(report.injected),
-    )
+        record.status = "violation"
+    record.violated = report.broken
+    return record
 
 
 @dataclass
@@ -230,13 +195,13 @@ class TriageReport:
 
     def counts(self) -> Dict[str, int]:
         out = {status: 0 for status in STATUSES}
-        for outcome in self.outcomes:
-            out[outcome.status] = out.get(outcome.status, 0) + 1
+        for _, record in self.outcomes:
+            out[record.status] = out.get(record.status, 0) + 1
         return out
 
     @property
     def quarantined(self) -> List[ChaosOutcome]:
-        return [o for o in self.outcomes if o.quarantined]
+        return [o for o in self.outcomes if o.record.quarantined]
 
     def silent_successes(self) -> List[ChaosOutcome]:
         """Harness self-check — MUST return ``[]``.
@@ -249,26 +214,19 @@ class TriageReport:
         in the chaos harness itself, not in the algorithm under test.
         """
         return [
-            o for o in self.outcomes if o.status == "clean" and o.injected
+            o for o in self.outcomes
+            if o.record.status == "clean" and o.record.report.injected
         ]
 
     def render(self) -> str:
         """Human triage table plus quarantine reproducers."""
         rows = []
-        for outcome in self.outcomes:
-            detail = outcome.error or (
-                ", ".join(outcome.violated) if outcome.violated else ""
-            )
-            injected = (
-                " ".join(f"{k}x{v}" for k, v in sorted(outcome.injected.items()))
-                or "-"
-            )
-            rows.append([
-                describe(outcome.task),
-                outcome.status,
-                injected,
-                detail[:60],
-            ])
+        for task, record in self.outcomes:
+            detail = record.error or ", ".join(record.violated)
+            injected = " ".join(
+                f"{k}x{v}" for k, v in sorted(record.report.injected.items())
+            ) or "-"
+            rows.append([describe(task), record.status, injected, detail[:60]])
         lines = [format_table(["cell", "status", "injected", "detail"], rows)]
         counts = ", ".join(
             f"{status}={count}" for status, count in self.counts().items() if count
@@ -285,9 +243,9 @@ class TriageReport:
             )
         if self.quarantined:
             lines.append("\nquarantined (reproduce with):")
-            for outcome in self.quarantined:
-                lines.append(f"  [{outcome.status}] {outcome.error}")
-                lines.append(f"    {reproducer(outcome.task)}")
+            for task, record in self.quarantined:
+                lines.append(f"  [{record.status}] {record.error}")
+                lines.append(f"    {reproducer(task)}")
         return "\n".join(lines)
 
     def to_json(self) -> dict:
@@ -335,9 +293,10 @@ class ChaosCampaign:
       terminated) and the campaign continues — a hang costs one timeout
       window, never the campaign.
 
-    ``task_runner`` is injectable for tests (it must be picklable for
-    ``workers > 1``); a store-backed run executes it in its in-process
-    worker's budget-isolated children.
+    Every cell runs :func:`execute_chaos_task`, looked up on this module
+    per call (:func:`~repro.analysis.worker.run_kind`): a test that patches
+    the module attribute reaches every mode, since pool workers and budget
+    children are forked after the patch.
     """
 
     def __init__(
@@ -345,14 +304,12 @@ class ChaosCampaign:
         workers: Optional[int] = None,
         timeout_s: float = 120.0,
         retries: int = 1,
-        task_runner: Callable[[RunTask], ChaosOutcome] = execute_chaos_task,
     ) -> None:
         self.workers = resolve_workers(workers)
         if timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {timeout_s}")
         self.timeout_s = timeout_s
         self.retries = retries
-        self.task_runner = task_runner
 
     def run(
         self,
@@ -379,14 +336,15 @@ class ChaosCampaign:
         ``crashed``, with the precise reason kept in the store's terminal
         record.
         """
-        from .worker import RUNNERS, run_cells  # worker imports this module
+        from .worker import run_cells  # worker imports this module
 
         start = time.perf_counter()
+        tasks = list(tasks)
         if budget is None:
             budget = CellBudget(wall_s=self.timeout_s)
-        outcomes, stats = run_cells(
-            replace(RUNNERS["chaos"], execute=self.task_runner),
-            list(tasks),
+        records, stats = run_cells(
+            "chaos",
+            tasks,
             workers=self.workers,
             retries=self.retries,
             timeout_s=self.timeout_s,
@@ -397,7 +355,7 @@ class ChaosCampaign:
             config={"timeout_s": self.timeout_s, "budget": asdict(budget)},
         )
         return TriageReport(
-            outcomes=outcomes,
+            outcomes=[ChaosOutcome(*cell) for cell in zip(tasks, records)],
             elapsed_s=time.perf_counter() - start,
             retried=stats.retried,
             workers=self.workers,

@@ -11,7 +11,7 @@ dependency.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 Number = Union[int, float]
 
@@ -107,13 +107,3 @@ def step_curve(
         lines.append(f"{str(key):>{label_width}} |{''.join(row)}| {float(value):g}")
     return "\n".join(lines)
 
-
-def decay_ratio(series: Sequence[Number]) -> Sequence[float]:
-    """Per-step contraction ratios of a decreasing series (for assertions)."""
-    ratios = []
-    for previous, current in zip(series, series[1:]):
-        if current == 0:
-            ratios.append(math.inf)
-        else:
-            ratios.append(float(previous) / float(current))
-    return ratios

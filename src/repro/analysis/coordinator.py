@@ -10,8 +10,8 @@ whenever a store is given. Execution comes from
 arrangements:
 
 * ``workers=1`` (default): one in-process worker runs the store dry before
-  streaming, with the caller's :class:`~repro.analysis.worker.CellRunner`
-  and the same retry as the non-store paths — no subprocesses.
+  streaming, with the same retry as the non-store paths — no
+  subprocesses.
 * ``workers=N``: the coordinator spawns ``N`` ``repro-renaming worker``
   subprocesses against the store and streams while they execute, respawning
   any that die before the store is complete.
@@ -32,11 +32,13 @@ finished so far is durable in the store, and re-seeding it resumes. A
 second signal gets the default behaviour back (abort without draining).
 
 :meth:`Coordinator.stream` is a generator and holds **O(1)** row state: one
-decoded row is yielded at a time and nothing is retained, so aggregating a
-50k-cell sweep needs memory for the cell *list*, not the result set.
-:meth:`Coordinator.run` is the convenience wrapper that collects the rows
-into the ordered row list :func:`~repro.analysis.worker.run_cells`
-returns.
+cell record (:class:`~repro.analysis.executor.ExperimentSummary`, decoded
+by :func:`~repro.analysis.worker.stored_record`) is yielded at a time and
+nothing is retained, so aggregating a 50k-cell sweep needs memory for the
+cell *list*, not the result set. :meth:`Coordinator.run` is the
+convenience wrapper that collects the records into the ordered list
+:func:`~repro.analysis.worker.run_cells` returns. The run kind is read by
+:func:`~repro.analysis.worker.run_kind` alone.
 """
 
 from __future__ import annotations
@@ -48,13 +50,18 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Iterator, List, Optional, Set, Union
+from typing import Iterator, List, Optional, Set
 
-from ..sim.errors import RunInterrupted, StoreError
+from ..sim.errors import RunInterrupted
 from .budget import CellBudget
-from .executor import ResultCache, logger
+from .executor import ExperimentSummary, ResultCache, RunTask, logger
 from .store import DEFAULT_LEASE_S, LocalDirStore, open_store
-from .worker import RUNNERS, CellRunner, CoordinatorStats, Worker
+from .worker import (
+    CoordinatorStats,
+    Worker,
+    check_store,
+    stored_record,
+)
 
 __all__ = ["Coordinator", "CoordinatorStats"]
 
@@ -106,11 +113,11 @@ class Coordinator:
     # ------------------------------------------------------------------ API
 
     def run(
-        self, kind: Union[str, CellRunner], cells: List[dict], *,
+        self, kind: str, cells: List[dict], *,
         fingerprint: str,
         run_id: str = "fabric", config: Optional[dict] = None,
-    ) -> list:
-        """Drain the whole grid and return the ordered row list."""
+    ) -> List[ExperimentSummary]:
+        """Drain the whole grid and return the ordered record list."""
         return list(
             self.stream(
                 kind, cells, fingerprint=fingerprint, run_id=run_id,
@@ -119,35 +126,28 @@ class Coordinator:
         )
 
     def stream(
-        self, kind: Union[str, CellRunner], cells: List[dict], *,
+        self, kind: str, cells: List[dict], *,
         fingerprint: str, run_id: str = "fabric",
         config: Optional[dict] = None,
-    ) -> Iterator[object]:
-        """Yield one decoded row per cell, in cell order, as results land.
+    ) -> Iterator[ExperimentSummary]:
+        """Yield one cell record per cell, in cell order, as results land.
 
-        ``kind`` is a registered run kind or a :class:`CellRunner` (whose
-        ``kind`` names the store header); the in-process worker executes
-        with that runner, spawned workers with the registered one.
+        ``kind`` (``sweep`` or ``chaos``) names the store header and, through
+        :func:`~repro.analysis.worker.run_kind`, what every worker runs.
 
-        Seeds the store (idempotent — re-running against a part-finished
-        store is a resume), prefills memoised sweep cells from the result
-        cache, arranges execution per the constructor's knobs, and then
+        Refuses a store this release cannot read
+        (:func:`~repro.analysis.worker.check_store`), seeds the store
+        (idempotent — re-running against a part-finished store is a
+        resume), prefills memoised cells from the result cache (only sweeps
+        pass one), arranges execution per the constructor's knobs, and then
         streams: each ``next()`` blocks until the next cell in order has a
         terminal record, polices the fabric while waiting, and yields the
-        decoded row without retaining it. Raises
+        decoded record without retaining it. Raises
         :class:`~repro.sim.errors.RunInterrupted` after a SIGINT/SIGTERM
         drain.
         """
         start = time.perf_counter()
-        if isinstance(kind, CellRunner):
-            runner = kind
-        elif kind in RUNNERS:
-            runner = RUNNERS[kind]
-        else:
-            raise StoreError(
-                f"unknown run kind {kind!r}; known: {sorted(RUNNERS)}"
-            )
-        kind = runner.kind
+        check_store(self.store, kind)
         self.stats = CoordinatorStats(cells=len(cells))
         self._event_cursor = None
         self.store.seed(
@@ -162,12 +162,11 @@ class Coordinator:
         self.stats.restored = len(restored)
 
         prefilled: Set[int] = set()
-        if self.cache is not None and kind == "sweep":
+        if self.cache is not None:
             for index in range(len(cells)):
                 if index in restored:
                     continue
-                task = runner.decode(cells[index])
-                summary = self.cache.load(task)
+                summary = self.cache.load(RunTask.from_dict(cells[index]))
                 if summary is not None and self.store.write_terminal(
                     index, "finished", summary.to_dict()
                 ):
@@ -192,7 +191,7 @@ class Coordinator:
                     run_hook=self.run_hook,
                 )
                 if self._interrupted is None:
-                    self._inline.pull(runner)
+                    self._inline.pull(kind)
             else:
                 procs = [
                     self._spawn_worker(run_id, i) for i in range(self.workers)
@@ -205,8 +204,8 @@ class Coordinator:
                     self._police(procs)
                     time.sleep(self.poll_s)
                     record = self.store.terminal(index)
-                yield self._decode_row(
-                    runner, index, record,
+                yield self._cell_record(
+                    kind, index, record,
                     restored=index in restored,
                     prefilled=index in prefilled,
                 )
@@ -308,16 +307,11 @@ class Coordinator:
                 )
                 self.stats.worker_restarts += 1
 
-    def _decode_row(
-        self, runner, index: int, record: dict, *, restored: bool,
+    def _cell_record(
+        self, kind: str, index: int, record: dict, *, restored: bool,
         prefilled: bool,
-    ):
-        task = runner.decode(self.store.task(index))
-        payload = record.get("payload")
-        if payload is None:  # the lease expired past max_attempts
-            reason = record.get("reason") or "lease expired"
-            payload = runner.failure(task, "crashed", f"LeaseLost: {reason}", 1)
-        row = runner.decode_row(task, payload)
+    ) -> ExperimentSummary:
+        row = stored_record(self.store, kind, index, record)
         if not restored:
             if record["state"] != "finished":
                 self.stats.failed += 1
@@ -325,16 +319,9 @@ class Coordinator:
                     "reason"
                 ) in ("wall-budget", "rss-budget"):
                     self.stats.budget_kills += 1
-            elif getattr(row, "failed", False):
-                self.stats.failed += 1
-            elif (
-                runner.kind == "sweep"
-                and self.cache is not None
-                and not prefilled
-            ):
-                self.cache.store(task, row)
-        if prefilled and hasattr(row, "cached"):
-            row.cached = True
+            elif self.cache is not None and not prefilled:
+                self.cache.store(RunTask.from_dict(self.store.task(index)), row)
+        row.cached = prefilled
         return row
 
     @staticmethod

@@ -15,10 +15,13 @@ owns the sweep side of that fan-out:
   coordinator/worker fabric. Results are keyed by configuration index,
   never by completion order, so tables and CSVs are byte-identical across
   all three.
-* :class:`ExperimentSummary` is the slim, picklable row that crosses the
-  process boundary. The full :class:`~repro.analysis.experiments.ExperimentRecord`
-  drags the entire :class:`~repro.sim.runner.RunResult` (live ``Process``
-  objects, bound RNGs, traces) and is neither cheap nor reliably picklable.
+* :class:`ExperimentSummary` is the one cell record — a sweep row, and
+  with its optional verdict fields a chaos cell's outcome — and the slim,
+  picklable row that crosses the process boundary; :func:`failure` builds
+  the record of every cell that produced no run. The full
+  :class:`~repro.analysis.experiments.ExperimentRecord` drags the entire
+  :class:`~repro.sim.runner.RunResult` (live ``Process`` objects, bound
+  RNGs, traces) and is neither cheap nor reliably picklable.
 * :class:`ResultCache` memoises summaries on disk, keyed by a stable hash of
   the configuration, so re-running a benchmark only executes configurations
   that changed.
@@ -38,7 +41,7 @@ import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (
     Callable,
@@ -67,6 +70,7 @@ __all__ = [
     "ResultCache",
     "RunTask",
     "SweepExecutor",
+    "failure",
     "parallel_map",
     "resolve_workers",
     "summarize_record",
@@ -191,10 +195,17 @@ class ExperimentSummary:
     ``None``). ``elapsed_s`` is the run's own wall-clock; ``cached`` marks
     summaries restored from a :class:`ResultCache` rather than executed.
 
-    ``failed=True`` marks a configuration whose worker raised even after a
-    retry; ``error`` then carries ``"ExceptionType: message"``. Failed
-    summaries are never cached and every property flag is False — a failure
-    can never read as a success.
+    ``failed=True`` marks a cell that produced no run (see :func:`failure`);
+    ``error`` then carries ``"ExceptionType: message"``. Failed summaries
+    are never cached and every property flag is False — a failure can never
+    read as a success.
+
+    A chaos campaign's cell keeps its verdict on the same record: ``status``
+    (one of :data:`~repro.analysis.campaign.STATUSES`; ``None`` for a sweep
+    cell), ``violated`` (the broken properties of a ``violation``, or the
+    monitor's tag of a ``detected`` run) and ``retries`` (failed attempts
+    before this record). They serialise only when ``status`` is set, so
+    sweep payloads, memo entries and CSVs keep their bytes.
     """
 
     algorithm: str
@@ -214,47 +225,15 @@ class ExperimentSummary:
     cached: bool = False
     failed: bool = False
     error: Optional[str] = None
+    status: Optional[str] = None
+    violated: Tuple[str, ...] = ()
+    retries: int = 0
 
-    @classmethod
-    def for_failure(
-        cls, task: "RunTask", error: Union[BaseException, str]
-    ) -> "ExperimentSummary":
-        """A loud placeholder row for a configuration whose run raised.
-
-        ``error`` is the exception itself, or the already-formatted
-        ``"ExceptionType: message"`` string when the failure crossed a
-        process boundary (budget-isolated cells report strings — the
-        exception object died with the child process).
-        """
-        if isinstance(error, str):
-            message = error
-        else:
-            message = f"{type(error).__name__}: {error}"
-        report = PropertyReport(
-            names={},
-            namespace=0,
-            validity=False,
-            termination=False,
-            uniqueness=False,
-            order_preservation=False,
-            violations=[f"failed: {message}"],
-        )
-        return cls(
-            algorithm=task.algorithm,
-            n=task.n,
-            t=task.t,
-            attack=task.attack,
-            seed=task.seed,
-            workload=task.workload,
-            rounds=0,
-            correct_messages=0,
-            correct_bits=0,
-            peak_message_bits=0,
-            byzantine=(),
-            report=report,
-            failed=True,
-            error=message,
-        )
+    @property
+    def quarantined(self) -> bool:
+        """A verdict the campaign could not reach from inside the run
+        (``timeout``/``crashed``): it needs a reproducer-first look."""
+        return self.status in ("timeout", "crashed")
 
     @property
     def max_name(self) -> int:
@@ -269,7 +248,7 @@ class ExperimentSummary:
     def to_dict(self) -> dict:
         """JSON-ready payload (cache schema)."""
         report = self.report
-        return {
+        payload = {
             "algorithm": self.algorithm,
             "n": self.n,
             "t": self.t,
@@ -298,12 +277,17 @@ class ExperimentSummary:
                 "model": report.model,
             },
         }
+        if self.status is not None:
+            payload["status"] = self.status
+            payload["violated"] = list(self.violated)
+            payload["retries"] = self.retries
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentSummary":
         """Inverse of :meth:`to_dict` (original-id keys back to ints)."""
         report = payload["report"]
-        return cls(
+        summary = cls(
             algorithm=payload["algorithm"],
             n=payload["n"],
             t=payload["t"],
@@ -332,6 +316,51 @@ class ExperimentSummary:
                 model=report.get("model"),
             ),
         )
+        if "status" in payload:
+            summary.status = payload["status"]
+            summary.violated = tuple(payload["violated"])
+            summary.retries = payload["retries"]
+        return summary
+
+
+def failure(
+    task: RunTask, status: Optional[str], detail: str, attempts: int = 1
+) -> ExperimentSummary:
+    """The record of a cell that produced no run — every failure row.
+
+    ``detail`` is ``"ExceptionType: message"``: a crash that outlived its
+    retries, a budget kill or a hung pool cell, an expired lease, or the
+    typed error a chaos cell's run raised (``status="detected"``).
+    ``status`` is the chaos verdict (``None`` for a sweep cell) and
+    ``attempts`` the attempts made, so ``retries`` is ``attempts - 1``.
+    """
+    report = PropertyReport(
+        names={},
+        namespace=0,
+        validity=False,
+        termination=False,
+        uniqueness=False,
+        order_preservation=False,
+        violations=[f"failed: {detail}"],
+    )
+    return ExperimentSummary(
+        algorithm=task.algorithm,
+        n=task.n,
+        t=task.t,
+        attack=task.attack,
+        seed=task.seed,
+        workload=task.workload,
+        rounds=0,
+        correct_messages=0,
+        correct_bits=0,
+        peak_message_bits=0,
+        byzantine=(),
+        report=report,
+        failed=True,
+        error=detail,
+        status=status,
+        retries=attempts - 1,
+    )
 
 
 def _settled_round(record: ExperimentRecord) -> Optional[int]:
@@ -545,29 +574,24 @@ class SweepExecutor:
 
         Cells go through :func:`~repro.analysis.worker.run_cells`: cache
         misses run in-process (``workers=1``) or in a process pool, a cell
-        that raises is retried once and then recorded as an
-        :meth:`ExperimentSummary.for_failure` row. ``store`` (a store URL
+        that raises is retried once and then recorded as a :func:`failure`
+        row. ``store`` (a store URL
         or :class:`~repro.analysis.store.LocalDirStore`) makes the sweep
         durable on the coordinator/worker fabric instead, optionally under
         a per-cell ``budget``: cells already terminal in the store are
         restored instead of executed (resume), and SIGINT/SIGTERM drains
         and raises :class:`~repro.sim.errors.RunInterrupted`.
         """
-        from .worker import RUNNERS, run_cells  # worker imports this module
+        from .worker import run_cells  # worker imports this module
 
         start = time.perf_counter()
         tasks = (
             list(config) if isinstance(config, (list, tuple))
             else self.tasks_for(config)
         )
-        # execute_task is looked up here, not frozen in the registry, so a
-        # patched module attribute (tests, tracing) is what runs.
-        runner = RUNNERS["sweep"]
-        if runner.execute is not execute_task:
-            runner = replace(runner, execute=execute_task)
         if store is not None:
             rows, self.stats = run_cells(
-                runner, tasks, workers=self.workers, run_hook=self.run_hook,
+                "sweep", tasks, workers=self.workers, run_hook=self.run_hook,
                 store=store, cache=self.cache, budget=budget,
                 coordinator_only=coordinator_only, run_id=run_id,
                 config={
@@ -582,7 +606,7 @@ class SweepExecutor:
             ]
             misses = [index for index, row in enumerate(rows) if row is None]
             executed, self.stats = run_cells(
-                runner, [tasks[index] for index in misses],
+                "sweep", [tasks[index] for index in misses],
                 workers=self.workers, run_hook=self.run_hook,
             )
             for index, row in zip(misses, executed):

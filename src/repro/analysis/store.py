@@ -475,6 +475,18 @@ class LocalDirStore:
                 pass
             return None
 
+    def terminal_cells(self) -> List[int]:
+        """The cells that have a terminal file, ascending — one directory
+        listing, however large the grid."""
+        try:
+            names = os.listdir(self._terminal)
+        except OSError:
+            return []
+        return sorted(
+            int(name[:-5]) for name in names
+            if name.endswith(".json") and name[:-5].isdigit()
+        )
+
     def _terminal_from_claim(
         self, claim: Claim, state: str, payload: Optional[dict],
         reason: Optional[str],

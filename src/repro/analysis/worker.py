@@ -1,13 +1,22 @@
 """Cell execution for every run kind and mode: one retry, one loop, one pull.
 
-Sweeps and chaos campaigns are both grids of independent cells; this
-module owns how a cell runs, whoever asked for it:
+Sweeps and chaos campaigns are both grids of independent
+:class:`~repro.analysis.executor.RunTask` cells, and every cell ends as one
+record, an :class:`~repro.analysis.executor.ExperimentSummary` (a chaos
+cell's carries its verdict). This module owns how a cell runs, whoever
+asked for it:
 
+* :func:`run_kind` — the one reader of a run's kind (``sweep`` or
+  ``chaos``, kept in store headers and fingerprints). It decides which
+  function runs an attempt, and whether a failed cell is a plain sweep row
+  or a chaos verdict quarantined with a reproducer.
 * :func:`attempt_cell` — **the** retry-once function. An untyped exception
   is retried once (``retries=1``); the second failure becomes a failure
   payload built from the *second* error's message. It returns the store
   payload in every mode, so in-process, pooled and store-backed runs
-  decode the same bytes into their rows.
+  decode the same bytes into their records. :func:`failed_cell` is every
+  failure verdict: an exhausted crash, a budget kill, a hung or dead pool
+  cell, an expired lease.
 * :func:`run_cells` — **the** cell loop behind ``SweepExecutor.run`` and
   ``ChaosCampaign.run``: in-process for ``workers=1`` (no store, no
   subprocess), one whole :func:`attempt_cell` per cell in a process pool
@@ -27,14 +36,15 @@ module owns how a cell runs, whoever asked for it:
   (:class:`~repro.sim.errors.LeaseLost`) — the first durable terminal
   record wins.
 
-The :data:`RUNNERS` registry holds one :class:`CellRunner` per run kind:
-how its cells execute and how results become store payloads and rows.
-Tests and benches may register additional kinds.
+:func:`stored_record` is the one decode of a terminal record, and
+:func:`check_store` refuses a store this release cannot read before any
+cell runs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import socket
 import threading
@@ -42,7 +52,6 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import (
-    Any,
     Callable,
     Dict,
     Iterator,
@@ -50,108 +59,54 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Tuple,
 )
 
 from ..sim.errors import LeaseLost, ResourceBudgetExceeded, StoreError
+from . import campaign, executor
 from .backoff import PollBackoff
 from .budget import CellBudget, IsolatedChildError, run_isolated
-from .campaign import ChaosOutcome, execute_chaos_task
 from .envelope import config_fingerprint
-from .executor import ExperimentSummary, RunTask, execute_task, logger
+from .executor import ExperimentSummary, RunTask, failure, logger
 from .store import Claim, DEFAULT_LEASE_S, LocalDirStore, open_store
 
 __all__ = [
-    "CellRunner",
     "CellVerdict",
     "CoordinatorStats",
     "PollBackoff",  # re-export: the class moved to repro.analysis.backoff
-    "RUNNERS",
     "Worker",
     "WorkerStats",
     "attempt_cell",
+    "check_store",
     "default_worker_id",
+    "failed_cell",
     "run_cells",
+    "run_kind",
+    "stored_record",
 ]
 
+#: One attempt of a cell.
+Execute = Callable[[RunTask], ExperimentSummary]
 
-@dataclass(frozen=True)
-class CellRunner:
-    """How one run kind's cells execute and (de)serialise.
 
-    ``encode`` turns the runner's result into the store payload, given the
-    number of *failed* attempts that preceded it (chaos outcomes record
-    that as ``retries``; sweeps ignore it). ``failure(task, kind, detail,
-    attempts)`` builds every failure payload: ``kind`` is ``"crashed"``
-    once the retry is exhausted (or the lease expired past
-    ``max_attempts``), ``"wall-budget"`` / ``"rss-budget"`` for a budget
-    kill or a hung pool cell. ``decode_row`` is the caller-facing row for
-    any payload.
+def run_kind(kind: str) -> Tuple[Execute, bool]:
+    """What a run ``kind`` decides, and the only place it is read.
 
-    The built-in runners hold module-level functions only, so a runner
-    pickles into process-pool workers.
+    Returns the function that runs one attempt, and whether the kind's
+    records carry a chaos verdict. A ``sweep`` cell runs
+    :func:`~repro.analysis.executor.execute_task` and a crash that outlives
+    its retries is stored ``failed``. A ``chaos`` cell runs
+    :func:`~repro.analysis.campaign.execute_chaos_task`, and its failures
+    are ``crashed``/``timeout`` verdicts, stored ``quarantined``. Both are
+    looked up on their modules per call, so a patched module attribute is
+    what runs (forked pool and budget children inherit the patch). Any
+    other kind is a :class:`~repro.sim.errors.StoreError`.
     """
-
-    kind: str
-    decode: Callable[[dict], Any]
-    execute: Callable[[Any], Any]
-    encode: Callable[[Any, int], dict]
-    failure: Callable[[Any, str, str, int], dict]
-    #: Terminal state for an exhausted crash retry ("failed" for sweeps —
-    #: a deterministic failure row — "quarantined" for chaos, whose
-    #: crashed cells are quarantined with a reproducer).
-    failure_state: str
-    decode_row: Callable[[Any, dict], Any]
-
-
-def _sweep_encode(summary: ExperimentSummary, attempts: int) -> dict:
-    return summary.to_dict()
-
-
-def _sweep_failure(
-    task: RunTask, kind: str, detail: str, attempts: int
-) -> dict:
-    return ExperimentSummary.for_failure(task, detail).to_dict()
-
-
-def _sweep_row(task: RunTask, payload: dict) -> ExperimentSummary:
-    return ExperimentSummary.from_dict(payload)
-
-
-def _chaos_encode(outcome: ChaosOutcome, attempts: int) -> dict:
-    outcome.retries = attempts
-    return outcome.verdict_dict()
-
-
-def _chaos_failure(
-    task: RunTask, kind: str, detail: str, attempts: int
-) -> dict:
-    status = "timeout" if kind == "wall-budget" else "crashed"
-    return ChaosOutcome(
-        task=task, status=status, error=detail, retries=attempts - 1
-    ).verdict_dict()
-
-
-#: Run-kind registry (header ``kind`` -> execution/serialisation bundle).
-RUNNERS: Dict[str, CellRunner] = {
-    "sweep": CellRunner(
-        kind="sweep",
-        decode=RunTask.from_dict,
-        execute=execute_task,
-        encode=_sweep_encode,
-        failure=_sweep_failure,
-        failure_state="failed",
-        decode_row=_sweep_row,
-    ),
-    "chaos": CellRunner(
-        kind="chaos",
-        decode=RunTask.from_dict,
-        execute=execute_chaos_task,
-        encode=_chaos_encode,
-        failure=_chaos_failure,
-        failure_state="quarantined",
-        decode_row=ChaosOutcome.from_verdict,
-    ),
-}
+    if kind == "sweep":
+        return executor.execute_task, False
+    if kind == "chaos":
+        return campaign.execute_chaos_task, True
+    raise StoreError(f"unknown run kind {kind!r}; known: chaos, sweep")
 
 
 # ------------------------------------------------------------ one cell
@@ -167,26 +122,53 @@ class CellVerdict(NamedTuple):
     retried: int
 
 
+def failed_cell(
+    kind: str, task: RunTask, reason: str, detail: str, attempts: int = 1
+) -> CellVerdict:
+    """Every failure verdict, from one :func:`~repro.analysis.executor.failure`
+    row.
+
+    ``reason`` is ``crashed`` (retries exhausted, a dead pool worker, an
+    expired lease) or a budget breach: ``wall-budget`` (also a pool cell
+    that hung through its window) or ``rss-budget``. A breach is always
+    quarantined. A chaos cell's failure is a verdict, ``timeout`` for a wall
+    breach and ``crashed`` otherwise, and is quarantined; a sweep crash is
+    stored ``failed``.
+    """
+    _, verdicts = run_kind(kind)
+    status = None
+    if verdicts:
+        status = "timeout" if reason == "wall-budget" else "crashed"
+    record = failure(task, status, detail, attempts)
+    if reason == "crashed" and not record.quarantined:
+        state = "failed"
+    else:
+        state = "quarantined"
+    return CellVerdict(state, record.to_dict(), reason, attempts - 1)
+
+
 def attempt_cell(
-    runner: CellRunner,
-    task: Any,
+    kind: str,
+    task: RunTask,
     retries: int = 1,
-    execute: Optional[Callable[[Any], Any]] = None,
+    execute: Optional[Execute] = None,
 ) -> CellVerdict:
     """Run one cell with retry-once semantics — the only retry loop.
 
-    ``execute`` (default ``runner.execute``) is one attempt; budget-isolated
-    workers pass an attempt that runs in a child process. An attempt that
-    raises is retried up to ``retries`` times; the last failure becomes
-    ``runner.failure`` built from *that* error's message. Lease loss and
-    budget breaches (:class:`~repro.sim.errors.ResourceBudgetExceeded`)
-    are not attempt failures and propagate.
+    ``execute`` (default: the kind's, see :func:`run_kind`) is one attempt;
+    budget-isolated workers pass an attempt that runs in a child process. An attempt that raises is retried up to
+    ``retries`` times; the last failure becomes :func:`failed_cell` built
+    from *that* error's message. A finished record's ``retries`` counts the
+    failed attempts before it. Lease loss and budget breaches
+    (:class:`~repro.sim.errors.ResourceBudgetExceeded`) are not attempt
+    failures and propagate.
     """
-    execute = runner.execute if execute is None else execute
+    if execute is None:
+        execute, _ = run_kind(kind)
     attempts = 0
     while True:
         try:
-            result = execute(task)
+            record = execute(task)
         except (LeaseLost, ResourceBudgetExceeded):
             raise
         except Exception as exc:  # noqa: BLE001 — retried, then recorded
@@ -198,22 +180,62 @@ def attempt_cell(
             if attempts <= retries:
                 logger.warning(
                     "%s cell %s crashed (%s); retrying (%d/%d)",
-                    runner.kind, task, detail, attempts, retries,
+                    kind, task, detail, attempts, retries,
                 )
                 continue
             logger.error(
                 "%s cell %s failed %d time(s) (%s); recording the failure",
-                runner.kind, task, attempts, detail,
+                kind, task, attempts, detail,
             )
-            return CellVerdict(
-                runner.failure_state,
-                runner.failure(task, "crashed", detail, attempts),
-                "crashed",
-                attempts - 1,
-            )
-        return CellVerdict(
-            "finished", runner.encode(result, attempts), None, attempts
-        )
+            return failed_cell(kind, task, "crashed", detail, attempts)
+        record.retries = attempts
+        return CellVerdict("finished", record.to_dict(), None, attempts)
+
+
+def stored_record(
+    store: LocalDirStore, kind: str, cell: int, record: dict
+) -> ExperimentSummary:
+    """Cell ``cell``'s terminal ``record`` as its cell record — the one
+    decode of a stored result.
+
+    A record without a payload (its lease expired past ``max_attempts``)
+    becomes a ``crashed`` :func:`failed_cell` row. A payload that does not
+    decode — say a chaos verdict stored before campaign cells shared the
+    sweep's record — is a :class:`~repro.sim.errors.StoreError` naming the
+    cell.
+    """
+    payload = record.get("payload")
+    if payload is None:
+        reason = record.get("reason") or "lease expired"
+        task = RunTask.from_dict(store.task(cell))
+        detail = f"LeaseLost: {reason}"
+        payload = failed_cell(kind, task, "crashed", detail).payload
+    try:
+        return ExperimentSummary.from_dict(payload)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise StoreError(
+            f"stored result of cell {cell} "
+            f"{json.dumps(store.task(cell), sort_keys=True)} does not decode "
+            f"({type(exc).__name__}: {exc}); it may come from another "
+            f"release — re-run the grid into a fresh store"
+        ) from None
+
+
+def check_store(store: LocalDirStore, kind: str) -> None:
+    """Refuse a store this release cannot read, before any cell runs: an
+    unknown run kind, or results of an earlier shape.
+
+    One release writes a store's results, so its lowest-indexed terminal
+    record with a payload stands for them all (streaming still decodes
+    every one). The terminal files are found with one directory listing,
+    so a freshly seeded store costs no per-cell probe.
+    """
+    run_kind(kind)
+    for cell in store.terminal_cells():
+        record = store.terminal(cell)
+        if record is not None and record.get("payload") is not None:
+            stored_record(store, kind, cell, record)
+            return
 
 
 # ------------------------------------------------------------ the grid
@@ -243,21 +265,22 @@ class CoordinatorStats:
 
 
 def run_cells(
-    runner: CellRunner,
-    tasks: Sequence[Any],
+    kind: str,
+    tasks: Sequence[RunTask],
     *,
     workers: int = 1,
     retries: int = 1,
     timeout_s: Optional[float] = None,
-    run_hook: Optional[Callable[[Any], None]] = None,
+    run_hook: Optional[Callable[[RunTask], None]] = None,
     store=None,
     cache=None,
     budget: Optional[CellBudget] = None,
     coordinator_only: bool = False,
     run_id: str = "fabric",
     config: Optional[dict] = None,
-):
-    """Execute a grid of cells; return ``(rows, stats)`` in task order.
+) -> Tuple[List[ExperimentSummary], "CoordinatorStats"]:
+    """Execute a grid of ``kind`` cells; return ``(records, stats)`` in
+    task order.
 
     Without a ``store``, ``workers=1`` (or a single cell) runs
     :func:`attempt_cell` in this process, and ``workers=N`` runs it whole
@@ -269,8 +292,7 @@ def run_cells(
     With a ``store`` (URL or :class:`LocalDirStore`) the grid is handed to a
     :class:`~repro.analysis.coordinator.Coordinator`, which also applies
     ``cache``, ``budget``, ``coordinator_only``, ``run_id`` and the header
-    ``config``. Its in-process worker runs ``runner`` as given; spawned and
-    external workers run the registered runner for ``runner.kind``.
+    ``config``.
 
     ``stats`` is a :class:`CoordinatorStats`.
     """
@@ -289,7 +311,7 @@ def run_cells(
             coordinator_only=coordinator_only,
         )
         rows = coordinator.run(
-            runner, cells, fingerprint=config_fingerprint(runner.kind, cells),
+            kind, cells, fingerprint=config_fingerprint(kind, cells),
             run_id=run_id, config=config,
         )
         return rows, coordinator.stats
@@ -298,13 +320,12 @@ def run_cells(
         for task in tasks:
             run_hook(task)
     if workers == 1 or len(tasks) <= 1:
-        verdicts = [attempt_cell(runner, task, retries) for task in tasks]
+        verdicts = [
+            attempt_cell(kind, task, retries) for task in tasks
+        ]
     else:
-        verdicts = _pool_verdicts(runner, tasks, workers, retries, timeout_s)
-    rows = [
-        runner.decode_row(task, verdict.payload)
-        for task, verdict in zip(tasks, verdicts)
-    ]
+        verdicts = _pool_verdicts(kind, tasks, workers, retries, timeout_s)
+    rows = [ExperimentSummary.from_dict(verdict.payload) for verdict in verdicts]
     stats = CoordinatorStats(
         cells=len(tasks),
         executed=len(tasks),
@@ -316,8 +337,8 @@ def run_cells(
 
 
 def _pool_verdicts(
-    runner: CellRunner,
-    tasks: Sequence[Any],
+    kind: str,
+    tasks: Sequence[RunTask],
     workers: int,
     retries: int,
     timeout_s: Optional[float],
@@ -340,7 +361,7 @@ def _pool_verdicts(
         hung = False
         try:
             futures = {
-                pool.submit(attempt_cell, runner, tasks[index], retries): index
+                pool.submit(attempt_cell, kind, tasks[index], retries): index
                 for index in pending_cells
             }
             pending = set(futures)
@@ -354,13 +375,8 @@ def _pool_verdicts(
                     for future in pending:
                         index = futures[future]
                         future.cancel()
-                        verdicts[index] = CellVerdict(
-                            "quarantined",
-                            runner.failure(
-                                tasks[index], "wall-budget", detail, 1
-                            ),
-                            "wall-budget",
-                            0,
+                        verdicts[index] = failed_cell(
+                            kind, tasks[index], "wall-budget", detail
                         )
                     break
                 for future in done:
@@ -370,20 +386,15 @@ def _pool_verdicts(
                     except Exception as exc:  # noqa: BLE001 — the pool died
                         logger.warning(
                             "a pool worker died under %s cell %s (%s: %s)",
-                            runner.kind, tasks[index], type(exc).__name__, exc,
+                            kind, tasks[index], type(exc).__name__, exc,
                         )
                         if index not in orphaned:
                             orphaned.add(index)
                             rerun.append(index)
                             continue
-                        verdicts[index] = CellVerdict(
-                            runner.failure_state,
-                            runner.failure(
-                                tasks[index], "crashed",
-                                f"{type(exc).__name__}: {exc}", 1,
-                            ),
-                            "crashed",
-                            0,
+                        verdicts[index] = failed_cell(
+                            kind, tasks[index], "crashed",
+                            f"{type(exc).__name__}: {exc}",
                         )
         finally:
             if hung:
@@ -449,7 +460,7 @@ class Worker:
         poll_cap_s: float = 5.0,
         wait_store_s: float = 0.0,
         max_idle_s: Optional[float] = None,
-        run_hook: Optional[Callable[[Any], None]] = None,
+        run_hook: Optional[Callable[[RunTask], None]] = None,
         poll_rng: Optional[Callable[[float, float], float]] = None,
     ) -> None:
         self.store: LocalDirStore = open_store(store)
@@ -474,7 +485,8 @@ class Worker:
     # ------------------------------------------------------------------ run
 
     def run(self) -> WorkerStats:
-        """Pull cells with the registered runner for the store's kind."""
+        """Pull cells of the store's run kind, once :func:`check_store`
+        has found the store readable."""
         if self.wait_store_s > 0:
             header = self.store.wait_for_header(self.wait_store_s)
         else:
@@ -484,21 +496,13 @@ class Worker:
                     f"store {self.store.url} is not seeded — start the "
                     f"coordinator first or pass a wait timeout"
                 )
-        kind = header["kind"]
-        try:
-            runner = RUNNERS[kind]
-        except KeyError:
-            raise StoreError(
-                f"store {self.store.url} holds run kind {kind!r}; this "
-                f"worker knows {sorted(RUNNERS)}"
-            ) from None
-        return self.pull(runner)
+        check_store(self.store, header["kind"])
+        return self.pull(header["kind"])
 
-    def pull(self, runner: CellRunner) -> WorkerStats:
-        """Claim and execute cells with ``runner`` until the store drains
-        (or :meth:`stop`); the coordinator's in-process worker enters here
-        with the caller's runner."""
-        self.stats = WorkerStats(kind=runner.kind, worker_id=self.worker_id)
+    def pull(self, kind: str) -> WorkerStats:
+        """Claim and execute ``kind`` cells until the store drains (or
+        :meth:`stop`); the coordinator's in-process worker enters here."""
+        self.stats = WorkerStats(kind=kind, worker_id=self.worker_id)
         idle_since: Optional[float] = None
         while not self._stop:
             claim = self.store.claim(self.worker_id, self.lease_s)
@@ -528,11 +532,11 @@ class Worker:
             idle_since = None
             self.backoff.reset()
             self.stats.claimed += 1
-            task = runner.decode(claim.task)
+            task = RunTask.from_dict(claim.task)
             if self.run_hook is not None:
                 self.run_hook(task)
             try:
-                self._write_terminal(claim, self._execute(runner, claim, task))
+                self._write_terminal(claim, self._execute(kind, claim, task))
             except LeaseLost as exc:
                 self.stats.lease_lost += 1
                 logger.warning(
@@ -543,28 +547,20 @@ class Worker:
 
     # ------------------------------------------------------------ execution
 
-    def _execute(
-        self, runner: CellRunner, claim: Claim, task: Any
-    ) -> CellVerdict:
+    def _execute(self, kind: str, claim: Claim, task: RunTask) -> CellVerdict:
         if self.budget is None:
             with self._heartbeat(claim):
-                verdict = attempt_cell(runner, task, self.retries)
+                verdict = attempt_cell(kind, task, self.retries)
         else:
+            attempt, _ = run_kind(kind)
             try:
                 verdict = attempt_cell(
-                    runner, task, self.retries,
-                    execute=lambda t: self._isolated_attempt(
-                        runner.execute, claim, t
-                    ),
+                    kind, task, self.retries,
+                    execute=lambda t: self._isolated_attempt(attempt, claim, t),
                 )
             except ResourceBudgetExceeded as breach:
                 self.stats.budget_kills += 1
-                return CellVerdict(
-                    "quarantined",
-                    runner.failure(task, breach.violated, str(breach), 1),
-                    breach.violated,
-                    0,
-                )
+                return failed_cell(kind, task, breach.violated, str(breach))
         self.stats.retried += verdict.retried
         for _ in range(verdict.retried):
             with contextlib.suppress(Exception):  # accounting, never blocks
@@ -607,8 +603,8 @@ class Worker:
             raise LeaseLost(f"lease on cell {claim.cell} expired mid-execution")
 
     def _isolated_attempt(
-        self, execute: Callable[[Any], Any], claim: Claim, task: Any
-    ) -> Any:
+        self, execute: Execute, claim: Claim, task: RunTask
+    ) -> ExperimentSummary:
         """One :func:`~repro.analysis.budget.run_isolated` attempt that
         renews ``claim`` at a third of the lease (a lost lease raises
         :class:`~repro.sim.errors.LeaseLost` and kills the child)."""

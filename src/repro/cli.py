@@ -36,6 +36,7 @@ from .analysis import (
     summarize_views,
 )
 from .analysis.store import DEFAULT_LEASE_S
+from .analysis.worker import run_kind
 from .sim import (
     ConfigurationError,
     DEFAULT_ENGINE,
@@ -999,15 +1000,23 @@ def cmd_worker(args: argparse.Namespace) -> int:
     def _drain(signum, frame):  # noqa: ARG001 — signal handler signature
         worker.stop()
 
-    signal.signal(signal.SIGTERM, _drain)
-    signal.signal(signal.SIGINT, _drain)
-    stats = worker.run()
-    print(
-        f"worker {stats.worker_id} ({stats.kind}): {stats.claimed} claimed, "
-        f"{stats.completed} completed, {stats.failed} failed, "
-        f"{stats.retried} retried, {stats.budget_kills} budget-killed, "
-        f"{stats.lease_lost} lease(s) lost"
-    )
+    # Restored on the way out, so an in-process call leaves the caller's
+    # handlers (and those of processes it forks later) as they were.
+    previous = {
+        signum: signal.signal(signum, _drain)
+        for signum in (signal.SIGTERM, signal.SIGINT)
+    }
+    try:
+        stats = worker.run()
+        print(
+            f"worker {stats.worker_id} ({stats.kind}): {stats.claimed} "
+            f"claimed, {stats.completed} completed, {stats.failed} failed, "
+            f"{stats.retried} retried, {stats.budget_kills} budget-killed, "
+            f"{stats.lease_lost} lease(s) lost"
+        )
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
     return EXIT_OK
 
 
@@ -1371,10 +1380,7 @@ def cmd_runs_resume(args: argparse.Namespace) -> int:
         f"{counts['cells'] - remaining}/{counts['cells']} cells already "
         f"terminal, {remaining} to execute"
     )
-    if header["kind"] not in ("sweep", "chaos"):
-        raise StoreError(
-            f"store {url} has unknown run kind {header['kind']!r}"
-        )
+    run_kind(header["kind"])
     tasks = [
         RunTask.from_dict(store.task(index)) for index in range(counts["cells"])
     ]

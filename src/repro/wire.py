@@ -31,7 +31,6 @@ from typing import Any, Callable, Dict, List, NamedTuple, Tuple, Type, Union
 
 from .agreement.approximate import ValueMessage
 from .agreement.eig import RelayMessage
-from .agreement.phase_king import KingMessage, PhaseValueMessage
 from .baselines.splitting import ClaimMessage
 from .broadcast.bracha import (
     EchoValueMessage,
@@ -305,8 +304,6 @@ SCHEMA: Tuple[Tuple[int, Type[Message], Tuple[Tuple[str, Kind], ...]], ...] = (
     (3, InitialMessage, (("value", SINT),)),
     (4, EchoValueMessage, (("value", SINT),)),
     (5, ReadyValueMessage, (("value", SINT),)),
-    (6, PhaseValueMessage, (("value", SINT),)),
-    (7, KingMessage, (("value", SINT),)),
     (16, RanksMessage, (("entries", seq(pair(UINT, RANK))),)),
     (17, MultiEchoMessage, (("ids", seq(UINT)),)),
     (18, ValueMessage, (("value", RANK),)),

@@ -7,7 +7,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.adversary import make_adversary
-from repro.analysis import ALGORITHMS, check_renaming
+from repro.analysis import (
+    ALGORITHMS,
+    ExperimentSummary,
+    PropertyReport,
+    RunTask,
+    check_renaming,
+)
 from repro.sim import RunResult, SystemModel, run_protocol
 
 
@@ -101,3 +107,30 @@ def assert_runs_identical(a: RunResult, b: RunResult, context: str = "") -> None
         assert (a.trace is None) == (b.trace is None), context
     else:
         assert list(a.trace) == list(b.trace), f"{context}: traces differ"
+
+
+def verdict_record(
+    task: RunTask,
+    status: str,
+    *,
+    error: Optional[str] = None,
+    injected: Optional[dict] = None,
+) -> ExperimentSummary:
+    """A cell record that carries only a chaos verdict: what an injected
+    campaign attempt function returns instead of running the cell."""
+    return ExperimentSummary(
+        algorithm=task.algorithm,
+        n=task.n,
+        t=task.t,
+        attack=task.attack,
+        seed=task.seed,
+        workload=task.workload,
+        rounds=0,
+        correct_messages=0,
+        correct_bits=0,
+        peak_message_bits=0,
+        byzantine=(),
+        report=PropertyReport(names={}, namespace=0, injected=injected or {}),
+        error=error,
+        status=status,
+    )

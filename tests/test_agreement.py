@@ -1,4 +1,4 @@
-"""Tests for the agreement substrates: Byzantine AA, EIG, Phase King."""
+"""Tests for the agreement substrates: Byzantine AA and EIG."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.agreement import (
     DEFAULT_VALUE,
     ApproximateAgreement,
     EIGInteractiveConsistency,
-    PhaseKingConsensus,
     initial_values_factory,
     make_identified_factory,
 )
@@ -219,61 +218,3 @@ class TestEIGResolve:
         process.tree = {(0,): 5, (2,): 9}
         process.rounds = 1
         assert [process._resolve((j,)) for j in range(3)] == [5, DEFAULT_VALUE, 9]
-
-
-class TestPhaseKing:
-    def king_factory(self, n, ids, seed, values_by_id):
-        return make_identified_factory(
-            n,
-            ids,
-            seed,
-            lambda ctx, me, links: PhaseKingConsensus(
-                ctx, me, links, value=values_by_id[ctx.my_id]
-            ),
-        )
-
-    @pytest.mark.parametrize("attack", ["silent", "noise"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_agreement(self, attack, seed):
-        n, t = 9, 2
-        ids = standard_ids(n)
-        values = {identifier: index % 2 for index, identifier in enumerate(ids)}
-        result = run_protocol(
-            self.king_factory(n, ids, seed, values),
-            n=n,
-            t=t,
-            ids=ids,
-            adversary=make_adversary(attack),
-            seed=seed,
-        )
-        outputs = {result.outputs[i] for i in result.correct}
-        assert len(outputs) == 1
-
-    def test_validity_unanimous_input(self):
-        n, t, seed = 9, 2, 7
-        ids = standard_ids(n)
-        values = {identifier: 1 for identifier in ids}
-        result = run_protocol(
-            self.king_factory(n, ids, seed, values),
-            n=n,
-            t=t,
-            ids=ids,
-            adversary=make_adversary("noise"),
-            seed=seed,
-        )
-        assert all(result.outputs[i] == 1 for i in result.correct)
-
-    def test_round_complexity(self):
-        n, t, seed = 9, 2, 8
-        ids = standard_ids(n)
-        values = {identifier: 0 for identifier in ids}
-        result = run_protocol(
-            self.king_factory(n, ids, seed, values), n=n, t=t, ids=ids, seed=seed
-        )
-        assert result.metrics.round_count == 2 * (t + 1)
-
-    def test_requires_n_over_4t(self):
-        from repro.sim import ProcessContext
-
-        with pytest.raises(ValueError):
-            PhaseKingConsensus(ProcessContext(n=8, t=2, my_id=1), 0, {}, value=0)

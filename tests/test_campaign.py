@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from helpers import verdict_record
 from repro.analysis import (
     CHAOS_PRESETS,
     ChaosCampaign,
@@ -18,6 +19,7 @@ from repro.analysis import (
     chaos_grid,
     execute_chaos_task,
 )
+from repro.analysis import campaign
 from repro.analysis.campaign import STATUSES, describe, reproducer
 from repro.cli import main
 from repro.sim import DEFAULT_ENGINE, ConfigurationError, FaultPlan
@@ -32,8 +34,8 @@ def _cell(algorithm, n, t, *, attack="silent", seed=0,
     )
 
 
-# Injectable task runners for containment tests. Module-level so they
-# survive the trip into pool workers.
+# Attempts patched onto campaign.execute_chaos_task by containment tests;
+# forked pool workers inherit the patch.
 
 def _always_crash(task):
     raise RuntimeError("boom")
@@ -44,7 +46,7 @@ def _hang_forever(task):
 
 
 def _verdict_by_seed(task):
-    return ChaosOutcome(task=task, status="clean" if task.seed == 0 else "tolerated")
+    return verdict_record(task, "clean" if task.seed == 0 else "tolerated")
 
 
 class _FlakyRunner:
@@ -57,7 +59,7 @@ class _FlakyRunner:
         if task not in self.seen:
             self.seen.add(task)
             raise OSError("transient")
-        return ChaosOutcome(task=task, status="clean")
+        return verdict_record(task, "clean")
 
 
 SMALL_GRID = chaos_grid(
@@ -120,7 +122,7 @@ class TestExecuteChaosTask:
     def test_clean_cell_is_clean(self):
         outcome = execute_chaos_task(_cell("alg1", 7, 2))
         assert outcome.status == "clean"
-        assert not outcome.injected
+        assert not outcome.report.injected
 
     def test_injection_never_reports_clean(self):
         outcome = execute_chaos_task(
@@ -164,35 +166,40 @@ class TestCampaignSerial:
         report = ChaosCampaign(workers=1).run(SMALL_GRID)
         assert len(report.outcomes) == len(SMALL_GRID)
         assert report.silent_successes() == []
-        for outcome in report.outcomes:
+        for _, outcome in report.outcomes:
             assert outcome.status in STATUSES
-            if outcome.injected:
+            if outcome.report.injected:
                 assert outcome.status != "clean"
         assert report.ok
 
-    def test_outcomes_keep_task_order(self):
+    def test_outcomes_keep_task_order(self, monkeypatch):
+        monkeypatch.setattr(campaign, "execute_chaos_task", _verdict_by_seed)
         tasks = [_cell("alg1", 7, 2, seed=seed) for seed in (0, 1, 0, 1)]
-        report = ChaosCampaign(workers=1, task_runner=_verdict_by_seed).run(tasks)
-        assert [o.status for o in report.outcomes] == [
+        report = ChaosCampaign(workers=1).run(tasks)
+        assert [o.record.status for o in report.outcomes] == [
             "clean", "tolerated", "clean", "tolerated"
         ]
 
-    def test_crashing_cell_is_retried_then_quarantined(self):
+    def test_crashing_cell_is_retried_then_quarantined(self, monkeypatch):
+        monkeypatch.setattr(campaign, "execute_chaos_task", _always_crash)
         tasks = [_cell("alg1", 7, 2)]
-        report = ChaosCampaign(workers=1, task_runner=_always_crash).run(tasks)
-        outcome = report.outcomes[0]
+        report = ChaosCampaign(workers=1).run(tasks)
+        outcome = report.outcomes[0].record
         assert outcome.status == "crashed"
         assert outcome.error == "RuntimeError: boom"
         assert outcome.retries == 1
         assert report.retried == 1
         assert not report.ok
-        assert outcome.as_dict()["reproducer"] == reproducer(tasks[0])
+        assert report.outcomes[0].as_dict()["reproducer"] == reproducer(
+            tasks[0]
+        )
 
-    def test_transient_crash_succeeds_on_retry(self):
+    def test_transient_crash_succeeds_on_retry(self, monkeypatch):
+        monkeypatch.setattr(campaign, "execute_chaos_task", _FlakyRunner())
         tasks = [_cell("alg1", 7, 2, seed=seed) for seed in (0, 1)]
-        report = ChaosCampaign(workers=1, task_runner=_FlakyRunner()).run(tasks)
-        assert [o.status for o in report.outcomes] == ["clean", "clean"]
-        assert [o.retries for o in report.outcomes] == [1, 1]
+        report = ChaosCampaign(workers=1).run(tasks)
+        assert [o.record.status for o in report.outcomes] == ["clean", "clean"]
+        assert [o.record.retries for o in report.outcomes] == [1, 1]
         assert report.retried == 2
         assert report.ok
 
@@ -201,32 +208,32 @@ class TestCampaignPool:
     def test_pool_matches_serial_verdicts(self):
         serial = ChaosCampaign(workers=1).run(SMALL_GRID)
         pooled = ChaosCampaign(workers=2).run(SMALL_GRID)
-        assert [o.status for o in pooled.outcomes] == [
-            o.status for o in serial.outcomes
+        assert [o.record.status for o in pooled.outcomes] == [
+            o.record.status for o in serial.outcomes
         ]
-        assert [o.injected for o in pooled.outcomes] == [
-            o.injected for o in serial.outcomes
+        assert [o.record.report.injected for o in pooled.outcomes] == [
+            o.record.report.injected for o in serial.outcomes
         ]
         assert pooled.workers == 2
 
-    def test_pool_quarantines_crashing_workers(self):
+    def test_pool_quarantines_crashing_workers(self, monkeypatch):
+        monkeypatch.setattr(campaign, "execute_chaos_task", _always_crash)
         tasks = [_cell("alg1", 7, 2, seed=seed) for seed in (0, 1, 2)]
-        report = ChaosCampaign(
-            workers=2, task_runner=_always_crash
-        ).run(tasks)
-        assert [o.status for o in report.outcomes] == ["crashed"] * 3
-        assert all("RuntimeError: boom" in o.error for o in report.outcomes)
+        report = ChaosCampaign(workers=2).run(tasks)
+        assert [o.record.status for o in report.outcomes] == ["crashed"] * 3
+        assert all(
+            "RuntimeError: boom" in o.record.error for o in report.outcomes
+        )
         assert report.retried == 3
         assert not report.ok
 
-    def test_hung_workers_cost_one_window_not_the_campaign(self):
+    def test_hung_workers_cost_one_window_not_the_campaign(self, monkeypatch):
+        monkeypatch.setattr(campaign, "execute_chaos_task", _hang_forever)
         tasks = [_cell("alg1", 7, 2, seed=seed) for seed in (0, 1)]
         start = time.perf_counter()
-        report = ChaosCampaign(
-            workers=2, timeout_s=1.0, task_runner=_hang_forever
-        ).run(tasks)
+        report = ChaosCampaign(workers=2, timeout_s=1.0).run(tasks)
         elapsed = time.perf_counter() - start
-        assert [o.status for o in report.outcomes] == ["timeout"] * 2
+        assert [o.record.status for o in report.outcomes] == ["timeout"] * 2
         assert elapsed < 30  # two sleep(600) cells, contained in one window
         assert not report.ok
         for outcome in report.quarantined:
@@ -237,7 +244,9 @@ class TestTriageReport:
     def test_render_lists_quarantine_reproducers(self):
         task = _cell("alg1", 7, 2, chaos=FaultPlan(drop=0.2))
         report = TriageReport(
-            outcomes=[ChaosOutcome(task=task, status="timeout", error="hung")]
+            outcomes=[
+                ChaosOutcome(task, verdict_record(task, "timeout", error="hung"))
+            ]
         )
         text = report.render()
         assert "quarantined (reproduce with):" in text
@@ -248,7 +257,9 @@ class TestTriageReport:
         task = _cell("alg1", 7, 2, chaos=FaultPlan(drop=0.2))
         report = TriageReport(
             outcomes=[
-                ChaosOutcome(task=task, status="clean", injected={"drop": 3})
+                ChaosOutcome(
+                    task, verdict_record(task, "clean", injected={"drop": 3})
+                )
             ]
         )
         assert report.silent_successes()

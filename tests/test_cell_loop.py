@@ -13,9 +13,9 @@ from __future__ import annotations
 import os
 import time
 
+from helpers import verdict_record
 from repro.analysis import (
     ChaosCampaign,
-    ChaosOutcome,
     ExperimentSummary,
     RunTask,
     SweepExecutor,
@@ -23,6 +23,7 @@ from repro.analysis import (
     execute_chaos_task,
     export_csv,
 )
+from repro.analysis import campaign
 from repro.analysis.store import LocalDirStore
 
 # alg1 at n = 3t is refused by the regime gate: an untyped-for-sweeps
@@ -40,8 +41,8 @@ CHAOS_CELLS = chaos_grid(
 )
 
 
-def _crash_seed_one_drops(task: RunTask) -> ChaosOutcome:
-    """Injected runner: the seed-1 drop cell crashes on every attempt."""
+def _crash_seed_one_drops(task: RunTask) -> ExperimentSummary:
+    """Patched-in attempt: the seed-1 drop cell crashes on every attempt."""
     if task.seed == 1 and task.chaos is not None and task.chaos.drop:
         raise RuntimeError("injected crash")
     return execute_chaos_task(task)
@@ -61,10 +62,7 @@ def _chaos_modes(tmp_path):
         ("pool", 2, None),
         ("store", 1, LocalDirStore(tmp_path / "chaos-store")),
     ):
-        campaign = ChaosCampaign(
-            workers=workers, timeout_s=60, task_runner=_crash_seed_one_drops
-        )
-        yield name, campaign, store
+        yield name, ChaosCampaign(workers=workers, timeout_s=60), store
 
 
 def _timeless(row: ExperimentSummary) -> dict:
@@ -94,10 +92,15 @@ class TestParity:
         assert seen["pool"] == serial
         assert seen["store"] == serial
 
-    def test_chaos_reports_and_counts_match_across_modes(self, tmp_path):
+    def test_chaos_reports_and_counts_match_across_modes(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(
+            campaign, "execute_chaos_task", _crash_seed_one_drops
+        )
         seen = {}
-        for name, campaign, store in _chaos_modes(tmp_path):
-            report = campaign.run(CHAOS_CELLS, store=store)
+        for name, chaos, store in _chaos_modes(tmp_path):
+            report = chaos.run(CHAOS_CELLS, store=store)
             seen[name] = (
                 report.canonical(),
                 report.retried,
@@ -110,24 +113,25 @@ class TestParity:
         assert seen["store"] == serial
 
 
-def _die_after_a_moment(task: RunTask) -> ChaosOutcome:
-    """Injected runner: the seed-0 cell kills its whole worker process."""
+def _die_after_a_moment(task: RunTask) -> ExperimentSummary:
+    """Patched-in attempt: the seed-0 cell kills its whole worker process."""
     if task.seed == 0:
         time.sleep(0.5)
         os._exit(1)
-    return ChaosOutcome(task=task, status="clean")
+    return verdict_record(task, "clean")
 
 
 class TestPoolDeath:
-    def test_a_cell_that_kills_its_worker_is_crashed_not_fatal(self):
+    def test_a_cell_that_kills_its_worker_is_crashed_not_fatal(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(campaign, "execute_chaos_task", _die_after_a_moment)
         tasks = [
             RunTask("alg1", 7, 2, "silent", seed, max_rounds=64, monitor=True)
             for seed in (0, 1)
         ]
-        report = ChaosCampaign(
-            workers=2, timeout_s=60, task_runner=_die_after_a_moment
-        ).run(tasks)
-        killer, bystander = report.outcomes
+        report = ChaosCampaign(workers=2, timeout_s=60).run(tasks)
+        killer, bystander = (record for _, record in report.outcomes)
         assert killer.status == "crashed"
         assert "BrokenProcessPool" in killer.error
         assert bystander.status == "clean"

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis import bar_chart, decay_ratio, log_curve, step_curve
+from repro.analysis import bar_chart, log_curve, step_curve
 
 
 class TestBarChart:
@@ -92,13 +90,3 @@ class TestStepCurve:
         with pytest.raises(ValueError):
             step_curve({})
 
-
-class TestDecayRatio:
-    def test_geometric(self):
-        assert decay_ratio([8, 4, 2, 1]) == [2.0, 2.0, 2.0]
-
-    def test_reaching_zero(self):
-        assert decay_ratio([4, 0]) == [math.inf]
-
-    def test_short_series(self):
-        assert decay_ratio([5]) == []

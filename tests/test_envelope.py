@@ -7,21 +7,25 @@ ledger, a ``LocalDirStore`` run (header, task list, terminal record) and a
 today's writers must reproduce them byte for byte — so existing journals,
 stores and caches keep verifying across releases.
 
-One fixture is refused on purpose: a chaos run stored before campaign
-cells became :class:`~repro.analysis.executor.RunTask` cells. Its envelope
-still verifies, but its flat cell shape is an error naming the cell
-(``StoreError``, exit 3), never a raw ``TypeError``.
+Two fixtures are refused on purpose: a chaos run stored before campaign
+cells became :class:`~repro.analysis.executor.RunTask` cells, and one
+stored while a chaos cell's result was a verdict-only payload rather than
+the sweep's :class:`~repro.analysis.executor.ExperimentSummary` record.
+Their envelopes still verify, but the old shapes are errors naming the
+cell (``StoreError``, exit 3), never a raw ``TypeError`` or ``KeyError``.
 """
 
 from __future__ import annotations
 
 import json
+import signal
 
 import pytest
 
 from repro.analysis import ResultCache, RunTask
 from repro.analysis.envelope import checksum, record_checksum, seal, unseal
 from repro.analysis.store import LocalDirStore
+from repro.analysis.worker import check_store
 from repro.cli import EXIT_INFRA, main
 from repro.sim import StoreError
 from repro.service.journal import SessionJournal, scan_session_journal
@@ -74,6 +78,32 @@ FLAT_CHAOS_TASKS = (
     b'"workload": "uniform", "max_rounds": 64, "monitor": true, '
     b'"enforce_regime": true, "chaos_seed": 0, "drop": 0.2, "duplicate": '
     b'0.0, "corrupt": 0.0, "extra_crashes": 0, "crash_round": 1}]}}'
+)
+
+VERDICT_CHAOS_HEADER = (
+    b'{"schema": 1, "checksum": "64d41f4d3cb1f85dee2db1bdc9265506b2dd647'
+    b'b755d538fdd61373a59a7c006", "body": {"schema": 1, "kind": "chaos",'
+    b' "run_id": "old-verdict", "fingerprint": "b361108a13c3266741922ac4'
+    b'debdc7fd0756753e5d02b29db006f359f2cc8f55", "cells": 1, "config": {'
+    b'"timeout_s": 120.0, "budget": {"wall_s": 120.0, "rss_mb": null}}, '
+    b'"max_attempts": 3}}'
+)
+VERDICT_CHAOS_TASKS = (
+    b'{"schema": 1, "checksum": "4f1266e9af646b913d21143415b45a9725bb630'
+    b'84a69924960b33d070d5ab5b9", "body": {"tasks": [{"algorithm": "alg1'
+    b'", "n": 7, "t": 2, "attack": "silent", "seed": 0, "workload": "uni'
+    b'form", "collect_trace": false, "max_rounds": 64, "engine": "batche'
+    b'd", "monitor": true, "chaos": {"seed": 0, "drop": 0.2, "duplicate"'
+    b': 0.0, "corrupt": 0.0, "crashes": [], "extra_crashes": 0, "crash_r'
+    b'ound": 1}}]}}'
+)
+VERDICT_CHAOS_TERMINAL = (
+    b'{"schema": 1, "checksum": "9b515d9638b12dc21ac6618e3256c57f352f7dc'
+    b'f8c8d9f5cb74b65c560473098", "body": {"state": "finished", "reason"'
+    b': null, "payload": {"status": "detected", "elapsed_s": 0.005658154'
+    b'004777316, "error": "SafetyViolation: correct id 24325 missing fro'
+    b'm accepted set (n=7, t=2)", "violated": ["invariant"], "injected":'
+    b' {}, "retries": 0}, "attempt": 1}}'
 )
 
 MEMO_ENTRY = (
@@ -191,6 +221,67 @@ class TestFlatChaosStore:
         code = main(["worker", "--store", f"dir:{store.root}"])
         assert code == EXIT_INFRA
         assert "may come from another release" in capsys.readouterr().err
+
+
+class TestVerdictOnlyChaosStore:
+    """``chaos --algorithms alg1 --sizes 7:2 --drop 0.2 --no-clean
+    --journal DIR --run-id old-verdict --workers 1``, as stored while a
+    chaos cell's terminal payload was its verdict alone."""
+
+    def _verdict_store(self, tmp_path) -> LocalDirStore:
+        root = tmp_path / "old-verdict"
+        (root / "leases").mkdir(parents=True)
+        (root / "terminal").mkdir()
+        (root / "header.json").write_bytes(VERDICT_CHAOS_HEADER)
+        (root / "tasks.json").write_bytes(VERDICT_CHAOS_TASKS)
+        (root / "terminal" / "0.json").write_bytes(VERDICT_CHAOS_TERMINAL)
+        return LocalDirStore(root)
+
+    def test_envelope_and_cell_still_verify(self, tmp_path):
+        store = self._verdict_store(tmp_path)
+        assert store.header()["kind"] == "chaos"
+        assert RunTask.from_dict(store.task(0)).chaos.drop == 0.2
+        assert store.terminal(0)["payload"]["status"] == "detected"
+        assert store.complete
+
+    def test_record_decode_is_a_store_error_naming_the_cell(self, tmp_path):
+        store = self._verdict_store(tmp_path)
+        with pytest.raises(StoreError, match="another release") as info:
+            check_store(store, "chaos")
+        assert "stored result of cell 0" in str(info.value)
+        assert '"drop": 0.2' in str(info.value)
+
+    def test_a_payloadless_lower_record_does_not_hide_it(self, tmp_path):
+        # A cell whose lease expired past max_attempts has a terminal record
+        # without a payload; the check must look past it to a real result.
+        old = self._verdict_store(tmp_path)
+        cells = [old.task(0), old.task(0)]
+        store = LocalDirStore(tmp_path / "mixed")
+        store.seed(kind="chaos", run_id="mixed", fingerprint="f", cells=cells)
+        store.write_terminal(0, "failed", None, reason="lease expired")
+        verdict = old.terminal(0)
+        store.write_terminal(1, verdict["state"], verdict["payload"])
+        with pytest.raises(StoreError, match="stored result of cell 1"):
+            check_store(store, "chaos")
+
+    def test_runs_resume_refuses_it(self, tmp_path, capsys):
+        self._verdict_store(tmp_path)
+        code = main([
+            "runs", "resume", "old-verdict", "--runs-dir", str(tmp_path),
+            "--workers", "1",
+        ])
+        assert code == EXIT_INFRA
+        assert "may come from another release" in capsys.readouterr().err
+
+    def test_worker_refuses_it(self, tmp_path, capsys):
+        store = self._verdict_store(tmp_path)
+        signals = (signal.SIGTERM, signal.SIGINT)
+        handlers = [signal.getsignal(signum) for signum in signals]
+        code = main(["worker", "--store", f"dir:{store.root}"])
+        assert code == EXIT_INFRA
+        assert "may come from another release" in capsys.readouterr().err
+        # Refused or not, the verb hands the caller's handlers back.
+        assert [signal.getsignal(signum) for signum in signals] == handlers
 
 
 class TestMemoEntry:

@@ -16,7 +16,7 @@ from repro.analysis import (
     parallel_map,
     run_sweep,
 )
-from repro.analysis.executor import execute_task, resolve_workers
+from repro.analysis.executor import execute_task, failure, resolve_workers
 from repro.analysis.export import export_csv
 from repro.sim import FaultPlan, SystemModel
 
@@ -346,11 +346,25 @@ class TestFailureContainment:
 
     def test_for_failure_roundtrips_through_json(self):
         task = RunTask(algorithm="alg1", n=6, t=2, attack="silent", seed=0)
-        summary = ExperimentSummary.for_failure(task, ValueError("bad cell"))
+        summary = failure(task, None, "ValueError: bad cell")
         clone = ExperimentSummary.from_dict(summary.to_dict())
         assert clone.failed
         assert clone.error == "ValueError: bad cell"
         assert clone.to_dict() == summary.to_dict()
+
+    def test_verdict_fields_serialise_only_when_set(self):
+        task = RunTask(algorithm="alg1", n=6, t=2, attack="silent", seed=0)
+        sweep_row = failure(task, None, "ValueError: bad cell", attempts=2)
+        assert sweep_row.retries == 1
+        assert not {"status", "violated", "retries"} & set(sweep_row.to_dict())
+        verdict = failure(task, "crashed", "ValueError: bad cell", attempts=2)
+        verdict.violated = ("validity",)
+        payload = verdict.to_dict()
+        assert (payload["status"], payload["violated"], payload["retries"]) == (
+            "crashed", ["validity"], 1
+        )
+        assert ExperimentSummary.from_dict(payload) == verdict
+        assert verdict.quarantined and not sweep_row.quarantined
 
 
 class TestCacheCorruption:

@@ -29,7 +29,9 @@ import pytest
 from repro.analysis import (
     CellBudget,
     ChaosCampaign,
+    ExperimentSummary,
     LocalDirStore,
+    PropertyReport,
     RunTask,
     SweepConfig,
     SweepExecutor,
@@ -40,9 +42,10 @@ from repro.analysis import (
     store_doctor,
 )
 from repro.analysis.budget import rss_mb_of, run_isolated
+from repro.analysis import executor as executor_module
 from repro.analysis.envelope import scrub_volatile
+from repro.analysis.executor import failure
 from repro.analysis.store import STORE_CRASH_HOOK_ENV
-from repro.analysis.worker import RUNNERS, CellRunner
 from repro.sim import FaultPlan, LeaseLost, StoreError
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -207,91 +210,97 @@ class TestAtomicWrite:
 
 # ------------------------------------------------- budget-isolated workers
 
-def _probe(task: dict):
-    """Cell body for the isolation tests (runs in the disposable child)."""
-    op = task["op"]
+def _probe_row(task: RunTask, result: str = "done") -> ExperimentSummary:
+    """A finished probe record: ``rounds`` is ``n`` squared and
+    ``workload`` carries the probe's ``result``."""
+    return ExperimentSummary(
+        algorithm=task.algorithm, n=task.n, t=task.t, attack=task.attack,
+        seed=task.seed, workload=result, rounds=task.n * task.n,
+        correct_messages=0, correct_bits=0, peak_message_bits=0,
+        byzantine=(), report=PropertyReport(names={}, namespace=0),
+    )
+
+
+def _probe(task: RunTask) -> ExperimentSummary:
+    """Cell body for the isolation tests (runs in the disposable child):
+    ``attack`` names the operation, ``n`` sizes it and ``workload`` holds
+    the path a crash-once or fail probe keeps its state in."""
+    op = task.attack
     if op == "sleep":
-        time.sleep(task["seconds"])
-        return "done"
+        time.sleep(task.n)
+        return _probe_row(task)
     if op == "crash-once":
         # The first attempt dies without reporting (a real child crash);
         # the retry finds the flag and succeeds.
-        if not os.path.exists(task["flag"]):
-            with open(task["flag"], "w") as handle:
+        if not os.path.exists(task.workload):
+            with open(task.workload, "w") as handle:
                 handle.write("crashed")
             os._exit(1)
-        return "recovered"
+        return _probe_row(task, "recovered")
     if op == "fail":
         # Every attempt raises, with the attempt number in the message.
-        path = task["counter"]
+        path = task.workload
         count = int(open(path).read()) + 1 if os.path.exists(path) else 1
         with open(path, "w") as handle:
             handle.write(str(count))
         raise RuntimeError(f"attempt {count} failed")
     if op == "big":
-        return "x" * task["size"]
+        return _probe_row(task, "x" * task.n)
     if op == "unpicklable":
         exc = RuntimeError("no way back")
         exc.hook = lambda: None  # pickled with the exception: fails
         raise exc
-    return task["x"] * task["x"]
+    return _probe_row(task)
+
+
+def _probe_cell(op: str, n: int = 1, path: str = "uniform") -> RunTask:
+    return RunTask("probe", n, 0, op, 0, workload=path)
 
 
 @pytest.fixture
-def probe_kind(monkeypatch):
-    """Register a synthetic run kind whose rows are plain dicts."""
-    monkeypatch.setitem(RUNNERS, "probe", CellRunner(
-        kind="probe",
-        decode=dict,
-        execute=_probe,
-        encode=lambda result, attempts: {"result": result, "retries": attempts},
-        failure=lambda task, kind, detail, attempts: {
-            "error": detail, "attempts": attempts,
-        },
-        failure_state="failed",
-        decode_row=lambda task, payload: payload,
-    ))
-    return "probe"
+def probe_sweep(monkeypatch):
+    """Sweep cells run the probe: the worker looks ``execute_task`` up on
+    its module per attempt, and forked budget children inherit the patch."""
+    monkeypatch.setattr(executor_module, "execute_task", _probe)
 
 
-def _probe_store(tmp_path, probe_kind, cells) -> LocalDirStore:
+def _probe_store(tmp_path, cells) -> LocalDirStore:
     store = LocalDirStore(tmp_path / "probe")
-    store.seed(kind=probe_kind, run_id="p", fingerprint="p", cells=cells)
+    store.seed(
+        kind="sweep", run_id="p", fingerprint="p",
+        cells=[cell.to_dict() for cell in cells],
+    )
     return store
 
 
 class TestWorkerBudget:
     """``Worker(budget=...)``: one disposable child process per attempt."""
 
-    def test_runs_items_and_reports_in_callbacks(self, tmp_path, probe_kind):
+    def test_runs_items_and_reports_in_callbacks(self, tmp_path, probe_sweep):
         # Every cell runs in its own child; results land in the store.
         store = _probe_store(
-            tmp_path, probe_kind, [{"op": "square", "x": i} for i in range(4)]
+            tmp_path, [_probe_cell("square", i) for i in range(4)]
         )
         stats = Worker(store, budget=CellBudget(wall_s=60)).run()
-        assert [store.terminal(i)["payload"]["result"] for i in range(4)] == [
+        assert [store.terminal(i)["payload"]["rounds"] for i in range(4)] == [
             0, 1, 4, 9,
         ]
         assert stats.completed == 4 and stats.failed == 0
 
-    def test_worker_crash_is_retried_then_recovers(self, tmp_path, probe_kind):
-        flag = str(tmp_path / "crashed.flag")
-        store = _probe_store(
-            tmp_path, probe_kind, [{"op": "crash-once", "flag": flag}]
-        )
+    def test_worker_crash_is_retried_then_recovers(self, tmp_path, probe_sweep):
+        cell = _probe_cell("crash-once", path=str(tmp_path / "crashed.flag"))
+        store = _probe_store(tmp_path, [cell])
         stats = Worker(store, budget=CellBudget(wall_s=60), retries=1).run()
         record = store.terminal(0)
         assert record["state"] == "finished"
-        assert record["payload"] == {"result": "recovered", "retries": 1}
+        assert record["payload"] == _probe_row(cell, "recovered").to_dict()
         assert stats.retried == 1 and stats.completed == 1
         assert stats.failed == 0
 
     def test_wall_budget_kill_is_terminal_not_retried(
-        self, tmp_path, probe_kind
+        self, tmp_path, probe_sweep
     ):
-        store = _probe_store(
-            tmp_path, probe_kind, [{"op": "sleep", "seconds": 30.0}]
-        )
+        store = _probe_store(tmp_path, [_probe_cell("sleep", 30)])
         stats = Worker(store, budget=CellBudget(wall_s=0.4), retries=3).run()
         record = store.terminal(0)
         assert (record["state"], record["reason"]) == (
@@ -301,41 +310,39 @@ class TestWorkerBudget:
         assert stats.budget_kills == 1
         assert stats.retried == 0  # budget kills are deterministic
 
-    def test_exhausted_retries_report_crashed(self, tmp_path, probe_kind):
-        self._exhaust_retries(tmp_path, probe_kind, CellBudget(wall_s=60))
+    def test_exhausted_retries_report_crashed(self, tmp_path, probe_sweep):
+        self._exhaust_retries(tmp_path, CellBudget(wall_s=60))
 
     def test_exhausted_retries_report_crashed_in_process(
-        self, tmp_path, probe_kind
+        self, tmp_path, probe_sweep
     ):
         # Without a budget the same failure row comes from the worker's
         # own process.
-        self._exhaust_retries(tmp_path, probe_kind, None)
+        self._exhaust_retries(tmp_path, None)
 
     @staticmethod
-    def _exhaust_retries(tmp_path, probe_kind, budget):
+    def _exhaust_retries(tmp_path, budget):
         counter = str(tmp_path / "attempts")
-        store = _probe_store(
-            tmp_path, probe_kind, [{"op": "fail", "counter": counter}]
-        )
+        cell = _probe_cell("fail", path=counter)
+        store = _probe_store(tmp_path, [cell])
         stats = Worker(store, budget=budget, retries=1).run()
         record = store.terminal(0)
         assert (record["state"], record["reason"]) == ("failed", "crashed")
         # The failure row carries the *second* (last) error's message.
-        assert record["payload"] == {
-            "error": "RuntimeError: attempt 2 failed", "attempts": 2,
-        }
+        assert record["payload"] == failure(
+            cell, None, "RuntimeError: attempt 2 failed", attempts=2
+        ).to_dict()
+        assert open(counter).read() == "2"
         assert stats.failed == 1 and stats.retried == 1
 
-    def test_result_larger_than_a_pipe_buffer(self, tmp_path, probe_kind):
+    def test_result_larger_than_a_pipe_buffer(self, tmp_path, probe_sweep):
         # The child blocks writing its result until the parent reads it, so
         # the parent must read before it waits for the child to exit.
-        store = _probe_store(
-            tmp_path, probe_kind, [{"op": "big", "size": 1 << 20}]
-        )
+        store = _probe_store(tmp_path, [_probe_cell("big", 1 << 20)])
         Worker(store, budget=CellBudget(wall_s=20)).run()
         record = store.terminal(0)
         assert record["state"] == "finished"
-        assert len(record["payload"]["result"]) == 1 << 20
+        assert len(record["payload"]["workload"]) == 1 << 20
 
     def test_tick_error_kills_the_child_and_propagates(self):
         # A lease taken over mid-cell: the worker's renewing tick raises.
@@ -345,35 +352,34 @@ class TestWorkerBudget:
         before = set(multiprocessing.active_children())
         started = time.monotonic()
         with pytest.raises(LeaseLost):
-            run_isolated(
-                _probe, {"op": "sleep", "seconds": 30.0}, None, tick=lose_lease
-            )
+            run_isolated(_probe, _probe_cell("sleep", 30), None, tick=lose_lease)
         assert time.monotonic() - started < 10.0
         assert set(multiprocessing.active_children()) <= before
 
-    def test_unpicklable_exception_keeps_its_text(self, tmp_path, probe_kind):
-        store = _probe_store(tmp_path, probe_kind, [{"op": "unpicklable"}])
+    def test_unpicklable_exception_keeps_its_text(self, tmp_path, probe_sweep):
+        cell = _probe_cell("unpicklable")
+        store = _probe_store(tmp_path, [cell])
         stats = Worker(store, budget=CellBudget(wall_s=60), retries=0).run()
         record = store.terminal(0)
         assert (record["state"], record["reason"]) == ("failed", "crashed")
-        assert record["payload"] == {
-            "error": "RuntimeError: no way back", "attempts": 1,
-        }
-        assert stats.failed == 1
+        assert record["payload"] == failure(
+            cell, None, "RuntimeError: no way back", attempts=1
+        ).to_dict()
+        # retries=0 is exactly one attempt: nothing was retried.
+        assert stats.failed == 1 and stats.retried == 0
+        assert [e for e in store.events() if e["event"] == "retried"] == []
 
     @pytest.mark.skipif(
         not os.path.exists(f"/proc/{os.getpid()}/statm"),
         reason="RSS budgets read /proc (Linux only)",
     )
-    def test_rss_budget_via_proc(self, tmp_path, probe_kind):
+    def test_rss_budget_via_proc(self, tmp_path, probe_sweep):
         rss = rss_mb_of(os.getpid())
         assert rss is not None and rss > 1.0
         assert rss_mb_of(2 ** 30) is None  # no such pid -> unenforced
 
         # Any Python child is far above 1 MiB resident: killed, quarantined.
-        store = _probe_store(
-            tmp_path, probe_kind, [{"op": "sleep", "seconds": 30.0}]
-        )
+        store = _probe_store(tmp_path, [_probe_cell("sleep", 30)])
         stats = Worker(store, budget=CellBudget(rss_mb=1.0)).run()
         record = store.terminal(0)
         assert (record["state"], record["reason"]) == (

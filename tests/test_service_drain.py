@@ -20,7 +20,10 @@ import time
 
 import pytest
 
-from repro.analysis.store import open_store
+from repro.analysis import RunTask
+from repro.analysis.envelope import config_fingerprint
+from repro.analysis.store import LocalDirStore, open_store
+from repro.cli import main
 from repro.service.frames import read_frame, write_frame
 from repro.service.messages import (
     CertificateMessage,
@@ -179,11 +182,13 @@ class TestWorkerDrain:
 
     def test_sigterm_mid_sweep_releases_cleanly(self, tmp_path):
         url = f"dir:{tmp_path / 'store'}"
+        # 32 cells: enough that cells are still pending for a good while
+        # after the drained worker's first claim.
         grid = [
             "--algorithms", "alg1",
-            "--sizes", "7:2",
+            "--sizes", "7:2", "10:3",
             "--attacks", "silent", "conforming",
-            "--seeds", "0", "1", "2", "3",
+            "--seeds", "0", "1", "2", "3", "4", "5", "6", "7",
         ]
         coordinator = _spawn(
             [
@@ -201,21 +206,27 @@ class TestWorkerDrain:
             # Let it claim at least one cell before asking it to stop — a
             # wall-clock sleep races worker startup (imports + signal
             # handler installation) on a loaded host, so wait for the
-            # store's own event log to show a claim by this worker.
+            # store's own event log to show a claim by this worker. The
+            # signal must also find cells still pending: a worker whose
+            # pull loop has already returned is past its drain and may be
+            # in interpreter shutdown, where SIGTERM kills it (exit -15).
             deadline = time.monotonic() + 60.0
             store = open_store(url)
             while time.monotonic() < deadline:
                 if drained.poll() is not None:
                     out, err = drained.communicate()
                     raise AssertionError(f"worker died early: {out}\n{err}")
-                if any(
+                claimed = any(
                     e["event"] == "claimed" and e.get("worker") == "drained"
                     for e in store.events()
-                ):
+                )
+                if claimed and store.counts()["pending"] > 0:
                     break
                 time.sleep(0.05)
             else:
-                raise AssertionError("worker never claimed a cell")
+                raise AssertionError(
+                    "never saw the worker's claim with cells still pending"
+                )
             drained.send_signal(signal.SIGTERM)
             out, err = drained.communicate(timeout=60)
             assert drained.returncode == 0, err
@@ -229,6 +240,11 @@ class TestWorkerDrain:
                 ]
             )
             assert medic.returncode == 0, medic.stderr
+            # The drain really was mid-sweep: cells were left for the medic.
+            assert any(
+                e["event"] == "claimed" and e.get("worker") == "medic"
+                for e in store.events()
+            )
 
             out, err = coordinator.communicate(timeout=120)
             assert coordinator.returncode == 0, err
@@ -248,3 +264,21 @@ class TestWorkerDrain:
             ["runs", "doctor", "--store", url, "--assert-no-reexecution"]
         )
         assert doctor.returncode == 0, doctor.stdout + doctor.stderr
+
+    def test_in_process_worker_leaves_signal_handlers_as_found(
+        self, tmp_path, capsys
+    ):
+        # The worker verb traps SIGTERM/SIGINT to drain; called in-process
+        # it must hand the caller's handlers back, or processes forked
+        # later inherit a handler that ignores terminate().
+        store = LocalDirStore(tmp_path / "store")
+        cells = [RunTask("alg1", 4, 1, "silent", 0).to_dict()]
+        store.seed(
+            kind="sweep", run_id="one", cells=cells,
+            fingerprint=config_fingerprint("sweep", cells),
+        )
+        signals = (signal.SIGTERM, signal.SIGINT)
+        before = [signal.getsignal(signum) for signum in signals]
+        assert main(["worker", "--store", f"dir:{store.root}"]) == 0
+        assert "1 claimed, 1 completed" in capsys.readouterr().out
+        assert [signal.getsignal(signum) for signum in signals] == before

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.agreement.approximate import ValueMessage
 from repro.agreement.eig import RelayMessage
-from repro.agreement.phase_king import KingMessage, PhaseValueMessage
 from repro.baselines.splitting import ClaimMessage
 from repro.broadcast.bracha import (
     EchoValueMessage,
@@ -132,8 +131,6 @@ class TestRoundtrips:
             "InitialMessage": InitialMessage(9),
             "EchoValueMessage": None,
             "ReadyValueMessage": None,
-            "PhaseValueMessage": None,
-            "KingMessage": None,
             "RanksMessage": RanksMessage.from_dict({1: Fraction(3, 2)}),
             "MultiEchoMessage": MultiEchoMessage.from_ids([1, 2]),
             "ValueMessage": ValueMessage(Fraction(1, 3)),
@@ -187,8 +184,6 @@ GOLDEN = {
     InitialMessage: (InitialMessage(-5), "0309"),
     EchoValueMessage: (EchoValueMessage(64), "048001"),
     ReadyValueMessage: (ReadyValueMessage(-(2**33)), "05ffffffff3f"),
-    PhaseValueMessage: (PhaseValueMessage(1), "0602"),
-    KingMessage: (KingMessage(0), "0700"),
     RanksMessage: (
         RanksMessage(entries=((3, Fraction(-7, 2)), (9, 0.75), (200, 4))),
         "1003030d02090604c8010801",

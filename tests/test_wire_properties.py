@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 from repro.agreement.approximate import ValueMessage
 from repro.agreement.eig import RelayMessage
-from repro.agreement.phase_king import KingMessage, PhaseValueMessage
 from repro.baselines.splitting import ClaimMessage
 from repro.broadcast.bracha import (
     EchoValueMessage,
@@ -100,8 +99,6 @@ STRATEGIES = {
     InitialMessage: st.builds(InitialMessage, _sint),
     EchoValueMessage: st.builds(EchoValueMessage, _sint),
     ReadyValueMessage: st.builds(ReadyValueMessage, _sint),
-    PhaseValueMessage: st.builds(PhaseValueMessage, _sint),
-    KingMessage: st.builds(KingMessage, _sint),
     RanksMessage: st.builds(RanksMessage, _ranks_entries()),
     MultiEchoMessage: st.builds(
         MultiEchoMessage, st.lists(_uint, max_size=12).map(tuple)
