@@ -57,7 +57,8 @@ PERF_SMOKE_SWEEP_LAYERS := core.validation.is_valid_ranks.calls_per_op \
 	core.approximation.approximate.calls_per_op
 PERF_SMOKE_SERVICE_LAYERS := service.frames.read_frame.client.calls_per_op \
 	service.frames.write_frame.client.calls_per_op \
-	service.load.validate_names.calls_per_op
+	service.load.validate_names.calls_per_op \
+	service.journal.SessionJournal.append.calls_per_op
 perf-smoke:
 	@for run in "all 2 0" "flood 1 1" "sweep 1 1 $(PERF_SMOKE_SWEEP_LAYERS)" \
 		"service-journal 1 1 $(PERF_SMOKE_SERVICE_LAYERS)"; do \
@@ -112,7 +113,9 @@ chaos-smoke:
 ## crash hook fires in the process that owns the run (spawned workers
 ## would each die and be respawned). It exits 137 by design (the leading
 ## '-' ignores it); the resume, the doctor assertion and the report
-## comparison gate.
+## comparison gate. A torn event (an append cut mid-line) is then glued
+## onto the killed run's event log: the resume must cut it, so every line
+## of the log still parses after the resumed run appended to it.
 RESUME_SMOKE_DIR := .resume-smoke
 RESUME_SMOKE_GRID := --algorithms alg1 --sizes 7:2 \
 	--seeds 0 1 2 3 4 5 6 7 8 9 --chaos-seeds 0 1 --drop 0.05 0.1
@@ -121,8 +124,12 @@ resume-smoke:
 	-REPRO_STORE_CRASH_AFTER=finish:20 $(PYTHON) -m repro.cli chaos \
 		$(RESUME_SMOKE_GRID) --workers 1 --timeout 120 \
 		--journal $(RESUME_SMOKE_DIR) --run-id smoke
+	printf '{"event":"tor' >> $(RESUME_SMOKE_DIR)/smoke/events.jsonl
 	$(PYTHON) -m repro.cli runs resume smoke --runs-dir $(RESUME_SMOKE_DIR) \
 		--workers 2 --json $(RESUME_SMOKE_DIR)/resumed.json
+	$(PYTHON) -c 'import json, sys; \
+		[json.loads(line) for line in open(sys.argv[1], "rb")]' \
+		$(RESUME_SMOKE_DIR)/smoke/events.jsonl
 	$(PYTHON) -m repro.cli runs doctor smoke --runs-dir $(RESUME_SMOKE_DIR) \
 		--assert-no-reexecution
 	$(PYTHON) -m repro.cli chaos $(RESUME_SMOKE_GRID) --workers 1 \
@@ -238,8 +245,9 @@ service-smoke:
 
 ## Crash-recovery end-to-end: a journaled daemon takes a tokened burst
 ## *through the chaos proxy* (connection resets + mid-frame truncation)
-## and is SIGKILLed mid-load by the deterministic crash hook; a fresh
-## daemon restarts on the same journal and the identical burst is
+## and is SIGKILLed mid-load by the deterministic crash hook; a torn
+## record is glued onto the journal, a fresh daemon restarts on it (and
+## must cut the torn tail) and the identical burst is
 ## re-driven — every token must complete (pre-crash sessions answered
 ## byte-identically from the journal, interrupted ones re-admitted
 ## exactly once), a query must answer from the journal, and the offline
@@ -273,6 +281,7 @@ recovery-smoke:
 		--report $(RECOVERY_SMOKE_DIR)/burst.txt; BURST=$$?; \
 	wait $$SRV; CRASH=$$?; \
 	rm -f $(RECOVERY_SMOKE_DIR)/svc.port; \
+	printf '{"v":1,"seq' >> $(RECOVERY_SMOKE_DIR)/sessions.jsonl; \
 	$(PYTHON) -m repro.cli serve --port 0 \
 		--port-file $(RECOVERY_SMOKE_DIR)/svc.port \
 		--session-journal $(RECOVERY_SMOKE_DIR)/sessions.jsonl \

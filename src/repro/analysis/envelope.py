@@ -12,11 +12,18 @@ the hash:
   ``{"v", "seq", "type", "data", "crc"}``, the line format of the service
   session journal (:mod:`repro.service.journal`).
 
-Alongside them live the run-identity and artifact helpers:
-:func:`config_fingerprint` (what a store's header pins),
-:func:`scrub_volatile` / :func:`canonical_json` (the wall-clock-free report
-form a resumed run must match byte for byte),
-:func:`atomic_write_text` (write-temp, fsync, ``os.replace``) and
+Every durable write in the package goes through the file helpers here,
+the only module that fsyncs: :func:`durable_file` (write, flush, fsync),
+:func:`atomic_writer` / :func:`atomic_write_text` (a durable temp file,
+then ``os.replace``), and, for the two append-only JSONL logs (the session
+journal and the result store's ``events.jsonl``), :func:`append_line`,
+the tail reader :func:`read_lines` and :func:`truncate_durably` (torn-tail
+repair and the journal's rollback of a failed append). Each log parses
+its lines itself.
+
+Alongside them live :func:`config_fingerprint` (what a store's header
+pins), :func:`scrub_volatile` / :func:`canonical_json` (the wall-clock-free
+report form a resumed run must match byte for byte) and
 :class:`CrashHook`, the deterministic SIGKILL test hook of the result
 store and the session journal.
 
@@ -31,19 +38,25 @@ import hashlib
 import json
 import os
 import signal
+from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional, Tuple, Type, Union
+from typing import IO, Iterator, List, Optional, Tuple, Type, Union
 
 __all__ = [
     "CrashHook",
+    "append_line",
     "atomic_write_text",
+    "atomic_writer",
     "canonical",
     "canonical_json",
     "checksum",
     "config_fingerprint",
+    "durable_file",
+    "read_lines",
     "record_checksum",
     "scrub_volatile",
     "seal",
+    "truncate_durably",
     "unseal",
 ]
 
@@ -132,9 +145,20 @@ def canonical_json(payload: dict) -> str:
     return canonical(scrub_volatile(payload))
 
 
-def atomic_write_text(path: Union[str, Path], text: str) -> Path:
-    """Write ``text`` to ``path`` atomically: temp file in the target
-    directory, flush + fsync, then ``os.replace``.
+@contextmanager
+def durable_file(path: Union[str, Path], mode: str = "w", **kw) -> Iterator[IO]:
+    """Open ``path`` and yield the handle; on a clean exit flush and fsync
+    it before closing, so the bytes are on disk when the block ends."""
+    with open(path, mode, **kw) as handle:
+        yield handle
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
+@contextmanager
+def atomic_writer(path: Union[str, Path], **kwargs) -> Iterator[IO]:
+    """Yield a text handle on a temp file beside ``path``; on a clean exit
+    make it durable and ``os.replace`` it onto ``path``.
 
     A crash at any point leaves either the old content or the new content at
     ``path`` — never a torn file. The temp file carries the target's name
@@ -143,12 +167,48 @@ def atomic_write_text(path: Union[str, Path], text: str) -> Path:
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
+    with durable_file(tmp, "w", **kwargs) as handle:
+        yield handle
     os.replace(tmp, path)
-    return path
+
+
+def atomic_write_text(path: Union[str, Path], text: str) -> Path:
+    """Write ``text`` to ``path`` atomically (see :func:`atomic_writer`)."""
+    with atomic_writer(path) as handle:
+        handle.write(text)
+    return Path(path)
+
+
+def append_line(path: Union[str, Path], line: str) -> int:
+    """Append ``line`` and a newline to the log at ``path``, flushed and
+    fsync'd before returning; returns the bytes appended."""
+    data = line.encode("utf-8") + b"\n"
+    with durable_file(path, "ab") as handle:
+        handle.write(data)
+    return len(data)
+
+
+def read_lines(
+    path: Union[str, Path], offset: int = 0
+) -> Tuple[List[bytes], int, bytes]:
+    """Read the log at ``path`` from byte ``offset``: its complete lines
+    (newline stripped), the offset just past them, and the unterminated
+    tail (``b""`` when the log ends on a newline). Raises ``OSError``."""
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        raw = handle.read()
+    *lines, tail = raw.split(b"\n")
+    return lines, offset + len(raw) - len(tail), tail
+
+
+def truncate_durably(path: Union[str, Path], length: int) -> int:
+    """Cut the file at ``path`` to ``length`` bytes, fsync'd; returns the
+    bytes dropped."""
+    with open(path, "r+b") as handle:
+        dropped = handle.seek(0, os.SEEK_END) - length
+        handle.truncate(length)
+        os.fsync(handle.fileno())
+    return dropped
 
 
 class CrashHook:

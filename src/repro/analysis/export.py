@@ -8,10 +8,10 @@ per run, flat columns, loadable by pandas/R/spreadsheets without adapters.
 from __future__ import annotations
 
 import csv
-import os
 from pathlib import Path
 from typing import Iterable, List, Union
 
+from .envelope import atomic_writer
 from .executor import ExperimentSummary
 from .experiments import ExperimentRecord
 
@@ -67,24 +67,17 @@ def export_csv(
 ) -> Path:
     """Write records to ``path`` as CSV; returns the path written.
 
-    The write is atomic (temp file in the target directory, fsync, then
-    ``os.replace`` — the same discipline as the result cache and the
-    result store): a killed export leaves either the previous file or the
-    complete new one, never a torn CSV that a downstream plot would
-    silently truncate.
+    The write is atomic (:func:`~repro.analysis.envelope.atomic_writer`):
+    a killed export leaves the previous file or the complete new one, never
+    a torn CSV that a downstream plot would silently truncate.
 
     ``records`` is consumed lazily, one row at a time, straight into the
     temp file — exporting a streamed fabric sweep holds O(1) rows in
     memory no matter how many cells the grid has.
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as handle:
+    with atomic_writer(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_FIELDS)
         for record in records:
             writer.writerow(record_row(record))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return path
+    return Path(path)

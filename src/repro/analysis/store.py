@@ -60,7 +60,10 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..sim.errors import LeaseLost, StoreError
-from .envelope import CrashHook, atomic_write_text, canonical, seal, unseal
+from .envelope import (
+    CrashHook, append_line, atomic_write_text, canonical, durable_file,
+    read_lines, seal, truncate_durably, unseal,
+)
 
 __all__ = [
     "Claim",
@@ -278,10 +281,8 @@ class LocalDirStore:
         temp = self._lease_path(cell).with_name(
             f"{cell}.json.{purpose}-{body['token']}"
         )
-        with open(temp, "w") as handle:
+        with durable_file(temp) as handle:
             handle.write(json.dumps(body))
-            handle.flush()
-            os.fsync(handle.fileno())
         return temp
 
     def _write_lease_excl(self, cell: int, body: dict) -> bool:
@@ -608,11 +609,10 @@ class LocalDirStore:
     # -------------------------------------------------------------- events
 
     def record_event(self, event: str, **data) -> None:
-        line = canonical({"event": event, "at": time.time(), **data})
-        with open(self._events_path, "a") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_line(
+            self._events_path,
+            canonical({"event": event, "at": time.time(), **data}),
+        )
 
     def events(self) -> List[dict]:
         return self.events_since(None)[0]
@@ -623,22 +623,17 @@ class LocalDirStore:
         coordinator polls this instead of re-reading the whole log."""
         offset = int(cursor or 0)
         try:
-            with open(self._events_path, "rb") as handle:
-                handle.seek(offset)
-                raw = handle.read()
+            lines, _, _ = read_lines(self._events_path, offset)
         except OSError:
             return [], offset
-        lines = raw.split(b"\n")
-        lines.pop()  # b"" when well-terminated, else a torn tail mid-append
         out = []
-        consumed = 0
         for line in lines:
             try:
                 out.append(json.loads(line))
             except ValueError:
                 break  # unreadable record: stop; diagnostics only
-            consumed += len(line) + 1
-        return out, offset + consumed
+            offset += len(line) + 1
+        return out, offset
 
     def truncate_torn_events(self) -> int:
         """Cut a torn final event (an append killed mid-write) off the log
@@ -646,15 +641,10 @@ class LocalDirStore:
         onto the torn bytes and hide every event after them; resuming a
         run and ``runs doctor`` both repair this way."""
         try:
-            raw = self._events_path.read_bytes()
+            _, end, tail = read_lines(self._events_path)
         except OSError:
             return 0
-        torn = len(raw) - (raw.rfind(b"\n") + 1)
-        if torn:
-            with open(self._events_path, "r+b") as handle:
-                handle.truncate(len(raw) - torn)
-                os.fsync(handle.fileno())
-        return torn
+        return truncate_durably(self._events_path, end) if tail else 0
 
     def live_leases(self) -> Iterator[dict]:
         if not self._leases.is_dir():

@@ -1173,7 +1173,8 @@ def _session_result_column(record) -> str:
 
 
 def cmd_sessions(args: argparse.Namespace) -> int:
-    from .service.journal import scan_session_journal, truncate_torn_tail
+    from .analysis.envelope import truncate_durably
+    from .service.journal import scan_session_journal
 
     path = Path(args.journal)
     state = scan_session_journal(path)
@@ -1182,7 +1183,7 @@ def cmd_sessions(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_INFRA
     if state.torn:
-        torn_bytes = truncate_torn_tail(state)
+        torn_bytes = truncate_durably(path, state.good_bytes)
         print(
             f"torn tail: {torn_bytes} byte(s) cut mid-append by a crash — "
             f"truncated (by fsync ordering no client was ever answered "

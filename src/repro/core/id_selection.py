@@ -170,8 +170,3 @@ class IdSelectionPhase(Phase):
             accepted=self.accepted,
             ordered=self.sorted_accepted(),
         )
-
-    def rank_of(self, identifier: int) -> int:
-        """1-based position of ``identifier`` in the sorted accepted set."""
-        ordered = self.sorted_accepted()
-        return ordered.index(identifier) + 1

@@ -41,14 +41,17 @@ this process becomes durable — how the recovery suite and
 from __future__ import annotations
 
 import json
-import os
+import os  # noqa: F401 — tests stub the crash hook's kill as ``journal.os.kill``
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ..sim.errors import JournalError
 
-from ..analysis.envelope import CrashHook, canonical, checksum, record_checksum
+from ..analysis.envelope import (
+    CrashHook, append_line, canonical, checksum, read_lines, record_checksum,
+    truncate_durably,
+)
 
 __all__ = [
     "SERVICE_CRASH_HOOK_ENV",
@@ -59,7 +62,6 @@ __all__ = [
     "SessionRecord",
     "request_fingerprint",
     "scan_session_journal",
-    "truncate_torn_tail",
 ]
 
 #: Session-journal format version; scan rejects other versions.
@@ -118,7 +120,7 @@ class SessionJournalState:
     sessions: Dict[str, SessionRecord] = field(default_factory=dict)
     records: int = 0
     #: Byte offset of the end of the last good record (torn-tail repair
-    #: truncates the file to this length).
+    #: and a failed append's rollback truncate the file to this length).
     good_bytes: int = 0
     #: True when the final line was torn (dropped, not an error).
     torn: bool = False
@@ -166,13 +168,10 @@ def scan_session_journal(path: Union[str, Path]) -> SessionJournalState:
     """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        lines, _, trailing = read_lines(path)
     except OSError as exc:
         raise JournalError(f"cannot read session journal {path}: {exc}") from None
     state = SessionJournalState(path=path)
-    lines = raw.split(b"\n")
-    trailing = lines.pop() if lines else b""
-    offset = 0
     for lineno, line in enumerate(lines, start=1):
         is_last = lineno == len(lines) and not trailing
         try:
@@ -194,23 +193,10 @@ def scan_session_journal(path: Union[str, Path]) -> SessionJournalState:
             )
         _apply(state, record, lineno)
         state.records += 1
-        offset += len(line) + 1
-        state.good_bytes = offset
+        state.good_bytes += len(line) + 1
     if trailing:
         state.torn = True
     return state
-
-
-def truncate_torn_tail(state: SessionJournalState) -> int:
-    """Cut a torn final record (see :func:`scan_session_journal`) off
-    ``state.path``, durably, and return the bytes dropped."""
-    if not state.torn:
-        return 0
-    with open(state.path, "r+b") as handle:
-        torn = handle.seek(0, os.SEEK_END) - state.good_bytes
-        handle.truncate(state.good_bytes)
-        os.fsync(handle.fileno())
-    return torn
 
 
 def _apply(state: SessionJournalState, record: dict, lineno: int) -> None:
@@ -264,13 +250,18 @@ class SessionJournal:
     frame *after* the matching record is durable, so a record lost to a
     crash (the torn tail) was never answered, and an answered session is
     never lost.
+
+    An append lands whole or not at all: a failed write or fsync truncates
+    the file back to its last good record (there is one writer), so the
+    next append reuses the ``seq``. If that rollback fails too, later
+    appends raise :class:`~repro.sim.errors.JournalError` instead.
     """
 
-    def __init__(self, path: Path, state: SessionJournalState, handle) -> None:
+    def __init__(self, path: Path, state: SessionJournalState) -> None:
         self.path = path
         self.state = state
-        self._handle = handle
-        self._seq = state.records
+        #: Set when a failed append could not be rolled back: appends refused.
+        self._broken: Optional[str] = None
         self._crash_hook = CrashHook(SERVICE_CRASH_HOOK_ENV, JournalError, "type")
 
     # ------------------------------------------------------------ lifecycle
@@ -285,19 +276,15 @@ class SessionJournal:
                 raise JournalError(
                     f"session journal {path} has no intact header record"
                 )
-            truncate_torn_tail(state)
-            return cls(path, state, open(path, "ab"))
-        handle = open(path, "ab")
-        journal = cls(path, SessionJournalState(path=path), handle)
+            if state.torn:
+                truncate_durably(path, state.good_bytes)
+            return cls(path, state)
+        journal = cls(path, SessionJournalState(path=path))
         journal.append("header", kind=SESSION_JOURNAL_KIND)
         return journal
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._handle.close()
-            self._handle = None
+        """No-op: every append opens, fsyncs and closes the file itself."""
 
     def __enter__(self) -> "SessionJournal":
         return self
@@ -311,22 +298,30 @@ class SessionJournal:
         """Durably append one record (write + flush + fsync)."""
         if type_ not in RECORD_TYPES:
             raise JournalError(f"unknown record type {type_!r}")
+        if self._broken is not None:
+            raise JournalError(f"session journal {self.path}: {self._broken}")
+        seq = self.state.records
         record = {
             "v": SESSION_JOURNAL_VERSION,
-            "seq": self._seq,
+            "seq": seq,
             "type": type_,
             "data": data,
-            "crc": record_checksum(
-                SESSION_JOURNAL_VERSION, self._seq, type_, data
-            ),
+            "crc": record_checksum(SESSION_JOURNAL_VERSION, seq, type_, data),
         }
-        line = (canonical(record) + "\n").encode("utf-8")
-        self._handle.write(line)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        self._seq += 1
-        _apply(self.state, record, self._seq)
-        self.state.records = self._seq
+        try:
+            written = append_line(self.path, canonical(record))
+        except OSError as exc:
+            try:
+                truncate_durably(self.path, self.state.good_bytes)
+            except OSError as undo:
+                self._broken = (
+                    f"append of seq {seq} failed ({exc}) and could not be "
+                    f"rolled back ({undo}); appends refused"
+                )
+            raise
+        _apply(self.state, record, seq + 1)
+        self.state.records = seq + 1
+        self.state.good_bytes += written
         self._crash_hook.fire(type_)
 
     def accepted(self, session_id: str, fingerprint: str, request: dict) -> None:

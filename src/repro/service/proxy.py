@@ -75,10 +75,6 @@ class ProxyFaults:
                 f"(expected one of {DIRECTIONS})"
             )
 
-    @property
-    def any_enabled(self) -> bool:
-        return any(getattr(self, kind) > 0.0 for kind in FAULT_KINDS)
-
 
 @dataclass
 class ProxyStats:

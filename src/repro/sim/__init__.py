@@ -50,7 +50,7 @@ from .errors import (
     StoreError,
 )
 from .faults import Adversary, AdversaryContext, NullAdversary, split_fault_slots
-from .messages import KIND_BITS, Message, int_bits, total_bits
+from .messages import KIND_BITS, Message, int_bits
 from .metrics import RoundMetrics, RunMetrics
 from .model import (
     EXPECTATIONS,
@@ -136,5 +136,4 @@ __all__ = [
     "parse_model",
     "run_protocol",
     "split_fault_slots",
-    "total_bits",
 ]

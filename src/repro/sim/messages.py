@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable
 
 #: Bits charged for the message-kind tag.
 KIND_BITS = 8
@@ -60,8 +59,3 @@ class Message:
     def kind(self) -> str:
         """Human-readable message kind (the class name)."""
         return type(self).__name__
-
-
-def total_bits(messages: Iterable[Message], id_bits: int, rank_bits: int) -> int:
-    """Sum of :meth:`Message.bit_size` over ``messages``."""
-    return sum(m.bit_size(id_bits=id_bits, rank_bits=rank_bits) for m in messages)

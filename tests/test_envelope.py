@@ -18,12 +18,23 @@ cell (``StoreError``, exit 3), never a raw ``TypeError`` or ``KeyError``.
 from __future__ import annotations
 
 import json
+import re
 import signal
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import ResultCache, RunTask
-from repro.analysis.envelope import checksum, record_checksum, seal, unseal
+from repro.analysis.envelope import (
+    append_line,
+    checksum,
+    read_lines,
+    record_checksum,
+    seal,
+    truncate_durably,
+    unseal,
+)
 from repro.analysis.store import LocalDirStore
 from repro.analysis.worker import check_store
 from repro.cli import EXIT_INFRA, main
@@ -299,3 +310,76 @@ class TestMemoEntry:
         assert json.dumps(
             seal(MEMO_BODY, schema=5, body_key="summary")
         ).encode() == MEMO_ENTRY
+
+
+class TestEventLogLine:
+    def test_record_event_writes_one_canonical_line(self, tmp_path, monkeypatch):
+        import repro.analysis.store as store_module
+
+        monkeypatch.setattr(store_module.time, "time", lambda: 1.5)
+        store = LocalDirStore(tmp_path / "r")
+        store.record_event("claimed", cell=0, worker="w")
+        store.record_event("interrupted", signal="SIGTERM")
+        assert (tmp_path / "r" / "events.jsonl").read_bytes() == (
+            b'{"at":1.5,"cell":0,"event":"claimed","worker":"w"}\n'
+            b'{"at":1.5,"event":"interrupted","signal":"SIGTERM"}\n'
+        )
+
+
+class TestLogPrimitives:
+    """The one append, tail reader and truncate both JSONL logs share."""
+
+    def test_append_line_is_one_terminated_line(self, tmp_path):
+        path = tmp_path / "log"
+        assert append_line(path, '{"a":1}') == 8
+        assert append_line(path, "{}") == 3
+        assert path.read_bytes() == b'{"a":1}\n{}\n'
+
+    def test_read_lines_splits_complete_lines_from_the_tail(self, tmp_path):
+        path = tmp_path / "log"
+        path.write_bytes(b"one\ntwo\nthr")
+        assert read_lines(path) == ([b"one", b"two"], 8, b"thr")
+        assert read_lines(path, 4) == ([b"two"], 8, b"thr")
+        assert read_lines(path, 8) == ([], 8, b"thr")
+        path.write_bytes(b"one\n")
+        assert read_lines(path, 4) == ([], 4, b"")
+        with pytest.raises(OSError):
+            read_lines(tmp_path / "missing")
+
+    def test_truncate_durably_reports_the_bytes_cut(self, tmp_path):
+        path = tmp_path / "log"
+        path.write_bytes(b"one\ntw")
+        assert truncate_durably(path, 4) == 2
+        assert path.read_bytes() == b"one\n"
+        assert truncate_durably(path, 4) == 0
+
+
+class TestDurableWritesLiveHere:
+    """Every fsync and every append-mode open in the package sits in
+    ``analysis/envelope.py``, so both logs and every atomic file share
+    one durability discipline."""
+
+    FSYNC = re.compile(r"\bos\.fsync\(")
+    APPEND_OPEN = re.compile(r"""\bopen\([^)]*["']a[bt+]*["']""")
+
+    def test_the_patterns_catch_the_forms_they_guard(self):
+        assert self.APPEND_OPEN.search('with open(self._events_path, "a") as h')
+        assert self.APPEND_OPEN.search("open(path,\n     'ab')")
+        assert self.APPEND_OPEN.search('path.open(mode="a+")')
+        assert not self.APPEND_OPEN.search('open(path, "rb")')
+        assert not self.APPEND_OPEN.search('open(path, "r+b")')
+
+    def test_only_the_envelope_fsyncs_or_opens_for_append(self):
+        package = Path(repro.__file__).parent
+        envelope = package / "analysis" / "envelope.py"
+        assert self.FSYNC.search(envelope.read_text())
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            if path == envelope:
+                continue
+            text = path.read_text()
+            for pattern in (self.FSYNC, self.APPEND_OPEN):
+                for match in pattern.finditer(text):
+                    lineno = text.count("\n", 0, match.start()) + 1
+                    offenders.append(f"{path.relative_to(package)}:{lineno}")
+        assert offenders == []

@@ -14,9 +14,13 @@ with real processes is ``tests/test_service_recovery.py``.
 from __future__ import annotations
 
 import asyncio
+import errno
+import json
+import os
 
 import pytest
 
+from repro.analysis import envelope
 from repro.service.frames import decode_frame, read_frame, write_frame
 from repro.service.journal import (
     SESSION_JOURNAL_KIND,
@@ -144,6 +148,51 @@ class TestSessionJournalFile:
             assert not kills  # first accepted: under the threshold
             journal.accepted("b", "fp", {})
             assert len(kills) == 1  # the record was durable before the kill
+
+    @staticmethod
+    def _fail_fsync(monkeypatch, times):
+        real, left = os.fsync, [times]
+
+        def fsync(fd):
+            if left[0]:
+                left[0] -= 1
+                raise OSError(errno.EIO, "injected fsync failure")
+            real(fd)
+
+        monkeypatch.setattr(envelope.os, "fsync", fsync)
+
+    def test_failed_append_leaves_file_and_state_as_they_were(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "s.jsonl"
+        journal = SessionJournal.open_or_create(path)
+        journal.accepted("tok-a", "fp", {})
+        intact = path.read_bytes()
+        self._fail_fsync(monkeypatch, times=1)
+        with pytest.raises(OSError, match="injected"):
+            journal.accepted("tok-b", "fp", {})
+        assert path.read_bytes() == intact
+        assert journal.lookup("tok-b") is None
+        journal.accepted("tok-c", "fp", {})
+        reopened = SessionJournal.open_or_create(path).state
+        assert list(reopened.sessions) == ["tok-a", "tok-c"]
+        seqs = [json.loads(line)["seq"] for line in path.read_bytes().splitlines()]
+        assert seqs == [0, 1, 2]
+
+    def test_failed_rollback_refuses_later_appends(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.jsonl"
+        journal = SessionJournal.open_or_create(path)
+        journal.accepted("tok-a", "fp", {})
+        intact = path.read_bytes()
+        self._fail_fsync(monkeypatch, times=2)  # the append and its rollback
+        with pytest.raises(OSError, match="injected"):
+            journal.accepted("tok-b", "fp", {})
+        with pytest.raises(JournalError, match="could not be rolled back"):
+            journal.accepted("tok-c", "fp", {})
+        assert path.read_bytes() == intact
+        assert list(SessionJournal.open_or_create(path).state.sessions) == [
+            "tok-a"
+        ]
 
     def test_fingerprint_pins_the_whole_request(self):
         base = {"session_id": "t", "algorithm": "auto", "t": 1,

@@ -11,7 +11,7 @@ from repro.core.messages import (
     RanksMessage,
     ReadyMessage,
 )
-from repro.sim import KIND_BITS, int_bits, total_bits
+from repro.sim import KIND_BITS, int_bits
 from repro.sim.messages import RANK_FRACTION_BITS
 
 
@@ -50,10 +50,6 @@ class TestMessageSizes:
 
     def test_kind_property(self):
         assert IdMessage(1).kind == "IdMessage"
-
-    def test_total_bits_sums(self):
-        messages = [IdMessage(1), EchoMessage(2)]
-        assert total_bits(messages, id_bits=10, rank_bits=4) == 2 * (KIND_BITS + 10)
 
 
 class TestCanonicalForms:
