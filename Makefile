@@ -115,7 +115,12 @@ chaos-smoke:
 ## '-' ignores it); the resume, the doctor assertion and the report
 ## comparison gate. A torn event (an append cut mid-line) is then glued
 ## onto the killed run's event log: the resume must cut it, so every line
-## of the log still parses after the resumed run appended to it.
+## of the log still parses after the resumed run appended to it. Finally
+## `explain` re-runs stored cells and checks them against their records:
+## cell 0 (a clean control cell finished before the kill) and cell 45 (the
+## last clean control cell, finished after the resume) must reproduce with
+## exit 0, and cell 49 (a drop cell the monitor detected) must reproduce
+## its stored typed error, exit 2.
 RESUME_SMOKE_DIR := .resume-smoke
 RESUME_SMOKE_GRID := --algorithms alg1 --sizes 7:2 \
 	--seeds 0 1 2 3 4 5 6 7 8 9 --chaos-seeds 0 1 --drop 0.05 0.1
@@ -132,6 +137,10 @@ resume-smoke:
 		$(RESUME_SMOKE_DIR)/smoke/events.jsonl
 	$(PYTHON) -m repro.cli runs doctor smoke --runs-dir $(RESUME_SMOKE_DIR) \
 		--assert-no-reexecution
+	$(PYTHON) -m repro.cli explain --cell dir:$(RESUME_SMOKE_DIR)/smoke#0
+	$(PYTHON) -m repro.cli explain --cell dir:$(RESUME_SMOKE_DIR)/smoke#45
+	$(PYTHON) -m repro.cli explain --cell dir:$(RESUME_SMOKE_DIR)/smoke#49; \
+		test $$? -eq 2
 	$(PYTHON) -m repro.cli chaos $(RESUME_SMOKE_GRID) --workers 1 \
 		--timeout 120 --json $(RESUME_SMOKE_DIR)/control.json
 	$(PYTHON) -c 'import json, sys; \
@@ -250,9 +259,10 @@ service-smoke:
 ## must cut the torn tail) and the identical burst is
 ## re-driven — every token must complete (pre-crash sessions answered
 ## byte-identically from the journal, interrupted ones re-admitted
-## exactly once), a query must answer from the journal, and the offline
-## `sessions list` reader must accept the journal and `sessions show`
-## decode a journaled token's frames. Every injected fault
+## exactly once), a query must answer from the journal, the offline
+## `sessions list` reader must accept the journal, `sessions show`
+## decode a journaled token's frames, and `explain --session` re-run a
+## journaled token to the same frames. Every injected fault
 ## must surface as a typed client error — the burst may fail sessions
 ## (exit 3 if the kill landed early) but must never report an invalid
 ## certificate (exit 2) and must never hang.
@@ -303,12 +313,15 @@ recovery-smoke:
 		--journal $(RECOVERY_SMOKE_DIR)/sessions.jsonl > /dev/null; LIST=$$?; \
 	$(PYTHON) -m repro.cli sessions show rsmoke-0 \
 		--journal $(RECOVERY_SMOKE_DIR)/sessions.jsonl > /dev/null; SHOW=$$?; \
+	$(PYTHON) -m repro.cli explain \
+		--session $(RECOVERY_SMOKE_DIR)/sessions.jsonl#rsmoke-0 \
+		> /dev/null; EXPLAIN=$$?; \
 	echo "recovery-smoke: burst=$$BURST crash=$$CRASH redrive=$$REDRIVE \
 		all-completed=$$FULL query=$$QUERY serve=$$SERVE list=$$LIST \
-		show=$$SHOW"; \
+		show=$$SHOW explain=$$EXPLAIN"; \
 	[ $$CRASH -eq 137 ] && [ $$BURST -ne 2 ] && [ $$REDRIVE -eq 0 ] && \
 		[ $$FULL -eq 0 ] && [ $$QUERY -eq 0 ] && [ $$SERVE -eq 0 ] && \
-		[ $$LIST -eq 0 ] && [ $$SHOW -eq 0 ]
+		[ $$LIST -eq 0 ] && [ $$SHOW -eq 0 ] && [ $$EXPLAIN -eq 0 ]
 	rm -rf $(RECOVERY_SMOKE_DIR)
 
 ## Service throughput capture: sessions/sec and p50/p99 session latency

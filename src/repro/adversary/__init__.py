@@ -14,7 +14,7 @@ from .equivocation import SplitWorldAdversary
 from .fast_attacks import SelectiveEchoAdversary
 from .forging import IdForgingAdversary, forge_fake_ids, plan_announcements
 from .fuzz import FuzzAdversary
-from .passive import CrashAdversary, MuteAfterAdversary, SilentAdversary
+from .passive import CrashAdversary, SilentAdversary
 from .rank_attacks import (
     BoundaryVoteAdversary,
     OrderInversionAdversary,
@@ -40,7 +40,6 @@ __all__ = [
     "CrashAdversary",
     "FuzzAdversary",
     "IdForgingAdversary",
-    "MuteAfterAdversary",
     "OrderInversionAdversary",
     "ProtocolDrivenAdversary",
     "RandomNoiseAdversary",

@@ -61,17 +61,3 @@ class CrashAdversary(ProtocolDrivenAdversary):
     def crash_round_of(self, index: int) -> int:
         """The scheduled crash round of faulty slot ``index`` (for tests)."""
         return self._schedule[index]
-
-
-class MuteAfterAdversary(ProtocolDrivenAdversary):
-    """Run the real protocol, then go permanently silent after a fixed round.
-
-    Unlike :class:`CrashAdversary` the cut is deterministic and clean — handy
-    for pinpointing which phase of an algorithm tolerates omissions.
-    """
-
-    def __init__(self, last_active_round: int) -> None:
-        self._last = last_active_round
-
-    def mutate_outbox(self, round_no, index, genuine: Outbox, correct_outboxes) -> Outbox:
-        return genuine if round_no <= self._last else {}

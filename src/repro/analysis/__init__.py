@@ -42,7 +42,6 @@ from .budget import CellBudget, budget_breach
 from .backoff import PollBackoff
 from .worker import Worker, WorkerStats
 from .properties import PropertyReport, check_renaming
-from .serialization import RunArchive, dump_run, load_run, run_to_dict
 from .stats import Summary, fraction_true, median_of, ratios, summarise
 from .sweep import SweepConfig, group_by, run_sweep
 from .tables import banner, format_table
@@ -66,7 +65,6 @@ __all__ = [
     "LocalDirStore",
     "PropertyReport",
     "ResultCache",
-    "RunArchive",
     "RunTask",
     "Summary",
     "SweepConfig",
@@ -87,12 +85,10 @@ __all__ = [
     "open_store",
     "store_doctor",
     "contraction_factors",
-    "dump_run",
     "export_csv",
     "format_table",
     "fraction_true",
     "group_by",
-    "load_run",
     "log_curve",
     "median_of",
     "parallel_map",
@@ -100,7 +96,6 @@ __all__ = [
     "record_row",
     "spread_for_ids",
     "spread_series",
-    "run_to_dict",
     "step_curve",
     "verify_reproduction",
     "ratios",

@@ -6,8 +6,8 @@ its configuration (all randomness derives from the run seed, see
 :mod:`repro.sim.rng`), so sweeps are embarrassingly parallel. This module
 owns the sweep side of that fan-out:
 
-* :class:`RunTask` is one fully-specified, picklable cell and
-  :func:`execute_task` runs it.
+* :class:`RunTask` is one fully-specified, picklable cell;
+  :func:`task_record` runs it and :func:`execute_task` summarises the run.
 * :class:`SweepExecutor` expands the grid, answers what it can from the
   cache, and hands the misses to the one cell loop shared with chaos
   campaigns (:func:`repro.analysis.worker.run_cells`): in-process for
@@ -74,6 +74,7 @@ __all__ = [
     "parallel_map",
     "resolve_workers",
     "summarize_record",
+    "task_record",
 ]
 
 logger = logging.getLogger(__name__)
@@ -398,11 +399,11 @@ def summarize_record(
     )
 
 
-def execute_task(task: RunTask) -> ExperimentSummary:
-    """Run one sweep cell and summarise it (the worker entry point)."""
-    start = time.perf_counter()
+def task_record(task: RunTask) -> ExperimentRecord:
+    """Run one cell: the full record :func:`execute_task` summarises, and
+    what ``repro-renaming explain`` renders."""
     ids = make_ids(task.workload, task.n, seed=task.seed)
-    record = run_experiment(
+    return run_experiment(
         task.algorithm,
         task.n,
         task.t,
@@ -416,6 +417,12 @@ def execute_task(task: RunTask) -> ExperimentSummary:
         chaos=task.chaos,
         model=task.model,
     )
+
+
+def execute_task(task: RunTask) -> ExperimentSummary:
+    """Run one sweep cell and summarise it (the worker entry point)."""
+    start = time.perf_counter()
+    record = task_record(task)
     return summarize_record(
         record, workload=task.workload, elapsed_s=time.perf_counter() - start
     )

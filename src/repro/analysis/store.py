@@ -449,29 +449,28 @@ class LocalDirStore:
     def _terminal_path(self, cell: int) -> Path:
         return self._terminal / f"{cell}.json"
 
-    def terminal(self, cell: int) -> Optional[dict]:
-        """``{"state", "reason", "payload", "attempt"}`` or ``None``.
-
-        A present-but-corrupt terminal record (torn write, tampering) is
-        dropped with a ``torn-result`` event and reported as ``None`` —
-        the cell is simply re-executable, mirroring the cache's
-        logged-miss policy.
-        """
-        path = self._terminal_path(cell)
+    def peek_terminal(self, cell: int) -> Optional[dict]:
+        """``{"state", "reason", "payload", "attempt"}`` or ``None``,
+        without touching the store: a present-but-corrupt record raises
+        ``ValueError`` (or ``KeyError``)."""
         try:
-            payload = json.loads(path.read_text())
+            text = self._terminal_path(cell).read_text()
         except OSError:
             return None
-        except ValueError:
-            payload = None
+        return unseal(json.loads(text), schema=STORE_SCHEMA)
+
+    def terminal(self, cell: int) -> Optional[dict]:
+        """:meth:`peek_terminal`, except that a present-but-corrupt record
+        (torn write, tampering) is dropped with a ``torn-result`` event and
+        reported as ``None`` — the cell is simply re-executable, mirroring
+        the cache's logged-miss policy.
+        """
         try:
-            if payload is None:
-                raise ValueError("unparseable JSON")
-            return unseal(payload, schema=STORE_SCHEMA)
+            return self.peek_terminal(cell)
         except (ValueError, KeyError):
             self.record_event("torn-result", cell=cell)
             try:
-                os.unlink(path)
+                os.unlink(self._terminal_path(cell))
             except OSError:
                 pass
             return None

@@ -3,8 +3,9 @@
 Renders a traced run as an ASCII timeline: per-round traffic, the evolution
 of each correct process's protocol state (timely/accepted sizes, rank
 spread, freeze/decision events). Debugging an attack or a suspected
-protocol bug almost always starts here — ``repro-renaming inspect`` exposes
-it from the shell.
+protocol bug almost always starts here — ``repro-renaming explain`` exposes
+it from the shell, for a configuration, a stored cell or a journaled
+session.
 """
 
 from __future__ import annotations

@@ -7,13 +7,16 @@ Examples::
     repro-renaming run --algorithm alg4 --n 11 --t 2 --attack selective-echo
     repro-renaming scenario saturation
     repro-renaming sweep --algorithms alg1 alg4 --sizes 7:2 11:2 --attacks silent noise
-    repro-renaming inspect --algorithm alg1 --n 7 --t 2 --attack divergence
+    repro-renaming explain --algorithm alg1 --n 7 --t 2 --attack divergence
+    repro-renaming explain --cell dir:.repro-runs/smoke#3
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -33,8 +36,11 @@ from .analysis import (
     render_timeline,
     run_experiment,
     store_doctor,
+    summarize_record,
     summarize_views,
 )
+from .analysis.campaign import describe, reproducer
+from .analysis.executor import task_record
 from .analysis.store import DEFAULT_LEASE_S
 from .analysis.worker import run_kind
 from .sim import (
@@ -42,6 +48,8 @@ from .sim import (
     DEFAULT_ENGINE,
     JournalError,
     RunInterrupted,
+    SafetyViolation,
+    SimulationError,
     StoreError,
     MODEL_KINDS,
     SystemModel,
@@ -49,6 +57,7 @@ from .sim import (
     parse_model,
     resolve_engine,
 )
+from .wire import WireError
 from .workloads import get_scenario, make_ids, scenario_names, workload_names
 
 # Exit-code contract (documented in docs/robustness.md, asserted in
@@ -224,26 +233,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bounds.add_argument("sizes", nargs="+", type=_parse_size, metavar="N:T")
 
-    inspect = commands.add_parser(
-        "inspect", help="run one configuration with tracing and show a timeline"
+    explain = commands.add_parser(
+        "explain",
+        help="re-execute one run with tracing and show its timeline: a "
+             "configuration given by flags, a stored cell (--cell) or a "
+             "journaled session (--session), checked against its record",
     )
-    inspect.add_argument("--algorithm", required=True, choices=sorted(ALGORITHMS))
-    inspect.add_argument("--n", type=int, required=True)
-    inspect.add_argument("--t", type=int, required=True)
-    inspect.add_argument("--attack", default="silent", choices=adversary_names())
-    inspect.add_argument("--workload", default="uniform", choices=workload_names())
-    inspect.add_argument("--seed", type=int, default=0)
-    inspect.add_argument(
-        "--save", metavar="PATH", default=None,
-        help="archive the traced run as JSON for offline analysis",
+    explain.add_argument("--algorithm", default=None, choices=sorted(ALGORITHMS))
+    explain.add_argument("--n", type=int, default=None)
+    explain.add_argument("--t", type=int, default=None)
+    explain.add_argument("--attack", default=None, choices=adversary_names())
+    explain.add_argument("--workload", default=None, choices=workload_names())
+    explain.add_argument("--seed", type=int, default=None)
+    _add_model_flag(explain)
+    _add_engine_flag(explain)
+    explain.set_defaults(engine=None)
+    explain.add_argument(
+        "--cell", metavar="STORE_URL#INDEX", default=None,
+        help="re-run cell INDEX of a result store and compare it with the "
+             "cell's terminal record (the store is only read)",
     )
-    _add_model_flag(inspect)
-    _add_engine_flag(inspect)
-
-    replay = commands.add_parser(
-        "replay", help="re-render the timeline of an archived run"
+    explain.add_argument(
+        "--session", metavar="JOURNAL#TOKEN", default=None,
+        help="re-run a journaled session (split at the first '#') and "
+             "compare it with its journal record (the journal is only read)",
     )
-    replay.add_argument("path", help="JSON archive written by inspect --save")
 
     chaos = commands.add_parser(
         "chaos",
@@ -740,42 +754,194 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_inspect(args: argparse.Namespace) -> int:
-    ids = make_ids(args.workload, args.n, seed=args.seed)
-    record = run_experiment(
-        args.algorithm,
-        args.n,
-        args.t,
-        ids,
-        attack=args.attack,
-        seed=args.seed,
-        collect_trace=True,
-        model=args.model,
-        engine=args.engine,
+#: The flags that name a run for ``explain`` without a stored record.
+_RUN_FLAGS = ("algorithm", "n", "t", "attack", "workload", "seed", "model",
+              "engine")
+
+#: Cell-record fields a re-run does not reproduce: wall-clock and the
+#: chaos verdict, which the campaign judges, not the run.
+_UNCOMPARED = ("elapsed_s", "status", "violated", "retries")
+
+
+def _explain(label: Optional[str], rerun, fields, stored: Optional[dict]) -> int:
+    """Re-run one traced run and print what it did, then compare
+    ``fields(record, error)`` — ``(compared fields, properties hold)`` —
+    with the ``stored`` record's fields. ``stored=None`` means nothing is
+    stored to compare, and ``label=None`` (the flags form) adds no verdict
+    line. A :class:`SafetyViolation` is printed with its round."""
+    try:
+        record, error = rerun(), None
+    except (SimulationError, WireError) as exc:
+        record, error = None, exc
+        what = f"{type(exc).__name__}: {exc}"
+        if isinstance(exc, SafetyViolation):
+            what = f"SafetyViolation ({exc.violated}) in round {exc.round_no}: {exc}"
+        print(f"run aborted — {what}")
+    else:
+        print(render_timeline(record.result))
+        views = summarize_views(record.result)
+        if views is not None:
+            print("\naccepted-set views:\n" + views)
+        report = record.report
+        print(f"\nproperties: {'OK' if report.ok else '; '.join(report.violations)}")
+    found, ok = fields(record, error)
+    if stored is not None:
+        differences = [
+            f"  {key}: stored {stored.get(key)!r}, re-run {found.get(key)!r}"
+            for key in sorted(set(stored) | set(found))
+            if stored.get(key) != found.get(key)
+        ]
+        if differences:
+            print(f"\n{label}: does not reproduce —", *differences, sep="\n")
+            return EXIT_INFRA
+        print(f"\n{label}: reproduced — the re-run matches the stored record")
+    elif label is not None:
+        print(f"\n{label}: nothing stored to compare")
+    if isinstance(error, ConfigurationError) and stored is None:
+        return EXIT_INFRA
+    return EXIT_OK if ok else EXIT_VIOLATION
+
+
+def _cell_fields(payload: dict) -> dict:
+    """A cell record's compared fields, the report's flattened in."""
+    if payload.get("failed"):
+        return {"error": payload["error"]}
+    fields = {key: value for key, value in payload.items()
+              if key not in _UNCOMPARED and key != "report"}
+    fields.update(
+        (f"report.{key}", value) for key, value in payload["report"].items()
     )
-    print(render_timeline(record.result))
-    views = summarize_views(record.result)
-    if views is not None:
-        print("\naccepted-set views:\n" + views)
-    report = record.report
-    print(f"\nproperties: {'OK' if report.ok else '; '.join(report.violations)}")
-    if args.save is not None:
-        from .analysis import dump_run
-
-        path = dump_run(record.result, args.save)
-        print(f"run archived to {path}")
-    return EXIT_OK if report.ok_without_order() else EXIT_VIOLATION
+    return fields
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
-    from .analysis import load_run, summarize_views
+def _explain_cell(target: str) -> int:
+    url, _, index = target.rpartition("#")
+    if not url or not index.isdigit():
+        print(f"error: --cell takes STORE_URL#INDEX, got {target!r}",
+              file=sys.stderr)
+        return EXIT_INFRA
+    # Checked first: opening a store creates a missing directory.
+    if not Path(url[len("dir:"):] if url.startswith("dir:") else url).is_dir():
+        raise StoreError(f"no result store at {url}")
+    store = open_store(url)
+    header = store.header()
+    if header is None:
+        raise StoreError(f"store {url} is not seeded")
+    _, verdicts = run_kind(header["kind"])
+    cell = int(index)
+    if cell >= store.cells:
+        raise StoreError(f"store {url} has no cell {cell} ({store.cells} cells)")
+    task = RunTask.from_dict(store.task(cell))
+    try:
+        stored = store.peek_terminal(cell)
+    except (ValueError, KeyError) as exc:
+        raise StoreError(
+            f"terminal record of cell {cell} in {url} is unreadable: {exc}"
+        ) from None
+    label = f"cell {cell} of {url} ({describe(task)})"
+    if stored is not None and stored["state"] != "finished":
+        payload = stored["payload"] or {}
+        print(f"{label}: {stored['state']} ({stored['reason']}): "
+              f"{payload.get('error', 'no result was stored')}")
+        if verdicts:
+            print(f"  reproducer: {reproducer(task)}")
+        print("  not re-run: the record holds no run to compare")
+        return EXIT_INFRA
 
-    view = load_run(args.path).as_result_view()
-    print(render_timeline(view))
-    views = summarize_views(view)
-    if views is not None:
-        print("\naccepted-set views:\n" + views)
-    return 0
+    def fields(record, error):
+        if error is not None:
+            return {"error": f"{type(error).__name__}: {error}"}, False
+        summary = summarize_record(record, workload=task.workload)
+        if not task.collect_trace:
+            summary.settled_round = None  # an untraced cell stores none
+        payload = json.loads(json.dumps(summary.to_dict()))
+        return _cell_fields(payload), summary.report.ok_without_order()
+
+    return _explain(
+        label,
+        lambda: task_record(replace(task, collect_trace=True)),
+        fields,
+        None if stored is None else _cell_fields(stored["payload"]),
+    )
+
+
+def _explain_session(target: str) -> int:
+    from .service import session
+    from .service.journal import scan_session_journal
+
+    path, _, token = target.partition("#")
+    if not path or not token:
+        print(f"error: --session takes JOURNAL#TOKEN, got {target!r}",
+              file=sys.stderr)
+        return EXIT_INFRA
+    state = scan_session_journal(path)
+    if state.header is None:
+        raise JournalError(f"session journal {path} has no header record")
+    journaled = state.sessions.get(token)
+    if journaled is None:
+        print(f"error: token {token!r} not in {path}", file=sys.stderr)
+        return EXIT_INFRA
+    label = f"session {token!r} in {path}"
+    stored = None
+    if journaled.state == "completed":
+        stored = {"names_hex": journaled.names_hex,
+                  "certificate_hex": journaled.certificate_hex}
+    elif journaled.code in ("config", "safety-violation"):
+        stored = {"code": journaled.code, "detail": journaled.detail}
+    elif journaled.state == "failed":
+        print(f"{label}: failed — {journaled.code}: {journaled.detail}")
+        print("  not re-run: a budget breach is the host's, not the request's")
+        return EXIT_INFRA
+    request = journaled.request
+    try:
+        request = session.SessionRequest(
+            ids=tuple(request["ids"]), algorithm=request["algorithm"],
+            t=request["t"], attack=request["attack"], seed=request["seed"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise JournalError(f"{label} has no usable request ({exc!r})") from None
+
+    def fields(record, error):
+        if error is not None:
+            code = {ConfigurationError: "config",
+                    SafetyViolation: "safety-violation"}.get(type(error))
+            return {"code": code or type(error).__name__,
+                    "detail": str(error)}, False
+        result = session.certify(record)
+        names, certificate = session.response_frames(result)
+        return {"names_hex": names.hex(),
+                "certificate_hex": certificate.hex()}, result.ok
+
+    return _explain(
+        label,
+        lambda: session.session_experiment(request, collect_trace=True),
+        fields,
+        stored,
+    )
+
+
+def cmd_explain(args: argparse.Namespace) -> int:
+    flags = [flag for flag in _RUN_FLAGS if getattr(args, flag) is not None]
+    if args.cell is not None or args.session is not None:
+        if flags or (args.cell is not None and args.session is not None):
+            print("error: explain takes one target: run flags, --cell or "
+                  "--session", file=sys.stderr)
+            return EXIT_INFRA
+        if args.cell is not None:
+            return _explain_cell(args.cell)
+        return _explain_session(args.session)
+    if args.algorithm is None or args.n is None or args.t is None:
+        print("error: explain needs --algorithm, --n and --t, or --cell or "
+              "--session", file=sys.stderr)
+        return EXIT_INFRA
+    task = RunTask(
+        args.algorithm, args.n, args.t, args.attack or "silent", args.seed or 0,
+        workload=args.workload or "uniform", collect_trace=True,
+        engine=args.engine or DEFAULT_ENGINE, model=args.model,
+    )
+    return _explain(None, lambda: task_record(task), lambda record, error: (
+        {}, error is None and record.report.ok_without_order()
+    ), None)
 
 
 def _budget_from(args, fallback: Optional[dict] = None) -> Optional[CellBudget]:
@@ -1242,16 +1408,20 @@ def cmd_sessions(args: argparse.Namespace) -> int:
         for violation in certificate.violations:
             print(f"    violation: {violation}")
         return EXIT_OK if certificate.ok else EXIT_VIOLATION
+    explain = (
+        f"  explain:     repro-renaming explain --session "
+        f"{path}#{record.session_id}"
+    )
     if record.state == "failed":
         print(f"  error:       {record.code}: {record.detail}")
-        if record.trace_pointer >= 0:
-            print(f"  trace:       round {record.trace_pointer}")
+        print(explain)
         return EXIT_VIOLATION
     print(
         "  note:        accepted but never finished — in flight when the "
         "daemon died; a client retry with this token re-admits it "
         "exactly once"
     )
+    print(explain)
     return EXIT_INTERRUPTED
 
 
@@ -1552,10 +1722,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return cmd_verify()
     if args.command == "bounds":
         return cmd_bounds(args)
-    if args.command == "inspect":
-        return cmd_inspect(args)
-    if args.command == "replay":
-        return cmd_replay(args)
+    if args.command == "explain":
+        return cmd_explain(args)
     if args.command == "sweep":
         return cmd_sweep(args)
     if args.command == "chaos":

@@ -190,9 +190,11 @@ class QueryResponseMessage(Message):
 class SessionErrorMessage(Message):
     """Server → client: typed session failure (one of :data:`ERROR_CODES`).
 
-    ``trace_pointer`` locates the failure in a server-side trace when one
-    exists (from :class:`~repro.sim.errors.SafetyViolation`); ``-1`` means
-    no pointer.
+    ``trace_pointer`` is a :class:`~repro.sim.errors.SafetyViolation`'s
+    count of trace events, ``-1`` when the run was untraced — as daemon
+    sessions always are. ``repro-renaming explain --session
+    JOURNAL#TOKEN`` re-runs a journaled session traced and prints the
+    round the violation fired in.
     """
 
     code: str

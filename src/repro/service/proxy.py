@@ -89,18 +89,6 @@ class ProxyStats:
     duplicates: int = 0
     forwarded_bytes: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "connections": self.connections,
-            "upstream_failures": self.upstream_failures,
-            "resets": self.resets,
-            "truncations": self.truncations,
-            "corruptions": self.corruptions,
-            "stalls": self.stalls,
-            "duplicates": self.duplicates,
-            "forwarded_bytes": self.forwarded_bytes,
-        }
-
 
 class _Abort(Exception):
     """Internal: stop this connection now (clean close or hard reset)."""

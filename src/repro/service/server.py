@@ -39,6 +39,7 @@ import asyncio
 import logging
 import signal
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
@@ -46,12 +47,10 @@ from typing import List, Optional, Set, Tuple
 from ..analysis.budget import CellBudget, IsolatedChildError, run_isolated
 from ..sim import DEFAULT_ENGINE, ConfigurationError, ResourceBudgetExceeded, SafetyViolation
 from ..wire import WireError
-from .frames import DEFAULT_MAX_FRAME_BYTES, encode_frame, read_frame, write_frame
+from .frames import DEFAULT_MAX_FRAME_BYTES, read_frame, write_frame
 from .journal import SessionJournal, SessionRecord, request_fingerprint
 from .messages import (
-    CertificateMessage,
     CloseSessionMessage,
-    NamesAssignedMessage,
     OpenSessionMessage,
     QueryRequestMessage,
     QueryResponseMessage,
@@ -99,21 +98,8 @@ class ServiceStats:
     infra: int = 0         # server-side failures (exit 3)
     replayed: int = 0      # tokened repeat submissions answered from the journal
     queries: int = 0       # QueryRequest frames served
-    error_codes: List[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "admitted": self.admitted,
-            "busy": self.busy,
-            "completed": self.completed,
-            "violations": self.violations,
-            "rejected": self.rejected,
-            "disconnected": self.disconnected,
-            "shed": self.shed,
-            "infra": self.infra,
-            "replayed": self.replayed,
-            "queries": self.queries,
-        }
+    #: Rejects per typed error code: at most ``len(ERROR_CODES)`` keys.
+    error_codes: Counter = field(default_factory=Counter)
 
 
 class _Reject(Exception):
@@ -409,7 +395,7 @@ class RenamingService:
             await self._execute_and_respond(session_id, writer, opened, tuple(ids))
         except _Reject as rej:
             self.stats.rejected += 1
-            self.stats.error_codes.append(rej.code)
+            self.stats.error_codes[rej.code] += 1
             log.info("session %d: rejected (%s): %s", session_id, rej.code, rej.detail)
             await self._send_best_effort(
                 writer,
@@ -492,21 +478,7 @@ class RenamingService:
                     session_id,
                     "; ".join(result.violations),
                 )
-            names_frame = encode_frame(
-                NamesAssignedMessage(
-                    entries=result.names,
-                    algorithm=result.algorithm,
-                    rounds=result.rounds,
-                )
-            )
-            certificate_frame = encode_frame(
-                CertificateMessage(
-                    namespace=result.namespace,
-                    ok=result.ok,
-                    checked=result.checked,
-                    violations=result.violations,
-                )
-            )
+            names_frame, certificate_frame = session.response_frames(result)
             if token:
                 # The write-ahead contract: the result is durable before
                 # the first response byte leaves the process.

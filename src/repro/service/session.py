@@ -14,7 +14,11 @@ The daemon hands a closed session to :func:`execute_session`, which
    :class:`~repro.sim.errors.SafetyViolation` instead of returning
    garbage, and the finished assignment is re-validated by
    :func:`repro.analysis.properties.check_renaming`;
-3. builds the property certificate the client receives.
+3. builds the property certificate the client receives
+   (:func:`certify`), which :func:`response_frames` encodes.
+
+:func:`session_experiment` is steps 1–2 alone, so ``repro-renaming
+explain`` re-runs a journaled session through the daemon's own code.
 
 With a :class:`~repro.analysis.budget.CellBudget` the daemon runs this
 function through :func:`repro.analysis.budget.run_isolated`, the same
@@ -26,14 +30,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
-from ..analysis.experiments import ALGORITHMS, run_experiment
+from ..analysis.experiments import ALGORITHMS, ExperimentRecord, run_experiment
 from ..core import SystemParams
 from ..sim import DEFAULT_ENGINE, ConfigurationError
+from .frames import encode_frame
+from .messages import CertificateMessage, NamesAssignedMessage
 
 __all__ = [
     "SessionRequest",
+    "certify",
     "execute_session",
+    "response_frames",
     "select_algorithm",
+    "session_experiment",
 ]
 
 #: Upper bound on rounds for any service run — the monitor's round budget
@@ -81,13 +90,15 @@ def select_algorithm(params: SystemParams) -> str:
     )
 
 
-def execute_session(request: SessionRequest) -> SessionResult:
-    """Run one session and certify the result.
+def session_experiment(
+    request: SessionRequest, *, collect_trace: bool = False
+) -> ExperimentRecord:
+    """Resolve the session's algorithm and run it — the one resolution,
+    shared by :func:`execute_session` and ``repro-renaming explain``.
 
     Raises :class:`~repro.sim.errors.ConfigurationError` for unusable
     parameters and :class:`~repro.sim.errors.SafetyViolation` when the
-    in-run monitor aborts; anything else is a server-side bug the daemon
-    reports as infra.
+    in-run monitor aborts.
     """
     n = len(request.ids)
     try:
@@ -97,32 +108,36 @@ def execute_session(request: SessionRequest) -> SessionResult:
     name = request.algorithm
     if name == "auto":
         name = select_algorithm(params)
-    spec = ALGORITHMS.get(name)
-    if spec is None:
+    if name not in ALGORITHMS:
         known = ", ".join(sorted(ALGORITHMS))
         raise ConfigurationError(
             f"unknown algorithm {request.algorithm!r}; known: auto, {known}"
         )
-    record = run_experiment(
+    return run_experiment(
         name,
         n,
         request.t,
         request.ids,
         attack=request.attack,
         seed=request.seed,
+        collect_trace=collect_trace,
         max_rounds=SERVICE_MAX_ROUNDS,
         engine=request.engine,
         monitor=True,
     )
+
+
+def certify(record: ExperimentRecord) -> SessionResult:
+    """The certified assignment of a finished session run."""
     report = record.report
     checked = ["validity", "termination", "uniqueness"]
-    if spec.order_preserving:
+    if ALGORITHMS[record.algorithm].order_preserving:
         checked.append("order_preservation")
         ok = report.ok
     else:
         ok = report.ok_without_order()
     return SessionResult(
-        algorithm=name,
+        algorithm=record.algorithm,
         rounds=record.rounds,
         namespace=report.namespace,
         names=tuple(sorted(report.names.items())),
@@ -130,3 +145,25 @@ def execute_session(request: SessionRequest) -> SessionResult:
         checked=tuple(checked),
         violations=tuple(report.violations),
     )
+
+
+def execute_session(request: SessionRequest) -> SessionResult:
+    """Run one session and certify the result.
+
+    Raises what :func:`session_experiment` raises; anything else is a
+    server-side bug the daemon reports as infra.
+    """
+    return certify(session_experiment(request))
+
+
+def response_frames(result: SessionResult) -> Tuple[bytes, bytes]:
+    """The encoded NamesAssigned and Certificate frames of ``result`` —
+    what the daemon sends and journals, and what ``explain`` compares."""
+    names = NamesAssignedMessage(
+        entries=result.names, algorithm=result.algorithm, rounds=result.rounds
+    )
+    certificate = CertificateMessage(
+        namespace=result.namespace, ok=result.ok, checked=result.checked,
+        violations=result.violations,
+    )
+    return encode_frame(names), encode_frame(certificate)

@@ -134,8 +134,9 @@ class SafetyViolation(SimulationError):
     * :attr:`round_no` — the round in which the violation surfaced;
     * :attr:`ids` — the original ids involved (empty for the watchdog);
     * :attr:`trace_pointer` — number of trace events recorded when the
-      violation fired (``None`` when the run was not traced), locating the
-      failure inside an archived timeline.
+      violation fired (``None`` when the run was not traced). It counts
+      events, not rounds; ``repro-renaming explain`` re-runs a stored cell
+      or a journaled session traced and prints :attr:`round_no`.
     """
 
     def __init__(

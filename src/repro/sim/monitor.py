@@ -18,7 +18,8 @@ finishes with judgeable output. Under beyond-model fault injection
 
 The violation carries the offending round, the original ids involved, and a
 trace pointer (the number of trace events recorded so far, when tracing is
-on) so the failure can be located inside an archived timeline.
+on), so ``repro-renaming explain`` can locate the failure in the re-run's
+timeline.
 
 Monitors are deterministic observers: on a healthy run every check passes
 and no state outside the monitor changes, so both execution engines remain

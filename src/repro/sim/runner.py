@@ -133,9 +133,9 @@ def run_protocol(
     metamorphic tests use it to relabel every link while keeping fault
     slots, process randomness, and the adversary unchanged. A factory that
     re-derives the wiring
-    (:func:`~repro.agreement.identity.make_identified_factory`,
-    :func:`~repro.broadcast.bracha.make_rb_factory`) must then be built with
-    ``topology_seed``, not ``seed``, or it is wired to the wrong labelling.
+    (:func:`~repro.agreement.identity.make_identified_factory`) must then be
+    built with ``topology_seed``, not ``seed``, or it is wired to the wrong
+    labelling.
 
     ``chaos`` (a :class:`~repro.sim.chaos.FaultPlan`) injects beyond-model
     faults — message drop/duplication/corruption, send-crashes of correct

@@ -32,11 +32,6 @@ from typing import Any, Callable, Dict, List, NamedTuple, Tuple, Type, Union
 from .agreement.approximate import ValueMessage
 from .agreement.eig import RelayMessage
 from .baselines.splitting import ClaimMessage
-from .broadcast.bracha import (
-    EchoValueMessage,
-    InitialMessage,
-    ReadyValueMessage,
-)
 from .core.messages import (
     EchoMessage,
     IdMessage,
@@ -301,9 +296,6 @@ SCHEMA: Tuple[Tuple[int, Type[Message], Tuple[Tuple[str, Kind], ...]], ...] = (
     (0, IdMessage, (("id", UINT),)),
     (1, EchoMessage, (("id", UINT),)),
     (2, ReadyMessage, (("id", UINT),)),
-    (3, InitialMessage, (("value", SINT),)),
-    (4, EchoValueMessage, (("value", SINT),)),
-    (5, ReadyValueMessage, (("value", SINT),)),
     (16, RanksMessage, (("entries", seq(pair(UINT, RANK))),)),
     (17, MultiEchoMessage, (("ids", seq(UINT)),)),
     (18, ValueMessage, (("value", RANK),)),

@@ -9,12 +9,11 @@ from .ids import (
     uniform_ids,
     workload_names,
 )
-from .scenarios import Scenario, all_scenarios, get_scenario, scenario_names
+from .scenarios import Scenario, get_scenario, scenario_names
 
 __all__ = [
     "DEFAULT_NAMESPACE",
     "Scenario",
-    "all_scenarios",
     "clustered_ids",
     "dense_ids",
     "extreme_ids",

@@ -164,8 +164,3 @@ def get_scenario(name: str) -> Scenario:
 def scenario_names() -> List[str]:
     """All scenario names, sorted."""
     return sorted(_SCENARIOS)
-
-
-def all_scenarios() -> List[Scenario]:
-    """Every scenario, sorted by name."""
-    return [_SCENARIOS[name] for name in scenario_names()]

@@ -4,7 +4,8 @@ with benchmarks/conftest.py when both trees are collected together)."""
 
 from __future__ import annotations
 
-from typing import Optional
+from fractions import Fraction
+from typing import Any, Dict, Optional
 
 from repro.adversary import make_adversary
 from repro.analysis import (
@@ -134,3 +135,60 @@ def verdict_record(
         error=error,
         status=status,
     )
+
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, Fraction):
+        return {"__fraction__": True, "num": value.numerator, "den": value.denominator}
+    if isinstance(value, (frozenset, set, tuple, list)):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return {
+            "__dict__": True,
+            "items": [[_encode(k), _encode(v)] for k, v in value.items()],
+        }
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    return {"__repr__": repr(value)}
+
+
+def run_to_dict(result: RunResult) -> Dict[str, Any]:
+    """A finished run as JSON-ready data — outputs, per-round metrics and
+    the full trace, ranks as exact fractions — which the golden run digests
+    of ``tests/test_differential.py`` hash as sorted-key JSON. Any change
+    to this encoding moves every pin."""
+    payload: Dict[str, Any] = {
+        "schema": 1,
+        "n": result.n,
+        "t": result.t,
+        "byzantine": list(result.byzantine),
+        "ids": {str(index): identifier for index, identifier in result.ids.items()},
+        "outputs": {
+            str(index): _encode(output) for index, output in result.outputs.items()
+        },
+        "metrics": {
+            "id_bits": result.metrics.id_bits,
+            "rank_bits": result.metrics.rank_bits,
+            "peak_message_bits": result.metrics.peak_message_bits,
+            "rounds": [
+                {
+                    "round": record.round_no,
+                    "correct_messages": record.correct_messages,
+                    "correct_bits": record.correct_bits,
+                    "byzantine_messages": record.byzantine_messages,
+                }
+                for record in result.metrics.rounds
+            ],
+        },
+    }
+    if result.trace is not None:
+        payload["trace"] = [
+            {
+                "process": event.process,
+                "round": event.round_no,
+                "event": event.event,
+                "detail": _encode(event.detail),
+            }
+            for event in result.trace
+        ]
+    return payload

@@ -9,7 +9,6 @@ from repro import OrderPreservingRenaming, run_protocol
 from repro.adversary import (
     ConformingAdversary,
     CrashAdversary,
-    MuteAfterAdversary,
     adversary_names,
     forge_fake_ids,
     make_adversary,
@@ -148,21 +147,3 @@ class TestCrashAdversary:
         )
         for slot in adversary.ctx.byzantine:
             assert 1 <= adversary.crash_round_of(slot) <= 5
-
-
-class TestMuteAfterAdversary:
-    def test_silent_after_cutoff(self):
-        """A slot muted after round 1 contributes its id but never echoes:
-        its id still spreads via correct processes."""
-        n, t = 7, 2
-        result = run_protocol(
-            OrderPreservingRenaming,
-            n=n,
-            t=t,
-            ids=standard_ids(n),
-            adversary=MuteAfterAdversary(last_active_round=1),
-            seed=0,
-            collect_trace=True,
-        )
-        names = result.new_names()
-        assert len(names) == n - t

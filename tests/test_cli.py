@@ -124,29 +124,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "N>3t" in out and "28/27" in out
 
-    def test_inspect(self, capsys):
-        code = main(
-            ["inspect", "--algorithm", "alg1", "--n", "7", "--t", "2",
-             "--attack", "divergence", "--seed", "2"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "rank spread" in out
-        assert "accepted-set views" in out
-        assert "properties: OK" in out
-
-    def test_inspect_save(self, capsys, tmp_path):
-        target = tmp_path / "run.json"
-        code = main(
-            ["inspect", "--algorithm", "alg1", "--n", "7", "--t", "2",
-             "--save", str(target)]
-        )
-        assert code == 0
-        from repro.analysis import load_run
-
-        archive = load_run(target)
-        assert archive.n == 7
-
 
 class TestExitCodeContract:
     """The documented exit codes (docs/robustness.md) are append-only API."""

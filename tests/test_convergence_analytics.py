@@ -1,4 +1,4 @@
-"""Tests for the shared convergence analytics (and the replay view)."""
+"""Tests for the shared convergence analytics."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ from repro import OrderPreservingRenaming, SystemParams, run_protocol
 from repro.adversary import make_adversary
 from repro.analysis import (
     contraction_factors,
-    load_run,
-    dump_run,
     spread_for_ids,
     spread_series,
 )
@@ -54,12 +52,6 @@ class TestSpreadSeries:
         for round_no, spread in series.items():
             assert spread <= full[round_no]
 
-    def test_works_on_archived_runs(self, tmp_path):
-        result = traced_run()
-        archive = load_run(dump_run(result, tmp_path / "r.json"))
-        view = archive.as_result_view()
-        assert spread_series(view) == spread_series(result)
-
 
 class TestSpreadForIds:
     def test_basic(self):
@@ -86,25 +78,3 @@ class TestContractionFactors:
         voting_only = {k: v for k, v in series.items() if k >= 5}
         factors = contraction_factors(voting_only)
         assert all(f >= params.realized_sigma - 1e-9 for f in factors)
-
-
-class TestReplayView:
-    def test_timeline_matches_live(self, tmp_path):
-        from repro.analysis import render_timeline
-
-        result = traced_run()
-        view = load_run(dump_run(result, tmp_path / "r.json")).as_result_view()
-        assert render_timeline(view) == render_timeline(result)
-
-    def test_cli_replay(self, tmp_path, capsys):
-        from repro.cli import main
-
-        target = tmp_path / "run.json"
-        assert main([
-            "inspect", "--algorithm", "alg1", "--n", "7", "--t", "2",
-            "--attack", "divergence", "--save", str(target),
-        ]) == 0
-        capsys.readouterr()
-        assert main(["replay", str(target)]) == 0
-        out = capsys.readouterr().out
-        assert "rank spread" in out

@@ -19,7 +19,7 @@ from functools import partial
 
 import pytest
 
-from helpers import run_registered, standard_ids
+from helpers import run_registered, run_to_dict, standard_ids
 from repro import (
     OrderPreservingRenaming,
     RenamingOptions,
@@ -104,25 +104,6 @@ class TestWireFidelity:
             base = run_protocol(cls, **kwargs)
             wired = run_protocol(cls, through_wire=True, **kwargs)
             assert base.new_names() == wired.new_names(), cls.__name__
-
-
-class TestArchiveFidelity:
-    def test_every_attack_roundtrips(self, tmp_path):
-        from repro.analysis import dump_run, load_run
-
-        for attack in ("id-forging", "divergence", "rank-skew"):
-            result = run_protocol(
-                OrderPreservingRenaming,
-                n=7,
-                t=2,
-                ids=standard_ids(7),
-                adversary=make_adversary(attack),
-                seed=1,
-                collect_trace=True,
-            )
-            archive = load_run(dump_run(result, tmp_path / f"{attack}.json"))
-            assert archive.new_names() == result.new_names()
-            assert len(archive.trace) == len(list(result.trace))
 
 
 class TestGoldenCorpus:
@@ -229,8 +210,6 @@ class TestGoldenRankTraces:
         ids=[f"{a}-{n}-{t}-{attack}" for a, n, t, attack in sorted(GOLDEN_RANK_TRACES)],
     )
     def test_digest(self, algorithm, n, t, attack, engine):
-        from repro.analysis.serialization import run_to_dict
-
         result = run_registered(algorithm, n, t, attack=attack, seed=3, engine=engine)
         canonical = json.dumps(run_to_dict(result), sort_keys=True).encode()
         digest = hashlib.sha256(canonical).hexdigest()
@@ -245,7 +224,6 @@ def _golden_run_digest(case: str, engine: str) -> str:
     instead, so *how* a run fails is pinned as tightly as how it succeeds.
     """
     from repro.analysis import ALGORITHMS
-    from repro.analysis.serialization import run_to_dict
 
     algorithm, n, t, attack, seed, options = GOLDEN_RUN_CASES[case]
     build_factory = (

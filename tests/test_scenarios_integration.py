@@ -15,9 +15,9 @@ import pytest
 
 from repro.analysis import ALGORITHMS, run_experiment
 from repro.sim import SimulationError, parse_model
-from repro.workloads import all_scenarios, make_ids
+from repro.workloads import get_scenario, make_ids, scenario_names
 
-SCENARIOS = all_scenarios()
+SCENARIOS = [get_scenario(name) for name in scenario_names()]
 
 
 def compatible_algorithms(scenario):

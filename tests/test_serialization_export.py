@@ -1,96 +1,17 @@
-"""Tests for run archiving (JSON) and sweep export (CSV)."""
+"""Tests for sweep export (CSV)."""
 
 from __future__ import annotations
 
 import csv
-import json
-from fractions import Fraction
 
-from helpers import standard_ids
 from repro import OrderPreservingRenaming, run_protocol
 from repro.adversary import make_adversary
 from repro.analysis import (
     CSV_FIELDS,
     SweepConfig,
-    dump_run,
     export_csv,
-    load_run,
     run_sweep,
-    run_to_dict,
 )
-
-
-def traced_run(seed=2):
-    return run_protocol(
-        OrderPreservingRenaming,
-        n=7,
-        t=2,
-        ids=standard_ids(7),
-        adversary=make_adversary("divergence"),
-        seed=seed,
-        collect_trace=True,
-    )
-
-
-class TestRunArchive:
-    def test_roundtrip_outputs(self, tmp_path):
-        result = traced_run()
-        path = dump_run(result, tmp_path / "run.json")
-        archive = load_run(path)
-        assert archive.n == result.n and archive.t == result.t
-        assert archive.byzantine == result.byzantine
-        assert archive.new_names() == result.new_names()
-        assert archive.correct == result.correct
-
-    def test_roundtrip_trace_with_fractions(self, tmp_path):
-        result = traced_run()
-        archive = load_run(dump_run(result, tmp_path / "run.json"))
-        ranks_events = [e for e in archive.trace if e["event"] == "ranks"]
-        assert ranks_events
-        # Fractions survive the JSON roundtrip exactly.
-        original = [
-            e.detail for e in result.trace.select(event="ranks")
-        ]
-        restored = [e["detail"] for e in ranks_events]
-        assert restored == original
-        assert any(
-            isinstance(v, Fraction)
-            for detail in restored
-            for v in detail.values()
-        )
-
-    def test_metrics_preserved(self, tmp_path):
-        result = traced_run()
-        archive = load_run(dump_run(result, tmp_path / "run.json"))
-        assert len(archive.metrics["rounds"]) == result.metrics.round_count
-        assert (
-            archive.metrics["peak_message_bits"]
-            == result.metrics.peak_message_bits
-        )
-
-    def test_untraced_run_archivable(self, tmp_path):
-        result = run_protocol(
-            OrderPreservingRenaming, n=7, t=2, ids=standard_ids(7), seed=0
-        )
-        archive = load_run(dump_run(result, tmp_path / "run.json"))
-        assert archive.trace == []
-        assert archive.new_names() == result.new_names()
-
-    def test_schema_version_enforced(self, tmp_path):
-        result = traced_run()
-        payload = run_to_dict(result)
-        payload["schema"] = 99
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
-        import pytest
-
-        with pytest.raises(ValueError):
-            load_run(path)
-
-    def test_json_is_plain(self, tmp_path):
-        """The file on disk must be loadable by any JSON parser."""
-        path = dump_run(traced_run(), tmp_path / "run.json")
-        json.loads(path.read_text())
 
 
 class TestCsvExport:

@@ -209,6 +209,17 @@ class TestTypedRejection:
 
         asyncio.run(main())
 
+    def test_error_codes_count_per_code(self):
+        """A long-lived daemon's reject tally is bounded by the registered
+        codes, not by how many sessions it rejected."""
+        async def main():
+            async with service() as (svc, _):
+                for _ in range(12):
+                    await drive(svc, algorithm="nope")
+                assert dict(svc.stats.error_codes) == {"config": 12}
+
+        asyncio.run(main())
+
 
 class TestDeadlines:
     def test_slow_loris_gets_idle_timeout(self):

@@ -29,11 +29,6 @@ from hypothesis import strategies as st
 from repro.agreement.approximate import ValueMessage
 from repro.agreement.eig import RelayMessage
 from repro.baselines.splitting import ClaimMessage
-from repro.broadcast.bracha import (
-    EchoValueMessage,
-    InitialMessage,
-    ReadyValueMessage,
-)
 from repro.core.messages import (
     EchoMessage,
     IdMessage,
@@ -96,9 +91,6 @@ STRATEGIES = {
     IdMessage: st.builds(IdMessage, _uint),
     EchoMessage: st.builds(EchoMessage, _uint),
     ReadyMessage: st.builds(ReadyMessage, _uint),
-    InitialMessage: st.builds(InitialMessage, _sint),
-    EchoValueMessage: st.builds(EchoValueMessage, _sint),
-    ReadyValueMessage: st.builds(ReadyValueMessage, _sint),
     RanksMessage: st.builds(RanksMessage, _ranks_entries()),
     MultiEchoMessage: st.builds(
         MultiEchoMessage, st.lists(_uint, max_size=12).map(tuple)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.workloads import (
     DEFAULT_NAMESPACE,
-    all_scenarios,
     get_scenario,
     make_ids,
     scenario_names,
@@ -55,7 +54,7 @@ class TestGenerators:
 
 class TestScenarios:
     def test_all_scenarios_consistent(self):
-        for scenario in all_scenarios():
+        for scenario in map(get_scenario, scenario_names()):
             assert scenario.n > scenario.t >= 0
             assert scenario.workload in workload_names()
 
