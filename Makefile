@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench smoke perf-smoke chaos-smoke resume-smoke fabric-smoke model-smoke bench-store service-smoke recovery-smoke bench-service
+.PHONY: test bench results-check smoke perf-smoke chaos-smoke resume-smoke fabric-smoke model-smoke bench-store service-smoke recovery-smoke bench-service
 
 ## Tier-1: the full unit/integration suite (what CI gates on).
 test:
@@ -12,6 +12,17 @@ test:
 ## Tier-2: the E1-E13 experiment suite; regenerates benchmarks/results/.
 bench:
 	$(PYTHON) -m pytest -q benchmarks/
+
+## Results drift check: rerun the E1/E3/E8/E9/E11 benches (~7 s, timings
+## off) and fail if any of their tables under benchmarks/results/ changed.
+## The tables are deterministic and cover Alg. 3's fold, Okun's fold and
+## early deciding, so a diff there is a behaviour change, not noise.
+RESULTS_CHECK := e1 e3 e8 e9 e11
+results-check:
+	$(PYTHON) -m pytest -q --benchmark-disable \
+		$(foreach e,$(RESULTS_CHECK),$(wildcard benchmarks/bench_$(e)_*.py))
+	git diff --exit-code -- \
+		$(foreach e,$(RESULTS_CHECK),benchmarks/results/$(e).txt)
 
 ## Fast end-to-end check: one small sweep grid through every mode of the
 ## one cell loop — in-process (--workers 1), the process pool with a cache

@@ -673,15 +673,27 @@ def open_store(spec: Union[str, Path, LocalDirStore]) -> LocalDirStore:
     is not a directory."""
     if isinstance(spec, LocalDirStore):
         return spec
+    return LocalDirStore(_store_path(spec))
+
+
+def open_existing_store(spec: Union[str, Path]) -> LocalDirStore:
+    """:func:`open_store` for reading: a URL whose path does not exist
+    raises :class:`~repro.sim.errors.StoreError` instead of being created."""
+    path = _store_path(spec)
+    if not Path(path).exists():
+        raise StoreError(f"no such store: {spec}")
+    return LocalDirStore(path)
+
+
+def _store_path(spec: Union[str, Path]) -> str:
+    """The directory a store URL names."""
     text = str(spec)
     if text.startswith("sqlite:"):
         raise StoreError(
             f"unsupported store URL {text!r}: the sqlite backend was "
             f"removed; use a directory (dir:PATH or a plain path)"
         )
-    if text.startswith("dir:"):
-        text = text[len("dir:"):]
-    return LocalDirStore(text)
+    return text[len("dir:"):] if text.startswith("dir:") else text
 
 
 def store_doctor(store: LocalDirStore) -> dict:

@@ -41,7 +41,7 @@ from .analysis import (
 )
 from .analysis.campaign import describe, reproducer
 from .analysis.executor import task_record
-from .analysis.store import DEFAULT_LEASE_S
+from .analysis.store import DEFAULT_LEASE_S, open_existing_store
 from .analysis.worker import run_kind
 from .sim import (
     ConfigurationError,
@@ -820,10 +820,7 @@ def _explain_cell(target: str) -> int:
         print(f"error: --cell takes STORE_URL#INDEX, got {target!r}",
               file=sys.stderr)
         return EXIT_INFRA
-    # Checked first: opening a store creates a missing directory.
-    if not Path(url[len("dir:"):] if url.startswith("dir:") else url).is_dir():
-        raise StoreError(f"no result store at {url}")
-    store = open_store(url)
+    store = open_existing_store(url)
     header = store.header()
     if header is None:
         raise StoreError(f"store {url} is not seeded")
@@ -1577,7 +1574,7 @@ def cmd_runs_resume(args: argparse.Namespace) -> int:
 
 def cmd_runs_doctor(args: argparse.Namespace) -> int:
     if args.store is not None:
-        store = open_store(args.store)
+        store = open_existing_store(args.store)
     elif args.run_id is not None:
         store = open_store(_run_store(args.runs_dir, args.run_id))
     else:

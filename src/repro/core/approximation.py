@@ -21,11 +21,13 @@ mode, the default — the paper's analysis verbatim) or ``float``.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .messages import Rank
+from .validation import SoundVote
 
 
 def trim_extremes(values: Sequence[Rank], t: int) -> List[Rank]:
@@ -84,8 +86,72 @@ def _fold_ratios(ratios: Sequence[Tuple[int, int]], t: int) -> Fraction:
     """
     denominator = math.lcm(*{den for _, den in ratios})
     keys = sorted([num * (denominator // den) for num, den in ratios])
+    return _select_mean(keys, denominator, t)
+
+
+def _select_mean(keys: Sequence[int], denominator: int, t: int) -> Fraction:
+    """``average(select_t(trim(...)))`` of the sorted ``keys``, each a
+    numerator over ``denominator``."""
     selected = keys[t: len(keys) - t: t] if t else keys
     return Fraction(sum(selected), denominator * len(selected))
+
+
+def _shared_folds(
+    votes: Sequence[SoundVote], n: int, t: int, trim: int
+) -> Tuple[List[SoundVote], Dict[int, tuple]]:
+    """The votes in ``id()`` order, and the per-id folds every receiver
+    holding these very vote objects shares (filled by :func:`_shared_fold`).
+
+    The folds hang off the lowest-``id()`` vote (the anchor) under the
+    identities of all the votes and the fold's parameters. The entry keeps
+    every other vote it was built from and a hit checks each with ``is``,
+    so no key can be recycled under it; it keeps no reference to the
+    anchor, so it adds no cycle and goes when the votes do.
+    """
+    ordered = sorted(votes, key=id)
+    anchor = ordered[0]
+    others = [vote for vote in ordered if vote is not anchor]
+    key = (tuple(map(id, ordered)), n, t, trim)
+    entry = anchor.folds.get(key)
+    if entry is None or any(a is not b for a, b in zip(entry[0], others)):
+        entry = anchor.folds[key] = (others, {})
+    return ordered, entry[1]
+
+
+def _shared_fold(ordered: Sequence[SoundVote], identifier: int) -> tuple:
+    """``(support, D, sorted keys, results)`` of ``identifier`` over the
+    exact ``ordered`` votes: its vote count, the lcm of their denominators,
+    their numerators over it, and an empty dict for the folded values by
+    own rank (:func:`_padded_mean`)."""
+    ratios = [
+        vote.pairs[identifier] for vote in ordered if identifier in vote.pairs
+    ]
+    denominator = math.lcm(*{den for _, den in ratios})
+    keys = sorted([num * (denominator // den) for num, den in ratios])
+    return len(keys), denominator, keys, {}
+
+
+def _padded_mean(
+    keys: List[int],
+    denominator: int,
+    own: Optional[Tuple[int, int]],
+    n: int,
+    trim: int,
+) -> Fraction:
+    """:func:`_fold_ratios` of the sorted ``keys`` padded to ``n`` values
+    with the ratio ``own`` (``None`` when there are ``n`` already): the
+    same common denominator ``lcm(D, own's)``, the same sorted keys
+    (``own``'s copies inserted in order), hence the same value."""
+    if own is not None:
+        num, den = own
+        common = math.lcm(denominator, den)
+        if common != denominator:
+            keys = [key * (common // denominator) for key in keys]
+            denominator = common
+        own_key = num * (common // den)
+        at = bisect.bisect_left(keys, own_key)
+        keys = keys[:at] + [own_key] * (n - len(keys)) + keys[at:]
+    return _select_mean(keys, denominator, trim)
 
 
 def approximate(
@@ -108,43 +174,56 @@ def approximate(
     Okun [14] trims nothing — every vote is honest there — and averages the
     whole multiset.
 
-    When every vote is a :class:`~repro.core.validation.SoundVote` holding
-    exact ``pairs`` (every rank a ``Fraction``), each id's multiset is folded
-    from those cached integer pairs, decomposed once per message rather than
-    once per recipient and id; the result is the one :func:`trimmed_mean`
-    returns.
+    When there are 1 to ``n`` votes, each a
+    :class:`~repro.core.validation.SoundVote` holding exact ``pairs`` (every
+    rank a ``Fraction``), and every own rank is a ``Fraction``, each id's
+    multiset is folded from those cached integer pairs once per vote set and
+    shared by every receiver holding the very same vote objects, in any
+    order (:func:`_shared_folds`): the support, common denominator and
+    sorted keys, and the result per own rank that pads the multiset (one
+    result when all ``n`` votes carry the id). The result is the one
+    :func:`trimmed_mean` returns, which folds every other input
+    (DESIGN.md §8).
     """
     if trim is None:
         trim = t
-    exact = [getattr(vote, "pairs", None) for vote in valid_votes]
-    if (
-        None in exact
-        or n <= 2 * trim
-        or not all(type(rank) is Fraction for rank in my_ranks.values())
-    ):
-        exact = None  # floats, ints, mixed votes or too few values: generic
     new_ranks: Dict[int, Rank] = {}
     new_accepted: Set[int] = set()
+    if (
+        0 < len(valid_votes) <= n
+        and n > 2 * trim
+        and all(getattr(vote, "pairs", None) is not None for vote in valid_votes)
+        and all(type(rank) is Fraction for rank in my_ranks.values())
+    ):
+        ordered, folds = _shared_folds(valid_votes, n, t, trim)
+        for identifier in accepted:
+            fold = folds.get(identifier)
+            if fold is None:
+                fold = folds[identifier] = _shared_fold(ordered, identifier)
+            support, denominator, keys, results = fold
+            if support < n - t:
+                continue  # discarded: not enough support (line 08)
+            new_accepted.add(identifier)
+            # Fill with own value (lines 10-16): the result depends on the
+            # receiver only through its own rank, and not at all with n votes.
+            own = my_ranks[identifier].as_integer_ratio() if support < n else None
+            result = results.get(own)
+            if result is None:
+                result = results[own] = _padded_mean(keys, denominator, own, n, trim)
+            new_ranks[identifier] = result
+        return new_ranks, new_accepted
+    # Floats, ints, mixed votes, no votes, too few values or more than n votes.
     for identifier in accepted:
-        if exact is None:
-            votes: List = [
-                vote[identifier] for vote in valid_votes if identifier in vote
-            ]
-        else:
-            votes = [pairs[identifier] for pairs in exact if identifier in pairs]
+        votes: List[Rank] = [
+            vote[identifier] for vote in valid_votes if identifier in vote
+        ]
         if len(votes) < n - t:
             continue  # discarded: not enough support (line 08)
         new_accepted.add(identifier)
         votes = votes[:n]  # at most one valid vote per link; defensive cap
         if len(votes) < n:  # fill with own value (lines 10-11)
-            own = my_ranks[identifier]
-            if exact is not None:
-                own = own.as_integer_ratio()
-            votes.extend([own] * (n - len(votes)))
-        if exact is None:
-            new_ranks[identifier] = trimmed_mean(votes, trim)  # lines 12-16
-        else:
-            new_ranks[identifier] = _fold_ratios(votes, trim)
+            votes.extend([my_ranks[identifier]] * (n - len(votes)))
+        new_ranks[identifier] = trimmed_mean(votes, trim)  # lines 12-16
     return new_ranks, new_accepted
 
 

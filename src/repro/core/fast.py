@@ -144,6 +144,7 @@ class TwoStepPhase(Phase):
                 f"own id {self._ctx.my_id} received no echoes — impossible for "
                 f"a correct process when N > 2t² + t",
                 violated="invariant",
+                round_no=self._ctx.global_round(TWO_STEP_ROUNDS),
                 ids=(self._ctx.my_id,),
             )
         self._name = self.new_names[self._ctx.my_id]

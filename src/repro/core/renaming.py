@@ -128,6 +128,7 @@ class VotingPhase(Phase):
                 f"correct id {ctx.my_id} missing from accepted set "
                 f"(n={ctx.n}, t={ctx.t})",
                 violated="invariant",
+                round_no=ctx.global_round(0),
                 ids=(ctx.my_id,),
             )
         self.ranks: Dict[int, Rank] = {
@@ -216,6 +217,7 @@ class VotingPhase(Phase):
                 f"rank for own id {self._ctx.my_id} was discarded — "
                 "cannot happen for a correct process when N > 3t",
                 violated="invariant",
+                round_no=self._ctx.global_round(self.steps),
                 ids=(self._ctx.my_id,),
             )
         self._name = nearest_int(self.ranks[self._ctx.my_id])

@@ -110,16 +110,20 @@ class SoundVote(dict):
     * ``pairs`` — ``{id: (numerator, denominator)}`` when every rank is a
       ``Fraction``, else ``None``; :func:`~repro.core.approximation.approximate`
       folds these integers directly;
-    * ``verdicts`` — :func:`is_valid_ranks` verdicts by :attr:`VoteCheck.key`.
+    * ``verdicts`` — :func:`is_valid_ranks` verdicts by :attr:`VoteCheck.key`;
+    * ``folds`` — Alg. 3's per-id folds over every vote set whose lowest
+      ``id()`` this vote is, kept by
+      :func:`~repro.core.approximation.approximate`.
 
     A ``dict`` subclass so lookups stay C-speed; every mutator raises.
     """
 
-    __slots__ = ("pairs", "verdicts")
+    __slots__ = ("pairs", "verdicts", "folds", "__weakref__")
 
     def __init__(self, entries: Iterable[Tuple[int, "Rank"]]) -> None:
         super().__init__(entries)
         self.verdicts: Dict[tuple, bool] = {}
+        self.folds: Dict[tuple, tuple] = {}
         self.pairs: Optional[Dict[int, Tuple[int, int]]] = (
             {identifier: rank.as_integer_ratio() for identifier, rank in self.items()}
             if all(type(rank) is Fraction for rank in self.values())

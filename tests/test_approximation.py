@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import approximation
 from repro.core import (
     approximate,
     average,
@@ -333,3 +336,126 @@ class TestApproximateOnSharedVotes:
         votes = [SoundVote({10: Fraction(v)}.items()) for v in (1, 2, 3, 4, 5)]
         new_ranks, _ = approximate({10: 3.0}, {10}, votes, 7, 2)
         assert new_ranks[10] == 3 and type(new_ranks[10]) is float
+
+
+def plain(votes):
+    """Cache-free copies of ``votes``: the generic per-receiver fold."""
+    return [dict(vote) for vote in votes]
+
+
+def typed(ranks):
+    return {k: (v, type(v), repr(v)) for k, v in ranks.items()}
+
+
+@st.composite
+def receivers_of_one_round(draw):
+    """``(votes, n, t, receivers)``: one round's :class:`SoundVote` objects
+    over ids 10..40 (an object may sit on several links) and receivers that
+    each get them in their own link order, with their own ranks, accepted
+    set and ``trim`` (``t`` or 0), some of them only a sub-list."""
+    t = draw(st.integers(0, 3))
+    n = draw(st.integers(3 * t + 1, 3 * t + 5))
+    ids = [10, 20, 30, 40]
+    rank_st = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    objects = [
+        SoundVote(
+            (identifier, draw(rank_st))
+            for identifier in ids
+            if draw(st.integers(0, 9))
+        )
+        for _ in range(draw(st.integers(1, n)))
+    ]
+    size = draw(st.one_of(st.just(n), st.integers(1, n + 1)))
+    votes = draw(
+        st.lists(st.sampled_from(objects), min_size=size, max_size=size)
+    )
+    receivers = []
+    for _ in range(draw(st.integers(2, 4))):
+        mine = draw(st.permutations(votes))
+        if not draw(st.integers(0, 3)):
+            mine = mine[: draw(st.integers(1, len(mine)))]
+        receivers.append((
+            {identifier: draw(rank_st) for identifier in ids},
+            set(draw(st.lists(st.sampled_from(ids), min_size=1))),
+            mine,
+            draw(st.sampled_from([t, 0])),
+        ))
+    return votes, n, t, receivers
+
+
+class TestSharedFold:
+    """Receivers holding the very same vote objects share each id's fold
+    and its result per own rank (DESIGN.md §8): every one of them must get
+    exactly what its own plain fold gives."""
+
+    @given(receivers_of_one_round())
+    def test_each_receiver_gets_its_plain_fold(self, case):
+        _, n, t, receivers = case
+        for my_ranks, accepted, votes, trim in receivers:
+            shared = approximate(my_ranks, set(accepted), votes, n, t, trim)
+            alone = approximate(my_ranks, set(accepted), plain(votes), n, t, trim)
+            assert typed(shared[0]) == typed(alone[0])
+            assert shared[1] == alone[1]
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        fold = approximation._shared_fold
+
+        def counted(ordered, identifier):
+            calls.append(identifier)
+            return fold(ordered, identifier)
+
+        monkeypatch.setattr(approximation, "_shared_fold", counted)
+        return calls
+
+    @staticmethod
+    def _round(size):
+        return [
+            [(10, Fraction(k * k, 3)), (20, Fraction(k + 5, 2 + k))]
+            for k in range(size)
+        ]
+
+    def test_receivers_in_any_link_order_fold_each_id_once(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        votes = [SoundVote(entries) for entries in self._round(6)]
+        first = approximate({10: Fraction(1), 20: Fraction(2)}, {10, 20}, votes, 7, 2)
+        again = approximate(
+            {10: Fraction(7), 20: Fraction(1, 5)}, {10, 20}, votes[::-1], 7, 2
+        )
+        assert sorted(calls) == [10, 20]
+        alone = approximate(
+            {10: Fraction(7), 20: Fraction(1, 5)}, {10, 20}, plain(votes), 7, 2
+        )
+        assert typed(again[0]) == typed(alone[0]) != typed(first[0])
+
+    def test_okun_trim_and_byzantine_trim_keep_their_own_folds(self):
+        votes = [SoundVote(entries) for entries in self._round(7)]
+        ranks = {10: Fraction(1), 20: Fraction(2)}
+        for trim in (2, 0, 2, 0):
+            shared = approximate(ranks, {10, 20}, votes, 7, 2, trim)
+            alone = approximate(ranks, {10, 20}, plain(votes), 7, 2, trim)
+            assert typed(shared[0]) == typed(alone[0])
+
+    def test_equal_but_distinct_votes_never_share_an_entry(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        entries = self._round(7)
+        mine = [SoundVote(each) for each in entries]
+        theirs = [SoundVote(each) for each in entries]
+        assert mine == theirs
+        ranks = {10: Fraction(1), 20: Fraction(2)}
+        assert approximate(ranks, {10, 20}, mine, 7, 2) == approximate(
+            ranks, {10, 20}, theirs, 7, 2
+        )
+        assert sorted(calls) == [10, 10, 20, 20]
+        for entry in [e for vote in mine for e in vote.folds.values()]:
+            assert not any(a is b for a in entry[0] for b in theirs)
+
+    def test_the_memo_does_not_outlive_the_round(self):
+        votes = [SoundVote(entries) for entries in self._round(7)]
+        approximate({10: Fraction(1), 20: Fraction(2)}, {10, 20}, votes, 7, 2)
+        assert any(vote.folds for vote in votes)
+        watched = [weakref.ref(vote) for vote in votes]
+        del votes
+        gc.collect()
+        assert [ref() for ref in watched] == [None] * 7

@@ -261,6 +261,16 @@ class TestRunsCommands:
         assert code == EXIT_INFRA
         assert "no header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prefix", ["dir:", ""])
+    def test_doctor_on_a_missing_store_is_infra_and_creates_nothing(
+        self, capsys, tmp_path, prefix
+    ):
+        missing = tmp_path / "typo-store"
+        code = main(["runs", "doctor", "--store", f"{prefix}{missing}"])
+        assert code == EXIT_INFRA
+        assert "no such store" in capsys.readouterr().err
+        assert not missing.exists()
+
     def test_journaled_chaos_round_trip(self, capsys, tmp_path):
         argv = [
             "chaos", "--algorithms", "alg1", "--sizes", "7:2",

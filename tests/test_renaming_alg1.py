@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -9,6 +10,13 @@ import pytest
 from helpers import assert_renaming_ok, standard_ids
 from repro import OrderPreservingRenaming, RenamingOptions, SystemParams, run_protocol
 from repro.adversary import ALG1_ATTACKS, make_adversary
+from repro.core.fast import TWO_STEP_ROUNDS, TwoStepPhase
+from repro.core.id_selection import ID_SELECTION_STEPS, IdSelectionResult
+from repro.core.renaming import VotingPhase
+from repro.sim.compose import PhaseContext
+from repro.sim.errors import SafetyViolation
+from repro.sim.model import parse_model
+from repro.sim.process import ProcessContext
 
 SIZES = [(4, 1), (7, 2), (10, 3), (13, 4)]
 
@@ -181,8 +189,6 @@ class TestVotingPhase:
         assert spreads[-1] < params.delta
 
     def test_exact_arithmetic_is_default(self):
-        from fractions import Fraction
-
         result = run_protocol(
             OrderPreservingRenaming,
             n=7,
@@ -253,3 +259,36 @@ class TestDeterminism:
                 seed=1,
             )
             assert_renaming_ok(result, 8, context=f"workload={workload}")
+
+
+class TestInvariantRound:
+    """A protocol invariant's SafetyViolation names the global round in
+    which it fired, so a detected cell can be traced to its round."""
+
+    def test_voting_phase_construction_carries_its_entry_round(self):
+        with pytest.raises(SafetyViolation) as caught:
+            run_protocol(
+                OrderPreservingRenaming, n=7, t=2, ids=standard_ids(7), seed=0,
+                model=parse_model("partial-synchrony:rate=0.3,delay=2"),
+            )
+        assert caught.value.violated == "invariant"
+        assert caught.value.round_no == ID_SELECTION_STEPS
+
+    def test_decide_carries_the_final_voting_round(self):
+        ids = (10, 20, 30, 40)
+        selection = IdSelectionResult(frozenset(ids), frozenset(ids), ids)
+        phase = VotingPhase(
+            PhaseContext(ProcessContext(4, 1, 20), 4), selection,
+            delta=Fraction(1), voting_rounds=3,
+        )
+        del phase.ranks[20]
+        with pytest.raises(SafetyViolation) as caught:
+            phase._decide()
+        assert (caught.value.violated, caught.value.round_no) == ("invariant", 7)
+
+    def test_two_step_choice_carries_its_round(self):
+        phase = TwoStepPhase(PhaseContext(ProcessContext(4, 1, 20), 3))
+        with pytest.raises(SafetyViolation) as caught:
+            phase._choose_names()
+        assert caught.value.violated == "invariant"
+        assert caught.value.round_no == 3 + TWO_STEP_ROUNDS
