@@ -270,6 +270,9 @@ _GOLDEN_FACTORIES = {
 #: float mode (the tolerance-keyed isValid verdict), per-link Byzantine
 #: votes that every recipient must check afresh, and EIG consensus at the
 #: smallest fault budgets, where the resolve tree is one or two levels deep.
+#: Two more EIG cases pin the consensus baseline's resolution: four rounds
+#: with silent Byzantine sources (id forging sends no id traffic through
+#: the multiplexer), and Byzantine slots that run the correct protocol.
 #: The last block covers the paths a per-tuple receive fold and forged vote
 #: variants run through: every voting attack's vote shapes, junk and
 #: duplicate ids through Alg. 1's id selection, unsound MultiEcho ids, a
@@ -289,6 +292,8 @@ GOLDEN_RUN_CASES = {
     "consensus": ("consensus", 7, 2, "split-world", 1, {}),
     "consensus-t0": ("consensus", 4, 0, "silent", 1, {}),
     "consensus-t1": ("consensus", 5, 1, "split-world", 1, {}),
+    "consensus-t3": ("consensus", 10, 3, "id-forging", 1, {}),
+    "consensus-conforming": ("consensus", 7, 2, "conforming", 1, {}),
     "partial-synchrony+chaos": (
         "floodset", 7, 2, "crash", 2,
         {
@@ -322,7 +327,8 @@ GOLDEN_RUN_CASES = {
 #: float-mode, per-link-vote and small-t consensus cases before the
 #: receive-side caches on shared messages; the voting-attack, noise, fuzz,
 #: n=37 Alg. 4 and conforming FloodSet/Okun cases before the per-tuple
-#: receive fold and the forged vote variants.
+#: receive fold and the forged vote variants; the t=3 and conforming
+#: consensus cases before EIG resolution was shared across receivers.
 GOLDEN_RUN_DIGESTS = {
     "alg1":
         "66d67575fd5eadbb48961918ba43ffcccaf26ec414445d1cb2e20c2dbd0b4840",
@@ -354,6 +360,10 @@ GOLDEN_RUN_DIGESTS = {
         "1e32686e15d0bdea128c1d9469b92d5b5e7fdfe968d7158f2fbc8ec9bafb7cba",
     "consensus-t1":
         "a38c0bcf30fc43fa426891d0cdbe91d2f99fa660f5a71d3052b3893d3ec608ce",
+    "consensus-t3":
+        "9895347d8d54be5363497bd383d81bc158f6a28434166434da845c7ad4372640",
+    "consensus-conforming":
+        "c10af6adfa75e24d6eea06fbbf9f811e3fb87accfc0d8047e34d72f9e974197f",
     "floodset":
         "787a53cd40a8fff1cec9c7749f6d01c6acc3103495f45685c80fca52cd7a6090",
     "floodset-conforming":
