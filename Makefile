@@ -13,11 +13,12 @@ test:
 bench:
 	$(PYTHON) -m pytest -q benchmarks/
 
-## Results drift check: rerun the E1/E3/E8/E9/E11 benches (~7 s, timings
+## Results drift check: rerun the E1-E9 and E11 benches (~9 s, timings
 ## off) and fail if any of their tables under benchmarks/results/ changed.
-## The tables are deterministic and cover Alg. 3's fold, Okun's fold and
-## early deciding, so a diff there is a behaviour change, not noise.
-RESULTS_CHECK := e1 e3 e8 e9 e11
+## The tables are deterministic and cover Alg. 3's fold, Okun's fold, early
+## deciding, the message counters and the consensus baseline's EIG (E7), so
+## a diff there is a behaviour change, not noise.
+RESULTS_CHECK := e1 e2 e3 e4 e5 e6 e7 e8 e9 e11
 results-check:
 	$(PYTHON) -m pytest -q --benchmark-disable \
 		$(foreach e,$(RESULTS_CHECK),$(wildcard benchmarks/bench_$(e)_*.py))

@@ -14,14 +14,18 @@ Data layout: the EIG tree is a dict keyed by tuples of distinct process
 indices (paths). ``val[(j,)]`` is what ``j`` claimed as its own value;
 ``val[path + (q,)]`` is what ``q`` relayed about ``path``. After round
 ``t + 1`` the tree is resolved bottom-up by strict majority with a default.
+The last level is never relayed, so it stays in the relays that carried it
+until a resolution needs it; receivers holding the very same relays share
+one resolution (:meth:`EIGInteractiveConsistency._agreed`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.messages import _DecodeOnce
+from ..core.messages import _DecodeOnce, shared_by_identity
 from ..sim.errors import ConfigurationError
 from ..sim.messages import KIND_BITS, Message
 from ..sim.process import Inbox, Outbox, Process, ProcessContext, ordered_links
@@ -31,6 +35,8 @@ DEFAULT_VALUE = 0
 
 Path = Tuple[int, ...]
 
+_LEVEL_SENDER = itemgetter(0, 1)
+
 
 @dataclass(frozen=True)
 class RelayMessage(_DecodeOnce, Message):
@@ -38,7 +44,8 @@ class RelayMessage(_DecodeOnce, Message):
 
     Every recipient of a broadcast relay filters the same entries, so the
     accepted ones are cached on the message per receiver key (see
-    :meth:`EIGInteractiveConsistency._relayed`)."""
+    :meth:`EIGInteractiveConsistency._relayed`), and so are the resolutions
+    of every relay set it anchors (:meth:`EIGInteractiveConsistency._agreed`)."""
 
     entries: Tuple[Tuple[Path, int], ...]
 
@@ -74,6 +81,7 @@ class EIGInteractiveConsistency(Process):
         self.value = int(value)
         self.rounds = ctx.t + 1
         self.tree: Dict[Path, int] = {(): self.value}
+        self._received: List[Tuple[int, int, RelayMessage]] = []
 
     # ------------------------------------------------------------------ rounds
 
@@ -94,14 +102,20 @@ class EIGInteractiveConsistency(Process):
             self.output_value = self._resolve_vector()
 
     def _gather(self, level: int, inbox: Inbox) -> None:
-        """Enter every link's first relay into the tree, links ascending."""
+        """Record every link's first relay as ``(level, sender, message)``,
+        links ascending, and enter it into the tree unless ``level`` is the
+        last: that level is never relayed, so :meth:`_agreed` enters it only
+        when this receiver must resolve a value itself."""
+        last = level + 1 == self.rounds
         for link in ordered_links(inbox):
             sender = self.link_to_index.get(link)
             if sender is None:
                 continue
             message = self._first_relay(inbox[link])
             if message is not None:
-                self.tree.update(self._relayed(message, level, sender))
+                self._received.append((level, sender, message))
+                if not last:
+                    self.tree.update(self._relayed(message, level, sender))
 
     def _relayed(self, message: RelayMessage, level: int, sender: int):
         """The tree entries ``message`` adds: ``(path + (sender,), value)``
@@ -168,13 +182,40 @@ class EIGInteractiveConsistency(Process):
                 return value
         return DEFAULT_VALUE
 
+    def _agreed(self, roots: Sequence[int]) -> List[int]:
+        """``_resolve((j,))`` for each ``j`` in ``roots``, shared by every
+        receiver holding the very same relays (DESIGN.md §8).
+
+        No relay at all leaves every leaf missing, so every majority is
+        :data:`DEFAULT_VALUE`. Otherwise the values live in a dict keyed by
+        ``j``, memoised under ``(n, source, rounds)``, the recorded
+        ``(level, sender)`` pairs in sorted order and their relays: all
+        that :meth:`_relayed`, :meth:`_acceptable` and :meth:`_resolve`
+        read. A value missing there is resolved on this receiver's tree
+        once the recorded last level is entered.
+        """
+        if not self._received:
+            return [DEFAULT_VALUE] * len(roots)
+        received = sorted(self._received, key=_LEVEL_SENDER)
+        senders = tuple(map(_LEVEL_SENDER, received))
+        values = shared_by_identity(
+            [message for _, _, message in received],
+            (self.ctx.n, self.source, self.rounds, senders),
+            _resolutions,
+            dict,
+        )
+        missing = [j for j in roots if j not in values]
+        if missing:
+            for level, sender, message in self._received:
+                if level + 1 == self.rounds:
+                    self.tree.update(self._relayed(message, level, sender))
+            for j in missing:
+                values[j] = self._resolve((j,))
+        return [values[j] for j in roots]
+
     def _resolve_vector(self) -> Tuple[int, ...]:
-        vector: List[int] = []
-        for j in range(self.ctx.n):
-            if j == self.my_index:
-                vector.append(self.value)
-            else:
-                vector.append(self._resolve((j,)))
+        vector = self._agreed([j for j in range(self.ctx.n) if j != self.my_index])
+        vector.insert(self.my_index, self.value)
         return tuple(vector)
 
 
@@ -219,6 +260,7 @@ class EIGBroadcast(Process):
         # Same layout as the combined tree, restricted to the source's
         # subtree; the root () exists only at the source (its own claim).
         self.tree: Dict[Path, int] = {} if value is None else {(): self.value}
+        self._received: List[Tuple[int, int, RelayMessage]] = []
 
     # ------------------------------------------------------------------ rounds
 
@@ -263,8 +305,15 @@ class EIGBroadcast(Process):
     # ----------------------------------------------------------------- resolve
 
     _resolve = EIGInteractiveConsistency._resolve
+    _agreed = EIGInteractiveConsistency._agreed
 
     def _resolve_value(self) -> int:
         if self.my_index == self.source:
             return self.value
-        return self._resolve((self.source,))
+        return self._agreed([self.source])[0]
+
+
+def _resolutions(message: RelayMessage) -> dict:
+    """The resolutions :func:`~repro.core.messages.shared_by_identity`
+    keeps on a relay that anchors a relay set."""
+    return message.once_per_key("resolutions", dict)

@@ -24,9 +24,10 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .messages import Rank
+from .messages import Rank, shared_by_identity
 from .validation import SoundVote
 
 
@@ -96,26 +97,7 @@ def _select_mean(keys: Sequence[int], denominator: int, t: int) -> Fraction:
     return Fraction(sum(selected), denominator * len(selected))
 
 
-def _shared_folds(
-    votes: Sequence[SoundVote], n: int, t: int, trim: int
-) -> Tuple[List[SoundVote], Dict[int, tuple]]:
-    """The votes in ``id()`` order, and the per-id folds every receiver
-    holding these very vote objects shares (filled by :func:`_shared_fold`).
-
-    The folds hang off the lowest-``id()`` vote (the anchor) under the
-    identities of all the votes and the fold's parameters. The entry keeps
-    every other vote it was built from and a hit checks each with ``is``,
-    so no key can be recycled under it; it keeps no reference to the
-    anchor, so it adds no cycle and goes when the votes do.
-    """
-    ordered = sorted(votes, key=id)
-    anchor = ordered[0]
-    others = [vote for vote in ordered if vote is not anchor]
-    key = (tuple(map(id, ordered)), n, t, trim)
-    entry = anchor.folds.get(key)
-    if entry is None or any(a is not b for a, b in zip(entry[0], others)):
-        entry = anchor.folds[key] = (others, {})
-    return ordered, entry[1]
+_FOLDS = attrgetter("folds")
 
 
 def _shared_fold(ordered: Sequence[SoundVote], identifier: int) -> tuple:
@@ -179,7 +161,8 @@ def approximate(
     rank a ``Fraction``), and every own rank is a ``Fraction``, each id's
     multiset is folded from those cached integer pairs once per vote set and
     shared by every receiver holding the very same vote objects, in any
-    order (:func:`_shared_folds`): the support, common denominator and
+    order (:func:`~repro.core.messages.shared_by_identity` on the set's
+    lowest-``id()`` vote's ``folds``): the support, common denominator and
     sorted keys, and the result per own rank that pads the multiset (one
     result when all ``n`` votes carry the id). The result is the one
     :func:`trimmed_mean` returns, which folds every other input
@@ -195,7 +178,8 @@ def approximate(
         and all(getattr(vote, "pairs", None) is not None for vote in valid_votes)
         and all(type(rank) is Fraction for rank in my_ranks.values())
     ):
-        ordered, folds = _shared_folds(valid_votes, n, t, trim)
+        ordered = sorted(valid_votes, key=id)
+        folds = shared_by_identity(ordered, (n, t, trim), _FOLDS, dict)
         for identifier in accepted:
             fold = folds.get(identifier)
             if fold is None:

@@ -18,9 +18,10 @@ A broadcast delivers one message object to every recipient, so the receive
 side's hygiene-checked view (:meth:`RanksMessage.sound_vote`,
 :meth:`MultiEchoMessage.sound_ids`) is computed once per object and cached
 on it; so is whatever the recipients derive from that view alone (a vote's
-exact rank pairs and ``isValid`` verdicts, see DESIGN.md §8). No cache is a
-field: equality, hashing, ``repr``, pickling and the wire codec see only the
-fields.
+exact rank pairs and ``isValid`` verdicts, see DESIGN.md §8). What every
+receiver holding the same *set* of objects derives is kept on one of them
+(:func:`shared_by_identity`). No cache is a field: equality, hashing,
+``repr``, pickling and the wire codec see only the fields.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from numbers import Rational
 from typing import (
-    Callable, Dict, FrozenSet, Hashable, Mapping, Optional, Tuple, TypeVar, Union,
+    Callable, Dict, FrozenSet, Hashable, Mapping, Optional, Sequence, Tuple,
+    TypeVar, Union,
 )
 
 from ..sim.messages import KIND_BITS, Message, RANK_FRACTION_BITS
@@ -41,6 +43,34 @@ _DECODED = "_decoded"
 _BY_KEY = "_by_key"
 
 _T = TypeVar("_T")
+_O = TypeVar("_O")
+
+
+def shared_by_identity(
+    objects: Sequence[_O],
+    params: Hashable,
+    memo: Callable[[_O], dict],
+    build: Callable[[], _T],
+) -> _T:
+    """``build()``, evaluated once per sequence of these very ``objects`` and
+    ``params``: what every receiver holding the same objects shares.
+
+    The result hangs off the lowest-``id()`` object (the anchor), in the dict
+    ``memo(anchor)``, under the identities of all the objects in order and
+    ``params``. The entry keeps every other object it was built from and a
+    hit checks each with ``is``, so no key can be recycled under it. It keeps
+    no reference to the anchor, and every object it keeps has a higher
+    ``id()``, so it adds no cycle and goes when the objects do
+    (DESIGN.md §8).
+    """
+    anchor = min(objects, key=id)
+    others = [obj for obj in objects if obj is not anchor]
+    key = (tuple(map(id, objects)), params)
+    entries = memo(anchor)
+    entry = entries.get(key)
+    if entry is None or any(a is not b for a, b in zip(entry[0], others)):
+        entry = entries[key] = (others, build())
+    return entry[1]
 
 
 class _DecodeOnce:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import itertools
+import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -14,7 +18,9 @@ from repro.adversary import make_adversary
 from repro.agreement import (
     DEFAULT_VALUE,
     ApproximateAgreement,
+    EIGBroadcast,
     EIGInteractiveConsistency,
+    RelayMessage,
     initial_values_factory,
     make_identified_factory,
 )
@@ -218,3 +224,220 @@ class TestEIGResolve:
         process.tree = {(0,): 5, (2,): 9}
         process.rounds = 1
         assert [process._resolve((j,)) for j in range(3)] == [5, DEFAULT_VALUE, 9]
+
+
+def relay_entries(rng, n, level):
+    """A relay's entries at ``level``: most paths of ``level`` distinct
+    indices (some with the sender inside, or off the broadcast's source), a
+    few repeated with another value, and one malformed path, each with a
+    value from a tiny pool holding a non-int."""
+    paths = list(itertools.permutations(range(n), level))
+    values = [-1, 0, 1, 2, True, 1.5]
+    entries = [(path, rng.choice(values)) for path in paths if rng.random() < 0.8]
+    entries += [(rng.choice(paths), rng.choice(values)) for _ in range(rng.randint(0, 2))]
+    entries.append(((n,) + paths[0][1:] if level else (0,), rng.choice(values)))
+    return tuple(entries)
+
+
+def plain_tree(n, source, links, inboxes, root):
+    """The tree as gathered before resolution was shared: each link's first
+    relay in ascending link order, every well-formed entry with an int
+    value, all levels entered."""
+    tree = dict(root)
+    for level, inbox in enumerate(inboxes):
+        for link in sorted(inbox):
+            sender = links.get(link)
+            relays = [m for m in inbox[link] if isinstance(m, RelayMessage)]
+            if sender is None or not relays:
+                continue
+            for path, value in relays[0].entries:
+                well_formed = (
+                    len(path) == level
+                    and len(set(path)) == level
+                    and sender not in path
+                    and all(0 <= j < n for j in path)
+                )
+                if source is not None:
+                    scoped = sender == source if level == 0 else path[:1] == (source,)
+                    well_formed = well_formed and scoped
+                if well_formed and isinstance(value, int):
+                    tree[path + (sender,)] = value
+    return tree
+
+
+@st.composite
+def receivers_of_one_pool(draw):
+    """``(n, t, source, receivers)``: one run's canonical relays, one per
+    level and sender, and 2-4 receivers, each ``(my_index, links,
+    inboxes)`` with its own link labels (one may be unknown). Half of the
+    receivers get exactly the canonical relays on every link; the others
+    miss some links and get distinct objects on some, equal copies or
+    other entries."""
+    t = draw(st.integers(0, 2))
+    n = draw(st.integers(max(2, 3 * t + 1), 3 * t + 2))
+    rng = draw(st.randoms(use_true_random=False))
+    pool = {
+        (level, sender): RelayMessage(entries=relay_entries(rng, n, level))
+        for level in range(t + 1)
+        for sender in range(n)
+    }
+    receivers = []
+    for my_index in rng.sample(range(n), draw(st.integers(2, min(n, 4)))):
+        senders = rng.sample(range(n), n)
+        links = {link: sender for link, sender in enumerate(senders, start=1)}
+        if rng.random() < 0.2:
+            del links[rng.randint(1, n)]
+        noisy = rng.random() < 0.5
+        inboxes = []
+        for level in range(t + 1):
+            inbox = {}
+            for link, sender in enumerate(senders, start=1):
+                relay, draw_ = pool[level, sender], rng.random()
+                if noisy and draw_ < 0.15:
+                    continue
+                if noisy and draw_ < 0.25:
+                    relay = RelayMessage(entries=relay.entries)
+                elif noisy and draw_ < 0.35:
+                    relay = RelayMessage(entries=relay_entries(rng, n, level))
+                inbox[link] = (relay,)
+            inboxes.append(inbox)
+        receivers.append((my_index, links, inboxes))
+    return n, t, rng.randrange(n), receivers
+
+
+def feed(process, inboxes):
+    for level, inbox in enumerate(inboxes):
+        process.deliver(level + 1, inbox)
+    return process.output_value
+
+
+def broadcast_receiver(n, t, source, my_index, links):
+    value = 5 if my_index == source else None
+    return EIGBroadcast(ProcessContext(n=n, t=t, my_id=my_index + 1), source,
+                        my_index, links, value)
+
+
+class TestEIGSharedResolve:
+    """Receivers holding the very same relays share one resolution per
+    instance (DESIGN.md §8): each must still get exactly what resolving its
+    own fully gathered tree gives."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(receivers_of_one_pool())
+    def test_broadcast_receivers_get_their_plain_resolution(self, case):
+        n, t, source, receivers = case
+        for my_index, links, inboxes in receivers:
+            got = feed(broadcast_receiver(n, t, source, my_index, links), inboxes)
+            if my_index == source:
+                want = 5
+            else:
+                tree = plain_tree(n, source, links, inboxes, {})
+                want = sorted_counts_resolve(tree, n, t + 1, (source,))
+            assert got == want and type(got) is type(want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(receivers_of_one_pool())
+    def test_interactive_consistency_receivers_get_their_plain_vectors(self, case):
+        n, t, _, receivers = case
+        for my_index, links, inboxes in receivers:
+            process = EIGInteractiveConsistency(
+                ProcessContext(n=n, t=t, my_id=my_index + 1), my_index, links, 9
+            )
+            got = feed(process, inboxes)
+            tree = plain_tree(n, None, links, inboxes, {(): 9})
+            want = tuple(
+                9 if j == my_index else sorted_counts_resolve(tree, n, t + 1, (j,))
+                for j in range(n)
+            )
+            assert [(v, type(v)) for v in got] == [(v, type(v)) for v in want]
+
+    N, T, SOURCE = 7, 2, 3
+
+    @classmethod
+    def _pool(cls):
+        """One canonical relay per level and sender."""
+        rng = random.Random(4)
+        return {
+            (level, sender): RelayMessage(entries=relay_entries(rng, cls.N, level))
+            for level in range(cls.T + 1)
+            for sender in range(cls.N)
+        }
+
+    @classmethod
+    def _inboxes(cls, pool, links):
+        """Each level's inbox: the pool's relay of every link's sender."""
+        return [
+            {link: (pool[level, sender],) for link, sender in sorted(links.items())}
+            for level in range(cls.T + 1)
+        ]
+
+    @classmethod
+    def _receiver(cls, my_index, links):
+        return broadcast_receiver(cls.N, cls.T, cls.SOURCE, my_index, links)
+
+    def _count_walks(self, monkeypatch):
+        roots = []
+        resolve = EIGBroadcast._resolve
+
+        def counted(self, path):
+            if len(path) == 1:
+                roots.append(path)
+            return resolve(self, path)
+
+        monkeypatch.setattr(EIGBroadcast, "_resolve", counted)
+        return roots
+
+    def test_equal_but_distinct_relays_never_share_an_entry(self, monkeypatch):
+        roots = self._count_walks(monkeypatch)
+        pool = self._pool()
+        links = {link: link - 1 for link in range(1, self.N + 1)}
+        reversed_links = {link: self.N - link for link in range(1, self.N + 1)}
+        copies = {key: RelayMessage(entries=m.entries) for key, m in pool.items()}
+        first, theirs = self._receiver(0, links), self._receiver(1, links)
+        again = self._receiver(2, reversed_links)
+        assert (
+            feed(first, self._inboxes(pool, links))
+            == feed(theirs, self._inboxes(copies, links))
+            == feed(again, self._inboxes(pool, reversed_links))
+        )
+        assert roots == [(self.SOURCE,)] * 2
+        # The receiver that reused the resolution never entered the leaves.
+        assert max(map(len, again.tree)) == self.T < max(map(len, first.tree))
+        for relay in copies.values():
+            for others, _ in relay.once_per_key("resolutions", dict).values():
+                assert not any(a is b for a in others for b in pool.values())
+
+    def test_the_same_relays_from_other_senders_resolve_apart(self):
+        """One set of relay objects, but the second receiver's link labels
+        put the source's claim and one report on other senders: it must not
+        reuse the first receiver's resolution."""
+        n, t, source = 4, 1, 0
+        claim = RelayMessage(entries=(((), 5),))
+        reports = [RelayMessage(entries=(((0,), v),)) for v in (5, 5, 7)]
+        inboxes = [{1: (claim,)}, {2: (reports[0],), 3: (reports[1],), 4: (reports[2],)}]
+        plain = {1: 0, 2: 1, 3: 2, 4: 3}
+        swapped = {1: 1, 2: 0, 3: 2, 4: 3}
+        assert feed(broadcast_receiver(n, t, source, 1, plain), inboxes) == 5
+        assert feed(broadcast_receiver(n, t, source, 2, swapped), inboxes) == DEFAULT_VALUE
+
+    def test_the_memo_does_not_outlive_the_run(self):
+        pool = self._pool()
+        links = {link: link - 1 for link in range(1, self.N + 1)}
+        inboxes = self._inboxes(pool, links)
+        receivers = [self._receiver(i, links) for i in range(3)]
+        assert len({feed(receiver, inboxes) for receiver in receivers}) == 1
+        assert any(relay.once_per_key("resolutions", dict) for relay in pool.values())
+        watched = [weakref.ref(relay) for relay in pool.values()]
+        del pool, inboxes, receivers
+        gc.collect()
+        assert [ref() for ref in watched] == [None] * len(watched)
+
+    def test_a_source_without_relays_resolves_to_the_default(self, monkeypatch):
+        def walk(self, path):
+            raise AssertionError("an empty instance walked its tree")
+
+        monkeypatch.setattr(EIGBroadcast, "_resolve", walk)
+        n, t = 10, 3
+        links = {link: link - 1 for link in range(1, n + 1)}
+        receiver = broadcast_receiver(n, t, 4, 0, links)
+        assert feed(receiver, [{}] * (t + 1)) == DEFAULT_VALUE
