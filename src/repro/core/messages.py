@@ -63,10 +63,11 @@ def shared_by_identity(
     ``id()``, so it adds no cycle and goes when the objects do
     (DESIGN.md §8).
     """
-    anchor = min(objects, key=id)
+    ids = tuple(map(id, objects))
+    anchor = objects[ids.index(min(ids))]
     others = [obj for obj in objects if obj is not anchor]
-    key = (tuple(map(id, objects)), params)
     entries = memo(anchor)
+    key = (ids, params)
     entry = entries.get(key)
     if entry is None or any(a is not b for a, b in zip(entry[0], others)):
         entry = entries[key] = (others, build())

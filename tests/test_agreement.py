@@ -292,12 +292,12 @@ def receivers_of_one_pool(draw):
         for level in range(t + 1):
             inbox = {}
             for link, sender in enumerate(senders, start=1):
-                relay, draw_ = pool[level, sender], rng.random()
-                if noisy and draw_ < 0.15:
+                relay, roll = pool[level, sender], rng.random()
+                if noisy and roll < 0.15:
                     continue
-                if noisy and draw_ < 0.25:
+                if noisy and roll < 0.25:
                     relay = RelayMessage(entries=relay.entries)
-                elif noisy and draw_ < 0.35:
+                elif noisy and roll < 0.35:
                     relay = RelayMessage(entries=relay_entries(rng, n, level))
                 inbox[link] = (relay,)
             inboxes.append(inbox)
@@ -312,9 +312,9 @@ def feed(process, inboxes):
 
 
 def broadcast_receiver(n, t, source, my_index, links):
+    ctx = ProcessContext(n=n, t=t, my_id=my_index + 1)
     value = 5 if my_index == source else None
-    return EIGBroadcast(ProcessContext(n=n, t=t, my_id=my_index + 1), source,
-                        my_index, links, value)
+    return EIGBroadcast(ctx, source, my_index, links, value)
 
 
 class TestEIGSharedResolve:
