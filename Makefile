@@ -13,12 +13,13 @@ test:
 bench:
 	$(PYTHON) -m pytest -q benchmarks/
 
-## Results drift check: rerun the E1-E9 and E11 benches (~9 s, timings
+## Results drift check: rerun the E1-E9 and E11-E13 benches (~5 s, timings
 ## off) and fail if any of their tables under benchmarks/results/ changed.
 ## The tables are deterministic and cover Alg. 3's fold, Okun's fold, early
-## deciding, the message counters and the consensus baseline's EIG (E7), so
-## a diff there is a behaviour change, not noise.
-RESULTS_CHECK := e1 e2 e3 e4 e5 e6 e7 e8 e9 e11
+## deciding, the message counters, the consensus baseline's EIG (E7) and the
+## system-model injectors (E13), so a diff there is a behaviour change, not
+## noise.
+RESULTS_CHECK := e1 e2 e3 e4 e5 e6 e7 e8 e9 e11 e12 e13
 results-check:
 	$(PYTHON) -m pytest -q --benchmark-disable \
 		$(foreach e,$(RESULTS_CHECK),$(wildcard benchmarks/bench_$(e)_*.py))
