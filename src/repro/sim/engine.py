@@ -360,7 +360,8 @@ class Engine:
         monitor: Optional[SafetyMonitor] = None,
     ) -> None:
         """Run rounds until every correct process is done; raises
-        :class:`RoundLimitExceeded` once ``max_rounds`` rounds ran.
+        :class:`RoundLimitExceeded` if any is still undecided after round
+        ``max_rounds``.
 
         ``perturbers`` rewrite each round's outboxes, in order, between the
         adversary's choice and routing: the system model's injector first
@@ -409,6 +410,8 @@ class Engine:
                     {index: inboxes[index] for index in byzantine if index in inboxes},
                 )
         stuck = [i for i, p in processes.items() if not p.done]
+        if not stuck:
+            return  # the last process decided in round max_rounds
         raise RoundLimitExceeded(
             f"{len(stuck)} correct processes undecided after {max_rounds} rounds: "
             f"{stuck[:8]}"

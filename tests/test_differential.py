@@ -265,7 +265,8 @@ _GOLDEN_FACTORIES = {
 #: run per registered algorithm, then one per opt-in feature of the round
 #: loop: a system model composed with a chaos plan (pins that the model
 #: perturbs before chaos does), impersonation, the wire round trip, a
-#: safety monitor that aborts, and a run that hits its round limit. The
+#: safety monitor that aborts, a run that hits its round limit, and runs
+#: whose last process decides in exactly the last allowed round. The
 #: receive-side caches on shared messages get their own cases: Alg. 1 in
 #: float mode (the tolerance-keyed isValid verdict), per-link Byzantine
 #: votes that every recipient must check afresh, and EIG consensus at the
@@ -311,6 +312,9 @@ GOLDEN_RUN_CASES = {
         "alg1", 7, 2, "id-forging", 1, {"safety": SafetyPolicy(namespace=3)}
     ),
     "round-limit": ("alg1", 7, 2, "rank-skew", 1, {"max_rounds": 3}),
+    "exact-budget-alg4": ("alg4", 7, 1, "silent", 1, {"max_rounds": 2}),
+    "exact-budget-alg1": ("alg1", 7, 2, "id-forging", 1, {"max_rounds": 10}),
+    "exact-budget-floodset": ("floodset", 7, 2, "crash", 1, {"max_rounds": 3}),
     "alg1-rank-compression": ("alg1", 10, 3, "rank-compression", 1, {}),
     "alg1-boundary-votes": ("alg1", 10, 3, "boundary-votes", 1, {}),
     "alg1-constant-order-inversion": (
@@ -328,7 +332,10 @@ GOLDEN_RUN_CASES = {
 #: receive-side caches on shared messages; the voting-attack, noise, fuzz,
 #: n=37 Alg. 4 and conforming FloodSet/Okun cases before the per-tuple
 #: receive fold and the forged vote variants; the t=3 and conforming
-#: consensus cases before EIG resolution was shared across receivers.
+#: consensus cases before EIG resolution was shared across receivers. The
+#: exact-budget cases are the digests of the same runs with no round limit
+#: (``exact-budget-alg1`` and ``exact-budget-floodset`` equal ``alg1`` and
+#: ``floodset``): deciding in the last allowed round is a finished run.
 GOLDEN_RUN_DIGESTS = {
     "alg1":
         "66d67575fd5eadbb48961918ba43ffcccaf26ec414445d1cb2e20c2dbd0b4840",
@@ -366,6 +373,12 @@ GOLDEN_RUN_DIGESTS = {
         "c10af6adfa75e24d6eea06fbbf9f811e3fb87accfc0d8047e34d72f9e974197f",
     "floodset":
         "787a53cd40a8fff1cec9c7749f6d01c6acc3103495f45685c80fca52cd7a6090",
+    "exact-budget-alg1":
+        "66d67575fd5eadbb48961918ba43ffcccaf26ec414445d1cb2e20c2dbd0b4840",
+    "exact-budget-alg4":
+        "f5b12c8b1450ab2f1ba0f554a54ab009ef00b7677585124f9bf5c89829593e35",
+    "exact-budget-floodset":
+        "787a53cd40a8fff1cec9c7749f6d01c6acc3103495f45685c80fca52cd7a6090",
     "floodset-conforming":
         "82183fabf17845a7f9c7b024a0e41dbbc03aa936ffb0d6d123a9e5c23c6da4c5",
     "impersonation":
@@ -401,3 +414,4 @@ class TestGoldenRuns:
     @pytest.mark.parametrize("case", sorted(GOLDEN_RUN_CASES))
     def test_digest(self, case, engine):
         assert _golden_run_digest(case, engine) == GOLDEN_RUN_DIGESTS[case]
+

@@ -77,6 +77,20 @@ class TestRunProtocol:
         with pytest.raises(RoundLimitExceeded):
             run_protocol(Forever, n=3, t=0, ids=[1, 2, 3], seed=0, max_rounds=5)
 
+    @pytest.mark.parametrize("engine", ["batched", "reference"])
+    def test_deciding_in_the_last_allowed_round_is_not_a_limit(self, engine):
+        """Countdown decides in round 3: a budget of exactly 3 rounds runs to
+        completion, and one round less raises."""
+        result = run_protocol(
+            Countdown, n=3, t=0, ids=[1, 2, 3], seed=0, max_rounds=3, engine=engine
+        )
+        assert result.metrics.round_count == 3
+        assert result.outputs_by_id() == {1: 3, 2: 3, 3: 3}
+        with pytest.raises(RoundLimitExceeded, match="3 correct processes undecided"):
+            run_protocol(
+                Countdown, n=3, t=0, ids=[1, 2, 3], seed=0, max_rounds=2, engine=engine
+            )
+
     def test_byzantine_slot_selection_pinned(self):
         result = run_protocol(
             EchoOnce, n=5, t=2, ids=[1, 2, 3, 4, 5], byzantine=[0, 3], seed=0
