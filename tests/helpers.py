@@ -4,6 +4,7 @@ with benchmarks/conftest.py when both trees are collected together)."""
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 from typing import Any, Dict, Optional
 
@@ -16,6 +17,7 @@ from repro.analysis import (
     check_renaming,
 )
 from repro.sim import RunResult, SystemModel, run_protocol
+from repro.sim.engine import Engine, reference_router
 
 
 def assert_renaming_ok(
@@ -192,3 +194,30 @@ def run_to_dict(result: RunResult) -> Dict[str, Any]:
             for event in result.trace
         ]
     return payload
+
+
+def private_copy_router(topology, metrics):
+    """:func:`~repro.sim.engine.reference_router`, with every recipient
+    handed its own pickle round trip of its inbox.
+
+    A copy carries the dataclass fields only, so no receive-side cache and
+    no object identity is shared between recipients: every memo that
+    receivers holding the same objects share (DESIGN.md §8) has to be
+    rebuilt by each of them. Runs on this router are the no-sharing
+    executable spec the golden digests are checked against.
+    """
+    route = reference_router(topology, metrics)
+
+    def private(record, correct_outboxes, byz_outboxes):
+        inboxes = route(record, correct_outboxes, byz_outboxes)
+        return {
+            index: pickle.loads(pickle.dumps(inbox))
+            for index, inbox in inboxes.items()
+        }
+
+    return private
+
+
+#: The round loop on :func:`private_copy_router`; register it in
+#: ``repro.sim.engine.ENGINES`` (``monkeypatch.setitem``) to run under a name.
+PRIVATE_COPY_ENGINE = Engine("private-copy", private_copy_router)

@@ -19,7 +19,7 @@ from functools import partial
 
 import pytest
 
-from helpers import run_registered, run_to_dict, standard_ids
+from helpers import PRIVATE_COPY_ENGINE, run_registered, run_to_dict, standard_ids
 from repro import (
     OrderPreservingRenaming,
     RenamingOptions,
@@ -415,3 +415,20 @@ class TestGoldenRuns:
     def test_digest(self, case, engine):
         assert _golden_run_digest(case, engine) == GOLDEN_RUN_DIGESTS[case]
 
+
+class TestNoSharingSpec:
+    """Every golden run, with no object shared between recipients.
+
+    Both engines hand one object to every recipient of a broadcast, so the
+    memos receivers share on those objects (DESIGN.md §8) are compared only
+    with other shared runs above. Here each recipient gets its own copy of
+    its inbox (``helpers.private_copy_router``), so every memo is rebuilt
+    per receiver, and the run must still reproduce the stored digest.
+    """
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_RUN_CASES))
+    def test_digest(self, case, monkeypatch):
+        from repro.sim import engine
+
+        monkeypatch.setitem(engine.ENGINES, "private-copy", PRIVATE_COPY_ENGINE)
+        assert _golden_run_digest(case, "private-copy") == GOLDEN_RUN_DIGESTS[case]
