@@ -82,19 +82,27 @@ class EIGInteractiveConsistency(Process):
         self.rounds = ctx.t + 1
         self.tree: Dict[Path, int] = {(): self.value}
         self._received: List[Tuple[int, int, RelayMessage]] = []
+        # What each level's gather entered into the tree, by path length.
+        self._levels: Dict[int, List[List[Tuple[Path, int]]]] = {
+            0: [list(self.tree.items())]
+        }
 
     # ------------------------------------------------------------------ rounds
 
     def send(self, round_no: int) -> Outbox:
-        level = round_no - 1
-        entries = tuple(
-            sorted(
-                (path, value)
-                for path, value in self.tree.items()
-                if len(path) == level
-            )
-        )
-        return self.broadcast(RelayMessage(entries=entries))
+        return self.broadcast(RelayMessage(entries=self._level_entries(round_no - 1)))
+
+    def _level_entries(self, level: int) -> Tuple[Tuple[Path, int], ...]:
+        """The tree's paths of length ``level`` with their values, sorted.
+
+        Only the gather of the level below enters paths of that length, so
+        replaying its entries in the order it entered them gives the values
+        the tree holds, without scanning the other levels.
+        """
+        entries: Dict[Path, int] = {}
+        for relayed in self._levels.get(level, ()):
+            entries.update(relayed)
+        return tuple(sorted(entries.items()))
 
     def deliver(self, round_no: int, inbox: Inbox) -> None:
         self._gather(round_no - 1, inbox)
@@ -103,10 +111,13 @@ class EIGInteractiveConsistency(Process):
 
     def _gather(self, level: int, inbox: Inbox) -> None:
         """Record every link's first relay as ``(level, sender, message)``,
-        links ascending, and enter it into the tree unless ``level`` is the
-        last: that level is never relayed, so :meth:`_agreed` enters it only
-        when this receiver must resolve a value itself."""
+        links ascending, and enter it into the tree (and into the next
+        level's entries, for :meth:`send`) unless ``level`` is the last:
+        that level is never relayed, so :meth:`_agreed` enters it only when
+        this receiver must resolve a value itself."""
         last = level + 1 == self.rounds
+        if not last:
+            entered = self._levels.setdefault(level + 1, [])
         for link in ordered_links(inbox):
             sender = self.link_to_index.get(link)
             if sender is None:
@@ -115,23 +126,42 @@ class EIGInteractiveConsistency(Process):
             if message is not None:
                 self._received.append((level, sender, message))
                 if not last:
-                    self.tree.update(self._relayed(message, level, sender))
+                    relayed = self._relayed(message, level, sender)
+                    self.tree.update(relayed)
+                    entered.append(relayed)
 
     def _relayed(self, message: RelayMessage, level: int, sender: int):
         """The tree entries ``message`` adds: ``(path + (sender,), value)``
-        for each well-formed ``path`` with an int value, in message order.
+        for each well-formed entry (:meth:`_well_formed`) whose path does
+        not hold ``sender``, in message order; none when ``sender`` may not
+        relay this level (:meth:`_from_source`).
 
-        The list depends only on the message and on what ``_acceptable``
-        reads — ``n``, ``source``, ``level`` and ``sender`` — so it is
-        computed once per message object and key; every other recipient of
-        a broadcast relay reuses it.
+        The list depends only on the message, ``n``, ``source``, ``level``
+        and ``sender``, so it is computed once per message object and key;
+        every other recipient of a broadcast relay reuses it.
         """
         return message.once_per_key(
             (self.ctx.n, self.source, level, sender),
             lambda: [
                 (path + (sender,), value)
+                for path, value in self._well_formed(message, level)
+                if sender not in path
+            ]
+            if self._from_source(level, sender)
+            else [],
+        )
+
+    def _well_formed(self, message: RelayMessage, level: int):
+        """The entries of ``message`` with an :meth:`_acceptable` path and an
+        int value, in message order. Neither check reads the sender, so this
+        runs once per message object, ``n``, ``source`` and ``level`` for
+        every sender that relayed it."""
+        return message.once_per_key(
+            (self.ctx.n, self.source, level),
+            lambda: [
+                (path, value)
                 for path, value in message.entries
-                if self._acceptable(path, level, sender) and isinstance(value, int)
+                if self._acceptable(path, level) and isinstance(value, int)
             ],
         )
 
@@ -142,18 +172,23 @@ class EIGInteractiveConsistency(Process):
                 return message
         return None
 
-    def _acceptable(self, path, level: int, sender: int) -> bool:
-        """Well-formedness of a relayed path: right level, distinct indices,
-        sender not already inside (classic EIG pruning)."""
+    def _acceptable(self, path, level: int) -> bool:
+        """Well-formedness of a relayed path: right level, distinct indices.
+        :meth:`_relayed` adds the one sender check, the sender not already
+        inside (classic EIG pruning)."""
         if not isinstance(path, tuple) or len(path) != level:
             return False
         if any(not isinstance(j, int) or not 0 <= j < self.ctx.n for j in path):
             return False
-        if len(set(path)) != len(path) or sender in path:
-            return False
         # No check that ``path`` itself reached our tree: a relay about a
         # branch whose own claim never arrived still enters, and the missing
         # claim resolves to DEFAULT_VALUE on its own.
+        return len(set(path)) == len(path)
+
+    @staticmethod
+    def _from_source(level: int, sender: int) -> bool:
+        """Whether ``sender`` may relay ``level`` at all: always, with no
+        single source."""
         return True
 
     # ----------------------------------------------------------------- resolve
@@ -261,18 +296,14 @@ class EIGBroadcast(Process):
         # subtree; the root () exists only at the source (its own claim).
         self.tree: Dict[Path, int] = {} if value is None else {(): self.value}
         self._received: List[Tuple[int, int, RelayMessage]] = []
+        self._levels: Dict[int, List[List[Tuple[Path, int]]]] = {
+            0: [list(self.tree.items())]
+        }
 
     # ------------------------------------------------------------------ rounds
 
     def send(self, round_no: int) -> Outbox:
-        level = round_no - 1
-        entries = tuple(
-            sorted(
-                (path, value)
-                for path, value in self.tree.items()
-                if len(path) == level
-            )
-        )
+        entries = self._level_entries(round_no - 1)
         if not entries:
             # Non-source processes are silent in round 1; later rounds go
             # quiet once there is nothing to relay about this source.
@@ -284,23 +315,22 @@ class EIGBroadcast(Process):
         if round_no == self.rounds:
             self.output_value = self._resolve_value()
 
+    _level_entries = EIGInteractiveConsistency._level_entries
     _gather = EIGInteractiveConsistency._gather
     _relayed = EIGInteractiveConsistency._relayed
+    _well_formed = EIGInteractiveConsistency._well_formed
     _first_relay = staticmethod(EIGInteractiveConsistency._first_relay)
 
-    def _acceptable(self, path, level: int, sender: int) -> bool:
-        """The combined tree's well-formedness plus instance scoping: a
-        level-0 claim must come from the source itself, and every deeper
-        path must be rooted at the source."""
-        if not isinstance(path, tuple) or len(path) != level:
+    def _acceptable(self, path, level: int) -> bool:
+        """The combined tree's well-formedness plus instance scoping: every
+        path below level 0 must be rooted at the source."""
+        if not EIGInteractiveConsistency._acceptable(self, path, level):
             return False
-        if any(not isinstance(j, int) or not 0 <= j < self.ctx.n for j in path):
-            return False
-        if len(set(path)) != len(path) or sender in path:
-            return False
-        if level == 0:
-            return sender == self.source
-        return path[0] == self.source
+        return level == 0 or path[0] == self.source
+
+    def _from_source(self, level: int, sender: int) -> bool:
+        """A level-0 claim must come from the source itself."""
+        return level != 0 or sender == self.source
 
     # ----------------------------------------------------------------- resolve
 
