@@ -29,9 +29,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from ..core.approximation import approximate, nearest_int
-from ..core.messages import EchoMessage, IdMessage, Rank, RanksMessage
+from ..core.messages import EchoMessage, IdMessage, Rank, RanksMessage, first_vote
 from ..core.params import SystemParams
-from ..core.validation import VoteCheck, is_sound_id, sound_ids_by_tuple
+from ..core.validation import (
+    VoteCheck, gather_votes, is_sound_id, sound_ids_by_tuple,
+)
 from ..sim.errors import SafetyViolation
 from ..sim.process import Inbox, Outbox, Process, ProcessContext, ordered_links
 
@@ -126,14 +128,7 @@ class OkunCrashRenaming(Process):
         self.ctx.log(EXCHANGE_ROUNDS, "ranks", dict(self.ranks))
 
     def _voting_step(self, round_no: int, inbox: Inbox) -> None:
-        votes = []
-        for link in ordered_links(inbox):
-            for message in inbox[link]:
-                if isinstance(message, RanksMessage):
-                    vote = message.sound_vote()
-                    if vote is not None and self._check(vote):
-                        votes.append(vote)
-                    break
+        votes = gather_votes(inbox, self._check, first_vote)
         if self.frozen_at is not None:
             return  # frozen: keep broadcasting, stop folding
         if self.early_deciding and self._check_stability(round_no, votes):

@@ -27,6 +27,7 @@ receiver holding the same *set* of objects derives is kept on one of them
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from numbers import Rational
 from typing import (
     Callable, Dict, FrozenSet, Hashable, Mapping, Optional, Sequence, Tuple,
@@ -41,6 +42,7 @@ Rank = Union[Rational, float]
 #: Instance-dict keys of the receive-side caches (never dataclass fields).
 _DECODED = "_decoded"
 _BY_KEY = "_by_key"
+_PAIRS = "_pairs"
 
 _T = TypeVar("_T")
 _O = TypeVar("_O")
@@ -155,12 +157,54 @@ class RanksMessage(_DecodeOnce, Message):
         try:
             return self.__dict__[_DECODED]
         except KeyError:
-            vote = SoundVote(self.entries)
+            vote = SoundVote(self.entries, self.exact_pairs())
             return self._remember(vote if is_sound_vote(vote) else None)
+
+    def exact_pairs(self) -> Optional[Tuple[Tuple[int, int, int], ...]]:
+        """``(id, numerator, denominator)`` per entry, in entry order, when
+        every rank is a ``Fraction``, else ``None``. Computed once per
+        message object; the batched router interns correct votes by it
+        (:meth:`pool_key`) and :meth:`sound_vote` reuses it as the vote's
+        exact ``pairs``."""
+        try:
+            return self.__dict__[_PAIRS]
+        except KeyError:
+            pass
+        triples = []
+        for identifier, rank in self.entries:
+            if type(rank) is not Fraction:
+                return self._remember(None, _PAIRS)
+            num, den = rank.as_integer_ratio()
+            triples.append((identifier, num, den))
+        return self._remember(tuple(triples), _PAIRS)
+
+    def pool_key(self) -> Hashable:
+        """What the batched router interns this vote by: its
+        :meth:`exact_pairs` when it has them, else the message itself.
+
+        Equal exact pairs are exactly equal ``Fraction`` entries, so the key
+        merges the messages ``==`` merges, without a ``Fraction`` hash or
+        comparison per entry; no pairs tuple equals a message, so an exact
+        vote never merges with a float- or int-valued one."""
+        pairs = self.exact_pairs()
+        return self if pairs is None else pairs
 
     def bit_size(self, id_bits: int = 64, rank_bits: int = 16) -> int:
         per_entry = id_bits + rank_bits + RANK_FRACTION_BITS
         return KIND_BITS + per_entry * len(self.entries)
+
+
+def first_vote(messages: Sequence[Message]) -> Optional[SoundVote]:
+    """The first AA vote on a link this round, as its shared
+    :meth:`~RanksMessage.sound_vote`; extras on the same link are Byzantine
+    double-voting and are ignored. Structurally unsound votes (non-int ids,
+    NaN/inf ranks) come back ``None`` and are dropped before any
+    arithmetic: hygiene, not semantics, since ``isValid`` cannot be trusted
+    to catch NaN, which defeats every comparison."""
+    for message in messages:
+        if isinstance(message, RanksMessage):
+            return message.sound_vote()
+    return None
 
 
 @dataclass(frozen=True)

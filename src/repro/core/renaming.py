@@ -27,16 +27,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from ..sim.compose import Phase, PhaseContext, PhaseSequence
 from ..sim.errors import SafetyViolation
-from ..sim.process import Inbox, ProcessContext, ordered_links
+from ..sim.process import Inbox, ProcessContext
 from .approximation import approximate, nearest_int
 from .id_selection import ID_SELECTION_STEPS, IdSelectionPhase, IdSelectionResult
-from .messages import Message, Rank, RanksMessage
+from .messages import Message, Rank, RanksMessage, first_vote
 from .params import SystemParams
-from .validation import VoteCheck
+from .validation import VoteCheck, gather_votes
 
 #: Spacing tolerance used by ``isValid`` in float mode (see validation docs).
 FLOAT_TOLERANCE = 1e-9
@@ -158,13 +158,8 @@ class VotingPhase(Phase):
 
     def _voting_step(self, step: int, inbox: Inbox) -> None:
         """Lines 30–35: collect votes, filter with isValid, approximate."""
-        votes: List[Mapping[int, Rank]] = []
-        for link in ordered_links(inbox):
-            vote = self._first_vote(inbox[link])
-            if vote is None:
-                continue
-            if not self.options.validate_votes or self._check(vote):
-                votes.append(vote)
+        check = self._check if self.options.validate_votes else None
+        votes = gather_votes(inbox, check, self._first_vote)
         if self.frozen_at is not None:
             return  # frozen: keep broadcasting, stop approximating
         if self.options.early_deciding:
@@ -176,7 +171,7 @@ class VotingPhase(Phase):
         )
         self._ctx.log(step, "ranks", dict(self.ranks))
 
-    def _track_stability(self, step: int, votes: List[Mapping[int, Rank]]) -> None:
+    def _track_stability(self, step: int, votes: Sequence[Mapping[int, Rank]]) -> None:
         """Early-deciding extension: freeze on STABILITY_ROUNDS unanimous
         rounds (see RenamingOptions.early_deciding for the safety argument)."""
         unanimous = len(votes) >= self._ctx.n - self._ctx.t and all(
@@ -195,20 +190,10 @@ class VotingPhase(Phase):
             self.frozen_at = self._ctx.global_round(step)
             self._ctx.log(step, "early_frozen", dict(self.ranks))
 
-    @staticmethod
-    def _first_vote(messages) -> Optional[Mapping[int, Rank]]:
-        """First AA vote on a link this round; extras on the same link are
-        Byzantine double-voting and are ignored. Structurally unsound votes
-        (non-int ids, NaN/inf ranks) are dropped before any arithmetic —
-        hygiene, not semantics; ``isValid`` cannot be trusted to catch NaN
-        because NaN defeats every comparison. The vote is a read-only
-        :class:`~repro.core.validation.SoundVote` shared with every other
-        recipient of the same message, which also shares its ``isValid``
-        verdicts."""
-        for message in messages:
-            if isinstance(message, RanksMessage):
-                return message.sound_vote()
-        return None
+    #: Each link's vote (:func:`~repro.core.messages.first_vote`): a
+    #: read-only :class:`~repro.core.validation.SoundVote` shared with every
+    #: other recipient of the same message, with its ``isValid`` verdicts.
+    _first_vote = staticmethod(first_vote)
 
     def _decide(self) -> None:
         """Line 36–37: output the rounded rank of the own id."""

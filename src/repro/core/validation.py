@@ -18,12 +18,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import (
-    TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union,
+    TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
+    Sequence, Tuple, Union,
 )
 
-from ..sim.process import group_links
+from ..sim.process import broadcast_share, group_links, ordered_links
 
 if TYPE_CHECKING:  # messages imports this module; a runtime import is circular
+    from ..sim.messages import Message
     from ..sim.process import Inbox
     from .messages import Rank
 
@@ -116,19 +118,30 @@ class SoundVote(dict):
       :func:`~repro.core.approximation.approximate`.
 
     A ``dict`` subclass so lookups stay C-speed; every mutator raises.
+    ``triples``, when given, are the entries as ``(id, numerator,
+    denominator)`` (:meth:`~repro.core.messages.RanksMessage.exact_pairs`),
+    so ``pairs`` need not split the ranks again.
     """
 
     __slots__ = ("pairs", "verdicts", "folds", "__weakref__")
 
-    def __init__(self, entries: Iterable[Tuple[int, "Rank"]]) -> None:
+    def __init__(
+        self,
+        entries: Iterable[Tuple[int, "Rank"]],
+        triples: Optional[Iterable[Tuple[int, int, int]]] = None,
+    ) -> None:
         super().__init__(entries)
         self.verdicts: Dict[tuple, bool] = {}
         self.folds: Dict[tuple, tuple] = {}
-        self.pairs: Optional[Dict[int, Tuple[int, int]]] = (
-            {identifier: rank.as_integer_ratio() for identifier, rank in self.items()}
-            if all(type(rank) is Fraction for rank in self.values())
-            else None
-        )
+        self.pairs: Optional[Dict[int, Tuple[int, int]]]
+        if triples is not None:
+            self.pairs = {identifier: (num, den) for identifier, num, den in triples}
+        elif all(type(rank) is Fraction for rank in self.values()):
+            self.pairs = {
+                identifier: rank.as_integer_ratio() for identifier, rank in self.items()
+            }
+        else:
+            self.pairs = None
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("a shared vote is read-only")
@@ -171,6 +184,70 @@ class VoteCheck:
             verdict = is_valid_ranks(self.timely, vote, self.delta, self.tolerance)
             vote.verdicts[self.key] = verdict
             return verdict
+
+
+#: Tags :func:`gather_votes`' entries in a round's shared memo.
+_GATHER = "first-votes"
+
+
+def gather_votes(
+    inbox: "Inbox",
+    check: Optional[VoteCheck],
+    first: Callable[[Sequence["Message"]], Optional[SoundVote]],
+) -> Sequence[SoundVote]:
+    """Alg. 1 lines 30–34: each link's vote ``first(messages)`` that is sound
+    and passes ``check`` (every sound vote when ``check`` is ``None``, the
+    E9a ablation), one per link.
+
+    The plain walk visits the links in ascending order. An inbox with a
+    :func:`~repro.sim.process.broadcast_share` and a ``check`` takes the
+    shared path instead: the votes on the round's broadcast tuples, which
+    every receiver gets, are gathered once per round and ``check.key`` into
+    the round's memo, then the receiver's own overlay links add theirs.
+    Those are the walk's votes in another order, so the shared path is
+    taken only when every vote it keeps carries exact ``pairs``, and
+    returns them in ``id()`` order: :func:`~repro.core.approximation.approximate`
+    folds exact votes the same in any order (DESIGN.md §8). A kept vote
+    without pairs (float mode, a Byzantine float or int vote) sends the
+    receiver down the plain walk.
+    """
+    share = broadcast_share(inbox) if check is not None else None
+    if share is not None:
+        dense, overlay, memo = share
+        key = (_GATHER, check.key)
+        try:
+            shared = memo[key]
+        except KeyError:
+            shared = memo[key] = _exact_votes(
+                [first(got) for got in dense if got is not None], check
+            )
+        if shared is not None:
+            if not overlay:
+                return shared
+            own = _exact_votes(list(map(first, overlay.values())), check)
+            if own is not None:
+                return sorted(shared + own, key=id) if own else shared
+    votes = []
+    for link in ordered_links(inbox):
+        vote = first(inbox[link])
+        if vote is not None and (check is None or check(vote)):
+            votes.append(vote)
+    return votes
+
+
+def _exact_votes(
+    votes: List[Optional[SoundVote]], check: VoteCheck
+) -> Optional[Tuple[SoundVote, ...]]:
+    """The sound ``votes`` that pass ``check``, in ``id()`` order, or
+    ``None`` when one of them has no exact ``pairs``."""
+    kept = []
+    for vote in votes:
+        if vote is not None and check(vote):
+            if vote.pairs is None:
+                return None
+            kept.append(vote)
+    kept.sort(key=id)
+    return tuple(kept)
 
 
 def is_valid_ranks(

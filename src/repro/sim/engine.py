@@ -103,20 +103,27 @@ class PortInbox(MappingABC):
     that never reads its inbox never pays for ``n``. ``dense`` and
     ``overlay`` are rebuilt every round, never cleared in place, so a
     retained view keeps showing the round it was delivered in.
+
+    ``memo`` is the round's dict shared by all of its views; with one,
+    :attr:`share` is ``(dense, overlay, memo)``, what
+    :func:`~repro.sim.process.broadcast_share` hands a protocol that derives
+    something from the dense tuples once per round, not once per receiver.
     """
 
-    __slots__ = ("_peers", "_dense", "_overlay", "_links")
+    __slots__ = ("_peers", "_dense", "_overlay", "_links", "share")
 
     def __init__(
         self,
         peers: Sequence[int],
         dense: Sequence[Optional[Tuple[Message, ...]]],
         overlay: Optional[Dict[int, List[Message]]] = None,
+        memo: Optional[Dict[object, object]] = None,
     ) -> None:
         self._peers = peers
         self._dense = dense
         self._overlay = overlay
         self._links: Optional[Dict[int, Tuple[Message, ...]]] = None
+        self.share = None if memo is None else (dense, overlay, memo)
 
     def _resolve(self) -> Dict[int, Tuple[Message, ...]]:
         links = self._links
@@ -189,7 +196,10 @@ def batched_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
     * inboxes are :class:`PortInbox` views, dict-equal to the reference's
       inboxes and iterating in the same ascending link order;
     * equal messages of the high-volume types are interned to one canonical
-      instance — delivered objects compare equal either way;
+      instance — delivered objects compare equal either way. Votes whose
+      ranks are all ``Fraction`` are interned by their exact integer pairs
+      (:meth:`~repro.core.messages.RanksMessage.pool_key`), which merges
+      exactly the votes ``==`` merges without hashing a ``Fraction``;
     * equal broadcast tuples of two or more id messages from correct senders
       are interned to one tuple per round, so the id folds in ``deliver``
       (which group links by tuple identity, DESIGN.md §8) do each distinct
@@ -197,7 +207,10 @@ def batched_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
       message is already canonical, and hashing the tuple would only cost;
     * traffic is accounted per message with a broadcast fan-out multiplier
       and a per-canonical-instance bit-size cache, which sums to exactly the
-      reference's per-transmission accounting.
+      reference's per-transmission accounting;
+    * every view of a round shares one memo dict, built fresh each round
+      (:func:`~repro.sim.process.broadcast_share`), in which receivers keep
+      what they derive from the dense tuples alone.
     """
     n = topology.n
 
@@ -215,10 +228,17 @@ def batched_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
     )
     from .compose import EnvelopeMessage
 
-    pooled = frozenset(
-        (IdMessage, EchoMessage, MultiEchoMessage, RanksMessage, EnvelopeMessage)
-    )
-    pool: Dict[Message, Message] = {}
+    # Type -> how its messages are keyed in the pool: by the message itself
+    # (``itself``) or by a key method.
+    itself = object()
+    pooled_key = {
+        IdMessage: itself,
+        EchoMessage: itself,
+        MultiEchoMessage: itself,
+        EnvelopeMessage: itself,
+        RanksMessage: RanksMessage.pool_key,
+    }.get
+    pool: Dict[object, Message] = {}
     # The kinds whose multi-message broadcast tuples are interned.
     id_kinds = frozenset((IdMessage, EchoMessage, ReadyMessage))
     bits_of: Dict[int, int] = {}  # id(canonical) -> cached bit size
@@ -258,10 +278,12 @@ def batched_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
                         f"{message!r}"
                     )
                 if correct:
-                    if type(message) in pooled:
-                        canonical = pool.get(message)
+                    key_of = pooled_key(type(message))
+                    if key_of is not None:
+                        pool_key = message if key_of is itself else key_of(message)
+                        canonical = pool.get(pool_key)
                         if canonical is None:
-                            pool[message] = message
+                            pool[pool_key] = message
                         else:
                             message = canonical
                         # Pooled instances stay alive for the whole run, so
@@ -318,14 +340,15 @@ def batched_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
             byz_sent += route_outbox(index, outbox, correct=False)
         record.byzantine_messages += byz_sent
 
+        memo: Dict[object, object] = {}  # shared by this round's views only
         if any(dense):
             # A dense sender reached every link, so no inbox is empty.
             return {
-                index: PortInbox(row, dense, overlays.get(index))
+                index: PortInbox(row, dense, overlays.get(index), memo)
                 for index, row in enumerate(peer_at)
             }
         return {
-            index: PortInbox(peer_at[index], dense, overlay)
+            index: PortInbox(peer_at[index], dense, overlay, memo)
             for index, overlay in overlays.items()
         }
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .messages import Message
 
@@ -119,6 +119,37 @@ def ordered_links(inbox: Inbox):
     if all(links[i] < links[i + 1] for i in range(len(links) - 1)):
         return links
     return sorted(links)
+
+
+def broadcast_share(
+    inbox: Inbox,
+) -> Optional[
+    Tuple[
+        Sequence[Optional[Tuple[Message, ...]]],
+        Optional[Dict[int, List[Message]]],
+        Dict[object, object],
+    ]
+]:
+    """The part of an engine-built inbox every recipient of the round
+    shares, or ``None`` for an inbox without one (the reference router's,
+    :class:`~repro.sim.compose.Multiplexer` sub-inboxes, hand-built dicts).
+
+    The batched router's :class:`~repro.sim.engine.PortInbox` answers
+    ``(dense, overlay, memo)``:
+
+    * ``dense[s]`` is the one tuple sender ``s`` broadcast this round, or
+      ``None``; every recipient gets every such tuple, on exactly one link;
+    * ``overlay`` is this recipient's other traffic, ``{link: [messages]}``
+      (``None`` when there is none); no overlay link carries a dense tuple;
+    * ``memo`` is one dict for all of the round's inboxes, built fresh each
+      round, for what a receiver derives from ``dense`` alone. Its keys
+      start with a tag naming the derivation and hold every receiver
+      parameter it reads.
+
+    So a receiver's inbox holds exactly the dense tuples plus its overlay,
+    in some link order. Read-only: nothing may mutate what it returns.
+    """
+    return getattr(inbox, "share", None)
 
 
 def group_links(
