@@ -133,22 +133,21 @@ class EIGInteractiveConsistency(Process):
     def _relayed(self, message: RelayMessage, level: int, sender: int):
         """The tree entries ``message`` adds: ``(path + (sender,), value)``
         for each well-formed entry (:meth:`_well_formed`) whose path does
-        not hold ``sender``, in message order; none when ``sender`` may not
-        relay this level (:meth:`_from_source`).
+        not hold ``sender``, in message order.
 
         The list depends only on the message, ``n``, ``source``, ``level``
         and ``sender``, so it is computed once per message object and key;
         every other recipient of a broadcast relay reuses it.
         """
+        if level == 0 and self.source not in (None, sender):
+            return []  # a broadcast instance takes its claim from the source only
         return message.once_per_key(
             (self.ctx.n, self.source, level, sender),
             lambda: [
                 (path + (sender,), value)
                 for path, value in self._well_formed(message, level)
                 if sender not in path
-            ]
-            if self._from_source(level, sender)
-            else [],
+            ],
         )
 
     def _well_formed(self, message: RelayMessage, level: int):
@@ -184,12 +183,6 @@ class EIGInteractiveConsistency(Process):
         # branch whose own claim never arrived still enters, and the missing
         # claim resolves to DEFAULT_VALUE on its own.
         return len(set(path)) == len(path)
-
-    @staticmethod
-    def _from_source(level: int, sender: int) -> bool:
-        """Whether ``sender`` may relay ``level`` at all: always, with no
-        single source."""
-        return True
 
     # ----------------------------------------------------------------- resolve
 
@@ -323,14 +316,11 @@ class EIGBroadcast(Process):
 
     def _acceptable(self, path, level: int) -> bool:
         """The combined tree's well-formedness plus instance scoping: every
-        path below level 0 must be rooted at the source."""
+        path below level 0 must be rooted at the source (:meth:`_relayed`
+        takes a level-0 claim from the source itself only)."""
         if not EIGInteractiveConsistency._acceptable(self, path, level):
             return False
         return level == 0 or path[0] == self.source
-
-    def _from_source(self, level: int, sender: int) -> bool:
-        """A level-0 claim must come from the source itself."""
-        return level != 0 or sender == self.source
 
     # ----------------------------------------------------------------- resolve
 
