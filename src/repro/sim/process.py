@@ -21,7 +21,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .messages import Message
 
@@ -121,15 +121,7 @@ def ordered_links(inbox: Inbox):
     return sorted(links)
 
 
-def broadcast_share(
-    inbox: Inbox,
-) -> Optional[
-    Tuple[
-        Sequence[Optional[Tuple[Message, ...]]],
-        Optional[Dict[int, List[Message]]],
-        Dict[object, object],
-    ]
-]:
+def broadcast_share(inbox: Inbox) -> Optional[tuple]:
     """The part of an engine-built inbox every recipient of the round
     shares, or ``None`` for an inbox without one (the reference router's,
     :class:`~repro.sim.compose.Multiplexer` sub-inboxes, hand-built dicts).
