@@ -278,7 +278,10 @@ _GOLDEN_FACTORIES = {
 #: variants run through: every voting attack's vote shapes, junk and
 #: duplicate ids through Alg. 1's id selection, unsound MultiEcho ids, a
 #: larger Alg. 4 run, and the FloodSet and Okun id exchanges under
-#: Byzantine slots that follow the protocol.
+#: Byzantine slots that follow the protocol. The two sparse cases perturb
+#: only some of a round's broadcasts, so perturbed and untouched outboxes
+#: reach the router in the same round (and, under partial synchrony, late
+#: frames land in rounds whose fresh traffic is untouched).
 GOLDEN_RUN_CASES = {
     "alg1": ("alg1", 7, 2, "id-forging", 1, {}),
     "alg1-float": ("alg1-float", 7, 2, "rank-skew", 1, {}),
@@ -325,6 +328,14 @@ GOLDEN_RUN_CASES = {
     "alg4-n37": ("alg4", 37, 4, "selective-echo", 1, {}),
     "floodset-conforming": ("floodset", 13, 4, "conforming", 1, {}),
     "okun-crash-conforming": ("okun-crash", 13, 4, "conforming", 1, {}),
+    "alg1-sparse-chaos": (
+        "alg1", 10, 3, "id-forging", 1,
+        {"chaos": FaultPlan(seed=6, drop=0.004, duplicate=0.004, corrupt=0.004)},
+    ),
+    "okun-crash-sparse-partial-synchrony": (
+        "okun-crash", 7, 2, "crash", 1,
+        {"model": SystemModel.partial_synchrony(0.03, max_delay=2, seed=3)},
+    ),
 }
 
 #: Captured before the two engines' round loops were merged into one; the
@@ -332,7 +343,9 @@ GOLDEN_RUN_CASES = {
 #: receive-side caches on shared messages; the voting-attack, noise, fuzz,
 #: n=37 Alg. 4 and conforming FloodSet/Okun cases before the per-tuple
 #: receive fold and the forged vote variants; the t=3 and conforming
-#: consensus cases before EIG resolution was shared across receivers. The
+#: consensus cases before EIG resolution was shared across receivers; the
+#: sparse chaos and partial-synchrony cases before perturbers passed
+#: untouched outboxes through to the router unexpanded. The
 #: exact-budget cases are the digests of the same runs with no round limit
 #: (``exact-budget-alg1`` and ``exact-budget-floodset`` equal ``alg1`` and
 #: ``floodset``): deciding in the last allowed round is a finished run.
@@ -353,6 +366,8 @@ GOLDEN_RUN_DIGESTS = {
         "8dfb24ab02716f37d0ec7be4542584ac8c39f405578bddd19deceea3dcf6ace5",
     "alg1-rank-compression":
         "277d193daea7625f4b45dbf521b50dd2847729eb4ac9580344313d2273f5a74f",
+    "alg1-sparse-chaos":
+        "aeabefa0c62813e3fee15226498c9d987f90af878cfac49561abb0b4b70ea257",
     "alg4":
         "729843e1e7391bc9c984171eccff05a6695c8b14b3f6cde76b3fcd2cc040b018",
     "alg4-fuzz":
@@ -389,6 +404,8 @@ GOLDEN_RUN_DIGESTS = {
         "81589e6fb7188697a0867cc24c720f7dfba1c23ad69c76252c8de24d91080ca0",
     "okun-crash-divergence":
         "4abcb9fb0a9bc845d915c95ccadb12786724454cd99fb01cd33a5aeb29832a75",
+    "okun-crash-sparse-partial-synchrony":
+        "477e79f207ac5befc1bdf2a834b5b13ceb8a2b77f4ad63e33b18d626ee5ba2ce",
     "partial-synchrony+chaos":
         "634d2ab69e5db25f1c48bafbbe9d4b1769d84804361c7abf03387c61f1bfaf54",
     "round-limit":
