@@ -56,7 +56,6 @@ from .model import (
     EXPECTATIONS,
     MODEL_KINDS,
     ModelExpectations,
-    ModelInjector,
     ModelReport,
     SystemModel,
     parse_model,
@@ -99,7 +98,6 @@ __all__ = [
     "MODEL_KINDS",
     "Message",
     "ModelExpectations",
-    "ModelInjector",
     "ModelReport",
     "Multiplexer",
     "NullAdversary",

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigurationError
-from .process import Outbox, network_links
+from .process import Outbox, perturb_links
 from .rng import derive_rng
 
 __all__ = ["ChaosInjector", "ChaosReport", "FaultPlan"]
@@ -237,7 +237,8 @@ class ChaosInjector:
         correct_outboxes: Dict[int, Outbox],
         byz_outboxes: Dict[int, Outbox],
     ) -> Tuple[Dict[int, Outbox], Dict[int, Outbox]]:
-        """Apply the plan to one round's outboxes; returns perturbed copies.
+        """Apply the plan to one round's outboxes; returns perturbed copies
+        (:func:`~repro.sim.process.perturb_links` passes untouched ones on).
 
         Inputs are never mutated (the adversary may alias its own
         structures). The per-round RNG is re-derived from the plan seed, so
@@ -246,6 +247,7 @@ class ChaosInjector:
         rng = derive_rng(self.plan.seed, "chaos", round_no)
         plan = self.plan
         link_chaos = plan.drop or plan.duplicate or plan.corrupt
+        fate = self._fate(rng)
 
         new_correct: Dict[int, Outbox] = {}
         for sender, outbox in correct_outboxes.items():
@@ -259,38 +261,39 @@ class ChaosInjector:
                 new_correct[sender] = {}
                 continue
             new_correct[sender] = (
-                self._perturb_outbox(rng, outbox) if link_chaos else outbox
+                perturb_links(outbox, self._n, fate) if link_chaos else outbox
             )
         if not link_chaos:
             return new_correct, byz_outboxes
         new_byz = {
-            sender: self._perturb_outbox(rng, outbox)
+            sender: perturb_links(outbox, self._n, fate)
             for sender, outbox in byz_outboxes.items()
         }
         return new_correct, new_byz
 
     # ---------------------------------------------------------------- helpers
 
-    def _perturb_outbox(self, rng, outbox: Outbox) -> Outbox:
-        plan = self.plan
-        report = self.report
-        result: Outbox = {}
-        for _, bucket, messages in network_links(outbox, self._n, result):
-            for message in messages:
-                if plan.drop and rng.random() < plan.drop:
-                    report.dropped += 1
-                    continue
-                delivered = message
-                if plan.corrupt and rng.random() < plan.corrupt:
-                    delivered = self._corrupt(rng, message)
-                    if delivered is None:
-                        report.corrupted_dropped += 1
-                        continue
-                bucket.append(delivered)
-                if plan.duplicate and rng.random() < plan.duplicate:
-                    report.duplicated += 1
-                    bucket.append(delivered)
-        return result
+    def _fate(self, rng):
+        """The round's per-copy fate: drop, corrupt, then duplicate."""
+        plan, report, random = self.plan, self.report, rng.random
+        drop, corrupt, duplicate = plan.drop, plan.corrupt, plan.duplicate
+
+        def fate(label, message):
+            if drop and random() < drop:
+                report.dropped += 1
+                return ()
+            delivered = message
+            if corrupt and random() < corrupt:
+                delivered = self._corrupt(rng, message)
+                if delivered is None:
+                    report.corrupted_dropped += 1
+                    return ()
+            if duplicate and random() < duplicate:
+                report.duplicated += 1
+                return (delivered, delivered)
+            return None if delivered is message else (delivered,)
+
+        return fate
 
     def _corrupt(self, rng, message):
         """Flip 1–3 bits of the wire encoding and re-decode.

@@ -28,14 +28,12 @@ digests in ``tests/test_differential.py`` pin the absolute outcome.
 from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .chaos import ChaosInjector
 from .errors import ConfigurationError, ProtocolViolationError, RoundLimitExceeded
 from .faults import Adversary
 from .messages import Message
 from .metrics import RoundMetrics, RunMetrics
-from .model import ModelInjector
 from .monitor import SafetyMonitor
 from .network import SynchronousNetwork
 from .process import BROADCAST, Inbox, Outbox, Process
@@ -46,6 +44,13 @@ from .topology import FullMeshTopology
 #: received anything.
 Router = Callable[
     [RoundMetrics, Mapping[int, Outbox], Mapping[int, Outbox]], Mapping[int, Inbox]
+]
+
+#: ``perturb(round_no, correct_outboxes, byz_outboxes)`` returns the pair to
+#: route instead; it is deterministic and never mutates its inputs.
+Perturb = Callable[
+    [int, Dict[int, Outbox], Dict[int, Outbox]],
+    Tuple[Dict[int, Outbox], Dict[int, Outbox]],
 ]
 
 
@@ -190,8 +195,9 @@ def batched_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
     * a pure ``BROADCAST`` outbox becomes one shared tuple in the round's
       ``dense[sender]`` slot instead of ``n`` per-recipient copies — safe
       because messages are frozen and the reference router already aliases
-      one object across all recipients of a broadcast. Every other outbox
-      (point-to-point, mixed, Byzantine-aimed, chaos-expanded) is routed
+      one object across all recipients of a broadcast (perturbers pass an
+      untouched one on as is). Every other outbox (point-to-point, mixed,
+      Byzantine-aimed, perturber-expanded) is routed
       message by message into a sparse per-recipient overlay;
     * inboxes are :class:`PortInbox` views, dict-equal to the reference's
       inboxes and iterating in the same ascending link order;
@@ -379,7 +385,7 @@ class Engine:
         metrics: RunMetrics,
         through_wire: bool = False,
         max_rounds: int = 1000,
-        perturbers: Sequence[Union[ModelInjector, ChaosInjector]] = (),
+        perturbers: Sequence[Perturb] = (),
         monitor: Optional[SafetyMonitor] = None,
     ) -> None:
         """Run rounds until every correct process is done; raises
@@ -417,8 +423,8 @@ class Engine:
                     raise ConfigurationError(
                         f"adversary tried to send as correct process {index}"
                     )
-            for perturber in perturbers:
-                correct_outboxes, byz_outboxes = perturber.perturb(
+            for perturb in perturbers:
+                correct_outboxes, byz_outboxes = perturb(
                     round_no, correct_outboxes, byz_outboxes
                 )
 

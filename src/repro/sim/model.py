@@ -22,8 +22,8 @@ the *model itself* to a run parameter, a :class:`SystemModel`:
   buffers and its own property expectations.
 
 Mechanically a model compiles (via :meth:`SystemModel.build_injector`) into
-an injector with the exact ``perturb(round_no, correct_outboxes,
-byz_outboxes)`` contract of :class:`~repro.sim.chaos.ChaosInjector`, and the
+an injector whose ``perturb(round_no, correct_outboxes, byz_outboxes)`` has
+the exact contract of :class:`~repro.sim.chaos.ChaosInjector`'s, and the
 runner hands it to the one round loop as the first of its perturbers (chaos,
 if any, follows) — so both engines (reference and batched) stay
 trace-byte-identical to each other under every model, and the cross-engine
@@ -53,14 +53,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import ConfigurationError
-from .process import Outbox, network_links
+from .process import Outbox, perturb_links
 from .rng import derive_rng
 
 __all__ = [
     "EXPECTATIONS",
     "MODEL_KINDS",
     "ModelExpectations",
-    "ModelInjector",
     "ModelReport",
     "SystemModel",
     "parse_model",
@@ -247,12 +246,11 @@ class SystemModel:
 
     def build_injector(
         self, *, n: int, byzantine: Iterable[int] = ()
-    ) -> Optional["ModelInjector"]:
+    ) -> Optional["ImpersonationInjector | PartialSynchronyInjector"]:
         """Compile the model into a per-run injector, or ``None`` when inert.
 
-        The injector carries the chaos hook contract
-        (``perturb(round_no, correct_outboxes, byz_outboxes)``), so the
-        runner hands it to the round loop as its first perturber.
+        The injector's ``perturb`` is the round loop's first perturber; its
+        ``report`` records what it did.
         """
         if self.is_inert:
             return None
@@ -493,30 +491,21 @@ class ModelReport:
 # ------------------------------------------------------------------ injectors
 
 
-class ModelInjector:
-    """Base for per-run model injectors.
-
-    Subclasses implement :meth:`perturb` with the exact contract of
-    :meth:`repro.sim.chaos.ChaosInjector.perturb`: called by the round loop
-    after the rushing adversary picked the Byzantine outboxes and before
-    chaos and routing, must never mutate its inputs, and
-    must be a deterministic function of (model, round history, outboxes) so
-    the perturbation is engine-independent.
-    """
-
-    model: SystemModel
-    report: ModelReport
-
-    def perturb(
-        self,
-        round_no: int,
-        correct_outboxes: Dict[int, Outbox],
-        byz_outboxes: Dict[int, Outbox],
-    ) -> Tuple[Dict[int, Outbox], Dict[int, Outbox]]:
-        raise NotImplementedError
+def _append_frame(
+    target: Dict[int, Outbox], sender: int, link: int, message, copied: set
+) -> None:
+    """Append ``message`` on ``link`` to a copy of ``target[sender]`` made
+    on the first append (``copied`` records it): inputs are never mutated."""
+    if sender not in copied:
+        copied.add(sender)
+        target[sender] = {
+            label: list(messages)
+            for label, messages in target.get(sender, {}).items()
+        }
+    target[sender].setdefault(link, []).append(message)
 
 
-class ImpersonationInjector(ModelInjector):
+class ImpersonationInjector:
     """Okun-style external adversary: up to ``k`` forged frames per round.
 
     Each forged frame is a codec round-trip (encode → decode) of one of
@@ -572,18 +561,12 @@ class ImpersonationInjector(ModelInjector):
             except WireError:  # pragma: no cover - correct frames encode
                 continue
             target = new_byz if spoofed in self._byz else new_correct
-            if spoofed not in copied:
-                original = target.get(spoofed, {})
-                target[spoofed] = {
-                    l: list(msgs) for l, msgs in original.items()
-                }
-                copied.add(spoofed)
-            target[spoofed].setdefault(link, []).append(forged)
+            _append_frame(target, spoofed, link, forged, copied)
             self.report.forged += 1
         return new_correct, new_byz
 
 
-class PartialSynchronyInjector(ModelInjector):
+class PartialSynchronyInjector:
     """Lossy rounds: per-transmission omission and round-offset delivery.
 
     Stateful across rounds: a delayed frame leaves its round's outboxes and
@@ -593,13 +576,12 @@ class PartialSynchronyInjector(ModelInjector):
     ended) are lost — to the processes that is exactly an omission, and the
     report's :attr:`~ModelReport.undelivered` counts them.
 
-    Like the chaos injector, the filter walks outboxes with
-    :func:`~repro.sim.process.network_links`: ``BROADCAST`` becomes explicit
-    per-link entries (each copy of a broadcast frame fates independently),
-    the self-loop is exempt, and invalid link labels pass through untouched
-    so the engines raise their usual ``ProtocolViolationError`` (error
-    identity). It applies to correct and Byzantine traffic alike (the
-    network does not know who is faulty).
+    Like the chaos injector, it fates each network copy independently
+    through :func:`~repro.sim.process.perturb_links` (the self-loop is
+    exempt, an outbox with no copy omitted or delayed passes through as
+    is), and late frames go to a copy of their sender's outbox. It applies
+    to correct and Byzantine traffic alike (the network does not know who
+    is faulty).
     """
 
     def __init__(
@@ -629,33 +611,32 @@ class PartialSynchronyInjector(ModelInjector):
             sender: self._filter(rng, round_no, sender, outbox)
             for sender, outbox in byz_outboxes.items()
         }
+        copied: set = set()
         for sender, link, message in self._pending.pop(round_no, ()):
             target = new_byz if sender in self._byz else new_correct
-            outbox = target.get(sender)
-            if outbox is None:
-                outbox = target[sender] = {}
-            outbox.setdefault(link, []).append(message)
+            _append_frame(target, sender, link, message, copied)
             self.report.delivered_late += 1
         return new_correct, new_byz
 
     def _filter(
         self, rng, round_no: int, sender: int, outbox: Outbox
     ) -> Outbox:
-        rate = self.model.omission_rate
-        max_delay = self.model.max_delay
-        report = self.report
-        result: Outbox = {}
-        for label, bucket, messages in network_links(outbox, self._n, result):
-            for message in messages:
-                if rng.random() >= rate:
-                    bucket.append(message)
-                    continue
-                if max_delay == 0:
-                    report.omitted += 1
-                    continue
-                delay = rng.randint(1, max_delay)
-                report.delayed += 1
-                self._pending.setdefault(
-                    round_no + delay, []
-                ).append((sender, label, message))
-        return result
+        """``outbox`` with each network copy on time or, with probability
+        ``omission_rate``, omitted or buffered 1..``max_delay`` rounds."""
+        rate, max_delay = self.model.omission_rate, self.model.max_delay
+        random, report, pending = rng.random, self.report, self._pending
+
+        def fate(label, message):
+            if random() >= rate:
+                return None
+            if max_delay == 0:
+                report.omitted += 1
+                return ()
+            delay = rng.randint(1, max_delay)
+            report.delayed += 1
+            pending.setdefault(round_no + delay, []).append(
+                (sender, label, message)
+            )
+            return ()
+
+        return perturb_links(outbox, self._n, fate)

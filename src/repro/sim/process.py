@@ -175,28 +175,39 @@ def group_links(
     return list(groups.values())
 
 
-def network_links(outbox: Outbox, n: int, result: Outbox):
-    """Walk an outbox link by link for a per-transmission perturber.
+#: ``fate(label, message)`` decides one network copy for
+#: :func:`perturb_links`: ``None`` delivers it unchanged, a tuple replaces
+#: it with those copies (``()`` loses it).
+Fate = Callable[[int, Message], Optional[Tuple[Message, ...]]]
 
-    Yields ``(label, bucket, messages)`` for every network link the outbox
-    sends on, :data:`BROADCAST` expanded into labels ``1..n`` in order:
-    ``bucket`` is ``result[label]``, the list the caller appends each
-    surviving copy of ``messages`` to. Traffic no perturber may touch is
-    copied into ``result`` untouched: the self-loop (label ``n``, local
-    delivery, not a network link) and invalid labels (so the engine raises
-    its usual ``ProtocolViolationError``).
+
+def perturb_links(outbox: Outbox, n: int, fate: Fate) -> Outbox:
+    """What a per-copy perturber leaves of ``outbox``, which it never mutates.
+
+    ``fate`` sees every network copy in outbox order, :data:`BROADCAST`
+    expanded into labels ``1..n-1``; the self-loop (label ``n``) and invalid
+    labels (the engine raises on them) pass unasked. If every fate is
+    ``None`` the result is ``outbox`` itself, so an untouched broadcast
+    stays one; otherwise a fresh outbox with per-label lists.
     """
+    fates = [
+        fate(label, message)
+        for link, messages in outbox.items()
+        if 0 <= link < n
+        for label in (range(1, n) if link == BROADCAST else (link,))
+        for message in messages
+    ]
+    if fates.count(None) == len(fates):
+        return outbox
+    drawn = iter(fates)
+    result: Outbox = {}
     for link, messages in outbox.items():
-        if link == BROADCAST:
-            labels = range(1, n + 1)
-        elif 1 <= link <= n:
-            labels = (link,)
-        else:
+        if not 0 <= link <= n:
             result[link] = list(messages)
             continue
-        for label in labels:
+        for label in range(1, n + 1) if link == BROADCAST else (link,):
             bucket = result.setdefault(label, [])
-            if label == n:
-                bucket.extend(messages)
-                continue
-            yield label, bucket, messages
+            for message in messages:
+                copies = None if label == n else next(drawn)
+                bucket += (message,) if copies is None else copies
+    return result

@@ -225,7 +225,7 @@ def run_protocol(
         through_wire=through_wire,
         max_rounds=max_rounds,
         # Model first: it defines the network; chaos then breaks it.
-        perturbers=tuple(p for p in (model_injector, injector) if p is not None),
+        perturbers=tuple(p.perturb for p in (model_injector, injector) if p),
         monitor=monitor,
     )
 

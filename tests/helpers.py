@@ -16,7 +16,7 @@ from repro.analysis import (
     RunTask,
     check_renaming,
 )
-from repro.sim import RunResult, SystemModel, run_protocol
+from repro.sim import BROADCAST, RunResult, SystemModel, run_protocol
 from repro.sim.engine import Engine, reference_router
 
 
@@ -221,3 +221,32 @@ def private_copy_router(topology, metrics):
 #: The round loop on :func:`private_copy_router`; register it in
 #: ``repro.sim.engine.ENGINES`` (``monkeypatch.setitem``) to run under a name.
 PRIVATE_COPY_ENGINE = Engine("private-copy", private_copy_router)
+
+
+def expand_links(outbox, n, fate):
+    """The expansion oracle for :func:`repro.sim.process.perturb_links`.
+
+    Walks ``outbox`` entry by entry, :data:`~repro.sim.BROADCAST` expanded
+    into labels ``1..n`` in order, and replaces every network copy of a
+    message by ``fate(label, message)`` (``None`` keeps the copy). The
+    self-loop (label ``n``) and invalid labels are copied without asking.
+    Always returns a fresh, fully expanded outbox.
+    """
+    result = {}
+    for link, messages in outbox.items():
+        if link == BROADCAST:
+            labels = range(1, n + 1)
+        elif 1 <= link <= n:
+            labels = (link,)
+        else:
+            result[link] = list(messages)
+            continue
+        for label in labels:
+            bucket = result.setdefault(label, [])
+            if label == n:
+                bucket.extend(messages)
+                continue
+            for message in messages:
+                copies = fate(label, message)
+                bucket.extend((message,) if copies is None else copies)
+    return result

@@ -3,20 +3,35 @@
 The chaos hook sits at the same point in every engine (after the adversary
 fills Byzantine outboxes, before routing), so a seeded :class:`FaultPlan`
 must produce bit-for-bit identical behaviour on every registered engine —
-reference and batched — including identical *failures* when an injection
-trips a typed error. An empty plan must be indistinguishable from no plan
-at all.
+reference and batched — and on the no-sharing spec
+(``helpers.PRIVATE_COPY_ENGINE``), including identical *failures* when an
+injection trips a typed error. An empty plan must be indistinguishable
+from no plan at all.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from helpers import assert_runs_identical, run_registered, standard_ids
+from helpers import (
+    PRIVATE_COPY_ENGINE,
+    assert_runs_identical,
+    run_registered,
+    standard_ids,
+)
 from repro.adversary import make_adversary
 from repro.analysis import ALGORITHMS
 from repro.sim import ENGINES, FaultPlan, SimulationError, run_protocol
 from repro.wire import WireError
+
+
+@pytest.fixture(autouse=True)
+def no_sharing_engine(monkeypatch):
+    """Register ``helpers.PRIVATE_COPY_ENGINE``, so every comparison below
+    also checks the run with no object shared between recipients: a
+    plan that leaves an outbox untouched passes its broadcast on to the
+    shared tuples and round memos (DESIGN.md §8)."""
+    monkeypatch.setitem(ENGINES, "private-copy", PRIVATE_COPY_ENGINE)
 
 
 def _chaos_run(algorithm, n, t, *, attack, seed, engine, plan, max_rounds=64):

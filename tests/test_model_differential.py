@@ -3,7 +3,8 @@
 Model injectors sit at the same hook point in every engine as chaos (after
 ``adversary.send``, before routing), so a seeded :class:`SystemModel` must
 produce bit-for-bit identical behaviour on every registered engine —
-reference and batched. Identical means
+reference and batched — and on the no-sharing spec
+(``helpers.PRIVATE_COPY_ENGINE``). Identical means
 identical *everything*: outputs, traces, metrics, the injector's
 :class:`ModelReport`, and even identical typed failures when a degraded
 network trips a protocol invariant. Degenerate models (``classic``,
@@ -18,7 +19,12 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import assert_runs_identical, run_registered, standard_ids
+from helpers import (
+    PRIVATE_COPY_ENGINE,
+    assert_runs_identical,
+    run_registered,
+    standard_ids,
+)
 from repro.adversary import make_adversary
 from repro.analysis import ALGORITHMS
 from repro.sim import ENGINES, FaultPlan, SimulationError, SystemModel, run_protocol
@@ -45,6 +51,15 @@ CELLS = [
     ("okun-crash", 5, 1, "crash"),
     ("floodset", 5, 1, "silent"),
 ]
+
+
+@pytest.fixture(autouse=True)
+def no_sharing_engine(monkeypatch):
+    """Register ``helpers.PRIVATE_COPY_ENGINE``, so every comparison below
+    also checks the run with no object shared between recipients: a
+    model that leaves an outbox untouched passes its broadcast on to the
+    shared tuples and round memos (DESIGN.md §8)."""
+    monkeypatch.setitem(ENGINES, "private-copy", PRIVATE_COPY_ENGINE)
 
 
 def _model_run(algorithm, n, t, *, attack, seed, engine, model, chaos=None,

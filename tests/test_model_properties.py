@@ -62,9 +62,12 @@ def outboxes_strategy(draw, n, allow_broadcast=False):
     return outboxes
 
 
-def count_frames(outboxes):
+def count_frames(outboxes, n):
+    """Frames on the wire: a broadcast frame goes out on all n links."""
     return sum(
-        len(bucket) for outbox in outboxes.values() for bucket in outbox.values()
+        len(bucket) * (n if label == BROADCAST else 1)
+        for outbox in outboxes.values()
+        for label, bucket in outbox.items()
     )
 
 
@@ -130,24 +133,44 @@ class TestPartialSynchronyConservation:
         data=st.data(),
     )
     def test_every_frame_delivered_or_omitted(self, n, rate, max_delay, seed, data):
-        outboxes = data.draw(outboxes_strategy(n, allow_broadcast=True))
-        snapshot = deepcopy(outboxes)
-        # A broadcast frame becomes n per-link copies, each fated on its own.
-        total_in = sum(
-            len(bucket) * (n if label == BROADCAST else 1)
-            for outbox in snapshot.values()
-            for label, bucket in outbox.items()
-        )
         model = SystemModel.partial_synchrony(rate, max_delay=max_delay, seed=seed)
         injector = model.build_injector(n=n)
-        delivered = count_frames(injector.perturb(0, outboxes, {})[0])
-        assert outboxes == snapshot, "inputs must never be mutated"
-        for round_no in range(1, max_delay + 1):  # drain the delay buffer
-            delivered += count_frames(injector.perturb(round_no, {}, {})[0])
+        total_in = delivered = 0
+        # Fresh traffic in every round, so late frames come due in rounds
+        # that also carry (possibly untouched) fresh outboxes.
+        for round_no in range(data.draw(st.integers(min_value=1, max_value=4))):
+            outboxes = data.draw(outboxes_strategy(n, allow_broadcast=True))
+            snapshot = deepcopy(outboxes)
+            # A broadcast frame becomes n copies, each fated on its own.
+            total_in += count_frames(snapshot, n)
+            delivered += count_frames(injector.perturb(round_no, outboxes, {})[0], n)
+            assert outboxes == snapshot, "inputs must never be mutated"
+        for late in range(round_no + 1, round_no + max_delay + 1):  # drain
+            delivered += count_frames(injector.perturb(late, {}, {})[0], n)
         report = injector.report
         assert delivered + report.omitted == total_in
         assert report.delivered_late == report.delayed
         assert report.undelivered == 0
+
+    def test_late_frames_never_land_in_a_passed_through_outbox(self):
+        # A sender's outbox the round left untouched is passed through as
+        # is; its late frames from earlier rounds must go to a copy.
+        n = 4
+        injector = SystemModel.partial_synchrony(0.5, max_delay=1).build_injector(n=n)
+        passed_through_with_late = 0
+        for round_no in range(30):
+            outboxes = {
+                sender: {BROADCAST: [IdMessage(100 * round_no + sender)]}
+                for sender in range(n)
+            }
+            snapshot = deepcopy(outboxes)
+            new_correct, _ = injector.perturb(round_no, outboxes, {})
+            assert outboxes == snapshot, f"round {round_no} mutated its input"
+            passed_through_with_late += sum(
+                BROADCAST in outbox and len(outbox) > 1
+                for outbox in new_correct.values()
+            )
+        assert passed_through_with_late, "no round exercised the case"
 
     def test_self_loop_is_exempt_even_at_full_loss(self):
         n = 4

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+from copy import deepcopy
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import expand_links
 from repro.core.messages import EchoMessage, IdMessage
 from repro.sim import BROADCAST, Process, ProcessContext, group_links, ordered_links
+from repro.sim.process import perturb_links
 
 
 class Trivial(Process):
@@ -99,3 +106,99 @@ class TestGroupLinks:
 
     def test_empty(self):
         assert group_links({}) == []
+
+
+#: A corrupted copy: any message the walker did not receive.
+CORRUPTED = IdMessage(-1)
+
+
+def scripted_fate(script):
+    """A fate that answers its k-th call from ``script[k % len(script)]``
+    and records every ``(label, message)`` it is asked about."""
+    calls = []
+
+    def fate(label, message):
+        kind = script[len(calls) % len(script)]
+        calls.append((label, message))
+        return {
+            "keep": None,
+            "drop": (),
+            "corrupt": (CORRUPTED,),
+            "duplicate": (message, message),
+        }[kind]
+
+    return fate, calls
+
+
+@st.composite
+def walker_outboxes(draw):
+    """An outbox over n links: any mix of BROADCAST, unicast, self-loop and
+    invalid entries (empty included), each with 0-3 distinct messages."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    labels = draw(
+        st.lists(
+            st.sampled_from([BROADCAST, *range(1, n + 1), -1, n + 1]),
+            max_size=4,
+            unique=True,
+        )
+    )
+    outbox = {
+        label: [
+            IdMessage(draw(st.integers(min_value=0, max_value=99)))
+            for _ in range(draw(st.integers(min_value=0, max_value=3)))
+        ]
+        for label in labels
+    }
+    return n, outbox
+
+
+class TestPerturbLinks:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        drawn=walker_outboxes(),
+        script=st.lists(
+            st.sampled_from(["keep", "drop", "corrupt", "duplicate"]),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_matches_the_expansion_oracle(self, drawn, script):
+        n, outbox = drawn
+        snapshot = deepcopy(outbox)
+        buckets = {label: messages for label, messages in outbox.items()}
+        fate, calls = scripted_fate(script)
+        result = perturb_links(outbox, n, fate)
+
+        assert outbox == snapshot, "the input must never be mutated"
+        assert all(outbox[label] is buckets[label] for label in outbox)
+        oracle_fate, oracle_calls = scripted_fate(script)
+        expected = expand_links(outbox, n, oracle_fate)
+        # The fate sees every network copy, in the oracle's order.
+        assert [(label, id(m)) for label, m in calls] == [
+            (label, id(m)) for label, m in oracle_calls
+        ]
+        if all(script[k % len(script)] == "keep" for k in range(len(calls))):
+            assert result is outbox
+        else:
+            assert result is not outbox
+            # Same buckets in the same insertion order, none aliased.
+            assert list(result.items()) == list(expected.items())
+            assert not any(
+                result.get(label) is bucket for label, bucket in buckets.items()
+            )
+
+    def test_untouched_broadcast_passes_through(self):
+        outbox = {BROADCAST: [IdMessage(1), IdMessage(2)]}
+        fate, calls = scripted_fate(["keep"])
+        assert perturb_links(outbox, 4, fate) is outbox
+        # Links 1..3 asked, message by message; the self-loop (4) is not.
+        assert [label for label, _ in calls] == [1, 1, 2, 2, 3, 3]
+
+    def test_one_touched_copy_expands_the_whole_outbox(self):
+        a, b = IdMessage(1), IdMessage(2)
+        fate, _ = scripted_fate(["keep", "keep", "drop", "keep", "keep", "keep"])
+        result = perturb_links({BROADCAST: [a, b], 9: [b]}, 3, fate)
+        assert list(result.items()) == [
+            (1, [a, b]), (2, [b]), (3, [a, b]), (9, [b]),
+        ]
+
