@@ -13,11 +13,11 @@ Two recurring shapes:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, Mapping, Sequence
 
 from ..sim.faults import Adversary
 from ..sim.messages import Message
-from ..sim.process import BROADCAST, Inbox, Outbox, Process
+from ..sim.process import Inbox, Outbox, Process
 
 
 def per_link_outbox(content_by_peer: Mapping[int, Sequence[Message]], *, sender: int, topology) -> Outbox:
@@ -114,13 +114,3 @@ class ConformingAdversary(ProtocolDrivenAdversary):
     executions with ``N`` correct processes. Used as a sanity anchor in tests
     and experiments.
     """
-
-
-def expand_to_links(outbox: Outbox, n: int) -> Dict[int, List[Message]]:
-    """Normalise an outbox into explicit per-link lists (BROADCAST unrolled)."""
-    explicit: Dict[int, List[Message]] = {}
-    for link, messages in outbox.items():
-        targets = range(1, n + 1) if link == BROADCAST else (link,)
-        for target in targets:
-            explicit.setdefault(target, []).extend(messages)
-    return explicit

@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional
 
 from ..sim.faults import Adversary, NullAdversary
-from ..sim.process import Outbox
-from .base import ProtocolDrivenAdversary, expand_to_links
+from ..sim.process import Outbox, per_label
+from .base import ProtocolDrivenAdversary
 
 
 class SilentAdversary(NullAdversary):
@@ -53,7 +53,7 @@ class CrashAdversary(ProtocolDrivenAdversary):
         if round_no < crash_round:
             return genuine
         # Crash mid-send: deliver on a random subset of links only.
-        explicit = expand_to_links(genuine, self.ctx.n)
+        explicit = per_label(genuine, self.ctx.n)
         links = sorted(explicit)
         keep = {link for link in links if self.ctx.rng.random() < 0.5}
         return {link: msgs for link, msgs in explicit.items() if link in keep}

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigurationError
-from .process import Outbox, perturb_links
+from .process import Outboxes, perturb_links
 from .rng import derive_rng
 
 __all__ = ["ChaosInjector", "ChaosReport", "FaultPlan"]
@@ -232,11 +232,8 @@ class ChaosInjector:
     # ------------------------------------------------------------- round hook
 
     def perturb(
-        self,
-        round_no: int,
-        correct_outboxes: Dict[int, Outbox],
-        byz_outboxes: Dict[int, Outbox],
-    ) -> Tuple[Dict[int, Outbox], Dict[int, Outbox]]:
+        self, round_no: int, correct_outboxes: Outboxes, byz_outboxes: Outboxes
+    ) -> Tuple[Outboxes, Outboxes]:
         """Apply the plan to one round's outboxes; returns perturbed copies
         (:func:`~repro.sim.process.perturb_links` passes untouched ones on).
 
@@ -244,12 +241,29 @@ class ChaosInjector:
         structures). The per-round RNG is re-derived from the plan seed, so
         the perturbation is a pure function of (plan, round, outboxes).
         """
-        rng = derive_rng(self.plan.seed, "chaos", round_no)
-        plan = self.plan
-        link_chaos = plan.drop or plan.duplicate or plan.corrupt
-        fate = self._fate(rng)
+        plan, report = self.plan, self.report
+        rng = derive_rng(plan.seed, "chaos", round_no)
+        random = rng.random
+        drop, corrupt, duplicate = plan.drop, plan.corrupt, plan.duplicate
+        link_chaos = drop or duplicate or corrupt
 
-        new_correct: Dict[int, Outbox] = {}
+        def fate(label, message):
+            """One copy's fate: drop, corrupt, then duplicate."""
+            if drop and random() < drop:
+                report.dropped += 1
+                return ()
+            delivered = message
+            if corrupt and random() < corrupt:
+                delivered = self._corrupt(rng, message)
+                if delivered is None:
+                    report.corrupted_dropped += 1
+                    return ()
+            if duplicate and random() < duplicate:
+                report.duplicated += 1
+                return (delivered, delivered)
+            return None if delivered is message else (delivered,)
+
+        new_correct: Outboxes = {}
         for sender, outbox in correct_outboxes.items():
             crash_round = self._crash_at.get(sender)
             if crash_round is not None and round_no >= crash_round:
@@ -272,28 +286,6 @@ class ChaosInjector:
         return new_correct, new_byz
 
     # ---------------------------------------------------------------- helpers
-
-    def _fate(self, rng):
-        """The round's per-copy fate: drop, corrupt, then duplicate."""
-        plan, report, random = self.plan, self.report, rng.random
-        drop, corrupt, duplicate = plan.drop, plan.corrupt, plan.duplicate
-
-        def fate(label, message):
-            if drop and random() < drop:
-                report.dropped += 1
-                return ()
-            delivered = message
-            if corrupt and random() < corrupt:
-                delivered = self._corrupt(rng, message)
-                if delivered is None:
-                    report.corrupted_dropped += 1
-                    return ()
-            if duplicate and random() < duplicate:
-                report.duplicated += 1
-                return (delivered, delivered)
-            return None if delivered is message else (delivered,)
-
-        return fate
 
     def _corrupt(self, rng, message):
         """Flip 1–3 bits of the wire encoding and re-decode.

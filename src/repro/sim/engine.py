@@ -36,7 +36,7 @@ from .messages import Message
 from .metrics import RoundMetrics, RunMetrics
 from .monitor import SafetyMonitor
 from .network import SynchronousNetwork
-from .process import BROADCAST, Inbox, Outbox, Process
+from .process import BROADCAST, Inbox, Outbox, Outboxes, Process
 from .topology import FullMeshTopology
 
 #: ``route(record, correct_outboxes, byz_outboxes)`` charges one round's
@@ -48,10 +48,7 @@ Router = Callable[
 
 #: ``perturb(round_no, correct_outboxes, byz_outboxes)`` returns the pair to
 #: route instead; it is deterministic and never mutates its inputs.
-Perturb = Callable[
-    [int, Dict[int, Outbox], Dict[int, Outbox]],
-    Tuple[Dict[int, Outbox], Dict[int, Outbox]],
-]
+Perturb = Callable[[int, Outboxes, Outboxes], Tuple[Outboxes, Outboxes]]
 
 
 def _roundtrip_outbox(outbox: Outbox) -> Outbox:

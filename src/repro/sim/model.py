@@ -50,10 +50,11 @@ against those expectations instead of reading as algorithm bugs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import ConfigurationError
-from .process import Outbox, perturb_links
+from .process import Outbox, Outboxes, per_label, perturb_links
 from .rng import derive_rng
 
 __all__ = [
@@ -492,17 +493,18 @@ class ModelReport:
 
 
 def _append_frame(
-    target: Dict[int, Outbox], sender: int, link: int, message, copied: set
+    target: Outboxes, sender: int, link: int, message, copied: set, copy
 ) -> None:
-    """Append ``message`` on ``link`` to a copy of ``target[sender]`` made
-    on the first append (``copied`` records it): inputs are never mutated."""
+    """Append ``message`` on ``link`` to ``copy(target[sender])``, made on
+    the first append (``copied`` records it): inputs are never mutated."""
     if sender not in copied:
         copied.add(sender)
-        target[sender] = {
-            label: list(messages)
-            for label, messages in target.get(sender, {}).items()
-        }
+        target[sender] = copy(target.get(sender, {}))
     target[sender].setdefault(link, []).append(message)
+
+
+def _copy_outbox(outbox: Outbox) -> Outbox:
+    return {label: list(messages) for label, messages in outbox.items()}
 
 
 class ImpersonationInjector:
@@ -530,11 +532,8 @@ class ImpersonationInjector:
         self.report = ModelReport(model=model.describe())
 
     def perturb(
-        self,
-        round_no: int,
-        correct_outboxes: Dict[int, Outbox],
-        byz_outboxes: Dict[int, Outbox],
-    ) -> Tuple[Dict[int, Outbox], Dict[int, Outbox]]:
+        self, round_no: int, correct_outboxes: Outboxes, byz_outboxes: Outboxes
+    ) -> Tuple[Outboxes, Outboxes]:
         # Lazy import: the codec lives above the simulator substrate.
         from ..wire import WireError, decode_message, encode_message
 
@@ -561,7 +560,7 @@ class ImpersonationInjector:
             except WireError:  # pragma: no cover - correct frames encode
                 continue
             target = new_byz if spoofed in self._byz else new_correct
-            _append_frame(target, spoofed, link, forged, copied)
+            _append_frame(target, spoofed, link, forged, copied, _copy_outbox)
             self.report.forged += 1
         return new_correct, new_byz
 
@@ -579,9 +578,11 @@ class PartialSynchronyInjector:
     Like the chaos injector, it fates each network copy independently
     through :func:`~repro.sim.process.perturb_links` (the self-loop is
     exempt, an outbox with no copy omitted or delayed passes through as
-    is), and late frames go to a copy of their sender's outbox. It applies
-    to correct and Byzantine traffic alike (the network does not know who
-    is faulty).
+    is). Late frames go to a per-label copy of their sender's outbox
+    (:func:`~repro.sim.process.per_label`), behind their label's on-time
+    copies, where a chaos plan that follows meets them. It applies to
+    correct and Byzantine traffic alike (the network does not know who is
+    faulty).
     """
 
     def __init__(
@@ -593,13 +594,11 @@ class PartialSynchronyInjector:
         self.report = ModelReport(model=model.describe())
         #: delivery round -> [(sender, link, message)] in scheduling order.
         self._pending: Dict[int, List[Tuple[int, int, object]]] = {}
+        self._per_label = partial(per_label, n=n)
 
     def perturb(
-        self,
-        round_no: int,
-        correct_outboxes: Dict[int, Outbox],
-        byz_outboxes: Dict[int, Outbox],
-    ) -> Tuple[Dict[int, Outbox], Dict[int, Outbox]]:
+        self, round_no: int, correct_outboxes: Outboxes, byz_outboxes: Outboxes
+    ) -> Tuple[Outboxes, Outboxes]:
         rng = derive_rng(
             self.model.seed, "model", "partial-synchrony", round_no
         )
@@ -614,7 +613,7 @@ class PartialSynchronyInjector:
         copied: set = set()
         for sender, link, message in self._pending.pop(round_no, ()):
             target = new_byz if sender in self._byz else new_correct
-            _append_frame(target, sender, link, message, copied)
+            _append_frame(target, sender, link, message, copied, self._per_label)
             self.report.delivered_late += 1
         return new_correct, new_byz
 

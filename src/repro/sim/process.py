@@ -32,6 +32,8 @@ BROADCAST = 0
 #: An outbox maps a link label (or :data:`BROADCAST`) to the messages to send
 #: on it this round.
 Outbox = Dict[int, List[Message]]
+#: One round's outboxes by sender index.
+Outboxes = Dict[int, Outbox]
 
 #: An inbox maps a link label to the tuple of messages that arrived on it.
 #:
@@ -186,28 +188,45 @@ def perturb_links(outbox: Outbox, n: int, fate: Fate) -> Outbox:
 
     ``fate`` sees every network copy in outbox order, :data:`BROADCAST`
     expanded into labels ``1..n-1``; the self-loop (label ``n``) and invalid
-    labels (the engine raises on them) pass unasked. If every fate is
-    ``None`` the result is ``outbox`` itself, so an untouched broadcast
-    stays one; otherwise a fresh outbox with per-label lists.
+    labels (the engine raises on them) pass unasked. If some copy is asked
+    about, every fate is ``None`` and ``outbox`` is one entry or has no
+    broadcast, the result is ``outbox`` itself, so an untouched broadcast
+    stays one; otherwise fresh per-label lists. Either way a later walk of
+    the result meets the copies label by label, so a perturber that follows
+    draws in the same order whatever this one did.
     """
+    links = []  # (labels, messages, asked) per entry, a broadcast in two
+    for link, messages in outbox.items():
+        if link == BROADCAST:
+            links += ((range(1, n), messages, True), ((n,), messages, False))
+        else:
+            links.append(((link,), messages, 0 < link < n))
     fates = [
         fate(label, message)
-        for link, messages in outbox.items()
-        if 0 <= link < n
-        for label in (range(1, n) if link == BROADCAST else (link,))
+        for labels, messages, asked in links
+        if asked
+        for label in labels
         for message in messages
     ]
-    if fates.count(None) == len(fates):
+    if fates.count(None) == len(fates) > 0 and (
+        len(outbox) == 1 or BROADCAST not in outbox
+    ):
         return outbox
     drawn = iter(fates)
     result: Outbox = {}
-    for link, messages in outbox.items():
-        if not 0 <= link <= n:
-            result[link] = list(messages)
-            continue
-        for label in range(1, n + 1) if link == BROADCAST else (link,):
+    for labels, messages, asked in links:
+        for label in labels:
             bucket = result.setdefault(label, [])
+            if not asked:
+                bucket += messages
+                continue
             for message in messages:
-                copies = None if label == n else next(drawn)
+                copies = next(drawn)
                 bucket += (message,) if copies is None else copies
     return result
+
+
+def per_label(outbox: Outbox, n: int) -> Outbox:
+    """A fresh copy of ``outbox`` as per-label lists, :data:`BROADCAST`
+    expanded into labels ``1..n``, as :func:`perturb_links` rebuilds it."""
+    return perturb_links(outbox, n, lambda label, message: (message,))

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import standard_ids
+from helpers import PRIVATE_COPY_ENGINE, standard_ids
+from repro.sim import ENGINES
 
 
 @pytest.fixture
@@ -22,3 +23,12 @@ def ids11():
     """Eleven evenly spaced ids (the canonical N=11, t=2 configuration for
     Alg. 4, which needs N > 2t^2 + t)."""
     return standard_ids(11)
+
+
+@pytest.fixture
+def no_sharing_engine(monkeypatch):
+    """Register ``helpers.PRIVATE_COPY_ENGINE``, so a comparison over every
+    registered engine also checks the run with no object shared between
+    recipients: a perturber that leaves an outbox untouched passes its
+    broadcast on to the shared tuples and round memos (DESIGN.md §8)."""
+    monkeypatch.setitem(ENGINES, "private-copy", PRIVATE_COPY_ENGINE)

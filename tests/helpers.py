@@ -17,7 +17,7 @@ from repro.analysis import (
     check_renaming,
 )
 from repro.sim import BROADCAST, RunResult, SystemModel, run_protocol
-from repro.sim.engine import Engine, reference_router
+from repro.sim.engine import ENGINES, Engine, reference_router
 
 
 def assert_renaming_ok(
@@ -221,6 +221,10 @@ def private_copy_router(topology, metrics):
 #: The round loop on :func:`private_copy_router`; register it in
 #: ``repro.sim.engine.ENGINES`` (``monkeypatch.setitem``) to run under a name.
 PRIVATE_COPY_ENGINE = Engine("private-copy", private_copy_router)
+
+#: Every registered engine's name, then the no-sharing spec's; a test that
+#: runs the last needs the ``no_sharing_engine`` fixture (tests/conftest.py).
+SPEC_ENGINES = (*ENGINES, PRIVATE_COPY_ENGINE.name)
 
 
 def expand_links(outbox, n, fate):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import (
-    PRIVATE_COPY_ENGINE,
+    SPEC_ENGINES,
     assert_runs_identical,
     run_registered,
     standard_ids,
@@ -25,13 +25,7 @@ from repro.sim import ENGINES, FaultPlan, SimulationError, run_protocol
 from repro.wire import WireError
 
 
-@pytest.fixture(autouse=True)
-def no_sharing_engine(monkeypatch):
-    """Register ``helpers.PRIVATE_COPY_ENGINE``, so every comparison below
-    also checks the run with no object shared between recipients: a
-    plan that leaves an outbox untouched passes its broadcast on to the
-    shared tuples and round memos (DESIGN.md §8)."""
-    monkeypatch.setitem(ENGINES, "private-copy", PRIVATE_COPY_ENGINE)
+pytestmark = pytest.mark.usefixtures("no_sharing_engine")
 
 
 def _chaos_run(algorithm, n, t, *, attack, seed, engine, plan, max_rounds=64):
@@ -93,7 +87,7 @@ PLANS = [
 class TestEmptyPlanIdentity:
     """FaultPlan() must be bit-for-bit the same as chaos=None."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", SPEC_ENGINES)
     @pytest.mark.parametrize("algorithm,n,t", [("alg1", 7, 2), ("alg4", 11, 2)])
     def test_empty_plan_is_a_no_op(self, algorithm, n, t, engine):
         baseline = run_registered(

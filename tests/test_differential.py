@@ -278,10 +278,13 @@ _GOLDEN_FACTORIES = {
 #: variants run through: every voting attack's vote shapes, junk and
 #: duplicate ids through Alg. 1's id selection, unsound MultiEcho ids, a
 #: larger Alg. 4 run, and the FloodSet and Okun id exchanges under
-#: Byzantine slots that follow the protocol. The two sparse cases perturb
+#: Byzantine slots that follow the protocol. The three sparse cases perturb
 #: only some of a round's broadcasts, so perturbed and untouched outboxes
 #: reach the router in the same round (and, under partial synchrony, late
-#: frames land in rounds whose fresh traffic is untouched).
+#: frames land in rounds whose fresh traffic is untouched). In the last,
+#: a chaos plan walks what the model left: one untouched outbox with a late
+#: frame due, where chaos must draw in the order it did on the model's
+#: per-label lists.
 GOLDEN_RUN_CASES = {
     "alg1": ("alg1", 7, 2, "id-forging", 1, {}),
     "alg1-float": ("alg1-float", 7, 2, "rank-skew", 1, {}),
@@ -336,6 +339,13 @@ GOLDEN_RUN_CASES = {
         "okun-crash", 7, 2, "crash", 1,
         {"model": SystemModel.partial_synchrony(0.03, max_delay=2, seed=3)},
     ),
+    "floodset-sparse-partial-synchrony+chaos": (
+        "floodset", 7, 2, "crash", 1,
+        {
+            "model": SystemModel.partial_synchrony(0.05, max_delay=2, seed=3),
+            "chaos": FaultPlan(seed=0, drop=0.03, duplicate=0.03, corrupt=0.03),
+        },
+    ),
 }
 
 #: Captured before the two engines' round loops were merged into one; the
@@ -344,8 +354,8 @@ GOLDEN_RUN_CASES = {
 #: n=37 Alg. 4 and conforming FloodSet/Okun cases before the per-tuple
 #: receive fold and the forged vote variants; the t=3 and conforming
 #: consensus cases before EIG resolution was shared across receivers; the
-#: sparse chaos and partial-synchrony cases before perturbers passed
-#: untouched outboxes through to the router unexpanded. The
+#: sparse chaos and partial-synchrony cases (the third included) before
+#: perturbers passed untouched outboxes through to the router unexpanded. The
 #: exact-budget cases are the digests of the same runs with no round limit
 #: (``exact-budget-alg1`` and ``exact-budget-floodset`` equal ``alg1`` and
 #: ``floodset``): deciding in the last allowed round is a finished run.
@@ -396,6 +406,8 @@ GOLDEN_RUN_DIGESTS = {
         "787a53cd40a8fff1cec9c7749f6d01c6acc3103495f45685c80fca52cd7a6090",
     "floodset-conforming":
         "82183fabf17845a7f9c7b024a0e41dbbc03aa936ffb0d6d123a9e5c23c6da4c5",
+    "floodset-sparse-partial-synchrony+chaos":
+        "8b0aa5228d110477cdfd0d9c001a5e0b65fddf86a94577cf1d8cf77dc25e3fba",
     "impersonation":
         "dc2b6217a3a9d04154f66a5db29ca7807dcd11657b7f637cb04ce9a113d8dd62",
     "okun-crash":

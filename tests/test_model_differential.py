@@ -20,7 +20,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import (
-    PRIVATE_COPY_ENGINE,
+    SPEC_ENGINES,
     assert_runs_identical,
     run_registered,
     standard_ids,
@@ -53,13 +53,7 @@ CELLS = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def no_sharing_engine(monkeypatch):
-    """Register ``helpers.PRIVATE_COPY_ENGINE``, so every comparison below
-    also checks the run with no object shared between recipients: a
-    model that leaves an outbox untouched passes its broadcast on to the
-    shared tuples and round memos (DESIGN.md §8)."""
-    monkeypatch.setitem(ENGINES, "private-copy", PRIVATE_COPY_ENGINE)
+pytestmark = pytest.mark.usefixtures("no_sharing_engine")
 
 
 def _model_run(algorithm, n, t, *, attack, seed, engine, model, chaos=None,
@@ -116,7 +110,7 @@ class TestInertModelIdentity:
     """Degenerate models must be bit-for-bit the same as model=None,
     on every engine — the ISSUE's hard constraint."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", SPEC_ENGINES)
     @pytest.mark.parametrize(
         "model", INERT_MODELS, ids=lambda m: m.describe() or m.kind
     )
@@ -157,7 +151,7 @@ class TestModelDifferential:
             chaos=FaultPlan(seed=5, drop=0.2),
         )
 
-    @pytest.mark.parametrize("engine", sorted(set(ENGINES) - {"reference"}))
+    @pytest.mark.parametrize("engine", sorted(set(SPEC_ENGINES) - {"reference"}))
     def test_model_report_counts_are_engine_independent(self, engine):
         model = SystemModel.partial_synchrony(0.15, max_delay=2, seed=1)
         status, ref = _model_run(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from copy import deepcopy
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -154,23 +155,43 @@ class TestPartialSynchronyConservation:
 
     def test_late_frames_never_land_in_a_passed_through_outbox(self):
         # A sender's outbox the round left untouched is passed through as
-        # is; its late frames from earlier rounds must go to a copy.
+        # is; its late frames from earlier rounds go to a per-label copy,
+        # behind their label's on-time copy, where a chaos plan that
+        # follows meets them.
         n = 4
         injector = SystemModel.partial_synchrony(0.5, max_delay=1).build_injector(n=n)
-        passed_through_with_late = 0
+        untouched_with_late = 0
         for round_no in range(30):
-            outboxes = {
-                sender: {BROADCAST: [IdMessage(100 * round_no + sender)]}
-                for sender in range(n)
-            }
+            fresh = {sender: IdMessage(100 * round_no + sender) for sender in range(n)}
+            outboxes = {sender: {BROADCAST: [m]} for sender, m in fresh.items()}
             snapshot = deepcopy(outboxes)
             new_correct, _ = injector.perturb(round_no, outboxes, {})
             assert outboxes == snapshot, f"round {round_no} mutated its input"
-            passed_through_with_late += sum(
-                BROADCAST in outbox and len(outbox) > 1
-                for outbox in new_correct.values()
-            )
-        assert passed_through_with_late, "no round exercised the case"
+            for sender, outbox in new_correct.items():
+                if outbox is outboxes[sender]:
+                    continue
+                assert BROADCAST not in outbox
+                on_time = all(
+                    outbox.get(label, [])[:1] == [fresh[sender]]
+                    for label in range(1, n)
+                )
+                late = sum(map(len, outbox.values())) > n
+                untouched_with_late += on_time and late
+        assert untouched_with_late, "no round exercised the case"
+
+    @pytest.mark.parametrize("outbox", [{}, {3: [IdMessage(2)]}])
+    def test_late_frames_never_land_in_an_outbox_with_no_network_copy(
+        self, outbox
+    ):
+        # Nothing to fate leaves the outbox as it is; a late frame for its
+        # sender still goes to a copy.
+        n = 3
+        injector = SystemModel.partial_synchrony(1.0, max_delay=1).build_injector(n=n)
+        injector.perturb(0, {0: {BROADCAST: [IdMessage(1)]}}, {})  # all late
+        snapshot = deepcopy(outbox)
+        new_correct, _ = injector.perturb(1, {0: outbox}, {})
+        assert outbox == snapshot, "inputs must never be mutated"
+        assert new_correct[0] == {**outbox, 1: [IdMessage(1)], 2: [IdMessage(1)]}
 
     def test_self_loop_is_exempt_even_at_full_loss(self):
         n = 4

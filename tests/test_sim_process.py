@@ -177,7 +177,10 @@ class TestPerturbLinks:
         assert [(label, id(m)) for label, m in calls] == [
             (label, id(m)) for label, m in oracle_calls
         ]
-        if all(script[k % len(script)] == "keep" for k in range(len(calls))):
+        untouched = all(
+            script[k % len(script)] == "keep" for k in range(len(calls))
+        )
+        if calls and untouched and (len(outbox) == 1 or BROADCAST not in outbox):
             assert result is outbox
         else:
             assert result is not outbox
@@ -186,6 +189,15 @@ class TestPerturbLinks:
             assert not any(
                 result.get(label) is bucket for label, bucket in buckets.items()
             )
+        # A perturber walking the result next asks in the order it would on
+        # the oracle's expansion, passed through or not.
+        again, again_calls = scripted_fate(["keep"])
+        oracle_again, oracle_again_calls = scripted_fate(["keep"])
+        perturb_links(result, n, again)
+        expand_links(expected, n, oracle_again)
+        assert [(label, id(m)) for label, m in again_calls] == [
+            (label, id(m)) for label, m in oracle_again_calls
+        ]
 
     def test_untouched_broadcast_passes_through(self):
         outbox = {BROADCAST: [IdMessage(1), IdMessage(2)]}
@@ -193,6 +205,16 @@ class TestPerturbLinks:
         assert perturb_links(outbox, 4, fate) is outbox
         # Links 1..3 asked, message by message; the self-loop (4) is not.
         assert [label for label, _ in calls] == [1, 1, 2, 2, 3, 3]
+
+    def test_an_untouched_mixed_outbox_is_expanded(self):
+        # Passed through, {BROADCAST: [a], 2: [b]} would be walked (1, a),
+        # (2, a), (3, a), (2, b) by a later perturber, which walks the
+        # per-label lists (1, a), (2, a), (2, b), (3, a).
+        a, b = IdMessage(1), IdMessage(2)
+        fate, calls = scripted_fate(["keep"])
+        result = perturb_links({BROADCAST: [a], 2: [b]}, 4, fate)
+        assert calls == [(1, a), (2, a), (3, a), (2, b)]
+        assert list(result.items()) == [(1, [a]), (2, [a, b]), (3, [a]), (4, [a])]
 
     def test_one_touched_copy_expands_the_whole_outbox(self):
         a, b = IdMessage(1), IdMessage(2)
