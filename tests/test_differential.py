@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -27,6 +28,8 @@ from repro import (
     run_protocol,
 )
 from repro.adversary import ALG1_ATTACKS, make_adversary
+from repro.agreement import initial_values_factory
+from repro.baselines import OkunCrashRenaming
 from repro.sim import FaultPlan, SafetyPolicy, SimulationError, SystemModel
 
 
@@ -259,6 +262,15 @@ _GOLDEN_FACTORIES = {
     "alg1-float": lambda n, t, ids, seed: partial(
         OrderPreservingRenaming, options=RenamingOptions(exact_arithmetic=False)
     ),
+    "alg1-early": lambda n, t, ids, seed: partial(
+        OrderPreservingRenaming, options=RenamingOptions(early_deciding=True)
+    ),
+    "okun-crash-early": lambda n, t, ids, seed: partial(
+        OkunCrashRenaming, early_deciding=True
+    ),
+    "aa": lambda n, t, ids, seed: initial_values_factory(
+        {i: Fraction(i, 3) for i in ids}, rounds=4
+    ),
 }
 
 #: ``case -> (algorithm, n, t, attack, seed, run_protocol options)``. One
@@ -284,7 +296,11 @@ _GOLDEN_FACTORIES = {
 #: frames land in rounds whose fresh traffic is untouched). In the last,
 #: a chaos plan walks what the model left: one untouched outbox with a late
 #: frame due, where chaos must draw in the order it did on the model's
-#: per-label lists.
+#: per-label lists. The last five pin the receive rules the split phase,
+#: the per-link first-of-kind reader and the early-deciding test share: both
+#: bit-split baselines under Byzantine slots that follow the protocol, Alg. 1
+#: and Okun with early deciding on (every process freezes), and approximate
+#: agreement under a value-splitting adversary.
 GOLDEN_RUN_CASES = {
     "alg1": ("alg1", 7, 2, "id-forging", 1, {}),
     "alg1-float": ("alg1-float", 7, 2, "rank-skew", 1, {}),
@@ -346,6 +362,11 @@ GOLDEN_RUN_CASES = {
             "chaos": FaultPlan(seed=0, drop=0.03, duplicate=0.03, corrupt=0.03),
         },
     ),
+    "cht-conforming": ("cht", 13, 4, "conforming", 1, {}),
+    "translated-conforming": ("translated", 11, 2, "conforming", 1, {}),
+    "alg1-early": ("alg1-early", 7, 2, "conforming", 1, {}),
+    "okun-crash-early": ("okun-crash-early", 7, 2, "crash", 1, {}),
+    "aa-value-split": ("aa", 7, 2, "value-split", 1, {}),
 }
 
 #: Captured before the two engines' round loops were merged into one; the
@@ -359,7 +380,12 @@ GOLDEN_RUN_CASES = {
 #: exact-budget cases are the digests of the same runs with no round limit
 #: (``exact-budget-alg1`` and ``exact-budget-floodset`` equal ``alg1`` and
 #: ``floodset``): deciding in the last allowed round is a finished run.
+#: The bit-split, early-deciding and approximate-agreement cases were
+#: captured before CHT moved onto the shared split phase and the per-link
+#: receive rules moved into one reader each.
 GOLDEN_RUN_DIGESTS = {
+    "aa-value-split":
+        "3e290f93b0f5357f6a87011487933058f46c1a9d4a4c0302097e17a6d1de27ce",
     "alg1":
         "66d67575fd5eadbb48961918ba43ffcccaf26ec414445d1cb2e20c2dbd0b4840",
     "alg1-boundary-votes":
@@ -370,6 +396,8 @@ GOLDEN_RUN_DIGESTS = {
         "f3dbf4b4d9b2ae28a4601cb8eef47aa9f290fb7ed9dfd29a1a45f749bbdf5096",
     "alg1-constant-rank-skew":
         "334458880b15e0b40879eff5e53c34d60c861981d588a978ed0485ab1542f3f6",
+    "alg1-early":
+        "d009663413e1821358556852d1c4be9257df8d1431a1ffa710d962635a13394c",
     "alg1-float":
         "260632b111298c3e331d3c50654154d71928375998e13f988c98b738535fb078",
     "alg1-noise":
@@ -386,6 +414,8 @@ GOLDEN_RUN_DIGESTS = {
         "139be0248101936cc2fe6682f9d1293a41f41cb68b3de4893cab591dfc6eecc8",
     "cht":
         "b22b9e508c4445e41199d77ac42e8b52740149d4f2ff3421b8d1832afc54e035",
+    "cht-conforming":
+        "c598eb64410c2c6822c16f6396f2bb730cfc5e182ab2518cdbdcb54707ef3253",
     "consensus":
         "4945b104bce95bc11d459a2e5de65a6727ec45d391229281c89b34ccf6547f36",
     "consensus-t0":
@@ -416,6 +446,8 @@ GOLDEN_RUN_DIGESTS = {
         "81589e6fb7188697a0867cc24c720f7dfba1c23ad69c76252c8de24d91080ca0",
     "okun-crash-divergence":
         "4abcb9fb0a9bc845d915c95ccadb12786724454cd99fb01cd33a5aeb29832a75",
+    "okun-crash-early":
+        "6179abb5e4ac41d6f4d9cd6113bc6c563ea3f4e6aca6b92b271da20d3958e45e",
     "okun-crash-sparse-partial-synchrony":
         "477e79f207ac5befc1bdf2a834b5b13ceb8a2b77f4ad63e33b18d626ee5ba2ce",
     "partial-synchrony+chaos":
@@ -428,6 +460,8 @@ GOLDEN_RUN_DIGESTS = {
         "2226e6dcc1ae8e8d9992c856c5dc4b06a6b821f64a548f5b69c5990041215e7e",
     "translated":
         "8e81f9b60c019779f23544296d3109107a0f2b2233ab4be096d6d2787d3aa832",
+    "translated-conforming":
+        "07dc8896af2fdaee655039c26369feed7f6590e190426a1d8abbef24c276a4aa",
 }
 
 
