@@ -34,7 +34,7 @@ results-check:
 ## CSVs must be byte-identical. Catches pool pickling, cache, store and
 ## isolation round-trip regressions, and engine drift, in seconds.
 SMOKE_DIR := .smoke
-SMOKE_GRID := --algorithms alg1 okun-crash --sizes 4:1 5:1 \
+SMOKE_GRID := --algorithms alg1 okun-crash cht translated --sizes 4:1 5:1 \
 	--attacks silent crash --seeds 0 1
 smoke:
 	rm -rf $(SMOKE_DIR)

@@ -17,14 +17,13 @@ votes with its own value, trims the ``t`` extremes, and averages
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional
 
 from ..core.approximation import trimmed_mean
 from ..core.messages import Rank
 from ..core.validation import is_sound_rank
 from ..sim.messages import KIND_BITS, Message, RANK_FRACTION_BITS
-from ..sim.process import Inbox, Outbox, Process, ProcessContext
+from ..sim.process import Inbox, Outbox, Process, ProcessContext, first_of
 
 
 @dataclass(frozen=True)
@@ -69,13 +68,11 @@ class ApproximateAgreement(Process):
     def deliver(self, round_no: int, inbox: Inbox) -> None:
         votes: List[Rank] = []
         for link in sorted(inbox):
-            for message in inbox[link]:
-                if isinstance(message, ValueMessage):
-                    # NaN would defeat the trim's comparisons; drop unsound
-                    # values before any arithmetic.
-                    if is_sound_rank(message.value):
-                        votes.append(message.value)
-                    break  # one vote per link per round
+            message = first_of(inbox[link], ValueMessage)
+            # NaN would defeat the trim's comparisons; drop unsound values
+            # before any arithmetic.
+            if message is not None and is_sound_rank(message.value):
+                votes.append(message.value)
         votes = votes[: self.ctx.n]
         while len(votes) < self.ctx.n:
             votes.append(self.value)

@@ -28,7 +28,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.messages import _DecodeOnce, shared_by_identity
 from ..sim.errors import ConfigurationError
 from ..sim.messages import KIND_BITS, Message
-from ..sim.process import Inbox, Outbox, Process, ProcessContext, ordered_links
+from ..sim.process import (
+    Inbox, Outbox, Process, ProcessContext, first_of, ordered_links,
+)
 
 #: Value used when a relay is missing or no majority exists.
 DEFAULT_VALUE = 0
@@ -122,7 +124,7 @@ class EIGInteractiveConsistency(Process):
             sender = self.link_to_index.get(link)
             if sender is None:
                 continue
-            message = self._first_relay(inbox[link])
+            message = first_of(inbox[link], RelayMessage)
             if message is not None:
                 self._received.append((level, sender, message))
                 if not last:
@@ -163,13 +165,6 @@ class EIGInteractiveConsistency(Process):
                 if self._acceptable(path, level) and isinstance(value, int)
             ],
         )
-
-    @staticmethod
-    def _first_relay(messages) -> Optional[RelayMessage]:
-        for message in messages:
-            if isinstance(message, RelayMessage):
-                return message
-        return None
 
     def _acceptable(self, path, level: int) -> bool:
         """Well-formedness of a relayed path: right level, distinct indices.
@@ -312,7 +307,6 @@ class EIGBroadcast(Process):
     _gather = EIGInteractiveConsistency._gather
     _relayed = EIGInteractiveConsistency._relayed
     _well_formed = EIGInteractiveConsistency._well_formed
-    _first_relay = staticmethod(EIGInteractiveConsistency._first_relay)
 
     def _acceptable(self, path, level: int) -> bool:
         """The combined tree's well-formedness plus instance scoping: every

@@ -2,7 +2,7 @@
 
 The paper's model deliberately withholds sender identities (receivers see
 only link labels) — that is what makes Byzantine renaming non-trivial.
-Classical consensus protocols (Phase King, EIG) are instead stated in the
+Classical consensus protocols such as EIG are instead stated in the
 *identified* model where every process knows its index and the index behind
 every link. The consensus-based renaming baseline therefore runs in a
 strictly **stronger** model than Algorithm 1; the comparison in experiment E7

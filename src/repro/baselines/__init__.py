@@ -15,7 +15,9 @@ from .cht import BitSplitRenaming
 from .consensus_renaming import ConsensusRenaming, consensus_renaming_factory
 from .floodset import FloodSetRenaming
 from .okun_crash import EXCHANGE_ROUNDS, OkunCrashRenaming
-from .splitting import ClaimMessage, Interval, IntervalSplitter, interval_rounds
+from .splitting import (
+    ClaimMessage, Interval, IntervalSplitPhase, IntervalSplitter, interval_rounds,
+)
 from .translated_byzantine import TranslatedByzantineRenaming
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "EXCHANGE_ROUNDS",
     "FloodSetRenaming",
     "Interval",
+    "IntervalSplitPhase",
     "IntervalSplitter",
     "OkunCrashRenaming",
     "TranslatedByzantineRenaming",

@@ -3,7 +3,10 @@
 The paper's Section III describes [6]: pick the new name one bit at a time,
 splitting the ids sharing your current prefix into halves, ``O(log N)``
 rounds, crash-tolerant, tight namespace. This module reconstructs that
-algorithm on the :class:`repro.baselines.splitting.IntervalSplitter` core.
+algorithm as a one-phase :class:`~repro.sim.compose.PhaseSequence` over the
+shared :class:`repro.baselines.splitting.IntervalSplitPhase`, one round per
+split level, admitting every claim with a sound id — the same phase the
+translated-Byzantine baseline runs after id selection.
 
 Execution model: a fixed horizon of ``⌈log₂ N⌉ + N`` rounds. Every process
 broadcasts its ``(id, interval)`` claim every round (including after it has
@@ -24,15 +27,17 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.validation import is_sound_id
-from ..sim.process import Inbox, Outbox, Process, ProcessContext
-from .splitting import ClaimMessage, IntervalSplitter, interval_rounds
+from ..sim.compose import PhaseContext, PhaseSequence
+from ..sim.process import ProcessContext
+from .splitting import IntervalSplitPhase
 
 
-class BitSplitRenaming(Process):
+class BitSplitRenaming(PhaseSequence):
     """A correct process running interval-split renaming over ``[1..M]``.
 
     ``namespace`` defaults to ``N`` (the CHT strong-renaming configuration);
-    the translated-Byzantine baseline passes ``2N``.
+    ``extra_rounds`` is the probe budget after the ``⌈log₂ M⌉`` split
+    levels (default ``N``).
     """
 
     def __init__(
@@ -41,57 +46,20 @@ class BitSplitRenaming(Process):
         namespace: Optional[int] = None,
         extra_rounds: Optional[int] = None,
     ) -> None:
-        super().__init__(ctx)
         self.namespace = ctx.n if namespace is None else namespace
-        self.splitter = IntervalSplitter(ctx.my_id, self.namespace)
-        probe_budget = ctx.n if extra_rounds is None else extra_rounds
-        self.horizon = interval_rounds(self.namespace) + probe_budget
-        self._settled_round: Optional[int] = None
+        self._probe_budget = ctx.n if extra_rounds is None else extra_rounds
+        super().__init__(ctx, [self._split_phase])
 
-    # ------------------------------------------------------------------ rounds
-
-    def send(self, round_no: int) -> Outbox:
-        lo, hi = self.splitter.claim()
-        return self.broadcast(ClaimMessage(self.ctx.my_id, lo, hi))
-
-    def deliver(self, round_no: int, inbox: Inbox) -> None:
-        rivals = self._rival_ids(inbox)
-        already = self.splitter.decided
-        self.splitter.resolve(rivals)
-        if self.splitter.decided is not None and already is None:
-            self._settled_round = round_no
-            self.ctx.log(round_no, "settled", self.splitter.decided)
-        if round_no == self.horizon:
-            self._finish(round_no)
-
-    def _rival_ids(self, inbox: Inbox):
-        lo, hi = self.splitter.claim()
-        rivals = []
-        for link in sorted(inbox):
-            for message in inbox[link]:
-                if (
-                    isinstance(message, ClaimMessage)
-                    and is_sound_id(message.id)
-                    and message.lo == lo
-                    and message.hi == hi
-                ):
-                    rivals.append(message.id)
-                    break  # one claim per link per round
-        return rivals
-
-    def _finish(self, round_no: int) -> None:
-        if self.splitter.decided is not None:
-            self.output_value = self.splitter.decided
-            return
-        # Horizon reached while still contested (possible only under
-        # pathological fault schedules): take the current slot; the probe
-        # budget makes this unreachable in every scenario we test, but a
-        # deterministic fallback beats a hang.
-        lo, _ = self.splitter.claim()
-        self.output_value = lo
-        self.ctx.log(round_no, "settled", lo)
+    def _split_phase(self, ctx: PhaseContext, _: object) -> IntervalSplitPhase:
+        return IntervalSplitPhase(
+            ctx,
+            is_sound_id,
+            namespace=self.namespace,
+            rounds_per_level=1,
+            probe_budget=self._probe_budget,
+        )
 
     @property
     def settled_round(self) -> Optional[int]:
         """Round at which this process's name became uncontested."""
-        return self._settled_round
+        return self.phase.settled_round

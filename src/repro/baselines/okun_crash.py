@@ -25,17 +25,17 @@ crash model, so ``|known| ≤ N``): strong order-preserving renaming.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from ..core.approximation import approximate, nearest_int
-from ..core.messages import EchoMessage, IdMessage, Rank, RanksMessage, first_vote
-from ..core.params import SystemParams
-from ..core.validation import (
-    VoteCheck, gather_votes, is_sound_id, sound_ids_by_tuple,
+from ..core.messages import (
+    EchoMessage, IdMessage, Rank, RanksMessage, announced_ids, first_vote,
 )
+from ..core.params import SystemParams
+from ..core.renaming import STABILITY_ROUNDS, votes_agree
+from ..core.validation import VoteCheck, gather_votes, sound_ids_by_tuple
 from ..sim.errors import SafetyViolation
-from ..sim.process import Inbox, Outbox, Process, ProcessContext, ordered_links
+from ..sim.process import Inbox, Outbox, Process, ProcessContext
 
 #: Id-exchange rounds before voting starts.
 EXCHANGE_ROUNDS = 2
@@ -46,7 +46,8 @@ class OkunCrashRenaming(Process):
 
     ``early_deciding=True`` enables the Alistarh-et-al.-style extension
     that [1] actually proved for this crash algorithm: freeze once every
-    received vote agreed with the local ranks for two consecutive rounds.
+    received vote agreed with the local ranks for
+    :data:`~repro.core.renaming.STABILITY_ROUNDS` consecutive rounds.
     In the crash model every vote is honest, so unanimity directly means
     all live processes hold the common value — the fixed-point argument is
     immediate (and simpler than the Byzantine one in
@@ -87,11 +88,7 @@ class OkunCrashRenaming(Process):
 
     def deliver(self, round_no: int, inbox: Inbox) -> None:
         if round_no == 1:
-            for link in ordered_links(inbox):
-                for message in inbox[link]:
-                    if isinstance(message, IdMessage) and is_sound_id(message.id):
-                        self.timely.add(message.id)
-                        break
+            self.timely.update(identifier for _, identifier in announced_ids(inbox))
             self.known = set(self.timely)
             self._check = VoteCheck(self.timely, self.delta)
         elif round_no == 2:
@@ -139,19 +136,11 @@ class OkunCrashRenaming(Process):
         self.ctx.log(round_no, "ranks", dict(self.ranks))
 
     def _check_stability(self, round_no: int, votes) -> bool:
-        unanimous = votes and all(
-            all(
-                identifier in vote and vote[identifier] == rank
-                for identifier, rank in self.ranks.items()
-                if identifier in self.known
-            )
-            for vote in votes
-        )
-        if unanimous:
+        if votes and votes_agree(votes, self.ranks, self.known):
             self._stable_rounds += 1
         else:
             self._stable_rounds = 0
-        if self._stable_rounds >= 2:
+        if self._stable_rounds >= STABILITY_ROUNDS:
             self.frozen_at = round_no
             self.ctx.log(round_no, "early_frozen", dict(self.ranks))
             return True

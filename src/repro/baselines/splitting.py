@@ -1,4 +1,4 @@
-"""Interval-splitting engine for the bit-by-bit renaming baselines.
+"""Interval splitting for the bit-by-bit renaming baselines.
 
 The Chaudhuri–Herlihy–Tuttle idea [6]: every process owns a shrinking
 interval of the target namespace; each round, processes claiming the same
@@ -16,16 +16,22 @@ no other claim on its singleton — which makes uniqueness a one-line argument
 when claims of correct processes always reach everyone (crash model, or the
 filtered-claim Byzantine wrapper).
 
-This file is the shared sans-I/O core; :mod:`repro.baselines.cht` and
-:mod:`repro.baselines.translated_byzantine` wrap it in a protocol.
+:class:`IntervalSplitter` is the sans-I/O state machine;
+:class:`IntervalSplitPhase` drives it as a
+:class:`~repro.sim.compose.Phase` (claim, resolve, settle, finish). Both
+baselines run that one phase: :mod:`repro.baselines.cht` on its own, one
+round per level, and :mod:`repro.baselines.translated_byzantine` after id
+selection, two rounds per level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
+from ..sim.compose import Phase, PhaseContext
 from ..sim.messages import KIND_BITS, Message
+from ..sim.process import Inbox, ordered_links
 
 
 @dataclass(frozen=True)
@@ -121,3 +127,84 @@ def interval_rounds(namespace: int) -> int:
         size = (size + 1) // 2
         rounds += 1
     return rounds
+
+
+class IntervalSplitPhase(Phase):
+    """Bit split over ``[1..namespace]`` among the claimants ``eligible``
+    admits.
+
+    Every step broadcasts the current claim; a level resolves on every
+    ``rounds_per_level``-th step (CHT's bare claim costs 1, the translated
+    baseline's claim + echo pair 2). Claims whose id fails ``eligible`` are
+    ignored. Runs to a fixed horizon of ``rounds_per_level ·
+    interval_rounds(namespace) + probe_budget`` steps (synchronous
+    algorithms cannot early-terminate without agreement on when).
+    """
+
+    def __init__(
+        self,
+        ctx: PhaseContext,
+        eligible: Callable[[object], bool],
+        *,
+        namespace: int,
+        rounds_per_level: int,
+        probe_budget: int,
+    ) -> None:
+        self.steps = rounds_per_level * interval_rounds(namespace) + probe_budget
+        self._ctx = ctx
+        self._eligible = eligible
+        self._rounds_per_level = rounds_per_level
+        self.splitter = IntervalSplitter(ctx.my_id, namespace)
+        #: Global round at which this process's name became uncontested.
+        self.settled_round: Optional[int] = None
+        self._name: Optional[int] = None
+
+    # ------------------------------------------------------------------ rounds
+
+    def messages_for_step(self, step: int) -> List[Message]:
+        lo, hi = self.splitter.claim()
+        return [ClaimMessage(self._ctx.my_id, lo, hi)]
+
+    def deliver_step(self, step: int, inbox: Inbox) -> None:
+        rivals = self._rival_ids(inbox)
+        already = self.splitter.decided
+        if step % self._rounds_per_level == 0:
+            self.splitter.resolve(rivals)
+        if self.splitter.decided is not None and already is None:
+            self.settled_round = self._ctx.global_round(step)
+            self._ctx.log(step, "settled", self.splitter.decided)
+        if step == self.steps:
+            self._finish(step)
+
+    # ------------------------------------------------------------- phase logic
+
+    def _rival_ids(self, inbox: Inbox) -> List[int]:
+        """The first eligible claim on my interval per link (one per link)."""
+        lo, hi = self.splitter.claim()
+        rivals = []
+        for link in ordered_links(inbox):
+            for message in inbox[link]:
+                if (
+                    isinstance(message, ClaimMessage)
+                    and message.lo == lo
+                    and message.hi == hi
+                    and self._eligible(message.id)
+                ):
+                    rivals.append(message.id)
+                    break
+        return rivals
+
+    def _finish(self, step: int) -> None:
+        if self.splitter.decided is not None:
+            self._name = self.splitter.decided
+            return
+        # Horizon reached while still contested (possible only under
+        # pathological fault schedules): take the current slot; the probe
+        # budget makes this unreachable in every scenario we test, but a
+        # deterministic fallback beats a hang.
+        lo, _ = self.splitter.claim()
+        self._name = lo
+        self._ctx.log(step, "settled", lo)
+
+    def result(self) -> int:
+        return self._name

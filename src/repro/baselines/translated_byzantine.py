@@ -28,97 +28,19 @@ omission adversaries, which is conservative *in favour of* this baseline.
 Composition-wise the baseline is
 ``PhaseSequence(IdSelectionPhase, IntervalSplitPhase)`` — it reuses the
 *same* :class:`~repro.core.id_selection.IdSelectionPhase` object Alg. 1
-runs, instead of a private re-implementation.
+runs and the *same* :class:`~repro.baselines.splitting.IntervalSplitPhase`
+the CHT baseline runs, instead of private re-implementations.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional
+from typing import Optional
 
-from ..core.id_selection import (
-    ID_SELECTION_STEPS,
-    IdSelectionPhase,
-    IdSelectionResult,
-)
-from ..sim.compose import Phase, PhaseContext, PhaseSequence
+from ..core.id_selection import IdSelectionPhase, IdSelectionResult
+from ..sim.compose import PhaseContext, PhaseSequence
 from ..sim.errors import ConfigurationError
-from ..sim.messages import Message
-from ..sim.process import Inbox, ProcessContext, ordered_links
-from .splitting import ClaimMessage, IntervalSplitter, interval_rounds
-
-
-class IntervalSplitPhase(Phase):
-    """Echo-weighted bit split over ``[1..namespace]`` among accepted ids.
-
-    Each split level costs two steps (claim + echo); claims from links
-    whose id is outside the preceding phase's accepted set are ignored.
-    Runs to a fixed ``steps`` horizon (synchronous algorithms cannot
-    early-terminate without agreement on when).
-    """
-
-    def __init__(
-        self,
-        ctx: PhaseContext,
-        accepted: FrozenSet[int],
-        *,
-        namespace: int,
-        steps: int,
-    ) -> None:
-        self.steps = steps
-        self._ctx = ctx
-        self.accepted = accepted
-        self.splitter = IntervalSplitter(ctx.my_id, namespace)
-        #: Global round at which this process's name became uncontested.
-        self.settled_round: Optional[int] = None
-        self._name: Optional[int] = None
-
-    # ------------------------------------------------------------------ rounds
-
-    def messages_for_step(self, step: int) -> List[Message]:
-        lo, hi = self.splitter.claim()
-        return [ClaimMessage(self._ctx.my_id, lo, hi)]
-
-    def deliver_step(self, step: int, inbox: Inbox) -> None:
-        # Echo round of each level: claims are re-broadcast; resolving on
-        # every even step (claim + echo pairs) keeps the engine simple and
-        # charges the translation's 2x round cost.
-        rivals = self._rival_ids(inbox)
-        already = self.splitter.decided
-        if step % 2 == 0:
-            self.splitter.resolve(rivals)
-        if self.splitter.decided is not None and already is None:
-            self.settled_round = self._ctx.global_round(step)
-            self._ctx.log(step, "settled", self.splitter.decided)
-        if step == self.steps:
-            self._finish(step)
-
-    # ------------------------------------------------------------- phase logic
-
-    def _rival_ids(self, inbox: Inbox):
-        lo, hi = self.splitter.claim()
-        rivals = []
-        for link in ordered_links(inbox):
-            for message in inbox[link]:
-                if (
-                    isinstance(message, ClaimMessage)
-                    and message.lo == lo
-                    and message.hi == hi
-                    and message.id in self.accepted
-                ):
-                    rivals.append(message.id)
-                    break
-        return rivals
-
-    def _finish(self, step: int) -> None:
-        if self.splitter.decided is not None:
-            self._name = self.splitter.decided
-            return
-        lo, _ = self.splitter.claim()
-        self._name = lo
-        self._ctx.log(step, "settled", lo)
-
-    def result(self) -> int:
-        return self._name
+from ..sim.process import ProcessContext
+from .splitting import IntervalSplitPhase
 
 
 class TranslatedByzantineRenaming(PhaseSequence):
@@ -131,12 +53,7 @@ class TranslatedByzantineRenaming(PhaseSequence):
             )
         self.namespace = 2 * ctx.n
         self.selection = IdSelectionPhase(ctx.n, ctx.t, ctx.my_id)
-        probe_budget = ctx.n if extra_rounds is None else extra_rounds
-        # Two rounds per split level: the claim round plus the translation's
-        # echo round (modelled as a repeat of the claim).
-        self.horizon = (
-            ID_SELECTION_STEPS + 2 * interval_rounds(self.namespace) + probe_budget
-        )
+        self._probe_budget = ctx.n if extra_rounds is None else extra_rounds
         self._split: Optional[IntervalSplitPhase] = None
         super().__init__(ctx, [self._selection_phase, self._split_phase])
 
@@ -145,20 +62,19 @@ class TranslatedByzantineRenaming(PhaseSequence):
 
     def _split_phase(self, ctx: PhaseContext, outcome: object) -> IntervalSplitPhase:
         assert isinstance(outcome, IdSelectionResult)
+        # Two rounds per split level: the claim round plus the translation's
+        # echo round (modelled as a repeat of the claim); claims count only
+        # from ids id selection accepted.
         self._split = IntervalSplitPhase(
             ctx,
-            outcome.accepted,
+            outcome.accepted.__contains__,
             namespace=self.namespace,
-            steps=self.horizon - ID_SELECTION_STEPS,
+            rounds_per_level=2,
+            probe_budget=self._probe_budget,
         )
         return self._split
 
     # ------------------------------------------------- pre-refactor attributes
-
-    @property
-    def splitter(self) -> Optional[IntervalSplitter]:
-        """The bit-split engine (None until id selection completes)."""
-        return self._split.splitter if self._split is not None else None
 
     @property
     def settled_round(self) -> Optional[int]:

@@ -34,10 +34,9 @@ from typing import Dict, FrozenSet, List, Optional
 
 from ..sim.compose import Phase, PhaseContext, PhaseSequence
 from ..sim.errors import SafetyViolation
-from ..sim.process import Inbox, ProcessContext, group_links, ordered_links
-from .messages import IdMessage, Message, MultiEchoMessage
+from ..sim.process import Inbox, ProcessContext, first_of, group_links
+from .messages import IdMessage, Message, MultiEchoMessage, announced_ids
 from .params import SystemParams
-from .validation import is_sound_id
 
 #: Alg. 4's round count.
 TWO_STEP_ROUNDS = 2
@@ -85,12 +84,9 @@ class TwoStepPhase(Phase):
 
     def _deliver_announcements(self, inbox: Inbox) -> None:
         """Round 1, lines 08–10: one id per link; extras on a link ignored."""
-        for link in ordered_links(inbox):
-            for message in inbox[link]:
-                if isinstance(message, IdMessage) and is_sound_id(message.id):
-                    self.link_id[link] = message.id
-                    self.timely.add(message.id)
-                    break
+        for link, identifier in announced_ids(inbox):
+            self.link_id[link] = identifier
+            self.timely.add(identifier)
 
     def _deliver_echoes(self, inbox: Inbox) -> None:
         """Round 2, lines 13–17: count echoes from valid MultiEchoes.
@@ -113,10 +109,7 @@ class TwoStepPhase(Phase):
         contribute more than one echo per id."""
         if link not in self.link_id:
             return None
-        for message in messages:
-            if isinstance(message, MultiEchoMessage):
-                return message
-        return None
+        return first_of(messages, MultiEchoMessage)
 
     def _is_valid(self, ids: FrozenSet[int]) -> bool:
         """The rest of Alg. 4's isValid: ≤ N ids, ≥ N−t overlap (the

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..sim.compose import Phase
-from ..sim.process import Inbox, ordered_links
-from .messages import EchoMessage, IdMessage, Message, ReadyMessage
-from .validation import is_sound_id, sound_ids_by_tuple
+from ..sim.process import Inbox
+from .messages import EchoMessage, IdMessage, Message, ReadyMessage, announced_ids
+from .validation import sound_ids_by_tuple
 
 #: Number of communication steps this phase takes.
 ID_SELECTION_STEPS = 4
@@ -105,15 +105,9 @@ class IdSelectionPhase(Phase):
             raise ValueError(f"id selection has steps 1..4, got {step}")
 
     def _deliver_ids(self, inbox: Inbox) -> None:
-        # Step 1: "foreach id: <Id, id> received from a distinct link".
-        # A faulty link may announce several ids; only its first announcement
-        # counts as *its* id here (one id per link), which is the strongest
-        # reading — extra announcements on the same link are ignored.
-        for link in ordered_links(inbox):
-            for message in inbox[link]:
-                if isinstance(message, IdMessage) and is_sound_id(message.id):
-                    self._pending.add(message.id)
-                    break
+        # Step 1: "foreach id: <Id, id> received from a distinct link", one
+        # id per link (the strongest reading).
+        self._pending.update(identifier for _, identifier in announced_ids(inbox))
 
     def _deliver_echoes(self, inbox: Inbox) -> None:
         # Step 2: keep ids echoed on at least N−t distinct links. Correct

@@ -30,11 +30,12 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from numbers import Rational
 from typing import (
-    Callable, Dict, FrozenSet, Hashable, Mapping, Optional, Sequence, Tuple,
-    TypeVar, Union,
+    Callable, Dict, FrozenSet, Hashable, Iterator, Mapping, Optional, Sequence,
+    Tuple, TypeVar, Union,
 )
 
 from ..sim.messages import KIND_BITS, Message, RANK_FRACTION_BITS
+from ..sim.process import Inbox, first_of, ordered_links
 from .validation import SoundVote, is_sound_id, is_sound_vote
 
 Rank = Union[Rational, float]
@@ -112,6 +113,18 @@ class IdMessage(Message):
 
     def bit_size(self, id_bits: int = 64, rank_bits: int = 16) -> int:
         return KIND_BITS + id_bits
+
+
+def announced_ids(inbox: Inbox) -> Iterator[Tuple[int, int]]:
+    """``(link, id)`` for each link's first :func:`is_sound_id`
+    :class:`IdMessage`, links ascending: Alg. 1 Step 1's "⟨Id, id⟩ received
+    from a distinct link". A faulty link may announce several ids; only its
+    first sound one counts as *its* id, the rest are ignored."""
+    for link in ordered_links(inbox):
+        for message in inbox[link]:
+            if isinstance(message, IdMessage) and is_sound_id(message.id):
+                yield link, message.id
+                break
 
 
 @dataclass(frozen=True)
@@ -201,10 +214,8 @@ def first_vote(messages: Sequence[Message]) -> Optional[SoundVote]:
     NaN/inf ranks) come back ``None`` and are dropped before any
     arithmetic: hygiene, not semantics, since ``isValid`` cannot be trusted
     to catch NaN, which defeats every comparison."""
-    for message in messages:
-        if isinstance(message, RanksMessage):
-            return message.sound_vote()
-    return None
+    vote = first_of(messages, RanksMessage)
+    return None if vote is None else vote.sound_vote()
 
 
 @dataclass(frozen=True)

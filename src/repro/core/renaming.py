@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Collection, Dict, List, Mapping, Optional, Sequence, Set
 
 from ..sim.compose import Phase, PhaseContext, PhaseSequence
 from ..sim.errors import SafetyViolation
@@ -90,6 +90,24 @@ class RenamingOptions:
     stretch: bool = True
     enforce_resilience: bool = True
     early_deciding: bool = False
+
+
+def votes_agree(
+    votes: Sequence[Mapping[int, Rank]],
+    ranks: Mapping[int, Rank],
+    live: Collection[int],
+) -> bool:
+    """The early-deciding test: every vote holds my rank for each id of
+    ``ranks`` still in ``live``. True for no votes; each caller guards the
+    count it needs."""
+    return all(
+        all(
+            identifier in vote and vote[identifier] == rank
+            for identifier, rank in ranks.items()
+            if identifier in live
+        )
+        for vote in votes
+    )
 
 
 class VotingPhase(Phase):
@@ -159,7 +177,7 @@ class VotingPhase(Phase):
     def _voting_step(self, step: int, inbox: Inbox) -> None:
         """Lines 30–35: collect votes, filter with isValid, approximate."""
         check = self._check if self.options.validate_votes else None
-        votes = gather_votes(inbox, check, self._first_vote)
+        votes = gather_votes(inbox, check, first_vote)
         if self.frozen_at is not None:
             return  # frozen: keep broadcasting, stop approximating
         if self.options.early_deciding:
@@ -174,26 +192,15 @@ class VotingPhase(Phase):
     def _track_stability(self, step: int, votes: Sequence[Mapping[int, Rank]]) -> None:
         """Early-deciding extension: freeze on STABILITY_ROUNDS unanimous
         rounds (see RenamingOptions.early_deciding for the safety argument)."""
-        unanimous = len(votes) >= self._ctx.n - self._ctx.t and all(
-            all(
-                identifier in vote and vote[identifier] == rank
-                for identifier, rank in self.ranks.items()
-                if identifier in self.accepted
-            )
-            for vote in votes
-        )
-        if unanimous:
+        if len(votes) >= self._ctx.n - self._ctx.t and votes_agree(
+            votes, self.ranks, self.accepted
+        ):
             self._stable_rounds += 1
         else:
             self._stable_rounds = 0
         if self._stable_rounds >= STABILITY_ROUNDS:
             self.frozen_at = self._ctx.global_round(step)
             self._ctx.log(step, "early_frozen", dict(self.ranks))
-
-    #: Each link's vote (:func:`~repro.core.messages.first_vote`): a
-    #: read-only :class:`~repro.core.validation.SoundVote` shared with every
-    #: other recipient of the same message, with its ``isValid`` verdicts.
-    _first_vote = staticmethod(first_vote)
 
     def _decide(self) -> None:
         """Line 36–37: output the rounded rank of the own id."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .messages import Message
 
@@ -121,6 +121,16 @@ def ordered_links(inbox: Inbox):
     if all(links[i] < links[i + 1] for i in range(len(links) - 1)):
         return links
     return sorted(links)
+
+
+def first_of(messages: Sequence[Message], kind: type) -> Optional[Message]:
+    """The first message of ``kind`` among what one link delivered this
+    round, or ``None``: a link speaks once per kind and round, so later ones
+    are a faulty sender's extras and are ignored."""
+    for message in messages:
+        if isinstance(message, kind):
+            return message
+    return None
 
 
 def broadcast_share(inbox: Inbox) -> Optional[tuple]:

@@ -20,7 +20,7 @@ so every run keeps the labelling it has always had.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import ConfigurationError
 from .rng import derive_rng
@@ -98,11 +98,6 @@ class FullMeshTopology:
     def _check_process(self, process: int) -> None:
         if not 0 <= process < self._n:
             raise ConfigurationError(f"invalid process index {process} (n={self._n})")
-
-    def link_items(self, process: int) -> Iterator[Tuple[int, int]]:
-        """Iterate ``(label, peer)`` pairs of ``process``'s ports table."""
-        self._check_process(process)
-        return enumerate(self._rows[process], 1)
 
     def peer_of(self, process: int, label: int) -> int:
         """Global index of the peer that ``process`` reaches via ``label``."""

@@ -9,6 +9,7 @@ and adversaries can only *delay* it.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from helpers import assert_renaming_ok, standard_ids
 from repro import OrderPreservingRenaming, RenamingOptions, SystemParams, run_protocol
 from repro.adversary import ALG1_ATTACKS, make_adversary
+from repro.core.renaming import votes_agree
 
 EARLY = partial(
     OrderPreservingRenaming, options=RenamingOptions(early_deciding=True)
@@ -155,3 +157,30 @@ class TestEarlyDecidingLatency:
         )
         for index in result.correct:
             assert result.processes[index].frozen_at is not None
+
+
+class TestVotesAgree:
+    """The one early-deciding test Alg. 1 and Okun share; each caller adds
+    its own vote-count guard."""
+
+    RANKS = {10: Fraction(1), 20: Fraction(2), 30: Fraction(3)}
+
+    def test_every_vote_must_match_every_live_rank(self):
+        same = dict(self.RANKS)
+        off = {**self.RANKS, 20: Fraction(5, 2)}
+        assert votes_agree([same, same], self.RANKS, {10, 20, 30})
+        for position in range(3):
+            votes = [same, same, same]
+            votes[position] = off
+            assert not votes_agree(votes, self.RANKS, {10, 20, 30})
+
+    def test_a_missing_live_id_disagrees(self):
+        short = {10: Fraction(1), 30: Fraction(3)}
+        assert not votes_agree([short], self.RANKS, {10, 20, 30})
+
+    def test_ids_out_of_live_are_not_compared(self):
+        short = {10: Fraction(1), 30: Fraction(3)}
+        assert votes_agree([short], self.RANKS, {10, 30})
+
+    def test_no_votes_agree_vacuously(self):
+        assert votes_agree([], self.RANKS, {10, 20, 30})

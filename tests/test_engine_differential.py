@@ -8,7 +8,8 @@ reference router. This suite is that proof, in executable form:
 * every registered algorithm × every registered-meaningful attack, across
   a seed grid (2 seeds in tier-1, the full ≥20-seed grid nightly via the
   ``slow`` marker) — full output/trace/metrics equality for **every**
-  registered engine against the reference;
+  registered engine, and for the no-sharing spec
+  (``helpers.PRIVATE_COPY_ENGINE``), against the reference;
 * the knob cross-product: ``through_wire``, tracing on/off;
 * error identity: all engines raise the same exception types with the
   same messages for round-limit overruns, protocol violations, and
@@ -18,7 +19,9 @@ reference router. This suite is that proof, in executable form:
   ``run_registered(algorithm, ..., attack="fuzz", seed=<seed>, ...)``
   replays it deterministically (see docs/model.md).
 
-The grid iterates ``engine_names()``, so it covers whatever is registered.
+The grid iterates ``helpers.SPEC_ENGINES``, so it covers whatever is
+registered plus the no-sharing spec, which its tests register through the
+``no_sharing_engine`` fixture.
 
 If an engine divergence ever appears, fix the non-reference router — the
 reference router is the specification. Because the two engines share the
@@ -32,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_runs_identical, run_registered, standard_ids
+from helpers import SPEC_ENGINES, assert_runs_identical, run_registered, standard_ids
 from repro.analysis import ALGORITHMS
 from repro.core.messages import IdMessage
 from repro.sim import (
@@ -75,6 +78,10 @@ FULL_SEEDS = range(20)
 #: (it is the oracle every other engine is compared against).
 ALL_ENGINES = tuple(engine_names())
 
+#: Every comparison over :data:`SPEC_ENGINES` needs the no-sharing spec
+#: registered; :func:`test_registry_consistent` runs without it.
+no_sharing = pytest.mark.usefixtures("no_sharing_engine")
+
 
 def _compare(algorithm: str, attack: str, seed: int, **knobs) -> None:
     if algorithm not in SIZES:
@@ -87,7 +94,7 @@ def _compare(algorithm: str, attack: str, seed: int, **knobs) -> None:
         engine: run_registered(
             algorithm, n, t, attack=attack, seed=seed, engine=engine, **knobs
         )
-        for engine in ALL_ENGINES
+        for engine in SPEC_ENGINES
     }
     for engine, run in runs.items():
         if engine == "reference":
@@ -99,6 +106,7 @@ def _compare(algorithm: str, attack: str, seed: int, **knobs) -> None:
         )
 
 
+@no_sharing
 @pytest.mark.parametrize("algorithm,attack", GRID)
 def test_engines_identical(algorithm, attack):
     """Tier-1 core: every algorithm × attack, traced, two seeds."""
@@ -107,6 +115,7 @@ def test_engines_identical(algorithm, attack):
 
 
 @pytest.mark.slow
+@no_sharing
 @pytest.mark.parametrize("algorithm,attack", GRID)
 def test_engines_identical_full_seed_grid(algorithm, attack):
     """The acceptance grid: every algorithm × attack × 20 seeds."""
@@ -114,6 +123,7 @@ def test_engines_identical_full_seed_grid(algorithm, attack):
         _compare(algorithm, attack, seed)
 
 
+@no_sharing
 @pytest.mark.parametrize(
     "algorithm,attack",
     [("alg1", "id-forging"), ("alg4", "selective-echo"), ("consensus", "fuzz")],
@@ -124,6 +134,7 @@ def test_engines_identical_through_wire(algorithm, attack):
         _compare(algorithm, attack, seed, through_wire=True)
 
 
+@no_sharing
 @pytest.mark.parametrize("algorithm", ["alg1", "consensus"])
 def test_engines_identical_without_trace(algorithm):
     _compare(algorithm, "conforming", 0, collect_trace=False)
@@ -216,6 +227,7 @@ def test_default_engine_is_batched():
 FUZZ_ALGORITHMS = ["alg1", "alg1-constant", "alg4", "consensus"]
 
 
+@no_sharing
 @settings(max_examples=20, deadline=None)
 @given(
     algorithm=st.sampled_from(FUZZ_ALGORITHMS),
@@ -230,6 +242,7 @@ def test_fuzz_adversary_differential(algorithm, seed):
 
 
 @pytest.mark.slow
+@no_sharing
 @settings(max_examples=200, deadline=None)
 @given(
     algorithm=st.sampled_from(FUZZ_ALGORITHMS),
@@ -241,6 +254,7 @@ def test_fuzz_adversary_differential_deep(algorithm, seed, through_wire):
 
 
 @pytest.mark.slow
+@no_sharing
 def test_engines_identical_large_n():
     """A paper-scale configuration (the kind sweeps actually run)."""
     for algorithm, n, t in [("alg1", 25, 8), ("alg4", 37, 4)]:
@@ -249,7 +263,7 @@ def test_engines_identical_large_n():
             engine: run_registered(
                 algorithm, n, t, attack=attack, seed=0, engine=engine
             )
-            for engine in ALL_ENGINES
+            for engine in SPEC_ENGINES
         }
         for engine, run in runs.items():
             if engine != "reference":

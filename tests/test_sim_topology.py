@@ -95,15 +95,12 @@ class TestFullMeshTopology:
                 topology.peer_of(process, 1)
             with pytest.raises(ConfigurationError, match="invalid process index"):
                 topology.label_of(process, 0)
-            with pytest.raises(ConfigurationError, match="invalid process index"):
-                topology.link_items(process)
 
     def test_bulk_tables_match_per_label_queries(self):
         topology = FullMeshTopology(6, seed=8)
         for process in range(6):
             row = [topology.peer_of(process, label) for label in topology.labels()]
             assert list(topology.port_rows[process]) == row
-            assert list(topology.link_items(process)) == list(enumerate(row, 1))
             for peer in range(6):
                 assert topology.label_rows[process][peer] == topology.label_of(
                     process, peer

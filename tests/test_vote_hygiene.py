@@ -37,7 +37,7 @@ from repro.core.messages import (
 )
 from repro.adversary import make_adversary
 from repro.agreement.eig import RelayMessage
-from repro.core import validation
+from repro.core import renaming, validation
 from repro.core.renaming import FLOAT_TOLERANCE
 from repro.core.validation import (
     VoteCheck,
@@ -277,7 +277,7 @@ class TestDecodeOnce:
         """The cached verdict for an unsound vote is ``None`` for everyone:
         each correct recipient drops every poisoned link's vote."""
         seen = []
-        original = VotingPhase._first_vote
+        original = renaming.first_vote
 
         def recording(messages):
             vote = original(messages)
@@ -285,7 +285,7 @@ class TestDecodeOnce:
             seen.append((first, vote))
             return vote
 
-        monkeypatch.setattr(VotingPhase, "_first_vote", staticmethod(recording))
+        monkeypatch.setattr(renaming, "first_vote", recording)
         result, checked, _ = self._one_voting_round(
             monkeypatch, "batched", PoisonAdversary()
         )
