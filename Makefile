@@ -231,7 +231,18 @@ model-smoke:
 ## flight. Gates: the late load must not observe an invalid certificate
 ## (exit 2), its report must show at least one completed session, the
 ## daemon must exit 0 (drained clean) or 4 (sessions shed), never crash,
-## and its stderr must hold no Traceback.
+## its stderr must hold no Traceback, and none of its session worker
+## processes may still run 5 s after it exited.
+## Shell fragment for the service smokes: waits up to 5 s for every pid in
+## $$WORKERS (the daemon's session workers, recorded with pgrep once its
+## port file appeared) to exit, and leaves the ones still running in
+## $$WORKERS_LEFT. A zombie counts as exited: an orphaned worker stays one
+## until whatever adopted it reaps it.
+WAIT_FOR_WORKERS = for i in $$(seq 50); do \
+		WORKERS_LEFT=$$(for p in $$WORKERS; do \
+			ps -o stat= -p $$p | grep -qv '^Z' && echo $$p; done); \
+		[ -z "$$WORKERS_LEFT" ] && break; sleep 0.1; done
+
 SERVICE_SMOKE_DIR := .service-smoke
 service-smoke:
 	rm -rf $(SERVICE_SMOKE_DIR)
@@ -243,6 +254,7 @@ service-smoke:
 		--drain-grace 60 2> $(SERVICE_SMOKE_DIR)/serve.err & SRV=$$!; \
 	for i in $$(seq 200); do \
 		[ -s $(SERVICE_SMOKE_DIR)/port ] && break; sleep 0.1; done; \
+	WORKERS=$$(pgrep -d ' ' -P $$SRV); \
 	$(PYTHON) -m repro.cli load --port-file $(SERVICE_SMOKE_DIR)/port \
 		--sessions 1500 --concurrency 500 --ids 8 \
 		--report $(SERVICE_SMOKE_DIR)/burst.txt; BURST=$$?; \
@@ -255,14 +267,17 @@ service-smoke:
 	kill -TERM $$SRV; \
 	wait $$LOADGEN; DRAINLOAD=$$?; \
 	wait $$SRV; SERVE=$$?; \
+	$(WAIT_FOR_WORKERS); \
 	cat $(SERVICE_SMOKE_DIR)/serve.err >&2; \
 	grep -Eq "completed +[1-9]" $(SERVICE_SMOKE_DIR)/drain.txt; DRAINED=$$?; \
 	! grep -q Traceback $(SERVICE_SMOKE_DIR)/serve.err; CLEAN=$$?; \
 	echo "service-smoke: burst=$$BURST drain-load=$$DRAINLOAD" \
-		"serve=$$SERVE drained=$$DRAINED clean-stderr=$$CLEAN"; \
+		"serve=$$SERVE drained=$$DRAINED clean-stderr=$$CLEAN" \
+		"workers=[$$WORKERS] left=[$$WORKERS_LEFT]"; \
 	[ $$BURST -eq 0 ] && [ $$DRAINLOAD -ne 2 ] && \
 		{ [ $$SERVE -eq 0 ] || [ $$SERVE -eq 4 ]; } && \
-		[ $$DRAINED -eq 0 ] && [ $$CLEAN -eq 0 ]
+		[ $$DRAINED -eq 0 ] && [ $$CLEAN -eq 0 ] && \
+		[ -n "$$WORKERS" ] && [ -z "$$WORKERS_LEFT" ]
 	rm -rf $(SERVICE_SMOKE_DIR)
 
 ## Crash-recovery end-to-end: a journaled daemon takes a tokened burst
@@ -278,7 +293,8 @@ service-smoke:
 ## journaled token to the same frames. Every injected fault
 ## must surface as a typed client error — the burst may fail sessions
 ## (exit 3 if the kill landed early) but must never report an invalid
-## certificate (exit 2) and must never hang.
+## certificate (exit 2) and must never hang. Neither daemon's session
+## workers may still run 5 s after it exited, the SIGKILLed one's included.
 RECOVERY_SMOKE_DIR := .recovery-smoke
 recovery-smoke:
 	rm -rf $(RECOVERY_SMOKE_DIR)
@@ -291,6 +307,7 @@ recovery-smoke:
 		--drain-grace 60 & SRV=$$!; \
 	for i in $$(seq 200); do \
 		[ -s $(RECOVERY_SMOKE_DIR)/svc.port ] && break; sleep 0.1; done; \
+	WORKERS=$$(pgrep -d ' ' -P $$SRV); KILLED_WORKERS=$$WORKERS; \
 	$(PYTHON) -m repro.cli proxy \
 		--upstream-file $(RECOVERY_SMOKE_DIR)/svc.port \
 		--port-file $(RECOVERY_SMOKE_DIR)/proxy.port \
@@ -303,6 +320,7 @@ recovery-smoke:
 		--session-prefix rsmoke --retries 2 --timeout 10 \
 		--report $(RECOVERY_SMOKE_DIR)/burst.txt; BURST=$$?; \
 	wait $$SRV; CRASH=$$?; \
+	$(WAIT_FOR_WORKERS); KILLED_LEFT=$$WORKERS_LEFT; \
 	rm -f $(RECOVERY_SMOKE_DIR)/svc.port; \
 	printf '{"v":1,"seq' >> $(RECOVERY_SMOKE_DIR)/sessions.jsonl; \
 	$(PYTHON) -m repro.cli serve --port 0 \
@@ -312,6 +330,7 @@ recovery-smoke:
 		--drain-grace 60 & SRV=$$!; \
 	for i in $$(seq 200); do \
 		[ -s $(RECOVERY_SMOKE_DIR)/svc.port ] && break; sleep 0.1; done; \
+	WORKERS=$$(pgrep -d ' ' -P $$SRV); \
 	$(PYTHON) -m repro.cli load \
 		--port-file $(RECOVERY_SMOKE_DIR)/svc.port \
 		--sessions 60 --concurrency 20 --ids 8 --seed 0 \
@@ -322,6 +341,7 @@ recovery-smoke:
 		--port-file $(RECOVERY_SMOKE_DIR)/svc.port > /dev/null; QUERY=$$?; \
 	kill -TERM $$PRX; wait $$PRX; \
 	kill -TERM $$SRV; wait $$SRV; SERVE=$$?; \
+	$(WAIT_FOR_WORKERS); \
 	$(PYTHON) -m repro.cli sessions list \
 		--journal $(RECOVERY_SMOKE_DIR)/sessions.jsonl > /dev/null; LIST=$$?; \
 	$(PYTHON) -m repro.cli sessions show rsmoke-0 \
@@ -331,10 +351,13 @@ recovery-smoke:
 		> /dev/null; EXPLAIN=$$?; \
 	echo "recovery-smoke: burst=$$BURST crash=$$CRASH redrive=$$REDRIVE \
 		all-completed=$$FULL query=$$QUERY serve=$$SERVE list=$$LIST \
-		show=$$SHOW explain=$$EXPLAIN"; \
+		show=$$SHOW explain=$$EXPLAIN killed-workers=[$$KILLED_WORKERS] \
+		left=[$$KILLED_LEFT] workers=[$$WORKERS] left=[$$WORKERS_LEFT]"; \
 	[ $$CRASH -eq 137 ] && [ $$BURST -ne 2 ] && [ $$REDRIVE -eq 0 ] && \
 		[ $$FULL -eq 0 ] && [ $$QUERY -eq 0 ] && [ $$SERVE -eq 0 ] && \
-		[ $$LIST -eq 0 ] && [ $$SHOW -eq 0 ] && [ $$EXPLAIN -eq 0 ]
+		[ $$LIST -eq 0 ] && [ $$SHOW -eq 0 ] && [ $$EXPLAIN -eq 0 ] && \
+		[ -n "$$KILLED_WORKERS" ] && [ -z "$$KILLED_LEFT" ] && \
+		[ -n "$$WORKERS" ] && [ -z "$$WORKERS_LEFT" ]
 	rm -rf $(RECOVERY_SMOKE_DIR)
 
 ## Service throughput capture: sessions/sec and p50/p99 session latency

@@ -35,36 +35,34 @@ class RandomNoiseAdversary(Adversary):
     def __init__(self, intensity: int = 3) -> None:
         self._intensity = intensity
 
-    def _random_id(self) -> int:
-        ids = list(self.ctx.ids.values())
-        return self.ctx.rng.randint(1, max(ids) + 10)
-
-    def _random_message(self) -> Message:
+    def _random_message(self, id_high: int) -> Message:
+        """One random message; its ids are drawn from ``[1, id_high]``."""
         rng = self.ctx.rng
         choice = rng.randrange(5)
         if choice == 0:
-            return IdMessage(self._random_id())
+            return IdMessage(rng.randint(1, id_high))
         if choice == 1:
-            return EchoMessage(self._random_id())
+            return EchoMessage(rng.randint(1, id_high))
         if choice == 2:
-            return ReadyMessage(self._random_id())
+            return ReadyMessage(rng.randint(1, id_high))
         if choice == 3:
             count = rng.randint(0, self.ctx.n)
             entries = tuple(
-                (self._random_id(), Fraction(rng.randint(-10 * self.ctx.n, 10 * self.ctx.n), rng.randint(1, 7)))
+                (rng.randint(1, id_high), Fraction(rng.randint(-10 * self.ctx.n, 10 * self.ctx.n), rng.randint(1, 7)))
                 for _ in range(count)
             )
             return RanksMessage(entries=entries)
         return MultiEchoMessage.from_ids(
-            self._random_id() for _ in range(rng.randint(0, self.ctx.n))
+            rng.randint(1, id_high) for _ in range(rng.randint(0, self.ctx.n))
         )
 
     def send(self, round_no: int, correct_outboxes: Mapping[int, Outbox]) -> Dict[int, Outbox]:
+        id_high = max(self.ctx.ids.values()) + 10
         outboxes: Dict[int, Outbox] = {}
         for index in self.ctx.byzantine:
             content: Dict[int, List[Message]] = {}
             for peer in range(self.ctx.n):
-                content[peer] = [self._random_message() for _ in range(self._intensity)]
+                content[peer] = [self._random_message(id_high) for _ in range(self._intensity)]
             outboxes[index] = per_link_outbox(
                 content, sender=index, topology=self.ctx.topology
             )

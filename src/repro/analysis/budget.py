@@ -3,11 +3,13 @@
 :func:`run_isolated` runs one call in a disposable child process and
 polices it with :func:`budget_breach`. Budget-isolated fabric workers
 (:mod:`repro.analysis.worker`) and the daemon's budgeted sessions
-(:mod:`repro.service.server`) both run their work through it, so a breach
+(:mod:`repro.service.pool`) both run their work through it, so a breach
 produces the same typed
 :class:`~repro.sim.errors.ResourceBudgetExceeded` (``"wall-budget"`` /
 ``"rss-budget"``) with the same message wherever the cell runs, and a
 child that dies without reporting is the same :class:`IsolatedChildError`.
+The daemon's session workers report through :func:`call_outcome` and
+:func:`reported_value` as well, budget or not.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ __all__ = [
     "CellBudget",
     "IsolatedChildError",
     "budget_breach",
+    "call_outcome",
+    "reported_value",
     "rss_mb_of",
     "run_isolated",
 ]
@@ -106,17 +110,39 @@ class IsolatedChildError(RuntimeError):
     """
 
 
-def _child_main(fn: Callable[[Any], Any], arg: Any, sender) -> None:
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+def call_outcome(fn: Callable[[Any], Any], arg: Any) -> Tuple[str, Any]:
+    """``fn(arg)`` as a report that pickles: ``("done", result)``,
+    ``("raised", exc)``, or ``("lost", "Type: message")`` when the
+    exception does not pickle."""
     try:
-        outcome = ("done", fn(arg))
+        return ("done", fn(arg))
     except Exception as exc:  # noqa: BLE001 — relayed, not hidden
-        outcome = ("raised", exc)
         try:
             pickle.loads(pickle.dumps(exc))
         except Exception:  # noqa: BLE001 — relay the text instead
-            outcome = ("lost", f"{type(exc).__name__}: {exc}")
-    sender.send(outcome)
+            return ("lost", f"{type(exc).__name__}: {exc}")
+        return ("raised", exc)
+
+
+def reported_value(outcome: Optional[Tuple[str, Any]], exitcode: Optional[int]) -> Any:
+    """What a child's :func:`call_outcome` report stands for: its result,
+    or its exception raised here. ``None`` (no report) is an
+    :class:`IsolatedChildError` naming the child's exit code."""
+    status, value = outcome if outcome is not None else (None, None)
+    if status == "done":
+        return value
+    if status == "raised":
+        raise value
+    if status == "lost":
+        raise IsolatedChildError(value)
+    raise IsolatedChildError(
+        f"isolated child exited without reporting (exit code {exitcode})"
+    )
+
+
+def _child_main(fn: Callable[[Any], Any], arg: Any, sender) -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    sender.send(call_outcome(fn, arg))
 
 
 def run_isolated(
@@ -157,10 +183,10 @@ def run_isolated(
             )
             if breach is not None:
                 raise ResourceBudgetExceeded(breach[1], violated=breach[0])
-        status, value = None, None
+        outcome = None
         if receiver.poll():
             try:
-                status, value = receiver.recv()
+                outcome = receiver.recv()
             except EOFError:  # died before it reported
                 pass
     except BaseException:
@@ -172,13 +198,4 @@ def run_isolated(
             process.kill()
             process.join()
         receiver.close()
-    if status == "done":
-        return value
-    if status == "raised":
-        raise value
-    if status == "lost":
-        raise IsolatedChildError(value)
-    raise IsolatedChildError(
-        f"isolated child exited without reporting (exit code "
-        f"{process.exitcode})"
-    )
+    return reported_value(outcome, process.exitcode)

@@ -475,14 +475,15 @@ class ResultCache:
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def _path(self, task: RunTask) -> Path:
-        return self.root / f"{self.key(task)}.json"
+    def entry_path(self, key: str) -> Path:
+        """The cache file that holds entry ``key``."""
+        return self.root / f"{key}.json"
 
     def load_memo(self, key: str) -> Optional[dict]:
         """Verified entry body for ``key``; ``None`` when absent. Raises
         ``ValueError`` for a present-but-unusable entry (caller logs)."""
         try:
-            text = (self.root / f"{key}.json").read_text()
+            text = self.entry_path(key).read_text()
         except OSError:
             return None  # plain miss: no entry
         payload = json.loads(text)  # ValueError propagates: logged by caller
@@ -492,7 +493,7 @@ class ResultCache:
         # seal()'s field order matches the pre-fabric cache files, so
         # existing caches stay byte-identical and readable both ways.
         atomic_write_text(
-            self.root / f"{key}.json",
+            self.entry_path(key),
             json.dumps(seal(body, schema=self.SCHEMA, body_key="summary")),
         )
 

@@ -15,7 +15,7 @@ from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from ..adversary import ALG1_ATTACKS, ALG4_ATTACKS, make_adversary
 from ..baselines import (

@@ -5,8 +5,11 @@
 * :mod:`repro.service.frames` — the length-prefixed frame layer with a
   hard size cap and typed rejection;
 * :mod:`repro.service.session` — session execution: algorithm selection
-  via :class:`repro.core.params.SystemParams`, monitored runs, budget
-  isolation, the property certificate;
+  via :class:`repro.core.params.SystemParams`, monitored runs, the
+  property certificate;
+* :mod:`repro.service.pool` — the session workers: one forked process
+  per usable CPU, budget isolation, worker deaths contained to their
+  session;
 * :mod:`repro.service.server` — the asyncio daemon
   (``repro-renaming serve``): bounded admission with explicit
   backpressure, per-read idle deadlines, session deadlines, crash

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Set, Tuple
 
 from ..sim.errors import ConfigurationError

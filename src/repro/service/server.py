@@ -22,8 +22,10 @@ Robustness contract (tested in ``tests/test_service.py`` and
   quorum registered so far or rejects with a typed error.
 * **Crash containment** — one session's failure (malformed frames, a
   :class:`~repro.sim.errors.SafetyViolation`, a budget breach, an infra
-  bug) is reported typed on that session's socket and never touches the
-  others.
+  bug, the death of the worker process running it) is reported typed on
+  that session's socket and never touches the others. Sessions execute
+  on :class:`~repro.service.pool.SessionPool`, one worker process per
+  usable CPU.
 * **Graceful drain** — on SIGTERM/SIGINT the server stops admitting
   (late connects get ServerBusy), lets in-flight sessions finish inside
   ``drain_grace_s``, then sheds stragglers with a typed ``shutdown``
@@ -40,11 +42,10 @@ import logging
 import signal
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
-from ..analysis.budget import CellBudget, IsolatedChildError, run_isolated
+from ..analysis.budget import CellBudget, IsolatedChildError
 from ..sim import DEFAULT_ENGINE, ConfigurationError, ResourceBudgetExceeded, SafetyViolation
 from ..wire import WireError
 from .frames import DEFAULT_MAX_FRAME_BYTES, read_frame, write_frame
@@ -59,6 +60,7 @@ from .messages import (
     SessionErrorMessage,
     SessionWelcomeMessage,
 )
+from .pool import SessionPool
 from . import session
 from .session import SessionRequest
 
@@ -157,10 +159,8 @@ class RenamingService:
         self._force_shed = False
         self._draining = False
         self._next_session_id = 1
-        self._executor = ThreadPoolExecutor(
-            max_workers=min(32, max(4, max_sessions)),
-            thread_name_prefix="repro-session",
-        )
+        #: Runs every closed session, budgeted or not, in a worker process.
+        self._pool = SessionPool(budget)
         #: Appended to inline on the event loop, which keeps appends in
         #: order: a write + fsync (~0.1 ms) costs less than a thread hop.
         self.journal = journal
@@ -181,8 +181,10 @@ class RenamingService:
         return host, port
 
     async def start(self) -> None:
-        """Bind and start accepting (drain machinery armed, not triggered)."""
+        """Fork the session workers, then bind and start accepting (drain
+        machinery armed, not triggered)."""
         self._drain_requested = asyncio.Event()
+        self._pool.start()
         self._server = await asyncio.start_server(
             self._accept, self.host, self.port
         )
@@ -219,7 +221,7 @@ class RenamingService:
         finally:
             self._server.close()
             await self._server.wait_closed()
-            self._executor.shutdown(wait=False, cancel_futures=True)
+            self._pool.close()
         return self.exit_code()
 
     async def _drain(self) -> None:
@@ -540,7 +542,7 @@ class RenamingService:
             await self._replay_terminal(writer, record)
 
     async def _execute(self, opened: OpenSessionMessage, ids: Tuple[int, ...]):
-        """Run the closed session off-loop; map failures to typed rejects."""
+        """Run the closed session on a worker; map failures to typed rejects."""
         request = SessionRequest(
             ids=ids,
             algorithm=opened.algorithm,
@@ -549,15 +551,8 @@ class RenamingService:
             seed=opened.seed,
             engine=self.engine,
         )
-        # Looked up on the module per call, so a stub patched onto
-        # ``session.execute_session`` also reaches a forked child.
-        call = (session.execute_session, request)
-        if self.budget is not None:
-            call = (run_isolated, *call, self.budget)
         try:
-            return await asyncio.get_running_loop().run_in_executor(
-                self._executor, *call
-            )
+            return await self._pool.run(request)
         except ConfigurationError as exc:
             raise _Reject("config", str(exc)) from None
         except SafetyViolation as exc:

@@ -20,9 +20,11 @@ The daemon hands a closed session to :func:`execute_session`, which
 :func:`session_experiment` is steps 1–2 alone, so ``repro-renaming
 explain`` re-runs a journaled session through the daemon's own code.
 
-With a :class:`~repro.analysis.budget.CellBudget` the daemon runs this
-function through :func:`repro.analysis.budget.run_isolated`, the same
-budget-policed child the fabric's budget-isolated workers use.
+The daemon runs this function in a session worker process
+(:mod:`repro.service.pool`); with a
+:class:`~repro.analysis.budget.CellBudget` the worker runs it through
+:func:`repro.analysis.budget.run_isolated`, the same budget-policed child
+the fabric's budget-isolated workers use.
 """
 
 from __future__ import annotations

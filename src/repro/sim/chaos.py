@@ -40,7 +40,7 @@ process-local delivery, not a network link.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import ConfigurationError
 from .process import Outboxes, perturb_links

@@ -49,7 +49,7 @@ against those expectations instead of reading as algorithm bugs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 

@@ -4,9 +4,10 @@ with benchmarks/conftest.py when both trees are collected together)."""
 
 from __future__ import annotations
 
+import os
 import pickle
 from fractions import Fraction
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.adversary import make_adversary
 from repro.analysis import (
@@ -18,6 +19,34 @@ from repro.analysis import (
 )
 from repro.sim import BROADCAST, RunResult, SystemModel, run_protocol
 from repro.sim.engine import ENGINES, Engine, reference_router
+
+
+def _proc_stat(pid: int) -> Optional[List[str]]:
+    """The fields of ``/proc/<pid>/stat`` after the command name (state,
+    ppid, ...); ``None`` when there is no such process."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+
+
+def child_pids(pid: int) -> List[int]:
+    """Pids of the live processes whose parent is ``pid``, from ``/proc``."""
+    children = []
+    for name in os.listdir("/proc"):
+        if name.isdigit():
+            fields = _proc_stat(int(name))
+            if fields is not None and int(fields[1]) == pid:
+                children.append(int(name))
+    return sorted(children)
+
+
+def is_running(pid: int) -> bool:
+    """Whether ``pid`` exists and has not exited. An orphan that exited
+    stays a zombie until its new parent reaps it; that counts as exited."""
+    fields = _proc_stat(pid)
+    return fields is not None and fields[0] != "Z"
 
 
 def assert_renaming_ok(

@@ -143,7 +143,7 @@ class TestResultCache:
         task = RunTask(algorithm="alg1", n=4, t=1, attack="silent", seed=0)
         cache.store(task, execute_task(task))
         assert cache.load(task) is not None
-        cache._path(task).write_text("not json{")
+        cache.entry_path(cache.key(task)).write_text("not json{")
         assert cache.load(task) is None
 
     def test_key_covers_every_knob(self):
@@ -377,7 +377,7 @@ class TestCacheCorruption:
 
     def test_bit_flip_is_a_logged_miss(self, tmp_path, caplog):
         cache, task = self._seed_entry(tmp_path)
-        path = cache._path(task)
+        path = cache.entry_path(cache.key(task))
         raw = bytearray(path.read_bytes())
         target = raw.rindex(b":")  # flip inside the payload, not the key
         raw[target + 2] ^= 0x01
@@ -390,7 +390,7 @@ class TestCacheCorruption:
 
     def test_truncated_entry_is_a_miss(self, tmp_path):
         cache, task = self._seed_entry(tmp_path)
-        path = cache._path(task)
+        path = cache.entry_path(cache.key(task))
         path.write_bytes(path.read_bytes()[:40])
         assert cache.load(task) is None
 
@@ -399,7 +399,7 @@ class TestCacheCorruption:
         import logging
 
         cache, task = self._seed_entry(tmp_path)
-        path = cache._path(task)
+        path = cache.entry_path(cache.key(task))
         envelope = json.loads(path.read_text())
         envelope["schema"] = ResultCache.SCHEMA - 1
         path.write_text(json.dumps(envelope))
@@ -411,7 +411,7 @@ class TestCacheCorruption:
         import json
 
         cache, task = self._seed_entry(tmp_path)
-        path = cache._path(task)
+        path = cache.entry_path(cache.key(task))
         envelope = json.loads(path.read_text())
         envelope["checksum"] = "0" * 64
         path.write_text(json.dumps(envelope))
@@ -419,7 +419,7 @@ class TestCacheCorruption:
 
     def test_corrupt_entry_recovers_by_recomputing(self, tmp_path):
         cache, task = self._seed_entry(tmp_path)
-        cache._path(task).write_text("garbage")
+        cache.entry_path(cache.key(task)).write_text("garbage")
         grid = _Grid([(task.algorithm, task.n, task.t, task.attack, task.seed)])
         executor = SweepExecutor(workers=1, cache=cache)
         rows = executor.run(grid)
@@ -469,7 +469,7 @@ class TestCacheDurability:
         with pytest.raises(KeyboardInterrupt):
             cache.store(task, summary)
         monkeypatch.undo()
-        assert not cache._path(task).exists()
+        assert not cache.entry_path(cache.key(task)).exists()
         assert cache.load(task) is None  # miss, not a crash
         leftovers = list((tmp_path / "cache").glob("*.tmp"))
         assert leftovers and leftovers[0].read_text()  # torn temp remains
@@ -477,7 +477,8 @@ class TestCacheDurability:
     def test_leftover_torn_temp_never_breaks_the_next_put(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         task = self._task()
-        tmp = cache._path(task).with_name(cache._path(task).name + ".tmp")
+        path = cache.entry_path(cache.key(task))
+        tmp = path.with_name(path.name + ".tmp")
         tmp.write_text('{"torn": tru')  # a killed writer's debris
         cache.store(task, execute_task(task))
         assert cache.load(task) is not None

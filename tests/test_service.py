@@ -41,6 +41,8 @@ from repro.service.session import SessionRequest, execute_session, select_algori
 from repro.sim import ConfigurationError, ResourceBudgetExceeded
 from repro.workloads import make_ids
 
+from helpers import child_pids, is_running
+
 
 @asynccontextmanager
 async def service(**kwargs):
@@ -349,6 +351,116 @@ class TestContainment:
                     "RuntimeError: the session runner broke"
                 )
                 assert svc.stats.infra == 1
+
+        asyncio.run(main())
+
+
+    def test_worker_death_fails_only_its_session(self, monkeypatch):
+        # With no budget the session runs in a pool worker: a worker that
+        # dies (here by os._exit, in life by the OOM killer) costs only its
+        # own session, typed infra. On a thread it took the whole daemon.
+        import os
+        import time
+
+        import repro.service.session as session_module
+
+        real_execute = session_module.execute_session
+
+        def dying(request):
+            if request.seed == 13:
+                time.sleep(0.2)  # while the concurrent session runs
+                os._exit(1)
+            return real_execute(request)
+
+        monkeypatch.setattr(session_module, "execute_session", dying)
+
+        async def main():
+            async with service() as (svc, _):
+                doomed, concurrent = await asyncio.gather(
+                    drive(svc, seed=13), drive(svc, seed=1)
+                )
+                assert doomed.status == "rejected", doomed
+                assert doomed.code == "infra"
+                assert "exit code 1" in doomed.detail
+                assert concurrent.status == "completed", concurrent
+                assert svc.stats.infra == 1
+                following = await drive(svc, seed=2)
+                assert following.status == "completed", following
+                assert svc.stats.completed == 2
+                # The replacement was forked after the daemon bound: it
+                # must not hold the listening socket open.
+                listening = {
+                    f"socket:[{os.fstat(sock.fileno()).st_ino}]"
+                    for sock in svc._server.sockets
+                }
+                for pid in child_pids(os.getpid()):
+                    held = {
+                        os.readlink(f"/proc/{pid}/fd/{fd}")
+                        for fd in os.listdir(f"/proc/{pid}/fd")
+                    }
+                    assert not held & listening, pid
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize(
+        "budget", [None, CellBudget(wall_s=60.0)], ids=["unbudgeted", "budgeted"]
+    )
+    def test_forced_shed_reaps_the_stalled_worker(
+        self, monkeypatch, tmp_path, budget
+    ):
+        # A shed session's worker is killed and reaped before serve_forever
+        # returns; with a budget, so is the budget child doing the work.
+        import multiprocessing
+        import os
+        import time
+
+        import repro.service.session as session_module
+
+        started = tmp_path / "stalled.pid"
+
+        def stalling(request):
+            pending = started.with_suffix(".tmp")
+            pending.write_text(str(os.getpid()))
+            pending.replace(started)  # seen only once the pid is in it
+            time.sleep(60.0)
+
+        monkeypatch.setattr(session_module, "execute_session", stalling)
+
+        async def main():
+            async with service(
+                budget=budget, session_deadline_s=30.0, drain_grace_s=30.0
+            ) as (svc, runner):
+                stalled = asyncio.create_task(drive(svc))
+                while not started.exists():
+                    await asyncio.sleep(0.01)
+                svc.initiate_drain()
+                svc.initiate_drain()  # force the shed
+                assert await asyncio.wait_for(runner, timeout=10.0) == 4
+                outcome = await stalled
+                assert outcome.status == "rejected", outcome
+                assert outcome.code == "shutdown"
+
+        asyncio.run(main())
+        assert multiprocessing.active_children() == []
+        assert not is_running(int(started.read_text()))
+
+
+    def test_a_worker_handed_to_a_cancelled_session_is_passed_on(self):
+        # A session shed while it waits may already have been handed a
+        # free worker; the worker must go to the next waiting session, not
+        # be lost with the cancelled one.
+        from repro.service.pool import SessionPool
+
+        async def main():
+            pool = SessionPool()  # not started: no worker exists
+            first = asyncio.create_task(pool._acquire())
+            second = asyncio.create_task(pool._acquire())
+            await asyncio.sleep(0)  # both wait, in this order
+            worker = object()
+            pool._release(worker)  # handed to the first
+            first.cancel()  # shed before it could take it
+            assert await asyncio.wait_for(second, timeout=5.0) is worker
+            assert first.cancelled() and not pool._waiters
 
         asyncio.run(main())
 

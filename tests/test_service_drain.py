@@ -36,6 +36,8 @@ from repro.service.messages import (
     SessionWelcomeMessage,
 )
 
+from helpers import child_pids, is_running
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
@@ -49,14 +51,43 @@ def _cli(args, *, env=None, timeout=180):
     )
 
 
-def _spawn(args, *, env=None):
+def _spawn(args, *, env=None, launcher=("-m", "repro.cli"), **popen):
+    popen.setdefault("stdout", subprocess.PIPE)
+    popen.setdefault("stderr", subprocess.PIPE)
     return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", *args],
+        [sys.executable, *launcher, *args],
         env={**os.environ, "PYTHONPATH": SRC, **(env or {})},
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
         text=True,
+        **popen,
     )
+
+
+#: ``python -c`` program: ``serve`` whose sessions write their pid to
+#: ``argv[1]`` and stall, then the CLI arguments from ``argv[2:]``.
+_STALLING_SERVE = """
+import os, sys, time
+import repro.service.session as session
+
+def stalling(request):
+    with open(sys.argv[1] + ".tmp", "w") as handle:
+        handle.write(str(os.getpid()))
+    os.replace(sys.argv[1] + ".tmp", sys.argv[1])  # seen only once written
+    time.sleep(60.0)
+
+session.execute_session = stalling
+from repro.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _wait_until_gone(pids, timeout):
+    """The pids of ``pids`` still running after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while (running := [pid for pid in pids if is_running(pid)]) and (
+        time.monotonic() < deadline
+    ):
+        time.sleep(0.05)
+    return running
 
 
 def _wait_for_port_file(path, process, timeout=30.0):
@@ -169,6 +200,120 @@ class TestServeDrain:
             code, out, err = _finish(daemon)
             assert code == 4, f"{out}\n{err}"
             assert "1 shed" in out
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.communicate()
+
+
+class TestSessionWorkers:
+    """The daemon's session worker processes never outlive it and never
+    die of a signal meant for it."""
+
+    def test_sigkilled_daemon_leaves_no_worker_behind(self, tmp_path):
+        port_file = tmp_path / "svc.port"
+        daemon = _spawn(
+            [
+                "serve", "--port", "0", "--port-file", str(port_file),
+                "--session-deadline", "15", "--idle-timeout", "15",
+            ],
+            # No pipes: a surviving worker would hold them open.
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            host, port = _wait_for_port_file(str(port_file), daemon)
+            workers = child_pids(daemon.pid)
+            assert workers, "serve forked no session worker"
+
+            async def scenario():
+                reader, writer = await asyncio.open_connection(host, port)
+                await _expect(reader, SessionWelcomeMessage)
+                await write_frame(writer, OpenSessionMessage())
+                await write_frame(writer, RegisterIdsMessage(ids=(4, 9, 17, 23)))
+                daemon.kill()
+                daemon.wait()
+                writer.close()
+
+            asyncio.run(scenario())
+            assert _wait_until_gone(workers, 5.0) == []
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.communicate()
+
+    def test_sigkilled_daemon_ends_a_stalled_budgeted_session(self, tmp_path):
+        # The worker polices a budgeted session's child and notices the
+        # daemon's death while it waits, long before the wall budget.
+        port_file, stalled_pid = tmp_path / "svc.port", tmp_path / "stalled.pid"
+        daemon = _spawn(
+            [
+                str(stalled_pid), "serve", "--port", "0",
+                "--port-file", str(port_file), "--session-wall", "60",
+            ],
+            launcher=("-c", _STALLING_SERVE),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            host, port = _wait_for_port_file(str(port_file), daemon)
+            workers = child_pids(daemon.pid)
+
+            async def scenario():
+                reader, writer = await asyncio.open_connection(host, port)
+                await _expect(reader, SessionWelcomeMessage)
+                await write_frame(writer, OpenSessionMessage())
+                await write_frame(writer, RegisterIdsMessage(ids=(4, 9, 17, 23)))
+                await write_frame(writer, CloseSessionMessage())
+                while not stalled_pid.exists():
+                    await asyncio.sleep(0.02)
+                daemon.kill()
+                daemon.wait()
+                writer.close()
+
+            asyncio.run(scenario())
+            budget_child = int(stalled_pid.read_text())
+            assert budget_child not in workers
+            assert _wait_until_gone(workers + [budget_child], 5.0) == []
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.communicate()
+
+    def test_sigterm_to_the_process_group_still_drains(self, tmp_path):
+        port_file = tmp_path / "svc.port"
+        daemon = _spawn(
+            [
+                "serve", "--port", "0", "--port-file", str(port_file),
+                "--session-deadline", "15", "--idle-timeout", "15",
+                "--drain-grace", "20",
+            ],
+            start_new_session=True,  # its own process group, not pytest's
+        )
+        try:
+            host, port = _wait_for_port_file(str(port_file), daemon)
+            workers = child_pids(daemon.pid)
+
+            async def scenario():
+                reader, writer = await asyncio.open_connection(host, port)
+                await _expect(reader, SessionWelcomeMessage)
+                await write_frame(writer, OpenSessionMessage())
+                await write_frame(writer, RegisterIdsMessage(ids=(4, 9, 17, 23)))
+                # What a supervisor stopping the service sends: SIGTERM to
+                # the daemon's group, and to each worker's own.
+                for group in [daemon.pid] + workers:
+                    os.killpg(group, signal.SIGTERM)
+                await write_frame(writer, CloseSessionMessage())
+                names = await _expect(reader, NamesAssignedMessage)
+                certificate = await _expect(reader, CertificateMessage)
+                assert len(names.entries) == 4
+                assert certificate.ok, certificate.violations
+                assert child_pids(daemon.pid) == workers  # none died
+                writer.close()
+                await writer.wait_closed()
+
+            asyncio.run(scenario())
+            code, out, err = _finish(daemon)
+            assert code == 0, f"{out}\n{err}"
+            assert "1 completed" in out
         finally:
             if daemon.poll() is None:
                 daemon.kill()

@@ -331,23 +331,20 @@ class TestTokenedSessions:
         import repro.service.session as session_module
 
         journal = SessionJournal.open_or_create(tmp_path / "s.jsonl")
-        release = None
+        release = tmp_path / "release"
         real_execute = session_module.execute_session
 
         def slow_execute(request):
             import time
 
-            while not release.is_set():  # released from the event loop
+            # Runs in a worker process: released through the file system.
+            while not release.exists():  # released from the event loop
                 time.sleep(0.01)
             return real_execute(request)
 
         monkeypatch.setattr(session_module, "execute_session", slow_execute)
 
         async def body(svc):
-            nonlocal release
-            import threading
-
-            release = threading.Event()
             first = asyncio.create_task(_drive(svc, session_id="tok-1"))
             # Wait until the token is actively executing, then collide.
             while "tok-1" not in svc._active_tokens:
@@ -356,7 +353,7 @@ class TestTokenedSessions:
             assert clash.status == "rejected"
             assert clash.code == "duplicate-session"
             assert clash.code in ERROR_CODES
-            release.set()
+            release.touch()
             outcome = await first
             assert outcome.status == "completed"
 
@@ -400,29 +397,26 @@ class TestQueries:
 
         journal = SessionJournal.open_or_create(tmp_path / "s.jsonl")
         real_execute = session_module.execute_session
-        release = None
+        release = tmp_path / "release"
 
         def slow_execute(request):
             import time
 
-            while not release.is_set():
+            # Runs in a worker process: released through the file system.
+            while not release.exists():
                 time.sleep(0.01)
             return real_execute(request)
 
         monkeypatch.setattr(session_module, "execute_session", slow_execute)
 
         async def body(svc):
-            nonlocal release
-            import threading
-
-            release = threading.Event()
             host, port = svc.bound_address
             running = asyncio.create_task(_drive(svc, session_id="tok-1"))
             while "tok-1" not in svc._active_tokens:
                 await asyncio.sleep(0.01)
             queried = await run_query(host, port, "tok-1")
             assert queried.status == "in-flight"
-            release.set()
+            release.touch()
             assert (await running).status == "completed"
 
         asyncio.run(_with_service(body, journal=journal, session_deadline_s=30.0))
