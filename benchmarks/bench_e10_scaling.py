@@ -9,7 +9,12 @@ point in CPU form), and (c) what the batched engine buys over the
 reference engine: the registered algorithms are protocol-bound, so their
 gain is modest, while the substrate-bound flood workload isolates the
 simulator's own per-message cost and shows the batched engine's
-asymptotic win (O(n) vs O(n²) Python work per broadcast round).
+asymptotic win: O(n) Python work per broadcast round against O(n²), on
+an O(n) set-up. The topology draws a process's port row only when
+something reads it, and a process's rng only when it draws; the flood's
+receivers do neither, so a batched flood run builds no row and seeds no
+process generator, while the reference router reads every row in its
+first round.
 
 These are true repeated-timing benchmarks (pytest-benchmark statistics are
 meaningful here, unlike the deterministic one-shot table benches).
@@ -82,7 +87,7 @@ class SubstrateFlood(Process):
     this deliberately trivial protocol is what isolates the simulator
     substrate (routing, delivery, metrics accounting) that the batched
     engine optimises. Ten rounds — Alg. 1's actual schedule length at small
-    sizes — so per-round cost dominates per-run setup.
+    sizes.
     """
 
     ROUNDS = 10
@@ -121,7 +126,7 @@ def test_e10_substrate_speedup(publish):
 
     The batched engine hands every recipient the broadcasting sender's one
     shared tuple, so a flood round costs O(n) Python operations against the
-    reference's O(n²) and the ratio grows with n (~90× at n=400 on an
+    reference's O(n²) and the ratio grows with n (~340× at n=400 on an
     idle box). The ≥10× floor at n=400 leaves headroom for a loaded CI
     runner while still failing any change that reintroduces per-recipient
     fan-out (which measured ~4×). n=1000 (batched only; the reference

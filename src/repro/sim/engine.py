@@ -93,18 +93,21 @@ def reference_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
 class PortInbox(MappingABC):
     """Read-only inbox view over one round's broadcast tuples and overlay.
 
-    ``peers`` is the recipient's port row (``peers[link - 1]`` is the peer
-    behind ``link``), ``dense[s]`` is the one tuple sender ``s`` broadcast
-    this round (``None`` if it broadcast nothing), and ``overlay`` holds the
-    recipient's routed-per-message traffic as ``{link: [messages]}``; a link
-    label names exactly one sender, so the two never collide on a link.
+    ``port_row(index)`` is the recipient's port row (``row[link - 1]`` is
+    the peer behind ``link``), ``dense[s]`` is the one tuple sender ``s``
+    broadcast this round (``None`` if it broadcast nothing), and ``overlay``
+    holds the recipient's routed-per-message traffic as
+    ``{link: [messages]}``; a link label names exactly one sender, so the
+    two never collide on a link.
 
-    Building the view is O(1). The first read materialises one plain dict
-    in ascending link order — content-equal to the inbox the reference
-    router builds — and every later read goes to that dict, so a protocol
-    that never reads its inbox never pays for ``n``. ``dense`` and
-    ``overlay`` are rebuilt every round, never cleared in place, so a
-    retained view keeps showing the round it was delivered in.
+    Building the view is O(1). The first read fetches the port row (the
+    topology draws it then, if no one read it before) and materialises one
+    plain dict in ascending link order — content-equal to the inbox the
+    reference router builds — and every later read goes to that dict, so a
+    protocol that never reads its inbox never pays for ``n``, nor for its
+    row. ``dense`` and ``overlay`` are rebuilt every round, never cleared
+    in place, so a retained view keeps showing the round it was delivered
+    in.
 
     ``memo`` is the round's dict shared by all of its views; with one,
     :attr:`share` is ``(dense, overlay, memo)``, what
@@ -112,16 +115,18 @@ class PortInbox(MappingABC):
     something from the dense tuples once per round, not once per receiver.
     """
 
-    __slots__ = ("_peers", "_dense", "_overlay", "_links", "share")
+    __slots__ = ("_port_row", "_index", "_dense", "_overlay", "_links", "share")
 
     def __init__(
         self,
-        peers: Sequence[int],
+        port_row: Callable[[int], Sequence[int]],
+        index: int,
         dense: Sequence[Optional[Tuple[Message, ...]]],
         overlay: Optional[Dict[int, List[Message]]] = None,
         memo: Optional[Dict[object, object]] = None,
     ) -> None:
-        self._peers = peers
+        self._port_row = port_row
+        self._index = index
         self._dense = dense
         self._overlay = overlay
         self._links: Optional[Dict[int, Tuple[Message, ...]]] = None
@@ -130,9 +135,9 @@ class PortInbox(MappingABC):
     def _resolve(self) -> Dict[int, Tuple[Message, ...]]:
         links = self._links
         if links is None:
+            peers = self._port_row(self._index)
             received = zip(
-                range(1, len(self._peers) + 1),
-                map(self._dense.__getitem__, self._peers),
+                range(1, len(peers) + 1), map(self._dense.__getitem__, peers)
             )
             overlay = self._overlay
             if overlay is None:
@@ -186,9 +191,12 @@ def batched_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
     Behaviour-identical to :func:`reference_router`; every deviation below
     is an implementation detail that provably cannot be observed:
 
-    * routing reads the topology's own port rows (``peer_at[s][link - 1]``,
-      and their inverse ``label_at[r][s]``, which the topology builds on
-      first use), so the mapping is the same;
+    * routing reads the topology's own port rows (``port_row(s)[link - 1]``
+      and the inverse ``label_row(r)[s]``), so the mapping is the same. The
+      topology draws a row the first time it is read: a pure ``BROADCAST``
+      outbox reads none, and a view reads its recipient's row only when
+      the recipient reads the view, so a flood whose receivers never look
+      builds no row at all;
     * a pure ``BROADCAST`` outbox becomes one shared tuple in the round's
       ``dense[sender]`` slot instead of ``n`` per-recipient copies — safe
       because messages are frozen and the reference router already aliases
@@ -216,13 +224,11 @@ def batched_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
       what they derive from the dense tuples alone.
     """
     n = topology.n
-
-    # peer_at[p][link - 1] is the peer p reaches via link; its rows are
-    # the topology's own tuples, shared with every PortInbox. The
-    # inverse, label_at[r][s], is needed only by the overlay, and the
-    # topology builds it on first use (a run of pure broadcasts never
-    # pays n²).
-    peer_at = topology.port_rows
+    # port_row(p)[link - 1] is the peer p reaches via link, and
+    # label_row(r)[s] the label at r of traffic from s; the overlay needs
+    # both, a dense tuple neither.
+    port_row = topology.port_row
+    label_row = topology.label_row
 
     # The high-volume message types worth interning, imported here for the
     # codec's layering reason: protocol messages live above this substrate.
@@ -258,9 +264,8 @@ def batched_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
     def route_outbox(sender: int, outbox: Outbox, correct: bool) -> int:
         """Route one outbox into this round's layers; return its fan-out."""
         shared = len(outbox) == 1 and BROADCAST in outbox
-        if not shared:
-            label_at = topology.label_rows
-        row = peer_at[sender]
+        # A shared broadcast goes to dense[sender] and never needs a row.
+        row = None if shared else port_row(sender)
         kept: List[Message] = []
         sent = 0
         for link, messages in outbox.items():
@@ -310,7 +315,7 @@ def batched_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
                     overlay = overlays.get(recipient)
                     if overlay is None:
                         overlay = overlays[recipient] = {}
-                    overlay.setdefault(label_at[recipient][sender], []).append(
+                    overlay.setdefault(label_row(recipient)[sender], []).append(
                         message
                     )
         if kept:
@@ -347,11 +352,11 @@ def batched_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
         if any(dense):
             # A dense sender reached every link, so no inbox is empty.
             return {
-                index: PortInbox(row, dense, overlays.get(index), memo)
-                for index, row in enumerate(peer_at)
+                index: PortInbox(port_row, index, dense, overlays.get(index), memo)
+                for index in range(n)
             }
         return {
-            index: PortInbox(peer_at[index], dense, overlay, memo)
+            index: PortInbox(port_row, index, dense, overlay, memo)
             for index, overlay in overlays.items()
         }
 

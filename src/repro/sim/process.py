@@ -19,9 +19,8 @@ stops invoking it and the run completes when every correct process is done.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .messages import Message
 
@@ -49,7 +48,6 @@ Inbox = Mapping[int, Tuple[Message, ...]]
 TraceFn = Callable[[int, str, object], None]
 
 
-@dataclass
 class ProcessContext:
     """Everything a process is allowed to know about its environment.
 
@@ -57,16 +55,36 @@ class ProcessContext:
     ``n``, the fault bound ``t``, its own original id, and its link labels.
     It does *not* know which peer sits behind which label, nor anyone else's
     id.
+
+    ``rng`` is the process's private :class:`~random.Random`, or a
+    zero-argument callable that makes it on the first read of :attr:`rng`:
+    the runner passes ``partial(derive_rng, seed, "process", i)``, so a
+    protocol that never draws never pays for seeding. Without one the
+    context gets a *fixed-seed* generator: a factory that forgets to pass a
+    derived rng must never silently produce irreproducible runs.
     """
 
-    n: int
-    t: int
-    my_id: int
-    #: Defaults to a *fixed-seed* generator: a factory that forgets to pass a
-    #: derived rng must never silently produce irreproducible runs. The
-    #: runner always overrides this with ``derive_rng(seed, "process", i)``.
-    rng: Random = field(default_factory=lambda: Random(0))
-    trace: Optional[TraceFn] = None
+    def __init__(
+        self,
+        n: int,
+        t: int,
+        my_id: int,
+        rng: Union[Random, Callable[[], Random], None] = None,
+        trace: Optional[TraceFn] = None,
+    ) -> None:
+        self.n = n
+        self.t = t
+        self.my_id = my_id
+        self._rng = rng
+        self.trace = trace
+
+    @property
+    def rng(self) -> Random:
+        """The process's private random stream, made on first read."""
+        rng = self._rng
+        if not isinstance(rng, Random):
+            rng = self._rng = Random(0) if rng is None else rng()
+        return rng
 
     @property
     def self_link(self) -> int:

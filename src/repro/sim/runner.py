@@ -25,6 +25,7 @@ port-row inbox views. Both are behaviour-identical under every adversary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .chaos import ChaosInjector, ChaosReport, FaultPlan
@@ -185,7 +186,7 @@ def run_protocol(
             n=n,
             t=t,
             my_id=id_of[index],
-            rng=derive_rng(seed, "process", index),
+            rng=partial(derive_rng, seed, "process", index),
             trace=trace.bind(index) if trace is not None else None,
         )
         return factory(ctx)

@@ -15,12 +15,15 @@ is the other processes shuffled by the process's own
 ``derive_rng(seed, "topology", p)`` stream, then the self-loop. The shuffle
 is written out inline, but it draws exactly what :meth:`random.Random.shuffle`
 draws (a Fisher–Yates pass taking each index by ``getrandbits`` rejection),
-so every run keeps the labelling it has always had.
+so every run keeps the labelling it has always had. A row, and its inverse
+label row, is built the first time it is read: each row draws only from its
+own stream, so rows built in any order, or never, leave the others' bits
+unchanged, and a run whose receivers never read their inboxes builds none.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError
 from .rng import derive_rng
@@ -33,32 +36,24 @@ class FullMeshTopology:
     on a given label always reach the same peer, and all messages from a given
     peer arrive at ``q`` on the same label — the standard "ports" model.
 
-    :attr:`port_rows` and :attr:`label_rows` expose the two tables as tuples
-    for consumers that route every message (the batched engine); per-label
-    queries should use :meth:`peer_of` / :meth:`label_of`, which validate
-    their arguments.
+    Construction draws nothing: each port row is drawn on first use.
+    :meth:`port_row` and :meth:`label_row` hand out one process's row and
+    its inverse as tuples, for consumers that route every message (the
+    batched engine); :attr:`port_rows` builds every row.
+    Per-label queries should use :meth:`peer_of` / :meth:`label_of`, which
+    validate their arguments.
     """
 
     def __init__(self, n: int, seed: int = 0) -> None:
         if n < 1:
             raise ConfigurationError(f"topology needs at least one process, got n={n}")
         self._n = n
+        self._seed = seed
+        self._rows: List[Optional[Tuple[int, ...]]] = [None] * n
+        self._labels: List[Optional[Tuple[int, ...]]] = [None] * n
         # random.shuffle's steps: swap slot i with a draw below i + 1, taken
         # as getrandbits(k) with rejection; the same for every row.
-        steps = [(i, i + 1, (i + 1).bit_length()) for i in reversed(range(1, n - 1))]
-        rows = []
-        for p in range(n):
-            row = [*range(p), *range(p + 1, n)]
-            getrandbits = derive_rng(seed, "topology", p).getrandbits
-            for i, size, k in steps:
-                j = getrandbits(k)
-                while j >= size:
-                    j = getrandbits(k)
-                row[i], row[j] = row[j], row[i]
-            row.append(p)  # self-loop, per the paper's model
-            rows.append(tuple(row))
-        self._rows: Tuple[Tuple[int, ...], ...] = tuple(rows)
-        self._labels: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._steps = [(i, i + 1, (i + 1).bit_length()) for i in reversed(range(1, n - 1))]
 
     @property
     def n(self) -> int:
@@ -74,26 +69,47 @@ class FullMeshTopology:
         """All valid link labels, ``1..n`` (``n`` being the self-loop)."""
         return range(1, self._n + 1)
 
+    def port_row(self, process: int) -> Tuple[int, ...]:
+        """``port_row(p)[label - 1]`` is the peer ``p`` reaches via ``label``.
+
+        Drawn on first use; a read of a built row skips validation.
+        """
+        row = self._rows[process]
+        if row is None:
+            self._check_process(process)  # a negative index must not wrap
+            n = self._n
+            row = [*range(process), *range(process + 1, n)]
+            getrandbits = derive_rng(self._seed, "topology", process).getrandbits
+            for i, size, k in self._steps:
+                j = getrandbits(k)
+                while j >= size:
+                    j = getrandbits(k)
+                row[i], row[j] = row[j], row[i]
+            row.append(process)  # self-loop, per the paper's model
+            row = self._rows[process] = tuple(row)
+        return row
+
+    def label_row(self, process: int) -> Tuple[int, ...]:
+        """``label_row(p)[q]`` is the label at ``p`` of traffic to/from ``q``.
+
+        The inverse of :meth:`port_row`, built on first use; a read of a
+        built row skips validation.
+        """
+        labels = self._labels[process]
+        if labels is None:
+            inverse = [0] * self._n
+            for label, peer in enumerate(self.port_row(process), 1):
+                inverse[peer] = label
+            labels = self._labels[process] = tuple(inverse)
+        return labels
+
     @property
     def port_rows(self) -> Tuple[Tuple[int, ...], ...]:
-        """``port_rows[p][label - 1]`` is the peer ``p`` reaches via ``label``."""
-        return self._rows
+        """``port_rows[p][label - 1]`` is the peer ``p`` reaches via ``label``.
 
-    @property
-    def label_rows(self) -> Tuple[Tuple[int, ...], ...]:
-        """``label_rows[p][q]`` is the label at ``p`` of traffic to/from ``q``.
-
-        The inverse of :attr:`port_rows`, built on first use.
+        Builds every row not built yet.
         """
-        if self._labels is None:
-            inverse = []
-            for row in self._rows:
-                labels = [0] * self._n
-                for label, peer in enumerate(row, 1):
-                    labels[peer] = label
-                inverse.append(tuple(labels))
-            self._labels = tuple(inverse)
-        return self._labels
+        return tuple(map(self.port_row, range(self._n)))
 
     def _check_process(self, process: int) -> None:
         if not 0 <= process < self._n:
@@ -106,7 +122,7 @@ class FullMeshTopology:
             raise ConfigurationError(
                 f"invalid link label {label} at process {process} (n={self._n})"
             )
-        return self._rows[process][label - 1]
+        return self.port_row(process)[label - 1]
 
     def label_of(self, process: int, peer: int) -> int:
         """Label at ``process`` on which traffic to/from ``peer`` travels."""
@@ -115,4 +131,4 @@ class FullMeshTopology:
             raise ConfigurationError(
                 f"no link between process {process} and peer {peer} (n={self._n})"
             )
-        return self.label_rows[process][peer]
+        return self.label_row(process)[peer]

@@ -18,7 +18,7 @@ from repro.analysis import (
     check_renaming,
 )
 from repro.sim import BROADCAST, RunResult, SystemModel, run_protocol
-from repro.sim.engine import ENGINES, Engine, reference_router
+from repro.sim.engine import ENGINES, Engine, PortInbox, reference_router
 
 
 def _proc_stat(pid: int) -> Optional[List[str]]:
@@ -223,6 +223,11 @@ def run_to_dict(result: RunResult) -> Dict[str, Any]:
             for event in result.trace
         ]
     return payload
+
+
+def port_inbox(peers, dense, overlay=None, memo=None) -> PortInbox:
+    """A :class:`PortInbox` for a recipient whose port row is ``peers``."""
+    return PortInbox(lambda index: peers, 0, dense, overlay, memo)
 
 
 def private_copy_router(topology, metrics):

@@ -32,7 +32,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from helpers import assert_runs_identical, run_registered, standard_ids
+from helpers import assert_runs_identical, port_inbox, run_registered, standard_ids
 from repro.cli import EXIT_INFRA, main
 from repro.core.messages import EchoMessage, IdMessage
 from repro.sim import (
@@ -44,7 +44,6 @@ from repro.sim import (
     resolve_engine,
     run_protocol,
 )
-from repro.sim.engine import PortInbox
 
 ALL_ENGINES = tuple(engine_names())
 
@@ -56,7 +55,7 @@ def _make_inbox():
     overlay as ``b``; peer 1 sent nothing. Expected view: {2: (b,), 3: (a,)}.
     """
     a, b = IdMessage(10), IdMessage(20)
-    inbox = PortInbox([1, 2, 0], [(a,), None, None], {2: [b]})
+    inbox = port_inbox([1, 2, 0], [(a,), None, None], {2: [b]})
     return inbox, {2: (b,), 3: (a,)}
 
 
@@ -97,7 +96,7 @@ class TestPortInboxMapping:
     def test_bool_key_aliases_link_one(self):
         # dict semantics: d[True] is d[1].
         a = IdMessage(1)
-        inbox = PortInbox([1, 0], [None, (a,)])
+        inbox = port_inbox([1, 0], [None, (a,)])
         assert inbox[1] == (a,)
         assert inbox[True] == (a,)
 

@@ -17,6 +17,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -97,7 +98,7 @@ def _wait_for_port_file(path, process, timeout=30.0):
             out, err = process.communicate()
             raise AssertionError(f"daemon died before binding: {out}\n{err}")
         if os.path.exists(path):
-            text = open(path).read().strip()
+            text = Path(path).read_text().strip()
             if text:
                 host, _, port = text.rpartition(":")
                 return host, int(port)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
@@ -101,8 +102,9 @@ class TestFullMeshTopology:
         for process in range(6):
             row = [topology.peer_of(process, label) for label in topology.labels()]
             assert list(topology.port_rows[process]) == row
+            assert topology.port_row(process) == topology.port_rows[process]
             for peer in range(6):
-                assert topology.label_rows[process][peer] == topology.label_of(
+                assert topology.label_row(process)[peer] == topology.label_of(
                     process, peer
                 )
 
@@ -151,3 +153,52 @@ def test_port_rows_are_a_seeded_stdlib_shuffle(n, seed):
         derive_rng(seed, "topology", process).shuffle(others)
         row = [topology.peer_of(process, label) for label in topology.labels()]
         assert row == others + [process]
+
+
+@pytest.mark.parametrize("order", ["reverse", "shuffled"])
+@pytest.mark.parametrize("n", sorted(GOLDEN_WIRING))
+def test_rows_built_in_any_order_match_golden_digest(n, order):
+    # Each row is drawn on first read from its own stream, so building the
+    # rows out of order must leave every row's bits unchanged.
+    hasher = hashlib.sha256()
+    for seed in GOLDEN_SEEDS:
+        topology = FullMeshTopology(n, seed=seed)
+        processes = list(reversed(range(n)))
+        if order == "shuffled":
+            random.Random(seed).shuffle(processes)
+        rows = {
+            process: [topology.peer_of(process, label) for label in topology.labels()]
+            for process in processes
+        }
+        for process in range(n):
+            hasher.update(repr(rows[process]).encode("ascii"))
+    assert hasher.hexdigest()[:32] == GOLDEN_WIRING[n]
+
+
+def _rows_read_through(topology, query):
+    """Every port row of ``topology``, read through ``query`` alone."""
+    n = topology.n
+    if query == "port_rows":
+        return [list(row) for row in topology.port_rows]
+    if query == "peer_of":
+        return [
+            [topology.peer_of(process, label) for label in topology.labels()]
+            for process in range(n)
+        ]
+    rows = [[None] * n for _ in range(n)]
+    for process in range(n):
+        for peer in range(n):
+            rows[process][topology.label_of(process, peer) - 1] = peer
+    return rows
+
+
+QUERIES = ("port_rows", "peer_of", "label_of")
+
+
+@pytest.mark.parametrize("first", QUERIES)
+def test_queries_agree_with_port_rows_whichever_is_read_first(first):
+    expected = _rows_read_through(FullMeshTopology(9, seed=42), "port_rows")
+    topology = FullMeshTopology(9, seed=42)
+    assert _rows_read_through(topology, first) == expected
+    for query in QUERIES:
+        assert _rows_read_through(topology, query) == expected

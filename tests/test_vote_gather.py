@@ -31,10 +31,9 @@ from repro.core import validation
 from repro.core.validation import VoteCheck, gather_votes
 from repro.sim import Adversary, ProcessContext, engine
 from repro.sim.compose import PhaseContext
-from repro.sim.engine import PortInbox
 from repro.sim.process import broadcast_share
 
-from helpers import PRIVATE_COPY_ENGINE, assert_runs_identical, standard_ids
+from helpers import PRIVATE_COPY_ENGINE, assert_runs_identical, port_inbox, standard_ids
 
 #: What a sender puts on the wire in the generated round.
 KINDS = (
@@ -173,8 +172,8 @@ class TestSharedGather:
         for step in range(1, steps + 1):
             memo = {}  # one per round, as the router builds it
             for (peers, overlay, _), (shared, walk) in zip(receivers, phases):
-                inbox = PortInbox(peers, dense, overlay, memo)
-                plain = dict(PortInbox(peers, dense, overlay))
+                inbox = port_inbox(peers, dense, overlay, memo)
+                plain = dict(port_inbox(peers, dense, overlay))
                 assert broadcast_share(plain) is None
                 shared.deliver_step(step, inbox)
                 walk.deliver_step(step, plain)
@@ -193,8 +192,8 @@ class TestSharedGather:
         delta = SystemParams(n, t).delta
         for peers, overlay, timely in receivers:
             check = VoteCheck(timely, delta)
-            inbox = PortInbox(peers, dense, overlay, memo)
-            plain = dict(PortInbox(peers, dense, overlay))
+            inbox = port_inbox(peers, dense, overlay, memo)
+            plain = dict(port_inbox(peers, dense, overlay))
             for chosen in (check, None):
                 got = gather_votes(inbox, chosen, first_vote)
                 walked = gather_votes(plain, chosen, first_vote)
@@ -226,7 +225,7 @@ class TestSharedGather:
             memo = {}
             for row in rows:
                 for check in (narrow, wide):
-                    inbox = PortInbox(row, votes, None, memo)
+                    inbox = port_inbox(row, votes, None, memo)
                     got = gather_votes(inbox, check, counting)
                     assert len(got) == n
         assert len(calls) == 2 * 2 * n  # rounds x keys x dense tuples
@@ -247,7 +246,7 @@ class TestSharedGather:
         overlay = {1: [vote(Fraction(1, 5))], 2: [vote(Fraction(2, 5))]}
         dense = [None, None] + [(vote(Fraction(k, 9)),) for k in range(n - 2)]
         check = VoteCheck(ids, delta)
-        inbox = PortInbox(tuple(range(n)), dense, overlay, {})
+        inbox = port_inbox(tuple(range(n)), dense, overlay, {})
         got = gather_votes(inbox, check, first_vote)
         assert len(got) == n
         assert list(map(id, got)) == sorted(map(id, got))
@@ -263,7 +262,7 @@ class TestSharedGather:
         check = VoteCheck(ids, delta)
         memo = {}
         row = tuple(range(n))[::-1]
-        got = gather_votes(PortInbox(row, dense, None, memo), check, first_vote)
+        got = gather_votes(port_inbox(row, dense, None, memo), check, first_vote)
         assert memo == {("first-votes", check.key): None}
         # The walk's link order: link 1 is the last sender, the float one.
         assert [type(vote[ids[0]]) for vote in got] == [float] + [Fraction] * (n - 1)
