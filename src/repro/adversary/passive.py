@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
-from ..sim.faults import Adversary, NullAdversary
+from ..sim.faults import NullAdversary
 from ..sim.process import Outbox, per_label
 from .base import ProtocolDrivenAdversary
 
@@ -57,7 +57,3 @@ class CrashAdversary(ProtocolDrivenAdversary):
         links = sorted(explicit)
         keep = {link for link in links if self.ctx.rng.random() < 0.5}
         return {link: msgs for link, msgs in explicit.items() if link in keep}
-
-    def crash_round_of(self, index: int) -> int:
-        """The scheduled crash round of faulty slot ``index`` (for tests)."""
-        return self._schedule[index]

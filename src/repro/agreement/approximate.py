@@ -9,9 +9,10 @@ The primitive underlying Alg. 1's voting phase, exposed on its own so that
   previous correct values.
 
 Each process starts with a real value (``Fraction`` for exactness). Every
-round it broadcasts the value, collects one value per link, pads missing
-votes with its own value, trims the ``t`` extremes, and averages
-``select_t`` of the rest — the same fold as Alg. 3, on a single instance.
+round it broadcasts the value, collects one value per link (read as its
+exact ``Fraction``, or dropped when unsound), pads missing votes with its
+own value, trims the ``t`` extremes, and averages ``select_t`` of the rest
+— the same fold as Alg. 3, on a single instance.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import List, Optional
 
 from ..core.approximation import trimmed_mean
 from ..core.messages import Rank
-from ..core.validation import is_sound_rank
+from ..core.validation import exact_rank
 from ..sim.messages import KIND_BITS, Message, RANK_FRACTION_BITS
 from ..sim.process import Inbox, Outbox, Process, ProcessContext, first_of
 
@@ -71,8 +72,9 @@ class ApproximateAgreement(Process):
             message = first_of(inbox[link], ValueMessage)
             # NaN would defeat the trim's comparisons; drop unsound values
             # before any arithmetic.
-            if message is not None and is_sound_rank(message.value):
-                votes.append(message.value)
+            value = None if message is None else exact_rank(message.value)
+            if value is not None:
+                votes.append(value)
         votes = votes[: self.ctx.n]
         while len(votes) < self.ctx.n:
             votes.append(self.value)

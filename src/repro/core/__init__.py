@@ -33,18 +33,16 @@ from .messages import (
 )
 from .params import SystemParams
 from .renaming import (
-    FLOAT_TOLERANCE,
     STABILITY_ROUNDS,
     OrderPreservingRenaming,
     RenamingOptions,
     VotingPhase,
 )
-from .validation import is_sound_id, is_sound_rank, is_sound_vote, is_valid_ranks
+from .validation import exact_rank, exact_vote, is_sound_id, is_valid_ranks
 
 __all__ = [
     "ConstantTimeRenaming",
     "EchoMessage",
-    "FLOAT_TOLERANCE",
     "ID_SELECTION_STEPS",
     "IdMessage",
     "IdSelectionPhase",
@@ -64,9 +62,9 @@ __all__ = [
     "VotingPhase",
     "approximate",
     "average",
+    "exact_rank",
+    "exact_vote",
     "is_sound_id",
-    "is_sound_rank",
-    "is_sound_vote",
     "is_valid_ranks",
     "nearest_int",
     "select_every_t",

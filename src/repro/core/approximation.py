@@ -14,9 +14,12 @@ arrays received this round, it produces the next ranks array:
   spread by ``σ_t = ⌊(N−2t)/t⌋ + 1`` per round (Lemma IV.8) while keeping
   the result inside the correct values' range.
 
-Pure functions over multisets; no I/O. Ranks may be ``Fraction`` (exact
-mode, the default — the paper's analysis verbatim) or ``float``.
-:func:`trimmed_mean` runs the exact case on plain integers (DESIGN.md §8).
+Pure functions over multisets; no I/O. Ranks are exact ``Fraction``s, the
+paper's analysis verbatim: the receive side's hygiene boundary
+(:func:`~repro.core.validation.exact_vote`) reads every rank a vote carries
+as one. :func:`trimmed_mean` folds them on plain integers, and
+:func:`trim_extremes`, :func:`select_every_t` and :func:`average` spell out
+the same fold as the reference it is tested against (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -64,15 +67,12 @@ def average(values: Sequence[Rank]) -> Rank:
 
 
 def trimmed_mean(values: Sequence[Rank], t: int) -> Rank:
-    """Alg. 3 lines 12–16 on one multiset: ``average(select_t(trim(values)))``.
-
-    When every value is a ``Fraction`` the fold runs on integers
-    (:func:`_fold_ratios`). Anything else — floats, or ``int`` values, whose
-    generic mean is a float — takes the generic path, as do too few values,
-    so they raise :func:`trim_extremes`'s error.
+    """Alg. 3 lines 12–16 on one multiset: ``average(select_t(trim(values)))``,
+    folded on integers (:func:`_fold_ratios`). Too few values raise
+    :func:`trim_extremes`'s error.
     """
-    if len(values) <= 2 * t or not all(type(value) is Fraction for value in values):
-        return average(select_every_t(trim_extremes(values, t), t))
+    if len(values) <= 2 * t:
+        trim_extremes(values, t)  # raises: nothing would survive the trim
     return _fold_ratios([value.as_integer_ratio() for value in values], t)
 
 
@@ -157,16 +157,16 @@ def approximate(
     whole multiset.
 
     When there are 1 to ``n`` votes, each a
-    :class:`~repro.core.validation.SoundVote` holding exact ``pairs`` (every
-    rank a ``Fraction``), and every own rank is a ``Fraction``, each id's
-    multiset is folded from those cached integer pairs once per vote set and
-    shared by every receiver holding the very same vote objects, in any
-    order (:func:`~repro.core.messages.shared_by_identity` on the set's
+    :class:`~repro.core.validation.SoundVote` and so holding exact
+    ``pairs``, each id's multiset is folded from those cached integer pairs
+    once per vote set and shared by every receiver holding the very same
+    vote objects, in any order
+    (:func:`~repro.core.messages.shared_by_identity` on the set's
     lowest-``id()`` vote's ``folds``): the support, common denominator and
     sorted keys, and the result per own rank that pads the multiset (one
     result when all ``n`` votes carry the id). The result is the one
-    :func:`trimmed_mean` returns, which folds every other input
-    (DESIGN.md §8).
+    :func:`trimmed_mean` returns, which folds plain mappings, no votes, too
+    few values or more than ``n`` votes one id at a time (DESIGN.md §8).
     """
     if trim is None:
         trim = t
@@ -175,8 +175,7 @@ def approximate(
     if (
         0 < len(valid_votes) <= n
         and n > 2 * trim
-        and all(getattr(vote, "pairs", None) is not None for vote in valid_votes)
-        and all(type(rank) is Fraction for rank in my_ranks.values())
+        and all(isinstance(vote, SoundVote) for vote in valid_votes)
     ):
         ordered = sorted(valid_votes, key=id)
         folds = shared_by_identity(ordered, (n, t, trim), _FOLDS, dict)
@@ -196,7 +195,7 @@ def approximate(
                 result = results[own] = _padded_mean(keys, denominator, own, n, trim)
             new_ranks[identifier] = result
         return new_ranks, new_accepted
-    # Floats, ints, mixed votes, no votes, too few values or more than n votes.
+    # Plain mappings, no votes, too few values or more than n votes.
     for identifier in accepted:
         votes: List[Rank] = [
             vote[identifier] for vote in valid_votes if identifier in vote
@@ -215,10 +214,9 @@ def nearest_int(value: Rank) -> int:
     """The paper's ``Round``: nearest integer, ties rounded up.
 
     Python's built-in ``round`` uses banker's rounding; a deterministic
-    half-up rule keeps outputs stable across rank representations (exact
-    under ``Fraction`` inputs). Exact ties cannot occur for converged Alg. 1
-    ranks (the δ-margin argument in Theorem IV.10 keeps every rank strictly
-    inside a half-unit window), so the tie rule only matters for ablated
-    variants.
+    half-up rule on the exact rank keeps outputs stable. Exact ties cannot
+    occur for converged Alg. 1 ranks (the δ-margin argument in Theorem IV.10
+    keeps every rank strictly inside a half-unit window), so the tie rule
+    only matters for ablated variants.
     """
     return math.floor(value + Fraction(1, 2))

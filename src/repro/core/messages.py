@@ -10,16 +10,19 @@ explicit ``bit_size`` models matching the paper's message-size analysis:
   bits (Section VI-B).
 
 Ranks travel as sorted tuples of pairs because dataclass fields must be
-hashable; :meth:`RanksMessage.as_dict` restores mapping form. Rank values are
-``Fraction`` in exact mode or ``float`` in float mode — the wire format is
-agnostic.
+hashable; :meth:`RanksMessage.as_dict` restores mapping form. Correct
+processes send ``Fraction`` ranks. A Byzantine sender may put any value in
+a field; the receive side's hygiene boundary
+(:meth:`RanksMessage.sound_vote`) reads every finite ``int``/``float`` rank
+as its exact ``Fraction``, as the wire codec does, and drops the vote
+otherwise, so past it a rank is always a ``Fraction``.
 
 A broadcast delivers one message object to every recipient, so the receive
 side's hygiene-checked view (:meth:`RanksMessage.sound_vote`,
 :meth:`MultiEchoMessage.sound_ids`) is computed once per object and cached
 on it; so is whatever the recipients derive from that view alone (a vote's
-exact rank pairs and ``isValid`` verdicts, see DESIGN.md §8). What every
-receiver holding the same *set* of objects derives is kept on one of them
+``isValid`` verdicts, see DESIGN.md §8). What every receiver holding the
+same *set* of objects derives is kept on one of them
 (:func:`shared_by_identity`). No cache is a field: equality, hashing,
 ``repr``, pickling and the wire codec see only the fields.
 """
@@ -28,22 +31,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from numbers import Rational
 from typing import (
     Callable, Dict, FrozenSet, Hashable, Iterator, Mapping, Optional, Sequence,
-    Tuple, TypeVar, Union,
+    Tuple, TypeVar,
 )
 
 from ..sim.messages import KIND_BITS, Message, RANK_FRACTION_BITS
 from ..sim.process import Inbox, first_of, ordered_links
-from .validation import SoundVote, is_sound_id, is_sound_vote
+from .validation import SoundVote, exact_vote, is_sound_id
 
-Rank = Union[Rational, float]
+Rank = Fraction
 
 #: Instance-dict keys of the receive-side caches (never dataclass fields).
 _DECODED = "_decoded"
 _BY_KEY = "_by_key"
-_PAIRS = "_pairs"
 
 _T = TypeVar("_T")
 _O = TypeVar("_O")
@@ -163,44 +164,27 @@ class RanksMessage(_DecodeOnce, Message):
         return dict(self.entries)
 
     def sound_vote(self) -> Optional[SoundVote]:
-        """The ranks array as a read-only :class:`SoundVote`, or ``None`` when
-        it fails :func:`~repro.core.validation.is_sound_vote` (non-int ids,
-        NaN/inf ranks). Checked once per message object; every recipient
-        shares the result."""
+        """The ranks array as a read-only :class:`SoundVote` of exact
+        ``Fraction`` ranks, or ``None`` when an entry is unsound (a non-int
+        id; a ``bool``, NaN, infinite or non-numeric rank): the receive
+        side's hygiene boundary, :func:`~repro.core.validation.exact_vote`.
+        Checked once per message object; every recipient shares the
+        result."""
         try:
             return self.__dict__[_DECODED]
         except KeyError:
-            vote = SoundVote(self.entries, self.exact_pairs())
-            return self._remember(vote if is_sound_vote(vote) else None)
-
-    def exact_pairs(self) -> Optional[Tuple[Tuple[int, int, int], ...]]:
-        """``(id, numerator, denominator)`` per entry, in entry order, when
-        every rank is a ``Fraction``, else ``None``. Computed once per
-        message object; the batched router interns correct votes by it
-        (:meth:`pool_key`) and :meth:`sound_vote` reuses it as the vote's
-        exact ``pairs``."""
-        try:
-            return self.__dict__[_PAIRS]
-        except KeyError:
-            pass
-        triples = []
-        for identifier, rank in self.entries:
-            if type(rank) is not Fraction:
-                return self._remember(None, _PAIRS)
-            num, den = rank.as_integer_ratio()
-            triples.append((identifier, num, den))
-        return self._remember(tuple(triples), _PAIRS)
+            return self._remember(exact_vote(self.entries))
 
     def pool_key(self) -> Hashable:
-        """What the batched router interns this vote by: its
-        :meth:`exact_pairs` when it has them, else the message itself.
+        """What the batched router interns a correct sender's vote by:
+        ``(id, numerator, denominator)`` per entry, in entry order.
 
         Equal exact pairs are exactly equal ``Fraction`` entries, so the key
         merges the messages ``==`` merges, without a ``Fraction`` hash or
-        comparison per entry; no pairs tuple equals a message, so an exact
-        vote never merges with a float- or int-valued one."""
-        pairs = self.exact_pairs()
-        return self if pairs is None else pairs
+        comparison per entry."""
+        return tuple(
+            [(identifier, *rank.as_integer_ratio()) for identifier, rank in self.entries]
+        )
 
     def bit_size(self, id_bits: int = 64, rank_bits: int = 16) -> int:
         per_entry = id_bits + rank_bits + RANK_FRACTION_BITS

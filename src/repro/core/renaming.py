@@ -38,9 +38,6 @@ from .messages import Message, Rank, RanksMessage, first_vote
 from .params import SystemParams
 from .validation import VoteCheck, gather_votes
 
-#: Spacing tolerance used by ``isValid`` in float mode (see validation docs).
-FLOAT_TOLERANCE = 1e-9
-
 #: Consecutive all-votes-agree voting rounds before the early-deciding
 #: extension freezes (2 = one round to reach the common value, one to
 #: observe that everyone did).
@@ -54,9 +51,6 @@ class RenamingOptions:
     * ``voting_rounds`` — override the scheduled approximation rounds
       (``None`` = the paper's ``3⌈log₂ t⌉ + 3``; the constant-time variant of
       Section V passes 4).
-    * ``exact_arithmetic`` — ``True`` (default) runs ranks as
-      :class:`fractions.Fraction`, matching the paper's exact analysis;
-      ``False`` uses floats with an epsilon-tolerant validity check.
     * ``validate_votes`` — ablation E9a: ``False`` disables ``isValid`` and
       lets the divergence attack break uniqueness/order.
     * ``stretch`` — ablation E9d: ``False`` sets ``δ = 1``, collapsing the
@@ -85,7 +79,6 @@ class RenamingOptions:
     """
 
     voting_rounds: Optional[int] = None
-    exact_arithmetic: bool = True
     validate_votes: bool = True
     stretch: bool = True
     enforce_resilience: bool = True
@@ -129,14 +122,13 @@ class VotingPhase(Phase):
         delta: Rank,
         voting_rounds: int,
         options: RenamingOptions = RenamingOptions(),
-        tolerance: float = 0.0,
     ) -> None:
         self.steps = voting_rounds
         self._ctx = ctx
         self.options = options
         self.delta = delta
         self.timely = selection.timely
-        self._check = VoteCheck(self.timely, delta, tolerance)  # fixed for the run
+        self._check = VoteCheck(self.timely, delta)  # fixed for the run
         self.accepted: Set[int] = set(selection.accepted)
         if ctx.my_id not in self.accepted:
             # Impossible for a correct process when N > 3t (Lemma IV.2);
@@ -237,9 +229,7 @@ class OrderPreservingRenaming(PhaseSequence):
         self.params = SystemParams(ctx.n, ctx.t)
         if options.enforce_resilience:
             self.params.require_byzantine_resilience()
-        delta = self.params.delta if options.stretch else Fraction(1)
-        self.delta: Rank = delta if options.exact_arithmetic else float(delta)
-        self._tolerance = 0.0 if options.exact_arithmetic else FLOAT_TOLERANCE
+        self.delta: Rank = self.params.delta if options.stretch else Fraction(1)
         voting = options.voting_rounds
         self.voting_rounds = self.params.voting_rounds if voting is None else voting
         if self.voting_rounds < 1:
@@ -260,7 +250,6 @@ class OrderPreservingRenaming(PhaseSequence):
             delta=self.delta,
             voting_rounds=self.voting_rounds,
             options=self.options,
-            tolerance=self._tolerance,
         )
         return self._voting
 

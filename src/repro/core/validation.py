@@ -27,29 +27,31 @@ from ..sim.process import broadcast_share, group_links, ordered_links
 if TYPE_CHECKING:  # messages imports this module; a runtime import is circular
     from ..sim.messages import Message
     from ..sim.process import Inbox
-    from .messages import Rank
 
-#: Rank types :func:`is_valid_ranks` compares by integer cross-multiplication.
-_EXACT = (int, Fraction)
-
-
-def is_sound_rank(value: object) -> bool:
-    """True when ``value`` is a usable rank: an int/Fraction, or a *finite*
-    float.
+def exact_rank(value: object) -> Optional[Fraction]:
+    """The exact ``Fraction`` of a usable rank, or ``None`` when ``value``
+    is not one: a ``Fraction`` comes back as the very object, an ``int`` or
+    a *finite* ``float`` as its exact value (``as_integer_ratio``, as the
+    wire codec reads a float rank), and anything else, ``bool`` included,
+    as ``None``.
 
     Byzantine senders control the full payload, and ``float('nan')`` is a
     live grenade: every comparison against NaN is False, so a NaN-laden vote
-    sails through the ``< δ`` rejection in ``isValid``, survives trimming
-    unpredictably, and detonates at ``Round()`` — crashing a correct
+    would sail through the ``< δ`` rejection in ``isValid``, survive
+    trimming unpredictably, and detonate at ``Round()`` — crashing a correct
     process. (Found by adversarial testing; ``test_vote_hygiene.py`` keeps
-    it fixed.) Infinities are merely extreme values the trim handles, but we
-    reject them too: no honest rank is ever non-finite.
+    it fixed.) Infinities are merely extreme values the trim handles, but
+    they are rejected too: no honest rank is ever non-finite. Every rank a
+    correct process reads passes through here, so everything past the
+    receive boundary computes on exact rationals only.
     """
-    if isinstance(value, bool):
-        return False
-    if isinstance(value, (int, Fraction)):
-        return True
-    return isinstance(value, float) and math.isfinite(value)
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, (int, float, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    return None
 
 
 def is_sound_id(value: object) -> bool:
@@ -84,14 +86,6 @@ def sound_ids_by_tuple(
             yield ids, links
 
 
-def is_sound_vote(vote: Mapping[object, object]) -> bool:
-    """Structural hygiene for a ranks array: int ids, sound rank values."""
-    return all(
-        is_sound_id(identifier) and is_sound_rank(value)
-        for identifier, value in vote.items()
-    )
-
-
 class OrderedIds(tuple):
     """Ids in ascending order without duplicates, for :func:`is_valid_ranks`.
 
@@ -106,42 +100,31 @@ class OrderedIds(tuple):
 
 
 class SoundVote(dict):
-    """A hygiene-checked ranks array, shared read-only by every recipient of
-    one message, together with what each recipient would otherwise redo:
+    """A hygiene-checked ranks array of exact ``Fraction`` ranks, shared
+    read-only by every recipient of one message, together with what each
+    recipient would otherwise redo:
 
-    * ``pairs`` — ``{id: (numerator, denominator)}`` when every rank is a
-      ``Fraction``, else ``None``; :func:`~repro.core.approximation.approximate`
-      folds these integers directly;
+    * ``pairs`` — ``{id: (numerator, denominator)}`` of every rank;
+      :func:`~repro.core.approximation.approximate` folds these integers
+      directly;
     * ``verdicts`` — :func:`is_valid_ranks` verdicts by :attr:`VoteCheck.key`;
     * ``folds`` — Alg. 3's per-id folds over every vote set whose lowest
       ``id()`` this vote is, kept by
       :func:`~repro.core.approximation.approximate`.
 
     A ``dict`` subclass so lookups stay C-speed; every mutator raises.
-    ``triples``, when given, are the entries as ``(id, numerator,
-    denominator)`` (:meth:`~repro.core.messages.RanksMessage.exact_pairs`),
-    so ``pairs`` need not split the ranks again.
+    :func:`exact_vote` builds one from a message's entries.
     """
 
     __slots__ = ("pairs", "verdicts", "folds", "__weakref__")
 
-    def __init__(
-        self,
-        entries: Iterable[Tuple[int, "Rank"]],
-        triples: Optional[Iterable[Tuple[int, int, int]]] = None,
-    ) -> None:
+    def __init__(self, entries: Iterable[Tuple[int, Fraction]]) -> None:
         super().__init__(entries)
         self.verdicts: Dict[tuple, bool] = {}
         self.folds: Dict[tuple, tuple] = {}
-        self.pairs: Optional[Dict[int, Tuple[int, int]]]
-        if triples is not None:
-            self.pairs = {identifier: (num, den) for identifier, num, den in triples}
-        elif all(type(rank) is Fraction for rank in self.values()):
-            self.pairs = {
-                identifier: rank.as_integer_ratio() for identifier, rank in self.items()
-            }
-        else:
-            self.pairs = None
+        self.pairs: Dict[int, Tuple[int, int]] = {
+            identifier: rank.as_integer_ratio() for identifier, rank in self.items()
+        }
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("a shared vote is read-only")
@@ -150,38 +133,54 @@ class SoundVote(dict):
     clear = pop = popitem = setdefault = update = _read_only
 
 
+def exact_vote(entries: Iterable[Tuple[object, object]]) -> Optional[SoundVote]:
+    """The ``(id, rank)`` ``entries`` of a ranks array as a
+    :class:`SoundVote`, or ``None`` when one of them is unsound: an id that
+    fails :func:`is_sound_id` or a rank :func:`exact_rank` refuses.
+
+    One pass checks each entry and turns its rank into its exact
+    ``Fraction`` (a ``Fraction`` rank stays the very object), so every sound
+    vote carries exact ``pairs`` and every reader past this point computes
+    on exact rationals. A repeated id keeps its last rank, as ``dict`` does.
+    """
+    ranks: Dict[int, Fraction] = {}
+    for identifier, rank in entries:
+        if type(rank) is not Fraction:
+            rank = exact_rank(rank)
+            if rank is None:
+                return None
+        # A plain positive int, the only id a correct sender puts here, is
+        # checked inline: this runs once per entry of every distinct vote.
+        if not (type(identifier) is int and identifier >= 1 or is_sound_id(identifier)):
+            return None
+        ranks[identifier] = rank
+    return SoundVote(ranks)
+
+
 class VoteCheck:
     """One receiver's ``isValid`` (:func:`is_valid_ranks`) parameters, fixed
     for a run.
 
     Every recipient of a broadcast gets the same :class:`SoundVote`, and the
     verdict depends only on the vote and these parameters, so it is cached
-    on the vote under :attr:`key`: the timely ids, ``delta`` and
-    ``tolerance`` as plain ints (``Fraction`` hashing and equality would eat
-    much of the saving). Exact and float modes never share a key: their
-    tolerances differ.
+    on the vote under :attr:`key`: the timely ids and ``delta`` as a pair
+    of plain ints (``Fraction`` hashing and equality would eat much of the
+    saving).
     """
 
-    __slots__ = ("timely", "delta", "tolerance", "key")
+    __slots__ = ("timely", "delta", "key")
 
-    def __init__(
-        self, timely: Iterable[int], delta: "Rank", tolerance: float = 0.0
-    ) -> None:
+    def __init__(self, timely: Iterable[int], delta: Fraction) -> None:
         self.timely = OrderedIds(timely)
         self.delta = delta
-        self.tolerance = tolerance
-        self.key = (
-            self.timely,
-            delta.as_integer_ratio(),
-            float(tolerance).as_integer_ratio(),
-        )
+        self.key = (self.timely, delta.as_integer_ratio())
 
     def __call__(self, vote: SoundVote) -> bool:
         """:func:`is_valid_ranks` of ``vote``, once per vote object and key."""
         try:
             return vote.verdicts[self.key]
         except KeyError:
-            verdict = is_valid_ranks(self.timely, vote, self.delta, self.tolerance)
+            verdict = is_valid_ranks(self.timely, vote, self.delta)
             vote.verdicts[self.key] = verdict
             return verdict
 
@@ -204,12 +203,9 @@ def gather_votes(
     shared path instead: the votes on the round's broadcast tuples, which
     every receiver gets, are gathered once per round and ``check.key`` into
     the round's memo, then the receiver's own overlay links add theirs.
-    Those are the walk's votes in another order, so the shared path is
-    taken only when every vote it keeps carries exact ``pairs``, and
-    returns them in ``id()`` order: :func:`~repro.core.approximation.approximate`
-    folds exact votes the same in any order (DESIGN.md §8). A kept vote
-    without pairs (float mode, a Byzantine float or int vote) sends the
-    receiver down the plain walk.
+    Those are the walk's votes in ``id()`` order:
+    :func:`~repro.core.approximation.approximate` folds the exact ``pairs``
+    every sound vote carries the same in any order (DESIGN.md §8).
     """
     share = broadcast_share(inbox) if check is not None else None
     if share is not None:
@@ -221,12 +217,10 @@ def gather_votes(
             shared = memo[key] = _exact_votes(
                 [first(got) for got in dense if got is not None], check
             )
-        if shared is not None:
-            if not overlay:
-                return shared
-            own = _exact_votes(list(map(first, overlay.values())), check)
-            if own is not None:
-                return sorted(shared + own, key=id) if own else shared
+        if not overlay:
+            return shared
+        own = _exact_votes(list(map(first, overlay.values())), check)
+        return sorted(shared + own, key=id) if own else shared
     votes = []
     for link in ordered_links(inbox):
         vote = first(inbox[link])
@@ -237,60 +231,35 @@ def gather_votes(
 
 def _exact_votes(
     votes: List[Optional[SoundVote]], check: VoteCheck
-) -> Optional[Tuple[SoundVote, ...]]:
-    """The sound ``votes`` that pass ``check``, in ``id()`` order, or
-    ``None`` when one of them has no exact ``pairs``."""
-    kept = []
-    for vote in votes:
-        if vote is not None and check(vote):
-            if vote.pairs is None:
-                return None
-            kept.append(vote)
+) -> Tuple[SoundVote, ...]:
+    """The sound ``votes`` that pass ``check``, in ``id()`` order."""
+    kept = [vote for vote in votes if vote is not None and check(vote)]
     kept.sort(key=id)
     return tuple(kept)
 
 
 def is_valid_ranks(
-    timely: Iterable[int],
-    ranks: Mapping[int, Rank],
-    delta: Rank,
-    tolerance: float = 0.0,
+    timely: Iterable[int], ranks: Mapping[int, Fraction], delta: Fraction
 ) -> bool:
     """Algorithm 2: accept ``ranks`` only if consistent with ``timely``.
-
-    ``tolerance`` loosens the ``≥ δ`` spacing check and is 0 in exact
-    (Fraction) mode; float mode passes a small epsilon to absorb rounding in
-    repeated averaging (the paper's analysis is exact arithmetic).
 
     Checking consecutive ids in the sorted ``timely`` set is equivalent to the
     paper's all-pairs loop: δ-spacing of consecutive pairs implies (additively
     more than) δ-spacing of all pairs. ``timely`` is sorted here unless it is
     already an :class:`OrderedIds`.
 
-    When the threshold and every timely rank are ``int``/``Fraction`` the
-    spacing test cross-multiplies instead of building ``Fraction``
-    differences: with positive denominators, ``b − a < θ`` is
-    ``(b_n·a_d − a_n·b_d)·θ_d < θ_n·a_d·b_d``. Anything else (float mode, or
-    a float in a Byzantine vote) compares the values directly.
+    The spacing test cross-multiplies exact integer ratios instead of
+    building ``Fraction`` differences: with positive denominators,
+    ``b − a < δ`` is ``(b_n·a_d − a_n·b_d)·δ_d < δ_n·a_d·b_d``. Every sound
+    rank (:func:`exact_rank`) has an exact ``as_integer_ratio``.
     """
-    # Keep the threshold exact when no tolerance applies: subtracting the
-    # float 0.0 would coerce a Fraction delta to the nearest double, which
-    # can land *above* delta and spuriously reject exactly-delta-spaced
-    # honest votes.
-    threshold = delta - tolerance if tolerance else delta
     ordered = timely if type(timely) is OrderedIds else sorted(set(timely))
     for identifier in ordered:
         if identifier not in ranks:
             return False
-    values = [ranks[identifier] for identifier in ordered]
-    if type(threshold) in _EXACT and all(type(value) in _EXACT for value in values):
-        limit_n, limit_d = threshold.as_integer_ratio()
-        pairs = [value.as_integer_ratio() for value in values]
-        for (a_n, a_d), (b_n, b_d) in zip(pairs, pairs[1:]):
-            if (b_n * a_d - a_n * b_d) * limit_d < limit_n * a_d * b_d:
-                return False
-        return True
-    for smaller, larger in zip(values, values[1:]):
-        if larger - smaller < threshold:
+    limit_n, limit_d = delta.as_integer_ratio()
+    pairs = [ranks[identifier].as_integer_ratio() for identifier in ordered]
+    for (a_n, a_d), (b_n, b_d) in zip(pairs, pairs[1:]):
+        if (b_n * a_d - a_n * b_d) * limit_d < limit_n * a_d * b_d:
             return False
     return True

@@ -72,8 +72,8 @@ class OpenSessionMessage(Message):
 
     ``algorithm`` is a registered algorithm name or ``"auto"`` (the server
     selects the cheapest applicable regime via
-    :class:`repro.core.params.SystemParams`). ``t`` is the fault tolerance
-    the algorithm is configured for; with ``t > 0`` the run simulates
+    :class:`repro.core.params.SystemParams`). ``t`` is the number of faults
+    the algorithm is configured to survive; with ``t > 0`` the run simulates
     ``t`` faulty slots driven by ``attack``, so only the correct slots'
     names come back (exactly the simulator's contract).
 

@@ -207,8 +207,8 @@ def batched_router(topology: FullMeshTopology, metrics: RunMetrics) -> Router:
     * inboxes are :class:`PortInbox` views, dict-equal to the reference's
       inboxes and iterating in the same ascending link order;
     * equal messages of the high-volume types are interned to one canonical
-      instance — delivered objects compare equal either way. Votes whose
-      ranks are all ``Fraction`` are interned by their exact integer pairs
+      instance — delivered objects compare equal either way. Votes are
+      interned by their ranks' exact integer pairs
       (:meth:`~repro.core.messages.RanksMessage.pool_key`), which merges
       exactly the votes ``==`` merges without hashing a ``Fraction``;
     * equal broadcast tuples of two or more id messages from correct senders

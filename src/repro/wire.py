@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, NamedTuple, Tuple, Type, Union
+from typing import Any, Callable, Dict, NamedTuple, Tuple, Type, Union
 
 from .agreement.approximate import ValueMessage
 from .agreement.eig import RelayMessage
@@ -420,13 +420,3 @@ def decode_message(data: bytes) -> Message:
     if offset != len(data):
         raise WireError(f"{len(data) - offset} trailing bytes")
     return message
-
-
-def encoded_bits(message: Message) -> int:
-    """Actual wire size of a message, in bits."""
-    return 8 * len(encode_message(message))
-
-
-def wire_types() -> List[Type[Message]]:
-    """All message classes the codec covers."""
-    return sorted(_CODECS, key=lambda cls: cls.__name__)

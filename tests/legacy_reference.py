@@ -29,9 +29,9 @@ from repro.core.messages import (
     RanksMessage,
 )
 from repro.core.params import SystemParams
-from repro.core.renaming import FLOAT_TOLERANCE, STABILITY_ROUNDS, RenamingOptions
+from repro.core.renaming import STABILITY_ROUNDS, RenamingOptions
 from repro.core.fast import TWO_STEP_ROUNDS, TwoStepOptions
-from repro.core.validation import is_sound_id, is_sound_vote, is_valid_ranks
+from repro.core.validation import exact_vote, is_sound_id, is_valid_ranks
 from repro.sim.process import Inbox, Outbox, Process, ProcessContext
 
 
@@ -46,9 +46,7 @@ class LegacyOrderPreservingRenaming(Process):
         self.params = SystemParams(ctx.n, ctx.t)
         if options.enforce_resilience:
             self.params.require_byzantine_resilience()
-        delta = self.params.delta if options.stretch else Fraction(1)
-        self.delta: Rank = delta if options.exact_arithmetic else float(delta)
-        self._tolerance = 0.0 if options.exact_arithmetic else FLOAT_TOLERANCE
+        self.delta: Rank = self.params.delta if options.stretch else Fraction(1)
         voting = options.voting_rounds
         self.voting_rounds = self.params.voting_rounds if voting is None else voting
         if self.voting_rounds < 1:
@@ -100,7 +98,7 @@ class LegacyOrderPreservingRenaming(Process):
             if vote is None:
                 continue
             if not self.options.validate_votes or is_valid_ranks(
-                self.selection.timely, vote, self.delta, self._tolerance
+                self.selection.timely, vote, self.delta
             ):
                 votes.append(vote)
         if self.frozen_at is not None:
@@ -135,8 +133,8 @@ class LegacyOrderPreservingRenaming(Process):
     def _first_vote(messages) -> Optional[Dict[int, Rank]]:
         for message in messages:
             if isinstance(message, RanksMessage):
-                vote = message.as_dict()
-                return vote if is_sound_vote(vote) else None
+                vote = exact_vote(message.entries)
+                return None if vote is None else dict(vote)
         return None
 
     def _decide(self) -> None:

@@ -121,29 +121,47 @@ class TestConformingAdversary:
         assert result.new_names() == expected
 
 
+def faulty_traffic(result):
+    """Messages the faulty slots sent, per round."""
+    return [record.byzantine_messages for record in result.metrics.rounds]
+
+
 class TestCrashAdversary:
     def test_fixed_schedule_respected(self):
-        adversary = CrashAdversary(crash_rounds={1: 3})
-        run_protocol(
+        result = run_protocol(
             OrderPreservingRenaming,
             n=7,
             t=2,
             ids=standard_ids(7),
             byzantine=[1, 2],
-            adversary=adversary,
+            adversary=CrashAdversary(crash_rounds={1: 3, 2: 3}),
             seed=0,
         )
-        assert adversary.crash_round_of(1) == 3
-
-    def test_random_schedule_within_horizon(self):
-        adversary = CrashAdversary(horizon=5)
-        run_protocol(
+        traffic = faulty_traffic(result)
+        # Both slots run the protocol in full before round 3, then fall silent.
+        genuine = run_protocol(
             OrderPreservingRenaming,
             n=7,
             t=2,
             ids=standard_ids(7),
-            adversary=adversary,
+            byzantine=[1, 2],
+            adversary=CrashAdversary(crash_rounds={1: 99, 2: 99}),
+            seed=0,
+        )
+        assert traffic[:2] == faulty_traffic(genuine)[:2]
+        assert all(traffic[:2])
+        assert not any(traffic[3:])
+        assert len(traffic) > 4
+
+    def test_random_schedule_within_horizon(self):
+        result = run_protocol(
+            OrderPreservingRenaming,
+            n=7,
+            t=2,
+            ids=standard_ids(7),
+            adversary=CrashAdversary(horizon=5),
             seed=1,
         )
-        for slot in adversary.ctx.byzantine:
-            assert 1 <= adversary.crash_round_of(slot) <= 5
+        traffic = faulty_traffic(result)
+        assert len(traffic) > 5
+        assert not any(traffic[5:])

@@ -133,29 +133,6 @@ class TestTrimmedMean:
         values, t = case
         assert trimmed_mean(values, t) == generic_fold(values, t)
 
-    @given(
-        fold_inputs(
-            st.one_of(
-                st.integers(-1000, 1000),
-                st.floats(-1000, 1000, allow_nan=False),
-                fractions_st,
-            )
-        )
-    )
-    def test_mixed_types_take_generic_path(self, case):
-        values, t = case
-        fast, reference = trimmed_mean(values, t), generic_fold(values, t)
-        assert fast == reference and type(fast) is type(reference)
-        selected = select_every_t(trim_extremes(values, t), t)
-        if any(isinstance(value, float) for value in selected):
-            assert type(fast) is float
-
-    @given(fold_inputs(st.integers(-1000, 1000)))
-    def test_all_int_votes_keep_float_mean(self, case):
-        values, t = case
-        assert type(trimmed_mean(values, t)) is float
-        assert trimmed_mean(values, t) == generic_fold(values, t)
-
 
 class TestNearestInt:
     @pytest.mark.parametrize(
@@ -171,10 +148,6 @@ class TestNearestInt:
     )
     def test_rounding(self, value, expected):
         assert nearest_int(value) == expected
-
-    def test_float_input(self):
-        assert nearest_int(4.4) == 4
-        assert nearest_int(4.6) == 5
 
     @given(fractions_st)
     def test_within_half(self, value):
@@ -331,11 +304,6 @@ class TestApproximateOnSharedVotes:
         assert {k: (type(v), repr(v)) for k, v in shared[0].items()} == {
             k: (type(v), repr(v)) for k, v in plain[0].items()
         }
-
-    def test_float_own_rank_takes_generic_path(self):
-        votes = [SoundVote({10: Fraction(v)}.items()) for v in (1, 2, 3, 4, 5)]
-        new_ranks, _ = approximate({10: 3.0}, {10}, votes, 7, 2)
-        assert new_ranks[10] == 3 and type(new_ranks[10]) is float
 
 
 def plain(votes):

@@ -236,16 +236,16 @@ class TestForgedVoteVariants:
         checked = []
         is_valid_ranks = validation.is_valid_ranks
 
-        def spy(timely, ranks, delta, tolerance=0.0):
-            checked.append((ranks, tuple(timely), delta, tolerance))
-            return is_valid_ranks(timely, ranks, delta, tolerance)
+        def spy(timely, ranks, delta):
+            checked.append((ranks, tuple(timely), delta))
+            return is_valid_ranks(timely, ranks, delta)
 
         monkeypatch.setattr(validation, "is_valid_ranks", spy)
         adversary = make_adversary("rank-skew")
         recording = _Recording(adversary)
         bind_against(adversary, n=10, t=3, seed=1)
         # ``checked`` holds every vote, so no id() is recycled under it.
-        keys = [(id(vote), timely, delta, tol) for vote, timely, delta, tol in checked]
+        keys = [(id(vote), timely, delta) for vote, timely, delta in checked]
         assert keys and len(set(keys)) == len(keys)
         voting_rounds = sum(1 for r in recording.outboxes if r > ID_SELECTION_STEPS)
         # Per voting round at most one vote object per correct sender and

@@ -53,7 +53,7 @@ from repro.sim import (
     ProcessContext,
     run_protocol,
 )
-from repro.wire import WireError, decode_message, encode_message, encoded_bits
+from repro.wire import WireError, decode_message, encode_message
 
 SEEDS = range(20)
 
@@ -435,7 +435,9 @@ class TestEnvelopeCodec:
         message = EnvelopeMessage(
             tag=6, payload=RanksMessage.from_dict({i: i for i in range(1, 9)})
         )
-        assert encoded_bits(message) <= message.bit_size(id_bits=21, rank_bits=16)
+        assert 8 * len(encode_message(message)) <= message.bit_size(
+            id_bits=21, rank_bits=16
+        )
 
     def test_unregistered_payload_rejected(self):
         from repro.sim.messages import Message

@@ -2,9 +2,10 @@
 
 Two implementations of the same semantics are a free oracle for each other:
 
-* exact (Fraction) vs float arithmetic — the float path is an approximation
-  of the exact one and must produce identical *names* (the δ margins dwarf
-  double-precision error at these scales);
+* exact (Fraction) vs float Byzantine votes — a vote sent as floats is
+  read as the floats' exact values, a hair off the exact ones, and must
+  produce identical *names* (the δ margins dwarf double-precision error at
+  these scales);
 * live runs vs their JSON archives — serialisation must be lossless;
 * the golden corpus — canonical runs' exact outputs are pinned so silent
   semantic drift (a changed threshold, an off-by-one in a round count)
@@ -30,32 +31,59 @@ from repro import (
 from repro.adversary import ALG1_ATTACKS, make_adversary
 from repro.agreement import initial_values_factory
 from repro.baselines import OkunCrashRenaming
+from repro.core.messages import RanksMessage
 from repro.sim import FaultPlan, SafetyPolicy, SimulationError, SystemModel
 
 
+def _as_float(message):
+    """``message`` with each ``Fraction`` rank of a vote sent as a float."""
+    if not isinstance(message, RanksMessage):
+        return message
+    return RanksMessage(
+        entries=tuple(
+            (identifier, float(rank) if type(rank) is Fraction else rank)
+            for identifier, rank in message.entries
+        )
+    )
+
+
+def float_votes(adversary):
+    """``adversary``, sending each of its votes' ranks as floats."""
+    send = adversary.send
+
+    def floats(round_no, correct_outboxes):
+        return {
+            slot: {
+                link: [_as_float(message) for message in messages]
+                for link, messages in outbox.items()
+            }
+            for slot, outbox in send(round_no, correct_outboxes).items()
+        }
+
+    adversary.send = floats
+    return adversary
+
+
 class TestExactVsFloat:
+    """Every sound vote is read as exact ``Fraction`` ranks at the receive
+    boundary, so Byzantine votes sent as floats only move the values a hair."""
+
     @pytest.mark.parametrize("attack", ALG1_ATTACKS)
     def test_names_agree(self, attack):
         n, t, seed = 7, 2, 5
-        exact = run_protocol(
-            OrderPreservingRenaming,
-            n=n,
-            t=t,
-            ids=standard_ids(n),
-            adversary=make_adversary(attack),
-            seed=seed,
-        )
-        floaty = run_protocol(
-            partial(
+
+        def run(adversary):
+            return run_protocol(
                 OrderPreservingRenaming,
-                options=RenamingOptions(exact_arithmetic=False),
-            ),
-            n=n,
-            t=t,
-            ids=standard_ids(n),
-            adversary=make_adversary(attack),
-            seed=seed,
-        )
+                n=n,
+                t=t,
+                ids=standard_ids(n),
+                adversary=adversary,
+                seed=seed,
+            )
+
+        exact = run(make_adversary(attack))
+        floaty = run(float_votes(make_adversary(attack)))
         assert exact.new_names() == floaty.new_names(), attack
 
 
@@ -259,9 +287,6 @@ def _golden_run_digest(case: str, engine: str) -> str:
 
 #: Unregistered variants a golden case may name in place of an algorithm.
 _GOLDEN_FACTORIES = {
-    "alg1-float": lambda n, t, ids, seed: partial(
-        OrderPreservingRenaming, options=RenamingOptions(exact_arithmetic=False)
-    ),
     "alg1-early": lambda n, t, ids, seed: partial(
         OrderPreservingRenaming, options=RenamingOptions(early_deciding=True)
     ),
@@ -279,10 +304,10 @@ _GOLDEN_FACTORIES = {
 #: perturbs before chaos does), impersonation, the wire round trip, a
 #: safety monitor that aborts, a run that hits its round limit, and runs
 #: whose last process decides in exactly the last allowed round. The
-#: receive-side caches on shared messages get their own cases: Alg. 1 in
-#: float mode (the tolerance-keyed isValid verdict), per-link Byzantine
-#: votes that every recipient must check afresh, and EIG consensus at the
-#: smallest fault budgets, where the resolve tree is one or two levels deep.
+#: receive-side caches on shared messages get their own cases: per-link
+#: Byzantine votes that every recipient must check afresh, and EIG consensus
+#: at the smallest fault budgets, where the resolve tree is one or two levels
+#: deep.
 #: Two more EIG cases pin the consensus baseline's resolution: four rounds
 #: with silent Byzantine sources (id forging sends no id traffic through
 #: the multiplexer), and Byzantine slots that run the correct protocol.
@@ -303,7 +328,6 @@ _GOLDEN_FACTORIES = {
 #: agreement under a value-splitting adversary.
 GOLDEN_RUN_CASES = {
     "alg1": ("alg1", 7, 2, "id-forging", 1, {}),
-    "alg1-float": ("alg1-float", 7, 2, "rank-skew", 1, {}),
     "alg1-constant": ("alg1-constant", 11, 1, "divergence", 1, {}),
     "alg1-constant-rank-skew": ("alg1-constant", 11, 1, "rank-skew", 2, {}),
     "alg4": ("alg4", 11, 2, "selective-echo", 1, {}),
@@ -398,8 +422,6 @@ GOLDEN_RUN_DIGESTS = {
         "334458880b15e0b40879eff5e53c34d60c861981d588a978ed0485ab1542f3f6",
     "alg1-early":
         "d009663413e1821358556852d1c4be9257df8d1431a1ffa710d962635a13394c",
-    "alg1-float":
-        "260632b111298c3e331d3c50654154d71928375998e13f988c98b738535fb078",
     "alg1-noise":
         "8dfb24ab02716f37d0ec7be4542584ac8c39f405578bddd19deceea3dcf6ace5",
     "alg1-rank-compression":

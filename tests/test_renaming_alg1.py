@@ -205,18 +205,6 @@ class TestVotingPhase:
         ][-1]
         assert all(isinstance(v, (int, Fraction)) for v in final.detail.values())
 
-    def test_float_mode_works(self):
-        options = RenamingOptions(exact_arithmetic=False)
-        result = run_protocol(
-            partial(OrderPreservingRenaming, options=options),
-            n=7,
-            t=2,
-            ids=standard_ids(7),
-            adversary=make_adversary("rank-skew"),
-            seed=0,
-        )
-        assert_renaming_ok(result, SystemParams(7, 2).namespace_bound)
-
     def test_zero_voting_rounds_rejected(self):
         with pytest.raises(ValueError):
             options = RenamingOptions(voting_rounds=0)

@@ -57,11 +57,12 @@ class TestIsValid:
         assert is_valid_ranks([10], {10: Fraction(-5)}, DELTA)
         assert not is_valid_ranks([10], {}, DELTA)
 
-    def test_float_tolerance(self):
-        delta = float(DELTA)
-        ranks = {10: 1.0, 20: 1.0 + delta - 1e-12}
-        assert not is_valid_ranks([10, 20], ranks, delta)
-        assert is_valid_ranks([10, 20], ranks, delta, tolerance=1e-9)
+    def test_a_float_rank_is_judged_by_its_exact_value(self):
+        # The float difference rounds up to δ; the exact one falls short.
+        ranks = {10: Fraction(-118, 17), 20: -5.904139433551198}
+        assert ranks[20] - ranks[10] >= DELTA
+        assert Fraction(ranks[20]) - ranks[10] < DELTA
+        assert not is_valid_ranks([10, 20], ranks, DELTA)
 
     def test_duplicate_timely_entries_deduplicated(self):
         ranks = spaced_ranks([10, 20])
@@ -118,15 +119,14 @@ class TestIsValidProperties:
         assert not is_valid_ranks(ids, ranks, DELTA)
 
 
-def all_pairs_is_valid(timely, ranks, delta, tolerance=0.0):
+def all_pairs_is_valid(timely, ranks, delta):
     """The paper's Alg. 2 verbatim: every timely id present, every ordered
-    pair of timely ids at least δ apart (``tolerance`` as in float mode)."""
-    threshold = delta - tolerance if tolerance else delta
+    pair of timely ids at least δ apart."""
     ids = set(timely)
     if any(identifier not in ranks for identifier in ids):
         return False
     return all(
-        ranks[larger] - ranks[smaller] >= threshold
+        ranks[larger] - ranks[smaller] >= delta
         for smaller in ids
         for larger in ids
         if smaller < larger
@@ -183,29 +183,17 @@ class TestFastPathMatchesAllPairs:
 
     @given(
         spacing_cases(
-            st.sampled_from([float(DELTA), float(DELTA) - 1e-12, 2.0, 0.0, -1.0])
-            | st.floats(-3, 5),
-            st.floats(-50, 50),
-        ),
-        st.sampled_from([0.0, 1e-9]),
-    )
-    def test_float_mode_with_tolerance(self, case, tolerance):
-        timely, ranks = case
-        delta = float(DELTA)
-        assert is_valid_ranks(timely, ranks, delta, tolerance) is all_pairs_is_valid(
-            timely, ranks, delta, tolerance
-        )
-
-    @given(
-        spacing_cases(
             EXACT_GAPS | st.floats(-3, 5),
             st.fractions(min_value=-50, max_value=50) | st.floats(-50, 50),
         )
     )
     def test_byzantine_floats_in_exact_mode(self, case):
+        """A float rank is judged by its exact value, as the receive
+        boundary reads it, not by float differences."""
         timely, ranks = case
+        exact = {identifier: Fraction(rank) for identifier, rank in ranks.items()}
         assert is_valid_ranks(timely, ranks, DELTA) is all_pairs_is_valid(
-            timely, ranks, DELTA
+            timely, exact, DELTA
         )
 
     def test_exactly_delta_spaced_accepted_just_under_rejected(self):

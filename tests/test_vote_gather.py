@@ -7,8 +7,9 @@ receiver's own overlay votes. These tests hold it to the per-link walk it
 replaces: receivers with their own port rows and overlays, missing links,
 double votes, Byzantine float/int/NaN votes, ``validate_votes=False`` and
 early deciding must reach the ranks, accepted ids and trace the walk
-reaches. They also pin the router's vote pool, which interns exact votes
-by their integer pairs.
+reaches. A float or int vote is read as its exact ``Fraction`` values on
+both. They also pin the router's vote pool, which interns votes by their
+ranks' exact integer pairs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.baselines import OkunCrashRenaming
 from repro.core.id_selection import IdSelectionResult
 from repro.core.messages import IdMessage, RanksMessage, first_vote
 from repro.core.params import SystemParams
-from repro.core.renaming import FLOAT_TOLERANCE, VotingPhase
+from repro.core.renaming import VotingPhase
 from repro.core import validation
 from repro.core.validation import VoteCheck, gather_votes
 from repro.sim import Adversary, ProcessContext, engine
@@ -41,8 +42,8 @@ KINDS = (
     "exact",  # one exact vote
     "double",  # two exact votes on one link: only the first counts
     "behind",  # a non-vote message before the vote
-    "float",  # a Byzantine float vote (fallback when it passes isValid)
-    "int",  # a Byzantine int vote (fallback when it passes isValid)
+    "float",  # a Byzantine float vote, read as its exact value
+    "int",  # a Byzantine int vote, read as its exact value
     "nan",  # an unsound vote, dropped before isValid
 )
 
@@ -82,12 +83,9 @@ def voting_rounds(draw):
     shift = st.sampled_from(
         [Fraction(0), Fraction(0), Fraction(1, 3), Fraction(-1, 2), Fraction(1), None]
     )
-    exact_mode = draw(st.booleans())
 
     def vote(kind):
         shifts = draw(st.lists(shift, min_size=n, max_size=n))
-        if not exact_mode and kind in ("exact", "double", "behind"):
-            kind = "float"
         return RanksMessage.from_dict(_ranks(ids, shifts, delta, kind))
 
     def messages(kind):
@@ -122,7 +120,6 @@ def voting_rounds(draw):
         timely = draw(st.sets(st.sampled_from(ids), max_size=n))
         receivers.append((tuple(peers), overlay or None, frozenset(timely)))
     options = RenamingOptions(
-        exact_arithmetic=exact_mode,
         validate_votes=draw(st.booleans()),
         early_deciding=draw(st.booleans()),
     )
@@ -131,18 +128,14 @@ def voting_rounds(draw):
 
 def _phase(n, t, ids, timely, options, log):
     """A voting phase of the receiver ``ids[0]`` whose trace goes to ``log``."""
-    params = SystemParams(n, t)
-    delta = params.delta if options.exact_arithmetic else float(params.delta)
-    tolerance = 0.0 if options.exact_arithmetic else FLOAT_TOLERANCE
     ctx = ProcessContext(n, t, ids[0], trace=lambda *event: log.append(repr(event)))
     selection = IdSelectionResult(frozenset(timely), frozenset(ids), tuple(ids))
     return VotingPhase(
         PhaseContext(ctx, 4),
         selection,
-        delta=delta,
+        delta=SystemParams(n, t).delta,
         voting_rounds=8,
         options=options,
-        tolerance=tolerance,
     )
 
 
@@ -178,6 +171,7 @@ class TestSharedGather:
                 shared.deliver_step(step, inbox)
                 walk.deliver_step(step, plain)
                 assert _state(shared) == _state(walk)
+                assert all(type(rank) is Fraction for rank in shared.ranks.values())
         for shared_log, walk_log in logs:
             assert shared_log == walk_log
 
@@ -251,7 +245,7 @@ class TestSharedGather:
         assert len(got) == n
         assert list(map(id, got)) == sorted(map(id, got))
 
-    def test_a_byzantine_float_vote_sends_every_receiver_down_the_walk(self):
+    def test_a_byzantine_float_vote_is_shared_as_its_exact_value(self):
         n, t = 7, 2
         ids = standard_ids(n)
         delta = SystemParams(n, t).delta
@@ -263,9 +257,12 @@ class TestSharedGather:
         memo = {}
         row = tuple(range(n))[::-1]
         got = gather_votes(port_inbox(row, dense, None, memo), check, first_vote)
-        assert memo == {("first-votes", check.key): None}
-        # The walk's link order: link 1 is the last sender, the float one.
-        assert [type(vote[ids[0]]) for vote in got] == [float] + [Fraction] * (n - 1)
+        assert memo == {("first-votes", check.key): got}
+        assert list(map(id, got)) == sorted(map(id, got))
+        floaty = dense[-1][0].sound_vote()
+        assert floaty in got
+        assert floaty == {i: Fraction(v) for i, v in spread.items()}
+        assert all(type(rank) is Fraction for vote in got for rank in vote.values())
 
 
 class SplitVoteAdversary(Adversary):
@@ -337,8 +334,8 @@ class TestWholeRuns:
 
 
 class TestVotePool:
-    """The batched router interns correct votes: exact ones by their
-    integer pairs, the others by value."""
+    """The batched router interns correct votes by their ranks' exact
+    integer pairs."""
 
     @staticmethod
     def _delivered(make_vote):
@@ -374,26 +371,23 @@ class TestVotePool:
         )
         assert len({id(vote) for votes in seen.values() for vote in votes}) == 3
 
-    def test_an_exact_vote_never_merges_with_an_int_valued_one(self):
+    def test_an_exact_vote_merges_with_an_equal_int_valued_one(self):
         def vote(me):
             rank = Fraction(2) if me == 1 else 2
             return RanksMessage.from_dict({1: rank})
 
         seen = self._delivered(vote)
-        votes = {id(vote): vote for each in seen.values() for vote in each}
-        # The two int votes are one object; the equal Fraction vote is not.
-        assert sorted(type(vote.entries[0][1]).__name__ for vote in votes.values()) == [
-            "Fraction", "int",
-        ]
-        for received in seen.values():
-            assert [type(vote.entries[0][1]) for vote in received].count(int) == 2
+        assert len({id(vote) for votes in seen.values() for vote in votes}) == 1
 
-    def test_pairs_are_computed_once_and_feed_the_sound_vote(self):
+    def test_the_pool_key_and_the_sound_vote_hold_the_exact_pairs(self):
         message = RanksMessage.from_dict({10: Fraction(1, 3), 20: Fraction(5, 2)})
         assert message.pool_key() == ((10, 1, 3), (20, 5, 2))
-        assert message.exact_pairs() is message.exact_pairs()
         assert message.sound_vote().pairs == {10: (1, 3), 20: (5, 2)}
-        for ranks in ({10: 0.25}, {10: 1}, {10: Fraction(1), 20: 2.5}):
+        for ranks, key in (
+            ({10: 0.25}, ((10, 1, 4),)),
+            ({10: 1}, ((10, 1, 1),)),
+            ({10: Fraction(1), 20: 2.5}, ((10, 1, 1), (20, 5, 2))),
+        ):
             other = RanksMessage.from_dict(ranks)
-            assert other.exact_pairs() is None
-            assert other.pool_key() is other
+            assert other.pool_key() == key
+            assert other.sound_vote().pairs == {i: (num, den) for i, num, den in key}

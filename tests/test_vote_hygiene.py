@@ -38,13 +38,7 @@ from repro.core.messages import (
 from repro.adversary import make_adversary
 from repro.agreement.eig import RelayMessage
 from repro.core import renaming, validation
-from repro.core.renaming import FLOAT_TOLERANCE
-from repro.core.validation import (
-    VoteCheck,
-    is_sound_id,
-    is_sound_rank,
-    is_sound_vote,
-)
+from repro.core.validation import VoteCheck, exact_rank, exact_vote, is_sound_id
 from repro.sim import Adversary
 
 
@@ -91,15 +85,13 @@ class NaNVoteAdversary(Adversary):
 
 class TestSoundnessHelpers:
     def test_sound_ranks(self):
-        assert is_sound_rank(3)
-        assert is_sound_rank(Fraction(7, 2))
-        assert is_sound_rank(3.5)
-        assert not is_sound_rank(float("nan"))
-        assert not is_sound_rank(float("inf"))
-        assert not is_sound_rank(float("-inf"))
-        assert not is_sound_rank("3")
-        assert not is_sound_rank(None)
-        assert not is_sound_rank(True)
+        half = Fraction(7, 2)
+        assert exact_rank(half) is half
+        for value, exact in ((3, Fraction(3)), (3.5, half), (0.1, Fraction(0.1))):
+            assert exact_rank(value) == exact
+            assert type(exact_rank(value)) is Fraction
+        for unsound in (float("nan"), float("inf"), float("-inf"), "3", None, True):
+            assert exact_rank(unsound) is None
 
     def test_sound_ids(self):
         assert is_sound_id(1)
@@ -111,10 +103,97 @@ class TestSoundnessHelpers:
         assert not is_sound_id(5.0)
 
     def test_sound_votes(self):
-        assert is_sound_vote({1: Fraction(1), 2: 2.5})
-        assert not is_sound_vote({1: float("nan")})
-        assert not is_sound_vote({"1": Fraction(1)})
-        assert not is_sound_vote({1: Fraction(1), 2: "x"})
+        assert exact_vote({1: Fraction(1), 2: 2.5}.items()) == {
+            1: Fraction(1), 2: Fraction(5, 2),
+        }
+        assert exact_vote({1: float("nan")}.items()) is None
+        assert exact_vote({"1": Fraction(1)}.items()) is None
+        assert exact_vote({1: Fraction(1), 2: "x"}.items()) is None
+
+
+class FloatValues(Adversary):
+    """Standalone AA: every faulty slot reports a finite float on every link."""
+
+    def send(self, round_no, correct_outboxes):
+        from repro.agreement.approximate import ValueMessage
+
+        message = ValueMessage(12.1)  # inside the correct range: survives the trim
+        return {
+            slot: {link: [message] for link in self.ctx.topology.labels()}
+            for slot in self.ctx.byzantine
+        }
+
+
+class TestExactBoundary:
+    """``RanksMessage.sound_vote`` is where a rank's type is decided: each
+    finite ``int``/``float`` becomes its exact ``Fraction``, a ``Fraction``
+    stays the very object, and anything else drops the whole vote."""
+
+    def test_float_and_int_ranks_become_their_exact_fractions(self):
+        third = Fraction(1, 3)
+        message = RanksMessage(entries=((10, 0.1), (20, 3), (30, third), (40, -2.5)))
+        vote = message.sound_vote()
+        assert vote == {
+            10: Fraction(3602879701896397, 36028797018963968),
+            20: Fraction(3),
+            30: third,
+            40: Fraction(-5, 2),
+        }
+        assert all(type(rank) is Fraction for rank in vote.values())
+        assert vote[30] is third
+        assert vote.pairs == {
+            10: (3602879701896397, 36028797018963968),
+            20: (3, 1),
+            30: (1, 3),
+            40: (-5, 2),
+        }
+
+    def test_a_correct_vote_keeps_its_fraction_objects(self):
+        ranks = {10: Fraction(4, 3), 20: Fraction(8, 3)}
+        message = RanksMessage.from_dict(ranks)
+        vote = message.sound_vote()
+        assert vote == ranks
+        assert all(vote[i] is ranks[i] for i in ranks)
+        assert vote.pairs == {10: (4, 3), 20: (8, 3)}
+
+    @pytest.mark.parametrize(
+        "rank", [True, False, float("nan"), float("inf"), float("-inf"), "1", None, 1j]
+    )
+    def test_an_unsound_rank_drops_the_vote(self, rank):
+        assert RanksMessage(entries=((10, rank),)).sound_vote() is None
+        entries = ((10, Fraction(1)), (20, rank), (30, Fraction(3)))
+        assert RanksMessage(entries=entries).sound_vote() is None
+
+    @pytest.mark.parametrize("identifier", ["10", 10.0, True, 0, -3, None])
+    def test_an_unsound_id_drops_the_vote(self, identifier):
+        assert RanksMessage(entries=((identifier, Fraction(1)),)).sound_vote() is None
+        entries = ((5, Fraction(1)), (identifier, Fraction(2)))
+        assert RanksMessage(entries=entries).sound_vote() is None
+
+    def test_an_unsound_entry_drops_the_vote_even_when_its_id_repeats(self):
+        entries = ((7, float("nan")), (7, Fraction(1)))
+        assert RanksMessage(entries=entries).sound_vote() is None
+
+    @pytest.mark.parametrize("engine", ["batched", "reference"])
+    def test_aa_reads_byzantine_floats_as_fractions(self, engine):
+        from repro.agreement import initial_values_factory
+
+        ids = standard_ids(7)
+        values = {identifier: Fraction(identifier, 3) for identifier in ids}
+        result = run_protocol(
+            initial_values_factory(values, rounds=3),
+            n=7,
+            t=2,
+            ids=ids,
+            adversary=FloatValues(),
+            seed=0,
+            engine=engine,
+        )
+        correct_inputs = [values[result.ids[i]] for i in result.correct]
+        for index in result.correct:
+            value = result.outputs[index]
+            assert type(value) is Fraction
+            assert min(correct_inputs) <= value <= max(correct_inputs)
 
 
 class TestPoisonResilience:
@@ -232,9 +311,9 @@ class TestDecodeOnce:
         checked = []
         sent = []
 
-        def counting_check(vote):
-            checked.append(dict(vote))
-            return is_sound_vote(vote)
+        def counting_check(entries):
+            checked.append(entries)
+            return exact_vote(entries)
 
         original = VotingPhase.messages_for_step
 
@@ -243,7 +322,7 @@ class TestDecodeOnce:
             sent.extend(out)
             return out
 
-        monkeypatch.setattr(core_messages, "is_sound_vote", counting_check)
+        monkeypatch.setattr(core_messages, "exact_vote", counting_check)
         monkeypatch.setattr(VotingPhase, "messages_for_step", recording)
         result = run_protocol(
             partial(OrderPreservingRenaming, options=RenamingOptions(voting_rounds=1)),
@@ -290,11 +369,11 @@ class TestDecodeOnce:
             monkeypatch, "batched", PoisonAdversary()
         )
         assert_renaming_ok(result, SystemParams(self.N, self.T).namespace_bound)
-        poisoned = [vote for first, vote in seen if not is_sound_vote(first.as_dict())]
+        poisoned = [vote for first, vote in seen if exact_vote(first.entries) is None]
         assert len(poisoned) == len(result.correct) * len(result.byzantine)
         assert all(vote is None for vote in poisoned)
         # Each poison object was checked once, however many links carried it.
-        unsound = [vote for vote in checked if not is_sound_vote(vote)]
+        unsound = [entries for entries in checked if exact_vote(entries) is None]
         assert len(unsound) == len({id(first) for first, vote in seen if vote is None})
 
     def test_shared_vote_is_read_only(self):
@@ -316,12 +395,6 @@ class TestDecodeOnce:
             del vote[10]
         assert dict(vote) == message.as_dict() == {10: Fraction(1), 20: Fraction(3)}
 
-    def test_exact_pairs_only_for_all_fraction_votes(self):
-        exact = RanksMessage.from_dict({10: Fraction(1, 3), 20: Fraction(5, 2)})
-        assert exact.sound_vote().pairs == {10: (1, 3), 20: (5, 2)}
-        for ranks in ({10: 0.25, 20: 1.5}, {10: 1, 20: 2}, {10: Fraction(1), 20: 2.5}):
-            assert RanksMessage.from_dict(ranks).sound_vote().pairs is None
-
     # ------------------------------------------------- isValid verdict cache
 
     DELTA = SystemParams(N, T).delta
@@ -341,22 +414,6 @@ class TestDecodeOnce:
         assert narrow(vote) is True and wide(vote) is False  # cached, per key
         assert vote.verdicts == {narrow.key: True, wide.key: False}
 
-    @pytest.mark.parametrize("delta", [DELTA, SystemParams(40, 13).delta, Fraction(1)])
-    def test_exact_and_float_keys_never_collide(self, delta):
-        """Each mode's check, built as the voting phase builds it, has its
-        own key, so one vote object carries each mode's verdict."""
-        exact = VoteCheck([10, 20], delta)
-        floaty = VoteCheck([10, 20], float(delta), FLOAT_TOLERANCE)
-        assert exact.key != floaty.key
-        assert all(type(part) is not Fraction for part in exact.key[1] + floaty.key[1])
-        # Spaced a hair under δ: float mode's tolerance absorbs it, exact
-        # mode rejects it.
-        gap = delta - Fraction(1, 10**12)
-        vote = RanksMessage.from_dict({10: Fraction(1), 20: 1 + gap}).sound_vote()
-        assert exact(vote) is False
-        assert floaty(vote) is True
-        assert exact(vote) is False
-
     @pytest.mark.parametrize("engine", ["batched", "reference"])
     @pytest.mark.parametrize("attack", [None, "id-forging", "rank-skew"])
     def test_one_isvalid_per_object_and_key(self, monkeypatch, engine, attack):
@@ -370,9 +427,9 @@ class TestDecodeOnce:
             asked.append((vote, check.key))
             return original_call(check, vote)
 
-        def running(timely, vote, delta, tolerance=0.0):
+        def running(timely, vote, delta):
             ran.append((vote, timely))
-            return original_check(timely, vote, delta, tolerance)
+            return original_check(timely, vote, delta)
 
         monkeypatch.setattr(VoteCheck, "__call__", asking)
         monkeypatch.setattr(validation, "is_valid_ranks", running)
@@ -395,7 +452,7 @@ class TestDecodeOnce:
             vote = message.sound_vote()
             if vote is not None:
                 VoteCheck([10, 20], Fraction(1))(vote)
-                VoteCheck([10], 0.5, FLOAT_TOLERANCE)(vote)
+                VoteCheck([10], Fraction(1, 2))(vote)
         elif isinstance(message, RelayMessage):
             message.once_per_key((7, None, 1, 3), lambda: [((2, 3), 6)])
             message.once_per_key((7, 2, 1, 4), lambda: [])

